@@ -58,12 +58,6 @@ type Options struct {
 	// Target, when > 0, overrides the problem's target throughput
 	// (Solve only; batch problems keep their own targets).
 	Target int
-	// DisableLPWarmStart forces cold LP solves inside branch and bound
-	// (Solve only; see SolveRequest.DisableLPWarmStart).
-	DisableLPWarmStart bool
-	// DisablePresolve switches off the root presolve pass for this solve
-	// (Solve only; see SolveRequest.DisablePresolve).
-	DisablePresolve bool
 	// Stats opts into the per-solve flight-recorder block on the
 	// response (Solution.Stats): trace/worker attribution, queue-wait vs
 	// solve-time split, and the search trajectory.
@@ -136,8 +130,6 @@ func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (
 	req := SolveRequest{Problem: raw}
 	if opts != nil {
 		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
-		req.DisableLPWarmStart = opts.DisableLPWarmStart
-		req.DisablePresolve = opts.DisablePresolve
 		req.Stats = opts.Stats
 		if opts.Target > 0 {
 			t := opts.Target
@@ -253,8 +245,6 @@ func (c *Client) SolveRef(ctx context.Context, hash string, target int, opts *Op
 	req := SolveRequest{ProblemRef: &ProblemRef{Hash: hash, Target: &target}}
 	if opts != nil {
 		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
-		req.DisableLPWarmStart = opts.DisableLPWarmStart
-		req.DisablePresolve = opts.DisablePresolve
 		req.Stats = opts.Stats
 	}
 	var sol Solution

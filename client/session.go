@@ -17,11 +17,6 @@ type SessionOptions struct {
 	TimeLimit time.Duration
 	// Target, when > 0, overrides the problem's target throughput.
 	Target int
-	// DisablePresolve switches off the root presolve pass for the
-	// session's re-solves; DisableWarm forces every re-solve cold
-	// (ablation and benchmarking).
-	DisablePresolve bool
-	DisableWarm     bool
 }
 
 // Session is a typed handle on one daemon-side re-optimization session
@@ -44,8 +39,6 @@ func (c *Client) NewSession(ctx context.Context, p *rentmin.Problem, opts *Sessi
 	req := CreateSessionRequest{Problem: raw}
 	if opts != nil {
 		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
-		req.DisablePresolve = opts.DisablePresolve
-		req.DisableWarm = opts.DisableWarm
 		if opts.Target > 0 {
 			t := opts.Target
 			req.Target = &t

@@ -46,17 +46,6 @@ type SolveRequest struct {
 	// clamped. When the limit stops the search the best allocation found
 	// so far is returned with Proven == false.
 	TimeLimitMs int64 `json:"time_limit_ms,omitempty"`
-	// DisableLPWarmStart switches off the dual-simplex LP warm starts
-	// inside branch and bound for this solve (every node then re-solves
-	// its relaxation cold). Costs are identical either way; the flag
-	// exists for ablation campaigns and numerical diagnosis, and a
-	// coordinator forwards it so remote solves honor it too.
-	DisableLPWarmStart bool `json:"disable_lp_warm_start,omitempty"`
-	// DisablePresolve switches off the root presolve pass (and the CG
-	// rounding cuts it enables) for this solve. Costs are identical
-	// either way; the flag exists for ablation, and a coordinator
-	// forwards it so remote solves honor it too.
-	DisablePresolve bool `json:"disable_presolve,omitempty"`
 	// Stats opts into the solve flight-recorder block on the response
 	// (Solution.Stats): trace/worker attribution, the queue-wait vs
 	// solve-time split, and the search trajectory. Off by default — the
@@ -110,8 +99,8 @@ type Solution struct {
 	// rounding) over CutRounds generation rounds.
 	Cuts      int `json:"cuts,omitempty"`
 	CutRounds int `json:"cut_rounds,omitempty"`
-	// Presolve counts the root presolve reductions; nil when presolve was
-	// disabled or reduced nothing.
+	// Presolve counts the root presolve reductions; nil when presolve
+	// reduced nothing.
 	Presolve *PresolveStats `json:"presolve,omitempty"`
 	// ElapsedMs is the solver wall clock in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -346,12 +335,6 @@ type CreateSessionRequest struct {
 	// cold solve and every event re-solve — in milliseconds (zero =
 	// daemon default, clamped to the daemon maximum).
 	TimeLimitMs int64 `json:"time_limit_ms,omitempty"`
-	// DisablePresolve switches off the root presolve pass for the
-	// session's re-solves.
-	DisablePresolve bool `json:"disable_presolve,omitempty"`
-	// DisableWarm forces every re-solve cold — no incumbent seeding, no
-	// root-basis reuse (ablation and benchmarking).
-	DisableWarm bool `json:"disable_warm,omitempty"`
 }
 
 // SessionEvent is one streamed mutation in a POST /v1/sessions/{id}/events

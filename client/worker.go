@@ -150,8 +150,6 @@ func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.So
 	copts := &Options{}
 	if opts != nil {
 		copts.TimeLimit = opts.TimeLimit
-		copts.DisableLPWarmStart = opts.DisableLPWarmStart
-		copts.DisablePresolve = opts.DisablePresolve
 		// opts.Workers is deliberately not forwarded: the worker daemon's
 		// own -per-solve-workers decides its inner parallelism.
 	}

@@ -48,7 +48,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override campaign seed")
 		workers    = flag.Int("workers", 0, "parallel configurations (0 = GOMAXPROCS)")
 		ilpWorkers = flag.Int("ilp-workers", 1, "branch-and-bound workers per ILP solve (1 = sequential, 0 = GOMAXPROCS)")
-		ilpLPWarm  = flag.Bool("ilp-lp-warm", true, "dual-simplex LP warm starts inside each ILP solve (false = cold re-solves, for ablation)")
 		targets    = flag.String("targets", "", "override the target sweep, e.g. \"40,80,120\"")
 		outdir     = flag.String("outdir", "", "write CSV files to this directory")
 	)
@@ -85,7 +84,6 @@ func main() {
 		case *ilpWorkers > 1:
 			s.ILPWorkers = *ilpWorkers
 		} // 1 (the default) keeps the Setting's sequential default
-		s.ILPColdLP = !*ilpLPWarm
 		if len(targetList) > 0 {
 			s.Targets = targetList
 		}

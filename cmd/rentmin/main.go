@@ -5,9 +5,8 @@
 // Usage:
 //
 //	rentmin -problem instance.json [-target 70] [-algo ilp|h0|h1|h2|h31|h32|h32jump]
-//	        [-time-limit 10s] [-workers 8] [-lp-warm=false]
-//	        [-presolve=false] [-seed 1] [-delta 10] [-iterations 2000]
-//	        [-simulate] [-sim-duration 60]
+//	        [-time-limit 10s] [-workers 8] [-seed 1] [-delta 10]
+//	        [-iterations 2000] [-simulate] [-sim-duration 60]
 //
 // The tool prints the chosen per-graph throughput split, the machines to
 // rent per type, and the hourly cost; with -simulate it also validates the
@@ -34,8 +33,6 @@ func main() {
 	algo := flag.String("algo", "ilp", "algorithm: ilp, h0, h1, h2, h31, h32, h32jump")
 	timeLimit := flag.Duration("time-limit", 0, "branch-and-bound budget for -algo ilp (0 = unlimited)")
 	workers := flag.Int("workers", 0, "parallel branch-and-bound workers for -algo ilp (0 = GOMAXPROCS, 1 = sequential)")
-	lpWarm := flag.Bool("lp-warm", true, "dual-simplex LP warm starts inside branch and bound for -algo ilp (false = cold re-solves)")
-	presolve := flag.Bool("presolve", true, "root presolve + extra cutting planes for -algo ilp (false = plain branch and bound)")
 	seed := flag.Uint64("seed", 1, "seed for stochastic heuristics")
 	delta := flag.Int("delta", 0, "exchange quantum for iterative heuristics (0 = auto)")
 	iterations := flag.Int("iterations", 0, "iteration budget for iterative heuristics (0 = default)")
@@ -59,12 +56,7 @@ func main() {
 	start := time.Now()
 	switch strings.ToLower(*algo) {
 	case "ilp":
-		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{
-			TimeLimit:          *timeLimit,
-			Workers:            *workers,
-			DisableLPWarmStart: !*lpWarm,
-			DisablePresolve:    !*presolve,
-		})
+		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: *timeLimit, Workers: *workers})
 		if err != nil {
 			log.Fatalf("solve: %v", err)
 		}

@@ -10,7 +10,7 @@
 //	         [-max-target 1000000] [-max-batch 64] [-max-body 16777216]
 //	         [-default-time-limit 10s] [-max-time-limit 60s]
 //	         [-shutdown-grace 30s] [-problem-cache 256]
-//	         [-presolve=false] [-debug-solves 64] [-pprof]
+//	         [-debug-solves 64] [-pprof]
 //	         [-max-sessions 64] [-session-idle 15m]
 //	         [-coordinator] [-workers-endpoints http://w1:8080,http://w2:8080]
 //	         [-workers-wait 15s] [-evict-strikes 3] [-health-interval 5s]
@@ -141,7 +141,6 @@ func main() {
 	register := flag.String("register", "", "coordinator base URL to register this worker with, at boot and every -register-interval")
 	advertise := flag.String("advertise", "", "this worker's own base URL as the coordinator should dial it (required with -register)")
 	registerInterval := flag.Duration("register-interval", 15*time.Second, "how often to re-announce to the -register coordinator (re-registration is idempotent and revives an evicted worker)")
-	presolve := flag.Bool("presolve", true, "MILP root presolve + extra cutting planes for every solve (false = plain branch and bound; requests can also opt out per solve)")
 	debugSolves := flag.Int("debug-solves", 64, "solve flight-recorder entries served by GET /debug/solves")
 	pprofFlag := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/ (unauthenticated: keep it off the open internet)")
 	flag.Parse()
@@ -163,7 +162,6 @@ func main() {
 		SessionIdleTimeout: *sessionIdle,
 		DebugSolves:        *debugSolves,
 		Pprof:              *pprofFlag,
-		DisablePresolve:    !*presolve,
 	}
 	if *register != "" && *advertise == "" {
 		fatal("-register needs -advertise (the base URL the coordinator dials this worker at)")

@@ -49,10 +49,6 @@ type Setting struct {
 	// with Workers == 1 when wall-clock latency of a single big instance
 	// is what matters.
 	ILPWorkers int
-	// ILPColdLP disables the dual-simplex LP warm starts inside each ILP
-	// solve (every branch-and-bound node then re-solves cold), for
-	// warm-vs-cold ablation campaigns. Costs are identical either way.
-	ILPColdLP bool
 	// SolverPool, when non-nil, routes every exact (ILP) solve of the
 	// sweep through the given pool instead of calling the solver stack
 	// directly. The sweep code is identical for every backend: a local
@@ -67,7 +63,7 @@ type Setting struct {
 	SolverPool *rentmin.SolverPool
 }
 
-// ilpWorkers maps the Setting field to solve.ILPOptions.Workers semantics
+// ilpWorkers maps the Setting field to rentmin.SolveOptions.Workers semantics
 // (where 0 means GOMAXPROCS): 0 → 1 (sequential), <0 → GOMAXPROCS.
 func (s Setting) ilpWorkers() int {
 	switch {

@@ -9,10 +9,8 @@ import (
 	"rentmin/internal/core"
 	"rentmin/internal/graphgen"
 	"rentmin/internal/heuristics"
-	"rentmin/internal/milp"
 	"rentmin/internal/pool"
 	"rentmin/internal/rng"
-	"rentmin/internal/solve"
 )
 
 // ilpName labels the exact solver column in reports.
@@ -123,14 +121,14 @@ func runConfig(ctx context.Context, s Setting, algos []heuristics.Algorithm, mas
 	model := core.NewCostModel(problem)
 	for ti, target := range s.Targets {
 		start := time.Now()
-		ilp, err := s.exactSolve(ctx, model, problem, target)
+		ilp, err := s.exactSolve(ctx, problem, target)
 		if err != nil {
 			return fmt.Errorf("ILP at target %d: %w", target, err)
 		}
 		grid[0][ti][c] = cell{
-			cost:    ilp.cost,
+			cost:    ilp.Alloc.Cost,
 			seconds: time.Since(start).Seconds(),
-			proven:  ilp.proven,
+			proven:  ilp.Proven,
 		}
 		for ai, alg := range algos {
 			src := master.Sub('h', uint64(c), uint64(ti), uint64(ai))
@@ -145,42 +143,18 @@ func runConfig(ctx context.Context, s Setting, algos []heuristics.Algorithm, mas
 	return nil
 }
 
-// exactResult is what the sweep needs from the exact solver column.
-type exactResult struct {
-	cost   int64
-	proven bool
-}
-
 // exactSolve runs the sweep's exact (ILP) solve for one (instance,
-// target) cell: in-process through internal/solve by default, or routed
-// through Setting.SolverPool — which may dispatch it to a remote rentmind
-// worker — when one is configured. Both paths produce identical costs.
-func (s Setting) exactSolve(ctx context.Context, model *core.CostModel, problem *core.Problem, target int) (exactResult, error) {
+// target) cell through rentmin.SolveContext, or through
+// Setting.SolverPool — which may dispatch it to a remote rentmind
+// worker — when one is configured. Both backends produce identical costs.
+func (s Setting) exactSolve(ctx context.Context, problem *core.Problem, target int) (rentmin.Solution, error) {
+	p := *problem // shallow copy: only the target differs per cell
+	p.Target = target
+	solveContext := rentmin.SolveContext
 	if s.SolverPool != nil {
-		p := *problem // shallow copy: only the target differs per cell
-		p.Target = target
-		sol, err := s.SolverPool.SolveContext(ctx, &p, &rentmin.SolveOptions{
-			TimeLimit:          s.ILPTimeLimit,
-			Workers:            s.ilpWorkers(),
-			DisableLPWarmStart: s.ILPColdLP,
-		})
-		if err != nil {
-			return exactResult{}, err
-		}
-		return exactResult{cost: sol.Alloc.Cost, proven: sol.Proven}, nil
+		solveContext = s.SolverPool.SolveContext
 	}
-	res, err := solve.ILPContext(ctx, model, target, &solve.ILPOptions{
-		TimeLimit:          s.ILPTimeLimit,
-		Workers:            s.ilpWorkers(),
-		DisableLPWarmStart: s.ILPColdLP,
-	})
-	if err != nil {
-		return exactResult{}, err
-	}
-	if res.Status != milp.Optimal && res.Status != milp.Feasible {
-		return exactResult{}, fmt.Errorf("status %v", res.Status)
-	}
-	return exactResult{cost: res.Alloc.Cost, proven: res.Proven}, nil
+	return solveContext(ctx, &p, &rentmin.SolveOptions{TimeLimit: s.ILPTimeLimit, Workers: s.ilpWorkers()})
 }
 
 // aggregate folds the raw grid into the figures' quantities.

@@ -106,7 +106,7 @@ func TestLocalSolveOptionsLeaveDeadlineToContext(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	opts, err := s.solveOptions(ctx, false, false)
+	opts, err := s.solveOptions(ctx)
 	if err != nil {
 		t.Fatalf("solveOptions: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestCoordinatorExpiredDeadlineFailsFast(t *testing.T) {
 	s, _ := newTestServer(t, Config{SolverPool: pool})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := s.solveOptions(ctx, false, false); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.solveOptions(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("solveOptions on an expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -157,32 +157,5 @@ func TestCoordinatorWorkerMetricsIncludeSuccesses(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestCoordinatorForwardsColdLPFlag: the warm-start ablation flag must
-// survive the wire hop, or remote ablation campaigns silently measure
-// warm-start timings.
-func TestCoordinatorForwardsColdLPFlag(t *testing.T) {
-	worker := &recordingWorker{caps: 1}
-	c := newCoordinatorServer(t, worker)
-
-	p := rentmin.IllustratingExample()
-	p.Target = 70
-	if _, err := c.Solve(context.Background(), p, &client.Options{DisableLPWarmStart: true}); err != nil {
-		t.Fatalf("Solve cold: %v", err)
-	}
-	if _, err := c.Solve(context.Background(), p, nil); err != nil {
-		t.Fatalf("Solve warm: %v", err)
-	}
-	got := worker.options()
-	if len(got) != 2 {
-		t.Fatalf("worker saw %d dispatches, want 2", len(got))
-	}
-	if !got[0].DisableLPWarmStart {
-		t.Errorf("DisableLPWarmStart dropped on the dispatch path")
-	}
-	if got[1].DisableLPWarmStart {
-		t.Errorf("DisableLPWarmStart set without being requested")
 	}
 }

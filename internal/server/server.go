@@ -100,11 +100,6 @@ type Config struct {
 	// /debug/pprof/ (cmd/rentmind's -pprof flag). Off by default: the
 	// profile endpoints are unauthenticated and can burn CPU.
 	Pprof bool
-	// DisablePresolve turns off the MILP root presolve daemon-wide
-	// (cmd/rentmind's -presolve=false). Requests can also disable it
-	// per-solve via SolveRequest.DisablePresolve; either switch wins.
-	// Off by default — presolve is on.
-	DisablePresolve bool
 	// Logger receives the daemon's structured log lines (dispatches,
 	// evictions, registrations, each with trace_id/worker/item fields
 	// where they apply). Nil uses slog.Default().
@@ -465,12 +460,8 @@ func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 // shaved by a small grace so the worker stops itself and ships its best
 // incumbent back before the coordinator's context cuts the connection.
 // An already-expired deadline fails fast instead of dispatching.
-func (s *Server) solveOptions(ctx context.Context, coldLP, noPresolve bool) (*rentmin.SolveOptions, error) {
-	opts := &rentmin.SolveOptions{
-		Workers:            s.cfg.PerSolveWorkers,
-		DisableLPWarmStart: coldLP,
-		DisablePresolve:    s.cfg.DisablePresolve || noPresolve,
-	}
+func (s *Server) solveOptions(ctx context.Context) (*rentmin.SolveOptions, error) {
+	opts := &rentmin.SolveOptions{Workers: s.cfg.PerSolveWorkers}
 	if !s.pool.Remote() {
 		return opts, nil
 	}
@@ -550,7 +541,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var st *searchTrace
 	solveSpan := tr.StartSpan("solve")
 	solveStart := time.Now()
-	opts, err := s.solveOptions(ctx, req.DisableLPWarmStart, req.DisablePresolve)
+	opts, err := s.solveOptions(ctx)
 	if err == nil {
 		if req.Stats {
 			st = &searchTrace{}
@@ -708,7 +699,7 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stat
 				// shared, so in coordinator mode each later item forwards
 				// a smaller remaining limit (and an exhausted budget fails
 				// the item instead of dispatching it).
-				opts, err := s.solveOptions(ctx, false, false)
+				opts, err := s.solveOptions(ctx)
 				if err != nil {
 					releaseLease()
 					results[i] = itemResult{err: err, queueWait: qw}

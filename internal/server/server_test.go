@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -128,14 +129,18 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestMalformedRequestsRejected(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
-	post := func(body string) int {
+	postTo := func(path, body string) int {
 		t.Helper()
-		resp, err := http.Post(serverURL(c)+"/v1/solve", "application/json", strings.NewReader(body))
+		resp, err := http.Post(serverURL(c)+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
+	}
+	post := func(body string) int {
+		t.Helper()
+		return postTo("/v1/solve", body)
 	}
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Errorf("syntactically invalid body: %d, want 400", code)
@@ -151,6 +156,29 @@ func TestMalformedRequestsRejected(t *testing.T) {
 	}
 	if code := post(`{}`); code != http.StatusBadRequest {
 		t.Errorf("missing problem: %d, want 400", code)
+	}
+
+	// Solver ablation switches are not part of the wire: a stale client
+	// still sending one is refused, not silently served the default.
+	var doc bytes.Buffer
+	if err := rentmin.WriteProblem(&doc, fastProblem(70)); err != nil {
+		t.Fatal(err)
+	}
+	valid := `{"problem": ` + doc.String()
+	for _, path := range []string{"/v1/solve", "/v1/sessions"} {
+		if code := postTo(path, valid+`}`); code != http.StatusOK {
+			t.Fatalf("POST %s with a valid problem: %d, want 200", path, code)
+		}
+	}
+	for _, tc := range []struct{ path, field string }{
+		{"/v1/solve", "disable_presolve"},
+		{"/v1/solve", "disable_lp_warm_start"},
+		{"/v1/sessions", "disable_presolve"},
+		{"/v1/sessions", "disable_warm"},
+	} {
+		if code := postTo(tc.path, valid+`, "`+tc.field+`": true}`); code != http.StatusBadRequest {
+			t.Errorf("POST %s with removed field %q: %d, want 400", tc.path, tc.field, code)
+		}
 	}
 
 	// Wrong method on a registered route.

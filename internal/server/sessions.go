@@ -251,11 +251,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(tctx, limit)
 	defer cancel()
-	sess, res, err := rentmin.NewSession(ctx, p, &rentmin.SessionOptions{
-		Workers:         s.cfg.PerSolveWorkers,
-		DisablePresolve: s.cfg.DisablePresolve || req.DisablePresolve,
-		DisableWarm:     req.DisableWarm,
-	})
+	sess, res, err := rentmin.NewSession(ctx, p, &rentmin.SessionOptions{Workers: s.cfg.PerSolveWorkers})
 	if err != nil {
 		s.sessions.abandon(id)
 		if r.Context().Err() != nil {

@@ -29,7 +29,7 @@ func FuzzSessionEvents(f *testing.F) {
 
 		p := core.IllustratingExample()
 		p.Target = 20 + r.Intn(60)
-		s, res, err := New(ctx, p, Options{DisablePresolve: r.Intn(2) == 0})
+		s, res, err := New(ctx, p, Options{ILP: solve.ILPOptions{DisablePresolve: r.Intn(2) == 0}})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -79,13 +79,11 @@ type Event struct {
 
 // Options tunes a session's re-solves.
 type Options struct {
-	// TimeLimit bounds each re-solve (zero = unlimited). A limited
-	// re-solve may commit a Feasible (unproven) allocation.
-	TimeLimit time.Duration
-	// Workers sets branch-and-bound parallelism per re-solve.
-	Workers int
-	// DisablePresolve switches off the root presolve pass.
-	DisablePresolve bool
+	// ILP configures every re-solve. Leave WarmStart and RootBasis
+	// unset: the session fills them from the previous optimum. A
+	// TimeLimit may make a re-solve commit a Feasible (unproven)
+	// allocation.
+	ILP solve.ILPOptions
 	// DisableWarm forces every re-solve cold — no incumbent seed, no
 	// root-basis reuse (ablation and the cold benchmark baseline).
 	DisableWarm bool
@@ -334,11 +332,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 	}
 	m := core.NewCostModel(eff)
 
-	iopts := &solve.ILPOptions{
-		TimeLimit:       s.opts.TimeLimit,
-		Workers:         s.opts.Workers,
-		DisablePresolve: s.opts.DisablePresolve,
-	}
+	iopts := s.opts.ILP
 	if seed != nil && !s.opts.DisableWarm {
 		iopts.WarmStart = warmSeed(m, effIdx, seed, work.Target)
 		iopts.RootBasis = s.basis
@@ -346,7 +340,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 	}
 
 	start := time.Now()
-	r, err := solve.ILPContext(ctx, m, work.Target, iopts)
+	r, err := solve.ILPContext(ctx, m, work.Target, &iopts)
 	if err != nil {
 		return nil, err
 	}

@@ -269,7 +269,7 @@ func TestSessionDisableWarmSameCosts(t *testing.T) {
 func TestSessionRootBasisChain(t *testing.T) {
 	p := core.IllustratingExample()
 	p.Target = 70
-	s, _, err := New(ctxb(), p, Options{DisablePresolve: true})
+	s, _, err := New(ctxb(), p, Options{ILP: solve.ILPOptions{DisablePresolve: true}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -394,7 +394,7 @@ func TestSessionClose(t *testing.T) {
 func TestSessionCancelledApply(t *testing.T) {
 	p := core.IllustratingExample()
 	p.Target = 70
-	s, _, err := New(ctxb(), p, Options{DisablePresolve: true})
+	s, _, err := New(ctxb(), p, Options{ILP: solve.ILPOptions{DisablePresolve: true}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

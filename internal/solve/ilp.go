@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"strings"
 	"time"
 
 	"rentmin/internal/core"
@@ -13,20 +11,11 @@ import (
 	"rentmin/internal/milp"
 )
 
-// presolveEnvEnabled reads the RENTMIN_PRESOLVE environment variable: an
-// explicit off value disables presolve process-wide (the CI test matrix
-// uses it to run the whole suite with and without presolve); anything
-// else, including unset, keeps the default on.
-func presolveEnvEnabled() bool {
-	switch strings.ToLower(os.Getenv("RENTMIN_PRESOLVE")) {
-	case "0", "off", "false", "no":
-		return false
-	}
-	return true
-}
-
 // ILPOptions tunes the integer-program path for the general shared-type
-// case (Section V-C).
+// case (Section V-C). It is the one solver config: the public facade,
+// the daemon and sessions set only TimeLimit, WarmStart, Workers, the
+// observer hooks and RootBasis; the Disable* ablation switches are set
+// only by benchmarks and tests.
 type ILPOptions struct {
 	// TimeLimit bounds the branch-and-bound wall clock (the paper uses
 	// 100 s in its Fig. 8 stress test). Zero means unlimited.
@@ -50,13 +39,8 @@ type ILPOptions struct {
 	// tightening, fixing, row/column elimination, coefficient reduction
 	// and the CG rounding cut round it enables — see milp.Options.Presolve).
 	// Presolve is on by default: it shrinks the tree before the first
-	// pivot runs and the reported cost is identical either way. The
-	// RENTMIN_PRESOLVE environment variable ("0"/"off"/"false"/"no")
-	// disables it process-wide for CI matrix runs and ablation.
+	// pivot runs and the reported cost is identical either way.
 	DisablePresolve bool
-	// CutRounds overrides the default number of Gomory rounds (0 keeps
-	// the default of 4).
-	CutRounds int
 	// DisableStrongBranch falls back to most-fractional branching
 	// (ablation).
 	DisableStrongBranch bool
@@ -242,14 +226,11 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 	}
 	if !opts.DisableCuts {
 		mopts.RootCutRounds = 4
-		if opts.CutRounds > 0 {
-			mopts.RootCutRounds = opts.CutRounds
-		}
 	}
 	if !opts.DisableRounding {
 		mopts.Rounder = RoundingRepair(m, target)
 	}
-	mopts.Presolve = !opts.DisablePresolve && presolveEnvEnabled()
+	mopts.Presolve = !opts.DisablePresolve
 	mopts.RootBasis = opts.RootBasis
 	switch {
 	case opts.WarmStart != nil:

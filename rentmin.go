@@ -146,18 +146,6 @@ type SolveOptions struct {
 	// concurrently, each with a sequential inner search — one level of
 	// parallelism, no oversubscription.
 	Workers int
-	// DisableLPWarmStart switches off the dual-simplex LP warm starts
-	// inside branch and bound (every node then re-solves its relaxation
-	// cold from scratch). The optimal cost is identical either way; the
-	// toggle exists for ablation and for diagnosing numerical trouble.
-	DisableLPWarmStart bool
-	// DisablePresolve switches off the root presolve pass and the CG
-	// rounding cuts it enables (bound tightening, variable fixing,
-	// row/column elimination, coefficient reduction before branch and
-	// bound). Presolve is on by default and the optimal cost is identical
-	// either way; the toggle exists for ablation and CI matrix runs (the
-	// RENTMIN_PRESOLVE environment variable disables it process-wide).
-	DisablePresolve bool
 	// OnIncumbent, when set, observes every incumbent the search accepts
 	// with its total rental cost, in deterministic order on the search
 	// coordinator goroutine. Observability hook (the solve flight
@@ -172,26 +160,13 @@ type SolveOptions struct {
 }
 
 // RoundInfo snapshots the branch-and-bound search at the end of one
-// frontier expansion round, for SolveOptions.OnRound observers.
-type RoundInfo struct {
-	// Round is the 1-based expansion round index.
-	Round int
-	// Bound is the best proven global lower bound after the round.
-	Bound float64
-	// Incumbent is the incumbent cost, +Inf while none exists.
-	Incumbent float64
-	// HasIncumbent reports whether a feasible allocation is known yet.
-	HasIncumbent bool
-	// Frontier is the number of open nodes after the round's merges.
-	Frontier int
-	// Nodes is the cumulative count of explored nodes.
-	Nodes int
-	// Elapsed is wall-clock time since the search started.
-	Elapsed time.Duration
-}
+// frontier expansion round, for SolveOptions.OnRound observers: the
+// round index, proven bound, incumbent cost (+Inf while none exists),
+// frontier size, cumulative nodes and elapsed time. See milp.RoundInfo.
+type RoundInfo = milp.RoundInfo
 
 // PresolveStats counts the reductions the root presolve pass applied
-// before branch and bound (see SolveOptions.DisablePresolve).
+// before branch and bound.
 type PresolveStats struct {
 	// RowsRemoved counts constraint rows eliminated as redundant or empty.
 	RowsRemoved int
@@ -233,8 +208,7 @@ type Solution struct {
 	// coordinator before the parallel search starts.
 	Cuts      int
 	CutRounds int
-	// Presolve counts the root presolve reductions (all zero when
-	// DisablePresolve is set).
+	// Presolve counts the root presolve reductions.
 	Presolve PresolveStats
 	// Elapsed is the solver wall-clock time.
 	Elapsed time.Duration
@@ -267,12 +241,8 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 		iopts.TimeLimit = opts.TimeLimit
 		iopts.WarmStart = opts.WarmStart
 		iopts.Workers = opts.Workers
-		iopts.DisableLPWarmStart = opts.DisableLPWarmStart
-		iopts.DisablePresolve = opts.DisablePresolve
 		iopts.OnIncumbent = opts.OnIncumbent
-		if cb := opts.OnRound; cb != nil {
-			iopts.OnRound = func(ri milp.RoundInfo) { cb(RoundInfo(ri)) }
-		}
+		iopts.OnRound = opts.OnRound
 	}
 	res, err := solve.ILPContext(ctx, m, p.Target, &iopts)
 	if err != nil {
@@ -401,8 +371,6 @@ func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem,
 	each := SolveOptions{Workers: 1}
 	if opts != nil {
 		each.TimeLimit = opts.TimeLimit
-		each.DisableLPWarmStart = opts.DisableLPWarmStart
-		each.DisablePresolve = opts.DisablePresolve
 	}
 	out := make([]Solution, len(problems))
 	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, i int) error {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rentmin/internal/session"
+	"rentmin/internal/solve"
 )
 
 // Online re-optimization: a Session owns a mutable Problem plus its
@@ -55,8 +56,6 @@ type SessionOptions struct {
 	// Workers sets branch-and-bound parallelism per re-solve (0 =
 	// GOMAXPROCS, 1 = sequential).
 	Workers int
-	// DisablePresolve switches off the root presolve pass.
-	DisablePresolve bool
 	// DisableWarm forces every re-solve cold: no incumbent seeding from
 	// the previous optimum and no root-basis reuse (ablation/benchmarks).
 	DisableWarm bool
@@ -75,10 +74,8 @@ func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session
 	var sopts session.Options
 	if opts != nil {
 		sopts = session.Options{
-			TimeLimit:       opts.TimeLimit,
-			Workers:         opts.Workers,
-			DisablePresolve: opts.DisablePresolve,
-			DisableWarm:     opts.DisableWarm,
+			ILP:         solve.ILPOptions{TimeLimit: opts.TimeLimit, Workers: opts.Workers},
+			DisableWarm: opts.DisableWarm,
 		}
 	}
 	inner, res, err := session.New(ctx, p, sopts)
