@@ -161,7 +161,7 @@ func TestWorkerReuploadsAfterEviction(t *testing.T) {
 		hs.Close()
 		srv.Close()
 	}()
-	w := client.NewWorker(client.New(hs.URL), nil, 0)
+	w := client.NewWorker(client.New(hs.URL), nil)
 	ctx := context.Background()
 
 	p1 := rentmin.IllustratingExample()

@@ -84,24 +84,11 @@ type Solution struct {
 	Proven bool `json:"proven"`
 	// Bound is the proven lower bound on the optimal cost.
 	Bound float64 `json:"bound"`
-	// Nodes counts explored branch-and-bound nodes.
-	Nodes int `json:"nodes"`
-	// LPIterations counts simplex pivots across all node LP solves.
-	LPIterations int `json:"lp_iterations"`
-	// LPSolves counts node LP relaxations solved; WarmLPSolves is the
-	// subset served by dual-simplex warm starts from the parent basis,
-	// and WastedLPSolves the subset the parallel search speculated on
-	// and discarded.
-	LPSolves       int `json:"lp_solves"`
-	WarmLPSolves   int `json:"warm_lp_solves,omitempty"`
-	WastedLPSolves int `json:"wasted_lp_solves"`
-	// Cuts counts root cutting planes (Gomory fractional plus CG
-	// rounding) over CutRounds generation rounds.
-	Cuts      int `json:"cuts,omitempty"`
-	CutRounds int `json:"cut_rounds,omitempty"`
-	// Presolve counts the root presolve reductions; nil when presolve
-	// reduced nothing.
-	Presolve *PresolveStats `json:"presolve,omitempty"`
+	// SearchStats is the search effort: nodes, LP solves and pivots,
+	// root cuts and presolve reductions (keys nodes, lp_iterations,
+	// lp_solves, warm_lp_solves, wasted_lp_solves, cuts, cut_rounds and
+	// presolve).
+	rentmin.SearchStats
 	// ElapsedMs is the solver wall clock in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Error is set instead of the other fields when a batch item failed
@@ -115,7 +102,8 @@ type Solution struct {
 // SolveStats is the per-solve flight-recorder block a daemon attaches to
 // a Solution when the request set Stats: attribution (which trace, which
 // worker), the admission-time split (queue wait vs solve), and the
-// branch-and-bound search trajectory.
+// branch-and-bound search trajectory. The search counters live on the
+// enclosing Solution; cold LP solves are LPSolves - WarmLPSolves.
 type SolveStats struct {
 	// TraceID is the request's trace ID — the value of the
 	// X-Rentmin-Trace-Id response header, repeated per batch item so
@@ -129,18 +117,6 @@ type SolveStats struct {
 	// dispatch round trip including the worker's own queue).
 	QueueWaitMs float64 `json:"queue_wait_ms"`
 	SolveMs     float64 `json:"solve_ms"`
-	// WarmLPSolves/ColdLPSolves/WastedLPSolves describe the LP work
-	// behind the solve: how many node relaxations re-optimized warm from
-	// the parent basis versus solved cold, and how many speculative
-	// solves parallel search discarded.
-	WarmLPSolves   int `json:"warm_lp_solves"`
-	ColdLPSolves   int `json:"cold_lp_solves"`
-	WastedLPSolves int `json:"wasted_lp_solves"`
-	// Cuts/CutRounds/Presolve describe the root strengthening work:
-	// cutting planes added, generation rounds, and presolve reductions.
-	Cuts      int            `json:"cuts,omitempty"`
-	CutRounds int            `json:"cut_rounds,omitempty"`
-	Presolve  *PresolveStats `json:"presolve,omitempty"`
 	// Incumbents is the incumbent-improvement trajectory and Rounds the
 	// per-round bound trajectory, both present only for in-process
 	// solves (a coordinator cannot observe a remote search's interior).
@@ -150,15 +126,6 @@ type SolveStats struct {
 	TrajectoryTruncated bool             `json:"trajectory_truncated,omitempty"`
 	// Phases are the request's span timings (decode, queue, solve, ...).
 	Phases []PhaseTiming `json:"phases,omitempty"`
-}
-
-// PresolveStats counts the root presolve reductions of one solve (see
-// rentmin.PresolveStats).
-type PresolveStats struct {
-	RowsRemoved     int `json:"rows_removed"`
-	ColsFixed       int `json:"cols_fixed"`
-	BoundsTightened int `json:"bounds_tightened"`
-	CoeffsReduced   int `json:"coeffs_reduced"`
 }
 
 // IncumbentPoint is one incumbent improvement: the search accepted a
@@ -288,20 +255,9 @@ type DebugSolve struct {
 	Proven bool   `json:"proven"`
 	Error  string `json:"error,omitempty"`
 
-	Nodes          int `json:"nodes"`
-	LPIterations   int `json:"lp_iterations"`
-	LPSolves       int `json:"lp_solves"`
-	WarmLPSolves   int `json:"warm_lp_solves"`
-	WastedLPSolves int `json:"wasted_lp_solves"`
-
-	// Root-strengthening counters: cutting planes added, cut rounds, and
-	// the presolve reduction counts (flat so the ring stays allocation-light).
-	Cuts           int `json:"cuts,omitempty"`
-	CutRounds      int `json:"cut_rounds,omitempty"`
-	PresolveRows   int `json:"presolve_rows,omitempty"`
-	PresolveCols   int `json:"presolve_cols,omitempty"`
-	PresolveBounds int `json:"presolve_bounds,omitempty"`
-	PresolveCoeffs int `json:"presolve_coeffs,omitempty"`
+	// SearchStats is the solve's search effort, under the same keys as
+	// on a Solution (presolve nested).
+	rentmin.SearchStats
 
 	// Incumbents/Rounds count trajectory points observed (the points
 	// themselves are served on the solve response when Stats was set).
@@ -398,11 +354,10 @@ type SessionResolve struct {
 	// Churn counts machine moves: the L1 distance between the previous
 	// and new per-type machine counts.
 	Churn int `json:"churn"`
-	// SolveMs is the re-solve wall clock; LPIterations and Nodes its
-	// search effort.
-	SolveMs      float64 `json:"solve_ms"`
-	LPIterations int     `json:"lp_iterations"`
-	Nodes        int     `json:"nodes"`
+	// SolveMs is the re-solve wall clock and SearchStats its search
+	// effort, under the same keys as on a Solution.
+	SolveMs float64 `json:"solve_ms"`
+	rentmin.SearchStats
 	// Error is set instead of the other fields when this event was
 	// rejected (the session state is unchanged).
 	Error string `json:"error,omitempty"`

@@ -34,9 +34,8 @@ const knownHashLimit = 4096
 // from a daemon that evicted (or restarted away) the hash triggers
 // re-upload and an immediate retry.
 type Worker struct {
-	c        *Client
-	retry    *Backoff
-	attempts int
+	c     *Client
+	retry *Backoff
 
 	mu    sync.Mutex
 	known map[string]struct{}
@@ -44,24 +43,20 @@ type Worker struct {
 	// fanning the same instance across this worker's seats must ship the
 	// document once, not once per seat.
 	uploading map[string]chan struct{}
-	// inlineOnly is set when the daemon demonstrably lacks the cache
-	// endpoints (an older build); the worker then falls back to inline
-	// problem documents for its lifetime.
-	inlineOnly bool
 }
 
+// workerAttempts is how many tries each solve gets against its worker
+// before a transient failure escalates to a worker fault.
+const workerAttempts = 3
+
 // NewWorker wraps a Client as fleet capacity. retry may be nil (default
-// schedule, seed 0); attempts <= 0 means 3 tries per solve against this
-// worker before a transient failure escalates to a worker fault.
-func NewWorker(c *Client, retry *Backoff, attempts int) *Worker {
+// schedule, seed 0).
+func NewWorker(c *Client, retry *Backoff) *Worker {
 	if retry == nil {
 		retry = NewBackoff(0)
 	}
-	if attempts <= 0 {
-		attempts = 3
-	}
 	return &Worker{
-		c: c, retry: retry, attempts: attempts,
+		c: c, retry: retry,
 		known:     make(map[string]struct{}),
 		uploading: make(map[string]chan struct{}),
 	}
@@ -116,18 +111,6 @@ func (w *Worker) forget(hash string) {
 	delete(w.known, hash)
 }
 
-func (w *Worker) refsDisabled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inlineOnly
-}
-
-func (w *Worker) disableRefs() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.inlineOnly = true
-}
-
 // Name implements rentmin.RemoteWorker with the daemon's base URL.
 func (w *Worker) Name() string { return w.c.BaseURL() }
 
@@ -144,8 +127,7 @@ func (w *Worker) Capacity(ctx context.Context) (int, error) {
 
 // Solve implements rentmin.RemoteWorker over the daemon's solve API,
 // content-addressed: upload-once via PUT /v1/problems/{hash}, then
-// POST /v1/solve with a problem_ref. Daemons without the cache
-// endpoints fall back to inline documents.
+// POST /v1/solve with a problem_ref.
 func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
 	copts := &Options{}
 	if opts != nil {
@@ -153,21 +135,17 @@ func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.So
 		// opts.Workers is deliberately not forwarded: the worker daemon's
 		// own -per-solve-workers decides its inner parallelism.
 	}
-	hash, doc, hashErr := ProblemHash(p)
-	if hashErr != nil || w.refsDisabled() {
-		return w.solveInline(ctx, p, copts)
+	hash, doc, err := ProblemHash(p)
+	if err != nil {
+		return rentmin.Solution{}, err
 	}
 	var sol *Solution
-	err := Retry(ctx, w.retry, w.attempts, func() error {
+	err = Retry(ctx, w.retry, workerAttempts, func() error {
 		var err error
 		sol, err = w.solveRef(ctx, hash, doc, p.Target, copts)
 		return err
 	})
 	if err != nil {
-		if refsUnsupported(err) {
-			w.disableRefs()
-			return w.solveInline(ctx, p, copts)
-		}
 		return rentmin.Solution{}, w.classify(ctx, err)
 	}
 	return sol.ToSolution()
@@ -193,37 +171,11 @@ func (w *Worker) solveRef(ctx context.Context, hash string, doc []byte, target i
 	return sol, err
 }
 
-// solveInline is the pre-cache dispatch path: the full problem document
-// on every solve.
-func (w *Worker) solveInline(ctx context.Context, p *rentmin.Problem, copts *Options) (rentmin.Solution, error) {
-	var sol *Solution
-	err := Retry(ctx, w.retry, w.attempts, func() error {
-		var err error
-		sol, err = w.c.Solve(ctx, p, copts)
-		return err
-	})
-	if err != nil {
-		return rentmin.Solution{}, w.classify(ctx, err)
-	}
-	return sol.ToSolution()
-}
-
 // isStatus reports whether err is an *APIError with the given HTTP
 // status.
 func isStatus(err error, status int) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.StatusCode == status
-}
-
-// refsUnsupported recognizes a daemon predating the content-addressed
-// cache: its mux 404s the PUT, or its strict request decoding rejects
-// the unknown problem_ref field with a 400 naming it.
-func refsUnsupported(err error) bool {
-	if isStatus(err, http.StatusNotFound) || isStatus(err, http.StatusMethodNotAllowed) || isStatus(err, http.StatusNotImplemented) {
-		return true
-	}
-	var ae *APIError
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusBadRequest && strings.Contains(ae.Message, "problem_ref")
 }
 
 // classify decides whether a solve failure indicts the worker (wrapped
@@ -263,23 +215,13 @@ func (s *Solution) ToSolution() (rentmin.Solution, error) {
 	if s.Error != "" {
 		return rentmin.Solution{}, fmt.Errorf("rentmind: %s", s.Error)
 	}
-	out := rentmin.Solution{
-		Alloc:          s.Allocation,
-		Proven:         s.Proven,
-		Bound:          s.Bound,
-		Nodes:          s.Nodes,
-		LPIterations:   s.LPIterations,
-		LPSolves:       s.LPSolves,
-		WarmLPSolves:   s.WarmLPSolves,
-		WastedLPSolves: s.WastedLPSolves,
-		Cuts:           s.Cuts,
-		CutRounds:      s.CutRounds,
-		Elapsed:        time.Duration(s.ElapsedMs * float64(time.Millisecond)),
-	}
-	if s.Presolve != nil {
-		out.Presolve = rentmin.PresolveStats(*s.Presolve)
-	}
-	return out, nil
+	return rentmin.Solution{
+		Alloc:       s.Allocation,
+		Proven:      s.Proven,
+		Bound:       s.Bound,
+		SearchStats: s.SearchStats,
+		Elapsed:     time.Duration(s.ElapsedMs * float64(time.Millisecond)),
+	}, nil
 }
 
 // FleetConfig tunes NewFleet and NewElasticFleet.
@@ -289,14 +231,6 @@ type FleetConfig struct {
 	// Seed drives the jittered retry/backoff schedule shared by the
 	// fleet, keeping multi-process tests reproducible.
 	Seed uint64
-	// RetryAttempts is how many tries each solve gets against its
-	// assigned worker before a transient failure escalates to a worker
-	// fault (0 = 3).
-	RetryAttempts int
-	// MaxAttempts bounds how many workers one problem may be dispatched
-	// to before its last fault is reported as its error (0 = 3 per
-	// worker, at least 4, tracking the fleet as it grows and shrinks).
-	MaxAttempts int
 	// EvictStrikes, when positive, evicts a fleet member once its
 	// consecutive strikes (dispatch faults plus failed health probes)
 	// reach the threshold; it rejoins with clean health by re-registering.
@@ -327,11 +261,10 @@ func NewElasticFleet(ctx context.Context, seeds []string, cfg *FleetConfig) (*re
 	}
 	retry := NewBackoff(fc.Seed)
 	dial := func(endpoint string) rentmin.RemoteWorker {
-		return NewWorker(NewWithHTTPClient(endpoint, fc.HTTPClient), retry, fc.RetryAttempts)
+		return NewWorker(NewWithHTTPClient(endpoint, fc.HTTPClient), retry)
 	}
 	pool := rentmin.NewElasticSolverPool(&rentmin.RemoteConfig{
 		Backoff:      retry.Delay,
-		MaxAttempts:  fc.MaxAttempts,
 		EvictStrikes: fc.EvictStrikes,
 	})
 	for _, ep := range seeds {

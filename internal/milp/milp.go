@@ -211,42 +211,52 @@ func (o *Options) intTol() float64 {
 	return o.IntTol
 }
 
+// SearchStats counts the work of one solve. It is the one report type
+// for solver effort: package solve, the rentmin facade, sessions and the
+// rentmind wire types all embed it unchanged, and its JSON tags are the
+// wire names. Every counter is reproducible for a fixed worker count.
+type SearchStats struct {
+	// Nodes counts explored branch-and-bound nodes.
+	Nodes int `json:"nodes"`
+	// LPIterations is the total number of simplex pivots across every
+	// node LP solved during the search (including warm-start restore
+	// pivots and speculative strong-branching children).
+	LPIterations int `json:"lp_iterations"`
+	// LPSolves counts node LP relaxations solved. WarmLPSolves is the
+	// subset re-optimized by the dual simplex from a parent basis; the
+	// rest (the root, rejected restores, and everything under
+	// Options.DisableWarmLP) solved cold, two-phase.
+	LPSolves     int `json:"lp_solves"`
+	WarmLPSolves int `json:"warm_lp_solves,omitempty"`
+	// WastedLPSolves counts speculative child LP solves that were
+	// discarded because their parent node became prunable mid-round (a
+	// sibling's incumbent improved after the parent was popped). This is
+	// the parallel search's speculation waste; it is always zero when
+	// Workers == 1 (the sequential search prunes at pop time and never
+	// solves such children). WastedLPSolves/LPSolves measures how much of
+	// the LP work parallelism threw away.
+	WastedLPSolves int `json:"wasted_lp_solves"`
+	// Cuts counts cutting planes added at the root (Gomory fractional
+	// plus CG rounding) over CutRounds generation rounds.
+	Cuts      int `json:"cuts,omitempty"`
+	CutRounds int `json:"cut_rounds,omitempty"`
+	// Presolve counts the root reductions applied (all zero when
+	// Options.Presolve is off). Like Cuts and CutRounds it is computed on
+	// the coordinator before the parallel search starts, so it is
+	// identical for every worker count.
+	Presolve PresolveStats `json:"presolve"`
+}
+
 // Result reports the outcome of a solve.
 type Result struct {
 	Status    Status
 	X         []float64 // incumbent (valid for Optimal and Feasible)
 	Objective float64   // incumbent objective
 	Bound     float64   // proven lower bound on the optimum
-	Nodes     int       // explored branch-and-bound nodes
-	Cuts      int       // cutting planes added at the root (Gomory + CG rounding)
-	CutRounds int       // root cut-generation rounds performed
 	Elapsed   time.Duration
-	// Presolve counts the root reductions applied (all zero when
-	// Options.Presolve is off). Like Cuts and CutRounds it is computed on
-	// the coordinator before the parallel search starts, so it is
-	// identical for every worker count.
-	Presolve PresolveStats
 	// Gap is (Objective-Bound)/max(1,|Objective|); zero when optimal.
 	Gap float64
-	// LPIterations is the total number of simplex pivots across every
-	// node LP solved during the search (including warm-start restore
-	// pivots and speculative strong-branching children).
-	LPIterations int
-	// WarmLPSolves and ColdLPSolves split the node LP solves by path:
-	// warm dual-simplex re-optimizations versus cold two-phase solves
-	// (the root, warm-start rejections, and everything under
-	// Options.DisableWarmLP).
-	WarmLPSolves int
-	ColdLPSolves int
-	// WastedLPSolves counts speculative child LP solves that were
-	// discarded because their parent node became prunable mid-round (a
-	// sibling's incumbent improved after the parent was popped). This is
-	// the parallel search's speculation waste; it is always zero when
-	// Workers == 1 (the sequential search prunes at pop time and never
-	// solves such children). The ratio WastedLPSolves/(WarmLPSolves+
-	// ColdLPSolves) measures how much of the LP work parallelism threw
-	// away.
-	WastedLPSolves int
+	SearchStats
 	// RootBasis is the root relaxation's optimal basis, for feeding a
 	// later re-solve of a mutated problem via Options.RootBasis. Nil when
 	// no root LP ran (presolve finished the solve outright, or the root
@@ -347,16 +357,14 @@ type solver struct {
 
 	// LP solve statistics, written from pool workers (atomics) and read
 	// by the coordinator when it assembles the Result.
-	lpIters atomic.Int64
-	warmLP  atomic.Int64
-	coldLP  atomic.Int64
+	lpIters  atomic.Int64
+	lpSolves atomic.Int64
+	warmLP   atomic.Int64
 
-	nodes     int
-	cuts      int
-	cutRounds int
-	presolve  PresolveStats
-	seq       int
-	wasted    int // speculative child LP solves of mid-round-pruned nodes
+	// stats holds the coordinator-owned counters; its LP fields are
+	// filled from the atomics above only in result.
+	stats SearchStats
+	seq   int
 
 	// Root relaxation outcome, exported for re-optimization chains.
 	rootBasis *lp.Basis
@@ -484,7 +492,7 @@ func (s *solver) run() (Result, error) {
 				Incumbent:    s.bestObj,
 				HasIncumbent: s.hasBest,
 				Frontier:     h.Len(),
-				Nodes:        s.nodes,
+				Nodes:        s.stats.Nodes,
 				Elapsed:      time.Since(s.start),
 			})
 		}
@@ -510,7 +518,7 @@ func (s *solver) runPresolve() (Result, bool) {
 		cutoff = s.bestObj
 	}
 	red := presolveWith(s.p, cutoff, s.tol)
-	s.presolve = red.Stats
+	s.stats.Presolve = red.Stats
 	if red.Infeasible {
 		if s.hasBest {
 			// The incumbent satisfies every constraint and the (non-strict)
@@ -698,9 +706,9 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 		base := s.work.LP.Clone()
 		base.Constraints = append(base.Constraints, gr.Cuts...)
 		s.base = base
-		s.cuts = len(gr.Cuts)
+		s.stats.Cuts = len(gr.Cuts)
 	}
-	s.cutRounds = gr.Rounds
+	s.stats.CutRounds = gr.Rounds
 	// The Gomory solution (and its basis) belongs to the cut-augmented
 	// problem, which is exactly the node's LP from here on.
 	root.prob = s.base
@@ -745,8 +753,8 @@ func (s *solver) addCGCuts(root *node, lpOpts *lp.Options) {
 	}
 	s.countLP(sol)
 	s.base = trial
-	s.cuts += len(cgs)
-	s.cutRounds++
+	s.stats.Cuts += len(cgs)
+	s.stats.CutRounds++
 	root.prob = s.base
 	root.relax = sol
 	root.bound = sol.Objective + s.objOff
@@ -778,10 +786,9 @@ func (s *solver) solveRelax(n *node, basis *lp.Basis) (lp.Status, error) {
 // pool workers, hence the atomics.
 func (s *solver) countLP(sol lp.Solution) {
 	s.lpIters.Add(int64(sol.Iterations))
+	s.lpSolves.Add(1)
 	if sol.Warm {
 		s.warmLP.Add(1)
-	} else {
-		s.coldLP.Add(1)
 	}
 }
 
@@ -882,7 +889,7 @@ func (s *solver) checkLimits() error {
 	if s.opts == nil {
 		return nil
 	}
-	if s.opts.NodeLimit > 0 && s.nodes >= s.opts.NodeLimit {
+	if s.opts.NodeLimit > 0 && s.stats.Nodes >= s.opts.NodeLimit {
 		return errLimit
 	}
 	if s.opts.TimeLimit > 0 && time.Since(s.start) >= s.opts.TimeLimit {
@@ -914,19 +921,15 @@ func (s *solver) limitResult(lowest float64) Result {
 
 func (s *solver) result(st Status) Result {
 	r := Result{
-		Status:         st,
-		Nodes:          s.nodes,
-		Cuts:           s.cuts,
-		CutRounds:      s.cutRounds,
-		Presolve:       s.presolve,
-		Elapsed:        time.Since(s.start),
-		LPIterations:   int(s.lpIters.Load()),
-		WarmLPSolves:   int(s.warmLP.Load()),
-		ColdLPSolves:   int(s.coldLP.Load()),
-		WastedLPSolves: s.wasted,
-		RootBasis:      s.rootBasis,
-		RootLPWarm:     s.rootWarm,
+		Status:      st,
+		Elapsed:     time.Since(s.start),
+		SearchStats: s.stats,
+		RootBasis:   s.rootBasis,
+		RootLPWarm:  s.rootWarm,
 	}
+	r.LPIterations = int(s.lpIters.Load())
+	r.LPSolves = int(s.lpSolves.Load())
+	r.WarmLPSolves = int(s.warmLP.Load())
 	if s.hasBest {
 		r.X = s.bestX
 		r.Objective = s.bestObj

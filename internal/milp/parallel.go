@@ -90,7 +90,7 @@ func (s *solver) runAll(n int, task func(i int)) {
 // node is then prunable too) and never exceeds the node limit.
 func (s *solver) popBatch(h *nodeHeap, max int) []*node {
 	if s.opts != nil && s.opts.NodeLimit > 0 {
-		if rem := s.opts.NodeLimit - s.nodes; rem < max {
+		if rem := s.opts.NodeLimit - s.stats.Nodes; rem < max {
 			max = rem
 		}
 	}
@@ -251,10 +251,10 @@ func (s *solver) solveChildrenAll(preps []prep) ([][][2]*node, []int) {
 // waste ratio of that speculation is observable.
 func (s *solver) finish(h *nodeHeap, p prep, kids [][2]*node, solvedKids int) {
 	if s.pruned(p.n.bound) {
-		s.wasted += solvedKids
+		s.stats.WastedLPSolves += solvedKids
 		return
 	}
-	s.nodes++
+	s.stats.Nodes++
 	for _, c := range p.candidates {
 		if c.obj < s.bestObj-1e-9 {
 			s.accept(c.x, c.obj)

@@ -61,14 +61,14 @@ const (
 // runs once on the coordinator, before any parallel search starts).
 type PresolveStats struct {
 	// RowsRemoved counts constraint rows eliminated as redundant or empty.
-	RowsRemoved int
+	RowsRemoved int `json:"rows_removed"`
 	// ColsFixed counts variables fixed and substituted out (closed bounds
 	// and empty columns).
-	ColsFixed int
+	ColsFixed int `json:"cols_fixed"`
 	// BoundsTightened counts individual bound-tightening events.
-	BoundsTightened int
+	BoundsTightened int `json:"bounds_tightened"`
 	// CoeffsReduced counts integer coefficient-reduction events.
-	CoeffsReduced int
+	CoeffsReduced int `json:"coeffs_reduced"`
 }
 
 // empty reports whether the pass changed nothing.

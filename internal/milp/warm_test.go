@@ -87,7 +87,7 @@ func TestWarmVsColdSameSearch(t *testing.T) {
 			}
 			if warm.WarmLPSolves == 0 {
 				t.Errorf("seed %d workers %d: warm search never used the warm path (%d cold solves)",
-					seed, w, warm.ColdLPSolves)
+					seed, w, warm.LPSolves-warm.WarmLPSolves)
 			}
 			if cold.WarmLPSolves != 0 {
 				t.Errorf("seed %d workers %d: DisableWarmLP leaked %d warm solves",
@@ -149,7 +149,7 @@ func TestWarmReducesLPIterations(t *testing.T) {
 	t.Logf("pivots: warm=%d cold=%d (%.2fx), warm/cold solves=%d/%d",
 		warm.LPIterations, cold.LPIterations,
 		float64(cold.LPIterations)/float64(warm.LPIterations),
-		warm.WarmLPSolves, warm.ColdLPSolves)
+		warm.WarmLPSolves, warm.LPSolves-warm.WarmLPSolves)
 }
 
 // TestWarmWithAllFeatures exercises warm starts together with cuts,

@@ -94,8 +94,8 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 }
 
 func TestNilRecorderAndWindowSafe(t *testing.T) {
-	var r *Recorder
-	r.Add(SolveRecord{})
+	var r *Recorder[string]
+	r.Add("t0")
 	if r.Last(10) != nil || r.Total() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
@@ -111,9 +111,9 @@ func TestNilRecorderAndWindowSafe(t *testing.T) {
 }
 
 func TestRecorderRingNewestFirst(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder[string](4)
 	for i := 0; i < 10; i++ {
-		r.Add(SolveRecord{TraceID: fmt.Sprintf("t%d", i)})
+		r.Add(fmt.Sprintf("t%d", i))
 	}
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
@@ -123,27 +123,27 @@ func TestRecorderRingNewestFirst(t *testing.T) {
 		t.Fatalf("retained %d records, want 4", len(recs))
 	}
 	for i, want := range []string{"t9", "t8", "t7", "t6"} {
-		if recs[i].TraceID != want {
-			t.Fatalf("Last[%d] = %q, want %q (full: %+v)", i, recs[i].TraceID, want, recs)
+		if recs[i] != want {
+			t.Fatalf("Last[%d] = %q, want %q (full: %+v)", i, recs[i], want, recs)
 		}
 	}
-	if got := r.Last(2); len(got) != 2 || got[0].TraceID != "t9" || got[1].TraceID != "t8" {
+	if got := r.Last(2); len(got) != 2 || got[0] != "t9" || got[1] != "t8" {
 		t.Fatalf("Last(2) = %+v", got)
 	}
 }
 
 func TestRecorderPartialFill(t *testing.T) {
-	r := NewRecorder(8)
+	r := NewRecorder[string](8)
 	for i := 0; i < 3; i++ {
-		r.Add(SolveRecord{TraceID: fmt.Sprintf("t%d", i)})
+		r.Add(fmt.Sprintf("t%d", i))
 	}
 	recs := r.Last(0)
 	if len(recs) != 3 {
 		t.Fatalf("retained %d, want 3", len(recs))
 	}
 	for i, want := range []string{"t2", "t1", "t0"} {
-		if recs[i].TraceID != want {
-			t.Fatalf("Last[%d] = %q, want %q", i, recs[i].TraceID, want)
+		if recs[i] != want {
+			t.Fatalf("Last[%d] = %q, want %q", i, recs[i], want)
 		}
 	}
 }

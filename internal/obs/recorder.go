@@ -4,86 +4,31 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Point is one incumbent improvement in a solve's search trajectory.
-type Point struct {
-	At    time.Duration // offset from solve start
-	Value float64       // incumbent objective (rental cost)
-}
-
-// RoundPoint snapshots the branch-and-bound search after one expansion
-// round (see milp.RoundInfo, which it mirrors 1:1 plus a timestamp).
-type RoundPoint struct {
-	Round     int
-	At        time.Duration
-	Bound     float64
-	Incumbent float64 // +Inf until the first incumbent
-	Frontier  int
-	Nodes     int
-}
-
-// SolveRecord is one entry of the per-daemon flight recorder: a solved
-// (or failed) request with its attribution, timing split, solver work
-// counters, and — when the search hooks were installed — the incumbent
-// and bound trajectory.
-type SolveRecord struct {
-	TraceID  string
-	Endpoint string // "solve" or "batch"
-	Item     int    // batch item index, -1 for single solves
-	Worker   string // answering remote worker ("" = solved in-process)
-	Start    time.Time
-
-	QueueWait time.Duration // admission to worker-lease acquisition
-	Solve     time.Duration // lease acquisition to solver return
-
-	Cost   int64
-	Proven bool
-	Err    string
-
-	Nodes          int
-	LPIterations   int
-	LPSolves       int
-	WarmLPSolves   int
-	WastedLPSolves int
-
-	// Root-strengthening counters: cutting planes added, cut-generation
-	// rounds, and presolve reductions (flat ints — obs must not import
-	// the solver packages).
-	Cuts           int
-	CutRounds      int
-	PresolveRows   int
-	PresolveCols   int
-	PresolveBounds int
-	PresolveCoeffs int
-
-	Incumbents []Point
-	Rounds     []RoundPoint
-	Spans      []SpanRecord
-}
-
-// Recorder is a fixed-size ring of the most recent SolveRecords. All
-// methods are safe for concurrent use and safe on a nil receiver (a nil
-// recorder drops everything), so callers never guard the disabled case.
-type Recorder struct {
+// Recorder is a fixed-size ring of the most recent records (a daemon's
+// solve flight recorder keeps the entries it serves on /debug/solves).
+// All methods are safe for concurrent use and safe on a nil receiver (a
+// nil recorder drops everything), so callers never guard the disabled
+// case.
+type Recorder[T any] struct {
 	mu    sync.Mutex
-	ring  []SolveRecord
+	ring  []T
 	next  int
 	total int64
 }
 
 // NewRecorder returns a recorder keeping the last n records; n <= 0
 // selects the default of 64.
-func NewRecorder(n int) *Recorder {
+func NewRecorder[T any](n int) *Recorder[T] {
 	if n <= 0 {
 		n = 64
 	}
-	return &Recorder{ring: make([]SolveRecord, 0, n)}
+	return &Recorder[T]{ring: make([]T, 0, n)}
 }
 
 // Add appends a record, evicting the oldest once the ring is full.
-func (r *Recorder) Add(rec SolveRecord) {
+func (r *Recorder[T]) Add(rec T) {
 	if r == nil {
 		return
 	}
@@ -99,7 +44,7 @@ func (r *Recorder) Add(rec SolveRecord) {
 }
 
 // Last returns up to n records, newest first. n <= 0 means all retained.
-func (r *Recorder) Last(n int) []SolveRecord {
+func (r *Recorder[T]) Last(n int) []T {
 	if r == nil {
 		return nil
 	}
@@ -108,7 +53,7 @@ func (r *Recorder) Last(n int) []SolveRecord {
 	if n <= 0 || n > len(r.ring) {
 		n = len(r.ring)
 	}
-	out := make([]SolveRecord, 0, n)
+	out := make([]T, 0, n)
 	// Newest element is at next-1 (the ring grows at next once full,
 	// or at len(ring)-1 while filling).
 	newest := len(r.ring) - 1
@@ -129,7 +74,7 @@ func (r *Recorder) Last(n int) []SolveRecord {
 }
 
 // Total is the number of records ever added, including evicted ones.
-func (r *Recorder) Total() int64 {
+func (r *Recorder[T]) Total() int64 {
 	if r == nil {
 		return 0
 	}

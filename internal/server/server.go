@@ -177,7 +177,7 @@ type Server struct {
 	mux   *http.ServeMux
 	met   *metrics
 	cache *problemCache
-	rec   *obs.Recorder // solve flight recorder (GET /debug/solves)
+	rec   *obs.Recorder[client.DebugSolve] // solve flight recorder (GET /debug/solves)
 	log   *slog.Logger
 
 	// slots admits a request into the system (capacity Workers+QueueDepth,
@@ -225,7 +225,7 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		met:    newMetrics(),
 		cache:  newProblemCache(cfg.ProblemCacheSize),
-		rec:    obs.NewRecorder(cfg.DebugSolves),
+		rec:    obs.NewRecorder[client.DebugSolve](cfg.DebugSolves),
 		log:    cfg.Logger,
 		slots:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		leases: make(chan struct{}, cfg.Workers),
@@ -551,7 +551,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	solveDur := time.Since(solveStart)
 	solveSpan.End()
-	s.recordSolve(solveRecord(traceID, "solve", 0, reqStart, queueWait, solveDur, sol, err, st, tr))
+	s.recordSolve(solveRecord(traceID, "solve", -1, reqStart, queueWait, solveDur, sol, err, st))
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -636,7 +636,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// pool did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
 	for i, res := range results {
-		s.recordSolve(solveRecord(traceID, "batch", i, reqStart, res.queueWait, res.dur, res.sol, res.err, res.st, tr))
+		s.recordSolve(solveRecord(traceID, "batch", i, reqStart, res.queueWait, res.dur, res.sol, res.err, res.st))
 		if res.err != nil {
 			resp.Solutions[i] = client.Solution{Error: itemError(res.err)}
 			continue
@@ -1000,24 +1000,13 @@ func (s *Server) parseProblem(w http.ResponseWriter, raw json.RawMessage, prefix
 }
 
 func toWireSolution(sol rentmin.Solution) client.Solution {
-	ws := client.Solution{
-		Allocation:     sol.Alloc,
-		Proven:         sol.Proven,
-		Bound:          sol.Bound,
-		Nodes:          sol.Nodes,
-		LPIterations:   sol.LPIterations,
-		LPSolves:       sol.LPSolves,
-		WarmLPSolves:   sol.WarmLPSolves,
-		WastedLPSolves: sol.WastedLPSolves,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
-		ElapsedMs:      float64(sol.Elapsed) / float64(time.Millisecond),
+	return client.Solution{
+		Allocation:  sol.Alloc,
+		Proven:      sol.Proven,
+		Bound:       sol.Bound,
+		SearchStats: sol.SearchStats,
+		ElapsedMs:   ms(sol.Elapsed),
 	}
-	if sol.Presolve != (rentmin.PresolveStats{}) {
-		ps := client.PresolveStats(sol.Presolve)
-		ws.Presolve = &ps
-	}
-	return ws
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v interface{}) {

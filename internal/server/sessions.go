@@ -449,16 +449,15 @@ func sessionItemError(err error) string {
 func wireSessionResolve(res *rentmin.SessionResolve) client.SessionResolve {
 	alloc := res.Alloc.Clone()
 	return client.SessionResolve{
-		Seq:          res.Seq,
-		Kind:         string(res.Kind),
-		Status:       res.Status,
-		Allocation:   &alloc,
-		Warm:         res.Warm,
-		RootLPWarm:   res.RootLPWarm,
-		Churn:        res.Churn,
-		SolveMs:      ms(res.SolveTime),
-		LPIterations: res.LPIterations,
-		Nodes:        res.Nodes,
+		Seq:         res.Seq,
+		Kind:        string(res.Kind),
+		Status:      res.Status,
+		Allocation:  &alloc,
+		Warm:        res.Warm,
+		RootLPWarm:  res.RootLPWarm,
+		Churn:       res.Churn,
+		SolveMs:     ms(res.SolveTime),
+		SearchStats: res.SearchStats,
 	}
 }
 

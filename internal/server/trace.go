@@ -36,12 +36,13 @@ func (s *Server) traceContext(w http.ResponseWriter, r *http.Request) (context.C
 }
 
 // searchTrace collects a solve's search trajectory through the
-// SolveOptions hooks. It is written by the solve's coordinator goroutine
-// and read only after the solve returns, so it needs no locking.
+// SolveOptions hooks, already in wire form. It is written by the solve's
+// coordinator goroutine and read only after the solve returns, so it
+// needs no locking.
 type searchTrace struct {
 	start      time.Time
-	incumbents []obs.Point
-	rounds     []obs.RoundPoint
+	incumbents []client.IncumbentPoint
+	rounds     []client.RoundPoint
 	truncated  bool
 }
 
@@ -56,60 +57,53 @@ func (t *searchTrace) install(opts *rentmin.SolveOptions) {
 			t.truncated = true
 			return
 		}
-		t.incumbents = append(t.incumbents, obs.Point{At: time.Since(t.start), Value: cost})
+		t.incumbents = append(t.incumbents, client.IncumbentPoint{AtMs: ms(time.Since(t.start)), Cost: cost})
 	}
 	opts.OnRound = func(ri rentmin.RoundInfo) {
 		if len(t.rounds) >= maxRoundPoints {
 			t.truncated = true
 			return
 		}
-		t.rounds = append(t.rounds, obs.RoundPoint{
-			Round:     ri.Round,
-			At:        ri.Elapsed,
-			Bound:     ri.Bound,
-			Incumbent: ri.Incumbent,
-			Frontier:  ri.Frontier,
-			Nodes:     ri.Nodes,
-		})
+		rp := client.RoundPoint{
+			Round:    ri.Round,
+			AtMs:     ms(ri.Elapsed),
+			Bound:    ri.Bound,
+			Frontier: ri.Frontier,
+			Nodes:    ri.Nodes,
+		}
+		if ri.HasIncumbent {
+			inc := ri.Incumbent
+			rp.Incumbent = &inc
+		}
+		t.rounds = append(t.rounds, rp)
 	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// solveRecord assembles one flight-recorder entry from a finished (or
-// failed) solve.
-func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait, dur time.Duration, sol rentmin.Solution, err error, st *searchTrace, tr *obs.Trace) obs.SolveRecord {
-	rec := obs.SolveRecord{
-		TraceID:        traceID,
-		Endpoint:       endpoint,
-		Item:           item,
-		Worker:         sol.Worker,
-		Start:          start,
-		QueueWait:      queueWait,
-		Solve:          dur,
-		Proven:         sol.Proven,
-		Nodes:          sol.Nodes,
-		LPIterations:   sol.LPIterations,
-		LPSolves:       sol.LPSolves,
-		WarmLPSolves:   sol.WarmLPSolves,
-		WastedLPSolves: sol.WastedLPSolves,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
-		PresolveRows:   sol.Presolve.RowsRemoved,
-		PresolveCols:   sol.Presolve.ColsFixed,
-		PresolveBounds: sol.Presolve.BoundsTightened,
-		PresolveCoeffs: sol.Presolve.CoeffsReduced,
-		Spans:          tr.Spans(),
+// solveRecord assembles the flight-recorder entry of a finished (or
+// failed) solve, in the form GET /debug/solves serves it.
+func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait, dur time.Duration, sol rentmin.Solution, err error, st *searchTrace) client.DebugSolve {
+	rec := client.DebugSolve{
+		TraceID:     traceID,
+		Endpoint:    endpoint,
+		Item:        item,
+		Worker:      sol.Worker,
+		Start:       start,
+		QueueWaitMs: ms(queueWait),
+		SolveMs:     ms(dur),
+		Proven:      sol.Proven,
+		SearchStats: sol.SearchStats,
 	}
 	if sol.Alloc.GraphThroughput != nil {
 		rec.Cost = sol.Alloc.Cost
 	}
 	if err != nil {
-		rec.Err = err.Error()
+		rec.Error = err.Error()
 	}
 	if st != nil {
-		rec.Incumbents = st.incumbents
-		rec.Rounds = st.rounds
+		rec.Incumbents = len(st.incumbents)
+		rec.Rounds = len(st.rounds)
 	}
 	return rec
 }
@@ -117,39 +111,15 @@ func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait,
 // solveStats renders the opt-in response stats block for one solve.
 func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Solution, st *searchTrace, tr *obs.Trace) *client.SolveStats {
 	out := &client.SolveStats{
-		TraceID:        traceID,
-		Worker:         sol.Worker,
-		QueueWaitMs:    ms(queueWait),
-		SolveMs:        ms(dur),
-		WarmLPSolves:   sol.WarmLPSolves,
-		ColdLPSolves:   sol.LPSolves - sol.WarmLPSolves,
-		WastedLPSolves: sol.WastedLPSolves,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
-	}
-	if sol.Presolve != (rentmin.PresolveStats{}) {
-		ps := client.PresolveStats(sol.Presolve)
-		out.Presolve = &ps
+		TraceID:     traceID,
+		Worker:      sol.Worker,
+		QueueWaitMs: ms(queueWait),
+		SolveMs:     ms(dur),
 	}
 	if st != nil {
+		out.Incumbents = st.incumbents
+		out.Rounds = st.rounds
 		out.TrajectoryTruncated = st.truncated
-		for _, p := range st.incumbents {
-			out.Incumbents = append(out.Incumbents, client.IncumbentPoint{AtMs: ms(p.At), Cost: p.Value})
-		}
-		for _, rp := range st.rounds {
-			wp := client.RoundPoint{
-				Round:    rp.Round,
-				AtMs:     ms(rp.At),
-				Bound:    rp.Bound,
-				Frontier: rp.Frontier,
-				Nodes:    rp.Nodes,
-			}
-			if !isInf(rp.Incumbent) {
-				inc := rp.Incumbent
-				wp.Incumbent = &inc
-			}
-			out.Rounds = append(out.Rounds, wp)
-		}
 	}
 	for _, sp := range tr.Spans() {
 		out.Phases = append(out.Phases, client.PhaseTiming{Name: sp.Name, StartMs: ms(sp.Start), DurMs: ms(sp.Dur)})
@@ -157,27 +127,25 @@ func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Soluti
 	return out
 }
 
-func isInf(f float64) bool { return f > 1e300 || f < -1e300 }
-
 // recordSolve folds one finished solve into every observability surface:
 // the flight-recorder ring, the queue-wait histogram, and a structured
 // log line carrying the trace ID so one grep follows a solve across the
 // coordinator's and the worker's logs.
-func (s *Server) recordSolve(rec obs.SolveRecord) {
+func (s *Server) recordSolve(rec client.DebugSolve) {
 	s.rec.Add(rec)
-	s.met.recordQueueWait(ms(rec.QueueWait))
+	s.met.recordQueueWait(rec.QueueWaitMs)
 	attrs := []interface{}{
 		"trace_id", rec.TraceID,
 		"endpoint", rec.Endpoint,
 		"item", rec.Item,
 		"worker", rec.Worker,
-		"queue_wait_ms", ms(rec.QueueWait),
-		"solve_ms", ms(rec.Solve),
+		"queue_wait_ms", rec.QueueWaitMs,
+		"solve_ms", rec.SolveMs,
 		"cost", rec.Cost,
 		"proven", rec.Proven,
 	}
-	if rec.Err != "" {
-		s.log.Warn("solve failed", append(attrs, "err", rec.Err)...)
+	if rec.Error != "" {
+		s.log.Warn("solve failed", append(attrs, "err", rec.Error)...)
 		return
 	}
 	s.log.Info("solve finished", attrs...)
@@ -196,34 +164,5 @@ func (s *Server) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	recs := s.rec.Last(n)
-	resp := client.DebugSolvesResponse{Total: s.rec.Total(), Solves: make([]client.DebugSolve, len(recs))}
-	for i, rec := range recs {
-		resp.Solves[i] = client.DebugSolve{
-			TraceID:        rec.TraceID,
-			Endpoint:       rec.Endpoint,
-			Item:           rec.Item,
-			Worker:         rec.Worker,
-			Start:          rec.Start,
-			QueueWaitMs:    ms(rec.QueueWait),
-			SolveMs:        ms(rec.Solve),
-			Cost:           rec.Cost,
-			Proven:         rec.Proven,
-			Error:          rec.Err,
-			Nodes:          rec.Nodes,
-			LPIterations:   rec.LPIterations,
-			LPSolves:       rec.LPSolves,
-			WarmLPSolves:   rec.WarmLPSolves,
-			WastedLPSolves: rec.WastedLPSolves,
-			Cuts:           rec.Cuts,
-			CutRounds:      rec.CutRounds,
-			PresolveRows:   rec.PresolveRows,
-			PresolveCols:   rec.PresolveCols,
-			PresolveBounds: rec.PresolveBounds,
-			PresolveCoeffs: rec.PresolveCoeffs,
-			Incumbents:     len(rec.Incumbents),
-			Rounds:         len(rec.Rounds),
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, client.DebugSolvesResponse{Total: s.rec.Total(), Solves: s.rec.Last(n)})
 }

@@ -112,9 +112,9 @@ type Resolve struct {
 	// type q| between the previous and the new committed allocation.
 	Churn int
 	// SolveTime is the wall clock of the re-solve (zero for trivial paths).
-	SolveTime    time.Duration
-	LPIterations int
-	Nodes        int
+	SolveTime time.Duration
+	// SearchStats is the re-solve's search effort (zero for trivial paths).
+	milp.SearchStats
 }
 
 // Record is one entry of the session's event log: enough to compare two
@@ -345,8 +345,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		return nil, err
 	}
 	res.SolveTime = time.Since(start)
-	res.LPIterations = r.LPIterations
-	res.Nodes = r.Nodes
+	res.SearchStats = r.SearchStats
 	res.RootLPWarm = r.RootLPWarm
 
 	switch r.Status {

@@ -73,26 +73,12 @@ type ILPOptions struct {
 type ILPResult struct {
 	Alloc core.Allocation
 	// Proven is true when the allocation is proven optimal.
-	Proven    bool
-	Status    milp.Status
-	Bound     float64 // proven lower bound on the optimal cost
-	Nodes     int
-	Cuts      int // cutting planes added at the root (Gomory + CG rounding)
-	CutRounds int // root cut-generation rounds performed
-	Elapsed   time.Duration
-	Gap       float64
-	// Presolve counts the root reductions applied (all zero when presolve
-	// is disabled).
-	Presolve milp.PresolveStats
-	// LPIterations counts simplex pivots across all node LP solves;
-	// WarmLPSolves/ColdLPSolves split those solves by warm-start path.
-	LPIterations int
-	WarmLPSolves int
-	ColdLPSolves int
-	// WastedLPSolves counts speculative child LP solves discarded because
-	// their parent node was pruned mid-round (parallel search only; see
-	// milp.Result.WastedLPSolves).
-	WastedLPSolves int
+	Proven  bool
+	Status  milp.Status
+	Bound   float64 // proven lower bound on the optimal cost
+	Elapsed time.Duration
+	Gap     float64
+	milp.SearchStats
 	// RootBasis is the root relaxation's optimal basis, reusable as
 	// ILPOptions.RootBasis by a later re-solve of a mutated problem (nil
 	// when no root LP ran — e.g. presolve finished the solve outright).
@@ -248,21 +234,14 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		return ILPResult{}, err
 	}
 	out := ILPResult{
-		Status:         res.Status,
-		Bound:          res.Bound,
-		Nodes:          res.Nodes,
-		Cuts:           res.Cuts,
-		CutRounds:      res.CutRounds,
-		Presolve:       res.Presolve,
-		Elapsed:        res.Elapsed,
-		Gap:            res.Gap,
-		Proven:         res.Status == milp.Optimal,
-		LPIterations:   res.LPIterations,
-		WarmLPSolves:   res.WarmLPSolves,
-		ColdLPSolves:   res.ColdLPSolves,
-		WastedLPSolves: res.WastedLPSolves,
-		RootBasis:      res.RootBasis,
-		RootLPWarm:     res.RootLPWarm,
+		Status:      res.Status,
+		Bound:       res.Bound,
+		Elapsed:     res.Elapsed,
+		Gap:         res.Gap,
+		Proven:      res.Status == milp.Optimal,
+		SearchStats: res.SearchStats,
+		RootBasis:   res.RootBasis,
+		RootLPWarm:  res.RootLPWarm,
 	}
 	if res.Status == milp.Optimal || res.Status == milp.Feasible {
 		rho := make([]int, m.J)

@@ -62,11 +62,6 @@ type RemoteConfig struct {
 	// rentmin/client.Backoff supplies a jittered schedule from a seeded
 	// RNG.
 	Backoff func(strike int) time.Duration
-	// MaxAttempts bounds how many workers one problem may be dispatched
-	// to before its last fault is reported as the problem's error (zero:
-	// 3 per worker, at least 4, tracking the fleet as it grows and
-	// shrinks).
-	MaxAttempts int
 	// EvictStrikes, when positive, evicts a worker from the fleet once
 	// its consecutive strikes (dispatch faults plus health-probe
 	// failures) reach the threshold. Zero keeps the fixed-fleet
@@ -143,7 +138,6 @@ func poolConfig(cfg *RemoteConfig) pool.RemoteConfig {
 	var pcfg pool.RemoteConfig
 	if cfg != nil {
 		pcfg.Backoff = cfg.Backoff
-		pcfg.MaxAttempts = cfg.MaxAttempts
 		pcfg.EvictStrikes = cfg.EvictStrikes
 	}
 	return pcfg

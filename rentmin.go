@@ -165,18 +165,14 @@ type SolveOptions struct {
 // frontier size, cumulative nodes and elapsed time. See milp.RoundInfo.
 type RoundInfo = milp.RoundInfo
 
+// SearchStats counts a solve's search effort: branch-and-bound nodes,
+// LP relaxations and simplex pivots (hardware-independent measures of
+// solver work), root cuts and presolve reductions. See milp.SearchStats.
+type SearchStats = milp.SearchStats
+
 // PresolveStats counts the reductions the root presolve pass applied
-// before branch and bound.
-type PresolveStats struct {
-	// RowsRemoved counts constraint rows eliminated as redundant or empty.
-	RowsRemoved int
-	// ColsFixed counts variables fixed and substituted out.
-	ColsFixed int
-	// BoundsTightened counts individual bound-tightening events.
-	BoundsTightened int
-	// CoeffsReduced counts integer coefficient-reduction events.
-	CoeffsReduced int
-}
+// before branch and bound. See milp.PresolveStats.
+type PresolveStats = milp.PresolveStats
 
 // Solution is the outcome of the exact solver.
 type Solution struct {
@@ -185,31 +181,7 @@ type Solution struct {
 	Proven bool
 	// Bound is the proven lower bound on the optimal cost.
 	Bound float64
-	// Nodes counts explored branch-and-bound nodes.
-	Nodes int
-	// LPIterations counts simplex pivots across all node LP solves (a
-	// hardware-independent measure of the solver work; dual-simplex warm
-	// starts exist to shrink it).
-	LPIterations int
-	// LPSolves counts node LP relaxations solved (warm plus cold).
-	LPSolves int
-	// WarmLPSolves counts the subset of LPSolves served by a dual-simplex
-	// warm start from the parent basis (the rest solved cold two-phase);
-	// the warm share is what LP warm starting buys.
-	WarmLPSolves int
-	// WastedLPSolves counts speculative child LP solves the parallel
-	// search discarded because their parent node was pruned mid-round by
-	// a sibling's incumbent. Always zero for Workers == 1; the ratio
-	// WastedLPSolves/LPSolves is the speculation waste of parallelism.
-	WastedLPSolves int
-	// Cuts counts cutting planes added at the root (Gomory fractional
-	// plus CG rounding), over CutRounds generation rounds. Both are
-	// deterministic for a fixed problem: cut generation runs on the
-	// coordinator before the parallel search starts.
-	Cuts      int
-	CutRounds int
-	// Presolve counts the root presolve reductions.
-	Presolve PresolveStats
+	SearchStats
 	// Elapsed is the solver wall-clock time.
 	Elapsed time.Duration
 	// Worker is the endpoint of the remote worker that produced this
@@ -258,18 +230,11 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 		return Solution{}, fmt.Errorf("rentmin: no feasible allocation found (status %v)", res.Status)
 	}
 	return Solution{
-		Alloc:          res.Alloc,
-		Proven:         res.Proven,
-		Bound:          res.Bound,
-		Nodes:          res.Nodes,
-		LPIterations:   res.LPIterations,
-		LPSolves:       res.WarmLPSolves + res.ColdLPSolves,
-		WarmLPSolves:   res.WarmLPSolves,
-		WastedLPSolves: res.WastedLPSolves,
-		Cuts:           res.Cuts,
-		CutRounds:      res.CutRounds,
-		Presolve:       PresolveStats(res.Presolve),
-		Elapsed:        res.Elapsed,
+		Alloc:       res.Alloc,
+		Proven:      res.Proven,
+		Bound:       res.Bound,
+		SearchStats: res.SearchStats,
+		Elapsed:     res.Elapsed,
 	}, nil
 }
 
