@@ -347,12 +347,15 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
+// encodeProblem renders an inline problem compactly, the form the outer
+// request encoding would reduce it to anyway. ProblemHash keeps the
+// indented WriteProblem document, so content hashes do not change.
 func encodeProblem(p *rentmin.Problem) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := rentmin.WriteProblem(&buf, p); err != nil {
+	raw, err := json.Marshal(p)
+	if err != nil {
 		return nil, fmt.Errorf("encode problem: %w", err)
 	}
-	return buf.Bytes(), nil
+	return raw, nil
 }
 
 func (c *Client) post(ctx context.Context, path string, reqBody, out interface{}) error {

@@ -195,8 +195,8 @@ func TestSolutionSurvivesWireHop(t *testing.T) {
 		Elapsed:     1500 * time.Microsecond,
 	}
 	ctx := context.Background()
-	pool, err := rentmin.NewRemoteSolverPool(ctx, []rentmin.RemoteWorker{fixedWorker{want}}, nil)
-	if err != nil {
+	pool := rentmin.NewElasticSolverPool(nil)
+	if _, err := pool.AddRemoteWorker(ctx, fixedWorker{want}); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(server.Config{SolverPool: pool})

@@ -93,22 +93,6 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.Lo[j], p.Hi[j] = lo, hi
 }
 
-// DefaultBounds reports whether every variable has the default bounds
-// lo = 0, hi = +inf (vacuously true when Lo and Hi are nil).
-func (p *Problem) DefaultBounds() bool {
-	for _, v := range p.Lo {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range p.Hi {
-		if !math.IsInf(v, 1) {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks dimensional consistency, finiteness and bound order.
 func (p *Problem) Validate() error {
 	n := p.NumVars()

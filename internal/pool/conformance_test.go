@@ -40,17 +40,14 @@ func conformanceBackends() map[string]backend {
 				w.WriteHeader(http.StatusOK)
 			}))
 			t.Cleanup(srv.Close)
-			p, err := NewRemote(
-				[]RemoteSpec{{Name: "a", Capacity: 2}, {Name: "b", Capacity: 1}},
+			p := NewRemote(
+				[]RemoteSpec[string]{{Name: "a", Capacity: 2, Worker: "a"}, {Name: "b", Capacity: 1, Worker: "b"}},
 				RemoteConfig{Backoff: func(int) time.Duration { return time.Millisecond }},
 			)
-			if err != nil {
-				t.Fatalf("NewRemote: %v", err)
-			}
 			t.Cleanup(p.Close)
 			hop := func(fn taskFn) taskFn {
 				return func(ctx context.Context, i int) error {
-					if _, ok := AssignedWorker(ctx); !ok {
+					if _, ok := AssignedWorker[string](ctx); !ok {
 						return errors.New("no worker assigned in remote task context")
 					}
 					req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
@@ -136,10 +133,15 @@ func TestPoolConformance(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var ran atomic.Int64
-				err := p.RunContext(ctx, 50, wrap(func(_ context.Context, i int) error {
+				err := p.RunContext(ctx, 50, wrap(func(tctx context.Context, i int) error {
 					ran.Add(1)
 					if i == 0 {
 						cancel()
+					} else {
+						// Hold the seat until task 0 cancels: otherwise the
+						// other 49 tasks can all finish first, and a nil
+						// error is then the contract's correct answer.
+						<-tctx.Done()
 					}
 					return nil
 				}))

@@ -6,44 +6,43 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"rentmin/internal/obs"
 )
 
 // RemoteSpec describes one remote executor behind a RemotePool: a name
-// for errors and metrics (typically the worker's endpoint URL) and its
+// for errors and metrics (typically the worker's endpoint URL), its
 // capacity — the maximum number of tasks the pool keeps in flight on it
 // at once, discovered from the worker itself (GET /v1/capacity for a
-// rentmind daemon).
-type RemoteSpec struct {
+// rentmind daemon) — and the transport tasks reach it through, handed
+// to every task bound to it (AssignedWorker).
+type RemoteSpec[W any] struct {
 	Name     string
 	Capacity int
+	Worker   W
 }
 
 // RemoteConfig tunes a RemotePool's failure handling.
 type RemoteConfig struct {
 	// Backoff returns how long a worker sits out after its strike-th
 	// consecutive fault (strike counts from 1). Nil uses a deterministic
-	// exponential default: 100ms · 2^(strike-1), capped at 5s. Callers
-	// that want jitter inject it here (rentmin/client.Backoff supplies a
-	// seeded, jittered schedule so tests stay deterministic).
+	// exponential default: 100ms · 2^(strike-1), capped at 5s.
+	// rentmin/client.Backoff supplies a jittered schedule from a seeded
+	// RNG, so tests stay deterministic.
 	Backoff func(strike int) time.Duration
-	// MaxAttempts bounds how many dispatches one task may consume before
-	// its last worker fault is reported as the task's error (so a fleet
-	// that is entirely down cannot spin forever). Zero means
-	// 3·(current active workers), at least 4, re-evaluated per fault so
-	// the budget tracks an elastic fleet.
-	MaxAttempts int
-	// EvictStrikes, when positive, is the consecutive-strike threshold at
-	// which a worker is evicted from the fleet (removed exactly as
-	// RemoveWorker would, counted in Evictions). Zero disables eviction:
-	// a faulting worker only backs off, as in a fixed fleet. An evicted
-	// worker may rejoin via AddWorker — registration revives it with a
-	// clean slate.
+	// EvictStrikes, when positive, is the consecutive-strike threshold
+	// (dispatch faults plus health-probe failures) at which a worker is
+	// evicted from the fleet (removed exactly as RemoveWorker would,
+	// counted in Evictions). Zero disables eviction: a faulting worker
+	// only backs off, as in a fixed fleet. An evicted worker may rejoin
+	// via AddWorker — registration revives it with a clean slate.
 	EvictStrikes int
 }
 
-// RemoteWorkerStats is a point-in-time snapshot of one worker's health
+// WorkerStatus is a point-in-time snapshot of one worker's health
 // inside a RemotePool, exported as the coordinator's worker gauges.
-type RemoteWorkerStats struct {
+type WorkerStatus struct {
+	// Name identifies the worker; Capacity is its discovered in-flight cap.
 	Name     string
 	Capacity int
 	// InFlight counts tasks currently dispatched to the worker.
@@ -59,10 +58,42 @@ type RemoteWorkerStats struct {
 	// success); BackingOff reports whether the worker is sitting out.
 	Strikes    int
 	BackingOff bool
+	// Healthy is true while the worker is a live member that is not
+	// backing off after faults.
+	Healthy bool
 	// Removed reports the worker has left the fleet (RemoveWorker or
 	// strike eviction); it receives no new dispatches but its counters
 	// are kept so a rejoin resumes them.
 	Removed bool
+	// RTTSamples is the number of successful dispatch round trips
+	// measured; RTTp50Ms and RTTp99Ms are quantiles over a sliding window
+	// of the most recent ones (coordinator-observed: queue and solve time
+	// on the worker plus the wire). Zero samples means no dispatch has
+	// succeeded yet.
+	RTTSamples int64
+	RTTp50Ms   float64
+	RTTp99Ms   float64
+}
+
+// rttWindow is the number of recent round trips each member's RTT
+// quantiles are computed over.
+const rttWindow = 256
+
+// member is one fleet member: its spec (transport included), seats,
+// health and cumulative dispatch counters. Members are never deleted —
+// removal tombstones the record — so a member's index is stable for the
+// pool's lifetime and a rejoin resumes its counters and RTT history.
+type member[W any] struct {
+	RemoteSpec[W]
+	removed    bool
+	free       int       // free seats
+	strikes    int       // consecutive faults
+	until      time.Time // backoff deadline
+	inFlight   int
+	dispatched int64
+	succeeded  int64
+	faults     int64
+	rtt        *obs.Window // successful dispatch round trips, ms
 }
 
 // workerFaulter is the contract a task error uses to indict the worker
@@ -79,25 +110,24 @@ func IsWorkerFault(err error) bool {
 	return errors.As(err, &f) && f.WorkerFault()
 }
 
-// workerKey carries the assigned worker index in the task context.
+// workerKey carries the assigned worker's transport in the task context.
 type workerKey struct{}
 
-// AssignedWorker returns the index (into the RemoteSpec slice) of the
-// worker a RemotePool bound the current task to, and whether the task is
-// running under a RemotePool at all. Task functions use it to route
-// their work to the right remote executor. Indexes are stable for the
-// pool's lifetime: membership changes append or tombstone, they never
-// renumber.
-func AssignedWorker(ctx context.Context) (int, bool) {
-	w, ok := ctx.Value(workerKey{}).(int)
+// AssignedWorker returns the transport (RemoteSpec.Worker) of the
+// worker a RemotePool[W] bound the current task to, and whether the task
+// is running under such a pool at all. Task functions use it to route
+// their work to the right remote executor.
+func AssignedWorker[W any](ctx context.Context) (W, bool) {
+	w, ok := ctx.Value(workerKey{}).(W)
 	return w, ok
 }
 
 // RemotePool is a Pool whose concurrency slots are the capacity of a
-// fleet of remote executors. It does not ship closures anywhere: it
-// decides which worker a task index is bound to and when, and the task
-// function routes its work to that worker (AssignedWorker). What the
-// pool owns is everything around that decision:
+// fleet of remote executors reached through transports of type W. It
+// does not ship closures anywhere: it decides which worker a task index
+// is bound to and when, and the task function routes its work to that
+// worker's transport (AssignedWorker). What the pool owns is everything
+// around that decision:
 //
 //   - per-worker in-flight caps (a worker never holds more tasks than
 //     its discovered capacity);
@@ -115,29 +145,22 @@ func AssignedWorker(ctx context.Context) (int, bool) {
 //     when a worker's consecutive strikes cross the threshold;
 //   - cancellation: queued tasks are never dispatched after ctx is
 //     done, and in-flight tasks see the cancellation through their
-//     context (a remote HTTP solve aborts mid-flight).
+//     context (a remote HTTP solve aborts mid-flight);
+//   - observation: every member record carries its dispatch counters
+//     and a sliding window of successful round-trip times (Stats).
 //
 // Worker health (strikes, backoff deadlines) persists across Run calls,
 // so a long-lived coordinator keeps avoiding a flapping worker between
 // batches. Concurrent Run calls share the fleet's capacity. A pool may
 // be built over an empty fleet: Run calls then park until a worker
 // joins or their context is cancelled.
-type RemotePool struct {
+type RemotePool[W any] struct {
 	backoff      func(strike int) time.Duration
-	maxAttempts  int
 	evictStrikes int
 
-	mu         sync.Mutex
-	specs      []RemoteSpec
-	removed    []bool
-	free       []int // free seats per worker
-	strikes    []int
-	until      []time.Time // backoff deadline per worker
-	inFlight   []int
-	dispatched []int64
-	succeeded  []int64
-	faults     []int64
-	evictions  int64
+	mu        sync.Mutex
+	members   []member[W] // the fleet table, indexed by stable member index
+	evictions int64
 
 	// waiters are the schedulers currently starved of seats: one
 	// buffered-1 channel per waiting Run call, signalled (never blocked
@@ -148,24 +171,20 @@ type RemotePool struct {
 	waiters []chan struct{}
 }
 
-var _ Pool = (*RemotePool)(nil)
+var _ Pool = (*RemotePool[any])(nil)
 
 // NewRemote builds a RemotePool over the given workers. Capacities below
 // one are clamped to one. The fleet may be empty: an elastic pool starts
 // with no members and grows by AddWorker.
-func NewRemote(specs []RemoteSpec, cfg RemoteConfig) (*RemotePool, error) {
-	p := &RemotePool{
-		backoff:      cfg.Backoff,
-		maxAttempts:  cfg.MaxAttempts,
-		evictStrikes: cfg.EvictStrikes,
-	}
+func NewRemote[W any](specs []RemoteSpec[W], cfg RemoteConfig) *RemotePool[W] {
+	p := &RemotePool[W]{backoff: cfg.Backoff, evictStrikes: cfg.EvictStrikes}
 	if p.backoff == nil {
 		p.backoff = defaultBackoff
 	}
 	for _, s := range specs {
 		p.AddWorker(s)
 	}
-	return p, nil
+	return p
 }
 
 // defaultBackoff is the deterministic exponential schedule used when the
@@ -182,52 +201,48 @@ func defaultBackoff(strike int) time.Duration {
 }
 
 // AddWorker adds a worker to the fleet (or revives/refreshes it) and
-// returns its stable index. Joining under a live Run is the point:
-// schedulers starved of seats wake immediately and dispatch queued items
-// onto the new member.
+// returns its stable index. Capacities below one are clamped to one.
+// Joining under a live Run is the point: schedulers starved of seats
+// wake immediately and dispatch queued items onto the new member.
 //
-//   - A brand-new name appends a member.
+//   - A brand-new name appends a member with spec's transport.
 //   - A removed (evicted) name rejoins in place: same index, counters
-//     continued, strikes and backoff cleared.
+//     and RTT history continued, strikes and backoff cleared.
 //   - A live name is refreshed idempotently: its capacity is updated to
 //     the given value (seats grow or shrink accordingly).
-func (p *RemotePool) AddWorker(spec RemoteSpec) int {
+//
+// A name that is already a member keeps its installed transport and
+// spec.Worker is dropped: registration is a periodic, idempotent
+// announce, and the installed transport may carry per-worker state
+// worth preserving (rentmin/client's upload dedup — replacing it on
+// every re-announce would re-upload every problem document).
+func (p *RemotePool[W]) AddWorker(spec RemoteSpec[W]) int {
 	if spec.Capacity < 1 {
 		spec.Capacity = 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for w := range p.specs {
-		if p.specs[w].Name != spec.Name {
+	defer p.broadcastLocked()
+	for w := range p.members {
+		m := &p.members[w]
+		if m.Name != spec.Name {
 			continue
 		}
-		if p.removed[w] {
+		if m.removed {
 			// Rejoin after removal/eviction: clean health, fresh seats
 			// (minus any dispatches still draining from before removal).
-			p.removed[w] = false
-			p.strikes[w] = 0
-			p.until[w] = time.Time{}
-			p.specs[w].Capacity = spec.Capacity
-			p.free[w] = spec.Capacity - p.inFlight[w]
+			m.removed = false
+			m.strikes = 0
+			m.until = time.Time{}
+			m.free = spec.Capacity - m.inFlight
 		} else {
-			// Idempotent re-registration: refresh the capacity.
-			p.free[w] += spec.Capacity - p.specs[w].Capacity
-			p.specs[w].Capacity = spec.Capacity
+			m.free += spec.Capacity - m.Capacity
 		}
-		p.broadcastLocked()
+		m.Capacity = spec.Capacity
 		return w
 	}
-	p.specs = append(p.specs, spec)
-	p.removed = append(p.removed, false)
-	p.free = append(p.free, spec.Capacity)
-	p.strikes = append(p.strikes, 0)
-	p.until = append(p.until, time.Time{})
-	p.inFlight = append(p.inFlight, 0)
-	p.dispatched = append(p.dispatched, 0)
-	p.succeeded = append(p.succeeded, 0)
-	p.faults = append(p.faults, 0)
-	p.broadcastLocked()
-	return len(p.specs) - 1
+	p.members = append(p.members, member[W]{RemoteSpec: spec, free: spec.Capacity, rtt: obs.NewWindow(rttWindow)})
+	return len(p.members) - 1
 }
 
 // RemoveWorker takes the named worker out of the fleet; it reports
@@ -236,15 +251,13 @@ func (p *RemotePool) AddWorker(spec RemoteSpec) int {
 // queued items excluded from every remaining member have their
 // exclusion sets reset so they keep flowing. The index stays reserved —
 // AddWorker with the same name rejoins in place.
-func (p *RemotePool) RemoveWorker(name string) bool {
+func (p *RemotePool[W]) RemoveWorker(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for w := range p.specs {
-		if p.specs[w].Name == name && !p.removed[w] {
-			p.removed[w] = true
-			p.broadcastLocked()
-			return true
-		}
+	if w := p.liveLocked(name); w >= 0 {
+		p.members[w].removed = true
+		p.broadcastLocked()
+		return true
 	}
 	return false
 }
@@ -254,24 +267,34 @@ func (p *RemotePool) RemoveWorker(name string) bool {
 // touching the dispatch counters (a probe is not a dispatch). It
 // reports whether the strike crossed the eviction threshold and removed
 // the worker. Unknown or already-removed names are a no-op.
-func (p *RemotePool) Strike(name string) (evicted bool) {
+func (p *RemotePool[W]) Strike(name string) (evicted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for w := range p.specs {
-		if p.specs[w].Name == name && !p.removed[w] {
-			return p.strikeLocked(w)
-		}
+	if w := p.liveLocked(name); w >= 0 {
+		return p.strikeLocked(w)
 	}
 	return false
 }
 
+// liveLocked returns the index of the named live member, or -1. Caller
+// holds mu.
+func (p *RemotePool[W]) liveLocked(name string) int {
+	for w := range p.members {
+		if p.members[w].Name == name && !p.members[w].removed {
+			return w
+		}
+	}
+	return -1
+}
+
 // strikeLocked adds a strike and backoff to worker w, evicting it when
 // the configured threshold is crossed. Caller holds mu.
-func (p *RemotePool) strikeLocked(w int) (evicted bool) {
-	p.strikes[w]++
-	p.until[w] = time.Now().Add(p.backoff(p.strikes[w]))
-	if p.evictStrikes > 0 && p.strikes[w] >= p.evictStrikes {
-		p.removed[w] = true
+func (p *RemotePool[W]) strikeLocked(w int) (evicted bool) {
+	m := &p.members[w]
+	m.strikes++
+	m.until = time.Now().Add(p.backoff(m.strikes))
+	if p.evictStrikes > 0 && m.strikes >= p.evictStrikes {
+		m.removed = true
 		p.evictions++
 		p.broadcastLocked()
 		return true
@@ -281,7 +304,7 @@ func (p *RemotePool) strikeLocked(w int) (evicted bool) {
 
 // Evictions counts workers removed by the strike threshold since the
 // pool was created (manual RemoveWorker calls are not counted).
-func (p *RemotePool) Evictions() int64 {
+func (p *RemotePool[W]) Evictions() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.evictions
@@ -289,27 +312,28 @@ func (p *RemotePool) Evictions() int64 {
 
 // Workers returns the fleet's current total capacity (active members
 // only). It changes as workers join and leave.
-func (p *RemotePool) Workers() int {
+func (p *RemotePool[W]) Workers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
-	for w := range p.specs {
-		if !p.removed[w] {
-			total += p.specs[w].Capacity
+	for w := range p.members {
+		if !p.members[w].removed {
+			total += p.members[w].Capacity
 		}
 	}
 	return total
 }
 
-// Specs returns a snapshot of the fleet's active members. The slice is
-// a copy: mutating it cannot corrupt the pool's membership table.
-func (p *RemotePool) Specs() []RemoteSpec {
+// Specs returns a snapshot of the fleet's active members, transports
+// included. The slice is a copy: mutating it cannot corrupt the pool's
+// membership table.
+func (p *RemotePool[W]) Specs() []RemoteSpec[W] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]RemoteSpec, 0, len(p.specs))
-	for w := range p.specs {
-		if !p.removed[w] {
-			out = append(out, p.specs[w])
+	out := make([]RemoteSpec[W], 0, len(p.members))
+	for w := range p.members {
+		if !p.members[w].removed {
+			out = append(out, p.members[w].RemoteSpec)
 		}
 	}
 	return out
@@ -318,22 +342,29 @@ func (p *RemotePool) Specs() []RemoteSpec {
 // Stats snapshots per-worker health for metrics export. Removed members
 // are included (flagged Removed) so dashboards can count evictions and
 // a coordinator can report a vanished worker's final counters.
-func (p *RemotePool) Stats() []RemoteWorkerStats {
+func (p *RemotePool[W]) Stats() []WorkerStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
-	out := make([]RemoteWorkerStats, len(p.specs))
-	for i, s := range p.specs {
-		out[i] = RemoteWorkerStats{
-			Name:       s.Name,
-			Capacity:   s.Capacity,
-			InFlight:   p.inFlight[i],
-			Dispatched: p.dispatched[i],
-			Succeeded:  p.succeeded[i],
-			Faults:     p.faults[i],
-			Strikes:    p.strikes[i],
-			BackingOff: p.until[i].After(now),
-			Removed:    p.removed[i],
+	out := make([]WorkerStatus, len(p.members))
+	for i := range p.members {
+		m := &p.members[i]
+		backingOff := m.until.After(now)
+		out[i] = WorkerStatus{
+			Name:       m.Name,
+			Capacity:   m.Capacity,
+			InFlight:   m.inFlight,
+			Dispatched: m.dispatched,
+			Succeeded:  m.succeeded,
+			Faults:     m.faults,
+			Strikes:    m.strikes,
+			BackingOff: backingOff,
+			Healthy:    !backingOff && !m.removed,
+			Removed:    m.removed,
+		}
+		if n := m.rtt.Count(); n > 0 {
+			qs := m.rtt.Quantiles(0.5, 0.99)
+			out[i].RTTSamples, out[i].RTTp50Ms, out[i].RTTp99Ms = n, qs[0], qs[1]
 		}
 	}
 	return out
@@ -341,17 +372,17 @@ func (p *RemotePool) Stats() []RemoteWorkerStats {
 
 // Close releases the pool. RemotePool owns no goroutines between Run
 // calls, so Close only exists to satisfy the Pool contract; the remote
-// workers themselves are owned by whoever created their clients.
-func (p *RemotePool) Close() {}
+// workers themselves are owned by whoever created their transports.
+func (p *RemotePool[W]) Close() {}
 
 // Run executes fn(0) … fn(n-1) across the fleet and waits; see Pool.
-func (p *RemotePool) Run(n int, fn func(i int) error) error {
+func (p *RemotePool[W]) Run(n int, fn func(i int) error) error {
 	return p.RunContext(context.Background(), n, func(_ context.Context, i int) error { return fn(i) })
 }
 
 // Do executes task(0) … task(n-1) across the fleet and waits; a
 // panicking task re-panics here.
-func (p *RemotePool) Do(n int, task func(i int)) {
+func (p *RemotePool[W]) Do(n int, task func(i int)) {
 	rethrowPanic(p.Run(n, func(i int) error { task(i); return nil }))
 }
 
@@ -359,7 +390,7 @@ func (p *RemotePool) Do(n int, task func(i int)) {
 // and returns its private buffered-1 channel. Register before scanning
 // for seats: a release landing between the scan and the sleep is then
 // buffered, not lost.
-func (p *RemotePool) subscribe() chan struct{} {
+func (p *RemotePool[W]) subscribe() chan struct{} {
 	ch := make(chan struct{}, 1)
 	p.mu.Lock()
 	p.waiters = append(p.waiters, ch)
@@ -368,7 +399,7 @@ func (p *RemotePool) subscribe() chan struct{} {
 }
 
 // unsubscribe removes the scheduler's wakeup channel.
-func (p *RemotePool) unsubscribe(ch chan struct{}) {
+func (p *RemotePool[W]) unsubscribe(ch chan struct{}) {
 	p.mu.Lock()
 	for i := range p.waiters {
 		if p.waiters[i] == ch {
@@ -381,7 +412,7 @@ func (p *RemotePool) unsubscribe(ch chan struct{}) {
 
 // broadcastLocked signals every waiting scheduler (non-blocking: each
 // waiter channel holds one pending token). Caller holds mu.
-func (p *RemotePool) broadcastLocked() {
+func (p *RemotePool[W]) broadcastLocked() {
 	for _, ch := range p.waiters {
 		select {
 		case ch <- struct{}{}:
@@ -400,18 +431,19 @@ func (p *RemotePool) broadcastLocked() {
 // lowest index), which spreads a batch across the fleet instead of
 // filling workers one by one. An item whose exclusion set has come to
 // cover every active member — membership shrank under it — has the set
-// reset so it keeps flowing. It returns the queue position and worker,
-// or (-1, -1) and the wait until the nearest backoff expiry among
-// workers with free seats (zero when no backoff is pending and the
-// caller must wait for a seat or a membership change instead).
-func (p *RemotePool) pickAssignment(now time.Time, queue []item) (int, int, time.Duration) {
+// reset so it keeps flowing. It returns the queue position, the worker
+// and its transport, or (-1, -1) and the wait until the nearest backoff
+// expiry among workers with free seats (zero when no backoff is pending
+// and the caller must wait for a seat or a membership change instead).
+func (p *RemotePool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for qi := 0; qi < len(queue); qi++ {
 		best := -1
 		active, eligible := 0, 0
-		for w := range p.specs {
-			if p.removed[w] {
+		for w := range p.members {
+			m := &p.members[w]
+			if m.removed {
 				continue
 			}
 			active++
@@ -419,18 +451,19 @@ func (p *RemotePool) pickAssignment(now time.Time, queue []item) (int, int, time
 				continue
 			}
 			eligible++
-			if p.free[w] <= 0 || p.until[w].After(now) {
+			if m.free <= 0 || m.until.After(now) {
 				continue
 			}
-			if best < 0 || p.free[w] > p.free[best] {
+			if best < 0 || m.free > p.members[best].free {
 				best = w
 			}
 		}
 		if best >= 0 {
-			p.free[best]--
-			p.inFlight[best]++
-			p.dispatched[best]++
-			return qi, best, 0
+			m := &p.members[best]
+			m.free--
+			m.inFlight++
+			m.dispatched++
+			return qi, best, m.Worker, 0
 		}
 		if active > 0 && eligible == 0 {
 			// Every worker this item hasn't faulted on has since left the
@@ -444,62 +477,62 @@ func (p *RemotePool) pickAssignment(now time.Time, queue []item) (int, int, time
 	// active workers that do have a free seat, so the scheduler can sleep
 	// until the fleet heals rather than only until a seat frees.
 	var wait time.Duration
-	for w := range p.specs {
-		if p.removed[w] || p.free[w] <= 0 {
+	for w := range p.members {
+		m := &p.members[w]
+		if m.removed || m.free <= 0 {
 			continue
 		}
-		if d := p.until[w].Sub(now); d > 0 && (wait == 0 || d < wait) {
+		if d := m.until.Sub(now); d > 0 && (wait == 0 || d < wait) {
 			wait = d
 		}
 	}
-	return -1, -1, wait
+	var none W
+	return -1, -1, none, wait
 }
 
-// release frees the worker's seat and wakes every waiting scheduler.
-func (p *RemotePool) release(w int) {
+// finish folds one dispatch outcome into worker w's record and frees
+// its seat, waking every waiting scheduler. A worker fault adds a strike
+// and backoff (evicting at the configured threshold). Any other answer —
+// a task's own error included — clears the worker's strikes, and a
+// success adds the round trip to its RTT window. A failure once ctx is
+// done says nothing about the worker's health and leaves its record
+// alone.
+func (p *RemotePool[W]) finish(ctx context.Context, w int, err error, rtt time.Duration) {
+	cancelled := err != nil && ctx.Err() != nil
+	fault := err != nil && !cancelled && IsWorkerFault(err)
 	p.mu.Lock()
-	p.free[w]++
-	p.inFlight[w]--
-	p.broadcastLocked()
-	p.mu.Unlock()
-}
-
-// recordSuccess clears the worker's strike count.
-func (p *RemotePool) recordSuccess(w int) {
-	p.mu.Lock()
-	p.succeeded[w]++
-	p.strikes[w] = 0
-	p.mu.Unlock()
-}
-
-// recordFault adds a strike and schedules the worker's backoff; with
-// eviction configured, the threshold strike removes the worker.
-func (p *RemotePool) recordFault(w int) {
-	p.mu.Lock()
-	p.faults[w]++
-	p.strikeLocked(w)
-	p.mu.Unlock()
-}
-
-// attemptBudget resolves the per-item dispatch budget against the
-// current fleet size (for the dynamic zero default).
-func (p *RemotePool) attemptBudget() int {
-	if p.maxAttempts > 0 {
-		return p.maxAttempts
+	defer p.mu.Unlock()
+	m := &p.members[w]
+	switch {
+	case cancelled:
+	case fault:
+		m.faults++
+		p.strikeLocked(w)
+	default:
+		m.succeeded++
+		m.strikes = 0
+		if err == nil {
+			m.rtt.Add(float64(rtt) / float64(time.Millisecond))
+		}
 	}
+	m.free++
+	m.inFlight--
+	p.broadcastLocked()
+}
+
+// attemptBudget is the per-item dispatch budget: 3·(active workers), at
+// least 4, re-evaluated per fault so the budget tracks an elastic fleet
+// (and a fleet that is entirely down cannot spin forever).
+func (p *RemotePool[W]) attemptBudget() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	active := 0
-	for w := range p.specs {
-		if !p.removed[w] {
+	for w := range p.members {
+		if !p.members[w].removed {
 			active++
 		}
 	}
-	budget := 3 * active
-	if budget < 4 {
-		budget = 4
-	}
-	return budget
+	return max(3*active, 4)
 }
 
 // item is one task making its way through the dispatcher, carrying its
@@ -523,17 +556,17 @@ func (it *item) excludes(w int) bool {
 
 // excludeWorker marks the worker in the item's fault history, resetting
 // the set when it has come to cover every active member.
-func (p *RemotePool) excludeWorker(it *item, w int) {
+func (p *RemotePool[W]) excludeWorker(it *item, w int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(it.excluded) < len(p.specs) {
-		grown := make([]bool, len(p.specs))
+	if len(it.excluded) < len(p.members) {
+		grown := make([]bool, len(p.members))
 		copy(grown, it.excluded)
 		it.excluded = grown
 	}
 	it.excluded[w] = true
-	for x := range p.specs {
-		if !p.removed[x] && !it.excluded[x] {
+	for x := range p.members {
+		if !p.members[x].removed && !it.excluded[x] {
 			return
 		}
 	}
@@ -549,12 +582,12 @@ type completion struct {
 
 // RunContext dispatches fn(0) … fn(n-1) across the fleet; see Pool and
 // the RemotePool type comment for the contract. Each invocation of fn
-// receives a context annotated with its assigned worker (AssignedWorker).
-// A task whose error marks a worker fault is re-dispatched — up to
-// MaxAttempts dispatches, after which its last fault stands as its
-// error. Tasks cancelled after at least one faulted attempt report that
+// receives a context annotated with its assigned worker's transport
+// (AssignedWorker). A task whose error marks a worker fault is
+// re-dispatched — up to 3·(active workers) dispatches, at least 4, after
+// which its last fault stands as its error. Tasks cancelled after at least one faulted attempt report that
 // last fault rather than ctx.Err().
-func (p *RemotePool) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+func (p *RemotePool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -593,29 +626,19 @@ func (p *RemotePool) RunContext(ctx context.Context, n int, fn func(ctx context.
 			// joining) between the scan and the sleep lands in the
 			// buffered waiter channel instead of being lost.
 			wake = p.subscribe()
-			qi, w, wait := p.pickAssignment(time.Now(), queue)
+			qi, w, worker, wait := p.pickAssignment(time.Now(), queue)
 			if w >= 0 {
 				p.unsubscribe(wake)
 				it := queue[qi]
 				queue = append(queue[:qi], queue[qi+1:]...)
 				it.attempts++
 				inflight++
-				go func(it item, w int) {
-					err := safeCall(context.WithValue(ctx, workerKey{}, w), it.i, fn)
-					switch {
-					case err == nil:
-						p.recordSuccess(w)
-					case ctx.Err() != nil:
-						// A cancellation-time failure says nothing about
-						// the worker's health; don't poison its record.
-					case IsWorkerFault(err):
-						p.recordFault(w)
-					default:
-						p.recordSuccess(w) // the task failed, the worker answered
-					}
-					p.release(w)
+				go func(it item, w int, worker W) {
+					start := time.Now()
+					err := safeCall(context.WithValue(ctx, workerKey{}, worker), it.i, fn)
+					p.finish(ctx, w, err, time.Since(start))
 					done <- completion{it: it, w: w, err: err}
-				}(it, w)
+				}(it, w, worker)
 				continue
 			}
 			healWait = wait
@@ -664,7 +687,7 @@ func (p *RemotePool) RunContext(ctx context.Context, n int, fn func(ctx context.
 // lands the result, a worker fault re-queues the task for a worker it
 // has not faulted on yet (until its attempt budget runs out), any other
 // error is the task's own.
-func (p *RemotePool) settle(ctx context.Context, c completion, queue *[]item, errs []error) {
+func (p *RemotePool[W]) settle(ctx context.Context, c completion, queue *[]item, errs []error) {
 	switch {
 	case c.err == nil:
 		errs[c.it.i] = nil

@@ -22,12 +22,9 @@ func newFault(w int) error            { return &faultErr{worker: w} }
 // fastBackoff keeps re-dispatch tests quick.
 func fastBackoff(int) time.Duration { return time.Millisecond }
 
-func twoWorkerPool(t *testing.T, cfg RemoteConfig) *RemotePool {
+func twoWorkerPool(t *testing.T, cfg RemoteConfig) *RemotePool[int] {
 	t.Helper()
-	p, err := NewRemote([]RemoteSpec{{Name: "w0", Capacity: 2}, {Name: "w1", Capacity: 2}}, cfg)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
+	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}, {Name: "w1", Capacity: 2, Worker: 1}}, cfg)
 	t.Cleanup(p.Close)
 	return p
 }
@@ -38,7 +35,7 @@ func TestRemoteRedispatchAfterWorkerFault(t *testing.T) {
 	var solvedByHealthy atomic.Int64
 	out := make([]int64, n)
 	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, ok := AssignedWorker(ctx)
+		w, ok := AssignedWorker[int](ctx)
 		if !ok {
 			return errors.New("no assigned worker")
 		}
@@ -83,7 +80,7 @@ func TestRemoteBackoffShieldsDeadWorker(t *testing.T) {
 	const n = 20
 	var faults atomic.Int64
 	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		if w, _ := AssignedWorker(ctx); w == 0 {
+		if w, _ := AssignedWorker[int](ctx); w == 0 {
 			faults.Add(1)
 			return newFault(w)
 		}
@@ -105,19 +102,19 @@ func TestRemoteBackoffShieldsDeadWorker(t *testing.T) {
 	}
 }
 
+// TestRemoteGivesUpAfterMaxAttempts pins the attempt budget that ships:
+// 3 dispatches per active worker (at least 4), so a task on a fleet of
+// two dead workers gives up after exactly 6 dispatches.
 func TestRemoteGivesUpAfterMaxAttempts(t *testing.T) {
-	p, err := NewRemote(
-		[]RemoteSpec{{Name: "w0", Capacity: 1}, {Name: "w1", Capacity: 1}},
-		RemoteConfig{Backoff: fastBackoff, MaxAttempts: 3},
+	p := NewRemote(
+		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 1, Worker: 1}},
+		RemoteConfig{Backoff: fastBackoff},
 	)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
 	defer p.Close()
 	var tries atomic.Int64
-	err = p.RunContext(context.Background(), 1, func(ctx context.Context, i int) error {
+	err := p.RunContext(context.Background(), 1, func(ctx context.Context, i int) error {
 		tries.Add(1)
-		w, _ := AssignedWorker(ctx)
+		w, _ := AssignedWorker[int](ctx)
 		return newFault(w) // the whole fleet is down
 	})
 	if err == nil {
@@ -126,8 +123,8 @@ func TestRemoteGivesUpAfterMaxAttempts(t *testing.T) {
 	if !IsWorkerFault(err) {
 		t.Errorf("final error does not carry the worker fault: %v", err)
 	}
-	if tries.Load() != 3 {
-		t.Errorf("task dispatched %d times, want exactly MaxAttempts = 3", tries.Load())
+	if tries.Load() != 6 {
+		t.Errorf("task dispatched %d times, want exactly the budget 3·2 = 6", tries.Load())
 	}
 }
 
@@ -137,7 +134,7 @@ func TestRemoteSuccessResetsStrikes(t *testing.T) {
 	flaky.Store(true)
 	run := func(n int) error {
 		return p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-			if w, _ := AssignedWorker(ctx); w == 0 && flaky.Load() {
+			if w, _ := AssignedWorker[int](ctx); w == 0 && flaky.Load() {
 				return newFault(w)
 			}
 			return nil
@@ -191,18 +188,15 @@ func TestRemoteConcurrentRunsShareCapacity(t *testing.T) {
 }
 
 func TestRemotePerWorkerInFlightCap(t *testing.T) {
-	p, err := NewRemote(
-		[]RemoteSpec{{Name: "w0", Capacity: 1}, {Name: "w1", Capacity: 3}},
+	p := NewRemote(
+		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 3, Worker: 1}},
 		RemoteConfig{Backoff: fastBackoff},
 	)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
 	defer p.Close()
 	var cur [2]atomic.Int64
 	var peak [2]atomic.Int64
-	err = p.RunContext(context.Background(), 30, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker(ctx)
+	err := p.RunContext(context.Background(), 30, func(ctx context.Context, i int) error {
+		w, _ := AssignedWorker[int](ctx)
 		if c := cur[w].Add(1); c > peak[w].Load() {
 			peak[w].Store(c)
 		}
@@ -229,10 +223,7 @@ func TestRemotePerWorkerInFlightCap(t *testing.T) {
 // attempts, and the first AddWorker wakes the scheduler and drains the
 // queue.
 func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
-	p, err := NewRemote(nil, RemoteConfig{Backoff: fastBackoff})
-	if err != nil {
-		t.Fatalf("NewRemote(empty): %v", err)
-	}
+	p := NewRemote[int](nil, RemoteConfig{Backoff: fastBackoff})
 	defer p.Close()
 	if got := p.Workers(); got != 0 {
 		t.Fatalf("empty fleet Workers() = %d, want 0", got)
@@ -242,7 +233,7 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-			if _, ok := AssignedWorker(ctx); !ok {
+			if _, ok := AssignedWorker[int](ctx); !ok {
 				return errors.New("no assigned worker")
 			}
 			solved.Add(1)
@@ -254,7 +245,7 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 		t.Fatalf("Run over an empty fleet returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	p.AddWorker(RemoteSpec{Name: "late", Capacity: 2})
+	p.AddWorker(RemoteSpec[int]{Name: "late", Capacity: 2, Worker: 0})
 	select {
 	case err := <-done:
 		if err != nil {
@@ -272,10 +263,7 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 // still abort on cancellation, reporting context.Canceled with every
 // task skipped.
 func TestRemoteEmptyFleetRunHonorsCancel(t *testing.T) {
-	p, err := NewRemote(nil, RemoteConfig{})
-	if err != nil {
-		t.Fatalf("NewRemote(empty): %v", err)
-	}
+	p := NewRemote[int](nil, RemoteConfig{})
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -300,21 +288,18 @@ func TestRemoteEmptyFleetRunHonorsCancel(t *testing.T) {
 // saturated picks up queued items (run under -race in CI, this is the
 // membership-resize safety test).
 func TestRemoteJoinMidRunReceivesWork(t *testing.T) {
-	p, err := NewRemote([]RemoteSpec{{Name: "w0", Capacity: 1}}, RemoteConfig{Backoff: fastBackoff})
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
+	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{Backoff: fastBackoff})
 	defer p.Close()
 	const n = 16
 	var byWorker [2]atomic.Int64
 	joined := make(chan struct{})
 	var once sync.Once
-	err = p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker(ctx)
+	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
+		w, _ := AssignedWorker[int](ctx)
 		once.Do(func() {
 			// First dispatch is in flight on w0 with n-1 items queued:
 			// grow the fleet under the live scheduler.
-			p.AddWorker(RemoteSpec{Name: "w1", Capacity: 3})
+			p.AddWorker(RemoteSpec[int]{Name: "w1", Capacity: 3, Worker: 1})
 			close(joined)
 		})
 		<-joined
@@ -340,19 +325,16 @@ func TestRemoteJoinMidRunReceivesWork(t *testing.T) {
 // new dispatches to it; queued items flow to the remaining member even
 // when their exclusion sets pointed the other way.
 func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
-	p, err := NewRemote(
-		[]RemoteSpec{{Name: "w0", Capacity: 1}, {Name: "w1", Capacity: 1}},
+	p := NewRemote(
+		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 1, Worker: 1}},
 		RemoteConfig{Backoff: fastBackoff},
 	)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
 	defer p.Close()
 	const n = 12
 	var removed atomic.Bool
 	var afterRemoval atomic.Int64
-	err = p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker(ctx)
+	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
+		w, _ := AssignedWorker[int](ctx)
 		if removed.Load() && w == 0 {
 			afterRemoval.Add(1)
 		}
@@ -380,13 +362,10 @@ func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
 // the worker from the fleet and counts an eviction; re-registration
 // revives it with clean health at the same index.
 func TestRemoteStrikeEviction(t *testing.T) {
-	p, err := NewRemote(
-		[]RemoteSpec{{Name: "w0", Capacity: 2}},
+	p := NewRemote(
+		[]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}},
 		RemoteConfig{Backoff: fastBackoff, EvictStrikes: 3},
 	)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
 	defer p.Close()
 	for i := 0; i < 2; i++ {
 		if evicted := p.Strike("w0"); evicted {
@@ -414,7 +393,7 @@ func TestRemoteStrikeEviction(t *testing.T) {
 		t.Errorf("Evictions() = %d after no-op strike, want 1", got)
 	}
 	// Rejoin: same index, clean slate.
-	if w := p.AddWorker(RemoteSpec{Name: "w0", Capacity: 4}); w != 0 {
+	if w := p.AddWorker(RemoteSpec[int]{Name: "w0", Capacity: 4, Worker: 0}); w != 0 {
 		t.Errorf("rejoin allocated index %d, want the reserved 0", w)
 	}
 	s := p.Stats()[0]
@@ -439,7 +418,7 @@ func TestRemoteSpecsReturnsCopy(t *testing.T) {
 // an idempotent capacity refresh, not a duplicate.
 func TestRemoteReregisterRefreshesCapacity(t *testing.T) {
 	p := twoWorkerPool(t, RemoteConfig{})
-	if w := p.AddWorker(RemoteSpec{Name: "w0", Capacity: 5}); w != 0 {
+	if w := p.AddWorker(RemoteSpec[int]{Name: "w0", Capacity: 5, Worker: 0}); w != 0 {
 		t.Fatalf("re-register allocated index %d, want 0", w)
 	}
 	if got := p.Workers(); got != 7 {
@@ -453,12 +432,9 @@ func TestRemoteReregisterRefreshesCapacity(t *testing.T) {
 func TestRemoteCancelAbortsQueuedRedispatch(t *testing.T) {
 	// A task whose worker faulted sits on the retry queue; cancellation
 	// must fail it with its last fault instead of waiting out backoffs.
-	p, err := NewRemote([]RemoteSpec{{Name: "w0", Capacity: 1}}, RemoteConfig{
+	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{
 		Backoff: func(int) time.Duration { return time.Hour },
 	})
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var tries atomic.Int64
@@ -483,5 +459,45 @@ func TestRemoteCancelAbortsQueuedRedispatch(t *testing.T) {
 	}
 	if tries.Load() != 1 {
 		t.Errorf("task dispatched %d times after cancellation, want 1", tries.Load())
+	}
+}
+
+// TestRemoteMemberRecordCarriesRTTAndTransport pins what the member
+// record owns besides seats and health: every successful dispatch adds
+// one RTT sample to its worker's window (faults add none), and
+// re-registering a live or removed name keeps the installed transport.
+func TestRemoteMemberRecordCarriesRTTAndTransport(t *testing.T) {
+	p := NewRemote([]RemoteSpec[string]{
+		{Name: "w0", Capacity: 1, Worker: "dead"},
+		{Name: "w1", Capacity: 1, Worker: "live"},
+	}, RemoteConfig{Backoff: fastBackoff})
+	const n = 8
+	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
+		if w, _ := AssignedWorker[string](ctx); w == "dead" {
+			return newFault(0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	stats := p.Stats()
+	if s := stats[1]; s.RTTSamples != n || s.Succeeded != n || s.RTTp99Ms < s.RTTp50Ms {
+		t.Errorf("live worker RTT window: %+v, want %d samples with p99 >= p50", s, n)
+	}
+	if s := stats[0]; s.Faults == 0 || s.RTTSamples != 0 || s.Healthy {
+		t.Errorf("dead worker record: %+v, want faults, no RTT samples, unhealthy", s)
+	}
+
+	p.RemoveWorker("w1")
+	p.AddWorker(RemoteSpec[string]{Name: "w1", Capacity: 1, Worker: "replacement"})
+	p.AddWorker(RemoteSpec[string]{Name: "w1", Capacity: 1, Worker: "replacement"})
+	for _, s := range p.Specs() {
+		if s.Name == "w1" && s.Worker != "live" {
+			t.Errorf("re-registration replaced the transport: %q", s.Worker)
+		}
+	}
+	if got := p.Stats()[1].RTTSamples; got != n {
+		t.Errorf("rejoin reset the RTT window: %d samples, want %d", got, n)
 	}
 }

@@ -43,9 +43,9 @@ func (w *recordingWorker) options() []rentmin.SolveOptions {
 
 func newCoordinatorServer(t *testing.T, worker *recordingWorker) *client.Client {
 	t.Helper()
-	pool, err := rentmin.NewRemoteSolverPool(context.Background(), []rentmin.RemoteWorker{worker}, nil)
-	if err != nil {
-		t.Fatalf("NewRemoteSolverPool: %v", err)
+	pool := rentmin.NewElasticSolverPool(nil)
+	if _, err := pool.AddRemoteWorker(context.Background(), worker); err != nil {
+		t.Fatalf("AddRemoteWorker: %v", err)
 	}
 	// The server takes ownership of the pool; newTestServer's cleanup
 	// closes it via Server.Close.
@@ -120,9 +120,9 @@ func TestLocalSolveOptionsLeaveDeadlineToContext(t *testing.T) {
 // over the wire with a fabricated near-zero limit.
 func TestCoordinatorExpiredDeadlineFailsFast(t *testing.T) {
 	worker := &recordingWorker{caps: 1}
-	pool, err := rentmin.NewRemoteSolverPool(context.Background(), []rentmin.RemoteWorker{worker}, nil)
-	if err != nil {
-		t.Fatalf("NewRemoteSolverPool: %v", err)
+	pool := rentmin.NewElasticSolverPool(nil)
+	if _, err := pool.AddRemoteWorker(context.Background(), worker); err != nil {
+		t.Fatalf("AddRemoteWorker: %v", err)
 	}
 	s, _ := newTestServer(t, Config{SolverPool: pool})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))

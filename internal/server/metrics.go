@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rentmin"
+	"rentmin/internal/obs"
 )
 
 // latencyWindow is the sliding window used for the latency quantiles:
@@ -27,11 +28,8 @@ type metrics struct {
 	lpSolves       int64
 	wastedLPSolves int64
 
-	lat  [latencyWindow]float64 // solve/batch request latencies, ms
-	latN int                    // total recorded (ring index = latN % window)
-
-	qw  [latencyWindow]float64 // per-solve queue waits (lease acquisition), ms
-	qwN int
+	lat *obs.Window // solve/batch request latencies, ms
+	qw  *obs.Window // per-solve queue waits (lease acquisition), ms
 
 	// Session re-solve accounting (/v1/sessions): committed re-solves
 	// split by path (warm = seeded from the previous optimum), machine
@@ -41,11 +39,8 @@ type metrics struct {
 	sessCold       int64
 	sessChurnMoves int64
 	sessChurnBase  int64
-
-	sessWarmMs [latencyWindow]float64
-	sessWarmN  int
-	sessColdMs [latencyWindow]float64
-	sessColdN  int
+	sessWarmMs     *obs.Window
+	sessColdMs     *obs.Window
 }
 
 type reqKey struct {
@@ -54,7 +49,13 @@ type reqKey struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{requests: make(map[reqKey]int64)}
+	return &metrics{
+		requests:   make(map[reqKey]int64),
+		lat:        obs.NewWindow(latencyWindow),
+		qw:         obs.NewWindow(latencyWindow),
+		sessWarmMs: obs.NewWindow(latencyWindow),
+		sessColdMs: obs.NewWindow(latencyWindow),
+	}
 }
 
 // recordRequest counts one finished HTTP request.
@@ -66,22 +67,12 @@ func (m *metrics) recordRequest(endpoint string, code int) {
 
 // recordLatency folds one successful solve/batch request latency into the
 // quantile window.
-func (m *metrics) recordLatency(ms float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lat[m.latN%latencyWindow] = ms
-	m.latN++
-}
+func (m *metrics) recordLatency(ms float64) { m.lat.Add(ms) }
 
 // recordQueueWait folds one solve's lease-wait time into its quantile
 // window. Kept separate from recordLatency so dashboards can tell
 // queueing delay (admission pressure) apart from solve time.
-func (m *metrics) recordQueueWait(ms float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.qw[m.qwN%latencyWindow] = ms
-	m.qwN++
-}
+func (m *metrics) recordQueueWait(ms float64) { m.qw.Add(ms) }
 
 // recordSolution folds one solved problem's solver statistics in.
 func (m *metrics) recordSolution(sol rentmin.Solution) {
@@ -105,12 +96,10 @@ func (m *metrics) recordSessionResolve(warm bool, ms float64, churn, fleet int) 
 	defer m.mu.Unlock()
 	if warm {
 		m.sessWarm++
-		m.sessWarmMs[m.sessWarmN%latencyWindow] = ms
-		m.sessWarmN++
+		m.sessWarmMs.Add(ms)
 	} else {
 		m.sessCold++
-		m.sessColdMs[m.sessColdN%latencyWindow] = ms
-		m.sessColdN++
+		m.sessColdMs.Add(ms)
 	}
 	m.sessChurnMoves += int64(churn)
 	m.sessChurnBase += int64(fleet)
@@ -191,13 +180,13 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "# TYPE rentmind_speculation_waste_ratio gauge\n")
 	fmt.Fprintf(w, "rentmind_speculation_waste_ratio %g\n", ratio)
 
-	p50, p99 := windowQuantiles(m.lat[:], m.latN)
+	p50, p99 := windowQuantiles(m.lat)
 	fmt.Fprintf(w, "# HELP rentmind_solve_latency_ms Solve/batch request latency over the last %d requests.\n", latencyWindow)
 	fmt.Fprintf(w, "# TYPE rentmind_solve_latency_ms summary\n")
 	fmt.Fprintf(w, "rentmind_solve_latency_ms{quantile=\"0.5\"} %g\n", p50)
 	fmt.Fprintf(w, "rentmind_solve_latency_ms{quantile=\"0.99\"} %g\n", p99)
 
-	q50, q99 := windowQuantiles(m.qw[:], m.qwN)
+	q50, q99 := windowQuantiles(m.qw)
 	fmt.Fprintf(w, "# HELP rentmind_queue_wait_ms Time solves spent waiting for a worker lease over the last %d solves (batch items included).\n", latencyWindow)
 	fmt.Fprintf(w, "# TYPE rentmind_queue_wait_ms summary\n")
 	fmt.Fprintf(w, "rentmind_queue_wait_ms{quantile=\"0.5\"} %g\n", q50)
@@ -257,8 +246,8 @@ func (m *metrics) writeSessions(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "# TYPE rentmind_session_events_total counter\n")
 	fmt.Fprintf(w, "rentmind_session_events_total %d\n", m.sessWarm+m.sessCold)
 
-	wp50, wp99 := windowQuantiles(m.sessWarmMs[:], m.sessWarmN)
-	cp50, cp99 := windowQuantiles(m.sessColdMs[:], m.sessColdN)
+	wp50, wp99 := windowQuantiles(m.sessWarmMs)
+	cp50, cp99 := windowQuantiles(m.sessColdMs)
 	fmt.Fprintf(w, "# HELP rentmind_session_resolve_ms Session re-solve wall clock by path over the last %d re-solves.\n", latencyWindow)
 	fmt.Fprintf(w, "# TYPE rentmind_session_resolve_ms summary\n")
 	fmt.Fprintf(w, "rentmind_session_resolve_ms{path=\"warm\",quantile=\"0.5\"} %g\n", wp50)
@@ -380,22 +369,12 @@ func writeFleet(w io.Writer, fleet []rentmin.WorkerStatus) {
 	}
 }
 
-// windowQuantiles returns (p50, p99) over a sliding window holding
-// total recorded values (0,0 when empty). Caller holds mu.
-func windowQuantiles(win []float64, total int) (p50, p99 float64) {
-	n := total
-	if n > len(win) {
-		n = len(win)
-	}
-	if n == 0 {
+// windowQuantiles returns (p50, p99) over a latency window, (0, 0)
+// while it is empty: /metrics never prints NaN.
+func windowQuantiles(w *obs.Window) (p50, p99 float64) {
+	if w.Count() == 0 {
 		return 0, 0
 	}
-	tmp := make([]float64, n)
-	copy(tmp, win[:n])
-	sort.Float64s(tmp)
-	at := func(q float64) float64 {
-		i := int(q * float64(n-1))
-		return tmp[i]
-	}
-	return at(0.50), at(0.99)
+	qs := w.Quantiles(0.50, 0.99)
+	return qs[0], qs[1]
 }

@@ -205,43 +205,6 @@ func TestDispatchProportions(t *testing.T) {
 	}
 }
 
-func TestRunReplicationsParallelDeterministic(t *testing.T) {
-	p := core.IllustratingExample()
-	m := core.NewCostModel(p)
-	res, err := solve.ILP(m, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Problem: p, Alloc: res.Alloc, Duration: 20, Warmup: 5, ArrivalJitter: 0.3}
-	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	a, err := RunReplications(cfg, seeds, 4)
-	if err != nil {
-		t.Fatalf("RunReplications: %v", err)
-	}
-	b, err := RunReplications(cfg, seeds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Metrics.Throughput != b[i].Metrics.Throughput {
-			t.Errorf("replication %d differs across worker counts", i)
-		}
-	}
-	if mt := MeanThroughput(a); mt < 0.85*40 {
-		t.Errorf("mean throughput %g, want >= %g", mt, 0.85*40.0)
-	}
-	if MeanThroughput(nil) != 0 {
-		t.Error("MeanThroughput(nil) != 0")
-	}
-}
-
-func TestRunReplicationsPropagatesErrors(t *testing.T) {
-	cfg := Config{} // invalid
-	if _, err := RunReplications(cfg, []uint64{1, 2}, 2); err == nil {
-		t.Error("RunReplications swallowed an error")
-	}
-}
-
 func TestLatencyAtLeastCriticalPath(t *testing.T) {
 	p := core.IllustratingExample()
 	m := core.NewCostModel(p)

@@ -46,13 +46,15 @@ func (w *stubWorker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmi
 
 func remotePool(t *testing.T, workers ...rentmin.RemoteWorker) *rentmin.SolverPool {
 	t.Helper()
-	pool, err := rentmin.NewRemoteSolverPool(context.Background(), workers, &rentmin.RemoteConfig{
+	pool := rentmin.NewElasticSolverPool(&rentmin.RemoteConfig{
 		Backoff: func(int) time.Duration { return time.Millisecond },
 	})
-	if err != nil {
-		t.Fatalf("NewRemoteSolverPool: %v", err)
-	}
 	t.Cleanup(pool.Close)
+	for _, w := range workers {
+		if _, err := pool.AddRemoteWorker(context.Background(), w); err != nil {
+			t.Fatalf("AddRemoteWorker: %v", err)
+		}
+	}
 	return pool
 }
 
@@ -199,11 +201,18 @@ func TestReregisterKeepsTransport(t *testing.T) {
 }
 
 // TestRemoteSolverPoolCapacityDiscoveryFailure: a fleet member that
-// cannot report capacity fails construction, by name.
+// cannot report capacity fails to join, by name.
 func TestRemoteSolverPoolCapacityDiscoveryFailure(t *testing.T) {
 	w0 := &stubWorker{name: "w0", cap: 2}
 	w1 := &stubWorker{name: "w-broken", cap: 2, capErr: fmt.Errorf("dial tcp: connection refused")}
-	_, err := rentmin.NewRemoteSolverPool(context.Background(), []rentmin.RemoteWorker{w0, w1}, nil)
+	pool := rentmin.NewElasticSolverPool(nil)
+	defer pool.Close()
+	var err error
+	for _, w := range []rentmin.RemoteWorker{w0, w1} {
+		if _, err = pool.AddRemoteWorker(context.Background(), w); err != nil {
+			break
+		}
+	}
 	if err == nil {
 		t.Fatal("construction succeeded with unreachable worker")
 	}

@@ -55,14 +55,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"rentmin/internal/core"
 	"rentmin/internal/graphgen"
 	"rentmin/internal/heuristics"
 	"rentmin/internal/milp"
-	"rentmin/internal/obs"
 	"rentmin/internal/pool"
 	"rentmin/internal/rng"
 	"rentmin/internal/solve"
@@ -250,28 +248,15 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 //	}
 //
 // The same API can be backed by a fleet of rentmind worker daemons
-// instead of in-process goroutines: NewRemoteSolverPool (remote.go)
+// instead of in-process goroutines: NewElasticSolverPool (remote.go)
 // dispatches every solve across remote workers with per-worker capacity
 // caps, fault re-dispatch and deterministic result ordering. Batch
 // semantics, cancellation and partial results are identical either way.
 type SolverPool struct {
+	// pool is a *pool.LocalPool, or a *pool.RemotePool[RemoteWorker]
+	// whose member table holds the fleet's transports, health and RTT
+	// windows (see fleet in remote.go).
 	pool pool.Pool
-	// isRemote marks a pool that routes every solve to a fleet of
-	// rentmind worker daemons instead of in-process goroutines; see
-	// NewRemoteSolverPool and NewElasticSolverPool (remote.go).
-	isRemote bool
-	// remote maps the fleet index assigned by the dispatcher to the
-	// worker transport. Guarded by remoteMu: the fleet is elastic, so
-	// AddRemoteWorker grows it while dispatches read it. Indexes are
-	// stable — removal tombstones in the dispatcher, it never renumbers.
-	remoteMu sync.RWMutex
-	remote   []RemoteWorker
-	// rtt holds a per-worker sliding window of successful dispatch
-	// round-trip times in milliseconds, keyed by worker name so the
-	// history survives eviction + rejoin. Guarded by rttMu; read by
-	// WorkerStats for the /metrics RTT quantiles.
-	rttMu sync.Mutex
-	rtt   map[string]*obs.Window
 }
 
 // NewSolverPool starts a pool that solves up to workers problems
