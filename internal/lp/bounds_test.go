@@ -175,7 +175,8 @@ func TestBoundsInfeasibleCrossingDual(t *testing.T) {
 }
 
 // TestBoundsCrossedRejected: Validate must reject lo > hi and non-finite
-// lower bounds before any solver state is built.
+// lower bounds before any solver state is built, and so must a compiled
+// model's SolveFrom, which validates only the bounds it is handed.
 func TestBoundsCrossedRejected(t *testing.T) {
 	cases := map[string]*Problem{
 		"crossed": {Objective: []float64{1}, Lo: []float64{3}, Hi: []float64{2}},
@@ -189,6 +190,14 @@ func TestBoundsCrossedRejected(t *testing.T) {
 		if _, err := Solve(p, nil); err == nil {
 			t.Errorf("Solve accepted %s bounds", name)
 		}
+		md, err := NewModel(&Problem{Objective: p.Objective})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := md.SolveFrom(p.Lo, p.Hi, nil, nil); err == nil {
+			t.Errorf("Model.SolveFrom accepted %s bounds", name)
+		}
+		md.Release()
 	}
 }
 

@@ -25,7 +25,13 @@
 // The basis is held as a product-form factorization (eta.go):
 // Gauss–Jordan base etas with partial pivoting from the last
 // refactorization plus one update eta per basis exchange, rebuilt every
-// refactorEvery updates. Each iteration prices with one BTRAN (Dantzig
+// refactorEvery updates. A refactorization skips the identity etas of
+// basic slacks: when a slack's turn comes and no earlier column has
+// pivoted on its row, its unit column passes through every earlier eta
+// unchanged and would pivot on that row with pivot 1 and nothing else —
+// an eta whose application is an exact no-op. The slack takes the row
+// directly and no eta is pushed, so every FTRAN and BTRAN is
+// bit-identical to the unskipped factorization. Each iteration prices with one BTRAN (Dantzig
 // pricing, with a Bland fallback after a stall window), FTRANs the
 // entering column, and runs the bounded ratio test, so per-iteration
 // work scales with the matrix's nonzero count rather than m×n. Duals
@@ -43,21 +49,40 @@
 // variable that lands on its clamp gets its true bounds re-armed on the
 // spot, so later pivots can move it into the feasible interior.
 //
+// # Compiled models
+//
+// A Model is a problem compiled once: NewModel validates it and fills
+// read-only arrays with the CSC of [A | I], the cost per column, the
+// right-hand sides and the slack bounds that encode the row senses, in
+// two passes over the dense rows in memory order. Model.SolveFrom then
+// re-solves it under new variable bounds, validating only those (O(n))
+// and pointing the workspace at the model's arrays instead of copying
+// them. This is the branch-and-bound shape — every node of a tree shares
+// its rows and differs only in Lo/Hi — and the milp package compiles
+// each tree's LP once, after the root and its cuts, and solves every
+// child through it. Solve and SolveFrom compile into the workspace's own
+// model buffers and run the same path, so the one-shot and compiled
+// solves of one problem are bit-identical. Model buffers come from their
+// own pool; Model.Release hands them back once no solve uses the model.
+//
 // # Workspace reuse
 //
-// A solve's state — the CSC arrays and bounds, the values, statuses and
-// basis, the scratch vectors and phase-1 costs, the factor's permutation
-// and scratch, and one backing store each for the base-eta and
-// update-eta nonzeros — lives in a workspace drawn from a process-wide
-// sync.Pool and returned when the solve ends. The invariant that makes
-// reuse safe: loading a problem resizes and clears every buffer, and the
-// eta stores are rewound on every identity reset and refactorization, so
-// no value of an earlier solve is ever read by a later one; and nothing
-// that escapes a solve (Solution.X, Solution.Duals, the basis snapshot)
-// points into a workspace — those are always freshly allocated. A
-// workspace belongs to one solve at a time, so concurrent solves never
-// share state, and results are bit-identical whichever workspace served
-// them.
+// A solve's state — the working bounds, the values, statuses and basis,
+// the scratch vectors and phase-1 costs, the factor's permutation and
+// scratch, one backing store each for the base-eta and update-eta
+// nonzeros, and the model buffers one-shot solves compile into — lives in
+// a workspace drawn from a process-wide sync.Pool and returned when the
+// solve ends. The invariant that makes reuse safe: loading a model
+// resizes and clears every buffer the workspace owns, and the eta stores
+// are rewound on every identity reset and refactorization, so no value
+// of an earlier solve is ever read by a later one; the workspace may
+// reference a model's read-only arrays, which no solve writes, and drops
+// that reference when it returns to the pool; and nothing that escapes a
+// solve (Solution.X, Solution.Duals, the basis snapshot) points into a
+// workspace or a model — those are always freshly allocated. A workspace
+// belongs to one solve at a time, so concurrent solves never share
+// mutable state (they may share a model), and results are bit-identical
+// whichever workspace served them.
 //
 // # Warm starts
 //

@@ -120,12 +120,24 @@ func (f *basisFactor) identity() {
 // so far, pivots on the largest remaining entry, and records one
 // Gauss–Jordan eta; it fails (returns false) when the largest available
 // pivot falls below minPiv — a singular or numerically unsafe basis.
+//
+// A basic slack whose row no earlier column pivoted on skips all of that.
+// Its column is the unit vector e_r, which every eta so far leaves
+// unchanged (each pivots on another row, where e_r is zero), so it would
+// pivot on r with pivot 1 and no off-pivot entries: an identity eta,
+// whose application is an exact no-op. The slack takes row r and no eta
+// is pushed, which leaves every FTRAN and BTRAN bit-identical.
 func (f *basisFactor) refactorize(sp *sparseSolver, basis []int32, minPiv float64) bool {
 	f.base.reset()
 	f.updates.reset()
 	clear(f.pivoted)
 	v := f.work
 	for p := 0; p < f.m; p++ {
+		if r := basis[p] - int32(sp.n); r >= 0 && !f.pivoted[r] && minPiv < 1 {
+			f.rowOfPos[p] = r
+			f.pivoted[r] = true
+			continue
+		}
 		sp.scatterCol(int(basis[p]), v)
 		for e := range f.base.etas {
 			f.base.apply(e, v)

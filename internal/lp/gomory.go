@@ -200,7 +200,7 @@ func (sp *sparseSolver) gomoryCuts(frTol float64, limit int) []Constraint {
 				}
 				continue
 			}
-			row := &sp.p.Constraints[j-sp.n]
+			row := &sp.md.p.Constraints[j-sp.n]
 			sign := -fj // LE slack at lower: y = b_i - A_i·x
 			if st == spUpper {
 				sign = fj // GE slack at upper: y = A_i·x - b_i

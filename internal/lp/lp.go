@@ -60,21 +60,11 @@ func (p *Problem) NumVars() int { return len(p.Objective) }
 
 // LowerBound returns the effective lower bound of variable j (0 when Lo
 // is unset).
-func (p *Problem) LowerBound(j int) float64 {
-	if p.Lo == nil {
-		return 0
-	}
-	return p.Lo[j]
-}
+func (p *Problem) LowerBound(j int) float64 { return boundAt(p.Lo, j, 0) }
 
 // UpperBound returns the effective upper bound of variable j (+inf when
 // Hi is unset).
-func (p *Problem) UpperBound(j int) float64 {
-	if p.Hi == nil {
-		return math.Inf(1)
-	}
-	return p.Hi[j]
-}
+func (p *Problem) UpperBound(j int) float64 { return boundAt(p.Hi, j, math.Inf(1)) }
 
 // SetBounds installs lo <= x_j <= hi, materializing the Lo/Hi slices from
 // the defaults on first use. It does not validate lo <= hi; Validate (and
@@ -93,7 +83,8 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.Lo[j], p.Hi[j] = lo, hi
 }
 
-// Validate checks dimensional consistency, finiteness and bound order.
+// Validate checks dimensional consistency, finiteness, bound order and
+// that every constraint has a known Relation.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if n == 0 {
@@ -104,27 +95,15 @@ func (p *Problem) Validate() error {
 			return errors.New("lp: non-finite objective coefficient")
 		}
 	}
-	if p.Lo != nil && len(p.Lo) != n {
-		return fmt.Errorf("lp: %d lower bounds for %d variables", len(p.Lo), n)
-	}
-	if p.Hi != nil && len(p.Hi) != n {
-		return fmt.Errorf("lp: %d upper bounds for %d variables", len(p.Hi), n)
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := p.LowerBound(j), p.UpperBound(j)
-		if math.IsNaN(lo) || math.IsInf(lo, 0) {
-			return fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, lo)
-		}
-		if math.IsNaN(hi) || math.IsInf(hi, -1) {
-			return fmt.Errorf("lp: variable %d has invalid upper bound %g", j, hi)
-		}
-		if lo > hi {
-			return fmt.Errorf("lp: variable %d has crossed bounds [%g, %g]", j, lo, hi)
-		}
+	if err := validateBounds(p.Lo, p.Hi, n); err != nil {
+		return err
 	}
 	for i, c := range p.Constraints {
 		if len(c.Coeffs) != n {
 			return fmt.Errorf("lp: constraint %d has %d coefficients, want %d", i, len(c.Coeffs), n)
+		}
+		if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
+			return fmt.Errorf("lp: constraint %d has unknown relation %v", i, c.Rel)
 		}
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
 			return fmt.Errorf("lp: constraint %d has non-finite RHS", i)
@@ -136,6 +115,39 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateBounds checks optional bound slices for n variables: each is
+// nil or has n entries, lower bounds are finite, upper bounds are not NaN
+// or -inf, and no pair is crossed.
+func validateBounds(lo, hi []float64, n int) error {
+	if lo != nil && len(lo) != n {
+		return fmt.Errorf("lp: %d lower bounds for %d variables", len(lo), n)
+	}
+	if hi != nil && len(hi) != n {
+		return fmt.Errorf("lp: %d upper bounds for %d variables", len(hi), n)
+	}
+	for j := 0; j < n; j++ {
+		l, h := boundAt(lo, j, 0), boundAt(hi, j, math.Inf(1))
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, l)
+		}
+		if math.IsNaN(h) || math.IsInf(h, -1) {
+			return fmt.Errorf("lp: variable %d has invalid upper bound %g", j, h)
+		}
+		if l > h {
+			return fmt.Errorf("lp: variable %d has crossed bounds [%g, %g]", j, l, h)
+		}
+	}
+	return nil
+}
+
+// boundAt returns bounds[j], or def when the slice is nil.
+func boundAt(bounds []float64, j int, def float64) float64 {
+	if bounds == nil {
+		return def
+	}
+	return bounds[j]
 }
 
 // Clone returns a deep copy of the problem.

@@ -173,11 +173,20 @@ func TestValidateErrors(t *testing.T) {
 			Objective:   []float64{1},
 			Constraints: []Constraint{{Coeffs: []float64{math.NaN()}, Rel: LE, RHS: 1}},
 		},
+		// An unknown sense would leave the row's slack fixed at zero and
+		// silently solve it as EQ.
+		"unknown relation": {
+			Objective:   []float64{1},
+			Constraints: []Constraint{{Coeffs: []float64{1}, Rel: Relation(7), RHS: 1}},
+		},
 	}
 	for name, p := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Solve(p, nil); err == nil {
 				t.Errorf("Solve accepted %s", name)
+			}
+			if _, err := NewModel(p); err == nil {
+				t.Errorf("NewModel accepted %s", name)
 			}
 		})
 	}

@@ -40,7 +40,9 @@ var workspaces = sync.Pool{New: func() any { return new(sparseSolver) }}
 func getWorkspace() *sparseSolver { return workspaces.Get().(*sparseSolver) }
 
 func putWorkspace(sp *sparseSolver) {
-	sp.p = nil // do not pin the caller's problem while pooled
+	// Do not pin the caller's problem or model while pooled.
+	sp.md, sp.own.p = nil, nil
+	sp.ptr, sp.ind, sp.val, sp.obj, sp.b = nil, nil, nil, nil, nil
 	workspaces.Put(sp)
 }
 
@@ -57,7 +59,8 @@ func Solve(p *Problem, opts *Options) (Solution, error) {
 // snapshot, and any rejected warm start, fall back transparently to the
 // cold two-phase solve; Solution.Warm reports which path produced the
 // result, and the pivots a rejected warm attempt spent are folded into
-// Iterations so warm-vs-cold comparisons stay honest.
+// Iterations so warm-vs-cold comparisons stay honest. Re-solves that
+// differ only in their bounds are cheaper through a Model.
 func SolveFrom(p *Problem, b *Basis, opts *Options) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -67,19 +70,27 @@ func SolveFrom(p *Problem, b *Basis, opts *Options) (Solution, error) {
 	return sp.run(p, opts, b), nil
 }
 
-// run loads p into the workspace and solves it, warm from b when b fits.
-// On return the workspace holds the final basis and factorization of the
-// reported solve, which SolveGomory reads its cut rows from.
+// run compiles p into the workspace's own model and solves it there; see
+// runModel.
 func (sp *sparseSolver) run(p *Problem, opts *Options, b *Basis) Solution {
-	sp.load(p, opts)
-	if !b.fits(p) {
+	sp.own.compile(p)
+	return sp.runModel(&sp.own, p.Lo, p.Hi, opts, b)
+}
+
+// runModel loads md under the bounds lo/hi and solves it, warm from b
+// when b fits. On return the workspace holds the final basis and
+// factorization of the reported solve, which SolveGomory reads its cut
+// rows from.
+func (sp *sparseSolver) runModel(md *Model, lo, hi []float64, opts *Options, b *Basis) Solution {
+	sp.load(md, lo, hi, opts)
+	if !b.fits(md) {
 		return sp.solve()
 	}
 	if sol, ok := sp.warm(b); ok {
 		return sol
 	}
 	wasted := sp.pivots
-	sp.load(p, opts)
+	sp.load(md, lo, hi, opts)
 	sol := sp.solve()
 	sol.Iterations += wasted
 	return sol

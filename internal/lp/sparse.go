@@ -24,26 +24,31 @@ import "math"
 // exactly when the problem is feasible; the true bounds are then
 // restored in place and the same basis carries into phase 2.
 //
-// A sparseSolver is a reusable workspace: every buffer below is resized
+// A sparseSolver is a reusable workspace: every buffer it owns is resized
 // and cleared before use, and workspaces circulate through a process-wide
 // pool (see solve.go), so a steady stream of solves stops allocating
 // solver state once the pooled buffers have grown to the largest LP seen.
-// Only Solution.X, Solution.Duals and the basis snapshot escape a solve;
-// they are always freshly allocated.
+// The problem data itself is a Model's: a one-shot solve compiles into
+// the workspace's own model, and a Model.SolveFrom points the workspace
+// at the caller's compiled, read-only arrays. Only Solution.X,
+// Solution.Duals and the basis snapshot escape a solve; they are always
+// freshly allocated.
 type sparseSolver struct {
-	p    *Problem
-	m, n int // constraint rows, structural variables
-	nTot int // n + m columns (structural + one slack per row)
+	md   *Model // the loaded model: own, or a caller's compiled Model
+	own  Model  // the workspace's own compile buffers, for one-shot solves
+	m, n int    // constraint rows, structural variables
+	nTot int    // n + m columns (structural + one slack per row)
 
-	// CSC of [A | I].
+	// Read-only views of md's arrays: CSC of [A | I], phase-2 cost per
+	// column (structural c, slacks 0) and right-hand sides.
 	ptr []int32
 	ind []int32
 	val []float64
+	obj []float64
+	b   []float64
 
-	obj    []float64 // phase-2 cost per column (structural c, slacks 0)
 	cost   []float64 // working cost vector: obj, or phase1Cost during phase 1
 	lo, hi []float64 // working bounds per column (phase 1 edits, then restores)
-	b      []float64 // right-hand sides
 	x      []float64 // current value per column (bound value when nonbasic)
 	status []int8    // spLower, spUpper or spBasic
 	basis  []int32   // column basic at each position
@@ -94,18 +99,18 @@ func resize[T any](s []T, n int) []T {
 // verification): every such judgement in the solver shares this scale.
 func sqrtTol(tol float64) float64 { return math.Sqrt(tol) }
 
-// load (re)initializes the workspace for a validated problem: every
-// buffer is resized to the problem's shape and cleared (phase1Cost and
+// load (re)initializes the workspace for a compiled model under the
+// validated structural bounds lo/hi (nil takes the default): the model's
+// read-only arrays are referenced, not copied, and every workspace-owned
+// buffer is resized to the model's shape and cleared (phase1Cost and
 // inBasis where they are first used), so no state of an earlier solve
 // survives into this one.
-func (sp *sparseSolver) load(p *Problem, opts *Options) {
-	m := len(p.Constraints)
-	n := p.NumVars()
-	sp.p, sp.m, sp.n, sp.nTot = p, m, n, n+m
-	sp.obj = resize(sp.obj, n+m)
+func (sp *sparseSolver) load(md *Model, lo, hi []float64, opts *Options) {
+	m, n := md.m, md.n
+	sp.md, sp.m, sp.n, sp.nTot = md, m, n, n+m
+	sp.ptr, sp.ind, sp.val, sp.obj, sp.b = md.ptr, md.ind, md.val, md.obj, md.b
 	sp.lo = resize(sp.lo, n+m)
 	sp.hi = resize(sp.hi, n+m)
-	sp.b = resize(sp.b, m)
 	sp.x = resize(sp.x, n+m)
 	sp.status = resize(sp.status, n+m)
 	sp.basis = resize(sp.basis, m)
@@ -121,37 +126,12 @@ func (sp *sparseSolver) load(p *Problem, opts *Options) {
 	sp.wpos = resize(sp.wpos, m)
 	sp.cpos = resize(sp.cpos, m)
 	sp.yrow = resize(sp.yrow, m)
-	copy(sp.obj, p.Objective)
-
-	sp.ptr = resize(sp.ptr, n+m+1)
-	sp.ind = sp.ind[:0]
-	sp.val = sp.val[:0]
 	for j := 0; j < n; j++ {
-		for i := range p.Constraints {
-			if v := p.Constraints[i].Coeffs[j]; v != 0 {
-				sp.ind = append(sp.ind, int32(i))
-				sp.val = append(sp.val, v)
-			}
-		}
-		sp.ptr[j+1] = int32(len(sp.ind))
-		sp.lo[j] = p.LowerBound(j)
-		sp.hi[j] = p.UpperBound(j)
+		sp.lo[j] = boundAt(lo, j, 0)
+		sp.hi[j] = boundAt(hi, j, math.Inf(1))
 	}
-	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		sp.ind = append(sp.ind, int32(i))
-		sp.val = append(sp.val, 1)
-		sp.ptr[n+i+1] = int32(len(sp.ind))
-		sp.b[i] = c.RHS
-		switch c.Rel {
-		case LE:
-			sp.lo[n+i], sp.hi[n+i] = 0, math.Inf(1)
-		case GE:
-			sp.lo[n+i], sp.hi[n+i] = math.Inf(-1), 0
-		case EQ:
-			sp.lo[n+i], sp.hi[n+i] = 0, 0
-		}
-	}
+	copy(sp.lo[n:], md.slo)
+	copy(sp.hi[n:], md.shi)
 }
 
 // colDot returns v·a_j over column j's nonzeros (v in original-row space).
@@ -578,7 +558,7 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 		x[j] = v
 	}
 	obj := 0.0
-	for j, c := range sp.p.Objective {
+	for j, c := range sp.obj[:sp.n] {
 		obj += c * x[j]
 	}
 	// Duals: y solves B^T·y = c_B, read directly in original-row space.
@@ -619,11 +599,11 @@ type Basis struct {
 	n int
 }
 
-// fits reports whether the snapshot can seed a solve of p: same
-// structural variables, and no more rows than p (rows p appends enter
+// fits reports whether the snapshot can seed a solve of md: same
+// structural variables, and no more rows than md (rows md appends enter
 // with their slack basic). A nil snapshot fits nothing.
-func (b *Basis) fits(p *Problem) bool {
-	return b != nil && b.n == p.NumVars() && len(b.rows) <= len(p.Constraints)
+func (b *Basis) fits(md *Model) bool {
+	return b != nil && b.n == md.n && len(b.rows) <= md.m
 }
 
 // snapshot captures the current basis.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,10 @@ import (
 // SolveFrom must never panic, and whenever both the warm and the cold
 // solver report Optimal they must agree on the objective and the warm
 // point must be primal feasible and within bounds — the
-// transparent-fallback contract.
+// transparent-fallback contract. The bound patches also re-solve through
+// the base problem's compiled Model, which must reproduce the one-shot
+// result bit for bit: the model path differs only in how the problem is
+// loaded.
 func FuzzSolveFrom(f *testing.F) {
 	f.Add(uint64(1), uint8(0), float64(3), uint8(0))
 	f.Add(uint64(7), uint8(2), float64(-2), uint8(1))
@@ -64,6 +68,18 @@ func FuzzSolveFrom(f *testing.F) {
 		warm, err := SolveFrom(q, parent.Basis, nil)
 		if err != nil {
 			t.Fatalf("SolveFrom: %v", err)
+		}
+		if mode%4 >= 2 {
+			md, err := NewModel(p)
+			if err != nil {
+				t.Fatalf("NewModel: %v", err)
+			}
+			viaModel, err := md.SolveFrom(q.Lo, q.Hi, parent.Basis, nil)
+			md.Release()
+			if err != nil {
+				t.Fatalf("Model.SolveFrom: %v", err)
+			}
+			sameSolution(t, fmt.Sprintf("mode %d model", mode%4), viaModel, warm)
 		}
 		cold, err := Solve(q, nil)
 		if err != nil {

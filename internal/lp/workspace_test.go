@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -34,16 +35,28 @@ func reuseLP(r *rand.Rand, n, m int) *Problem {
 	return p
 }
 
-// reuseStep is one solve of the reuse script: a problem, plus the basis
-// to warm-start from (nil = cold).
+// reuseStep is one solve of the reuse script: a problem, the basis to
+// warm-start from (nil = cold), and the compiled model of the problem's
+// rows, which the step may also be solved through under p's bounds.
 type reuseStep struct {
 	p     *Problem
 	basis *Basis
+	md    *Model
+}
+
+// solveBoth solves the step one-shot on sp and then through its model on
+// the same workspace, so each path inherits the other's buffers, and
+// requires both to match want bit for bit.
+func (s reuseStep) solveBoth(t *testing.T, sp *sparseSolver, step int, want Solution) {
+	t.Helper()
+	sameSolution(t, fmt.Sprintf("step %d one-shot", step), sp.run(s.p, nil, s.basis), want)
+	sameSolution(t, fmt.Sprintf("step %d model", step), sp.runModel(s.md, s.p.Lo, s.p.Hi, nil, s.basis), want)
 }
 
 // reuseScript returns the script large → small → large, cold and then
 // warm (each warm step re-solves a bound-tightened child from the cold
-// parent's basis), with fresh-workspace reference solutions.
+// parent's basis), with fresh-workspace reference solutions. A child
+// shares its parent's compiled model, as branch-and-bound nodes do.
 func reuseScript(t *testing.T) ([]reuseStep, []Solution) {
 	t.Helper()
 	r := rand.New(rand.NewSource(0x5EA5))
@@ -71,9 +84,18 @@ func reuseScript(t *testing.T) ([]reuseStep, []Solution) {
 		return q
 	}
 	largeChild, smallChild := child(large, coldLarge), child(small, coldSmall)
+	model := func(p *Problem) *Model {
+		md, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(md.Release)
+		return md
+	}
+	largeMd, smallMd := model(large), model(small)
 	steps := []reuseStep{
-		{large, nil}, {small, nil}, {large, nil},
-		{largeChild, coldLarge.Basis}, {smallChild, coldSmall.Basis}, {largeChild, coldLarge.Basis},
+		{large, nil, largeMd}, {small, nil, smallMd}, {large, nil, largeMd},
+		{largeChild, coldLarge.Basis, largeMd}, {smallChild, coldSmall.Basis, smallMd}, {largeChild, coldLarge.Basis, largeMd},
 	}
 	want := make([]Solution, len(steps))
 	for i, s := range steps {
@@ -86,38 +108,43 @@ func reuseScript(t *testing.T) ([]reuseStep, []Solution) {
 }
 
 // sameSolution compares everything a solve reports, bit for bit.
-func sameSolution(t *testing.T, step int, got, want Solution) {
+func sameSolution(t *testing.T, what string, got, want Solution) {
 	t.Helper()
 	if got.Status != want.Status || got.Iterations != want.Iterations || got.Warm != want.Warm ||
 		got.Objective != want.Objective {
-		t.Errorf("step %d: status %v iters %d warm %v obj %v; want %v %d %v %v", step,
+		t.Errorf("%s: status %v iters %d warm %v obj %v; want %v %d %v %v", what,
 			got.Status, got.Iterations, got.Warm, got.Objective, want.Status, want.Iterations, want.Warm, want.Objective)
 	}
 	if !reflect.DeepEqual(got.X, want.X) || !reflect.DeepEqual(got.Duals, want.Duals) {
-		t.Errorf("step %d: X or Duals differ from a fresh workspace's", step)
+		t.Errorf("%s: X or Duals differ from the reference", what)
 	}
 	if !reflect.DeepEqual(got.Basis, want.Basis) {
-		t.Errorf("step %d: basis snapshot differs from a fresh workspace's", step)
+		t.Errorf("%s: basis snapshot differs from the reference", what)
 	}
 }
 
 // TestWorkspaceReuse runs the reuse script on one workspace, so every
 // step inherits buffers sized and filled by a different-shaped solve, and
 // requires each result to be bit-identical to a fresh workspace's: stale
-// workspace state must never leak between solves.
+// workspace state must never leak between solves. Every step solves both
+// one-shot and through a compiled model, so a one-shot compile that
+// wrote into a model's arrays, or a model solve that left the workspace
+// pointing at them, would show.
 func TestWorkspaceReuse(t *testing.T) {
 	steps, want := reuseScript(t)
 	sp := new(sparseSolver)
 	for round := 0; round < 2; round++ {
 		for i, s := range steps {
-			sameSolution(t, i, sp.run(s.p, nil, s.basis), want[i])
+			s.solveBoth(t, sp, i, want[i])
 		}
 	}
 }
 
 // TestWorkspacePoolConcurrent drives the same script through the public
-// API from several goroutines at once, so pooled workspaces hop between
-// goroutines and problem shapes (run it under -race).
+// API from several goroutines at once, interleaving one-shot and model
+// solves, so pooled workspaces hop between goroutines, problem shapes and
+// load paths while the goroutines share each read-only model (run it
+// under -race).
 func TestWorkspacePoolConcurrent(t *testing.T) {
 	steps, want := reuseScript(t)
 	var wg sync.WaitGroup
@@ -127,12 +154,18 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 2; round++ {
 				for i, s := range steps {
-					got, err := SolveFrom(s.p, s.basis, nil)
+					oneShot, err := SolveFrom(s.p, s.basis, nil)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					sameSolution(t, i, got, want[i])
+					viaModel, err := s.md.SolveFrom(s.p.Lo, s.p.Hi, s.basis, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sameSolution(t, fmt.Sprintf("step %d one-shot", i), oneShot, want[i])
+					sameSolution(t, fmt.Sprintf("step %d model", i), viaModel, want[i])
 				}
 			}
 		}()

@@ -15,14 +15,15 @@
 //   - wall-clock time limit with best-found reporting, reproducing the
 //     paper's "ILP hits its 100 s budget" experiment (Fig. 8);
 //   - dual-simplex LP warm starts over bound patches: a child's LP is its
-//     parent's with one variable bound tightened (lp.Problem.Lo/Hi — the
-//     bound lives in the simplex ratio test, never as a constraint row, so
-//     the basis stays m×m for the whole tree), and it re-optimizes from
-//     the parent's optimal basis via lp.SolveFrom — most of the per-node
-//     simplex work disappears on deep trees, with a transparent cold-solve
-//     fallback whenever a restore is rejected (see Options.DisableWarmLP
-//     to switch the path off). The basis travels as an opaque
-//     *lp.Basis, so the search never touches simplex internals;
+//     parent's with one variable bound tightened (the bound lives in the
+//     simplex ratio test, never as a constraint row, so the basis stays
+//     m×m for the whole tree). The tree's LP is compiled once into an
+//     lp.Model after the root, and every child re-optimizes from its
+//     parent's optimal basis via Model.SolveFrom with only its bounds —
+//     most of the per-node simplex work disappears on deep trees, with a
+//     transparent cold-solve fallback whenever a restore is rejected (see
+//     Options.DisableWarmLP to switch the path off). The basis travels as
+//     an opaque *lp.Basis, so the search never touches simplex internals;
 //   - parallel search: the best-bound frontier is expanded in rounds of
 //     up to Options.Workers nodes, and every child LP relaxation of the
 //     round — including all strong-branching candidates — solves
@@ -272,17 +273,33 @@ type Result struct {
 }
 
 // node is one branch-and-bound subproblem, defined by variable bounds.
-// Its LP shares the base problem's objective and constraint rows and
-// carries the node's accumulated bound patches in prob.Lo/Hi — the LP
-// shape is m×n at every node of the tree. relax.Basis is the
-// optimal basis its children re-optimize from with dual-simplex warm
-// starts; a bound tightening never disturbs dual feasibility, so the
-// parent basis is always a valid warm start for a child.
+// Its LP is the tree's compiled model under the node's accumulated bound
+// patches lo/hi (nil slices take lp.Problem's defaults) — the LP shape is
+// m×n at every node of the tree. relax.Basis is the optimal basis its
+// children re-optimize from with dual-simplex warm starts; a bound
+// tightening never disturbs dual feasibility, so the parent basis is
+// always a valid warm start for a child.
 type node struct {
-	prob  *lp.Problem // base objective/rows plus this node's bound patches
-	relax lp.Solution
-	bound float64
-	seq   int
+	lo, hi []float64
+	relax  lp.Solution
+	bound  float64
+	seq    int
+}
+
+// lower returns the node's lower bound on variable j.
+func (n *node) lower(j int) float64 {
+	if n.lo == nil {
+		return 0
+	}
+	return n.lo[j]
+}
+
+// upper returns the node's upper bound on variable j.
+func (n *node) upper(j int) float64 {
+	if n.hi == nil {
+		return math.Inf(1)
+	}
+	return n.hi[j]
 }
 
 type nodeHeap []*node
@@ -334,6 +351,7 @@ type solver struct {
 	work  *Problem    // problem the tree searches: p, or its presolve reduction
 	red   *Reduced    // postsolve map (nil when presolve is off or reduced nothing)
 	base  *lp.Problem // work's LP plus root cuts
+	model *lp.Model   // base compiled once after the root; every child solves through it
 	ctx   context.Context
 	opts  *Options
 	start time.Time
@@ -401,19 +419,17 @@ func (s *solver) run() (Result, error) {
 	}
 	s.base = &s.work.LP
 
-	root := &node{prob: s.base}
+	root := &node{lo: s.base.Lo, hi: s.base.Hi}
 	var rootSeed *lp.Basis
 	if s.opts != nil && !s.opts.DisableWarmLP {
 		rootSeed = s.opts.RootBasis
 	}
 	var st lp.Status
 	var err error
-	if rootSeed != nil {
-		st, err = s.solveRelax(root, rootSeed)
-	} else if s.opts != nil && s.opts.RootCutRounds > 0 {
+	if rootSeed == nil && s.opts != nil && s.opts.RootCutRounds > 0 {
 		st, err = s.solveRootWithCuts(root)
 	} else {
-		st, err = s.solveRelax(root, nil)
+		st, err = s.solveRoot(root, rootSeed)
 	}
 	if err != nil {
 		return Result{}, err
@@ -435,6 +451,12 @@ func (s *solver) run() (Result, error) {
 	case lp.IterLimit:
 		return Result{}, fmt.Errorf("milp: root relaxation: %w", lp.ErrIterLimit)
 	}
+
+	// The root and its cuts have fixed the tree's rows: compile them once.
+	if s.model, err = lp.NewModel(s.base); err != nil {
+		return Result{}, err
+	}
+	defer s.model.Release()
 
 	h := &nodeHeap{}
 	heap.Init(h)
@@ -555,23 +577,22 @@ func (s *solver) runPresolve() (Result, bool) {
 }
 
 // buildChild creates and solves one child of n with the extra bound
-// lo <= x_j <= hi merged in. The child's LP is the parent's with the one
-// variable bound tightened in place (objective and constraint rows are
-// shared; only the bound slices are copied), and its relaxation is
-// re-optimized from the parent's basis via the dual-simplex warm start.
-// It returns nil when the child is empty, infeasible, or numerically
-// unsolvable (all prunable).
+// lo <= x_j <= hi merged in. The child's LP is the tree's model under the
+// parent's bounds with the one variable bound tightened, and its
+// relaxation is re-optimized from the parent's basis via the dual-simplex
+// warm start. It returns nil when the child is empty, infeasible, or
+// numerically unsolvable (all prunable).
 func (s *solver) buildChild(n *node, j int, lo, hi float64) *node {
-	if pl := n.prob.LowerBound(j); pl > lo {
+	if pl := n.lower(j); pl > lo {
 		lo = pl
 	}
-	if ph := n.prob.UpperBound(j); ph < hi {
+	if ph := n.upper(j); ph < hi {
 		hi = ph
 	}
 	if lo > hi {
 		return nil
 	}
-	c := &node{prob: patchedBound(n.prob, j, lo, hi)}
+	c := patchedBound(n, s.base.NumVars(), j, lo, hi)
 	st, err := s.solveRelax(c, n.relax.Basis)
 	if err != nil || st != lp.Optimal {
 		return nil
@@ -579,39 +600,31 @@ func (s *solver) buildChild(n *node, j int, lo, hi float64) *node {
 	return c
 }
 
-// patchedBound derives a child LP from its parent: the objective and the
-// constraint rows are shared (immutable across the whole tree — the LP
-// never grows), and only the bound slice that actually changes is copied
-// with entry j replaced; the untouched side stays shared with the parent
-// (a down branch copies Hi only, so a tree that never raises a lower
-// bound keeps Lo nil). Copying one n-sized slice is the entire per-node
-// problem derivation; the bound ordering that the old bound-row scheme
-// had to sort for determinism is gone, because bounds are positional.
-func patchedBound(p *lp.Problem, j int, lo, hi float64) *lp.Problem {
-	q := &lp.Problem{
-		Objective:   p.Objective,
-		Constraints: p.Constraints,
-		Lo:          p.Lo,
-		Hi:          p.Hi,
+// patchedBound derives a child node from its parent: only the bound slice
+// that actually changes is copied with entry j replaced; the untouched
+// side stays shared with the parent (a down branch copies hi only, so a
+// tree that never raises a lower bound keeps lo nil). Copying one n-sized
+// slice is the entire per-node problem derivation; bounds are positional,
+// so no ordering has to be kept deterministic.
+func patchedBound(p *node, nvars, j int, lo, hi float64) *node {
+	c := &node{lo: p.lo, hi: p.hi}
+	if lo != p.lower(j) {
+		c.lo = make([]float64, nvars)
+		copy(c.lo, p.lo) // zero-filled when the parent has no explicit lows
+		c.lo[j] = lo
 	}
-	n := p.NumVars()
-	if lo != p.LowerBound(j) {
-		q.Lo = make([]float64, n)
-		copy(q.Lo, p.Lo) // zero-filled when the parent has no explicit lows
-		q.Lo[j] = lo
-	}
-	if hi != p.UpperBound(j) {
-		q.Hi = make([]float64, n)
-		if p.Hi != nil {
-			copy(q.Hi, p.Hi)
+	if hi != p.upper(j) {
+		c.hi = make([]float64, nvars)
+		if p.hi != nil {
+			copy(c.hi, p.hi)
 		} else {
-			for k := range q.Hi {
-				q.Hi[k] = math.Inf(1)
+			for k := range c.hi {
+				c.hi[k] = math.Inf(1)
 			}
 		}
-		q.Hi[j] = hi
+		c.hi[j] = hi
 	}
-	return q
+	return c
 }
 
 func (s *solver) strongBranchLimit() int {
@@ -694,11 +707,7 @@ func (s *solver) pruned(bound float64) bool {
 // (plus, under presolve, one round of Chvátal–Gomory rounding cuts); the
 // generated cuts are valid globally and shared by every node.
 func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
-	var lpOpts *lp.Options
-	if s.opts != nil {
-		lpOpts = s.opts.LP
-	}
-	gr, err := lp.SolveGomory(&s.work.LP, lpOpts, s.opts.RootCutRounds)
+	gr, err := lp.SolveGomory(&s.work.LP, s.lpOptions(), s.opts.RootCutRounds)
 	if err != nil {
 		return 0, err
 	}
@@ -711,12 +720,9 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 	s.stats.CutRounds = gr.Rounds
 	// The Gomory solution (and its basis) belongs to the cut-augmented
 	// problem, which is exactly the node's LP from here on.
-	root.prob = s.base
-	root.relax = gr.Solution
-	root.bound = gr.Solution.Objective + s.objOff
-	s.countLP(gr.Solution)
+	s.setRelax(root, gr.Solution)
 	if s.opts.Presolve && gr.Solution.Status == lp.Optimal {
-		s.addCGCuts(root, lpOpts)
+		s.addCGCuts(root)
 	}
 	return root.relax.Status, nil
 }
@@ -728,7 +734,7 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 // relaxation replaces the root only when it solves to optimality;
 // anything else discards the CG cuts and keeps the Gomory root untouched
 // — a cut round must never make the solve worse.
-func (s *solver) addCGCuts(root *node, lpOpts *lp.Options) {
+func (s *solver) addCGCuts(root *node) {
 	var extra []lp.Constraint
 	if s.hasBest {
 		extra = append(extra, lp.Constraint{
@@ -747,39 +753,58 @@ func (s *solver) addCGCuts(root *node, lpOpts *lp.Options) {
 	if s.opts.DisableWarmLP {
 		basis = nil
 	}
-	sol, err := lp.SolveFrom(trial, basis, lpOpts)
+	sol, err := lp.SolveFrom(trial, basis, s.lpOptions())
 	if err != nil || sol.Status != lp.Optimal {
 		return
 	}
-	s.countLP(sol)
 	s.base = trial
 	s.stats.Cuts += len(cgs)
 	s.stats.CutRounds++
-	root.prob = s.base
-	root.relax = sol
-	root.bound = sol.Objective + s.objOff
+	s.setRelax(root, sol)
 }
 
-// solveRelax solves the LP relaxation of a node and stores bound/solution.
-// With a parent basis in hand (and warm starts enabled) it re-optimizes
-// via the dual simplex, falling back to a cold solve transparently inside
-// lp.SolveFrom; the root (basis == nil) always solves cold.
-func (s *solver) solveRelax(n *node, basis *lp.Basis) (lp.Status, error) {
-	var lpOpts *lp.Options
-	if s.opts != nil {
-		lpOpts = s.opts.LP
-		if s.opts.DisableWarmLP {
-			basis = nil
-		}
-	}
-	sol, err := lp.SolveFrom(n.prob, basis, lpOpts)
+// solveRoot solves the root relaxation of the base problem, warm from
+// seed when one is given (a basis that no longer fits falls back cold
+// inside lp.SolveFrom), and stores bound/solution.
+func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
+	sol, err := lp.SolveFrom(s.base, seed, s.lpOptions())
 	if err != nil {
 		return 0, err
 	}
+	s.setRelax(root, sol)
+	return sol.Status, nil
+}
+
+// solveRelax solves a child's LP relaxation through the tree's model and
+// stores bound/solution. With warm starts enabled it re-optimizes from
+// the parent basis via the dual simplex, falling back to a cold solve
+// transparently inside Model.SolveFrom.
+func (s *solver) solveRelax(n *node, basis *lp.Basis) (lp.Status, error) {
+	if s.opts != nil && s.opts.DisableWarmLP {
+		basis = nil
+	}
+	sol, err := s.model.SolveFrom(n.lo, n.hi, basis, s.lpOptions())
+	if err != nil {
+		return 0, err
+	}
+	s.setRelax(n, sol)
+	return sol.Status, nil
+}
+
+// setRelax records a node's solved relaxation and its bound, and folds the
+// solve into the statistics.
+func (s *solver) setRelax(n *node, sol lp.Solution) {
 	s.countLP(sol)
 	n.relax = sol
 	n.bound = sol.Objective + s.objOff
-	return sol.Status, nil
+}
+
+// lpOptions returns the inner simplex options.
+func (s *solver) lpOptions() *lp.Options {
+	if s.opts == nil {
+		return nil
+	}
+	return s.opts.LP
 }
 
 // countLP folds one node LP solve into the search statistics. It runs on

@@ -26,10 +26,11 @@
 // the live incumbent before accepting it.
 //
 // Warm starts keep these properties: a child LP solve is a pure function
-// of (parent node, branch variable, direction) — the parent's problem,
-// bound patches and optimal basis are all frozen once the parent is
-// solved and only read afterwards, and every lp.SolveFrom holds its own
-// pooled workspace, so workers share no mutable simplex state. A given child
+// of (parent node, branch variable, direction) — the tree's compiled
+// model, the parent's bound patches and its optimal basis are all frozen
+// once the parent is solved and only read afterwards, and every
+// Model.SolveFrom holds its own pooled workspace, so workers share no
+// mutable simplex state. A given child
 // therefore gets the same relaxation (same pivots, same vertex) whether
 // it is solved eagerly on a pool worker or lazily on the sequential path.
 //
