@@ -136,7 +136,16 @@ func (sp *sparseSolver) dualFeasible(slack float64) bool {
 // moves the violated basic toward its bound without leaving their own
 // resting bound the wrong way, minimize |reduced cost / entry| (ties to
 // the larger entry magnitude for stability).
+//
+// Degenerate dual pivots (a zero dual step) leave the objective where it
+// is and can cycle; the textbook ratio test has no anti-cycling rule. So
+// after stallWindow consecutive pivots without dual-objective progress
+// the loop gives up with IterLimit, and the caller's cold solve takes
+// over instead of spinning to the pivot cap.
 func (sp *sparseSolver) dualIterate() Status {
+	const stallWindow = 64
+	stall := 0
+	lastObj := sp.objective()
 	retried := false
 	for sp.pivots < sp.maxIter {
 		r := -1
@@ -250,6 +259,15 @@ func (sp *sparseSolver) dualIterate() Status {
 		sp.f.update(r, sp.wpos)
 		sp.pivots++
 		if sp.f.needsRefactor() && !sp.refactorize(sp.tol) {
+			return IterLimit
+		}
+
+		// The dual objective is the working objective at the current
+		// basic solution; a dual pivot never lowers it.
+		if o := sp.objective(); o > lastObj+sp.tol {
+			lastObj = o
+			stall = 0
+		} else if stall++; stall >= stallWindow {
 			return IterLimit
 		}
 	}

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -343,4 +345,47 @@ func TestDegenerateTiesTerminate(t *testing.T) {
 		t.Fatalf("objective = %g, want -3", sol.Objective)
 	}
 	checkFeasible(t, p, sol.X)
+}
+
+// TestDualStallFallsBackCold replays a captured branch-and-bound child LP
+// (45 rows, 28 columns, from an exact solve of a Fig. 7-scale instance)
+// whose parent basis sends the warm dual simplex into a degenerate cycle:
+// without a stall guard it ran to the pivot cap, 2000+200·(m+n) pivots,
+// before the cold fallback solved it in a few dozen. The warm attempt
+// must now give up after at most stallWindow non-improving pivots, and
+// the fallback must land on the cold optimum.
+func TestDualStallFallsBackCold(t *testing.T) {
+	raw, err := os.ReadFile("testdata/dualstall.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c struct {
+		Problem Problem
+		Basis   []int32
+		Flips   []int32
+	}
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatal(err)
+	}
+	p := &c.Problem
+	basis := &Basis{rows: c.Basis, flips: c.Flips, n: p.NumVars()}
+
+	cold, err := Solve(p, nil)
+	if err != nil || cold.Status != Optimal {
+		t.Fatalf("cold solve: %v %v", cold.Status, err)
+	}
+	warm, err := SolveFrom(p, basis, nil)
+	if err != nil || warm.Status != Optimal {
+		t.Fatalf("warm solve: %v %v", warm.Status, err)
+	}
+	if warm.Warm {
+		t.Fatalf("warm path reported success; the captured LP no longer stalls")
+	}
+	if math.Abs(warm.Objective-cold.Objective) > 1e-6 {
+		t.Fatalf("objective = %g, cold = %g", warm.Objective, cold.Objective)
+	}
+	checkFeasible(t, p, warm.X)
+	if wasted := warm.Iterations - cold.Iterations; wasted > 64 {
+		t.Fatalf("warm attempt wasted %d pivots (cold %d), want at most 64", wasted, cold.Iterations)
+	}
 }
