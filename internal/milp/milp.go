@@ -4,7 +4,10 @@
 //
 // Features used by the reproduction:
 //
-//   - best-bound node selection with most-fractional branching;
+//   - best-bound node selection with reliability branching: children
+//     of a fractional candidate are solved (probed) only until the
+//     variable has pseudocosts in both directions, after which its score
+//     is estimated from them (see branch.go);
 //   - optional warm start from a known feasible point (the paper-style
 //     workflow seeds it with the best heuristic solution);
 //   - an optional caller-supplied rounding repair that turns fractional LP
@@ -25,9 +28,9 @@
 //     Options.DisableWarmLP to switch the path off). The basis travels as
 //     an opaque *lp.Basis, so the search never touches simplex internals;
 //   - parallel search: the best-bound frontier is expanded in rounds of
-//     up to Options.Workers nodes, and every child LP relaxation of the
-//     round — including all strong-branching candidates — solves
-//     concurrently on a worker pool (see parallel.go). Results are merged
+//     up to Options.Workers nodes, and every probed child LP relaxation
+//     of the round solves concurrently on a worker pool (see
+//     parallel.go). Results and pseudocost updates are merged
 //     in a stable node order, so the reported optimal objective is
 //     identical for every worker count.
 package milp
@@ -38,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -140,10 +142,12 @@ type Options struct {
 	// Chvátal–Gomory rounding cuts on the reduced rows (see cuts.go). The
 	// reported optimum is identical with and without presolve.
 	Presolve bool
-	// StrongBranch evaluates both children of up to this many fractional
-	// candidates at every node and branches on the variable whose worse
-	// child has the highest bound. Zero disables strong branching
-	// (most-fractional is used instead).
+	// StrongBranch switches on reliability branching and caps the number
+	// of candidates probed per node: both children of up to this many
+	// fractional variables without pseudocosts in both directions are
+	// solved, and the node branches on the best product score of bound
+	// gains, real for the probes and estimated from pseudocosts for the
+	// rest. Zero disables the rule (most-fractional is used instead).
 	StrongBranch int
 	// Workers sets how many frontier nodes are expanded concurrently per
 	// round. Zero uses GOMAXPROCS; 1 forces the classic sequential search.
@@ -383,6 +387,11 @@ type solver struct {
 	// filled from the atomics above only in result.
 	stats SearchStats
 	seq   int
+
+	// pcs holds reliability branching's pseudocosts, one slot per integer
+	// column of the searched problem (see branch.go). Written only by
+	// finish on the coordinator; nil until the first branching decision.
+	pcs []pseudocost
 
 	// Root relaxation outcome, exported for re-optimization chains.
 	rootBasis *lp.Basis
@@ -632,53 +641,6 @@ func (s *solver) strongBranchLimit() int {
 		return 0
 	}
 	return s.opts.StrongBranch
-}
-
-// childScore is the worse (smaller) child bound; infeasible children count
-// as +inf so that proving infeasibility ranks highest.
-func childScore(down, up *node) float64 {
-	score := math.Inf(1)
-	if down != nil && down.bound < score {
-		score = down.bound
-	}
-	if up != nil && up.bound < score {
-		score = up.bound
-	}
-	return score
-}
-
-// fractionalCandidates returns up to k integer variables sorted by
-// decreasing fractionality.
-func (s *solver) fractionalCandidates(x []float64, k int) []int {
-	type fv struct {
-		j    int
-		dist float64
-	}
-	var list []fv
-	for j, isInt := range s.work.Integer {
-		if !isInt {
-			continue
-		}
-		f := x[j] - math.Floor(x[j])
-		dist := math.Min(f, 1-f)
-		if dist > s.tol {
-			list = append(list, fv{j, dist})
-		}
-	}
-	sort.Slice(list, func(a, b int) bool {
-		if list[a].dist != list[b].dist {
-			return list[a].dist > list[b].dist
-		}
-		return list[a].j < list[b].j
-	})
-	if len(list) > k {
-		list = list[:k]
-	}
-	out := make([]int, len(list))
-	for i, f := range list {
-		out[i] = f.j
-	}
-	return out
 }
 
 // enqueue pushes a solved node unless its bound is already prunable.

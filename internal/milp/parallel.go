@@ -4,26 +4,30 @@
 // from the best-bound heap (the frontier batch) and runs each round in
 // three phases:
 //
-//  1. prepare (parallel over nodes): fractional-variable selection,
-//     integral-leaf detection and the rounding repair;
-//  2. child solve (parallel over individual LP relaxations): every
-//     branching candidate of every batch node contributes two child LPs,
-//     flattened into one task list — so even a frontier of one node with
-//     strong branching fans out into up to 2·StrongBranch concurrent
-//     simplex solves;
-//  3. finish (coordinator, stable batch order): strong-branching pair
-//     selection, incumbent acceptance and child enqueueing.
+//  1. prepare (parallel over nodes): integral-leaf detection, the
+//     rounding repair and branching-candidate selection — the probe list
+//     of unreliable candidates and the best reliable one, scored from the
+//     pseudocosts as they stood when the round began (see branch.go);
+//  2. child solve (parallel over individual LP relaxations): every probe
+//     of every batch node contributes two child LPs, flattened into one
+//     task list — so even a frontier of one node fans out into up to
+//     2·StrongBranch concurrent simplex solves while its candidates are
+//     unreliable, and into none once they all are;
+//  3. finish (coordinator, stable batch order): probe scoring and
+//     pseudocost updates, the on-demand pair of a winning reliable
+//     candidate, incumbent acceptance and child enqueueing.
 //
 // Determinism: workers never mutate shared search state — they write only
 // their own slot of a positionally indexed result slice. All accept/prune
 // decisions happen in phase 3 in the stable best-bound/seq order of the
-// batch, so a fixed worker count is exactly reproducible run-to-run
-// regardless of goroutine scheduling, and the optimal objective is
-// identical for every worker count (batching only reorders which of
-// several optimal points is found first). The atomic incumbent bound read
-// by workers (curBest) only changes between rounds, so mid-round candidate
-// filtering is deterministic too; finish re-checks every candidate against
-// the live incumbent before accepting it.
+// batch, and so do the pseudocost writes, which prepare only reads. So a
+// fixed worker count is exactly reproducible run-to-run regardless of
+// goroutine scheduling, and the optimal objective is identical for every
+// worker count (batching only reorders which of several optimal points
+// is found first). The atomic incumbent bound read by workers (curBest)
+// only changes between rounds, so mid-round candidate filtering is
+// deterministic too; finish re-checks every candidate against the live
+// incumbent before accepting it.
 //
 // Warm starts keep these properties: a child LP solve is a pure function
 // of (parent node, branch variable, direction) — the tree's compiled
@@ -35,9 +39,10 @@
 // it is solved eagerly on a pool worker or lazily on the sequential path.
 //
 // With Workers == 1 no pool is started: prepare and finish run inline and
-// child LPs are solved lazily inside the selection scan, reproducing the
-// classic sequential search (including strong branching's early break)
-// LP-solve for LP-solve.
+// child LPs are solved lazily inside the selection scan, so the early
+// break on a fully pruned probe pair saves the remaining probes' solves.
+// Both paths run the same rule: with one node per round, the sequential
+// search simply sees the pseudocosts of every earlier node.
 package milp
 
 import (
@@ -53,13 +58,16 @@ type candidate struct {
 }
 
 // prep is the phase-1 outcome for one node: incumbent candidates found
-// (from an integral relaxation or the rounding repair) and the branching
-// variables whose children phase 2 must solve.
+// (from an integral relaxation or the rounding repair), the branching
+// candidates whose children phase 2 must solve (probes, best estimate
+// first), and the best reliable candidate, whose pair finish solves only
+// if it wins (reliable.j < 0 when there is none).
 type prep struct {
 	n          *node
 	integral   bool
 	candidates []candidate
-	branchVars []int
+	probes     []branchCand
+	reliable   branchCand
 }
 
 // workerCount resolves Options.Workers: 0 means GOMAXPROCS.
@@ -147,9 +155,10 @@ func (s *solver) prepare(n *node) prep {
 		}
 	}
 	if k := s.strongBranchLimit(); k > 0 {
-		p.branchVars = s.fractionalCandidates(n.relax.X, k)
+		p.probes, p.reliable = s.branchCandidates(n.relax.X, k)
 	} else {
-		p.branchVars = []int{frac}
+		p.probes = []branchCand{{j: frac, k: -1}}
+		p.reliable.j = -1
 	}
 	return p
 }
@@ -192,11 +201,11 @@ func (s *solver) solveChild(n *node, j, dir int) *node {
 	return s.buildChild(n, j, math.Ceil(v), math.Inf(1))
 }
 
-// solveChildrenAll runs phase 2: every (node, branch variable, direction)
-// child LP of the round, flattened into one task list so the pool stays
-// saturated even when the frontier is narrow. It returns kids[i][vi] =
-// {down, up} for preps[i].branchVars[vi], plus per-node counts of the
-// child solves actually performed (the waste accounting of finish). Once
+// solveChildrenAll runs phase 2: every (node, probe, direction) child LP
+// of the round, flattened into one task list so the pool stays saturated
+// even when the frontier is narrow. It returns kids[i][vi] = {down, up}
+// for preps[i].probes[vi], plus per-node counts of the child solves
+// actually performed (the waste accounting of finish). Once
 // the solve context is cancelled, workers skip the remaining child tasks
 // — that is what stops a search mid-round instead of at the next
 // between-rounds limit check; the caller detects the cancellation and
@@ -211,8 +220,8 @@ func (s *solver) solveChildrenAll(preps []prep) ([][][2]*node, []int) {
 	type job struct{ i, vi, dir int }
 	var jobs []job
 	for i, p := range preps {
-		kids[i] = make([][2]*node, len(p.branchVars))
-		for vi := range p.branchVars {
+		kids[i] = make([][2]*node, len(p.probes))
+		for vi := range p.probes {
 			jobs = append(jobs, job{i, vi, 0}, job{i, vi, 1})
 		}
 	}
@@ -223,7 +232,7 @@ func (s *solver) solveChildrenAll(preps []prep) ([][][2]*node, []int) {
 		}
 		jb := jobs[t]
 		p := preps[jb.i]
-		kids[jb.i][jb.vi][jb.dir] = s.solveChild(p.n, p.branchVars[jb.vi], jb.dir)
+		kids[jb.i][jb.vi][jb.dir] = s.solveChild(p.n, p.probes[jb.vi].j, jb.dir)
 		ran[t] = true
 	})
 	solved := make([]int, len(preps))
@@ -264,32 +273,38 @@ func (s *solver) finish(h *nodeHeap, p prep, kids [][2]*node, solvedKids int) {
 	if p.integral {
 		return
 	}
-	get := func(vi int) (down, up *node) {
-		if kids != nil {
-			return kids[vi][0], kids[vi][1]
-		}
-		return s.solveChild(p.n, p.branchVars[vi], 0), s.solveChild(p.n, p.branchVars[vi], 1)
-	}
-	// Strong branching: commit to the variable whose weaker child bound
-	// is largest (maximizing guaranteed bound progress); the early break
-	// on a fully pruned pair mirrors expandStrong's classic behavior.
+	// Probe the unreliable candidates in estimate order and score each
+	// pair by its real child bounds. A fully pruned pair leaves the node
+	// with no children; a pair with one infeasible child scores +Inf and
+	// ends the scan too, since no later probe could beat it except a
+	// fully pruned pair. A reliable candidate whose estimate beats every
+	// probe is branched on, its pair solved only now.
 	var bestPair [2]*node
 	bestScore := math.Inf(-1)
-	havePair := false
-	for vi := range p.branchVars {
-		down, up := get(vi)
-		score := childScore(down, up)
+	for vi, c := range p.probes {
+		var down, up *node
+		if kids != nil {
+			down, up = kids[vi][0], kids[vi][1]
+		} else {
+			down, up = s.solveChild(p.n, c.j, 0), s.solveChild(p.n, c.j, 1)
+		}
+		s.observe(p.n, c, down, up)
+		if down == nil && up == nil {
+			return // both children infeasible: the node is fully pruned
+		}
+		score := pairScore(p.n, down, up)
 		if score > bestScore {
 			bestScore = score
 			bestPair = [2]*node{down, up}
-			havePair = true
 		}
 		if math.IsInf(score, 1) {
-			break // both children infeasible: the node is fully pruned
+			break // one child infeasible: the node keeps a single child
 		}
 	}
-	if !havePair {
-		return
+	if c := p.reliable; c.j >= 0 && c.score > bestScore {
+		down, up := s.solveChild(p.n, c.j, 0), s.solveChild(p.n, c.j, 1)
+		s.observe(p.n, c, down, up)
+		bestPair = [2]*node{down, up}
 	}
 	for _, c := range bestPair {
 		if c != nil {

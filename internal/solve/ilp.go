@@ -41,8 +41,8 @@ type ILPOptions struct {
 	// Presolve is on by default: it shrinks the tree before the first
 	// pivot runs and the reported cost is identical either way.
 	DisablePresolve bool
-	// DisableStrongBranch falls back to most-fractional branching
-	// (ablation).
+	// DisableStrongBranch switches reliability branching off and falls
+	// back to most-fractional branching (ablation).
 	DisableStrongBranch bool
 	// Workers sets branch-and-bound parallelism: frontier nodes expanded
 	// concurrently per round (0 = GOMAXPROCS, 1 = sequential). The optimal
