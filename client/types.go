@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rentmin"
+	"rentmin/internal/obs"
 )
 
 // Wire types of the rentmind HTTP API (see internal/server for the
@@ -129,23 +130,15 @@ type SolveStats struct {
 }
 
 // IncumbentPoint is one incumbent improvement: the search accepted a
-// feasible allocation of the given cost at the given offset.
-type IncumbentPoint struct {
-	AtMs float64 `json:"at_ms"`
-	Cost float64 `json:"cost"`
-}
+// feasible allocation of the given cost at the given offset. Declared
+// once, in internal/obs, where the search trace records it.
+type IncumbentPoint = obs.IncumbentPoint
 
 // RoundPoint is one branch-and-bound expansion round: the proven bound,
 // the incumbent (omitted while none exists — +Inf does not encode in
-// JSON), and the search shape after the round.
-type RoundPoint struct {
-	Round     int      `json:"round"`
-	AtMs      float64  `json:"at_ms"`
-	Bound     float64  `json:"bound"`
-	Incumbent *float64 `json:"incumbent,omitempty"`
-	Frontier  int      `json:"frontier"`
-	Nodes     int      `json:"nodes"`
-}
+// JSON), and the search shape after the round. Declared once, in
+// internal/obs, where the search trace records it.
+type RoundPoint = obs.RoundPoint
 
 // PhaseTiming is one named request phase (a completed trace span).
 type PhaseTiming struct {

@@ -89,7 +89,7 @@ func (s *solver) branchCandidates(x []float64, k int) (probes []branchCand, best
 		}
 		ord++
 		fd, fu := fracParts(x[j])
-		if math.Min(fd, fu) <= s.tol {
+		if math.Min(fd, fu) <= intTol {
 			continue
 		}
 		psi := mean

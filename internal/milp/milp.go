@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"rentmin/internal/lp"
+	"rentmin/internal/obs"
 	"rentmin/internal/pool"
 )
 
@@ -125,8 +126,6 @@ type Options struct {
 	// Rounder optionally repairs node LP relaxation points into feasible
 	// incumbents.
 	Rounder Rounder
-	// IntTol is the integrality tolerance; zero means 1e-6.
-	IntTol float64
 	// RootCutRounds enables Gomory fractional cutting planes at the root
 	// node for up to this many rounds. Requires a pure integer program
 	// with integral constraint data (see lp.SolveGomory); the caller is
@@ -173,48 +172,11 @@ type Options struct {
 	// one's basis, and cut generation needs a cut-free root anyway.
 	// Ignored under DisableWarmLP.
 	RootBasis *lp.Basis
-	// OnIncumbent, when set, is invoked every time the search accepts a
-	// new incumbent, with its objective and point (the slice must not be
-	// retained or modified). Calls happen on the coordinator goroutine in
-	// deterministic order, including the initial Incumbent warm start.
-	OnIncumbent func(obj float64, x []float64)
-	// OnRound, when set, is invoked on the coordinator goroutine after
-	// every frontier expansion round has merged, with a snapshot of the
-	// search state. Like OnIncumbent the call order is deterministic for
-	// a fixed worker count, and a nil hook costs a single pointer check
-	// per round — nothing on the node-expansion hot path.
-	OnRound func(RoundInfo)
-	// LP tunes the inner simplex solver.
-	LP *lp.Options
 }
 
-// RoundInfo snapshots the branch-and-bound search at the end of one
-// frontier expansion round, for Options.OnRound observers (the solve
-// flight recorder, progress displays).
-type RoundInfo struct {
-	// Round is the 1-based expansion round index. With Workers == 1 each
-	// round expands a single node; with Workers == w, up to w.
-	Round int
-	// Bound is the best proven global lower bound after the round.
-	Bound float64
-	// Incumbent is the incumbent objective, +Inf while none exists.
-	Incumbent float64
-	// HasIncumbent reports whether an integer-feasible point is known.
-	HasIncumbent bool
-	// Frontier is the number of open nodes after the round's merges.
-	Frontier int
-	// Nodes is the cumulative count of explored nodes.
-	Nodes int
-	// Elapsed is wall-clock time since the search started.
-	Elapsed time.Duration
-}
-
-func (o *Options) intTol() float64 {
-	if o == nil || o.IntTol == 0 {
-		return 1e-6
-	}
-	return o.IntTol
-}
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol = 1e-6
 
 // SearchStats counts the work of one solve. It is the one report type
 // for solver effort: package solve, the rentmin facade, sessions and the
@@ -346,7 +308,7 @@ func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	s := &solver{p: p, ctx: ctx, opts: opts, start: time.Now(), tol: opts.intTol()}
+	s := &solver{p: p, ctx: ctx, opts: opts, trace: obs.TraceFrom(ctx), start: time.Now()}
 	return s.run()
 }
 
@@ -358,8 +320,11 @@ type solver struct {
 	model *lp.Model   // base compiled once after the root; every child solves through it
 	ctx   context.Context
 	opts  *Options
+	// trace observes the search (nil when the context carries none): it
+	// receives every accepted incumbent and a snapshot after every round,
+	// both on the coordinator goroutine.
+	trace *obs.Trace
 	start time.Time
-	tol   float64
 	// objOff is the objective contribution of presolve-fixed variables;
 	// node bounds are kept in original-objective units by adding it to
 	// every reduced-space LP objective.
@@ -516,17 +481,7 @@ func (s *solver) run() (Result, error) {
 			}
 		}
 		round++
-		if s.opts != nil && s.opts.OnRound != nil {
-			s.opts.OnRound(RoundInfo{
-				Round:        round,
-				Bound:        lowest,
-				Incumbent:    s.bestObj,
-				HasIncumbent: s.hasBest,
-				Frontier:     h.Len(),
-				Nodes:        s.stats.Nodes,
-				Elapsed:      time.Since(s.start),
-			})
-		}
+		s.trace.Round(round, lowest, s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
 	}
 
 	res := s.result(Optimal)
@@ -548,7 +503,7 @@ func (s *solver) runPresolve() (Result, bool) {
 	if s.hasBest {
 		cutoff = s.bestObj
 	}
-	red := presolveWith(s.p, cutoff, s.tol)
+	red := Presolve(s.p, cutoff)
 	s.stats.Presolve = red.Stats
 	if red.Infeasible {
 		if s.hasBest {
@@ -669,7 +624,7 @@ func (s *solver) pruned(bound float64) bool {
 // (plus, under presolve, one round of Chvátal–Gomory rounding cuts); the
 // generated cuts are valid globally and shared by every node.
 func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
-	gr, err := lp.SolveGomory(&s.work.LP, s.lpOptions(), s.opts.RootCutRounds)
+	gr, err := lp.SolveGomory(&s.work.LP, nil, s.opts.RootCutRounds)
 	if err != nil {
 		return 0, err
 	}
@@ -715,7 +670,7 @@ func (s *solver) addCGCuts(root *node) {
 	if s.opts.DisableWarmLP {
 		basis = nil
 	}
-	sol, err := lp.SolveFrom(trial, basis, s.lpOptions())
+	sol, err := lp.SolveFrom(trial, basis, nil)
 	if err != nil || sol.Status != lp.Optimal {
 		return
 	}
@@ -729,7 +684,7 @@ func (s *solver) addCGCuts(root *node) {
 // seed when one is given (a basis that no longer fits falls back cold
 // inside lp.SolveFrom), and stores bound/solution.
 func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
-	sol, err := lp.SolveFrom(s.base, seed, s.lpOptions())
+	sol, err := lp.SolveFrom(s.base, seed, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -745,7 +700,7 @@ func (s *solver) solveRelax(n *node, basis *lp.Basis) (lp.Status, error) {
 	if s.opts != nil && s.opts.DisableWarmLP {
 		basis = nil
 	}
-	sol, err := s.model.SolveFrom(n.lo, n.hi, basis, s.lpOptions())
+	sol, err := s.model.SolveFrom(n.lo, n.hi, basis, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -761,14 +716,6 @@ func (s *solver) setRelax(n *node, sol lp.Solution) {
 	n.bound = sol.Objective + s.objOff
 }
 
-// lpOptions returns the inner simplex options.
-func (s *solver) lpOptions() *lp.Options {
-	if s.opts == nil {
-		return nil
-	}
-	return s.opts.LP
-}
-
 // countLP folds one node LP solve into the search statistics. It runs on
 // pool workers, hence the atomics.
 func (s *solver) countLP(sol lp.Solution) {
@@ -782,7 +729,7 @@ func (s *solver) countLP(sol lp.Solution) {
 // fractionalVar returns the integer variable farthest from integrality,
 // or -1 if the point is integral.
 func (s *solver) fractionalVar(x []float64) int {
-	best, bestDist := -1, s.tol
+	best, bestDist := -1, intTol
 	for j, isInt := range s.work.Integer {
 		if !isInt {
 			continue
@@ -803,14 +750,14 @@ func (s *solver) checkFeasible(x []float64) (float64, error) {
 		return 0, fmt.Errorf("candidate has %d variables, want %d", len(x), s.p.LP.NumVars())
 	}
 	for j, isInt := range s.p.Integer {
-		if lo := s.p.LP.LowerBound(j); x[j] < lo-s.tol {
+		if lo := s.p.LP.LowerBound(j); x[j] < lo-intTol {
 			return 0, fmt.Errorf("variable %d below its lower bound: %g < %g", j, x[j], lo)
 		}
-		if hi := s.p.LP.UpperBound(j); x[j] > hi+s.tol {
+		if hi := s.p.LP.UpperBound(j); x[j] > hi+intTol {
 			return 0, fmt.Errorf("variable %d above its upper bound: %g > %g", j, x[j], hi)
 		}
 		if isInt {
-			if d := math.Abs(x[j] - math.Round(x[j])); d > s.tol {
+			if d := math.Abs(x[j] - math.Round(x[j])); d > intTol {
 				return 0, fmt.Errorf("variable %d not integral: %g", j, x[j])
 			}
 		}
@@ -851,9 +798,7 @@ func (s *solver) accept(x []float64, obj float64) {
 	s.bestObj = obj
 	s.hasBest = true
 	s.bestBits.Store(math.Float64bits(obj))
-	if s.opts != nil && s.opts.OnIncumbent != nil {
-		s.opts.OnIncumbent(obj, x)
-	}
+	s.trace.Incumbent(obj)
 }
 
 // curBest returns the incumbent objective (+inf when none). Safe to call

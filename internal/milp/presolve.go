@@ -115,13 +115,6 @@ func (r *Reduced) Postsolve(x []float64) []float64 {
 	return out
 }
 
-// Presolve runs the root reduction pass on p with the given objective
-// cutoff (pass +inf for none) and the default integrality tolerance. The
-// input problem is not modified.
-func Presolve(p *Problem, cutoff float64) *Reduced {
-	return presolveWith(p, cutoff, 1e-6)
-}
-
 // presRow is one working row of the presolve pass. Coefficients stay in
 // the original (dense) column space; fixed columns are zeroed after
 // substitution.
@@ -140,21 +133,21 @@ type pres struct {
 	live    []bool // column not yet fixed
 	obj     []float64
 	isInt   []bool
-	intTol  float64
 	changed bool
 	stats   PresolveStats
 	objOff  float64
 }
 
-func presolveWith(p *Problem, cutoff float64, intTol float64) *Reduced {
+// Presolve runs the root reduction pass on p with the given objective
+// cutoff (pass +inf for none). The input problem is not modified.
+func Presolve(p *Problem, cutoff float64) *Reduced {
 	n := p.LP.NumVars()
 	w := &pres{
-		lo:     make([]float64, n),
-		hi:     make([]float64, n),
-		live:   make([]bool, n),
-		obj:    p.LP.Objective,
-		isInt:  p.Integer,
-		intTol: intTol,
+		lo:    make([]float64, n),
+		hi:    make([]float64, n),
+		live:  make([]bool, n),
+		obj:   p.LP.Objective,
+		isInt: p.Integer,
 	}
 	for j := 0; j < n; j++ {
 		w.lo[j] = p.LP.LowerBound(j)
@@ -372,7 +365,7 @@ func (w *pres) tightenAll() bool {
 func (w *pres) applyBound(j int, b float64, upper bool) bool {
 	if upper {
 		if w.isInt[j] {
-			b = math.Floor(b + w.intTol)
+			b = math.Floor(b + intTol)
 		}
 		if b < w.hi[j]-presolveEps {
 			w.hi[j] = b
@@ -381,7 +374,7 @@ func (w *pres) applyBound(j int, b float64, upper bool) bool {
 		}
 	} else {
 		if w.isInt[j] {
-			b = math.Ceil(b - w.intTol)
+			b = math.Ceil(b - intTol)
 		}
 		if b > w.lo[j]+presolveEps {
 			w.lo[j] = b

@@ -108,7 +108,7 @@ func FuzzPresolve(f *testing.F) {
 			t.Fatalf("objective mismatch: direct %g, presolved %g (seed=%d cfg=%d)",
 				plain.Objective, pres.Objective, seed, cfg)
 		}
-		s := &solver{p: p, tol: 1e-6}
+		s := &solver{p: p}
 		obj, err := s.checkFeasible(pres.X)
 		if err != nil {
 			t.Fatalf("presolved incumbent infeasible for the original: %v (seed=%d cfg=%d)", err, seed, cfg)

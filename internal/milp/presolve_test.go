@@ -478,7 +478,7 @@ func TestPresolveEquivalenceFixedInstances(t *testing.T) {
 		}
 		if pres.Status == Optimal {
 			// The lifted incumbent must be feasible for the original problem.
-			s := &solver{p: tc.p, tol: 1e-6}
+			s := &solver{p: tc.p}
 			if _, err := s.checkFeasible(pres.X); err != nil {
 				t.Errorf("%s: presolve incumbent infeasible: %v", tc.name, err)
 			}
@@ -505,7 +505,7 @@ func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 			if math.Abs(res.Objective-want) > 1e-6 {
 				return false
 			}
-			s := &solver{p: p, tol: 1e-6}
+			s := &solver{p: p}
 			if obj, err := s.checkFeasible(res.X); err != nil || math.Abs(obj-res.Objective) > 1e-6 {
 				return false
 			}

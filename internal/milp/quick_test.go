@@ -80,7 +80,7 @@ func TestQuickIncumbentFeasible(t *testing.T) {
 		if err != nil || res.Status != Optimal {
 			return false
 		}
-		s := &solver{p: p, tol: 1e-6}
+		s := &solver{p: p}
 		obj, err := s.checkFeasible(res.X)
 		if err != nil {
 			return false

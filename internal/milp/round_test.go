@@ -1,10 +1,13 @@
 package milp
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"rentmin/internal/lp"
+	"rentmin/internal/obs"
 )
 
 // coverProblem is a small integer covering instance that needs several
@@ -23,42 +26,48 @@ func coverProblem() *Problem {
 	}
 }
 
-// TestOnRoundTrajectory pins the OnRound contract: invoked once per
+// traced solves p with an obs.Trace in the context and returns the
+// result with the trajectory the trace recorded.
+func traced(t *testing.T, p *Problem, opts *Options) (Result, []obs.IncumbentPoint, []obs.RoundPoint) {
+	t.Helper()
+	tr := obs.NewTrace("milp-test")
+	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, opts)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	incs, rounds, _ := tr.Trajectory()
+	return res, incs, rounds
+}
+
+// TestSearchTrajectory pins the trace's round contract: one point per
 // expansion round with a consistent, monotone snapshot, and the final
 // snapshot agrees with the Result.
-func TestOnRoundTrajectory(t *testing.T) {
+func TestSearchTrajectory(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		var rounds []RoundInfo
-		opts := &Options{
-			Workers: workers,
-			OnRound: func(ri RoundInfo) { rounds = append(rounds, ri) },
-		}
-		res := solveOK(t, coverProblem(), opts)
+		res, incs, rounds := traced(t, coverProblem(), &Options{Workers: workers})
 		if res.Status != Optimal {
 			t.Fatalf("workers=%d: status %v", workers, res.Status)
 		}
 		if len(rounds) == 0 {
-			t.Fatalf("workers=%d: OnRound never fired", workers)
+			t.Fatalf("workers=%d: no round recorded", workers)
 		}
-		for i, ri := range rounds {
-			if ri.Round != i+1 {
-				t.Fatalf("workers=%d: round index %d at position %d", workers, ri.Round, i)
+		for i, rp := range rounds {
+			if rp.Round != i+1 {
+				t.Fatalf("workers=%d: round index %d at position %d", workers, rp.Round, i)
 			}
-			if ri.HasIncumbent && math.IsInf(ri.Incumbent, 1) {
-				t.Fatalf("workers=%d: HasIncumbent with +Inf incumbent", workers)
-			}
-			if !ri.HasIncumbent && !math.IsInf(ri.Incumbent, 1) {
-				t.Fatalf("workers=%d: incumbent %v without HasIncumbent", workers, ri.Incumbent)
+			if rp.Incumbent != nil && math.IsInf(*rp.Incumbent, 1) {
+				t.Fatalf("workers=%d: +Inf incumbent recorded as present", workers)
 			}
 			if i > 0 {
-				if ri.Bound < rounds[i-1].Bound-1e-9 {
-					t.Fatalf("workers=%d: bound regressed %v -> %v", workers, rounds[i-1].Bound, ri.Bound)
+				prev := rounds[i-1]
+				if rp.Bound < prev.Bound-1e-9 {
+					t.Fatalf("workers=%d: bound regressed %v -> %v", workers, prev.Bound, rp.Bound)
 				}
-				if ri.Nodes < rounds[i-1].Nodes {
+				if rp.Nodes < prev.Nodes {
 					t.Fatalf("workers=%d: node count regressed", workers)
 				}
-				if ri.Incumbent > rounds[i-1].Incumbent+1e-9 {
-					t.Fatalf("workers=%d: incumbent worsened %v -> %v", workers, rounds[i-1].Incumbent, ri.Incumbent)
+				if prev.Incumbent != nil && (rp.Incumbent == nil || *rp.Incumbent > *prev.Incumbent+1e-9) {
+					t.Fatalf("workers=%d: incumbent worsened %v -> %v", workers, prev.Incumbent, rp.Incumbent)
 				}
 			}
 		}
@@ -68,34 +77,38 @@ func TestOnRoundTrajectory(t *testing.T) {
 		if last.Nodes != res.Nodes {
 			t.Fatalf("workers=%d: final Nodes %d != Result.Nodes %d", workers, last.Nodes, res.Nodes)
 		}
-		if math.Abs(last.Incumbent-res.Objective) > 1e-9 {
+		if last.Incumbent == nil || math.Abs(*last.Incumbent-res.Objective) > 1e-9 {
 			t.Fatalf("workers=%d: final incumbent %v != objective %v", workers, last.Incumbent, res.Objective)
+		}
+		if len(incs) == 0 || math.Abs(incs[len(incs)-1].Cost-res.Objective) > 1e-9 {
+			t.Fatalf("workers=%d: last incumbent point %v != objective %v", workers, incs, res.Objective)
 		}
 	}
 }
 
-// TestOnRoundDeterministic: for a fixed worker count the round
-// trajectory is identical run to run.
-func TestOnRoundDeterministic(t *testing.T) {
-	capture := func() []RoundInfo {
-		var rounds []RoundInfo
-		opts := &Options{
-			Workers: 2,
-			OnRound: func(ri RoundInfo) {
-				ri.Elapsed = 0 // wall clock is the only nondeterministic field
-				rounds = append(rounds, ri)
-			},
+// TestSearchTrajectoryDeterministic: for a fixed worker count the
+// incumbent and round trajectories are identical run to run.
+func TestSearchTrajectoryDeterministic(t *testing.T) {
+	capture := func() ([]obs.IncumbentPoint, []obs.RoundPoint) {
+		_, incs, rounds := traced(t, coverProblem(), &Options{Workers: 2})
+		// The wall clock is the only nondeterministic field.
+		for i := range incs {
+			incs[i].AtMs = 0
 		}
-		solveOK(t, coverProblem(), opts)
-		return rounds
+		for i := range rounds {
+			rounds[i].AtMs = 0
+		}
+		return incs, rounds
 	}
-	a, b := capture(), capture()
+	incA, a := capture()
+	incB, b := capture()
 	if len(a) != len(b) {
 		t.Fatalf("round counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round %d differs: %+v vs %+v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("round trajectories differ: %+v vs %+v", a, b)
+	}
+	if !reflect.DeepEqual(incA, incB) {
+		t.Fatalf("incumbent trajectories differ: %+v vs %+v", incA, incB)
 	}
 }

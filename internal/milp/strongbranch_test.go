@@ -119,7 +119,6 @@ func TestStrongBranchingReducesNodes(t *testing.T) {
 func TestReliableVariableNotProbed(t *testing.T) {
 	s := &solver{
 		work: &Problem{Integer: []bool{true, true, false, true, true}},
-		tol:  1e-6,
 		pcs: []pseudocost{
 			{}, // column 0: no history
 			{n: [2]int32{1, 1}, sum: [2]float64{4, 6}}, // column 1: reliable

@@ -1,8 +1,11 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"rentmin/internal/obs"
 )
 
 // intObj rounds an objective value that is integral in exact arithmetic
@@ -22,15 +25,15 @@ func intObj(t *testing.T, v float64) int64 {
 // runTrace solves p and records the incumbent objective sequence.
 func runTrace(t *testing.T, p *Problem, workers int, cold bool) (Result, []float64) {
 	t.Helper()
-	var seq []float64
-	opts := &Options{
-		Workers:       workers,
-		DisableWarmLP: cold,
-		OnIncumbent:   func(obj float64, x []float64) { seq = append(seq, obj) },
-	}
-	res, err := Solve(p, opts)
+	tr := obs.NewTrace("milp-test")
+	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, &Options{Workers: workers, DisableWarmLP: cold})
 	if err != nil {
 		t.Fatalf("Solve(workers=%d cold=%v): %v", workers, cold, err)
+	}
+	incs, _, _ := tr.Trajectory()
+	seq := make([]float64, len(incs))
+	for i, ip := range incs {
+		seq[i] = ip.Cost
 	}
 	return res, seq
 }

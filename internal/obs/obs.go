@@ -7,10 +7,12 @@
 //
 // Everything here is deliberately cheap enough to leave on in
 // production: the tracer has a nil fast path (a nil *Trace hands out
-// no-op spans without allocating), the recorder is a fixed-size ring,
-// and nothing in the branch-and-bound hot loop touches this package at
-// all — the search trajectory is observed through the nil-guarded
-// milp.Options hooks instead.
+// no-op spans and drops trajectory points without allocating), and the
+// recorder is a fixed-size ring. A Trace is also the one observer of a
+// search: attached to a solve's context with WithTrace, it receives the
+// branch-and-bound trajectory once per accepted incumbent and once per
+// expansion round — never from the node-expansion hot path — and a
+// context without a trace costs the search one nil check per event.
 package obs
 
 import (
@@ -83,15 +85,66 @@ type SpanRecord struct {
 	Dur   time.Duration
 }
 
-// Trace collects the spans of one request. A nil *Trace is a valid
-// no-op tracer: StartSpan returns a zero Span whose End does nothing,
-// without allocating — callers never need to guard call sites.
+// Trajectory caps: a pathological search could improve its incumbent or
+// run rounds millions of times; a trace keeps the head of the trajectory
+// and marks the truncation instead of growing without bound.
+const (
+	MaxIncumbentPoints = 256
+	MaxRoundPoints     = 512
+)
+
+// IncumbentPoint is one incumbent improvement: the search accepted a
+// feasible point of the given cost at the given offset from the trace
+// start. Its JSON tags are the rentmind wire names.
+type IncumbentPoint struct {
+	AtMs float64 `json:"at_ms"`
+	Cost float64 `json:"cost"`
+}
+
+// RoundPoint is one branch-and-bound expansion round: the proven bound,
+// the incumbent (nil while none exists — +Inf does not encode in JSON),
+// and the search shape after the round. AtMs is the offset from the
+// trace start; Round is 1-based.
+type RoundPoint struct {
+	Round     int      `json:"round"`
+	AtMs      float64  `json:"at_ms"`
+	Bound     float64  `json:"bound"`
+	Incumbent *float64 `json:"incumbent,omitempty"`
+	Frontier  int      `json:"frontier"`
+	Nodes     int      `json:"nodes"`
+}
+
+// Trace collects the spans of one request and, when attached to a solve's
+// context, that search's trajectory. Every offset it records is measured
+// from its own start. A nil *Trace is a valid no-op tracer: StartSpan
+// returns a zero Span whose End does nothing, and the trajectory methods
+// drop their points, without allocating — callers never need to guard
+// call sites.
 type Trace struct {
 	ID    string
 	start time.Time
 
-	mu    sync.Mutex
-	spans []SpanRecord
+	mu         sync.Mutex
+	spans      []SpanRecord
+	incumbents []IncumbentPoint
+	rounds     []RoundPoint
+	truncated  bool
+}
+
+type traceKey struct{}
+
+// WithTrace returns a context carrying t. The branch-and-bound search
+// started under that context records its trajectory on t. A trace
+// observes one solve: concurrent solves (the items of a batch) each need
+// their own, or their points interleave.
+func WithTrace(ctx context.Context, t *Trace) context.Context {
+	return context.WithValue(ctx, traceKey{}, t)
+}
+
+// TraceFrom returns the trace carried by ctx, or nil if none.
+func TraceFrom(ctx context.Context) *Trace {
+	t, _ := ctx.Value(traceKey{}).(*Trace)
+	return t
 }
 
 // NewTrace starts a trace identified by id.
@@ -139,6 +192,57 @@ func (t *Trace) Spans() []SpanRecord {
 	copy(out, t.spans)
 	return out
 }
+
+// Incumbent records an accepted incumbent of the given cost. Safe on a
+// nil tracer.
+func (t *Trace) Incumbent(cost float64) {
+	if t == nil {
+		return
+	}
+	at := ms(time.Since(t.start))
+	t.mu.Lock()
+	if len(t.incumbents) < MaxIncumbentPoints {
+		t.incumbents = append(t.incumbents, IncumbentPoint{AtMs: at, Cost: cost})
+	} else {
+		t.truncated = true
+	}
+	t.mu.Unlock()
+}
+
+// Round records the search state after one expansion round: its 1-based
+// index, the proven bound, the incumbent cost (ignored unless
+// hasIncumbent), the open frontier and the cumulative explored nodes.
+// Safe on a nil tracer.
+func (t *Trace) Round(round int, bound, incumbent float64, hasIncumbent bool, frontier, nodes int) {
+	if t == nil {
+		return
+	}
+	rp := RoundPoint{Round: round, AtMs: ms(time.Since(t.start)), Bound: bound, Frontier: frontier, Nodes: nodes}
+	if hasIncumbent {
+		inc := incumbent // only a round with an incumbent allocates
+		rp.Incumbent = &inc
+	}
+	t.mu.Lock()
+	if len(t.rounds) < MaxRoundPoints {
+		t.rounds = append(t.rounds, rp)
+	} else {
+		t.truncated = true
+	}
+	t.mu.Unlock()
+}
+
+// Trajectory returns copies of the recorded incumbent and round points
+// (nil when none) and whether either hit its cap. Safe on a nil tracer.
+func (t *Trace) Trajectory() (incumbents []IncumbentPoint, rounds []RoundPoint, truncated bool) {
+	if t == nil {
+		return nil, nil, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]IncumbentPoint(nil), t.incumbents...), append([]RoundPoint(nil), t.rounds...), t.truncated
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Elapsed is the time since the trace started (zero on a nil tracer).
 func (t *Trace) Elapsed() time.Duration {

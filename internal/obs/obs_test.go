@@ -75,7 +75,8 @@ func TestTraceSpans(t *testing.T) {
 
 // TestNilTracerZeroAllocs pins the off-by-default contract: a nil
 // tracer must cost nothing on hot paths — no allocations for starting
-// or ending spans, and nil-safe accessors.
+// or ending spans, for trajectory points, or for looking the trace up in
+// a context without one — and nil-safe accessors.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -85,11 +86,91 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil tracer StartSpan/End allocates %v times per op, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		got := TraceFrom(context.Background())
+		got.Incumbent(42)
+		got.Round(1, 40, 42, true, 3, 7)
+	})
+	if allocs != 0 {
+		t.Fatalf("TraceFrom/Incumbent/Round without a trace allocate %v times per op, want 0", allocs)
+	}
 	if tr.Spans() != nil {
 		t.Fatal("nil tracer Spans() != nil")
 	}
+	if incs, rounds, truncated := tr.Trajectory(); incs != nil || rounds != nil || truncated {
+		t.Fatal("nil tracer Trajectory() not empty")
+	}
 	if tr.Elapsed() != 0 {
 		t.Fatal("nil tracer Elapsed() != 0")
+	}
+}
+
+func TestTraceContextRoundTrip(t *testing.T) {
+	if got := TraceFrom(context.Background()); got != nil {
+		t.Fatalf("empty context carries trace %p", got)
+	}
+	tr := NewTrace("id1")
+	ctx := WithTrace(WithTraceID(context.Background(), "id1"), tr)
+	if got := TraceFrom(ctx); got != tr {
+		t.Fatalf("TraceFrom = %p, want %p", got, tr)
+	}
+	if got := TraceID(ctx); got != "id1" {
+		t.Fatalf("trace shadowed the trace ID: TraceID = %q", got)
+	}
+}
+
+// TestTrajectoryPointsAndCaps: points come back in order and in wire
+// form (no incumbent while none exists), and past its cap a trajectory
+// keeps its head and reports the truncation.
+func TestTrajectoryPointsAndCaps(t *testing.T) {
+	tr := NewTrace("caps")
+	tr.Round(1, 10, math.Inf(1), false, 2, 1)
+	tr.Incumbent(30)
+	tr.Round(2, 12, 30, true, 1, 3)
+	incs, rounds, truncated := tr.Trajectory()
+	if truncated || len(incs) != 1 || incs[0].Cost != 30 || len(rounds) != 2 {
+		t.Fatalf("trajectory = %+v %+v truncated=%v", incs, rounds, truncated)
+	}
+	if rounds[0].Incumbent != nil {
+		t.Fatalf("round without an incumbent recorded %v", *rounds[0].Incumbent)
+	}
+	if r := rounds[1]; r.Round != 2 || r.Bound != 12 || r.Incumbent == nil || *r.Incumbent != 30 || r.Frontier != 1 || r.Nodes != 3 {
+		t.Fatalf("round 2 = %+v", r)
+	}
+	if incs[0].AtMs > rounds[1].AtMs || rounds[0].AtMs > incs[0].AtMs {
+		t.Fatalf("offsets out of order: %+v %+v", incs, rounds)
+	}
+
+	incTr, roundTr := NewTrace("caps"), NewTrace("caps")
+	for i := 0; i < 300; i++ {
+		incTr.Incumbent(float64(i))
+	}
+	for i := 1; i <= 600; i++ {
+		roundTr.Round(i, 0, 0, false, 0, i)
+	}
+	incs, _, incTrunc := incTr.Trajectory()
+	_, rounds, roundTrunc := roundTr.Trajectory()
+	if !incTrunc || !roundTrunc {
+		t.Fatalf("truncated = %v (incumbents), %v (rounds), want both set", incTrunc, roundTrunc)
+	}
+	if len(incs) != MaxIncumbentPoints || len(rounds) != MaxRoundPoints {
+		t.Fatalf("kept %d incumbents and %d rounds, want %d and %d",
+			len(incs), len(rounds), MaxIncumbentPoints, MaxRoundPoints)
+	}
+	for i, ip := range incs {
+		if ip.Cost != float64(i) {
+			t.Fatalf("incumbent %d = %v, want the head of the sequence", i, ip.Cost)
+		}
+	}
+	for i, rp := range rounds {
+		if rp.Round != i+1 {
+			t.Fatalf("round point %d is round %d, want the head of the sequence", i, rp.Round)
+		}
+	}
+	// Copies: editing the result does not reach the trace.
+	incs[0].Cost = -1
+	if again, _, _ := incTr.Trajectory(); again[0].Cost != 0 {
+		t.Fatal("Trajectory returned the trace's own slice")
 	}
 }
 

@@ -537,21 +537,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(tctx, limit)
 	defer cancel()
+	if req.Stats {
+		// Only an opted-in request lets the search record its trajectory.
+		ctx = obs.WithTrace(ctx, tr)
+	}
 	var sol rentmin.Solution
-	var st *searchTrace
 	solveSpan := tr.StartSpan("solve")
 	solveStart := time.Now()
 	opts, err := s.solveOptions(ctx)
 	if err == nil {
-		if req.Stats {
-			st = &searchTrace{}
-			st.install(opts)
-		}
 		sol, err = s.pool.SolveContext(ctx, p, opts)
 	}
 	solveDur := time.Since(solveStart)
 	solveSpan.End()
-	s.recordSolve(solveRecord(traceID, "solve", -1, reqStart, queueWait, solveDur, sol, err, st))
+	s.recordSolve(solveRecord(traceID, "solve", -1, reqStart, queueWait, solveDur, sol, err, tr))
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -569,7 +568,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.met.recordSolution(sol)
 	ws := toWireSolution(sol)
 	if req.Stats {
-		ws.Stats = solveStats(traceID, queueWait, solveDur, sol, st, tr)
+		ws.Stats = solveStats(traceID, queueWait, solveDur, sol, tr)
 	}
 	s.writeJSON(w, http.StatusOK, ws)
 }
@@ -581,7 +580,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	reqStart := time.Now()
 	tctx, traceID := s.traceContext(w, r)
-	tr := obs.NewTrace(traceID)
 	var req client.BatchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -636,7 +634,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// pool did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
 	for i, res := range results {
-		s.recordSolve(solveRecord(traceID, "batch", i, reqStart, res.queueWait, res.dur, res.sol, res.err, res.st))
+		s.recordSolve(solveRecord(traceID, "batch", i, reqStart, res.queueWait, res.dur, res.sol, res.err, res.tr))
 		if res.err != nil {
 			resp.Solutions[i] = client.Solution{Error: itemError(res.err)}
 			continue
@@ -644,7 +642,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.met.recordSolution(res.sol)
 		ws := toWireSolution(res.sol)
 		if req.Stats {
-			ws.Stats = solveStats(traceID, res.queueWait, res.dur, res.sol, res.st, tr)
+			ws.Stats = solveStats(traceID, res.queueWait, res.dur, res.sol, res.tr)
 		}
 		resp.Solutions[i] = ws
 	}
@@ -660,7 +658,7 @@ type itemResult struct {
 	err       error
 	queueWait time.Duration // time spent waiting for a worker lease
 	dur       time.Duration // time spent solving
-	st        *searchTrace  // nil unless the request opted into stats
+	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
 }
 
 // solveAll fans a batch out over the worker leases: up to Workers
@@ -670,7 +668,9 @@ type itemResult struct {
 // instead of flooding the pool from behind a single lease. Each item
 // solves with the same PerSolveWorkers inner parallelism as /v1/solve.
 // Lower indexes start first; once ctx is done or the server drains,
-// remaining items fail fast with per-item errors.
+// remaining items fail fast with per-item errors. With stats, each item
+// gets its own trace under the request's trace ID, carrying its queue
+// and solve spans and, in its context, its search trajectory.
 func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stats bool) []itemResult {
 	results := make([]itemResult, len(problems))
 	dispatchers := s.cfg.Workers
@@ -688,11 +688,19 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stat
 				if i >= len(problems) {
 					return
 				}
+				var tr *obs.Trace
+				ictx := ctx
+				if stats {
+					tr = obs.NewTrace(obs.TraceID(ctx))
+					ictx = obs.WithTrace(ctx, tr)
+				}
+				queueSpan := tr.StartSpan("queue")
 				qStart := time.Now()
 				releaseLease, err := s.leaseWait(ctx)
 				qw := time.Since(qStart)
+				queueSpan.End()
 				if err != nil {
-					results[i] = itemResult{err: err, queueWait: qw}
+					results[i] = itemResult{err: err, queueWait: qw, tr: tr}
 					continue // drain the remaining indexes fast
 				}
 				// Options are rebuilt per item: the batch deadline is
@@ -702,18 +710,15 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stat
 				opts, err := s.solveOptions(ctx)
 				if err != nil {
 					releaseLease()
-					results[i] = itemResult{err: err, queueWait: qw}
+					results[i] = itemResult{err: err, queueWait: qw, tr: tr}
 					continue
 				}
-				var st *searchTrace
-				if stats {
-					st = &searchTrace{}
-					st.install(opts)
-				}
+				solveSpan := tr.StartSpan("solve")
 				solveStart := time.Now()
-				sol, err := s.pool.SolveContext(ctx, problems[i], opts)
+				sol, err := s.pool.SolveContext(ictx, problems[i], opts)
 				releaseLease()
-				results[i] = itemResult{sol: sol, err: err, queueWait: qw, dur: time.Since(solveStart), st: st}
+				solveSpan.End()
+				results[i] = itemResult{sol: sol, err: err, queueWait: qw, dur: time.Since(solveStart), tr: tr}
 			}
 		}()
 	}

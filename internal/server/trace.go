@@ -11,15 +11,6 @@ import (
 	"rentmin/internal/obs"
 )
 
-// Trajectory caps: a pathological search could improve its incumbent or
-// run rounds millions of times; the flight recorder keeps the head of
-// the trajectory and marks the truncation instead of growing without
-// bound.
-const (
-	maxIncumbentPoints = 256
-	maxRoundPoints     = 512
-)
-
 // traceContext establishes the request's trace ID: a valid incoming
 // X-Rentmin-Trace-Id is adopted (the caller — often a coordinator — is
 // correlating processes), anything else is replaced with a fresh ID. The
@@ -35,55 +26,11 @@ func (s *Server) traceContext(w http.ResponseWriter, r *http.Request) (context.C
 	return obs.WithTraceID(r.Context(), id), id
 }
 
-// searchTrace collects a solve's search trajectory through the
-// SolveOptions hooks, already in wire form. It is written by the solve's
-// coordinator goroutine and read only after the solve returns, so it
-// needs no locking.
-type searchTrace struct {
-	start      time.Time
-	incumbents []client.IncumbentPoint
-	rounds     []client.RoundPoint
-	truncated  bool
-}
-
-// install wires the collector into the per-solve options. Only local
-// solves invoke the hooks — a remote dispatch drops them at the wire, so
-// a coordinator's stats carry attribution and timing but no interior
-// trajectory.
-func (t *searchTrace) install(opts *rentmin.SolveOptions) {
-	t.start = time.Now()
-	opts.OnIncumbent = func(cost float64) {
-		if len(t.incumbents) >= maxIncumbentPoints {
-			t.truncated = true
-			return
-		}
-		t.incumbents = append(t.incumbents, client.IncumbentPoint{AtMs: ms(time.Since(t.start)), Cost: cost})
-	}
-	opts.OnRound = func(ri rentmin.RoundInfo) {
-		if len(t.rounds) >= maxRoundPoints {
-			t.truncated = true
-			return
-		}
-		rp := client.RoundPoint{
-			Round:    ri.Round,
-			AtMs:     ms(ri.Elapsed),
-			Bound:    ri.Bound,
-			Frontier: ri.Frontier,
-			Nodes:    ri.Nodes,
-		}
-		if ri.HasIncumbent {
-			inc := ri.Incumbent
-			rp.Incumbent = &inc
-		}
-		t.rounds = append(t.rounds, rp)
-	}
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // solveRecord assembles the flight-recorder entry of a finished (or
 // failed) solve, in the form GET /debug/solves serves it.
-func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait, dur time.Duration, sol rentmin.Solution, err error, st *searchTrace) client.DebugSolve {
+func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait, dur time.Duration, sol rentmin.Solution, err error, tr *obs.Trace) client.DebugSolve {
 	rec := client.DebugSolve{
 		TraceID:     traceID,
 		Endpoint:    endpoint,
@@ -101,26 +48,23 @@ func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait,
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	if st != nil {
-		rec.Incumbents = len(st.incumbents)
-		rec.Rounds = len(st.rounds)
-	}
+	incs, rounds, _ := tr.Trajectory()
+	rec.Incumbents = len(incs)
+	rec.Rounds = len(rounds)
 	return rec
 }
 
-// solveStats renders the opt-in response stats block for one solve.
-func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Solution, st *searchTrace, tr *obs.Trace) *client.SolveStats {
+// solveStats renders the opt-in response stats block for one solve from
+// the trace that observed it: its phases and, for a local solve, the
+// search trajectory, all offsets from the trace's start.
+func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Solution, tr *obs.Trace) *client.SolveStats {
 	out := &client.SolveStats{
 		TraceID:     traceID,
 		Worker:      sol.Worker,
 		QueueWaitMs: ms(queueWait),
 		SolveMs:     ms(dur),
 	}
-	if st != nil {
-		out.Incumbents = st.incumbents
-		out.Rounds = st.rounds
-		out.TrajectoryTruncated = st.truncated
-	}
+	out.Incumbents, out.Rounds, out.TrajectoryTruncated = tr.Trajectory()
 	for _, sp := range tr.Spans() {
 		out.Phases = append(out.Phases, client.PhaseTiming{Name: sp.Name, StartMs: ms(sp.Start), DurMs: ms(sp.Dur)})
 	}

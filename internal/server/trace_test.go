@@ -58,6 +58,52 @@ func TestSolveStatsBlock(t *testing.T) {
 	}
 }
 
+// TestBatchStatsBlock: every batch item with stats carries its own
+// queue and solve phases and its own search trajectory, on one timeline
+// — each trajectory point falls inside that item's solve phase.
+func TestBatchStatsBlock(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	problems := []*rentmin.Problem{fastProblem(40), fastProblem(70), fastProblem(100)}
+	sols, err := c.SolveBatch(context.Background(), problems, &client.Options{Stats: true})
+	if err != nil {
+		t.Fatalf("SolveBatch: %v", err)
+	}
+	for i, sol := range sols {
+		st := sol.Stats
+		if sol.Error != "" || st == nil {
+			t.Fatalf("item %d: error %q, stats %+v", i, sol.Error, st)
+		}
+		phases := map[string]client.PhaseTiming{}
+		for _, ph := range st.Phases {
+			phases[ph.Name] = ph
+		}
+		solve, ok := phases["solve"]
+		if !ok || solve.DurMs <= 0 {
+			t.Fatalf("item %d: phases %+v, want a solve phase with positive duration", i, st.Phases)
+		}
+		if _, ok := phases["queue"]; !ok {
+			t.Errorf("item %d: phases %+v missing the queue span", i, st.Phases)
+		}
+		if len(st.Incumbents) == 0 {
+			t.Errorf("item %d: no incumbent points", i)
+		}
+		if sol.Nodes > 0 && len(st.Rounds) == 0 {
+			t.Errorf("item %d: %d nodes but no round points", i, sol.Nodes)
+		}
+		within := func(at float64) bool { return at >= solve.StartMs && at <= solve.StartMs+solve.DurMs }
+		for _, ip := range st.Incumbents {
+			if !within(ip.AtMs) {
+				t.Errorf("item %d: incumbent at %gms outside solve phase %+v", i, ip.AtMs, solve)
+			}
+		}
+		for _, rp := range st.Rounds {
+			if !within(rp.AtMs) {
+				t.Errorf("item %d: round %d at %gms outside solve phase %+v", i, rp.Round, rp.AtMs, solve)
+			}
+		}
+	}
+}
+
 func TestStatsOmittedWithoutOptIn(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	sol, err := c.Solve(context.Background(), fastProblem(40), nil)

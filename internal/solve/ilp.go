@@ -54,14 +54,6 @@ type ILPOptions struct {
 	// costs, more simplex pivots). Distinct from WarmStart, which seeds
 	// the incumbent, not the per-node LP solves.
 	DisableLPWarmStart bool
-	// OnIncumbent, when set, observes every incumbent the search
-	// accepts, with its total rental cost. Calls happen on the search
-	// coordinator goroutine in deterministic order (observability hook;
-	// a nil hook costs nothing).
-	OnIncumbent func(cost float64)
-	// OnRound, when set, observes the branch-and-bound state after every
-	// frontier expansion round (observability hook; see milp.RoundInfo).
-	OnRound func(milp.RoundInfo)
 	// RootBasis warm-starts the root relaxation from a prior solve's
 	// ILPResult.RootBasis (online re-optimization; see milp.Options.RootBasis).
 	// A snapshot that no longer fits the mutated problem falls back to a
@@ -203,10 +195,6 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		Workers:           opts.Workers,
 		DisableWarmLP:     opts.DisableLPWarmStart,
 	}
-	if cb := opts.OnIncumbent; cb != nil {
-		mopts.OnIncumbent = func(obj float64, _ []float64) { cb(obj) }
-	}
-	mopts.OnRound = opts.OnRound
 	if !opts.DisableStrongBranch {
 		mopts.StrongBranch = 8
 	}

@@ -144,24 +144,7 @@ type SolveOptions struct {
 	// concurrently, each with a sequential inner search — one level of
 	// parallelism, no oversubscription.
 	Workers int
-	// OnIncumbent, when set, observes every incumbent the search accepts
-	// with its total rental cost, in deterministic order on the search
-	// coordinator goroutine. Observability hook (the solve flight
-	// recorder); a nil hook costs nothing. Local solves only: a remote
-	// SolverPool does not forward callbacks over the wire, and SolveBatch
-	// ignores it (per-item trajectories would interleave).
-	OnIncumbent func(cost float64)
-	// OnRound, when set, observes the branch-and-bound search after
-	// every frontier expansion round. Same locality and determinism
-	// contract as OnIncumbent.
-	OnRound func(RoundInfo)
 }
-
-// RoundInfo snapshots the branch-and-bound search at the end of one
-// frontier expansion round, for SolveOptions.OnRound observers: the
-// round index, proven bound, incumbent cost (+Inf while none exists),
-// frontier size, cumulative nodes and elapsed time. See milp.RoundInfo.
-type RoundInfo = milp.RoundInfo
 
 // SearchStats counts a solve's search effort: branch-and-bound nodes,
 // LP relaxations and simplex pivots (hardware-independent measures of
@@ -211,8 +194,6 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 		iopts.TimeLimit = opts.TimeLimit
 		iopts.WarmStart = opts.WarmStart
 		iopts.Workers = opts.Workers
-		iopts.OnIncumbent = opts.OnIncumbent
-		iopts.OnRound = opts.OnRound
 	}
 	res, err := solve.ILPContext(ctx, m, p.Target, &iopts)
 	if err != nil {
