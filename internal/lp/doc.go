@@ -31,11 +31,16 @@
 // unchanged and would pivot on that row with pivot 1 and nothing else —
 // an eta whose application is an exact no-op. The slack takes the row
 // directly and no eta is pushed, so every FTRAN and BTRAN is
-// bit-identical to the unskipped factorization. Each iteration prices with one BTRAN (Dantzig
-// pricing, with a Bland fallback after a stall window), FTRANs the
-// entering column, and runs the bounded ratio test, so per-iteration
-// work scales with the matrix's nonzero count rather than m×n. Duals
-// fall out of BTRAN in original row space with no extra bookkeeping.
+// bit-identical to the unskipped factorization. A primal iteration
+// prices with one BTRAN (Dantzig pricing, with a Bland fallback after a
+// stall window), FTRANs the entering column, and runs the bounded ratio
+// test, so per-iteration work scales with the matrix's nonzero count
+// rather than m×n. A dual iteration also takes one BTRAN, for the pivot
+// row, and keeps the reduced costs current by updating them from that
+// row (d_j -= θ·α_j) rather than re-pricing from fresh duals; every
+// refactorization re-prices them, and the final check of a warm solve
+// prices from fresh duals. Duals fall out of BTRAN in original row space
+// with no extra bookkeeping.
 // All degeneracy decisions share one loosened tolerance (the square root
 // of the pricing tolerance). Status values map to typed sentinel errors
 // (ErrInfeasible, ErrUnbounded, ErrIterLimit) via Status.Err, so callers
@@ -64,25 +69,29 @@
 // model buffers and run the same path, so the one-shot and compiled
 // solves of one problem are bit-identical. Model buffers come from their
 // own pool; Model.Release hands them back once no solve uses the model.
+// Each compile bumps the model's generation, which is what tells a
+// Start restored on an earlier compile of the same pooled buffers from a
+// current one.
 //
 // # Workspace reuse
 //
 // A solve's state — the working bounds, the values, statuses and basis,
-// the scratch vectors and phase-1 costs, the factor's permutation and
-// scratch, one backing store each for the base-eta and update-eta
-// nonzeros, and the model buffers one-shot solves compile into — lives in
-// a workspace drawn from a process-wide sync.Pool and returned when the
-// solve ends. The invariant that makes reuse safe: loading a model
-// resizes and clears every buffer the workspace owns, and the eta stores
-// are rewound on every identity reset and refactorization, so no value
-// of an earlier solve is ever read by a later one; the workspace may
-// reference a model's read-only arrays, which no solve writes, and drops
-// that reference when it returns to the pool; and nothing that escapes a
+// the reduced costs, the scratch vectors and phase-1 costs, the factor's
+// permutation and scratch, one backing store each for the base-eta and
+// update-eta nonzeros, and the model buffers and Start one-shot solves
+// compile and restore into — lives in a workspace drawn from a
+// process-wide sync.Pool and returned when the solve ends. The invariant
+// that makes reuse safe: loading a model resizes and clears every buffer
+// the workspace owns, and the eta stores are rewound on every identity
+// reset and refactorization, so no value of an earlier solve is ever read
+// by a later one; the workspace may reference a model's read-only arrays
+// and a Start's base etas, which no solve writes, and drops those
+// references when it returns to the pool; and nothing that escapes a
 // solve (Solution.X, Solution.Duals, the basis snapshot) points into a
-// workspace or a model — those are always freshly allocated. A workspace
-// belongs to one solve at a time, so concurrent solves never share
-// mutable state (they may share a model), and results are bit-identical
-// whichever workspace served them.
+// workspace, a model or a Start — those are always freshly allocated. A
+// workspace belongs to one solve at a time, so concurrent solves never
+// share mutable state (they may share a model and a Start), and results
+// are bit-identical whichever workspace served them.
 //
 // # Warm starts
 //
@@ -93,7 +102,18 @@
 // columns resting at their upper bound. The encoding is shape-stable:
 // appended rows (branch-and-bound bound rows, cut rows) enter with their
 // own slack basic. Restoring refactorizes the named columns, which is
-// numerically fresh by construction.
+// numerically fresh by construction, and prices the nonbasic columns.
+//
+// Neither step depends on the bounds, so a basis is restored once per
+// branch-and-bound node, not once per child: Model.Restore writes the
+// factorization and the reduced costs into a Start, and Model.SolveFrom
+// starts each child from it — the child's statuses from the snapshot
+// under its own bounds, the Start's base etas read in place (a child
+// that refactorizes writes its own), and the Start's reduced costs for
+// the dual feasibility check. Restore runs the same code and minimum
+// pivot a one-shot SolveFrom runs inline, so a child solved through a
+// Start is bit-identical to the one-shot re-solve from the same basis. A
+// nil, failed or stale Start solves cold.
 //
 // The restored basis stays dual feasible across bound changes because
 // reduced costs depend on the basis and the cost vector, never on b, lo

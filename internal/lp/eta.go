@@ -93,6 +93,11 @@ type basisFactor struct {
 	updates  etaFile
 	pivoted  []bool    // refactorize scratch
 	work     []float64 // refactorize scratch
+
+	// While shared, base reads another factor's base etas (see share)
+	// and own keeps this factor's store until it writes base again.
+	own    etaFile
+	shared bool
 }
 
 // reset sizes the factor for m rows, reusing its buffers.
@@ -101,15 +106,36 @@ func (f *basisFactor) reset(m int) {
 	f.rowOfPos = resize(f.rowOfPos, m)
 	f.pivoted = resize(f.pivoted, m)
 	f.work = resize(f.work, m)
+	f.clear()
+}
+
+// clear empties both eta files, back in the factor's own store.
+func (f *basisFactor) clear() {
+	if f.shared {
+		f.base, f.own, f.shared = f.own, etaFile{}, false
+	}
 	f.base.reset()
+	f.updates.reset()
+}
+
+// share makes f the factorization src holds, without copying src's base
+// etas: f reads them in place and copies only the row permutation. The
+// owner of src must leave it unchanged while f uses it. f's own update
+// etas start empty, and f's next reset, identity or refactorization
+// writes its own store again, so f never writes src.
+func (f *basisFactor) share(src *basisFactor) {
+	if !f.shared {
+		f.own, f.shared = f.base, true
+	}
+	f.base = src.base
+	copy(f.rowOfPos, src.rowOfPos)
 	f.updates.reset()
 }
 
 // identity resets the factorization to B = I with the natural row order
 // (the all-slack starting basis: every slack column is a unit column).
 func (f *basisFactor) identity() {
-	f.base.reset()
-	f.updates.reset()
+	f.clear()
 	for p := range f.rowOfPos {
 		f.rowOfPos[p] = int32(p)
 	}
@@ -127,18 +153,17 @@ func (f *basisFactor) identity() {
 // pivot on r with pivot 1 and no off-pivot entries: an identity eta,
 // whose application is an exact no-op. The slack takes row r and no eta
 // is pushed, which leaves every FTRAN and BTRAN bit-identical.
-func (f *basisFactor) refactorize(sp *sparseSolver, basis []int32, minPiv float64) bool {
-	f.base.reset()
-	f.updates.reset()
+func (f *basisFactor) refactorize(md *Model, basis []int32, minPiv float64) bool {
+	f.clear()
 	clear(f.pivoted)
 	v := f.work
 	for p := 0; p < f.m; p++ {
-		if r := basis[p] - int32(sp.n); r >= 0 && !f.pivoted[r] && minPiv < 1 {
+		if r := basis[p] - int32(md.n); r >= 0 && !f.pivoted[r] && minPiv < 1 {
 			f.rowOfPos[p] = r
 			f.pivoted[r] = true
 			continue
 		}
-		sp.scatterCol(int(basis[p]), v)
+		md.scatterCol(int(basis[p]), v)
 		for e := range f.base.etas {
 			f.base.apply(e, v)
 		}

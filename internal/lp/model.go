@@ -13,17 +13,18 @@ import (
 // slack bounds that encode the row senses — so a re-solve through
 // SolveFrom checks and loads only the bounds.
 //
-// A Model is read-only once built and safe for concurrent SolveFrom
-// calls. Its buffers come from a process-wide pool; Release hands them
-// back.
+// A Model is read-only once built and safe for concurrent SolveFrom and
+// Restore calls. Its buffers come from a process-wide pool; Release hands
+// them back.
 type Model struct {
 	p    *Problem // the compiled problem; SolveGomory reads its rows
 	m, n int      // constraint rows, structural variables
+	// gen counts the compiles into this Model's buffers. The pool hands a
+	// released Model out again under the same pointer, so a Start checks
+	// the generation, not the pointer alone.
+	gen uint64
 
-	// CSC of [A | I].
-	ptr []int32
-	ind []int32
-	val []float64
+	csc // CSC of [A | I]
 
 	obj      []float64 // cost per column: c, then 0 for every slack
 	b        []float64 // right-hand sides
@@ -51,17 +52,31 @@ func (md *Model) Release() {
 }
 
 // SolveFrom solves the model under the variable bounds lo <= x <= hi, warm
-// from b when it fits, exactly as the one-shot SolveFrom would solve the
-// model's problem with Lo and Hi replaced. lo and hi follow the rules of
-// Problem.Lo and Problem.Hi (nil takes the default); they are the only
-// input validated here.
-func (md *Model) SolveFrom(lo, hi []float64, b *Basis, opts *Options) (Solution, error) {
+// from the basis st was restored from, exactly as the one-shot SolveFrom
+// would solve the model's problem with Lo and Hi replaced, warm from that
+// basis. A nil Start, one whose Restore failed, and one restored on
+// another Model or before this Model's last compile solve cold. So does a
+// Start under Options whose Tol differs from the default that Restore
+// factors with. lo and hi follow the rules of Problem.Lo and Problem.Hi
+// (nil takes the default); they are the only input validated here. st is
+// only read, so concurrent SolveFrom calls may share it.
+func (md *Model) SolveFrom(lo, hi []float64, st *Start, opts *Options) (Solution, error) {
 	if err := validateBounds(lo, hi, md.n); err != nil {
 		return Solution{}, err
 	}
 	sp := getWorkspace()
 	defer putWorkspace(sp)
-	return sp.runModel(md, lo, hi, opts, b), nil
+	return sp.runModel(md, lo, hi, opts, st), nil
+}
+
+// Restore restores snapshot b on the model into st, reusing st's buffers:
+// it refactorizes b's basis and prices every nonbasic column once, the
+// work every re-solve from b would otherwise repeat. Bounds play no part,
+// so st serves any bounds SolveFrom is given. When b does not fit the
+// model or its basis is singular, st records the failure and SolveFrom
+// solves cold. st must not be restored again while a SolveFrom reads it.
+func (md *Model) Restore(st *Start, b *Basis) {
+	md.restore(st, b, sqrtTol((*Options)(nil).tol()))
 }
 
 // compile fills the model from a validated problem, reusing its buffers.
@@ -71,6 +86,7 @@ func (md *Model) SolveFrom(lo, hi []float64, b *Basis, opts *Options) (Solution,
 func (md *Model) compile(p *Problem) {
 	m, n := len(p.Constraints), p.NumVars()
 	md.p, md.m, md.n = p, m, n
+	md.gen++
 	md.obj = resize(md.obj, n+m)
 	copy(md.obj, p.Objective)
 	md.b = resize(md.b, m)

@@ -14,10 +14,10 @@ var flipsSink []int32
 
 // TestModelSolveAllocs pins the allocations of the compiled path. A
 // steady-state NewModel draws its buffers from the pool and allocates
-// nothing. A warm child re-solve through a model allocates only what
-// escapes the solve — X, Duals, the basis snapshot and its row and flip
-// lists — which is exactly what the one-shot SolveFrom of the same child
-// allocates.
+// nothing, and neither does a Restore into a reused Start. A warm child
+// re-solve through a model and a Start allocates only what escapes the
+// solve — X, Duals, the basis snapshot and its row and flip lists — which
+// is exactly what the one-shot SolveFrom of the same child allocates.
 func TestModelSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -41,7 +41,9 @@ func TestModelSolveAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer md.Release()
-	child, err := md.SolveFrom(q.Lo, q.Hi, parent.Basis, nil)
+	var st Start
+	md.Restore(&st, parent.Basis)
+	child, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
 	if err != nil || !child.Warm {
 		t.Fatalf("child did not re-solve warm: %v %+v", err, child.Status)
 	}
@@ -55,7 +57,7 @@ func TestModelSolveAllocs(t *testing.T) {
 		flipsSink = f
 	})
 	viaModel := testing.AllocsPerRun(50, func() {
-		if _, err := md.SolveFrom(q.Lo, q.Hi, parent.Basis, nil); err != nil {
+		if _, err := md.SolveFrom(q.Lo, q.Hi, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -78,5 +80,9 @@ func TestModelSolveAllocs(t *testing.T) {
 	})
 	if compile != 0 {
 		t.Errorf("steady-state NewModel allocates %v times per op, want 0", compile)
+	}
+	restore := testing.AllocsPerRun(50, func() { md.Restore(&st, parent.Basis) })
+	if restore != 0 {
+		t.Errorf("steady-state Restore into a reused Start allocates %v times per op, want 0", restore)
 	}
 }

@@ -42,7 +42,9 @@ func getWorkspace() *sparseSolver { return workspaces.Get().(*sparseSolver) }
 func putWorkspace(sp *sparseSolver) {
 	// Do not pin the caller's problem or model while pooled.
 	sp.md, sp.own.p = nil, nil
-	sp.ptr, sp.ind, sp.val, sp.obj, sp.b = nil, nil, nil, nil, nil
+	sp.csc, sp.obj, sp.b = csc{}, nil, nil
+	sp.f.clear()         // stop reading a caller's Start
+	sp.start.flips = nil // nor the flips of a caller's Basis
 	workspaces.Put(sp)
 }
 
@@ -70,23 +72,24 @@ func SolveFrom(p *Problem, b *Basis, opts *Options) (Solution, error) {
 	return sp.run(p, opts, b), nil
 }
 
-// run compiles p into the workspace's own model and solves it there; see
-// runModel.
+// run compiles p into the workspace's own model, restores b there into
+// the workspace's own Start, and solves; see runModel.
 func (sp *sparseSolver) run(p *Problem, opts *Options, b *Basis) Solution {
 	sp.own.compile(p)
-	return sp.runModel(&sp.own, p.Lo, p.Hi, opts, b)
+	sp.own.restore(&sp.start, b, sqrtTol(opts.tol()))
+	return sp.runModel(&sp.own, p.Lo, p.Hi, opts, &sp.start)
 }
 
-// runModel loads md under the bounds lo/hi and solves it, warm from b
-// when b fits. On return the workspace holds the final basis and
-// factorization of the reported solve, which SolveGomory reads its cut
-// rows from.
-func (sp *sparseSolver) runModel(md *Model, lo, hi []float64, opts *Options, b *Basis) Solution {
+// runModel loads md under the bounds lo/hi and solves it, warm from st
+// when st holds a basis restored on md under the load's tolerance. On
+// return the workspace holds the final basis and factorization of the
+// reported solve, which SolveGomory reads its cut rows from.
+func (sp *sparseSolver) runModel(md *Model, lo, hi []float64, opts *Options, st *Start) Solution {
 	sp.load(md, lo, hi, opts)
-	if !b.fits(md) {
+	if !st.valid(md, sp.dtol) {
 		return sp.solve()
 	}
-	if sol, ok := sp.warm(b); ok {
+	if sol, ok := sp.warm(st); ok {
 		return sol
 	}
 	wasted := sp.pivots

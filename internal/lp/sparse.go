@@ -9,11 +9,13 @@ import "math"
 // column-major (CSC) storage of [A | I]. Nothing is ever shifted,
 // complemented or normalized: variable bounds are native in the ratio
 // tests, negative right-hand sides are fine, and the solution and duals
-// read off in original coordinates. Each iteration prices reduced costs
-// with one BTRAN, FTRANs the entering column through the factorized
-// basis (see eta.go), and runs the two-sided bounded ratio test; only
-// the nonzeros of the touched columns are visited, so per-iteration cost
-// scales with the problem's nonzero count.
+// read off in original coordinates. Each iteration takes one BTRAN — a
+// primal one prices reduced costs with it, a dual one computes its pivot
+// row and updates the reduced costs from that row (sparsewarm.go) —
+// FTRANs the entering column through the factorized basis (see eta.go),
+// and runs its bounded ratio test; only the nonzeros of the touched
+// columns are visited, so per-iteration cost scales with the problem's
+// nonzero count.
 //
 // Phase 1 needs no artificial columns: the all-slack basis is always a
 // basis, and a basic slack that violates a bound gets that bound
@@ -41,9 +43,7 @@ type sparseSolver struct {
 
 	// Read-only views of md's arrays: CSC of [A | I], phase-2 cost per
 	// column (structural c, slacks 0) and right-hand sides.
-	ptr []int32
-	ind []int32
-	val []float64
+	csc
 	obj []float64
 	b   []float64
 
@@ -53,6 +53,12 @@ type sparseSolver struct {
 	status []int8    // spLower, spUpper or spBasic
 	basis  []int32   // column basic at each position
 	f      basisFactor
+	// d holds the reduced costs of the nonbasic columns that can move
+	// (lo < hi) while dualIterate runs; see price.
+	d []float64
+	// start is the workspace's own restore target for one-shot warm
+	// solves (see run).
+	start Start
 
 	// relaxed records the phase-1 bound relaxations for restore; inPhase1
 	// arms the dynamic restoration in primalIterate.
@@ -64,9 +70,10 @@ type sparseSolver struct {
 	maxIter   int
 	pivots    int
 
-	// scratch (length m, except inBasis: nTot)
+	// scratch (length m, except alpha: nTot)
 	vrow, wpos, cpos, yrow []float64
-	inBasis                []bool
+	alpha                  []float64 // the pivot row, by column
+	rowNZ                  []int32   // columns with a nonzero pivot-row entry
 }
 
 type relaxation struct {
@@ -102,18 +109,21 @@ func sqrtTol(tol float64) float64 { return math.Sqrt(tol) }
 // load (re)initializes the workspace for a compiled model under the
 // validated structural bounds lo/hi (nil takes the default): the model's
 // read-only arrays are referenced, not copied, and every workspace-owned
-// buffer is resized to the model's shape and cleared (phase1Cost and
-// inBasis where they are first used), so no state of an earlier solve
-// survives into this one.
+// buffer is resized to the model's shape and cleared (phase1Cost where
+// it is first used), so no state of an earlier solve survives into this
+// one.
 func (sp *sparseSolver) load(md *Model, lo, hi []float64, opts *Options) {
 	m, n := md.m, md.n
 	sp.md, sp.m, sp.n, sp.nTot = md, m, n, n+m
-	sp.ptr, sp.ind, sp.val, sp.obj, sp.b = md.ptr, md.ind, md.val, md.obj, md.b
+	sp.csc, sp.obj, sp.b = md.csc, md.obj, md.b
 	sp.lo = resize(sp.lo, n+m)
 	sp.hi = resize(sp.hi, n+m)
 	sp.x = resize(sp.x, n+m)
 	sp.status = resize(sp.status, n+m)
 	sp.basis = resize(sp.basis, m)
+	sp.d = resize(sp.d, n+m)
+	sp.alpha = resize(sp.alpha, n+m)
+	sp.rowNZ = resize(sp.rowNZ, n+m)[:0]
 	sp.f.reset(m)
 	sp.relaxed = sp.relaxed[:0]
 	sp.inPhase1 = false
@@ -134,21 +144,29 @@ func (sp *sparseSolver) load(md *Model, lo, hi []float64, opts *Options) {
 	copy(sp.hi[n:], md.shi)
 }
 
+// csc is column-major storage of [A | I]: column j's nonzeros are
+// val[ptr[j]:ptr[j+1]], in rows ind[ptr[j]:ptr[j+1]].
+type csc struct {
+	ptr []int32
+	ind []int32
+	val []float64
+}
+
 // colDot returns v·a_j over column j's nonzeros (v in original-row space).
-func (sp *sparseSolver) colDot(j int, v []float64) float64 {
+func (a *csc) colDot(j int, v []float64) float64 {
 	s := 0.0
-	for k := sp.ptr[j]; k < sp.ptr[j+1]; k++ {
-		s += sp.val[k] * v[sp.ind[k]]
+	for k := a.ptr[j]; k < a.ptr[j+1]; k++ {
+		s += a.val[k] * v[a.ind[k]]
 	}
 	return s
 }
 
 // scatterCol writes column j into the dense row-space vector v (cleared
 // first).
-func (sp *sparseSolver) scatterCol(j int, v []float64) {
+func (a *csc) scatterCol(j int, v []float64) {
 	clear(v)
-	for k := sp.ptr[j]; k < sp.ptr[j+1]; k++ {
-		v[sp.ind[k]] = sp.val[k]
+	for k := a.ptr[j]; k < a.ptr[j+1]; k++ {
+		v[a.ind[k]] = a.val[k]
 	}
 }
 
@@ -174,7 +192,7 @@ func (sp *sparseSolver) computeXB() {
 // refactorize rebuilds the eta file and recomputes the basic values; it
 // returns false on a numerically singular basis.
 func (sp *sparseSolver) refactorize(minPiv float64) bool {
-	if !sp.f.refactorize(sp, sp.basis, minPiv) {
+	if !sp.f.refactorize(sp.md, sp.basis, minPiv) {
 		return false
 	}
 	sp.computeXB()
@@ -199,6 +217,23 @@ func (sp *sparseSolver) reducedCosts() {
 		sp.cpos[p] = sp.cost[sp.basis[p]]
 	}
 	sp.f.btran(sp.cpos, sp.yrow)
+}
+
+// price sets the reduced costs d_j of the nonbasic columns that can move
+// from fresh duals: one BTRAN (reducedCosts), then priceFromDuals.
+func (sp *sparseSolver) price() {
+	sp.reducedCosts()
+	sp.priceFromDuals()
+}
+
+// priceFromDuals sets d_j = cost_j - yrow·a_j for every nonbasic column
+// with lo < hi, from the duals already in sp.yrow.
+func (sp *sparseSolver) priceFromDuals() {
+	for j := 0; j < sp.nTot; j++ {
+		if sp.status[j] != spBasic && sp.lo[j] != sp.hi[j] {
+			sp.d[j] = sp.cost[j] - sp.colDot(j, sp.yrow)
+		}
+	}
 }
 
 // primalIterate runs primal simplex iterations (pivots and bound flips)
@@ -497,6 +532,7 @@ func (sp *sparseSolver) solve() Solution {
 	sp.cost = sp.obj
 	st := sp.repairPrimal(sp.primalIterate())
 	if st == Optimal {
+		sp.reducedCosts()
 		return sp.solution(false)
 	}
 	return Solution{Status: st, Iterations: sp.pivots}
@@ -520,6 +556,7 @@ func (sp *sparseSolver) repairPrimal(st Status) Status {
 		if sp.withinBounds(sp.tol) {
 			return Optimal
 		}
+		sp.price()
 		if ds := sp.dualIterate(); ds != Optimal {
 			return IterLimit
 		}
@@ -543,7 +580,8 @@ func (sp *sparseSolver) withinBounds(slack float64) bool {
 	return true
 }
 
-// solution assembles the Optimal result in original coordinates.
+// solution assembles the Optimal result in original coordinates. sp.yrow
+// must hold the duals of the final basis under the phase-2 cost.
 func (sp *sparseSolver) solution(warm bool) Solution {
 	x := make([]float64, sp.n)
 	for j := 0; j < sp.n; j++ {
@@ -564,8 +602,6 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 	// Duals: y solves B^T·y = c_B, read directly in original-row space.
 	// The reduced cost of slack i is -y_i, so a slack-basic (non-binding)
 	// row automatically reports 0.
-	sp.cost = sp.obj
-	sp.reducedCosts()
 	duals := make([]float64, sp.m)
 	copy(duals, sp.yrow)
 	return Solution{

@@ -16,77 +16,105 @@ import "math"
 // costs, an iteration limit — reports ok == false and the caller falls
 // back to a cold solve.
 
-// warm restores snapshot b (which must fit the loaded problem) and
-// re-optimizes; ok == false means the caller must solve cold.
-func (sp *sparseSolver) warm(b *Basis) (Solution, bool) {
-	sp.inBasis = resize(sp.inBasis, sp.nTot)
-	inBasis := sp.inBasis
-	for p, enc := range b.rows {
-		var col int32
-		if enc >= 0 {
-			if int(enc) >= sp.n {
-				return Solution{}, false
-			}
-			col = enc
-		} else {
-			r := ^enc
-			if int(r) >= sp.m {
-				return Solution{}, false
-			}
-			col = int32(sp.n) + r
-		}
-		if inBasis[col] {
-			return Solution{}, false
-		}
-		inBasis[col] = true
-		sp.basis[p] = col
-	}
-	// Rows appended after the snapshot enter with their own slack basic.
-	for p := len(b.rows); p < sp.m; p++ {
-		col := int32(sp.n + p)
-		if inBasis[col] {
-			return Solution{}, false
-		}
-		inBasis[col] = true
-		sp.basis[p] = col
-	}
+// Start is a basis snapshot restored once on a compiled Model: the
+// factorization of its basis and the reduced cost of every nonbasic
+// column under the model's cost. Neither depends on the bounds, so every
+// re-solve from the snapshot — each child of a branch-and-bound node —
+// starts from the same Start through Model.SolveFrom instead of
+// refactorizing and re-pricing the basis itself. Model.Restore fills a
+// Start and may reuse it for another basis later; the zero value is
+// empty and solves cold.
+type Start struct {
+	md     *Model
+	gen    uint64  // md.gen at the restore
+	minPiv float64 // the restore's minimum pivot; see valid
+	ok     bool    // the restore succeeded
 
-	// Nonbasic columns rest at a finite bound: the lower one when it
-	// exists (structural lower bounds are always finite), else the upper
-	// (a GE-row slack, whose range is (-inf, 0]).
-	for j := 0; j < sp.nTot; j++ {
-		if inBasis[j] {
-			sp.status[j] = spBasic
-			continue
-		}
-		if !math.IsInf(sp.lo[j], -1) {
-			sp.status[j], sp.x[j] = spLower, sp.lo[j]
-		} else {
-			sp.status[j], sp.x[j] = spUpper, sp.hi[j]
-		}
-	}
-	// The snapshot's at-upper columns rest at their upper bound (a
-	// snapshot never lists a basic column there). A flip whose upper bound
-	// the new problem removed cannot be restored.
-	for _, enc := range b.flips {
-		j := int(enc)
-		if j < 0 || j >= sp.n {
-			return Solution{}, false
-		}
-		if math.IsInf(sp.hi[j], 1) {
-			return Solution{}, false
-		}
-		sp.status[j], sp.x[j] = spUpper, sp.hi[j]
-	}
+	basis []int32 // column basic at each position
+	basic []bool  // per column: basic
+	flips []int32 // the snapshot's structural columns at their upper bound
+	f     basisFactor
+	d     []float64 // reduced cost per nonbasic column
+	cpos  []float64 // pricing scratch
+	y     []float64 // duals of the basis
+}
 
-	if !sp.f.refactorize(sp, sp.basis, sp.dtol) {
-		return Solution{}, false
+// valid reports whether st holds a restore of md's current compile that
+// a solve with minimum pivot minPiv may start from: the restore then
+// factored exactly as that solve's own refactorization would.
+func (st *Start) valid(md *Model, minPiv float64) bool {
+	return st != nil && st.ok && st.md == md && st.gen == md.gen && st.minPiv == minPiv
+}
+
+// restore maps snapshot b onto md's columns (rows md appends after the
+// snapshot enter with their slack basic), factors that basis with
+// minimum pivot minPiv and prices every nonbasic column under md's cost.
+// st.ok stays false when b does not fit md, names a column twice or out
+// of range, or the basis is singular.
+func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
+	st.md, st.gen, st.minPiv, st.ok = md, md.gen, minPiv, false
+	st.flips = nil
+	if !b.fits(md) {
+		return
 	}
-	sp.computeXB()
-	sp.cost = sp.obj
-	// The restored basis must still be dual feasible (up to roundoff); a
-	// materially violated reduced cost means the snapshot is stale.
-	if !sp.dualFeasible(sp.dtol) {
+	m, n := md.m, md.n
+	st.basis = resize(st.basis, m)
+	st.basic = resize(st.basic, n+m)
+	for p := 0; p < m; p++ {
+		col := int32(n + p) // rows past the snapshot: their own slack
+		if p < len(b.rows) {
+			if enc := b.rows[p]; enc >= 0 {
+				if int(enc) >= n {
+					return
+				}
+				col = enc
+			} else {
+				r := ^enc
+				if int(r) >= m {
+					return
+				}
+				col = int32(n) + r
+			}
+		}
+		if st.basic[col] {
+			return
+		}
+		st.basic[col] = true
+		st.basis[p] = col
+	}
+	for _, j := range b.flips {
+		if j < 0 || int(j) >= n {
+			return
+		}
+	}
+	st.flips = b.flips
+
+	st.f.reset(m)
+	if !st.f.refactorize(md, st.basis, minPiv) {
+		return
+	}
+	// The duals and reduced costs exactly as a solve's pricing computes
+	// them (reducedCosts, priceFromDuals), so a solve from st is
+	// bit-identical to one that restores b itself.
+	st.cpos = resize(st.cpos, m)
+	st.y = resize(st.y, m)
+	for p, c := range st.basis {
+		st.cpos[p] = md.obj[c]
+	}
+	st.f.btran(st.cpos, st.y)
+	st.d = resize(st.d, n+m)
+	for j := range st.d {
+		if !st.basic[j] {
+			st.d[j] = md.obj[j] - md.colDot(j, st.y)
+		}
+	}
+	st.ok = true
+}
+
+// warm re-optimizes from st (valid for the loaded model) under the
+// loaded bounds; ok == false means the caller must solve cold.
+func (sp *sparseSolver) warm(st *Start) (Solution, bool) {
+	if !sp.install(st) {
 		return Solution{}, false
 	}
 	switch sp.dualIterate() {
@@ -100,23 +128,65 @@ func (sp *sparseSolver) warm(b *Basis) (Solution, bool) {
 		return Solution{}, false
 	}
 	// Trust but verify before reporting optimality through the warm path.
+	// The polish's last pass priced this basis under the phase-2 cost, so
+	// sp.yrow holds its duals: the check and the reported duals read them
+	// without another BTRAN.
+	sp.priceFromDuals()
 	if !sp.withinBounds(sp.dtol) || !sp.dualFeasible(sp.dtol) {
 		return Solution{}, false
 	}
 	return sp.solution(true), true
 }
 
-// dualFeasible reports whether every nonbasic reduced cost points into
-// the feasible direction up to slack: non-negative at a lower bound,
-// non-positive at an upper bound.
+// install sets the loaded workspace up at st's basis under the loaded
+// bounds: statuses, resting values, factor, basic values and reduced
+// costs. It reports false when a flip cannot rest at an upper bound or
+// the basis is not dual feasible under these bounds.
+func (sp *sparseSolver) install(st *Start) bool {
+	copy(sp.basis, st.basis)
+	// Nonbasic columns rest at a finite bound: the lower one when it
+	// exists (structural lower bounds are always finite), else the upper
+	// (a GE-row slack, whose range is (-inf, 0]).
+	for j := 0; j < sp.nTot; j++ {
+		if st.basic[j] {
+			sp.status[j] = spBasic
+			continue
+		}
+		if !math.IsInf(sp.lo[j], -1) {
+			sp.status[j], sp.x[j] = spLower, sp.lo[j]
+		} else {
+			sp.status[j], sp.x[j] = spUpper, sp.hi[j]
+		}
+	}
+	// The snapshot's at-upper columns rest at their upper bound (a
+	// snapshot never lists a basic column there). A flip whose upper bound
+	// these bounds removed cannot be restored.
+	for _, j := range st.flips {
+		if math.IsInf(sp.hi[j], 1) {
+			return false
+		}
+		sp.status[j], sp.x[j] = spUpper, sp.hi[j]
+	}
+
+	sp.f.share(&st.f)
+	sp.computeXB()
+	sp.cost = sp.obj
+	// The restored basis must still be dual feasible (up to roundoff); a
+	// materially violated reduced cost means the snapshot is stale.
+	copy(sp.d, st.d)
+	return sp.dualFeasible(sp.dtol)
+}
+
+// dualFeasible reports whether every reduced cost in sp.d points into the
+// feasible direction up to slack: non-negative at a lower bound,
+// non-positive at an upper bound. Basic and fixed columns are exempt.
 func (sp *sparseSolver) dualFeasible(slack float64) bool {
-	sp.reducedCosts()
 	for j := 0; j < sp.nTot; j++ {
 		st := sp.status[j]
 		if st == spBasic || sp.lo[j] == sp.hi[j] {
 			continue
 		}
-		d := sp.cost[j] - sp.colDot(j, sp.yrow)
+		d := sp.d[j]
 		if st == spLower && d < -slack {
 			return false
 		}
@@ -136,6 +206,13 @@ func (sp *sparseSolver) dualFeasible(slack float64) bool {
 // moves the violated basic toward its bound without leaving their own
 // resting bound the wrong way, minimize |reduced cost / entry| (ties to
 // the larger entry magnitude for stability).
+//
+// The reduced costs in sp.d must be current on entry. Each pivot updates
+// them from the pivot row it already holds (d_j -= θ·α_j with θ = d_q/α_q,
+// the entering column's d_q becoming 0 and the leaving column's -θ), so a
+// pivot takes one BTRAN, not a second one for fresh duals. Every
+// refactorization re-prices them from fresh duals, which bounds their
+// drift by the eta file's length.
 //
 // Degenerate dual pivots (a zero dual step) leave the objective where it
 // is and can cycle; the textbook ratio test has no anti-cycling rule. So
@@ -169,16 +246,21 @@ func (sp *sparseSolver) dualIterate() Status {
 		clear(sp.cpos)
 		sp.cpos[r] = 1
 		sp.f.btran(sp.cpos, sp.vrow)
-		sp.reducedCosts() // yrow <- duals of the working cost
 
 		q := -1
 		bestT, bestAbs := 0.0, 0.0
+		sp.rowNZ = sp.rowNZ[:0]
 		for j := 0; j < sp.nTot; j++ {
 			st := sp.status[j]
 			if st == spBasic || sp.lo[j] == sp.hi[j] {
 				continue
 			}
 			a := sp.colDot(j, sp.vrow)
+			if a == 0 {
+				continue // cannot enter, and its reduced cost stays
+			}
+			sp.alpha[j] = a
+			sp.rowNZ = append(sp.rowNZ, int32(j))
 			var ok bool
 			if below {
 				// x_B[r] must increase: entering at-lower increases (needs
@@ -190,8 +272,7 @@ func (sp *sparseSolver) dualIterate() Status {
 			if !ok {
 				continue
 			}
-			d := sp.cost[j] - sp.colDot(j, sp.yrow)
-			t := math.Abs(d / a)
+			t := math.Abs(sp.d[j] / a)
 			abs := math.Abs(a)
 			switch {
 			case q < 0, t < bestT-sp.dtol:
@@ -218,6 +299,7 @@ func (sp *sparseSolver) dualIterate() Status {
 			if !sp.refactorize(sp.tol) {
 				return IterLimit
 			}
+			sp.price()
 			retried = true
 			continue
 		}
@@ -227,6 +309,12 @@ func (sp *sparseSolver) dualIterate() Status {
 		retried = false
 
 		leaving := sp.basis[r]
+		theta := sp.d[q] / sp.alpha[q]
+		for _, j := range sp.rowNZ {
+			sp.d[j] -= theta * sp.alpha[j]
+		}
+		sp.d[q], sp.d[leaving] = 0, -theta
+
 		target := sp.hi[leaving]
 		if below {
 			target = sp.lo[leaving]
@@ -258,8 +346,11 @@ func (sp *sparseSolver) dualIterate() Status {
 		sp.basis[r] = int32(q)
 		sp.f.update(r, sp.wpos)
 		sp.pivots++
-		if sp.f.needsRefactor() && !sp.refactorize(sp.tol) {
-			return IterLimit
+		if sp.f.needsRefactor() {
+			if !sp.refactorize(sp.tol) {
+				return IterLimit
+			}
+			sp.price()
 		}
 
 		// The dual objective is the working objective at the current

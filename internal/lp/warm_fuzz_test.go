@@ -16,9 +16,10 @@ import (
 // solver report Optimal they must agree on the objective and the warm
 // point must be primal feasible and within bounds — the
 // transparent-fallback contract. The bound patches also re-solve through
-// the base problem's compiled Model, which must reproduce the one-shot
-// result bit for bit: the model path differs only in how the problem is
-// loaded.
+// the base problem's compiled Model from a Start restored from the
+// snapshot, which must reproduce the one-shot result bit for bit: the
+// model path differs only in how the problem is loaded and where the
+// basis is restored.
 func FuzzSolveFrom(f *testing.F) {
 	f.Add(uint64(1), uint8(0), float64(3), uint8(0))
 	f.Add(uint64(7), uint8(2), float64(-2), uint8(1))
@@ -74,7 +75,9 @@ func FuzzSolveFrom(f *testing.F) {
 			if err != nil {
 				t.Fatalf("NewModel: %v", err)
 			}
-			viaModel, err := md.SolveFrom(q.Lo, q.Hi, parent.Basis, nil)
+			var st Start
+			md.Restore(&st, parent.Basis)
+			viaModel, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
 			md.Release()
 			if err != nil {
 				t.Fatalf("Model.SolveFrom: %v", err)

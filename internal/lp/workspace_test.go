@@ -50,7 +50,9 @@ type reuseStep struct {
 func (s reuseStep) solveBoth(t *testing.T, sp *sparseSolver, step int, want Solution) {
 	t.Helper()
 	sameSolution(t, fmt.Sprintf("step %d one-shot", step), sp.run(s.p, nil, s.basis), want)
-	sameSolution(t, fmt.Sprintf("step %d model", step), sp.runModel(s.md, s.p.Lo, s.p.Hi, nil, s.basis), want)
+	var st Start
+	s.md.Restore(&st, s.basis)
+	sameSolution(t, fmt.Sprintf("step %d model", step), sp.runModel(s.md, s.p.Lo, s.p.Hi, nil, &st), want)
 }
 
 // reuseScript returns the script large → small → large, cold and then
@@ -152,6 +154,7 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var st Start
 			for round := 0; round < 2; round++ {
 				for i, s := range steps {
 					oneShot, err := SolveFrom(s.p, s.basis, nil)
@@ -159,7 +162,8 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					viaModel, err := s.md.SolveFrom(s.p.Lo, s.p.Hi, s.basis, nil)
+					s.md.Restore(&st, s.basis)
+					viaModel, err := s.md.SolveFrom(s.p.Lo, s.p.Hi, &st, nil)
 					if err != nil {
 						t.Error(err)
 						return

@@ -21,8 +21,9 @@
 //     parent's with one variable bound tightened (the bound lives in the
 //     simplex ratio test, never as a constraint row, so the basis stays
 //     m×m for the whole tree). The tree's LP is compiled once into an
-//     lp.Model after the root, and every child re-optimizes from its
-//     parent's optimal basis via Model.SolveFrom with only its bounds —
+//     lp.Model after the root, each branching node's optimal basis is
+//     restored once into an lp.Start, and every child re-optimizes from
+//     it via Model.SolveFrom with only its bounds —
 //     most of the per-node simplex work disappears on deep trees, with a
 //     transparent cold-solve fallback whenever a restore is rejected (see
 //     Options.DisableWarmLP to switch the path off). The basis travels as
@@ -41,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -342,6 +344,11 @@ type solver struct {
 	// Worker pool for parallel node expansion (nil when Workers == 1).
 	pool *pool.LocalPool
 
+	// starts holds one restored basis per batch slot: prepare restores a
+	// branching node's basis into its slot, and the node's children all
+	// re-solve from it. Nil under DisableWarmLP.
+	starts []lp.Start
+
 	// LP solve statistics, written from pool workers (atomics) and read
 	// by the coordinator when it assembles the Result.
 	lpIters  atomic.Int64
@@ -364,6 +371,10 @@ type solver struct {
 }
 
 var errLimit = errors.New("milp: limit reached")
+
+// startSets recycles the batch slots' Starts across searches, so a
+// search allocates none once their buffers have grown to its LP.
+var startSets = sync.Pool{New: func() any { return new([]lp.Start) }}
 
 func (s *solver) run() (Result, error) {
 	s.bestObj = math.Inf(1)
@@ -437,6 +448,14 @@ func (s *solver) run() (Result, error) {
 	s.enqueue(h, root)
 
 	workers := s.workerCount()
+	if s.opts == nil || !s.opts.DisableWarmLP {
+		ss := startSets.Get().(*[]lp.Start)
+		defer startSets.Put(ss)
+		if n := workers - len(*ss); n > 0 {
+			*ss = append(*ss, make([]lp.Start, n)...)
+		}
+		s.starts = (*ss)[:workers]
+	}
 	if workers > 1 {
 		s.pool = pool.New(workers)
 		defer s.pool.Close()
@@ -543,10 +562,10 @@ func (s *solver) runPresolve() (Result, bool) {
 // buildChild creates and solves one child of n with the extra bound
 // lo <= x_j <= hi merged in. The child's LP is the tree's model under the
 // parent's bounds with the one variable bound tightened, and its
-// relaxation is re-optimized from the parent's basis via the dual-simplex
-// warm start. It returns nil when the child is empty, infeasible, or
-// numerically unsolvable (all prunable).
-func (s *solver) buildChild(n *node, j int, lo, hi float64) *node {
+// relaxation is re-optimized from n's basis, restored in start, via the
+// dual-simplex warm start. It returns nil when the child is empty,
+// infeasible, or numerically unsolvable (all prunable).
+func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) *node {
 	if pl := n.lower(j); pl > lo {
 		lo = pl
 	}
@@ -557,7 +576,7 @@ func (s *solver) buildChild(n *node, j int, lo, hi float64) *node {
 		return nil
 	}
 	c := patchedBound(n, s.base.NumVars(), j, lo, hi)
-	st, err := s.solveRelax(c, n.relax.Basis)
+	st, err := s.solveRelax(c, start)
 	if err != nil || st != lp.Optimal {
 		return nil
 	}
@@ -693,14 +712,11 @@ func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
 }
 
 // solveRelax solves a child's LP relaxation through the tree's model and
-// stores bound/solution. With warm starts enabled it re-optimizes from
-// the parent basis via the dual simplex, falling back to a cold solve
-// transparently inside Model.SolveFrom.
-func (s *solver) solveRelax(n *node, basis *lp.Basis) (lp.Status, error) {
-	if s.opts != nil && s.opts.DisableWarmLP {
-		basis = nil
-	}
-	sol, err := s.model.SolveFrom(n.lo, n.hi, basis, nil)
+// stores bound/solution. It re-optimizes from the parent basis restored
+// in start via the dual simplex, and solves cold when start is nil
+// (DisableWarmLP) or the restore was rejected, inside Model.SolveFrom.
+func (s *solver) solveRelax(n *node, start *lp.Start) (lp.Status, error) {
+	sol, err := s.model.SolveFrom(n.lo, n.hi, start, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -7,7 +7,9 @@
 //  1. prepare (parallel over nodes): integral-leaf detection, the
 //     rounding repair and branching-candidate selection — the probe list
 //     of unreliable candidates and the best reliable one, scored from the
-//     pseudocosts as they stood when the round began (see branch.go);
+//     pseudocosts as they stood when the round began (see branch.go) —
+//     and, for a node that branches, the restore of its optimal basis
+//     into the lp.Start of its batch slot, once for all its children;
 //  2. child solve (parallel over individual LP relaxations): every probe
 //     of every batch node contributes two child LPs, flattened into one
 //     task list — so even a frontier of one node fans out into up to
@@ -34,9 +36,13 @@
 // model, the parent's bound patches and its optimal basis are all frozen
 // once the parent is solved and only read afterwards, and every
 // Model.SolveFrom holds its own pooled workspace, so workers share no
-// mutable simplex state. A given child
-// therefore gets the same relaxation (same pivots, same vertex) whether
-// it is solved eagerly on a pool worker or lazily on the sequential path.
+// mutable simplex state. The parent's Start is a pure function of the
+// model and that basis; prepare writes it into the node's own slot, and
+// the rest of the round (phase 2 on the workers, phase 3's on-demand
+// pairs and lazy solves) only reads it, until the next round's prepare
+// reuses the slot. A given child therefore gets the same relaxation
+// (same pivots, same vertex) whether it is solved eagerly on a pool
+// worker or lazily on the sequential path.
 //
 // With Workers == 1 no pool is started: prepare and finish run inline and
 // child LPs are solved lazily inside the selection scan, so the early
@@ -49,6 +55,8 @@ import (
 	"container/heap"
 	"math"
 	"runtime"
+
+	"rentmin/internal/lp"
 )
 
 // candidate is an integer-feasible point found during node preparation.
@@ -64,6 +72,7 @@ type candidate struct {
 // if it wins (reliable.j < 0 when there is none).
 type prep struct {
 	n          *node
+	start      *lp.Start // n's restored basis (nil: children solve cold)
 	integral   bool
 	candidates []candidate
 	probes     []branchCand
@@ -113,9 +122,10 @@ func (s *solver) popBatch(h *nodeHeap, max int) []*node {
 	return batch
 }
 
-// prepare runs phase 1 for one node. It reads only immutable solver state
-// plus the atomic incumbent bound, so it is safe on pool workers.
-func (s *solver) prepare(n *node) prep {
+// prepare runs phase 1 for one node, the slot-th of its batch. It reads
+// only immutable solver state plus the atomic incumbent bound, and writes
+// only its own Start slot, so it is safe on pool workers.
+func (s *solver) prepare(n *node, slot int) prep {
 	p := prep{n: n}
 	frac := s.fractionalVar(n.relax.X)
 	if frac < 0 {
@@ -160,6 +170,11 @@ func (s *solver) prepare(n *node) prep {
 		p.probes = []branchCand{{j: frac, k: -1}}
 		p.reliable.j = -1
 	}
+	if s.starts != nil {
+		// The node branches: restore its basis once for all its children.
+		p.start = &s.starts[slot]
+		s.model.Restore(p.start, n.relax.Basis)
+	}
 	return p
 }
 
@@ -187,18 +202,18 @@ func (s *solver) liftLeaf(rx []float64) ([]float64, float64) {
 // prepareAll runs phase 1 over the batch.
 func (s *solver) prepareAll(batch []*node) []prep {
 	preps := make([]prep, len(batch))
-	s.runAll(len(batch), func(i int) { preps[i] = s.prepare(batch[i]) })
+	s.runAll(len(batch), func(i int) { preps[i] = s.prepare(batch[i], i) })
 	return preps
 }
 
-// solveChild builds and solves one child: dir 0 adds x_j <= floor, dir 1
-// adds x_j >= ceil.
-func (s *solver) solveChild(n *node, j, dir int) *node {
-	v := n.relax.X[j]
+// solveChild builds and solves one child of the prepared node: dir 0
+// adds x_j <= floor, dir 1 adds x_j >= ceil.
+func (s *solver) solveChild(p *prep, j, dir int) *node {
+	v := p.n.relax.X[j]
 	if dir == 0 {
-		return s.buildChild(n, j, math.Inf(-1), math.Floor(v))
+		return s.buildChild(p.n, p.start, j, math.Inf(-1), math.Floor(v))
 	}
-	return s.buildChild(n, j, math.Ceil(v), math.Inf(1))
+	return s.buildChild(p.n, p.start, j, math.Ceil(v), math.Inf(1))
 }
 
 // solveChildrenAll runs phase 2: every (node, probe, direction) child LP
@@ -231,8 +246,8 @@ func (s *solver) solveChildrenAll(preps []prep) ([][][2]*node, []int) {
 			return
 		}
 		jb := jobs[t]
-		p := preps[jb.i]
-		kids[jb.i][jb.vi][jb.dir] = s.solveChild(p.n, p.probes[jb.vi].j, jb.dir)
+		p := &preps[jb.i]
+		kids[jb.i][jb.vi][jb.dir] = s.solveChild(p, p.probes[jb.vi].j, jb.dir)
 		ran[t] = true
 	})
 	solved := make([]int, len(preps))
@@ -286,7 +301,7 @@ func (s *solver) finish(h *nodeHeap, p prep, kids [][2]*node, solvedKids int) {
 		if kids != nil {
 			down, up = kids[vi][0], kids[vi][1]
 		} else {
-			down, up = s.solveChild(p.n, c.j, 0), s.solveChild(p.n, c.j, 1)
+			down, up = s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
 		}
 		s.observe(p.n, c, down, up)
 		if down == nil && up == nil {
@@ -302,7 +317,7 @@ func (s *solver) finish(h *nodeHeap, p prep, kids [][2]*node, solvedKids int) {
 		}
 	}
 	if c := p.reliable; c.j >= 0 && c.score > bestScore {
-		down, up := s.solveChild(p.n, c.j, 0), s.solveChild(p.n, c.j, 1)
+		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
 		s.observe(p.n, c, down, up)
 		bestPair = [2]*node{down, up}
 	}
