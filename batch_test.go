@@ -36,7 +36,7 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 	problems := batchProblems(t)
 	want := make([]rentmin.Solution, len(problems))
 	for i, p := range problems {
-		sol, err := rentmin.Solve(p, &rentmin.SolveOptions{Workers: 1})
+		sol, err := rentmin.Solve(p, nil)
 		if err != nil {
 			t.Fatalf("Solve %d: %v", i, err)
 		}
@@ -111,8 +111,9 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSolveWorkersAgree is the public-facade version of the acceptance
-// criterion: Workers=8 returns the same optimal cost as Workers=1.
+// TestSolveWorkersAgree: SolveOptions.Workers sizes SolveBatch only, so
+// Solve with Workers 2 or 8 runs exactly the search of Workers 1 — the
+// same cost and the same search counters.
 func TestSolveWorkersAgree(t *testing.T) {
 	for i, p := range batchProblems(t) {
 		ref, err := rentmin.Solve(p, &rentmin.SolveOptions{Workers: 1})
@@ -124,9 +125,9 @@ func TestSolveWorkersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("problem %d workers %d: %v", i, w, err)
 			}
-			if sol.Alloc.Cost != ref.Alloc.Cost {
-				t.Errorf("problem %d: workers=%d cost %d != workers=1 cost %d",
-					i, w, sol.Alloc.Cost, ref.Alloc.Cost)
+			if sol.Alloc.Cost != ref.Alloc.Cost || sol.SearchStats != ref.SearchStats {
+				t.Errorf("problem %d: workers=%d cost %d, stats %+v; workers=1 cost %d, stats %+v",
+					i, w, sol.Alloc.Cost, sol.SearchStats, ref.Alloc.Cost, ref.SearchStats)
 			}
 		}
 	}

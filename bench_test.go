@@ -227,11 +227,11 @@ func noSharedModel(b *testing.B) *core.CostModel {
 	return core.NewCostModel(p)
 }
 
-// --- Parallel branch and bound -----------------------------------------------
+// --- Exact solve of a large instance -----------------------------------------
 
 // fig7Instance returns one Figure-7-scale instance (20 alternatives of
 // 50-100 tasks): large enough that the branch-and-bound tree keeps a
-// frontier of nodes and strong-branching child LPs worth parallelizing.
+// frontier of nodes and probes unreliable candidates for a while.
 func fig7Instance(b *testing.B) *core.CostModel {
 	b.Helper()
 	p, err := graphgen.Generate(experiments.Fig7Setting().Gen, rng.New(0xF197).Sub('c', 1))
@@ -241,27 +241,19 @@ func fig7Instance(b *testing.B) *core.CostModel {
 	return core.NewCostModel(p)
 }
 
-// benchExactWorkers measures one exact solve of the large instance at the
-// given branch-and-bound worker count.
-func benchExactWorkers(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkExactILPSequential measures one exact solve of the large
+// instance. The search is sequential; the name predates that and is kept
+// for BENCH_baseline.json.
+func BenchmarkExactILPSequential(b *testing.B) {
 	m := fig7Instance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solve.ILP(m, 150, &solve.ILPOptions{Workers: workers})
+		res, err := solve.ILP(m, 150, nil)
 		if err != nil || !res.Proven {
 			b.Fatalf("ILP failed: %v %+v", err, res)
 		}
 	}
 }
-
-// BenchmarkExactILPSequential is the Workers=1 baseline; compare with
-// BenchmarkExactILPParallel for the tentpole speedup (identical optimal
-// cost, lower wall clock).
-func BenchmarkExactILPSequential(b *testing.B) { benchExactWorkers(b, 1) }
-
-// BenchmarkExactILPParallel runs the same solve with GOMAXPROCS workers.
-func BenchmarkExactILPParallel(b *testing.B) { benchExactWorkers(b, 0) }
 
 // batchInstances builds a batch of Fig3-scale problems with a spread of
 // targets, the shape of a service-side solve burst.
@@ -284,11 +276,10 @@ func batchInstances(b *testing.B) []*rentmin.Problem {
 // the baseline a caller without SolveBatch would write.
 func BenchmarkSolveBatchSequential(b *testing.B) {
 	problems := batchInstances(b)
-	opts := &rentmin.SolveOptions{Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range problems {
-			if _, err := rentmin.Solve(p, opts); err != nil {
+			if _, err := rentmin.Solve(p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -489,10 +480,9 @@ func largeSparseInstance(b *testing.B) *core.CostModel {
 // BenchmarkILPPivotKernel measures the simplex pivot kernel through whole
 // exact solves of the two reference instances: the Fig. 8-scale instance
 // (small, dense-ish relaxations in a deep tree) and the large sparse
-// instance above (big, ~99%-zero relaxations). Sequential search with the
-// default presolve, so nodes/op and simplex-iters/op are exactly
-// reproducible; CI gates both metrics per sub-benchmark via
-// BENCH_baseline.json.
+// instance above (big, ~99%-zero relaxations), with the default presolve.
+// nodes/op and simplex-iters/op are exactly reproducible; CI gates both
+// metrics per sub-benchmark via BENCH_baseline.json.
 func BenchmarkILPPivotKernel(b *testing.B) {
 	for _, c := range []struct {
 		name      string
@@ -507,7 +497,7 @@ func BenchmarkILPPivotKernel(b *testing.B) {
 			b.ReportAllocs()
 			iters, nodes := 0, 0
 			for i := 0; i < b.N; i++ {
-				res, err := solve.ILP(c.m, c.target, &solve.ILPOptions{Workers: 1, NodeLimit: c.nodeLimit})
+				res, err := solve.ILP(c.m, c.target, &solve.ILPOptions{NodeLimit: c.nodeLimit})
 				if err != nil {
 					b.Fatalf("ILP: %v", err)
 				}
@@ -531,9 +521,9 @@ func BenchmarkILPPivotKernel(b *testing.B) {
 // stay comparable — both legs must land on the same cost or the run
 // aborts. The Fig. 8-scale instance is not repeated here: presolve leaves
 // it unchanged, so its two legs reported identical counts, and its
-// presolve-on solve is BenchmarkILPPivotKernel/fig8. Sequential search so
-// both metrics are exactly reproducible; CI gates them per sub-benchmark
-// via BENCH_baseline.json.
+// presolve-on solve is BenchmarkILPPivotKernel/fig8. Both metrics are
+// exactly reproducible; CI gates them per sub-benchmark via
+// BENCH_baseline.json.
 func BenchmarkILPPresolve(b *testing.B) {
 	cases := []struct {
 		name      string
@@ -558,7 +548,7 @@ func BenchmarkILPPresolve(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := solve.ILP(c.m, c.target, &solve.ILPOptions{
-						Workers: 1, NodeLimit: c.nodeLimit, DisablePresolve: mode.disable,
+						NodeLimit: c.nodeLimit, DisablePresolve: mode.disable,
 					})
 					if err != nil {
 						b.Fatalf("ILP (presolve %s): %v", mode.name, err)
@@ -606,7 +596,7 @@ func benchSessionResolve(b *testing.B, cold bool) {
 	b.Helper()
 	p := fig8SessionProblem(b)
 	targets := []int{110, 120, 110, 120}
-	opts := &rentmin.SessionOptions{Workers: 1, DisableWarm: cold}
+	opts := &rentmin.SessionOptions{DisableWarm: cold}
 	iters, churn, warm := 0, 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,7 +36,7 @@ func slowProblem(t testing.TB) *rentmin.Problem {
 // A cancelled SolveContext must come back quickly with the best-so-far
 // allocation and Proven == false — the acceptance test for threading
 // cancellation through rentmin.Solve → solve.ILP → milp: without the
-// mid-round stop this instance runs for multiple seconds.
+// between-nodes stop this instance runs for multiple seconds.
 func TestSolveContextCancelStopsMidSearch(t *testing.T) {
 	p := slowProblem(t)
 	const cancelAfter = 100 * time.Millisecond
@@ -44,7 +44,7 @@ func TestSolveContextCancelStopsMidSearch(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	sol, err := rentmin.SolveContext(ctx, p, &rentmin.SolveOptions{Workers: 2})
+	sol, err := rentmin.SolveContext(ctx, p, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("SolveContext: %v", err)
@@ -127,8 +127,5 @@ func TestSolveContextBackground(t *testing.T) {
 	}
 	if sol.LPSolves <= 0 {
 		t.Errorf("LPSolves = %d, want positive", sol.LPSolves)
-	}
-	if sol.WastedLPSolves < 0 || sol.WastedLPSolves > sol.LPSolves {
-		t.Errorf("WastedLPSolves = %d outside [0, %d]", sol.WastedLPSolves, sol.LPSolves)
 	}
 }

@@ -121,7 +121,7 @@ func (c *Client) BaseURL() string { return c.base }
 
 // Solve submits one problem to POST /v1/solve and returns its solution.
 // Cancelling ctx aborts the request and — server-side — stops the
-// branch-and-bound search mid-round.
+// branch-and-bound search between nodes.
 func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (*Solution, error) {
 	raw, err := encodeProblem(p)
 	if err != nil {

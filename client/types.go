@@ -50,7 +50,7 @@ type SolveRequest struct {
 	// Stats opts into the solve flight-recorder block on the response
 	// (Solution.Stats): trace/worker attribution, the queue-wait vs
 	// solve-time split, and the search trajectory. Off by default — the
-	// trajectory hooks are only installed when requested.
+	// search is traced only when requested.
 	Stats bool `json:"stats,omitempty"`
 }
 
@@ -87,8 +87,7 @@ type Solution struct {
 	Bound float64 `json:"bound"`
 	// SearchStats is the search effort: nodes, LP solves and pivots,
 	// root cuts and presolve reductions (keys nodes, lp_iterations,
-	// lp_solves, warm_lp_solves, wasted_lp_solves, cuts, cut_rounds and
-	// presolve).
+	// lp_solves, warm_lp_solves, cuts, cut_rounds and presolve).
 	rentmin.SearchStats
 	// ElapsedMs is the solver wall clock in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -171,9 +170,6 @@ type Capacity struct {
 	QueueCapacity int `json:"queue_capacity"`
 	// MaxBatch is the daemon's per-request batch admission limit.
 	MaxBatch int `json:"max_batch"`
-	// PerSolveWorkers is the branch-and-bound parallelism inside each
-	// individual solve on this daemon.
-	PerSolveWorkers int `json:"per_solve_workers"`
 }
 
 // Health is the body of a /healthz response.

@@ -22,13 +22,12 @@ import (
 // fullStats sets every search counter to a distinct non-zero value.
 func fullStats() rentmin.SearchStats {
 	return rentmin.SearchStats{
-		Nodes:          11,
-		LPIterations:   222,
-		LPSolves:       33,
-		WarmLPSolves:   30,
-		WastedLPSolves: 2,
-		Cuts:           7,
-		CutRounds:      4,
+		Nodes:        11,
+		LPIterations: 222,
+		LPSolves:     33,
+		WarmLPSolves: 30,
+		Cuts:         7,
+		CutRounds:    4,
 		Presolve: rentmin.PresolveStats{
 			RowsRemoved:     5,
 			ColsFixed:       6,
@@ -85,7 +84,7 @@ func sorted(keys ...string) []string {
 }
 
 var (
-	searchKeys   = []string{"nodes", "lp_iterations", "lp_solves", "warm_lp_solves", "wasted_lp_solves", "cuts", "cut_rounds", "presolve"}
+	searchKeys   = []string{"nodes", "lp_iterations", "lp_solves", "warm_lp_solves", "cuts", "cut_rounds", "presolve"}
 	presolveKeys = sorted("rows_removed", "cols_fixed", "bounds_tightened", "coeffs_reduced")
 )
 

@@ -132,8 +132,6 @@ func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.So
 	copts := &Options{}
 	if opts != nil {
 		copts.TimeLimit = opts.TimeLimit
-		// opts.Workers is deliberately not forwarded: the worker daemon's
-		// own -per-solve-workers decides its inner parallelism.
 	}
 	hash, doc, err := ProblemHash(p)
 	if err != nil {

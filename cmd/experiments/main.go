@@ -43,13 +43,12 @@ func main() {
 		fig8   = flag.Bool("fig8", false, "ILP stress: computation time (Figure 8)")
 		asym   = flag.Bool("asymptote", false, "extension: H1 asymptotic optimality over doubling targets")
 
-		configs    = flag.Int("configs", 0, "override configurations per setting (paper: 100)")
-		ilpLimit   = flag.Duration("ilp-limit", 0, "ILP time budget for fig8 (paper: 100s; default 2s)")
-		seed       = flag.Uint64("seed", 0, "override campaign seed")
-		workers    = flag.Int("workers", 0, "parallel configurations (0 = GOMAXPROCS)")
-		ilpWorkers = flag.Int("ilp-workers", 1, "branch-and-bound workers per ILP solve (1 = sequential, 0 = GOMAXPROCS)")
-		targets    = flag.String("targets", "", "override the target sweep, e.g. \"40,80,120\"")
-		outdir     = flag.String("outdir", "", "write CSV files to this directory")
+		configs  = flag.Int("configs", 0, "override configurations per setting (paper: 100)")
+		ilpLimit = flag.Duration("ilp-limit", 0, "ILP time budget for fig8 (paper: 100s; default 2s)")
+		seed     = flag.Uint64("seed", 0, "override campaign seed")
+		workers  = flag.Int("workers", 0, "parallel configurations (0 = GOMAXPROCS)")
+		targets  = flag.String("targets", "", "override the target sweep, e.g. \"40,80,120\"")
+		outdir   = flag.String("outdir", "", "write CSV files to this directory")
 	)
 	flag.Parse()
 
@@ -78,12 +77,6 @@ func main() {
 		if *workers != 0 {
 			s.Workers = *workers
 		}
-		switch {
-		case *ilpWorkers == 0: // GOMAXPROCS, matching cmd/rentmin -workers
-			s.ILPWorkers = -1
-		case *ilpWorkers > 1:
-			s.ILPWorkers = *ilpWorkers
-		} // 1 (the default) keeps the Setting's sequential default
 		if len(targetList) > 0 {
 			s.Targets = targetList
 		}

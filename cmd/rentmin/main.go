@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rentmin -problem instance.json [-target 70] [-algo ilp|h0|h1|h2|h31|h32|h32jump]
-//	        [-time-limit 10s] [-workers 8] [-seed 1] [-delta 10]
+//	        [-time-limit 10s] [-seed 1] [-delta 10]
 //	        [-iterations 2000] [-simulate] [-sim-duration 60]
 //
 // The tool prints the chosen per-graph throughput split, the machines to
@@ -32,7 +32,6 @@ func main() {
 	target := flag.Int("target", -1, "target throughput (overrides the file's value when >= 0)")
 	algo := flag.String("algo", "ilp", "algorithm: ilp, h0, h1, h2, h31, h32, h32jump")
 	timeLimit := flag.Duration("time-limit", 0, "branch-and-bound budget for -algo ilp (0 = unlimited)")
-	workers := flag.Int("workers", 0, "parallel branch-and-bound workers for -algo ilp (0 = GOMAXPROCS, 1 = sequential)")
 	seed := flag.Uint64("seed", 1, "seed for stochastic heuristics")
 	delta := flag.Int("delta", 0, "exchange quantum for iterative heuristics (0 = auto)")
 	iterations := flag.Int("iterations", 0, "iteration budget for iterative heuristics (0 = default)")
@@ -56,7 +55,7 @@ func main() {
 	start := time.Now()
 	switch strings.ToLower(*algo) {
 	case "ilp":
-		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: *timeLimit, Workers: *workers})
+		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: *timeLimit})
 		if err != nil {
 			log.Fatalf("solve: %v", err)
 		}

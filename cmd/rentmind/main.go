@@ -1,11 +1,11 @@
 // Command rentmind serves rental-minimization solves over HTTP: a batch
 // solve service over a shared solver pool, with problem-size admission
 // control, a bounded work queue, per-request deadlines that cancel the
-// branch-and-bound search mid-round, and graceful drain on SIGINT/SIGTERM.
+// branch-and-bound search between nodes, and graceful drain on SIGINT/SIGTERM.
 //
 // Usage:
 //
-//	rentmind [-addr :8080] [-solve-workers 0] [-per-solve-workers 1] [-queue 64]
+//	rentmind [-addr :8080] [-solve-workers 0] [-queue 64]
 //	         [-max-graphs 64] [-max-types 256] [-max-tasks 8192]
 //	         [-max-target 1000000] [-max-batch 64] [-max-body 16777216]
 //	         [-default-time-limit 10s] [-max-time-limit 60s]
@@ -119,7 +119,6 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("solve-workers", 0, "concurrent solves on the shared pool (0 = GOMAXPROCS)")
-	perSolve := flag.Int("per-solve-workers", 1, "branch-and-bound workers inside each individual solve (default favors throughput; raise on wide machines for single-request latency — and to make the speculation-waste metrics meaningful)")
 	queue := flag.Int("queue", 64, "admitted requests that may wait for a solver beyond the in-flight ones (overflow answers 429)")
 	maxGraphs := flag.Int("max-graphs", 64, "admission limit: recipe graphs per problem (oversize answers 422)")
 	maxTypes := flag.Int("max-types", 256, "admission limit: machine types per problem")
@@ -147,7 +146,6 @@ func main() {
 
 	cfg := server.Config{
 		Workers:            *workers,
-		PerSolveWorkers:    *perSolve,
 		QueueDepth:         *queue,
 		MaxGraphs:          *maxGraphs,
 		MaxTypes:           *maxTypes,

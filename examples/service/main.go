@@ -99,7 +99,7 @@ func main() {
 	for _, line := range strings.Split(metrics, "\n") {
 		if strings.HasPrefix(line, "rentmind_solves_total") ||
 			strings.HasPrefix(line, "rentmind_lp_iterations_total") ||
-			strings.HasPrefix(line, "rentmind_speculation_waste_ratio") {
+			strings.HasPrefix(line, "rentmind_bb_nodes_total") {
 			fmt.Printf("metrics: %s\n", line)
 		}
 	}

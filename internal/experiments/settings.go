@@ -41,14 +41,6 @@ type Setting struct {
 	// Workers bounds parallelism across configurations; 0 uses
 	// GOMAXPROCS, 1 gives the most faithful per-algorithm timings.
 	Workers int
-	// ILPWorkers sets branch-and-bound parallelism inside each ILP solve.
-	// Zero keeps the sequential search (the default: configuration-level
-	// fan-out already saturates the cores, and per-solve times stay
-	// comparable to the paper's methodology); set >1 — or <0 for
-	// GOMAXPROCS — to parallelize individual solves instead, e.g. together
-	// with Workers == 1 when wall-clock latency of a single big instance
-	// is what matters.
-	ILPWorkers int
 	// SolverPool, when non-nil, routes every exact (ILP) solve of the
 	// sweep through the given pool instead of calling the solver stack
 	// directly. The sweep code is identical for every backend: a local
@@ -61,18 +53,6 @@ type Setting struct {
 	// Costs — and therefore every figure quantity except wall-clock
 	// timings — are identical across backends.
 	SolverPool *rentmin.SolverPool
-}
-
-// ilpWorkers maps the Setting field to rentmin.SolveOptions.Workers semantics
-// (where 0 means GOMAXPROCS): 0 → 1 (sequential), <0 → GOMAXPROCS.
-func (s Setting) ilpWorkers() int {
-	switch {
-	case s.ILPWorkers == 0:
-		return 1
-	case s.ILPWorkers < 0:
-		return 0
-	}
-	return s.ILPWorkers
 }
 
 // TargetRange returns {lo, lo+step, ..., hi}.

@@ -154,7 +154,7 @@ func (s Setting) exactSolve(ctx context.Context, problem *core.Problem, target i
 	if s.SolverPool != nil {
 		solveContext = s.SolverPool.SolveContext
 	}
-	return solveContext(ctx, &p, &rentmin.SolveOptions{TimeLimit: s.ILPTimeLimit, Workers: s.ilpWorkers()})
+	return solveContext(ctx, &p, &rentmin.SolveOptions{TimeLimit: s.ILPTimeLimit})
 }
 
 // aggregate folds the raw grid into the figures' quantities.

@@ -41,11 +41,7 @@ func RunTable3(seed uint64) ([]Table3Row, error) {
 	var rows []Table3Row
 	for target := 10; target <= 200; target += 10 {
 		row := Table3Row{Target: target}
-		// Workers: 1 keeps the printed throughput splits machine-
-		// independent: with multiple optima, different worker counts
-		// (and so different GOMAXPROCS) may pick different optimal
-		// points, and Table III reports the split, not just the cost.
-		res, err := solve.ILP(model, target, &solve.ILPOptions{Workers: 1})
+		res, err := solve.ILP(model, target, nil)
 		if err != nil {
 			return nil, fmt.Errorf("table3 ILP at %d: %w", target, err)
 		}

@@ -50,8 +50,9 @@ func TestBaseProblemBoundsHonored(t *testing.T) {
 }
 
 // TestBaseProblemBoundsAcrossWorkers: native base bounds keep the
-// worker-count determinism guarantee — same optimal objective for
-// workers 1/2/8, warm and cold, and incumbents always inside the box.
+// determinism guarantee — the same optimal objective warm and cold, with
+// 1, 2 and 8 solves running at once, and incumbents always inside the
+// box.
 func TestBaseProblemBoundsAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{3, 21, 77} {
 		p := hardCoverMILP(8, seed)
@@ -66,23 +67,21 @@ func TestBaseProblemBoundsAcrossWorkers(t *testing.T) {
 		first := true
 		for _, w := range workerCounts {
 			for _, cold := range []bool{false, true} {
-				res, err := Solve(p, &Options{Workers: w, DisableWarmLP: cold})
-				if err != nil {
-					t.Fatalf("seed %d workers %d cold %v: %v", seed, w, cold, err)
-				}
-				if res.Status != Optimal {
-					t.Fatalf("seed %d workers %d cold %v: status %v", seed, w, cold, res.Status)
-				}
-				for j, v := range res.X {
-					if v < -1e-6 || v > p.LP.Hi[j]+1e-6 {
-						t.Fatalf("seed %d workers %d: x[%d] = %g outside [0, %g]", seed, w, j, v, p.LP.Hi[j])
+				for _, res := range solveConcurrently(t, p, &Options{DisableWarmLP: cold}, w) {
+					if res.Status != Optimal {
+						t.Fatalf("seed %d workers %d cold %v: status %v", seed, w, cold, res.Status)
 					}
-				}
-				if first {
-					ref, first = res.Objective, false
-				} else if intObj(t, res.Objective) != intObj(t, ref) {
-					t.Errorf("seed %d workers %d cold %v: objective %g != reference %g",
-						seed, w, cold, res.Objective, ref)
+					for j, v := range res.X {
+						if v < -1e-6 || v > p.LP.Hi[j]+1e-6 {
+							t.Fatalf("seed %d workers %d: x[%d] = %g outside [0, %g]", seed, w, j, v, p.LP.Hi[j])
+						}
+					}
+					if first {
+						ref, first = res.Objective, false
+					} else if intObj(t, res.Objective) != intObj(t, ref) {
+						t.Errorf("seed %d workers %d cold %v: objective %g != reference %g",
+							seed, w, cold, res.Objective, ref)
+					}
 				}
 			}
 		}

@@ -61,8 +61,7 @@ func fracParts(v float64) (down, up float64) {
 // best estimate first and at most k of them, and the best reliable
 // candidate (j < 0 when there is none). A variable without history is
 // estimated with the mean pseudocost of the variables that have one, or
-// 1 before any has. It only reads the pseudocosts, which finish writes
-// between rounds, so it is safe on pool workers.
+// 1 before any has. It only reads the pseudocosts; finish writes them.
 func (s *solver) branchCandidates(x []float64, k int) (probes []branchCand, best branchCand) {
 	mean := [2]float64{1, 1}
 	var known [2]int
@@ -131,9 +130,8 @@ func (s *solver) branchCandidates(x []float64, k int) (probes []branchCand, best
 }
 
 // observe folds a solved pair of children of n, branched on c, into the
-// pseudocosts. An infeasible (nil) child is not recorded. Only the
-// coordinator calls it, from finish, so the table changes only between
-// rounds and in stable batch order. The table is allocated on first use,
+// pseudocosts. An infeasible (nil) child is not recorded. The table is
+// allocated on first use,
 // one slot per integer column: a solve that never branches pays nothing.
 func (s *solver) observe(n *node, c branchCand, down, up *node) {
 	if c.k < 0 {

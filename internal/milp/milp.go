@@ -27,13 +27,14 @@
 //     most of the per-node simplex work disappears on deep trees, with a
 //     transparent cold-solve fallback whenever a restore is rejected (see
 //     Options.DisableWarmLP to switch the path off). The basis travels as
-//     an opaque *lp.Basis, so the search never touches simplex internals;
-//   - parallel search: the best-bound frontier is expanded in rounds of
-//     up to Options.Workers nodes, and every probed child LP relaxation
-//     of the round solves concurrently on a worker pool (see
-//     parallel.go). Results and pseudocost updates are merged
-//     in a stable node order, so the reported optimal objective is
-//     identical for every worker count.
+//     an opaque *lp.Basis, so the search never touches simplex internals.
+//
+// The search is one sequential loop: pop the best-bound node, prepare it
+// (leaf detection, rounding repair, branching candidates, basis restore),
+// then finish it (probe children, update pseudocosts, accept incumbents,
+// enqueue the winning pair). A solve is a pure function of its problem
+// and options, so every counter is reproducible run to run. Cores are
+// used by running many solves at once, one search per goroutine.
 package milp
 
 import (
@@ -43,12 +44,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rentmin/internal/lp"
 	"rentmin/internal/obs"
-	"rentmin/internal/pool"
 )
 
 // Problem is a linear program plus integrality flags.
@@ -107,10 +106,7 @@ func (s Status) String() string {
 
 // Rounder attempts to repair a (fractional) LP point into an integer
 // feasible point. It returns the candidate and true on success. The
-// returned slice must not alias the input. When Options.Workers != 1 the
-// rounder is invoked from multiple goroutines and must be safe for
-// concurrent use (a pure function of its input, like solve.RoundingRepair,
-// qualifies).
+// returned slice must not alias the input.
 type Rounder func(x []float64) ([]float64, bool)
 
 // Options tunes the search.
@@ -150,15 +146,6 @@ type Options struct {
 	// gains, real for the probes and estimated from pseudocosts for the
 	// rest. Zero disables the rule (most-fractional is used instead).
 	StrongBranch int
-	// Workers sets how many frontier nodes are expanded concurrently per
-	// round. Zero uses GOMAXPROCS; 1 forces the classic sequential search.
-	// The optimal objective is identical for every worker count, and any
-	// fixed worker count is exactly reproducible run-to-run (expansions
-	// merge in a stable node order, independent of goroutine scheduling).
-	// When the problem has multiple optima, different worker counts may
-	// report different optimal points. NodeLimit is honored exactly;
-	// TimeLimit is checked between rounds.
-	Workers int
 	// DisableWarmLP forces a cold two-phase simplex solve at every node
 	// instead of the default dual-simplex warm start from the parent's
 	// optimal basis (ablation/debugging; the optimum is identical either
@@ -183,7 +170,7 @@ const intTol = 1e-6
 // SearchStats counts the work of one solve. It is the one report type
 // for solver effort: package solve, the rentmin facade, sessions and the
 // rentmind wire types all embed it unchanged, and its JSON tags are the
-// wire names. Every counter is reproducible for a fixed worker count.
+// wire names. Every counter is reproducible run to run.
 type SearchStats struct {
 	// Nodes counts explored branch-and-bound nodes.
 	Nodes int `json:"nodes"`
@@ -197,22 +184,12 @@ type SearchStats struct {
 	// Options.DisableWarmLP) solved cold, two-phase.
 	LPSolves     int `json:"lp_solves"`
 	WarmLPSolves int `json:"warm_lp_solves,omitempty"`
-	// WastedLPSolves counts speculative child LP solves that were
-	// discarded because their parent node became prunable mid-round (a
-	// sibling's incumbent improved after the parent was popped). This is
-	// the parallel search's speculation waste; it is always zero when
-	// Workers == 1 (the sequential search prunes at pop time and never
-	// solves such children). WastedLPSolves/LPSolves measures how much of
-	// the LP work parallelism threw away.
-	WastedLPSolves int `json:"wasted_lp_solves"`
 	// Cuts counts cutting planes added at the root (Gomory fractional
 	// plus CG rounding) over CutRounds generation rounds.
 	Cuts      int `json:"cuts,omitempty"`
 	CutRounds int `json:"cut_rounds,omitempty"`
 	// Presolve counts the root reductions applied (all zero when
-	// Options.Presolve is off). Like Cuts and CutRounds it is computed on
-	// the coordinator before the parallel search starts, so it is
-	// identical for every worker count.
+	// Options.Presolve is off).
 	Presolve PresolveStats `json:"presolve"`
 }
 
@@ -296,16 +273,15 @@ func Solve(p *Problem, opts *Options) (Result, error) {
 }
 
 // SolveContext runs branch and bound under a context. Cancellation (or a
-// context deadline) stops the search like a time limit does: workers skip
-// the remaining child LP solves of the current round, the partially
-// solved round is abandoned, and the best incumbent found so far is
-// returned with Status Feasible (or NoSolution when none exists) and the
-// tightest proven bound. Granularity: cancellation is observed before the
-// root solve, before every child LP, and between merges — but not inside
-// a single simplex solve, so the root relaxation (including its Gomory
-// cut rounds) finishes once started. The exact stopping point depends on
-// when the cancellation lands, so — unlike a fixed worker count with no
-// limits — a cancelled run is not reproducible.
+// context deadline) stops the search like a time limit does: the node in
+// hand is abandoned, and the best incumbent found so far is returned with
+// Status Feasible (or NoSolution when none exists) and the tightest
+// proven bound. Granularity: cancellation is observed before the root
+// solve and before and after each node's preparation — but not among a
+// node's child LP solves or inside a single simplex solve, so the root
+// relaxation (including its Gomory cut rounds) finishes once started.
+// The exact stopping point depends on when the cancellation lands, so —
+// unlike a search with no limits — a cancelled run is not reproducible.
 func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -323,8 +299,7 @@ type solver struct {
 	ctx   context.Context
 	opts  *Options
 	// trace observes the search (nil when the context carries none): it
-	// receives every accepted incumbent and a snapshot after every round,
-	// both on the coordinator goroutine.
+	// receives every accepted incumbent and a snapshot after every node.
 	trace *obs.Trace
 	start time.Time
 	// objOff is the objective contribution of presolve-fixed variables;
@@ -332,37 +307,21 @@ type solver struct {
 	// every reduced-space LP objective.
 	objOff float64
 
-	// The incumbent is written only by the coordinator (during merge, so
-	// updates are deterministic); bestBits mirrors bestObj as atomic
-	// float64 bits so pool workers can read the current bound lock-free
-	// while filtering candidates mid-round.
-	bestX    []float64
-	bestObj  float64
-	hasBest  bool
-	bestBits atomic.Uint64
+	bestX   []float64
+	bestObj float64 // +inf until an incumbent exists
+	hasBest bool
 
-	// Worker pool for parallel node expansion (nil when Workers == 1).
-	pool *pool.LocalPool
+	// nodeStart holds the restored basis of the node being expanded:
+	// prepare restores a branching node's basis into it, and the node's
+	// children all re-solve from it. Nil under DisableWarmLP.
+	nodeStart *lp.Start
 
-	// starts holds one restored basis per batch slot: prepare restores a
-	// branching node's basis into its slot, and the node's children all
-	// re-solve from it. Nil under DisableWarmLP.
-	starts []lp.Start
-
-	// LP solve statistics, written from pool workers (atomics) and read
-	// by the coordinator when it assembles the Result.
-	lpIters  atomic.Int64
-	lpSolves atomic.Int64
-	warmLP   atomic.Int64
-
-	// stats holds the coordinator-owned counters; its LP fields are
-	// filled from the atomics above only in result.
 	stats SearchStats
 	seq   int
 
 	// pcs holds reliability branching's pseudocosts, one slot per integer
 	// column of the searched problem (see branch.go). Written only by
-	// finish on the coordinator; nil until the first branching decision.
+	// finish; nil until the first branching decision.
 	pcs []pseudocost
 
 	// Root relaxation outcome, exported for re-optimization chains.
@@ -372,13 +331,12 @@ type solver struct {
 
 var errLimit = errors.New("milp: limit reached")
 
-// startSets recycles the batch slots' Starts across searches, so a
-// search allocates none once their buffers have grown to its LP.
-var startSets = sync.Pool{New: func() any { return new([]lp.Start) }}
+// starts recycles the search's Start across searches, so a search
+// allocates none once its buffers have grown to its LP.
+var starts = sync.Pool{New: func() any { return new(lp.Start) }}
 
 func (s *solver) run() (Result, error) {
 	s.bestObj = math.Inf(1)
-	s.bestBits.Store(math.Float64bits(s.bestObj))
 	s.work = s.p
 
 	if inc := s.optIncumbent(); inc != nil {
@@ -447,59 +405,30 @@ func (s *solver) run() (Result, error) {
 	heap.Init(h)
 	s.enqueue(h, root)
 
-	workers := s.workerCount()
 	if s.opts == nil || !s.opts.DisableWarmLP {
-		ss := startSets.Get().(*[]lp.Start)
-		defer startSets.Put(ss)
-		if n := workers - len(*ss); n > 0 {
-			*ss = append(*ss, make([]lp.Start, n)...)
-		}
-		s.starts = (*ss)[:workers]
-	}
-	if workers > 1 {
-		s.pool = pool.New(workers)
-		defer s.pool.Close()
+		s.nodeStart = starts.Get().(*lp.Start)
+		defer starts.Put(s.nodeStart)
 	}
 
 	lowest := root.bound // best proven global bound
-	round := 0
-	for h.Len() > 0 {
+	for round := 1; h.Len() > 0; round++ {
 		if err := s.checkLimits(); err != nil {
 			return s.limitResult(lowest), nil
 		}
-		batch := s.popBatch(h, workers)
-		if len(batch) == 0 {
+		if s.pruned((*h)[0].bound) {
 			// Heap minimum is prunable; best-bound order makes every
 			// remaining node prunable too.
 			break
 		}
-		lowest = batch[0].bound
-		// finish counts the explored nodes: a node whose expansion is
-		// dropped (pruned mid-round by a sibling's incumbent) was never
-		// explored in the sequential sense.
-		preps := s.prepareAll(batch)
-		kids, solved := s.solveChildrenAll(preps)
+		n := heap.Pop(h).(*node)
+		lowest = n.bound
+		p := s.prepare(n)
 		if s.cancelled() {
-			// Cancellation landed mid-round: the child solves are
-			// (possibly) partial, so merging them could prune on
-			// incomplete information. Abandon the round — the popped
-			// nodes stay unexplored and lowest is still the proven
-			// global bound.
+			// The popped node stays unexplored, and lowest is still the
+			// proven global bound.
 			return s.limitResult(lowest), nil
 		}
-		for i, p := range preps {
-			if s.cancelled() {
-				// Sequential path: children solve lazily inside finish,
-				// so cancellation is re-checked between merges.
-				return s.limitResult(lowest), nil
-			}
-			if kids == nil {
-				s.finish(h, p, nil, 0)
-			} else {
-				s.finish(h, p, kids[i], solved[i])
-			}
-		}
-		round++
+		s.finish(h, p)
 		s.trace.Round(round, lowest, s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
 	}
 
@@ -557,6 +486,164 @@ func (s *solver) runPresolve() (Result, bool) {
 	s.work = red.P
 	s.objOff = red.ObjOffset
 	return Result{}, false
+}
+
+// candidate is an integer-feasible point found while preparing a node.
+type candidate struct {
+	x   []float64
+	obj float64
+}
+
+// prep is what prepare learns about a node: incumbent candidates found
+// (from an integral relaxation or the rounding repair), the branching
+// candidates whose children finish must solve (probes, best estimate
+// first), and the best reliable candidate, whose pair finish solves only
+// if it wins (reliable.j < 0 when there is none).
+type prep struct {
+	n          *node
+	start      *lp.Start // n's restored basis (nil: children solve cold)
+	integral   bool
+	candidates []candidate
+	probes     []branchCand
+	reliable   branchCand
+}
+
+// prepare runs the first half of a node's expansion: integral-leaf
+// detection, the rounding repair and branching-candidate selection, and,
+// for a node that branches, the restore of its optimal basis into the
+// search's Start, once for all its children.
+func (s *solver) prepare(n *node) prep {
+	p := prep{n: n}
+	frac := s.fractionalVar(n.relax.X)
+	if frac < 0 {
+		// Integer feasible: the node is a leaf. Under presolve the
+		// relaxation point lives in reduced space; lift it (and price it
+		// against the original objective) before it can become an
+		// incumbent.
+		p.integral = true
+		if s.red == nil {
+			if obj := n.relax.Objective; obj < s.bestObj-1e-9 {
+				p.candidates = append(p.candidates, candidate{
+					x:   append([]float64(nil), n.relax.X...),
+					obj: obj,
+				})
+			}
+			return p
+		}
+		x, obj := s.liftLeaf(n.relax.X)
+		if obj < s.bestObj-1e-9 {
+			p.candidates = append(p.candidates, candidate{x: x, obj: obj})
+		}
+		return p
+	}
+	if s.opts != nil && s.opts.Rounder != nil {
+		// The rounder works in original-variable space (it encodes model
+		// knowledge, e.g. solve.RoundingRepair's recipe rounding), so the
+		// reduced point is lifted first; its candidate is checked against
+		// the original problem as usual.
+		rx := n.relax.X
+		if s.red != nil {
+			rx = s.red.Postsolve(rx)
+		}
+		if cand, ok := s.opts.Rounder(rx); ok {
+			if obj, err := s.checkFeasible(cand); err == nil && obj < s.bestObj-1e-9 {
+				p.candidates = append(p.candidates, candidate{x: cand, obj: obj})
+			}
+		}
+	}
+	if k := s.strongBranchLimit(); k > 0 {
+		p.probes, p.reliable = s.branchCandidates(n.relax.X, k)
+	} else {
+		p.probes = []branchCand{{j: frac, k: -1}}
+		p.reliable.j = -1
+	}
+	if s.nodeStart != nil {
+		// The node branches: restore its basis once for all its children.
+		p.start = s.nodeStart
+		s.model.Restore(p.start, n.relax.Basis)
+	}
+	return p
+}
+
+// liftLeaf turns an integral reduced-space relaxation point into an
+// original-space incumbent candidate: reduced integer variables snap to
+// the nearest integer (the LP leaves them within tol of it), the point is
+// lifted through the postsolve map, and the objective is re-priced
+// exactly against the original cost vector — the same trust the
+// non-presolve path places in an integral relaxation.
+func (s *solver) liftLeaf(rx []float64) ([]float64, float64) {
+	y := append([]float64(nil), rx...)
+	for j, isInt := range s.work.Integer {
+		if isInt {
+			y[j] = math.Round(y[j])
+		}
+	}
+	x := s.red.Postsolve(y)
+	obj := 0.0
+	for j, c := range s.p.LP.Objective {
+		obj += c * x[j]
+	}
+	return x, obj
+}
+
+// finish runs the second half of a node's expansion: its candidates are
+// accepted, then the children of the selected branching variable are
+// solved and the surviving ones enqueued (enqueue prunes against the
+// updated incumbent).
+func (s *solver) finish(h *nodeHeap, p prep) {
+	s.stats.Nodes++
+	for _, c := range p.candidates {
+		if c.obj < s.bestObj-1e-9 {
+			s.accept(c.x, c.obj)
+		}
+	}
+	if p.integral {
+		return
+	}
+	// Probe the unreliable candidates in estimate order and score each
+	// pair by its real child bounds. A fully pruned pair leaves the node
+	// with no children, which saves the remaining probes' solves; a pair
+	// with one infeasible child scores +Inf and ends the scan too, since
+	// no later probe could beat it except a fully pruned pair. A reliable
+	// candidate whose estimate beats every probe is branched on, its pair
+	// solved only now.
+	var bestPair [2]*node
+	bestScore := math.Inf(-1)
+	for _, c := range p.probes {
+		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
+		s.observe(p.n, c, down, up)
+		if down == nil && up == nil {
+			return // both children infeasible: the node is fully pruned
+		}
+		score := pairScore(p.n, down, up)
+		if score > bestScore {
+			bestScore = score
+			bestPair = [2]*node{down, up}
+		}
+		if math.IsInf(score, 1) {
+			break // one child infeasible: the node keeps a single child
+		}
+	}
+	if c := p.reliable; c.j >= 0 && c.score > bestScore {
+		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
+		s.observe(p.n, c, down, up)
+		bestPair = [2]*node{down, up}
+	}
+	for _, c := range bestPair {
+		if c != nil {
+			s.enqueue(h, c)
+		}
+	}
+}
+
+// solveChild builds and solves one child of the prepared node: dir 0
+// adds x_j <= floor, dir 1 adds x_j >= ceil.
+func (s *solver) solveChild(p *prep, j, dir int) *node {
+	v := p.n.relax.X[j]
+	if dir == 0 {
+		return s.buildChild(p.n, p.start, j, math.Inf(-1), math.Floor(v))
+	}
+	return s.buildChild(p.n, p.start, j, math.Ceil(v), math.Inf(1))
 }
 
 // buildChild creates and solves one child of n with the extra bound
@@ -732,13 +819,12 @@ func (s *solver) setRelax(n *node, sol lp.Solution) {
 	n.bound = sol.Objective + s.objOff
 }
 
-// countLP folds one node LP solve into the search statistics. It runs on
-// pool workers, hence the atomics.
+// countLP folds one node LP solve into the search statistics.
 func (s *solver) countLP(sol lp.Solution) {
-	s.lpIters.Add(int64(sol.Iterations))
-	s.lpSolves.Add(1)
+	s.stats.LPIterations += sol.Iterations
+	s.stats.LPSolves++
 	if sol.Warm {
-		s.warmLP.Add(1)
+		s.stats.WarmLPSolves++
 	}
 }
 
@@ -806,21 +892,12 @@ func (s *solver) checkFeasible(x []float64) (float64, error) {
 	return obj, nil
 }
 
-// accept installs a new incumbent. Only the coordinator calls it (during
-// candidate merge), so plain writes are safe; the atomic mirror publishes
-// the new bound to pool workers.
+// accept installs a new incumbent.
 func (s *solver) accept(x []float64, obj float64) {
 	s.bestX = x
 	s.bestObj = obj
 	s.hasBest = true
-	s.bestBits.Store(math.Float64bits(obj))
 	s.trace.Incumbent(obj)
-}
-
-// curBest returns the incumbent objective (+inf when none). Safe to call
-// from pool workers.
-func (s *solver) curBest() float64 {
-	return math.Float64frombits(s.bestBits.Load())
 }
 
 func (s *solver) optIncumbent() []float64 {
@@ -847,7 +924,7 @@ func (s *solver) checkLimits() error {
 }
 
 // cancelled reports whether the solve context has been cancelled. It is
-// safe on pool workers (ctx.Err is concurrency-safe) and sticky.
+// sticky.
 func (s *solver) cancelled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
@@ -875,9 +952,6 @@ func (s *solver) result(st Status) Result {
 		RootBasis:   s.rootBasis,
 		RootLPWarm:  s.rootWarm,
 	}
-	r.LPIterations = int(s.lpIters.Load())
-	r.LPSolves = int(s.lpSolves.Load())
-	r.WarmLPSolves = int(s.warmLP.Load())
 	if s.hasBest {
 		r.X = s.bestX
 		r.Objective = s.bestObj

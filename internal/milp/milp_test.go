@@ -2,12 +2,212 @@ package milp
 
 import (
 	"math"
-	"sync/atomic"
+	"math/rand"
+	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"rentmin/internal/lp"
 )
+
+// workerCounts is the concurrency grid: how many solves of one problem
+// run at once, as a server's solve pool runs them. One, a small pool,
+// and more solves than cores.
+var workerCounts = []int{1, 2, 8}
+
+// solveConcurrently runs w solves of p at once and returns their results
+// in start order.
+func solveConcurrently(t *testing.T, p *Problem, opts *Options, w int) []Result {
+	t.Helper()
+	out := make([]Result, w)
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for g := 0; g < w; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out[g], errs[g] = Solve(p, opts)
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("solve %d of %d: %v", g, w, err)
+		}
+	}
+	return out
+}
+
+// sameSearch reports whether two solves ran the same search: the same
+// objective bits, incumbent point and work counters.
+func sameSearch(a, b Result) bool {
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) ||
+		a.Status != b.Status || a.SearchStats != b.SearchStats || len(a.X) != len(b.X) {
+		return false
+	}
+	for j := range a.X {
+		if math.Float64bits(a.X[j]) != math.Float64bits(b.X[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hardCoverMILP builds an integer covering problem whose branch-and-bound
+// tree is deep enough to keep a frontier of several nodes alive (no cuts,
+// no strong branching, fractional optimum far from integral points).
+func hardCoverMILP(n int, seed int64) *Problem {
+	r := rand.New(rand.NewSource(seed))
+	p := &Problem{
+		LP:      lp.Problem{Objective: make([]float64, n)},
+		Integer: make([]bool, n),
+	}
+	rows := 3
+	cons := make([][]float64, rows)
+	for i := range cons {
+		cons[i] = make([]float64, n)
+	}
+	for j := 0; j < n; j++ {
+		p.LP.Objective[j] = float64(3 + r.Intn(17))
+		p.Integer[j] = true
+		for i := range cons {
+			cons[i][j] = float64(1 + r.Intn(6))
+		}
+	}
+	for i, row := range cons {
+		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{
+			Coeffs: row, Rel: lp.GE, RHS: float64(50+13*i) + 0.5,
+		})
+	}
+	return p
+}
+
+// TestParallelWorkersAgreeOnOptimum is the determinism contract: a solve
+// is a pure function of its problem and options, so 1, 2 and 8 solves of
+// the same MILP running at once all repeat a sequential reference
+// exactly — objective bits, incumbent point and every search counter.
+// Run with -race to make it a cross-solve isolation test as well.
+func TestParallelWorkersAgreeOnOptimum(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1234} {
+		p := hardCoverMILP(9, seed)
+		ref := solveOK(t, p, nil)
+		if ref.Status != Optimal {
+			t.Fatalf("seed %d: status %v", seed, ref.Status)
+		}
+		for _, w := range workerCounts {
+			for g, res := range solveConcurrently(t, p, nil, w) {
+				if !sameSearch(res, ref) {
+					t.Errorf("seed %d: solve %d of %d diverged: obj %g/%g nodes %d/%d pivots %d/%d",
+						seed, g, w, res.Objective, ref.Objective, res.Nodes, ref.Nodes,
+						res.LPIterations, ref.LPIterations)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelStress solves one instance many times concurrently, with
+// every search feature on; under -race this exercises cross-solve
+// isolation of the pooled LP workspaces and Starts.
+func TestParallelStress(t *testing.T) {
+	p := hardCoverMILP(8, 99)
+	opts := &Options{StrongBranch: 4, IntegralObjective: true, Presolve: true}
+	ref := solveOK(t, p, opts)
+	if ref.Status != Optimal {
+		t.Fatalf("reference status %v", ref.Status)
+	}
+	for g, res := range solveConcurrently(t, p, opts, 6) {
+		if !sameSearch(res, ref) {
+			t.Errorf("concurrent solve %d diverged: obj %g/%g nodes %d/%d",
+				g, res.Objective, ref.Objective, res.Nodes, ref.Nodes)
+		}
+	}
+}
+
+// TestParallelQuickAgainstBruteForce cross-validates concurrent solves,
+// with every feature combination that changes the search shape, against
+// brute force on random instances.
+func TestParallelQuickAgainstBruteForce(t *testing.T) {
+	rounder := func(x []float64) ([]float64, bool) {
+		y := make([]float64, len(x))
+		for i, v := range x {
+			y[i] = math.Ceil(v - 1e-9)
+		}
+		return y, true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := randomCoverMILP(r)
+		want := bruteForceCover(p)
+		for _, w := range workerCounts {
+			for _, opts := range []*Options{
+				nil,
+				{StrongBranch: 4},
+				{IntegralObjective: true, Rounder: rounder, RootCutRounds: 4},
+			} {
+				for _, res := range solveConcurrently(t, p, opts, w) {
+					if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestParallelNodeLimit verifies the node limit is exact on a deep tree,
+// for every solve of several running at once.
+func TestParallelNodeLimit(t *testing.T) {
+	p := hardCoverMILP(10, 3)
+	for _, w := range workerCounts {
+		for _, limit := range []int{1, 3, 16} {
+			for g, res := range solveConcurrently(t, p, &Options{NodeLimit: limit}, w) {
+				if res.Nodes > limit {
+					t.Errorf("solve %d of %d: explored %d nodes despite NodeLimit %d",
+						g, w, res.Nodes, limit)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelTimeLimit verifies the time limit stops a deep search
+// promptly and still reports the warm-started incumbent, for every solve
+// of several running at once.
+func TestParallelTimeLimit(t *testing.T) {
+	p := hardCoverMILP(14, 5)
+	inc := make([]float64, 14)
+	// Over-cover every constraint with the first variable alone.
+	for _, c := range p.LP.Constraints {
+		if need := math.Ceil(c.RHS / c.Coeffs[0]); need > inc[0] {
+			inc[0] = need
+		}
+	}
+	for _, w := range workerCounts {
+		start := time.Now()
+		results := solveConcurrently(t, p, &Options{
+			TimeLimit: 20 * time.Millisecond,
+			Incumbent: inc,
+		}, w)
+		// Generous slack: one node's child LP solves may straddle the deadline.
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("%d solves ran %v past a 20ms limit", w, elapsed)
+		}
+		for g, res := range results {
+			if res.Status != Feasible && res.Status != Optimal {
+				t.Errorf("solve %d of %d: status %v, want feasible-or-optimal with warm start", g, w, res.Status)
+			}
+			if res.Status == Feasible && res.Gap <= 0 {
+				t.Errorf("solve %d of %d: feasible result must report a positive gap", g, w)
+			}
+		}
+	}
+}
 
 func solveOK(t *testing.T, p *Problem, opts *Options) Result {
 	t.Helper()
@@ -225,9 +425,9 @@ func TestRounderProvidesIncumbent(t *testing.T) {
 		},
 		Integer: []bool{true, true},
 	}
-	var rounded atomic.Int64 // rounders run on pool workers when Workers != 1
+	rounded := 0
 	rounder := func(x []float64) ([]float64, bool) {
-		rounded.Add(1)
+		rounded++
 		y := make([]float64, len(x))
 		for i, v := range x {
 			y[i] = math.Ceil(v - 1e-9)
@@ -238,7 +438,7 @@ func TestRounderProvidesIncumbent(t *testing.T) {
 	if res.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", res.Status)
 	}
-	if rounded.Load() == 0 {
+	if rounded == 0 {
 		t.Error("rounder was never invoked")
 	}
 	// Verify against brute force.

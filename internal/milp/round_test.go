@@ -40,57 +40,55 @@ func traced(t *testing.T, p *Problem, opts *Options) (Result, []obs.IncumbentPoi
 }
 
 // TestSearchTrajectory pins the trace's round contract: one point per
-// expansion round with a consistent, monotone snapshot, and the final
+// expanded node with a consistent, monotone snapshot, and the final
 // snapshot agrees with the Result.
 func TestSearchTrajectory(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		res, incs, rounds := traced(t, coverProblem(), &Options{Workers: workers})
-		if res.Status != Optimal {
-			t.Fatalf("workers=%d: status %v", workers, res.Status)
+	res, incs, rounds := traced(t, coverProblem(), nil)
+	if res.Status != Optimal {
+		t.Fatalf("status %v", res.Status)
+	}
+	if len(rounds) == 0 {
+		t.Fatalf("no round recorded")
+	}
+	for i, rp := range rounds {
+		if rp.Round != i+1 {
+			t.Fatalf("round index %d at position %d", rp.Round, i)
 		}
-		if len(rounds) == 0 {
-			t.Fatalf("workers=%d: no round recorded", workers)
+		if rp.Incumbent != nil && math.IsInf(*rp.Incumbent, 1) {
+			t.Fatalf("+Inf incumbent recorded as present")
 		}
-		for i, rp := range rounds {
-			if rp.Round != i+1 {
-				t.Fatalf("workers=%d: round index %d at position %d", workers, rp.Round, i)
+		if i > 0 {
+			prev := rounds[i-1]
+			if rp.Bound < prev.Bound-1e-9 {
+				t.Fatalf("bound regressed %v -> %v", prev.Bound, rp.Bound)
 			}
-			if rp.Incumbent != nil && math.IsInf(*rp.Incumbent, 1) {
-				t.Fatalf("workers=%d: +Inf incumbent recorded as present", workers)
+			if rp.Nodes < prev.Nodes {
+				t.Fatalf("node count regressed")
 			}
-			if i > 0 {
-				prev := rounds[i-1]
-				if rp.Bound < prev.Bound-1e-9 {
-					t.Fatalf("workers=%d: bound regressed %v -> %v", workers, prev.Bound, rp.Bound)
-				}
-				if rp.Nodes < prev.Nodes {
-					t.Fatalf("workers=%d: node count regressed", workers)
-				}
-				if prev.Incumbent != nil && (rp.Incumbent == nil || *rp.Incumbent > *prev.Incumbent+1e-9) {
-					t.Fatalf("workers=%d: incumbent worsened %v -> %v", workers, prev.Incumbent, rp.Incumbent)
-				}
+			if prev.Incumbent != nil && (rp.Incumbent == nil || *rp.Incumbent > *prev.Incumbent+1e-9) {
+				t.Fatalf("incumbent worsened %v -> %v", prev.Incumbent, rp.Incumbent)
 			}
 		}
-		// Nodes left open after the last round were pruned at pop time,
-		// so the final snapshot still accounts for every explored node.
-		last := rounds[len(rounds)-1]
-		if last.Nodes != res.Nodes {
-			t.Fatalf("workers=%d: final Nodes %d != Result.Nodes %d", workers, last.Nodes, res.Nodes)
-		}
-		if last.Incumbent == nil || math.Abs(*last.Incumbent-res.Objective) > 1e-9 {
-			t.Fatalf("workers=%d: final incumbent %v != objective %v", workers, last.Incumbent, res.Objective)
-		}
-		if len(incs) == 0 || math.Abs(incs[len(incs)-1].Cost-res.Objective) > 1e-9 {
-			t.Fatalf("workers=%d: last incumbent point %v != objective %v", workers, incs, res.Objective)
-		}
+	}
+	// Nodes left open after the last round were pruned at pop time, so
+	// the final snapshot still accounts for every explored node.
+	last := rounds[len(rounds)-1]
+	if last.Nodes != res.Nodes {
+		t.Fatalf("final Nodes %d != Result.Nodes %d", last.Nodes, res.Nodes)
+	}
+	if last.Incumbent == nil || math.Abs(*last.Incumbent-res.Objective) > 1e-9 {
+		t.Fatalf("final incumbent %v != objective %v", last.Incumbent, res.Objective)
+	}
+	if len(incs) == 0 || math.Abs(incs[len(incs)-1].Cost-res.Objective) > 1e-9 {
+		t.Fatalf("last incumbent point %v != objective %v", incs, res.Objective)
 	}
 }
 
-// TestSearchTrajectoryDeterministic: for a fixed worker count the
-// incumbent and round trajectories are identical run to run.
+// TestSearchTrajectoryDeterministic: the incumbent and round
+// trajectories are identical run to run.
 func TestSearchTrajectoryDeterministic(t *testing.T) {
 	capture := func() ([]obs.IncumbentPoint, []obs.RoundPoint) {
-		_, incs, rounds := traced(t, coverProblem(), &Options{Workers: 2})
+		_, incs, rounds := traced(t, coverProblem(), nil)
 		// The wall clock is the only nondeterministic field.
 		for i := range incs {
 			incs[i].AtMs = 0

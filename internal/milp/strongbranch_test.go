@@ -178,28 +178,25 @@ func denseCoverMILP(n, rows int, seed int64) *Problem {
 	return p
 }
 
-// TestReliabilityBranchingDeterministic: pseudocosts are written only on
-// the coordinator, in stable batch order, so a fixed worker count repeats
-// its search exactly — node, pivot and LP-solve counts included — and
-// every worker count proves the optimum of plain branch and bound.
+// TestReliabilityBranchingDeterministic: the search repeats exactly —
+// node, pivot and LP-solve counts included — and proves the optimum of
+// plain branch and bound.
 func TestReliabilityBranchingDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		p := denseCoverMILP(14, 6, seed)
-		want := solveOK(t, p, &Options{Workers: 1}).Objective
-		for _, w := range []int{1, 2} {
-			opts := &Options{Workers: w, StrongBranch: 8}
-			a := solveOK(t, p, opts)
-			b := solveOK(t, p, opts)
-			if a.Status != Optimal || b.Status != Optimal {
-				t.Fatalf("seed %d workers %d: status %v / %v", seed, w, a.Status, b.Status)
-			}
-			if a.Nodes != b.Nodes || a.LPIterations != b.LPIterations || a.LPSolves != b.LPSolves {
-				t.Errorf("seed %d workers %d: rerun diverged: nodes %d/%d, pivots %d/%d, LP solves %d/%d",
-					seed, w, a.Nodes, b.Nodes, a.LPIterations, b.LPIterations, a.LPSolves, b.LPSolves)
-			}
-			if a.Objective != want || b.Objective != want {
-				t.Errorf("seed %d workers %d: objective %g / %g, want %g", seed, w, a.Objective, b.Objective, want)
-			}
+		want := solveOK(t, p, nil).Objective
+		opts := &Options{StrongBranch: 8}
+		a := solveOK(t, p, opts)
+		b := solveOK(t, p, opts)
+		if a.Status != Optimal || b.Status != Optimal {
+			t.Fatalf("seed %d: status %v / %v", seed, a.Status, b.Status)
+		}
+		if a.Nodes != b.Nodes || a.LPIterations != b.LPIterations || a.LPSolves != b.LPSolves {
+			t.Errorf("seed %d: rerun diverged: nodes %d/%d, pivots %d/%d, LP solves %d/%d",
+				seed, a.Nodes, b.Nodes, a.LPIterations, b.LPIterations, a.LPSolves, b.LPSolves)
+		}
+		if a.Objective != want || b.Objective != want {
+			t.Errorf("seed %d: objective %g / %g, want %g", seed, a.Objective, b.Objective, want)
 		}
 	}
 }

@@ -23,12 +23,12 @@ func intObj(t *testing.T, v float64) int64 {
 }
 
 // runTrace solves p and records the incumbent objective sequence.
-func runTrace(t *testing.T, p *Problem, workers int, cold bool) (Result, []float64) {
+func runTrace(t *testing.T, p *Problem, cold bool) (Result, []float64) {
 	t.Helper()
 	tr := obs.NewTrace("milp-test")
-	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, &Options{Workers: workers, DisableWarmLP: cold})
+	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, &Options{DisableWarmLP: cold})
 	if err != nil {
-		t.Fatalf("Solve(workers=%d cold=%v): %v", workers, cold, err)
+		t.Fatalf("Solve(cold=%v): %v", cold, err)
 	}
 	incs, _, _ := tr.Trajectory()
 	seq := make([]float64, len(incs))
@@ -39,10 +39,10 @@ func runTrace(t *testing.T, p *Problem, workers int, cold bool) (Result, []float
 }
 
 // TestWarmVsColdSameSearch pins the headline properties of the warm-start
-// path: across generated instances and worker counts 1/2/8, the
-// warm-started and cold searches land on the same optimal objective, and
-// each (mode, worker count) pair is exactly reproducible run to run —
-// bit-identical objective and identical incumbent cost sequence.
+// path: across generated instances, the warm-started and cold searches
+// land on the same optimal objective, and each mode is exactly
+// reproducible run to run — bit-identical objective and identical
+// incumbent cost sequence.
 //
 // The two modes' incumbent *trajectories* are not compared against each
 // other: with branching expressed as variable-bound patches, a child LP
@@ -54,78 +54,72 @@ func runTrace(t *testing.T, p *Problem, workers int, cold bool) (Result, []float
 func TestWarmVsColdSameSearch(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 99, 1234} {
 		p := hardCoverMILP(8, seed)
-		for _, w := range workerCounts {
-			warm, warmSeq := runTrace(t, p, w, false)
-			cold, coldSeq := runTrace(t, p, w, true)
-			if warm.Status != Optimal || cold.Status != Optimal {
-				t.Fatalf("seed %d workers %d: status warm=%v cold=%v", seed, w, warm.Status, cold.Status)
+		warm, warmSeq := runTrace(t, p, false)
+		cold, coldSeq := runTrace(t, p, true)
+		if warm.Status != Optimal || cold.Status != Optimal {
+			t.Fatalf("seed %d: status warm=%v cold=%v", seed, warm.Status, cold.Status)
+		}
+		if intObj(t, warm.Objective) != intObj(t, cold.Objective) {
+			t.Errorf("seed %d: warm objective %v != cold %v", seed, warm.Objective, cold.Objective)
+		}
+		// Run-to-run reproducibility per mode: identical incumbent
+		// sequences and bit-identical objectives.
+		for _, mode := range []struct {
+			cold bool
+			res  Result
+			seq  []float64
+		}{{false, warm, warmSeq}, {true, cold, coldSeq}} {
+			again, againSeq := runTrace(t, p, mode.cold)
+			if math.Float64bits(again.Objective) != math.Float64bits(mode.res.Objective) {
+				t.Errorf("seed %d cold=%v: objective not reproducible", seed, mode.cold)
 			}
-			if intObj(t, warm.Objective) != intObj(t, cold.Objective) {
-				t.Errorf("seed %d workers %d: warm objective %v != cold %v",
-					seed, w, warm.Objective, cold.Objective)
+			if len(againSeq) != len(mode.seq) {
+				t.Errorf("seed %d cold=%v: incumbent sequence not reproducible: %v vs %v",
+					seed, mode.cold, mode.seq, againSeq)
+				continue
 			}
-			// Run-to-run reproducibility per mode: identical incumbent
-			// sequences and bit-identical objectives.
-			for _, mode := range []struct {
-				cold bool
-				res  Result
-				seq  []float64
-			}{{false, warm, warmSeq}, {true, cold, coldSeq}} {
-				again, againSeq := runTrace(t, p, w, mode.cold)
-				if math.Float64bits(again.Objective) != math.Float64bits(mode.res.Objective) {
-					t.Errorf("seed %d workers %d cold=%v: objective not reproducible", seed, w, mode.cold)
-				}
-				if len(againSeq) != len(mode.seq) {
-					t.Errorf("seed %d workers %d cold=%v: incumbent sequence not reproducible: %v vs %v",
-						seed, w, mode.cold, mode.seq, againSeq)
-					continue
-				}
-				for i := range againSeq {
-					if math.Float64bits(againSeq[i]) != math.Float64bits(mode.seq[i]) {
-						t.Errorf("seed %d workers %d cold=%v: incumbent sequence diverges at %d: %v vs %v",
-							seed, w, mode.cold, i, mode.seq, againSeq)
-						break
-					}
+			for i := range againSeq {
+				if math.Float64bits(againSeq[i]) != math.Float64bits(mode.seq[i]) {
+					t.Errorf("seed %d cold=%v: incumbent sequence diverges at %d: %v vs %v",
+						seed, mode.cold, i, mode.seq, againSeq)
+					break
 				}
 			}
-			if warm.WarmLPSolves == 0 {
-				t.Errorf("seed %d workers %d: warm search never used the warm path (%d cold solves)",
-					seed, w, warm.LPSolves-warm.WarmLPSolves)
-			}
-			if cold.WarmLPSolves != 0 {
-				t.Errorf("seed %d workers %d: DisableWarmLP leaked %d warm solves",
-					seed, w, cold.WarmLPSolves)
-			}
+		}
+		if warm.WarmLPSolves == 0 {
+			t.Errorf("seed %d: warm search never used the warm path (%d cold solves)",
+				seed, warm.LPSolves-warm.WarmLPSolves)
+		}
+		if cold.WarmLPSolves != 0 {
+			t.Errorf("seed %d: DisableWarmLP leaked %d warm solves", seed, cold.WarmLPSolves)
 		}
 	}
 }
 
 // TestWarmVsColdAcrossWorkerCounts pins the acceptance matrix directly:
-// all six (workers, warm/cold) combinations report the same optimal cost.
-// Within a fixed warm/cold mode the objective is additionally
-// bit-identical across worker counts (worker count never changes which
-// LP solves run, only when).
+// warm and cold, with 1, 2 and 8 solves running at once, every solve
+// reports the same optimal cost. Within a mode every solve repeats the
+// sequential one exactly: concurrency never changes a search.
 func TestWarmVsColdAcrossWorkerCounts(t *testing.T) {
 	p := hardCoverMILP(10, 77)
 	var refCost int64
-	modeBits := map[bool]uint64{}
 	first := true
-	for _, w := range workerCounts {
-		for _, cold := range []bool{false, true} {
-			res, _ := runTrace(t, p, w, cold)
-			if res.Status != Optimal {
-				t.Fatalf("workers=%d cold=%v: status %v", w, cold, res.Status)
-			}
-			cost := intObj(t, res.Objective)
-			if first {
-				refCost, first = cost, false
-			} else if cost != refCost {
-				t.Errorf("workers=%d cold=%v: cost %d != reference %d", w, cold, cost, refCost)
-			}
-			if bits, ok := modeBits[cold]; !ok {
-				modeBits[cold] = math.Float64bits(res.Objective)
-			} else if bits != math.Float64bits(res.Objective) {
-				t.Errorf("workers=%d cold=%v: objective bits differ across worker counts", w, cold)
+	for _, cold := range []bool{false, true} {
+		ref, _ := runTrace(t, p, cold)
+		if ref.Status != Optimal {
+			t.Fatalf("cold=%v: status %v", cold, ref.Status)
+		}
+		cost := intObj(t, ref.Objective)
+		if first {
+			refCost, first = cost, false
+		} else if cost != refCost {
+			t.Errorf("cold=%v: cost %d != reference %d", cold, cost, refCost)
+		}
+		for _, w := range workerCounts {
+			for g, res := range solveConcurrently(t, p, &Options{DisableWarmLP: cold}, w) {
+				if !sameSearch(res, ref) {
+					t.Errorf("workers=%d cold=%v: solve %d diverged from the sequential one", w, cold, g)
+				}
 			}
 		}
 	}
@@ -137,8 +131,8 @@ func TestWarmVsColdAcrossWorkerCounts(t *testing.T) {
 // benchmark in the repo root tracks the ratio itself).
 func TestWarmReducesLPIterations(t *testing.T) {
 	p := hardCoverMILP(10, 3)
-	warm, _ := runTrace(t, p, 1, false)
-	cold, _ := runTrace(t, p, 1, true)
+	warm, _ := runTrace(t, p, false)
+	cold, _ := runTrace(t, p, true)
 	if warm.Status != Optimal || cold.Status != Optimal {
 		t.Fatalf("status warm=%v cold=%v", warm.Status, cold.Status)
 	}
@@ -160,21 +154,12 @@ func TestWarmReducesLPIterations(t *testing.T) {
 // optimum against the plain cold configuration.
 func TestWarmWithAllFeatures(t *testing.T) {
 	p := hardCoverMILP(8, 11)
-	base, _ := runTrace(t, p, 1, true)
+	base, _ := runTrace(t, p, true)
 	if base.Status != Optimal {
 		t.Fatalf("baseline status %v", base.Status)
 	}
-	for _, w := range workerCounts {
-		res, err := Solve(p, &Options{
-			Workers:           w,
-			StrongBranch:      4,
-			IntegralObjective: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != Optimal || math.Abs(res.Objective-base.Objective) > 1e-9 {
-			t.Errorf("workers=%d: %v objective %v, want %v", w, res.Status, res.Objective, base.Objective)
-		}
+	res := solveOK(t, p, &Options{StrongBranch: 4, IntegralObjective: true})
+	if res.Status != Optimal || math.Abs(res.Objective-base.Objective) > 1e-9 {
+		t.Errorf("%v objective %v, want %v", res.Status, res.Objective, base.Objective)
 	}
 }

@@ -178,20 +178,6 @@ func TestPoolConformance(t *testing.T) {
 				}
 			})
 
-			t.Run("DoRepanics", func(t *testing.T) {
-				p, _ := b.make(t)
-				defer func() {
-					if recover() == nil {
-						t.Errorf("Do swallowed a task panic")
-					}
-				}()
-				p.Do(4, func(i int) {
-					if i == 2 {
-						panic("kaboom")
-					}
-				})
-			})
-
 			t.Run("WorkersPositive", func(t *testing.T) {
 				p, _ := b.make(t)
 				if p.Workers() < 1 {

@@ -1,8 +1,7 @@
 // Package pool provides the task-pool abstraction shared by every
-// parallel layer of the system: branch-and-bound node expansion
-// (internal/milp), batch solving (rentmin.SolverPool) and experiment
-// sweeps (internal/experiments). It is a leaf package so all of them can
-// depend on it.
+// parallel layer of the system: batch solving (rentmin.SolverPool) and
+// experiment sweeps (internal/experiments). It is a leaf package so both
+// can depend on it.
 //
 // Two implementations exist behind the Pool interface: LocalPool runs
 // tasks on a fixed set of in-process goroutines, RemotePool dispatches
@@ -38,7 +37,7 @@ import (
 //     started; started tasks are awaited. If no task failed but at least
 //     one was skipped, RunContext returns ctx.Err();
 //   - a panicking task is isolated: it becomes a *PanicError instead of
-//     crashing the pool (Do re-panics it at the call site).
+//     crashing the pool.
 type Pool interface {
 	// Workers returns the pool's concurrency bound: goroutines for a
 	// LocalPool, total fleet capacity for a RemotePool.
@@ -51,9 +50,6 @@ type Pool interface {
 	// already running are not interrupted by RunContext itself — fn must
 	// observe its context to stop early.
 	RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error
-	// Do executes task(0) … task(n-1) and waits: Run for tasks that
-	// cannot fail. A panicking task re-panics in Do itself.
-	Do(n int, task func(i int))
 	// Close releases the pool's resources. The pool must not be used
 	// after Close; pending Run calls complete first.
 	Close()
@@ -61,7 +57,7 @@ type Pool interface {
 
 // PanicError is a task panic converted into an error so one bad task
 // cannot take down the pool's worker (or, for a RemotePool, the
-// dispatcher). Do re-panics it; Run and RunContext return it.
+// dispatcher). Run and RunContext return it.
 type PanicError struct {
 	// Index is the task that panicked.
 	Index int
@@ -94,15 +90,6 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// rethrowPanic re-panics a *PanicError returned by Run, for Do
-// implementations: a panic in a fire-and-forget task should surface at
-// the call site, not vanish.
-func rethrowPanic(err error) {
-	if pe, ok := err.(*PanicError); ok {
-		panic(fmt.Sprintf("%v\n\ntask stack:\n%s", pe, pe.Stack))
-	}
 }
 
 // LocalPool is the in-process Pool: a fixed set of worker goroutines,
@@ -187,12 +174,6 @@ submit:
 		return ctx.Err()
 	}
 	return nil
-}
-
-// Do executes task(0) … task(n-1) on the pool and waits for all of them:
-// Run for tasks that cannot fail. A panicking task re-panics here.
-func (p *LocalPool) Do(n int, task func(i int)) {
-	rethrowPanic(p.Run(n, func(i int) error { task(i); return nil }))
 }
 
 // Close stops the workers after any queued tasks finish.

@@ -380,12 +380,6 @@ func (p *RemotePool[W]) Run(n int, fn func(i int) error) error {
 	return p.RunContext(context.Background(), n, func(_ context.Context, i int) error { return fn(i) })
 }
 
-// Do executes task(0) … task(n-1) across the fleet and waits; a
-// panicking task re-panics here.
-func (p *RemotePool[W]) Do(n int, task func(i int)) {
-	rethrowPanic(p.Run(n, func(i int) error { task(i); return nil }))
-}
-
 // subscribe registers the calling scheduler for seat/membership wakeups
 // and returns its private buffered-1 channel. Register before scanning
 // for seats: a release landing between the scan and the sleep is then

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCapacityEndpoint(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 3, QueueDepth: 7, MaxBatch: 11, PerSolveWorkers: 2})
+	_, c := newTestServer(t, Config{Workers: 3, QueueDepth: 7, MaxBatch: 11})
 	cap, err := c.Capacity(context.Background())
 	if err != nil {
 		t.Fatalf("Capacity: %v", err)
@@ -20,9 +20,6 @@ func TestCapacityEndpoint(t *testing.T) {
 	}
 	if cap.MaxBatch != 11 {
 		t.Errorf("MaxBatch = %d, want 11", cap.MaxBatch)
-	}
-	if cap.PerSolveWorkers != 2 {
-		t.Errorf("PerSolveWorkers = %d, want 2", cap.PerSolveWorkers)
 	}
 }
 

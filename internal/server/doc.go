@@ -48,9 +48,8 @@
 // Each admitted request is solved under a context derived from the HTTP
 // request context with the per-request time limit attached (clamped to
 // MaxTimeLimit). Client disconnects and deadline expiry therefore cancel
-// the branch-and-bound search itself, mid-round — workers skip the
-// remaining child LP solves of the current round (see milp.SolveContext)
-// — rather than merely abandoning the response. A deadline that stops a
+// the branch-and-bound search itself, between nodes (see
+// milp.SolveContext) — rather than merely abandoning the response. A deadline that stops a
 // search returns the best incumbent found so far with Proven == false,
 // exactly like rentmin.SolveOptions.TimeLimit; 504 is returned only when
 // no feasible allocation existed yet. Batch requests share one deadline:

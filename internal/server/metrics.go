@@ -21,12 +21,11 @@ type metrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]int64
 
-	solves         int64 // problems solved to a 200 (batch items included)
-	unproven       int64 // subset stopped by a deadline with Proven == false
-	nodes          int64
-	lpIterations   int64
-	lpSolves       int64
-	wastedLPSolves int64
+	solves       int64 // problems solved to a 200 (batch items included)
+	unproven     int64 // subset stopped by a deadline with Proven == false
+	nodes        int64
+	lpIterations int64
+	lpSolves     int64
 
 	lat *obs.Window // solve/batch request latencies, ms
 	qw  *obs.Window // per-solve queue waits (lease acquisition), ms
@@ -85,7 +84,6 @@ func (m *metrics) recordSolution(sol rentmin.Solution) {
 	m.nodes += int64(sol.Nodes)
 	m.lpIterations += int64(sol.LPIterations)
 	m.lpSolves += int64(sol.LPSolves)
-	m.wastedLPSolves += int64(sol.WastedLPSolves)
 }
 
 // recordSessionResolve folds one committed session re-solve in: which
@@ -169,16 +167,6 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "# HELP rentmind_lp_solves_total Node LP relaxations solved (warm plus cold).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_lp_solves_total counter\n")
 	fmt.Fprintf(w, "rentmind_lp_solves_total %d\n", m.lpSolves)
-	fmt.Fprintf(w, "# HELP rentmind_wasted_lp_solves_total Speculative child LPs the parallel search solved and discarded (children of nodes pruned mid-round).\n")
-	fmt.Fprintf(w, "# TYPE rentmind_wasted_lp_solves_total counter\n")
-	fmt.Fprintf(w, "rentmind_wasted_lp_solves_total %d\n", m.wastedLPSolves)
-	ratio := 0.0
-	if m.lpSolves > 0 {
-		ratio = float64(m.wastedLPSolves) / float64(m.lpSolves)
-	}
-	fmt.Fprintf(w, "# HELP rentmind_speculation_waste_ratio Fraction of LP solves discarded as parallel speculation waste.\n")
-	fmt.Fprintf(w, "# TYPE rentmind_speculation_waste_ratio gauge\n")
-	fmt.Fprintf(w, "rentmind_speculation_waste_ratio %g\n", ratio)
 
 	p50, p99 := windowQuantiles(m.lat)
 	fmt.Fprintf(w, "# HELP rentmind_solve_latency_ms Solve/batch request latency over the last %d requests.\n", latencyWindow)

@@ -33,14 +33,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). The pool is saturated by concurrent requests,
 	// which keeps per-request latency predictable under load.
 	Workers int
-	// PerSolveWorkers is the branch-and-bound parallelism inside each
-	// individual solve (0 = 1, sequential). The default favors aggregate
-	// throughput: Workers concurrent sequential solves already use every
-	// core. Raise it on wide machines when single-request latency matters
-	// more than throughput — it is also the knob that makes the parallel
-	// search's speculation-waste metrics (rentmind_wasted_lp_solves_total)
-	// meaningful, since a sequential search never speculates.
-	PerSolveWorkers int
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// lease (0 = 64). Beyond Workers+QueueDepth outstanding requests the
 	// server answers 429 with a Retry-After hint.
@@ -109,9 +101,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.PerSolveWorkers <= 0 {
-		c.PerSolveWorkers = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -451,7 +440,7 @@ func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 }
 
 // solveOptions builds the per-solve options. In-process the request
-// context alone governs the deadline — the search stops mid-round when
+// context alone governs the deadline — the search stops between nodes when
 // it fires, and items still queued surface context errors, so no
 // explicit TimeLimit is fabricated. A remote dispatch serializes only an
 // explicit limit onto the wire: without one a worker daemon would apply
@@ -461,7 +450,7 @@ func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 // incumbent back before the coordinator's context cuts the connection.
 // An already-expired deadline fails fast instead of dispatching.
 func (s *Server) solveOptions(ctx context.Context) (*rentmin.SolveOptions, error) {
-	opts := &rentmin.SolveOptions{Workers: s.cfg.PerSolveWorkers}
+	opts := &rentmin.SolveOptions{}
 	if !s.pool.Remote() {
 		return opts, nil
 	}
@@ -554,7 +543,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
-			// Client disconnect: the search already stopped mid-round;
+			// Client disconnect: the search already stopped;
 			// nobody is reading, but finish the exchange cleanly.
 			s.writeError(w, http.StatusServiceUnavailable, "client went away")
 		case errors.Is(err, context.DeadlineExceeded):
@@ -665,9 +654,7 @@ type itemResult struct {
 // dispatcher goroutines claim problems in index order, and each solve
 // takes its own lease before touching the pool — so batch items queue
 // behind (and share capacity fairly with) every other request's solves
-// instead of flooding the pool from behind a single lease. Each item
-// solves with the same PerSolveWorkers inner parallelism as /v1/solve.
-// Lower indexes start first; once ctx is done or the server drains,
+// instead of flooding the pool from behind a single lease. Lower indexes start first; once ctx is done or the server drains,
 // remaining items fail fast with per-item errors. With stats, each item
 // gets its own trace under the request's trace ID, carrying its queue
 // and solve spans and, in its context, its search trajectory.
@@ -751,10 +738,9 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, client.Capacity{
-		Workers:         s.cfg.Workers,
-		QueueCapacity:   s.cfg.QueueDepth,
-		MaxBatch:        s.cfg.MaxBatch,
-		PerSolveWorkers: s.cfg.PerSolveWorkers,
+		Workers:       s.cfg.Workers,
+		QueueCapacity: s.cfg.QueueDepth,
+		MaxBatch:      s.cfg.MaxBatch,
 	})
 }
 

@@ -271,15 +271,14 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 }
 
 func TestMetricsRatioGuardsOnZeroTraffic(t *testing.T) {
-	// Regression: with zero LP solves and zero cache lookups the ratio
-	// gauges must emit 0, not NaN (0/0), which breaks Prometheus scrapes.
+	// Regression: with zero cache lookups the ratio gauges must emit 0,
+	// not NaN (0/0), which breaks Prometheus scrapes.
 	_, c := newTestServer(t, Config{Workers: 1})
 	metrics, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"rentmind_speculation_waste_ratio 0\n",
 		"rentmind_problem_cache_hit_ratio 0\n",
 	} {
 		if !strings.Contains(metrics, want) {

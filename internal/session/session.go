@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -384,32 +383,17 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 }
 
 // warmSeed maps the previous full-shape throughput vector onto the
-// effective graphs and greedily pads it back up to target (cheapest
-// marginal cost first, the RoundingRepair rule) so the seed is always a
-// feasible incumbent — by construction it can never be rejected.
+// effective graphs and pads it back up to target with solve.PadToTarget
+// (the RoundingRepair rule) so the seed is always a feasible incumbent —
+// by construction it can never be rejected.
 func warmSeed(m *core.CostModel, effIdx []int, prev []int, target int) []int {
 	rho := make([]int, len(effIdx))
-	sum := 0
 	for i, j := range effIdx {
 		if j < len(prev) && prev[j] > 0 {
 			rho[i] = prev[j]
 		}
-		sum += rho[i]
 	}
-	demand := make([]int64, m.Q)
-	for sum < target {
-		base := m.CostInto(rho, demand)
-		bestI, bestDelta := 0, int64(math.MaxInt64)
-		for i := range rho {
-			rho[i]++
-			if d := m.CostInto(rho, demand) - base; d < bestDelta {
-				bestI, bestDelta = i, d
-			}
-			rho[i]--
-		}
-		rho[bestI]++
-		sum++
-	}
+	solve.PadToTarget(m, rho, target)
 	return rho
 }
 

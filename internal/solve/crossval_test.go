@@ -4,9 +4,9 @@ package solve
 // repository against the brute-force oracle, on small random instances
 // drawn with the paper's generator (internal/graphgen):
 //
-//   - the exact paths (ILP at every worker count, and the special-case
-//     dynamic programs on instances matching their preconditions) must
-//     return the brute-force optimal cost;
+//   - the exact paths (ILP warm and cold, presolve on and off, and the
+//     special-case dynamic programs on instances matching their
+//     preconditions) must return the brute-force optimal cost;
 //   - every heuristic must return a feasible allocation costing at least
 //     the optimum;
 //   - every allocation must survive end-to-end validation in the
@@ -52,32 +52,30 @@ func smallGeneratedProblem(r *rand.Rand) (*core.Problem, int) {
 }
 
 // TestCrossValILPMatchesBruteForce: the general ILP path equals the
-// brute-force optimum on generated instances, for every worker count,
-// warm and cold node LPs, and with the root presolve on and off.
+// brute-force optimum on generated instances, for warm and cold node LPs,
+// and with the root presolve on and off.
 func TestCrossValILPMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, target := smallGeneratedProblem(r)
 		m := core.NewCostModel(p)
 		want := BruteForce(m, target).Cost
-		for _, w := range []int{1, 2, 8} {
-			// Warm-started and cold node LP solves must both land on the
-			// brute-force optimum, bit-identically (costs are integers),
-			// whether or not presolve reduced the root.
-			for _, coldLP := range []bool{false, true} {
-				for _, noPresolve := range []bool{false, true} {
-					res, err := ILP(m, target, &ILPOptions{
-						Workers: w, DisableLPWarmStart: coldLP, DisablePresolve: noPresolve,
-					})
-					if err != nil || !res.Proven {
-						return false
-					}
-					if res.Alloc.Cost != want {
-						return false
-					}
-					if err := m.CheckFeasible(res.Alloc, target); err != nil {
-						return false
-					}
+		// Warm-started and cold node LP solves must both land on the
+		// brute-force optimum, bit-identically (costs are integers),
+		// whether or not presolve reduced the root.
+		for _, coldLP := range []bool{false, true} {
+			for _, noPresolve := range []bool{false, true} {
+				res, err := ILP(m, target, &ILPOptions{
+					DisableLPWarmStart: coldLP, DisablePresolve: noPresolve,
+				})
+				if err != nil || !res.Proven {
+					return false
+				}
+				if res.Alloc.Cost != want {
+					return false
+				}
+				if err := m.CheckFeasible(res.Alloc, target); err != nil {
+					return false
 				}
 			}
 		}
@@ -94,8 +92,7 @@ func TestCrossValILPMatchesBruteForce(t *testing.T) {
 // counts below a coverage ceiling) encoded once natively in lp.Problem
 // Lo/Hi — the scheme branching itself uses, bounds in the ratio test —
 // and once as explicit constraint rows. Both must report the brute-force
-// optimal cost for workers {1, 2, 8}, warm- and cold-started node LPs
-// alike.
+// optimal cost, warm- and cold-started node LPs alike.
 func TestCrossValBoundedVsRowBoundEncodings(t *testing.T) {
 	for _, seed := range []int64{5, 19, 83} {
 		r := rand.New(rand.NewSource(seed))
@@ -132,21 +129,19 @@ func TestCrossValBoundedVsRowBoundEncodings(t *testing.T) {
 			rows.LP.Constraints = append(rows.LP.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: hi})
 		}
 
-		for _, w := range []int{1, 2, 8} {
-			for _, coldLP := range []bool{false, true} {
-				opts := &milp.Options{Workers: w, DisableWarmLP: coldLP, IntegralObjective: true}
-				for name, prob := range map[string]*milp.Problem{"bounded": bounded, "rows": rows} {
-					res, err := milp.Solve(prob, opts)
-					if err != nil {
-						t.Fatalf("seed %d workers %d cold %v %s: %v", seed, w, coldLP, name, err)
-					}
-					if res.Status != milp.Optimal {
-						t.Fatalf("seed %d workers %d cold %v %s: status %v", seed, w, coldLP, name, res.Status)
-					}
-					if math.Abs(res.Objective-want) > 1e-6 {
-						t.Errorf("seed %d workers %d cold %v %s: cost %g, brute force %g",
-							seed, w, coldLP, name, res.Objective, want)
-					}
+		for _, coldLP := range []bool{false, true} {
+			opts := &milp.Options{DisableWarmLP: coldLP, IntegralObjective: true}
+			for name, prob := range map[string]*milp.Problem{"bounded": bounded, "rows": rows} {
+				res, err := milp.Solve(prob, opts)
+				if err != nil {
+					t.Fatalf("seed %d cold %v %s: %v", seed, coldLP, name, err)
+				}
+				if res.Status != milp.Optimal {
+					t.Fatalf("seed %d cold %v %s: status %v", seed, coldLP, name, res.Status)
+				}
+				if math.Abs(res.Objective-want) > 1e-6 {
+					t.Errorf("seed %d cold %v %s: cost %g, brute force %g",
+						seed, coldLP, name, res.Objective, want)
 				}
 			}
 		}

@@ -13,9 +13,9 @@ import (
 
 // ILPOptions tunes the integer-program path for the general shared-type
 // case (Section V-C). It is the one solver config: the public facade,
-// the daemon and sessions set only TimeLimit, WarmStart, Workers, the
-// observer hooks and RootBasis; the Disable* ablation switches are set
-// only by benchmarks and tests.
+// the daemon and sessions set only TimeLimit, WarmStart and RootBasis
+// (the search is observed through an obs.Trace in the context); the
+// Disable* ablation switches are set only by benchmarks and tests.
 type ILPOptions struct {
 	// TimeLimit bounds the branch-and-bound wall clock (the paper uses
 	// 100 s in its Fig. 8 stress test). Zero means unlimited.
@@ -44,9 +44,11 @@ type ILPOptions struct {
 	// DisableStrongBranch switches reliability branching off and falls
 	// back to most-fractional branching (ablation).
 	DisableStrongBranch bool
-	// Workers sets branch-and-bound parallelism: frontier nodes expanded
-	// concurrently per round (0 = GOMAXPROCS, 1 = sequential). The optimal
-	// cost is identical for every worker count; see milp.Options.Workers.
+	// Workers is ignored: the branch-and-bound search is sequential, and
+	// cores are used by running many solves at once.
+	//
+	// Deprecated: it remains only so that callers which still set it
+	// compile; it will be removed once none does.
 	Workers int
 	// DisableLPWarmStart forces a cold two-phase simplex solve at every
 	// branch-and-bound node instead of the default dual-simplex
@@ -115,34 +117,15 @@ func BuildMILP(m *core.CostModel, target int) *milp.Problem {
 
 // RoundingRepair returns a milp.Rounder that turns a fractional relaxation
 // point into a feasible integer point: graph throughputs are floored, the
-// lost units are re-added one by one to the graph with the smallest
-// marginal cost, and machine counts are recomputed as exact ceilings.
+// lost units are re-added by PadToTarget, and machine counts are
+// recomputed as exact ceilings.
 func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 	return func(x []float64) ([]float64, bool) {
 		rho := make([]int, m.J)
-		sum := 0
 		for j := 0; j < m.J; j++ {
-			v := int(math.Floor(x[j] + 1e-9))
-			if v < 0 {
-				v = 0
-			}
-			rho[j] = v
-			sum += v
+			rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
 		}
-		demand := make([]int64, m.Q)
-		for sum < target {
-			bestJ, bestDelta := -1, int64(math.MaxInt64)
-			base := m.CostInto(rho, demand)
-			for j := 0; j < m.J; j++ {
-				rho[j]++
-				if d := m.CostInto(rho, demand) - base; d < bestDelta {
-					bestJ, bestDelta = j, d
-				}
-				rho[j]--
-			}
-			rho[bestJ]++
-			sum++
-		}
+		PadToTarget(m, rho, target)
 		a := m.NewAllocation(rho)
 		out := make([]float64, m.J+m.Q)
 		for j, r := range rho {
@@ -152,6 +135,30 @@ func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 			out[m.J+q] = float64(n)
 		}
 		return out, true
+	}
+}
+
+// PadToTarget raises the total throughput of rho to target in place, one
+// unit at a time, each unit going to the first graph with the smallest
+// marginal cost. rho must have one entry per graph of m, with at least
+// one graph.
+func PadToTarget(m *core.CostModel, rho []int, target int) {
+	sum := 0
+	for _, r := range rho {
+		sum += r
+	}
+	demand := make([]int64, m.Q)
+	for ; sum < target; sum++ {
+		base := m.CostInto(rho, demand)
+		best, bestDelta := 0, int64(math.MaxInt64)
+		for j := range rho {
+			rho[j]++
+			if d := m.CostInto(rho, demand) - base; d < bestDelta {
+				best, bestDelta = j, d
+			}
+			rho[j]--
+		}
+		rho[best]++
 	}
 }
 
@@ -174,7 +181,7 @@ func ILP(m *core.CostModel, target int, opts *ILPOptions) (ILPResult, error) {
 }
 
 // ILPContext is ILP under a context: cancellation (or a context deadline)
-// stops the branch-and-bound search mid-round and returns the best
+// stops the branch-and-bound search between nodes and returns the best
 // incumbent found so far with Proven == false, exactly like a TimeLimit
 // stop. A search cancelled before any incumbent exists reports Status
 // NoSolution with a nil allocation.
@@ -192,7 +199,6 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		TimeLimit:         opts.TimeLimit,
 		NodeLimit:         opts.NodeLimit,
 		IntegralObjective: !opts.DisableIntegralPruning,
-		Workers:           opts.Workers,
 		DisableWarmLP:     opts.DisableLPWarmStart,
 	}
 	if !opts.DisableStrongBranch {

@@ -26,10 +26,10 @@
 //
 // # Concurrency
 //
-// Solve parallelizes a single branch-and-bound search across
-// SolveOptions.Workers goroutines (0 = GOMAXPROCS); the optimal cost is
-// identical for every worker count. For many independent instances —
-// serving concurrent solve requests, or sweeping experiment grids — use
+// Solve runs one sequential branch-and-bound search, so a solve is a
+// pure function of its problem and options. Cores are used by running
+// many solves at once: for many independent instances — serving
+// concurrent solve requests, or sweeping experiment grids — use
 // SolveBatch, or keep a long-lived SolverPool and push each batch through
 // it:
 //
@@ -39,7 +39,7 @@
 //
 // Every solve entry point has a Context variant (SolveContext,
 // SolveBatchContext): cancelling the context — a client disconnect or a
-// per-request deadline — stops the branch-and-bound search mid-round and
+// per-request deadline — stops the branch-and-bound search between nodes and
 // returns the best allocation found so far with Proven == false, exactly
 // like a TimeLimit stop. cmd/rentmind serves these entry points over
 // HTTP with admission control and a bounded work queue; see
@@ -137,12 +137,8 @@ type SolveOptions struct {
 	// It applies to Solve only; SolveBatch ignores it (problems in a
 	// batch generally have different shapes).
 	WarmStart []int
-	// Workers controls parallelism. For Solve it is the number of
-	// branch-and-bound nodes expanded concurrently (0 = GOMAXPROCS,
-	// 1 = sequential); the optimal cost is identical for every value.
-	// For SolveBatch it is instead the number of problems solved
-	// concurrently, each with a sequential inner search — one level of
-	// parallelism, no oversubscription.
+	// Workers is the number of problems SolveBatch solves concurrently
+	// (0 = GOMAXPROCS). Solve ignores it: each search is sequential.
 	Workers int
 }
 
@@ -180,7 +176,7 @@ func Solve(p *Problem, opts *SolveOptions) (Solution, error) {
 
 // SolveContext is Solve under a context. Cancelling the context — a
 // client disconnect, or a per-request deadline via context.WithTimeout —
-// stops the branch-and-bound search mid-round and returns the best
+// stops the branch-and-bound search between nodes and returns the best
 // allocation found so far with Proven == false, exactly like a TimeLimit
 // stop. If the search is cancelled before any feasible allocation exists,
 // the returned error wraps ctx.Err().
@@ -193,7 +189,6 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 	if opts != nil {
 		iopts.TimeLimit = opts.TimeLimit
 		iopts.WarmStart = opts.WarmStart
-		iopts.Workers = opts.Workers
 	}
 	res, err := solve.ILPContext(ctx, m, p.Target, &iopts)
 	if err != nil {
@@ -255,11 +250,7 @@ func (p *SolverPool) Close() { p.pool.Close() }
 // SolveContext solves one problem on the pool: it waits for a free
 // worker — abandoning the wait when ctx is done — and then runs
 // SolveContext(ctx, prob, opts) on it. Unlike the batch methods, opts is
-// passed through unchanged, so opts.Workers sets the inner
-// branch-and-bound parallelism of this solve (beware: zero means
-// GOMAXPROCS, which oversubscribes a pool that is busy with other
-// problems; services that care about aggregate throughput should pass
-// Workers: 1).
+// passed through unchanged, WarmStart included.
 func (p *SolverPool) SolveContext(ctx context.Context, prob *Problem, opts *SolveOptions) (Solution, error) {
 	var sol Solution
 	err := p.pool.RunContext(ctx, 1, func(ctx context.Context, _ int) error {
@@ -271,10 +262,7 @@ func (p *SolverPool) SolveContext(ctx context.Context, prob *Problem, opts *Solv
 }
 
 // SolveBatch solves every problem at its own Target on the pool and
-// returns the solutions in input order. Each individual solve runs the
-// sequential branch-and-bound (cross-problem parallelism already
-// saturates the pool; a remote worker daemon applies its own configured
-// per-solve parallelism instead); TimeLimit applies per problem. On
+// returns the solutions in input order. TimeLimit applies per problem. On
 // failure the error of the lowest-index failing problem is returned.
 func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solution, error) {
 	out, err := p.SolveBatchContext(context.Background(), problems, opts)
@@ -299,7 +287,7 @@ func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solu
 // then holds its best-so-far allocation and callers must inspect
 // Solution.Proven to distinguish proven optima from truncated searches.
 func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOptions) ([]Solution, error) {
-	each := SolveOptions{Workers: 1}
+	var each SolveOptions
 	if opts != nil {
 		each.TimeLimit = opts.TimeLimit
 	}

@@ -53,8 +53,11 @@ var (
 type SessionOptions struct {
 	// TimeLimit bounds each individual re-solve (zero = unlimited).
 	TimeLimit time.Duration
-	// Workers sets branch-and-bound parallelism per re-solve (0 =
-	// GOMAXPROCS, 1 = sequential).
+	// Workers is ignored: every re-solve runs one sequential
+	// branch-and-bound search.
+	//
+	// Deprecated: it remains only so that callers which still set it
+	// compile; it will be removed once none does.
 	Workers int
 	// DisableWarm forces every re-solve cold: no incumbent seeding from
 	// the previous optimum and no root-basis reuse (ablation/benchmarks).
@@ -74,7 +77,7 @@ func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session
 	var sopts session.Options
 	if opts != nil {
 		sopts = session.Options{
-			ILP:         solve.ILPOptions{TimeLimit: opts.TimeLimit, Workers: opts.Workers},
+			ILP:         solve.ILPOptions{TimeLimit: opts.TimeLimit},
 			DisableWarm: opts.DisableWarm,
 		}
 	}
