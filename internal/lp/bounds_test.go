@@ -22,12 +22,12 @@ func asRows(p *Problem) *Problem {
 		if lo := p.LowerBound(j); lo != 0 {
 			row := make([]float64, n)
 			row[j] = 1
-			q.Constraints = append(q.Constraints, Constraint{Coeffs: row, Rel: GE, RHS: lo})
+			q.Constraints = append(q.Constraints, dense(row, GE, lo))
 		}
 		if hi := p.UpperBound(j); !math.IsInf(hi, 1) {
 			row := make([]float64, n)
 			row[j] = 1
-			q.Constraints = append(q.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: hi})
+			q.Constraints = append(q.Constraints, dense(row, LE, hi))
 		}
 	}
 	return q
@@ -63,7 +63,7 @@ func TestBoundsLowerShift(t *testing.T) {
 	// Optimum: y at its lower bound 0.5, x = 0.5 -> 1.5.
 	p := &Problem{
 		Objective:   []float64{1, 2},
-		Constraints: []Constraint{{Coeffs: []float64{1, 1}, Rel: GE, RHS: 1}},
+		Constraints: []Constraint{dense([]float64{1, 1}, GE, 1)},
 		Lo:          []float64{-5, 0.5},
 	}
 	sol := solveOK(t, p)
@@ -80,7 +80,7 @@ func TestBoundsFixedVariable(t *testing.T) {
 	// min x + 3y s.t. x + y >= 5 with y fixed at 2 -> x = 3, obj 9.
 	p := &Problem{
 		Objective:   []float64{1, 3},
-		Constraints: []Constraint{{Coeffs: []float64{1, 1}, Rel: GE, RHS: 5}},
+		Constraints: []Constraint{dense([]float64{1, 1}, GE, 5)},
 		Lo:          []float64{0, 2},
 		Hi:          []float64{math.Inf(1), 2},
 	}
@@ -104,8 +104,8 @@ func TestBoundsBealeViaBound(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-0.75, 150, -0.02, 6},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0.25, -60, -1.0 / 25, 9}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{0.5, -90, -1.0 / 50, 3}, Rel: LE, RHS: 0},
+			dense([]float64{0.25, -60, -1.0 / 25, 9}, LE, 0),
+			dense([]float64{0.5, -90, -1.0 / 50, 3}, LE, 0),
 		},
 		Hi: []float64{math.Inf(1), math.Inf(1), 1, math.Inf(1)},
 	}
@@ -121,7 +121,7 @@ func TestBoundsBealeViaBound(t *testing.T) {
 func TestBoundsDegenerateFlip(t *testing.T) {
 	p := &Problem{
 		Objective:   []float64{-1, -1},
-		Constraints: []Constraint{{Coeffs: []float64{1, -1}, Rel: LE, RHS: 0}},
+		Constraints: []Constraint{dense([]float64{1, -1}, LE, 0)},
 		Hi:          []float64{1, 1},
 	}
 	sol := solveOK(t, p)
@@ -131,7 +131,7 @@ func TestBoundsDegenerateFlip(t *testing.T) {
 	// attractive cost must flip once, degenerately, and terminate.
 	q := &Problem{
 		Objective:   []float64{-5, -1},
-		Constraints: []Constraint{{Coeffs: []float64{0, 1}, Rel: LE, RHS: 3}},
+		Constraints: []Constraint{dense([]float64{0, 1}, LE, 3)},
 		Hi:          []float64{0, math.Inf(1)},
 	}
 	wantOptimal(t, solveOK(t, q), -3, []float64{0, 3})
@@ -145,8 +145,8 @@ func TestBoundsInfeasibleCrossingDual(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{10, 18, 7},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1}, Rel: GE, RHS: 7},
-			{Coeffs: []float64{1, 0, 2}, Rel: GE, RHS: 4},
+			dense([]float64{1, 1, 1}, GE, 7),
+			dense([]float64{1, 0, 2}, GE, 4),
 		},
 	}
 	parent := solveOK(t, p)
@@ -208,8 +208,8 @@ func TestBoundsWarmTightenBeatsCold(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{10, 18, 7},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1}, Rel: GE, RHS: 7},
-			{Coeffs: []float64{1, 0, 2}, Rel: GE, RHS: 4},
+			dense([]float64{1, 1, 1}, GE, 7),
+			dense([]float64{1, 0, 2}, GE, 4),
 		},
 	}
 	parent := solveOK(t, p)

@@ -59,7 +59,8 @@
 // A Model is a problem compiled once: NewModel validates it and fills
 // read-only arrays with the CSC of [A | I], the cost per column, the
 // right-hand sides and the slack bounds that encode the row senses, in
-// two passes over the dense rows in memory order. Model.SolveFrom then
+// two passes over the sparse rows (each row's nonzeros, in ascending
+// column order), so compiling costs O(nnz). Model.SolveFrom then
 // re-solves it under new variable bounds, validating only those (O(n))
 // and pointing the workspace at the model's arrays instead of copying
 // them. This is the branch-and-bound shape — every node of a tree shares

@@ -14,8 +14,8 @@ func TestDualsKnownValues(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{10, 18},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: GE, RHS: 7},
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 2},
+			dense([]float64{1, 1}, GE, 7),
+			dense([]float64{1, 0}, GE, 2),
 		},
 	}
 	sol := solveOK(t, p)
@@ -37,9 +37,9 @@ func TestDualsSignsLE(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, LE, 4),
+			dense([]float64{0, 2}, LE, 12),
+			dense([]float64{3, 2}, LE, 18),
 		},
 	}
 	sol := solveOK(t, p)
@@ -63,8 +63,8 @@ func TestDualsShadowPrice(t *testing.T) {
 	base := &Problem{
 		Objective: []float64{4, 9},
 		Constraints: []Constraint{
-			{Coeffs: []float64{2, 1}, Rel: GE, RHS: 10},
-			{Coeffs: []float64{1, 3}, Rel: GE, RHS: 9},
+			dense([]float64{2, 1}, GE, 10),
+			dense([]float64{1, 3}, GE, 9),
 		},
 	}
 	sol := solveOK(t, base)
@@ -88,7 +88,7 @@ func TestDualsNormalizedRow(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Rel: LE, RHS: -3},
+			dense([]float64{-1}, LE, -3),
 		},
 	}
 	sol := solveOK(t, p)
@@ -122,7 +122,7 @@ func TestQuickStrongDualityViaDuals(t *testing.T) {
 		for j := 0; j < p.NumVars(); j++ {
 			aty := 0.0
 			for i, c := range p.Constraints {
-				aty += c.Coeffs[j] * sol.Duals[i]
+				aty += coef(c, j) * sol.Duals[i]
 			}
 			if aty > p.Objective[j]+1e-6 {
 				return false // dual infeasible

@@ -166,7 +166,16 @@ func (sp *sparseSolver) gomoryCuts(frTol float64, limit int) []Constraint {
 		return cmp.Compare(math.Abs(a.f0-0.5), math.Abs(b.f0-0.5))
 	})
 
-	var cuts []Constraint
+	if len(cands) == 0 {
+		return nil
+	}
+	// Each cut accumulates in the dense scratch row sp.cutRow; its nonzeros
+	// are gathered into the scratch pair sp.cutIdx/sp.cutVal, and the
+	// round's cuts are then copied out of it into one backing pair.
+	sp.cutRow = resize(sp.cutRow, sp.n)
+	idx, val := sp.cutIdx[:0], sp.cutVal[:0]
+	cuts := make([]Constraint, 0, limit)
+	ends := make([]int, 0, limit)
 	for _, c := range cands {
 		if len(cuts) >= limit {
 			break
@@ -174,7 +183,8 @@ func (sp *sparseSolver) gomoryCuts(frTol float64, limit int) []Constraint {
 		clear(sp.cpos)
 		sp.cpos[c.pos] = 1
 		sp.f.btran(sp.cpos, sp.vrow) // ρ = row c.pos of B^{-1}, in row space
-		coeffs := make([]float64, sp.n)
+		coeffs := sp.cutRow
+		clear(coeffs)
 		rhs := c.f0
 		for j := 0; j < sp.nTot; j++ {
 			st := sp.status[j]
@@ -205,15 +215,28 @@ func (sp *sparseSolver) gomoryCuts(frTol float64, limit int) []Constraint {
 			if st == spUpper {
 				sign = fj // GE slack at upper: y = A_i·x - b_i
 			}
-			for k, v := range row.Coeffs {
-				coeffs[k] += sign * v
+			for k, col := range row.Idx {
+				coeffs[col] += sign * row.Val[k]
 			}
 			rhs += sign * row.RHS
 		}
 		if !slices.ContainsFunc(coeffs, func(v float64) bool { return math.Abs(v) > 1e-9 }) {
 			continue // numerically empty
 		}
-		cuts = append(cuts, Constraint{Coeffs: coeffs, Rel: GE, RHS: rhs})
+		for j, v := range coeffs {
+			if v != 0 {
+				idx, val = append(idx, int32(j)), append(val, v)
+			}
+		}
+		cuts = append(cuts, Constraint{Rel: GE, RHS: rhs})
+		ends = append(ends, len(idx))
+	}
+	sp.cutIdx, sp.cutVal = idx, val
+	idx, val = slices.Clone(idx), slices.Clone(val)
+	start := 0
+	for i, end := range ends {
+		cuts[i].Idx, cuts[i].Val = idx[start:end:end], val[start:end:end]
+		start = end
 	}
 	return cuts
 }

@@ -53,7 +53,7 @@ func TestSolveGomoryMemoryBounded(t *testing.T) {
 	}
 	nnz := 0
 	for _, c := range append(p.Constraints[:len(p.Constraints):len(p.Constraints)], res.Cuts...) {
-		for _, v := range c.Coeffs {
+		for _, v := range c.Val {
 			if v != 0 {
 				nnz++
 			}

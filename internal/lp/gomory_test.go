@@ -14,7 +14,7 @@ func knapsackLP() *Problem {
 	return &Problem{
 		Objective: []float64{-8, -11},
 		Constraints: []Constraint{
-			{Coeffs: []float64{5, 7}, Rel: LE, RHS: 17},
+			dense([]float64{5, 7}, LE, 17),
 		},
 	}
 }
@@ -61,7 +61,7 @@ func TestGomoryCutsValidForIntegerPoints(t *testing.T) {
 				continue
 			}
 			for ci, cut := range res.Cuts {
-				dot := cut.Coeffs[0]*float64(x) + cut.Coeffs[1]*float64(y)
+				dot := cut.Dot([]float64{float64(x), float64(y)})
 				if dot < cut.RHS-1e-6 {
 					t.Errorf("cut %d eliminates integer point (%d,%d): %g < %g",
 						ci, x, y, dot, cut.RHS)
@@ -76,8 +76,8 @@ func TestSolveGomoryIntegralLPNoCuts(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 3},
-			{Coeffs: []float64{0, 1}, Rel: GE, RHS: 4},
+			dense([]float64{1, 0}, GE, 3),
+			dense([]float64{0, 1}, GE, 4),
 		},
 	}
 	res, err := SolveGomory(p, nil, 10)
@@ -96,8 +96,8 @@ func TestSolveGomoryInfeasiblePassthrough(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: GE, RHS: 5},
-			{Coeffs: []float64{1}, Rel: LE, RHS: 2},
+			dense([]float64{1}, GE, 5),
+			dense([]float64{1}, LE, 2),
 		},
 	}
 	res, err := SolveGomory(p, nil, 5)
@@ -148,9 +148,7 @@ func TestQuickGomoryBoundSandwich(t *testing.T) {
 				row[j] = float64(r.Intn(4))
 			}
 			row[r.Intn(n)] = float64(1 + r.Intn(4))
-			p.Constraints = append(p.Constraints, Constraint{
-				Coeffs: row, Rel: GE, RHS: float64(1 + r.Intn(10)),
-			})
+			p.Constraints = append(p.Constraints, dense(row, GE, float64(1+r.Intn(10))))
 		}
 		lpSol, err := Solve(p, nil)
 		if err != nil || lpSol.Status != Optimal {
@@ -163,9 +161,9 @@ func TestQuickGomoryBoundSandwich(t *testing.T) {
 		// Brute-force integer optimum over a generous box.
 		bound := 0
 		for _, c := range p.Constraints {
-			for j := 0; j < n; j++ {
-				if c.Coeffs[j] > 0 {
-					if k := int(math.Ceil(c.RHS / c.Coeffs[j])); k > bound {
+			for _, v := range c.Val {
+				if v > 0 {
+					if k := int(math.Ceil(c.RHS / v)); k > bound {
 						bound = k
 					}
 				}
@@ -177,10 +175,7 @@ func TestQuickGomoryBoundSandwich(t *testing.T) {
 		rec = func(i int) {
 			if i == n {
 				for _, c := range p.Constraints {
-					dot := 0.0
-					for j := 0; j < n; j++ {
-						dot += c.Coeffs[j] * x[j]
-					}
+					dot := c.Dot(x)
 					if dot < c.RHS-1e-9 {
 						return
 					}
@@ -220,9 +215,9 @@ func TestSolveGomoryArenaReuse(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-7, -2, -5, -9},
 		Constraints: []Constraint{
-			{Coeffs: []float64{3, 1, 2, 4}, Rel: LE, RHS: 10},
-			{Coeffs: []float64{1, 3, 3, 1}, Rel: LE, RHS: 11},
-			{Coeffs: []float64{4, 2, 1, 3}, Rel: LE, RHS: 13},
+			dense([]float64{3, 1, 2, 4}, LE, 10),
+			dense([]float64{1, 3, 3, 1}, LE, 11),
+			dense([]float64{4, 2, 1, 3}, LE, 13),
 		},
 	}
 	res, err := SolveGomory(p, nil, 10)
@@ -257,7 +252,7 @@ func TestSolveGomoryArenaReuse(t *testing.T) {
 			res.Rounds, len(res.Cuts), res.Solution.Objective, res.Solution.Iterations)
 	}
 	for i, c := range res.Cuts {
-		if again.Cuts[i].RHS != c.RHS || !slices.Equal(again.Cuts[i].Coeffs, c.Coeffs) {
+		if again.Cuts[i].RHS != c.RHS || !slices.Equal(again.Cuts[i].Idx, c.Idx) || !slices.Equal(again.Cuts[i].Val, c.Val) {
 			t.Fatalf("cut %d differs on rerun: %+v vs %+v", i, again.Cuts[i], c)
 		}
 	}
@@ -278,7 +273,7 @@ func boxKnapsackLP() *Problem {
 		Objective: []float64{-8, -11},
 		Hi:        []float64{3, 3},
 		Constraints: []Constraint{
-			{Coeffs: []float64{5, 7}, Rel: LE, RHS: 35},
+			dense([]float64{5, 7}, LE, 35),
 		},
 	}
 }
@@ -323,7 +318,7 @@ func TestGomoryBoundedCutsValidForIntegerPoints(t *testing.T) {
 				continue
 			}
 			for ci, cut := range res.Cuts {
-				dot := cut.Coeffs[0]*float64(x) + cut.Coeffs[1]*float64(y)
+				dot := cut.Dot([]float64{float64(x), float64(y)})
 				if dot < cut.RHS-1e-6 {
 					t.Errorf("cut %d eliminates integer point (%d,%d): %g < %g",
 						ci, x, y, dot, cut.RHS)
@@ -341,7 +336,7 @@ func TestGomoryShiftedLowerBounds(t *testing.T) {
 		Lo:        []float64{1, 1},
 		Hi:        []float64{4, 4},
 		Constraints: []Constraint{
-			{Coeffs: []float64{5, 7}, Rel: LE, RHS: 47}, // 35 shifted by 5+7
+			dense([]float64{5, 7}, LE, 47), // 35 shifted by 5+7
 		},
 	}
 	res, err := SolveGomory(p, nil, 10)
@@ -362,7 +357,7 @@ func TestGomoryShiftedLowerBounds(t *testing.T) {
 				best = v
 			}
 			for ci, cut := range res.Cuts {
-				dot := cut.Coeffs[0]*float64(x) + cut.Coeffs[1]*float64(y)
+				dot := cut.Dot([]float64{float64(x), float64(y)})
 				if dot < cut.RHS-1e-6 {
 					t.Errorf("cut %d eliminates integer point (%d,%d): %g < %g",
 						ci, x, y, dot, cut.RHS)
@@ -418,7 +413,7 @@ func TestQuickGomoryBoundedSandwich(t *testing.T) {
 			sum += v * box[j]
 		}
 		p.Constraints = []Constraint{
-			{Coeffs: row, Rel: LE, RHS: float64(1 + r.Intn(sum+1))},
+			dense(row, LE, float64(1+r.Intn(sum+1))),
 		}
 		lpSol, err := Solve(p, nil)
 		if err != nil || lpSol.Status != Optimal {
@@ -448,10 +443,7 @@ func TestQuickGomoryBoundedSandwich(t *testing.T) {
 					best = obj
 				}
 				for _, cut := range res.Cuts {
-					cdot := 0.0
-					for j := 0; j < n; j++ {
-						cdot += cut.Coeffs[j] * x[j]
-					}
+					cdot := cut.Dot(x)
 					if cdot < cut.RHS-1e-6 {
 						return false // cut eliminated an integer point
 					}
@@ -518,7 +510,7 @@ func TestQuickGomoryMixedRowsValid(t *testing.T) {
 			case GE:
 				rhs -= float64(r.Intn(3))
 			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: rel, RHS: rhs})
+			p.Constraints = append(p.Constraints, dense(row, rel, rhs))
 		}
 		res, err := SolveGomory(p, nil, 8)
 		if err != nil {
@@ -573,10 +565,7 @@ func TestQuickGomoryMixedRowsValid(t *testing.T) {
 // satisfies reports whether x meets every row up to tol.
 func satisfies(rows []Constraint, x []float64, tol float64) bool {
 	for _, c := range rows {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+		dot := c.Dot(x)
 		switch c.Rel {
 		case LE:
 			if dot > c.RHS+tol {

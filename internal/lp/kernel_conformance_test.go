@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -26,8 +27,8 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{10, 18, 7},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 1, 1}, Rel: GE, RHS: 7},
-					{Coeffs: []float64{1, 0, 2}, Rel: GE, RHS: 4},
+					dense([]float64{1, 1, 1}, GE, 7),
+					dense([]float64{1, 0, 2}, GE, 4),
 				},
 			},
 			status: Optimal, obj: 49,
@@ -37,9 +38,9 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{-0.75, 150, -0.02, 6},
 				Constraints: []Constraint{
-					{Coeffs: []float64{0.25, -60, -1.0 / 25, 9}, Rel: LE, RHS: 0},
-					{Coeffs: []float64{0.5, -90, -1.0 / 50, 3}, Rel: LE, RHS: 0},
-					{Coeffs: []float64{0, 0, 1, 0}, Rel: LE, RHS: 1},
+					dense([]float64{0.25, -60, -1.0 / 25, 9}, LE, 0),
+					dense([]float64{0.5, -90, -1.0 / 50, 3}, LE, 0),
+					dense([]float64{0, 0, 1, 0}, LE, 1),
 				},
 			},
 			status: Optimal, obj: -0.05,
@@ -49,12 +50,12 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{-1, -1, -1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, -1, 0}, Rel: LE, RHS: 1e-8},
-					{Coeffs: []float64{1, 0, -1}, Rel: LE, RHS: 3e-8},
-					{Coeffs: []float64{1, -1, 0}, Rel: LE, RHS: 2e-8},
-					{Coeffs: []float64{0, 1, 0}, Rel: LE, RHS: 1},
-					{Coeffs: []float64{0, 0, 1}, Rel: LE, RHS: 1},
-					{Coeffs: []float64{1, 0, 0}, Rel: LE, RHS: 1},
+					dense([]float64{1, -1, 0}, LE, 1e-8),
+					dense([]float64{1, 0, -1}, LE, 3e-8),
+					dense([]float64{1, -1, 0}, LE, 2e-8),
+					dense([]float64{0, 1, 0}, LE, 1),
+					dense([]float64{0, 0, 1}, LE, 1),
+					dense([]float64{1, 0, 0}, LE, 1),
 				},
 			},
 			status: Optimal, obj: -3,
@@ -64,8 +65,8 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{-3, -5},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 2}, Rel: LE, RHS: 14},
-					{Coeffs: []float64{3, -1}, Rel: GE, RHS: 0},
+					dense([]float64{1, 2}, LE, 14),
+					dense([]float64{3, -1}, GE, 0),
 				},
 				Lo: []float64{0, 1},
 				Hi: []float64{4, 6},
@@ -77,7 +78,7 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{2, 3, 1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 1, 1}, Rel: GE, RHS: 10},
+					dense([]float64{1, 1, 1}, GE, 10),
 				},
 				Lo: []float64{0, 4, 0},
 				Hi: []float64{inf, 4, inf}, // y fixed at 4
@@ -89,8 +90,8 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{1, 1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 1}, Rel: GE, RHS: -3},
-					{Coeffs: []float64{1, -1}, Rel: LE, RHS: 4},
+					dense([]float64{1, 1}, GE, -3),
+					dense([]float64{1, -1}, LE, 4),
 				},
 				Lo: []float64{-5, -5},
 				Hi: []float64{5, 5},
@@ -102,8 +103,8 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{1, 2, 4},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 1, 1}, Rel: EQ, RHS: 6},
-					{Coeffs: []float64{0, 1, 2}, Rel: EQ, RHS: 4},
+					dense([]float64{1, 1, 1}, EQ, 6),
+					dense([]float64{0, 1, 2}, EQ, 4),
 				},
 			},
 			status: Optimal, obj: 10, // x=2, y=4, z=0
@@ -113,7 +114,7 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{1, 1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{-1, -1}, Rel: LE, RHS: -4}, // x+y >= 4
+					dense([]float64{-1, -1}, LE, -4), // x+y >= 4
 				},
 			},
 			status: Optimal, obj: 4,
@@ -123,8 +124,8 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1}, Rel: GE, RHS: 5},
-					{Coeffs: []float64{1}, Rel: LE, RHS: 2},
+					dense([]float64{1}, GE, 5),
+					dense([]float64{1}, LE, 2),
 				},
 			},
 			status: Infeasible,
@@ -134,7 +135,7 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{1, 1},
 				Constraints: []Constraint{
-					{Coeffs: []float64{1, 1}, Rel: GE, RHS: 10},
+					dense([]float64{1, 1}, GE, 10),
 				},
 				Lo: []float64{0, 0},
 				Hi: []float64{3, 3},
@@ -146,7 +147,7 @@ func conformanceCases() []conformanceCase {
 			p: &Problem{
 				Objective: []float64{-1, 0},
 				Constraints: []Constraint{
-					{Coeffs: []float64{0, 1}, Rel: LE, RHS: 5},
+					dense([]float64{0, 1}, LE, 5),
 				},
 			},
 			status: Unbounded,
@@ -206,6 +207,61 @@ func TestKernelConformance(t *testing.T) {
 	}
 }
 
+// TestCompileMatchesDenseReference pins the column order of a compiled
+// model: for every conformance problem, NewModel's CSC of [A | I] equals
+// one built here from the dense matrix, column by column and row by row
+// in ascending order, zeros dropped. A copy whose rows list every column,
+// zero values included, must compile to the same arrays.
+func TestCompileMatchesDenseReference(t *testing.T) {
+	for _, tc := range conformanceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			m, n := len(p.Constraints), p.NumVars()
+			a := make([][]float64, m)
+			for i := range a {
+				a[i] = make([]float64, n)
+				for j := range a[i] {
+					a[i][j] = coef(p.Constraints[i], j)
+				}
+			}
+			var want csc
+			want.ptr = append(want.ptr, 0)
+			for j := 0; j < n; j++ {
+				for i := 0; i < m; i++ {
+					if a[i][j] != 0 {
+						want.ind, want.val = append(want.ind, int32(i)), append(want.val, a[i][j])
+					}
+				}
+				want.ptr = append(want.ptr, int32(len(want.ind)))
+			}
+			for i := 0; i < m; i++ {
+				want.ind, want.val = append(want.ind, int32(i)), append(want.val, 1)
+				want.ptr = append(want.ptr, int32(len(want.ind)))
+			}
+
+			full := *p
+			full.Constraints = make([]Constraint, m)
+			for i, c := range p.Constraints {
+				full.Constraints[i] = Constraint{Val: a[i], Rel: c.Rel, RHS: c.RHS}
+				for j := 0; j < n; j++ {
+					full.Constraints[i].Idx = append(full.Constraints[i].Idx, int32(j))
+				}
+			}
+			for name, q := range map[string]*Problem{"sparse": p, "explicit zeros": &full} {
+				md, err := NewModel(q)
+				if err != nil {
+					t.Fatalf("%s: NewModel: %v", name, err)
+				}
+				if !slices.Equal(md.ptr, want.ptr) || !slices.Equal(md.ind, want.ind) || !slices.Equal(md.val, want.val) {
+					t.Errorf("%s: compiled CSC\nptr %v\nind %v\nval %v\nwant\nptr %v\nind %v\nval %v",
+						name, md.ptr, md.ind, md.val, want.ptr, want.ind, want.val)
+				}
+				md.Release()
+			}
+		})
+	}
+}
+
 // checkFeasibleBounded is checkFeasible plus the variable bounds (the
 // conformance cases use non-default boxes, which checkFeasible's
 // x >= 0 assumption does not cover).
@@ -217,10 +273,7 @@ func checkFeasibleBounded(t *testing.T, p *Problem, x []float64) {
 		}
 	}
 	for i, c := range p.Constraints {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+		dot := c.Dot(x)
 		switch c.Rel {
 		case LE:
 			if dot > c.RHS+1e-6 {
@@ -318,9 +371,7 @@ func TestCrossKernelWarmStart(t *testing.T) {
 func TestCrossKernelWarmStartAppendedRows(t *testing.T) {
 	base := coveringBase()
 	child := base.Clone()
-	child.Constraints = append(child.Constraints, Constraint{
-		Coeffs: []float64{0, 0, 1}, Rel: LE, RHS: 3,
-	})
+	child.Constraints = append(child.Constraints, dense([]float64{0, 0, 1}, LE, 3))
 	parent, err := Solve(base, nil)
 	if err != nil {
 		t.Fatal(err)

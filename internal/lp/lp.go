@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Relation is the sense of a linear constraint.
@@ -29,11 +30,24 @@ func (r Relation) String() string {
 	return fmt.Sprintf("Relation(%d)", int(r))
 }
 
-// Constraint is one dense row A_i·x Rel b_i.
+// Constraint is one sparse row A_i·x Rel b_i: A_i holds Val[k] in column
+// Idx[k] and zero in every column Idx does not list. Idx is strictly
+// ascending, and every consumer walks a row's entries in that order. A
+// listed value may be zero; it counts as absent.
 type Constraint struct {
-	Coeffs []float64
-	Rel    Relation
-	RHS    float64
+	Idx []int32
+	Val []float64
+	Rel Relation
+	RHS float64
+}
+
+// Dot returns A_i·x over the row's entries, in ascending column order.
+func (c *Constraint) Dot(x []float64) float64 {
+	s := 0.0
+	for k, j := range c.Idx {
+		s += c.Val[k] * x[j]
+	}
+	return s
 }
 
 // Problem is a linear program over n bounded variables. Variables default
@@ -42,8 +56,8 @@ type Constraint struct {
 type Problem struct {
 	// Objective holds the cost vector c; the solver minimizes c·x.
 	Objective []float64
-	// Constraints holds the rows. Every row's Coeffs must have the same
-	// length as Objective.
+	// Constraints holds the rows. Every column index a row lists must be
+	// below len(Objective).
 	Constraints []Constraint
 	// Lo and Hi are optional per-variable bounds lo_j <= x_j <= hi_j.
 	// Either slice may be nil (every variable takes the default for that
@@ -83,8 +97,9 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.Lo[j], p.Hi[j] = lo, hi
 }
 
-// Validate checks dimensional consistency, finiteness, bound order and
-// that every constraint has a known Relation.
+// Validate checks dimensional consistency, finiteness, bound order, that
+// every row's column indices are in range and strictly ascending, and that
+// every constraint has a known Relation.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if n == 0 {
@@ -99,8 +114,8 @@ func (p *Problem) Validate() error {
 		return err
 	}
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) != n {
-			return fmt.Errorf("lp: constraint %d has %d coefficients, want %d", i, len(c.Coeffs), n)
+		if len(c.Idx) != len(c.Val) {
+			return fmt.Errorf("lp: constraint %d has %d column indices for %d values", i, len(c.Idx), len(c.Val))
 		}
 		if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
 			return fmt.Errorf("lp: constraint %d has unknown relation %v", i, c.Rel)
@@ -108,8 +123,14 @@ func (p *Problem) Validate() error {
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
 			return fmt.Errorf("lp: constraint %d has non-finite RHS", i)
 		}
-		for _, v := range c.Coeffs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		for k, j := range c.Idx {
+			if j < 0 || int(j) >= n {
+				return fmt.Errorf("lp: constraint %d has column index %d outside [0, %d)", i, j, n)
+			}
+			if k > 0 && j <= c.Idx[k-1] {
+				return fmt.Errorf("lp: constraint %d has column index %d after %d; indices must be strictly ascending", i, j, c.Idx[k-1])
+			}
+			if v := c.Val[k]; math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("lp: constraint %d has non-finite coefficient", i)
 			}
 		}
@@ -161,11 +182,7 @@ func (p *Problem) Clone() *Problem {
 	}
 	q.Constraints = make([]Constraint, len(p.Constraints))
 	for i, c := range p.Constraints {
-		q.Constraints[i] = Constraint{
-			Coeffs: append([]float64(nil), c.Coeffs...),
-			Rel:    c.Rel,
-			RHS:    c.RHS,
-		}
+		q.Constraints[i] = Constraint{Idx: slices.Clone(c.Idx), Val: slices.Clone(c.Val), Rel: c.Rel, RHS: c.RHS}
 	}
 	return q
 }

@@ -2,8 +2,26 @@ package lp
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"rentmin/internal/lp/lptest"
 )
+
+// dense writes a constraint row from a dense coefficient literal.
+func dense(coeffs []float64, rel Relation, rhs float64) Constraint {
+	idx, val := lptest.Sparse(coeffs)
+	return Constraint{Idx: idx, Val: val, Rel: rel, RHS: rhs}
+}
+
+// coef returns row c's coefficient in column j.
+func coef(c Constraint, j int) float64 {
+	if k, ok := slices.BinarySearch(c.Idx, int32(j)); ok {
+		return c.Val[k]
+	}
+	return 0
+}
 
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
@@ -37,9 +55,9 @@ func TestClassicMax(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, LE, 4),
+			dense([]float64{0, 2}, LE, 12),
+			dense([]float64{3, 2}, LE, 18),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), -36, []float64{2, 6})
@@ -50,8 +68,8 @@ func TestCoveringGE(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{10, 18},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: GE, RHS: 7},
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 2},
+			dense([]float64{1, 1}, GE, 7),
+			dense([]float64{1, 0}, GE, 2),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), 70, []float64{7, 0})
@@ -62,8 +80,8 @@ func TestEqualitySystem(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 10},
-			{Coeffs: []float64{1, -1}, Rel: EQ, RHS: 2},
+			dense([]float64{1, 1}, EQ, 10),
+			dense([]float64{1, -1}, EQ, 2),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), 6, []float64{6, 4})
@@ -73,8 +91,8 @@ func TestInfeasible(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1}, Rel: GE, RHS: 2},
+			dense([]float64{1}, LE, 1),
+			dense([]float64{1}, GE, 2),
 		},
 	}
 	if sol := solveOK(t, p); sol.Status != Infeasible {
@@ -86,7 +104,7 @@ func TestUnbounded(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 5},
+			dense([]float64{0, 1}, LE, 5),
 		},
 	}
 	if sol := solveOK(t, p); sol.Status != Unbounded {
@@ -110,7 +128,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Rel: LE, RHS: -3},
+			dense([]float64{-1}, LE, -3),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), 3, []float64{3})
@@ -118,7 +136,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	p2 := &Problem{
 		Objective: []float64{-1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Rel: GE, RHS: -3},
+			dense([]float64{-1}, GE, -3),
 		},
 	}
 	wantOptimal(t, solveOK(t, p2), -3, []float64{3})
@@ -129,9 +147,9 @@ func TestBealeCycling(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-0.75, 150, -0.02, 6},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0.25, -60, -1.0 / 25, 9}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{0.5, -90, -1.0 / 50, 3}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{0, 0, 1, 0}, Rel: LE, RHS: 1},
+			dense([]float64{0.25, -60, -1.0 / 25, 9}, LE, 0),
+			dense([]float64{0.5, -90, -1.0 / 50, 3}, LE, 0),
+			dense([]float64{0, 0, 1, 0}, LE, 1),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), -0.05, []float64{0.04, 0, 1, 0})
@@ -143,9 +161,9 @@ func TestRedundantRows(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{2, 2}, Rel: EQ, RHS: 8}, // dependent
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 1},
+			dense([]float64{1, 1}, EQ, 4),
+			dense([]float64{2, 2}, EQ, 8), // dependent
+			dense([]float64{1, 0}, GE, 1),
 		},
 	}
 	sol := solveOK(t, p)
@@ -163,21 +181,21 @@ func TestValidateErrors(t *testing.T) {
 		},
 		"mismatched row": {
 			Objective:   []float64{1, 2},
-			Constraints: []Constraint{{Coeffs: []float64{1}, Rel: LE, RHS: 1}},
+			Constraints: []Constraint{{Idx: []int32{0, 1}, Val: []float64{1}, Rel: LE, RHS: 1}},
 		},
 		"inf rhs": {
 			Objective:   []float64{1},
-			Constraints: []Constraint{{Coeffs: []float64{1}, Rel: LE, RHS: math.Inf(1)}},
+			Constraints: []Constraint{dense([]float64{1}, LE, math.Inf(1))},
 		},
 		"nan coeff": {
 			Objective:   []float64{1},
-			Constraints: []Constraint{{Coeffs: []float64{math.NaN()}, Rel: LE, RHS: 1}},
+			Constraints: []Constraint{dense([]float64{math.NaN()}, LE, 1)},
 		},
 		// An unknown sense would leave the row's slack fixed at zero and
 		// silently solve it as EQ.
 		"unknown relation": {
 			Objective:   []float64{1},
-			Constraints: []Constraint{{Coeffs: []float64{1}, Rel: Relation(7), RHS: 1}},
+			Constraints: []Constraint{dense([]float64{1}, Relation(7), 1)},
 		},
 	}
 	for name, p := range cases {
@@ -192,15 +210,62 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateSparseRows pins the sparse row contract: column indices
+// strictly ascending and inside [0, n), one value per index, every value
+// finite. A rejected row must be named in the error; an empty row is a
+// valid (constant) constraint.
+func TestValidateSparseRows(t *testing.T) {
+	cases := []struct {
+		name string
+		row  Constraint
+	}{
+		{"unsorted", Constraint{Idx: []int32{2, 0}, Val: []float64{1, 1}}},
+		{"duplicate", Constraint{Idx: []int32{1, 1}, Val: []float64{1, 1}}},
+		{"out of range", Constraint{Idx: []int32{0, 3}, Val: []float64{1, 1}}},
+		{"negative", Constraint{Idx: []int32{-1, 0}, Val: []float64{1, 1}}},
+		{"fewer values", Constraint{Idx: []int32{0, 1}, Val: []float64{1}}},
+		{"more values", Constraint{Idx: []int32{0}, Val: []float64{1, 1}}},
+		{"nan", Constraint{Idx: []int32{0, 2}, Val: []float64{1, math.NaN()}}},
+		{"+inf", Constraint{Idx: []int32{1}, Val: []float64{math.Inf(1)}}},
+		{"-inf", Constraint{Idx: []int32{0, 1}, Val: []float64{math.Inf(-1), 1}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Problem{
+				Objective:   []float64{1, 1, 1},
+				Constraints: []Constraint{dense([]float64{1, 1, 1}, GE, 1), tc.row},
+			}
+			err := p.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted %+v", tc.row)
+			}
+			if !strings.Contains(err.Error(), "constraint 1 ") {
+				t.Errorf("error %q does not name constraint 1", err)
+			}
+		})
+	}
+	t.Run("empty row", func(t *testing.T) {
+		p := &Problem{
+			Objective:   []float64{1, 1, 1},
+			Constraints: []Constraint{dense([]float64{1, 1, 1}, GE, 1), {Rel: LE, RHS: 0}},
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Validate rejected an empty row: %v", err)
+		}
+		wantOptimal(t, solveOK(t, p), 1, nil)
+	})
+}
+
 func TestCloneDeep(t *testing.T) {
 	p := &Problem{
 		Objective:   []float64{1, 2},
-		Constraints: []Constraint{{Coeffs: []float64{1, 1}, Rel: GE, RHS: 3}},
+		Constraints: []Constraint{dense([]float64{1, 1}, GE, 3)},
 	}
 	q := p.Clone()
 	q.Objective[0] = 99
-	q.Constraints[0].Coeffs[1] = 99
-	if p.Objective[0] == 99 || p.Constraints[0].Coeffs[1] == 99 {
+	q.Constraints[0].Val[1] = 99
+	q.Constraints[0].Idx[0] = 1
+	if p.Objective[0] == 99 || p.Constraints[0].Val[1] == 99 || p.Constraints[0].Idx[0] == 1 {
 		t.Error("Clone shares storage")
 	}
 }
@@ -228,10 +293,10 @@ func TestMixedRelations(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{2, 3, 4},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1}, Rel: EQ, RHS: 10},
-			{Coeffs: []float64{1, -1, 0}, Rel: GE, RHS: 2},
-			{Coeffs: []float64{0, 0, 1}, Rel: LE, RHS: 3},
-			{Coeffs: []float64{0, 1, 1}, Rel: GE, RHS: 4},
+			dense([]float64{1, 1, 1}, EQ, 10),
+			dense([]float64{1, -1, 0}, GE, 2),
+			dense([]float64{0, 0, 1}, LE, 3),
+			dense([]float64{0, 1, 1}, GE, 4),
 		},
 	}
 	wantOptimal(t, solveOK(t, p), 24, []float64{6, 4, 0})

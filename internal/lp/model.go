@@ -80,9 +80,9 @@ func (md *Model) Restore(st *Start, b *Basis) {
 }
 
 // compile fills the model from a validated problem, reusing its buffers.
-// Both passes walk the dense rows in memory order; the second walks them
-// backwards so each column fills from its end, leaving every column's
-// entries in increasing row order.
+// Both passes walk the sparse rows; the second walks them backwards so
+// each column fills from its end, leaving every column's entries in
+// increasing row order. Zero values are skipped.
 func (md *Model) compile(p *Problem) {
 	m, n := len(p.Constraints), p.NumVars()
 	md.p, md.m, md.n = p, m, n
@@ -97,8 +97,9 @@ func (md *Model) compile(p *Problem) {
 	// then accumulates into the end offset of column j.
 	ptr := resize(md.ptr, n+m+1)
 	for i := range p.Constraints {
-		for j, v := range p.Constraints[i].Coeffs {
-			if v != 0 {
+		c := &p.Constraints[i]
+		for k, j := range c.Idx {
+			if c.Val[k] != 0 {
 				ptr[j]++
 			}
 		}
@@ -118,8 +119,8 @@ func (md *Model) compile(p *Problem) {
 		c := &p.Constraints[i]
 		ptr[n+i]--
 		ind[ptr[n+i]], val[ptr[n+i]] = int32(i), 1
-		for j, v := range c.Coeffs {
-			if v != 0 {
+		for k, j := range c.Idx {
+			if v := c.Val[k]; v != 0 {
 				ptr[j]--
 				ind[ptr[j]], val[ptr[j]] = int32(i), v
 			}

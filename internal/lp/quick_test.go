@@ -25,9 +25,7 @@ func randomCoveringLP(r *rand.Rand) *Problem {
 			}
 		}
 		row[r.Intn(n)] = float64(1 + r.Intn(5)) // ensure coverable
-		p.Constraints = append(p.Constraints, Constraint{
-			Coeffs: row, Rel: GE, RHS: float64(r.Intn(30)),
-		})
+		p.Constraints = append(p.Constraints, dense(row, GE, float64(r.Intn(30))))
 	}
 	return p
 }
@@ -40,10 +38,7 @@ func feasible(p *Problem, x []float64, tol float64) bool {
 		}
 	}
 	for _, c := range p.Constraints {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+		dot := c.Dot(x)
 		switch c.Rel {
 		case LE:
 			if dot > c.RHS+tol {
@@ -106,11 +101,9 @@ func TestQuickStrongDuality(t *testing.T) {
 		for j := 0; j < n; j++ {
 			row := make([]float64, m)
 			for i := 0; i < m; i++ {
-				row[i] = p.Constraints[i].Coeffs[j]
+				row[i] = coef(p.Constraints[i], j)
 			}
-			dual.Constraints = append(dual.Constraints, Constraint{
-				Coeffs: row, Rel: LE, RHS: p.Objective[j],
-			})
+			dual.Constraints = append(dual.Constraints, dense(row, LE, p.Objective[j]))
 		}
 		dsol, err := Solve(dual, nil)
 		if err != nil || dsol.Status != Optimal {
@@ -135,15 +128,15 @@ func TestQuickOptimumBelowGreedyPoint(t *testing.T) {
 		x := make([]float64, p.NumVars())
 		for _, c := range p.Constraints {
 			bestJ, bestRate := -1, 0.0
-			for j, a := range c.Coeffs {
-				if a > 0 {
+			for k, j := range c.Idx {
+				if a := c.Val[k]; a > 0 {
 					rate := p.Objective[j] / a
 					if bestJ < 0 || rate < bestRate {
-						bestJ, bestRate = j, rate
+						bestJ, bestRate = int(j), rate
 					}
 				}
 			}
-			need := c.RHS / c.Coeffs[bestJ]
+			need := c.RHS / coef(c, bestJ)
 			if need > x[bestJ] {
 				x[bestJ] = need
 			}

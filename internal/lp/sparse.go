@@ -74,6 +74,12 @@ type sparseSolver struct {
 	vrow, wpos, cpos, yrow []float64
 	alpha                  []float64 // the pivot row, by column
 	rowNZ                  []int32   // columns with a nonzero pivot-row entry
+
+	// Gomory cut scratch (gomory.go): the dense row a cut accumulates in,
+	// and the gathered entries of a round's cuts.
+	cutRow []float64
+	cutIdx []int32
+	cutVal []float64
 }
 
 type relaxation struct {

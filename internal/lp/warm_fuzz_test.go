@@ -52,9 +52,7 @@ func FuzzSolveFrom(f *testing.F) {
 			if delta < 0 {
 				rel = GE
 			}
-			q.Constraints = append(q.Constraints, Constraint{
-				Coeffs: row, Rel: rel, RHS: math.Abs(delta),
-			})
+			q.Constraints = append(q.Constraints, dense(row, rel, math.Abs(delta)))
 		case 2: // tighten the upper bound (down-branch shape)
 			q.SetBounds(j, q.LowerBound(j), math.Max(q.LowerBound(j), math.Abs(delta)))
 		case 3: // raise the lower bound (up-branch shape)
@@ -109,10 +107,7 @@ func FuzzSolveFrom(f *testing.F) {
 			}
 		}
 		for i, c := range q.Constraints {
-			dot := 0.0
-			for j, a := range c.Coeffs {
-				dot += a * warm.X[j]
-			}
+			dot := c.Dot(warm.X)
 			slack := 1e-6 * (1 + math.Abs(c.RHS))
 			switch c.Rel {
 			case LE:

@@ -14,8 +14,8 @@ func coveringBase() *Problem {
 	return &Problem{
 		Objective: []float64{10, 18, 7},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1}, Rel: GE, RHS: 7},
-			{Coeffs: []float64{1, 0, 2}, Rel: GE, RHS: 4},
+			dense([]float64{1, 1, 1}, GE, 7),
+			dense([]float64{1, 0, 2}, GE, 4),
 		},
 	}
 }
@@ -25,7 +25,7 @@ func withBound(p *Problem, j int, rel Relation, rhs float64) *Problem {
 	q := p.Clone()
 	row := make([]float64, q.NumVars())
 	row[j] = 1
-	q.Constraints = append(q.Constraints, Constraint{Coeffs: row, Rel: rel, RHS: rhs})
+	q.Constraints = append(q.Constraints, dense(row, rel, rhs))
 	return q
 }
 
@@ -63,10 +63,7 @@ func checkFeasible(t *testing.T, p *Problem, x []float64) {
 		}
 	}
 	for i, c := range p.Constraints {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+		dot := c.Dot(x)
 		switch c.Rel {
 		case LE:
 			if dot > c.RHS+1e-6 {
@@ -159,7 +156,7 @@ func TestSolveFromNilAndMismatchedBasis(t *testing.T) {
 	// Basis from an unrelated problem with a different variable count.
 	other, err := Solve(&Problem{
 		Objective:   []float64{1, 1},
-		Constraints: []Constraint{{Coeffs: []float64{1, 1}, Rel: GE, RHS: 3}},
+		Constraints: []Constraint{dense([]float64{1, 1}, GE, 3)},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +239,7 @@ func randomCoverLP(r *rand.Rand, n, m int) *Problem {
 			row[j] = float64(r.Intn(7))
 		}
 		row[r.Intn(n)] += 1 // keep every row satisfiable
-		p.Constraints = append(p.Constraints, Constraint{
-			Coeffs: row, Rel: GE, RHS: float64(5 + r.Intn(40)),
-		})
+		p.Constraints = append(p.Constraints, dense(row, GE, float64(5+r.Intn(40))))
 	}
 	return p
 }
@@ -292,9 +287,9 @@ func TestBealeCyclingWarm(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{-0.75, 150, -0.02, 6},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0.25, -60, -1.0 / 25, 9}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{0.5, -90, -1.0 / 50, 3}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{0, 0, 1, 0}, Rel: LE, RHS: 1},
+			dense([]float64{0.25, -60, -1.0 / 25, 9}, LE, 0),
+			dense([]float64{0.5, -90, -1.0 / 50, 3}, LE, 0),
+			dense([]float64{0, 0, 1, 0}, LE, 1),
 		},
 	}
 	parent, err := Solve(p, nil)
@@ -326,12 +321,12 @@ func TestDegenerateTiesTerminate(t *testing.T) {
 		Constraints: []Constraint{
 			// Degenerate at the origin: ratios ~1e-8, distinct above the
 			// 1e-9 pricing tolerance but equal up to roundoff.
-			{Coeffs: []float64{1, -1, 0}, Rel: LE, RHS: 1e-8},
-			{Coeffs: []float64{1, 0, -1}, Rel: LE, RHS: 3e-8},
-			{Coeffs: []float64{1, -1, 0}, Rel: LE, RHS: 2e-8}, // duplicate direction
-			{Coeffs: []float64{0, 1, 0}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{0, 0, 1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1, 0, 0}, Rel: LE, RHS: 1},
+			dense([]float64{1, -1, 0}, LE, 1e-8),
+			dense([]float64{1, 0, -1}, LE, 3e-8),
+			dense([]float64{1, -1, 0}, LE, 2e-8), // duplicate direction
+			dense([]float64{0, 1, 0}, LE, 1),
+			dense([]float64{0, 0, 1}, LE, 1),
+			dense([]float64{1, 0, 0}, LE, 1),
 		},
 	}
 	sol, err := Solve(p, nil)

@@ -22,7 +22,7 @@ func reuseLP(r *rand.Rand, n, m int) *Problem {
 		for k := 0; k < 6; k++ {
 			row[r.Intn(n)] = float64(1 + r.Intn(6))
 		}
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: GE, RHS: float64(5 + r.Intn(40))})
+		p.Constraints = append(p.Constraints, dense(row, GE, float64(5+r.Intn(40))))
 	}
 	for j := range p.Hi {
 		p.Hi[j] = float64(2 + r.Intn(8))
@@ -31,7 +31,7 @@ func reuseLP(r *rand.Rand, n, m int) *Problem {
 	for j := range budget {
 		budget[j] = 1
 	}
-	p.Constraints = append(p.Constraints, Constraint{Coeffs: budget, Rel: LE, RHS: float64(4 * n)})
+	p.Constraints = append(p.Constraints, dense(budget, LE, float64(4*n)))
 	return p
 }
 

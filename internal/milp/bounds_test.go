@@ -17,7 +17,7 @@ func TestBaseProblemBoundsHonored(t *testing.T) {
 			LP: lp.Problem{
 				Objective: []float64{-10, -13},
 				Constraints: []lp.Constraint{
-					{Coeffs: []float64{3, 4}, Rel: lp.LE, RHS: 7},
+					dense([]float64{3, 4}, lp.LE, 7),
 				},
 			},
 			Integer: []bool{true, true},
@@ -95,7 +95,7 @@ func TestInfeasibleByBounds(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 5},
+				dense([]float64{1, 1}, lp.GE, 5),
 			},
 			Hi: []float64{2, 2},
 		},

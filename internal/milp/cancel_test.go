@@ -22,7 +22,7 @@ func coveringProblem(n int) *Problem {
 		LP: lp.Problem{
 			Objective: obj,
 			Constraints: []lp.Constraint{
-				{Coeffs: row, Rel: lp.GE, RHS: 1000.5},
+				dense(row, lp.GE, 1000.5),
 			},
 		},
 		Integer: make([]bool, n),

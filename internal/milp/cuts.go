@@ -1,7 +1,9 @@
 package milp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rentmin/internal/lp"
@@ -34,94 +36,90 @@ const (
 // the caller-supplied extra rows (e.g. an objective cutoff row), violated
 // at the point x. Ordering is deterministic: rows are scanned in index
 // order, multipliers in sorted order, and the strongest (most violated)
-// cuts win the cap.
+// cuts win the cap. Only the winners' rows are materialized, carved from
+// one backing pair.
 func cgCuts(p *Problem, extra []lp.Constraint, x []float64) []lp.Constraint {
 	n := p.LP.NumVars()
 	lo := make([]float64, n)
 	for j := 0; j < n; j++ {
 		lo[j] = p.LP.LowerBound(j)
 	}
+	nrows := len(p.LP.Constraints)
+	row := func(i int) *lp.Constraint {
+		if i < nrows {
+			return &p.LP.Constraints[i]
+		}
+		return &extra[i-nrows]
+	}
+	// A candidate is row i in its GE view (coefficients sign·Val), scaled
+	// by t and rounded; its rounded right-hand side is rhs.
 	type scored struct {
-		cut  lp.Constraint
-		viol float64
-		ord  int
+		i         int
+		sign, t   float64
+		rhs, viol float64
+		ord       int
 	}
 	var cand []scored
-	ord := 0
-	tryRow := func(coeffs []float64, rhs float64) {
-		// GE view: Σ coeffs·x >= rhs. Every participating variable must be
-		// integer with a finite lower bound (lower bounds are always finite
-		// for a valid problem; checked anyway for safety).
-		nz := 0
-		for j, v := range coeffs {
+	var mags []float64
+	for i := 0; i < nrows+len(extra); i++ {
+		c := row(i)
+		// GE view: Σ sign·Val·x >= sign·RHS. EQ rows are skipped: each
+		// side alone is weaker than the equation the LP already enforces
+		// exactly.
+		var sign float64
+		switch c.Rel {
+		case lp.GE:
+			sign = 1
+		case lp.LE:
+			sign = -1
+		default:
+			continue
+		}
+		// Every participating variable must be integer with a finite lower
+		// bound (lower bounds are always finite for a valid problem;
+		// checked anyway for safety).
+		nz, ok := 0, true
+		mags = mags[:0]
+		for k, j := range c.Idx {
+			v := c.Val[k]
 			if v == 0 {
 				continue
 			}
 			if !p.Integer[j] || math.IsInf(lo[j], 0) {
-				return
+				ok = false
+				break
 			}
 			nz++
+			mags = append(mags, math.Abs(v))
 		}
-		if nz < 2 {
-			return // a single-variable row is just a bound
+		if !ok || nz < 2 {
+			continue // a single-variable row is just a bound
 		}
-		shifted := rhs
-		for j, v := range coeffs {
-			shifted -= v * lo[j]
+		shifted := sign * c.RHS
+		for k, j := range c.Idx {
+			shifted -= sign * c.Val[k] * lo[j]
 		}
-		// Candidate multipliers: one per distinct coefficient magnitude.
-		seen := map[float64]bool{}
-		var ts []float64
-		for _, v := range coeffs {
-			if v == 0 {
-				continue
-			}
-			m := math.Abs(v)
-			if !seen[m] {
-				seen[m] = true
-				ts = append(ts, 1/m)
-			}
-		}
-		sort.Float64s(ts)
-		for _, t := range ts {
-			cut := make([]float64, n)
+		// Candidate multipliers t = 1/m, one per distinct coefficient
+		// magnitude m: descending magnitudes give ascending multipliers.
+		slices.SortFunc(mags, func(a, b float64) int { return cmp.Compare(b, a) })
+		mags = slices.Compact(mags)
+		for _, m := range mags {
+			t := 1 / m
 			crhs := math.Ceil(t*shifted - 1e-9)
 			lhs := 0.0
-			for j, v := range coeffs {
+			for k, j := range c.Idx {
+				v := sign * c.Val[k]
 				if v == 0 {
 					continue
 				}
-				c := math.Ceil(t*v - 1e-9)
-				cut[j] = c
-				crhs += c * lo[j]
-				lhs += c * x[j]
+				r := math.Ceil(t*v - 1e-9)
+				crhs += r * lo[j]
+				lhs += r * x[j]
 			}
 			if viol := crhs - lhs; viol > cgViolTol {
-				cand = append(cand, scored{
-					cut:  lp.Constraint{Coeffs: cut, Rel: lp.GE, RHS: crhs},
-					viol: viol,
-					ord:  ord,
-				})
-				ord++
+				cand = append(cand, scored{i: i, sign: sign, t: t, rhs: crhs, viol: viol, ord: len(cand)})
 			}
 		}
-	}
-	rows := make([]lp.Constraint, 0, len(p.LP.Constraints)+len(extra))
-	rows = append(rows, p.LP.Constraints...)
-	rows = append(rows, extra...)
-	for _, c := range rows {
-		switch c.Rel {
-		case lp.GE:
-			tryRow(c.Coeffs, c.RHS)
-		case lp.LE:
-			neg := make([]float64, len(c.Coeffs))
-			for j, v := range c.Coeffs {
-				neg[j] = -v
-			}
-			tryRow(neg, -c.RHS)
-		}
-		// EQ rows are skipped: each side alone is weaker than the equation
-		// the LP already enforces exactly.
 	}
 	sort.SliceStable(cand, func(i, j int) bool {
 		if cand[i].viol != cand[j].viol {
@@ -132,9 +130,25 @@ func cgCuts(p *Problem, extra []lp.Constraint, x []float64) []lp.Constraint {
 	if len(cand) > cgMaxCuts {
 		cand = cand[:cgMaxCuts]
 	}
+	if len(cand) == 0 {
+		return nil
+	}
+	nnz := 0
+	for _, sc := range cand {
+		nnz += len(row(sc.i).Idx)
+	}
+	idx, val := make([]int32, 0, nnz), make([]float64, 0, nnz)
 	cuts := make([]lp.Constraint, len(cand))
-	for i, c := range cand {
-		cuts[i] = c.cut
+	for ci, sc := range cand {
+		c := row(sc.i)
+		s := len(idx)
+		for k, j := range c.Idx {
+			if r := math.Ceil(sc.t*(sc.sign*c.Val[k]) - 1e-9); r != 0 {
+				idx, val = append(idx, j), append(val, r)
+			}
+		}
+		e := len(idx)
+		cuts[ci] = lp.Constraint{Idx: idx[s:e:e], Val: val[s:e:e], Rel: lp.GE, RHS: sc.rhs}
 	}
 	return cuts
 }

@@ -735,9 +735,7 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 		return 0, err
 	}
 	if len(gr.Cuts) > 0 {
-		base := s.work.LP.Clone()
-		base.Constraints = append(base.Constraints, gr.Cuts...)
-		s.base = base
+		s.base = withRows(&s.work.LP, gr.Cuts)
 		s.stats.Cuts = len(gr.Cuts)
 	}
 	s.stats.CutRounds = gr.Rounds
@@ -760,18 +758,13 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 func (s *solver) addCGCuts(root *node) {
 	var extra []lp.Constraint
 	if s.hasBest {
-		extra = append(extra, lp.Constraint{
-			Coeffs: s.work.LP.Objective,
-			Rel:    lp.LE,
-			RHS:    s.bestObj - s.objOff,
-		})
+		extra = []lp.Constraint{cutoffRow(s.work.LP.Objective, s.bestObj-s.objOff)}
 	}
 	cgs := cgCuts(s.work, extra, root.relax.X)
 	if len(cgs) == 0 {
 		return
 	}
-	trial := s.base.Clone()
-	trial.Constraints = append(trial.Constraints, cgs...)
+	trial := withRows(s.base, cgs)
 	basis := root.relax.Basis
 	if s.opts.DisableWarmLP {
 		basis = nil
@@ -784,6 +777,16 @@ func (s *solver) addCGCuts(root *node) {
 	s.stats.Cuts += len(cgs)
 	s.stats.CutRounds++
 	s.setRelax(root, sol)
+}
+
+// withRows returns p with rows appended. The result shares p's rows,
+// which no solve writes, and its bounds; the capped slice makes the append
+// copy the row headers, so p itself never changes.
+func withRows(p *lp.Problem, rows []lp.Constraint) *lp.Problem {
+	q := *p
+	m := len(p.Constraints)
+	q.Constraints = append(p.Constraints[:m:m], rows...)
+	return &q
 }
 
 // solveRoot solves the root relaxation of the base problem, warm from
@@ -865,11 +868,9 @@ func (s *solver) checkFeasible(x []float64) (float64, error) {
 		}
 	}
 	const tol = 1e-6
-	for i, c := range s.p.LP.Constraints {
-		dot := 0.0
-		for j, a := range c.Coeffs {
-			dot += a * x[j]
-		}
+	for i := range s.p.LP.Constraints {
+		c := &s.p.LP.Constraints[i]
+		dot := c.Dot(x)
 		switch c.Rel {
 		case lp.LE:
 			if dot > c.RHS+tol {

@@ -3,13 +3,29 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"rentmin/internal/lp"
+	"rentmin/internal/lp/lptest"
 )
+
+// dense writes a constraint row from a dense coefficient literal.
+func dense(coeffs []float64, rel lp.Relation, rhs float64) lp.Constraint {
+	idx, val := lptest.Sparse(coeffs)
+	return lp.Constraint{Idx: idx, Val: val, Rel: rel, RHS: rhs}
+}
+
+// coef returns row c's coefficient in column j.
+func coef(c lp.Constraint, j int) float64 {
+	if k, ok := slices.BinarySearch(c.Idx, int32(j)); ok {
+		return c.Val[k]
+	}
+	return 0
+}
 
 // workerCounts is the concurrency grid: how many solves of one problem
 // run at once, as a server's solve pool runs them. One, a small pool,
@@ -76,9 +92,7 @@ func hardCoverMILP(n int, seed int64) *Problem {
 		}
 	}
 	for i, row := range cons {
-		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{
-			Coeffs: row, Rel: lp.GE, RHS: float64(50+13*i) + 0.5,
-		})
+		p.LP.Constraints = append(p.LP.Constraints, dense(row, lp.GE, float64(50+13*i)+0.5))
 	}
 	return p
 }
@@ -184,7 +198,7 @@ func TestParallelTimeLimit(t *testing.T) {
 	inc := make([]float64, 14)
 	// Over-cover every constraint with the first variable alone.
 	for _, c := range p.LP.Constraints {
-		if need := math.Ceil(c.RHS / c.Coeffs[0]); need > inc[0] {
+		if need := math.Ceil(c.RHS / coef(c, 0)); need > inc[0] {
 			inc[0] = need
 		}
 	}
@@ -238,7 +252,7 @@ func TestIntegerCovering(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3},
+				dense([]float64{1, 2}, lp.GE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -253,7 +267,7 @@ func TestKnapsack(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{-10, -13},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{3, 4}, Rel: lp.LE, RHS: 7},
+				dense([]float64{3, 4}, lp.LE, 7),
 			},
 		},
 		Integer: []bool{true, true},
@@ -273,7 +287,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 5},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 2.5},
+				dense([]float64{1, 1}, lp.GE, 2.5),
 			},
 		},
 		Integer: []bool{false, true},
@@ -287,8 +301,8 @@ func TestInfeasibleMILP(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1}, Rel: lp.GE, RHS: 5},
-				{Coeffs: []float64{1}, Rel: lp.LE, RHS: 2},
+				dense([]float64{1}, lp.GE, 5),
+				dense([]float64{1}, lp.LE, 2),
 			},
 		},
 		Integer: []bool{true},
@@ -305,7 +319,7 @@ func TestIntegerInfeasibleLPRelaxFeasible(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2}, Rel: lp.EQ, RHS: 1},
+				dense([]float64{2}, lp.EQ, 1),
 			},
 		},
 		Integer: []bool{true},
@@ -340,7 +354,7 @@ func TestWarmStartAcceptedAndRejected(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3},
+				dense([]float64{1, 2}, lp.GE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -372,7 +386,7 @@ func TestTimeLimitReturnsBestFound(t *testing.T) {
 		LP: lp.Problem{
 			Objective: obj,
 			Constraints: []lp.Constraint{
-				{Coeffs: row, Rel: lp.GE, RHS: 1000.5},
+				dense(row, lp.GE, 1000.5),
 			},
 		},
 		Integer: make([]bool, n),
@@ -401,7 +415,7 @@ func TestNodeLimit(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 3, 5}, Rel: lp.GE, RHS: 17.5},
+				dense([]float64{2, 3, 5}, lp.GE, 17.5),
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -419,8 +433,8 @@ func TestRounderProvidesIncumbent(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{7, 5},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 1}, Rel: lp.GE, RHS: 9},
-				{Coeffs: []float64{1, 3}, Rel: lp.GE, RHS: 8},
+				dense([]float64{2, 1}, lp.GE, 9),
+				dense([]float64{1, 3}, lp.GE, 8),
 			},
 		},
 		Integer: []bool{true, true},
@@ -452,8 +466,8 @@ func TestIntegralObjectivePruningKeepsOptimum(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{13, 7, 9},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{3, 1, 2}, Rel: lp.GE, RHS: 11},
-				{Coeffs: []float64{1, 2, 1}, Rel: lp.GE, RHS: 7},
+				dense([]float64{3, 1, 2}, lp.GE, 11),
+				dense([]float64{1, 2, 1}, lp.GE, 7),
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -481,9 +495,9 @@ func bruteForceCover(p *Problem) float64 {
 	// A bound on any single variable: cover every row alone.
 	k := 0
 	for _, c := range p.LP.Constraints {
-		for j := 0; j < n; j++ {
-			if c.Coeffs[j] > 0 {
-				need := int(math.Ceil(c.RHS / c.Coeffs[j]))
+		for _, v := range c.Val {
+			if v > 0 {
+				need := int(math.Ceil(c.RHS / v))
 				if need > k {
 					k = need
 				}
@@ -496,10 +510,7 @@ func bruteForceCover(p *Problem) float64 {
 	rec = func(i int) {
 		if i == n {
 			for _, c := range p.LP.Constraints {
-				dot := 0.0
-				for j := 0; j < n; j++ {
-					dot += c.Coeffs[j] * x[j]
-				}
+				dot := c.Dot(x)
 				if dot < c.RHS-1e-9 {
 					return
 				}

@@ -115,20 +115,29 @@ func (r *Reduced) Postsolve(x []float64) []float64 {
 	return out
 }
 
-// presRow is one working row of the presolve pass. Coefficients stay in
-// the original (dense) column space; fixed columns are zeroed after
-// substitution.
+// presRow is one working row of the presolve pass. Its entries are
+// pres.idx/val[start:end], in original column space and ascending column
+// order; a fixed column's entry is zeroed after substitution, and zero
+// entries count as absent.
 type presRow struct {
-	coeffs  []float64
-	rel     lp.Relation
-	rhs     float64
-	dead    bool
-	phantom bool // cutoff row: propagates but is never emitted
+	start, end int32
+	rel        lp.Relation
+	rhs        float64
+	dead       bool
+	phantom    bool // cutoff row: propagates but is never emitted
 }
 
-// pres is the working state of one presolve pass.
+// pres is the working state of one presolve pass. Every row's nonzeros
+// sit in one flat idx/val pair, and the column index lists, per column
+// and in ascending row order, the rows holding it and the entry's
+// position, so each pass costs O(nnz).
 type pres struct {
-	rows    []presRow
+	rows []presRow
+	idx  []int32
+	val  []float64
+	// Column j's entries are colRow/colPos[colStart[j]:colStart[j+1]].
+	colStart, colRow, colPos []int32
+
 	lo, hi  []float64
 	live    []bool // column not yet fixed
 	obj     []float64
@@ -160,27 +169,15 @@ func Presolve(p *Problem, cutoff float64) *Reduced {
 			}
 		}
 	}
-	for _, c := range p.LP.Constraints {
-		w.rows = append(w.rows, presRow{
-			coeffs: append([]float64(nil), c.Coeffs...),
-			rel:    c.Rel,
-			rhs:    c.RHS,
-		})
-	}
-	if !math.IsInf(cutoff, 1) {
-		w.rows = append(w.rows, presRow{
-			coeffs:  append([]float64(nil), p.LP.Objective...),
-			rel:     lp.LE,
-			rhs:     cutoff,
-			phantom: true,
-		})
-	}
+	w.load(p, cutoff)
 
 	for round := 0; round < presolveMaxRounds; round++ {
 		w.changed = false
-		if w.tightenAll() || w.fixClosed() || w.fixEmpty() {
+		if w.tightenAll() {
 			return infeasibleReduced(p, w)
 		}
+		w.fixClosed()
+		w.fixEmpty()
 		w.reduceCoefficients()
 		if !w.changed {
 			break
@@ -190,6 +187,76 @@ func Presolve(p *Problem, cutoff float64) *Reduced {
 		return infeasibleReduced(p, w)
 	}
 	return w.build(p)
+}
+
+// load copies p's rows (and, under a finite cutoff, the phantom cutoff
+// row) into flat storage, dropping zero values, and builds the column
+// index.
+func (w *pres) load(p *Problem, cutoff float64) {
+	n := p.LP.NumVars()
+	rows := len(p.LP.Constraints)
+	var phantom lp.Constraint
+	if !math.IsInf(cutoff, 1) {
+		phantom = cutoffRow(p.LP.Objective, cutoff)
+		rows++
+	}
+	nnz := len(phantom.Idx)
+	for i := range p.LP.Constraints {
+		nnz += len(p.LP.Constraints[i].Idx)
+	}
+	w.rows = make([]presRow, 0, rows)
+	w.idx, w.val = make([]int32, 0, nnz), make([]float64, 0, nnz)
+	w.colStart = make([]int32, n+1)
+	add := func(c *lp.Constraint, phantom bool) {
+		start := int32(len(w.idx))
+		for k, j := range c.Idx {
+			if v := c.Val[k]; v != 0 {
+				w.idx, w.val = append(w.idx, j), append(w.val, v)
+				w.colStart[j+1]++
+			}
+		}
+		w.rows = append(w.rows, presRow{start: start, end: int32(len(w.idx)), rel: c.Rel, rhs: c.RHS, phantom: phantom})
+	}
+	for i := range p.LP.Constraints {
+		add(&p.LP.Constraints[i], false)
+	}
+	if rows > len(p.LP.Constraints) {
+		add(&phantom, true)
+	}
+
+	// Counting sort by column: rows are visited in order, so each
+	// column's list comes out in ascending row order.
+	for j := 0; j < n; j++ {
+		w.colStart[j+1] += w.colStart[j]
+	}
+	next := append([]int32(nil), w.colStart[:n]...)
+	w.colRow = make([]int32, len(w.idx))
+	w.colPos = make([]int32, len(w.idx))
+	for i, r := range w.rows {
+		for k := r.start; k < r.end; k++ {
+			j := w.idx[k]
+			w.colRow[next[j]], w.colPos[next[j]] = int32(i), k
+			next[j]++
+		}
+	}
+}
+
+// cutoffRow returns the objective cutoff obj·x <= cutoff as a row over
+// obj's nonzeros.
+func cutoffRow(obj []float64, cutoff float64) lp.Constraint {
+	nz := 0
+	for _, v := range obj {
+		if v != 0 {
+			nz++
+		}
+	}
+	c := lp.Constraint{Idx: make([]int32, 0, nz), Val: make([]float64, 0, nz), Rel: lp.LE, RHS: cutoff}
+	for j, v := range obj {
+		if v != 0 {
+			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
+		}
+	}
+	return c
 }
 
 func infeasibleReduced(p *Problem, w *pres) *Reduced {
@@ -208,7 +275,8 @@ type activity struct {
 
 func (w *pres) rowActivity(r *presRow) activity {
 	var a activity
-	for j, v := range r.coeffs {
+	for k := r.start; k < r.end; k++ {
+		j, v := w.idx[k], w.val[k]
 		if v == 0 || !w.live[j] {
 			continue
 		}
@@ -231,10 +299,9 @@ func (w *pres) rowActivity(r *presRow) activity {
 	return a
 }
 
-// minRest / maxRest return the row activity excluding column j, or ±inf
-// when other columns contribute an infinity.
-func (w *pres) minRest(a activity, r *presRow, j int) float64 {
-	v := r.coeffs[j]
+// minRest / maxRest return the row activity excluding column j, whose
+// coefficient is v, or ±inf when other columns contribute an infinity.
+func (w *pres) minRest(a activity, v float64, j int32) float64 {
 	contrib, inf := 0.0, false
 	if v > 0 {
 		contrib = v * w.lo[j]
@@ -256,8 +323,7 @@ func (w *pres) minRest(a activity, r *presRow, j int) float64 {
 	return a.minSum - contrib
 }
 
-func (w *pres) maxRest(a activity, r *presRow, j int) float64 {
-	v := r.coeffs[j]
+func (w *pres) maxRest(a activity, v float64, j int32) float64 {
 	contrib, inf := 0.0, false
 	if v < 0 {
 		contrib = v * w.lo[j]
@@ -336,19 +402,20 @@ func (w *pres) tightenAll() bool {
 		// Bound tightening. An LE row bounds x_j from above (a_j > 0) or
 		// below (a_j < 0) through the minimum activity of the rest; a GE
 		// row mirrors through the maximum activity; an EQ row does both.
-		for j, v := range r.coeffs {
+		for k := r.start; k < r.end; k++ {
+			j, v := w.idx[k], w.val[k]
 			if v == 0 || !w.live[j] {
 				continue
 			}
 			if r.rel == lp.LE || r.rel == lp.EQ {
-				if rest := w.minRest(a, r, j); !math.IsInf(rest, -1) {
+				if rest := w.minRest(a, v, j); !math.IsInf(rest, -1) {
 					if w.applyBound(j, (r.rhs-rest)/v, v > 0) {
 						return true
 					}
 				}
 			}
 			if r.rel == lp.GE || r.rel == lp.EQ {
-				if rest := w.maxRest(a, r, j); !math.IsInf(rest, 1) {
+				if rest := w.maxRest(a, v, j); !math.IsInf(rest, 1) {
 					if w.applyBound(j, (r.rhs-rest)/v, v < 0) {
 						return true
 					}
@@ -362,7 +429,7 @@ func (w *pres) tightenAll() bool {
 // applyBound installs a derived bound on column j — an upper bound when
 // upper is set, a lower bound otherwise — rounding inward for integer
 // columns. It returns true when the bounds cross (infeasible).
-func (w *pres) applyBound(j int, b float64, upper bool) bool {
+func (w *pres) applyBound(j int32, b float64, upper bool) bool {
 	if upper {
 		if w.isInt[j] {
 			b = math.Floor(b + intTol)
@@ -388,13 +455,13 @@ func (w *pres) applyBound(j int, b float64, upper bool) bool {
 // fixColumn substitutes column j at value v into every live row and the
 // objective and removes it from the problem.
 func (w *pres) fixColumn(j int, v float64) {
-	for i := range w.rows {
-		r := &w.rows[i]
-		if r.dead || r.coeffs[j] == 0 {
+	for e := w.colStart[j]; e < w.colStart[j+1]; e++ {
+		r, k := &w.rows[w.colRow[e]], w.colPos[e]
+		if r.dead || w.val[k] == 0 {
 			continue
 		}
-		r.rhs -= r.coeffs[j] * v
-		r.coeffs[j] = 0
+		r.rhs -= w.val[k] * v
+		w.val[k] = 0
 	}
 	w.objOff += w.obj[j] * v
 	w.lo[j], w.hi[j] = v, v
@@ -403,9 +470,8 @@ func (w *pres) fixColumn(j int, v float64) {
 	w.stats.ColsFixed++
 }
 
-// fixClosed substitutes every column whose bounds have closed. It returns
-// true on an inconsistency (cannot happen here; kept for symmetry).
-func (w *pres) fixClosed() bool {
+// fixClosed substitutes every column whose bounds have closed.
+func (w *pres) fixClosed() {
 	for j := range w.live {
 		if !w.live[j] {
 			continue
@@ -418,7 +484,6 @@ func (w *pres) fixClosed() bool {
 			w.fixColumn(j, v)
 		}
 	}
-	return false
 }
 
 // fixEmpty fixes columns that appear in no live real row at the bound
@@ -427,15 +492,15 @@ func (w *pres) fixClosed() bool {
 // exactly as it would without presolve. The phantom cutoff row is
 // ignored here: the objective sign decides, and moving a variable toward
 // its cheaper bound can only help the cutoff row.
-func (w *pres) fixEmpty() bool {
+func (w *pres) fixEmpty() {
 	for j := range w.live {
 		if !w.live[j] {
 			continue
 		}
 		used := false
-		for i := range w.rows {
-			r := &w.rows[i]
-			if !r.dead && !r.phantom && r.coeffs[j] != 0 {
+		for e := w.colStart[j]; e < w.colStart[j+1]; e++ {
+			r := &w.rows[w.colRow[e]]
+			if !r.dead && !r.phantom && w.val[w.colPos[e]] != 0 {
 				used = true
 				break
 			}
@@ -459,7 +524,6 @@ func (w *pres) fixEmpty() bool {
 			}
 		}
 	}
-	return false
 }
 
 // reduceCoefficients applies the integer coefficient-reduction rule to
@@ -482,21 +546,23 @@ func (w *pres) reduceCoefficients() {
 		if r.rel == lp.GE {
 			sign = -1
 		}
-		for j := range r.coeffs {
-			if !w.live[j] || !w.isInt[j] || r.coeffs[j] == 0 {
+		for k := r.start; k < r.end; k++ {
+			j := w.idx[k]
+			if !w.live[j] || !w.isInt[j] || w.val[k] == 0 {
 				continue
 			}
-			// Activity is recomputed per candidate: an applied reduction
-			// changes the row's coefficients, and rows are short enough
-			// here that clarity wins over an incremental update.
+			// Activity is recomputed per candidate over the row's entries:
+			// an applied reduction changes the row's coefficients, and rows
+			// are short enough that clarity wins over an incremental update.
 			a := w.rowActivity(r)
-			aj := sign * r.coeffs[j]
+			v := w.val[k]
+			aj := sign * v
 			var d float64
 			switch {
 			case aj > 0 && !math.IsInf(w.hi[j], 1):
-				rest := w.maxRest(a, r, j)
+				rest := w.maxRest(a, v, j)
 				if r.rel == lp.GE {
-					rest = -w.minRest(a, r, j)
+					rest = -w.minRest(a, v, j)
 				}
 				if math.IsInf(rest, 0) {
 					continue
@@ -506,12 +572,12 @@ func (w *pres) reduceCoefficients() {
 					continue
 				}
 				d = math.Min(d, aj)
-				r.coeffs[j] = sign * (aj - d)
+				w.val[k] = sign * (aj - d)
 				r.rhs = sign * (sign*r.rhs - d*w.hi[j])
 			case aj < 0:
-				rest := w.maxRest(a, r, j)
+				rest := w.maxRest(a, v, j)
 				if r.rel == lp.GE {
-					rest = -w.minRest(a, r, j)
+					rest = -w.minRest(a, v, j)
 				}
 				if math.IsInf(rest, 0) {
 					continue
@@ -521,7 +587,7 @@ func (w *pres) reduceCoefficients() {
 					continue
 				}
 				d = math.Min(d, -aj)
-				r.coeffs[j] = sign * (aj + d)
+				w.val[k] = sign * (aj + d)
 				r.rhs = sign * (sign*r.rhs + d*w.lo[j])
 			default:
 				continue
@@ -542,8 +608,8 @@ func (w *pres) dropEmptyRows() bool {
 			continue
 		}
 		empty := true
-		for j, v := range r.coeffs {
-			if v != 0 && w.live[j] {
+		for k := r.start; k < r.end; k++ {
+			if w.val[k] != 0 && w.live[w.idx[k]] {
 				empty = false
 				break
 			}
@@ -581,10 +647,10 @@ func (w *pres) build(p *Problem) *Reduced {
 		fixedVal:  make([]float64, n),
 		isFixed:   make([]bool, n),
 	}
-	colOf := make([]int, n) // original -> reduced, -1 when fixed
+	colOf := make([]int32, n) // original -> reduced, -1 when fixed
 	for j := 0; j < n; j++ {
 		if w.live[j] {
-			colOf[j] = len(red.keep)
+			colOf[j] = int32(len(red.keep))
 			red.keep = append(red.keep, j)
 		} else {
 			colOf[j] = -1
@@ -603,21 +669,27 @@ func (w *pres) build(p *Problem) *Reduced {
 		rp.LP.Lo[i] = w.lo[j]
 		rp.LP.Hi[i] = w.hi[j]
 	}
+	// Gather the emitted rows' live nonzeros, renumbered, into one backing
+	// pair; colOf is increasing, so every row stays ascending.
+	idx, val := make([]int32, 0, len(w.idx)), make([]float64, 0, len(w.idx))
+	rp.LP.Constraints = make([]lp.Constraint, 0, len(w.rows))
 	for i := range w.rows {
 		r := &w.rows[i]
 		if r.dead || r.phantom {
 			continue
 		}
-		coeffs := make([]float64, nr)
-		for j, v := range r.coeffs {
-			if v != 0 && w.live[j] {
-				coeffs[colOf[j]] = v
+		s := len(idx)
+		for k := r.start; k < r.end; k++ {
+			if w.val[k] != 0 && w.live[w.idx[k]] {
+				idx, val = append(idx, colOf[w.idx[k]]), append(val, w.val[k])
 			}
 		}
+		e := len(idx)
 		rp.LP.Constraints = append(rp.LP.Constraints, lp.Constraint{
-			Coeffs: coeffs,
-			Rel:    r.rel,
-			RHS:    r.rhs,
+			Idx: idx[s:e:e],
+			Val: val[s:e:e],
+			Rel: r.rel,
+			RHS: r.rhs,
 		})
 	}
 	red.P = rp

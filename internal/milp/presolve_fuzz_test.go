@@ -16,7 +16,10 @@ import (
 // solver's own feasibility checker. The cfg byte toggles the surrounding
 // machinery (root cuts, integral-objective pruning, reliability branching, a
 // warm-start incumbent feeding the cutoff row), so the fuzzer also drives
-// the phantom-cutoff and CG-cut paths.
+// the phantom-cutoff and CG-cut paths. Rows carry explicit zero values,
+// and with cfg bit 32 an empty row (satisfied or not by its right-hand
+// side alone) joins them, so the sparse walks' zero-skip and empty-row
+// branches run too.
 //
 // Unbounded outcomes are skipped: when the LP relaxation is unbounded the
 // direct solve reports Unbounded, while presolve may legitimately prove
@@ -27,6 +30,9 @@ func FuzzPresolve(f *testing.F) {
 	f.Add(uint64(42), uint8(3))
 	f.Add(uint64(0xF00D), uint8(7))
 	f.Add(uint64(0xBEEF), uint8(15))
+	f.Add(uint64(3), uint8(32))
+	f.Add(uint64(0xCAFE), uint8(37))
+	f.Add(uint64(99), uint8(63))
 	f.Fuzz(func(t *testing.T, seed uint64, cfg uint8) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		n := 1 + r.Intn(4)
@@ -47,22 +53,36 @@ func FuzzPresolve(f *testing.F) {
 			}
 		}
 		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(r.Intn(4))
+			vals := make([]float64, n)
+			for j := range vals {
+				vals[j] = float64(r.Intn(4))
 			}
-			row[r.Intn(n)] = float64(1 + r.Intn(4))
-			rel := lp.GE
-			rhs := float64(r.Intn(12))
+			vals[r.Intn(n)] = float64(1 + r.Intn(4))
+			c := lp.Constraint{Rel: lp.GE, RHS: float64(r.Intn(12))}
+			for j, v := range vals {
+				// Odd rows omit their zero columns; even rows keep them as
+				// explicit zero values, which the sparse walks must skip.
+				if v != 0 || i%2 == 0 {
+					c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
+				}
+			}
 			if boxed && r.Intn(3) == 0 {
 				// With finite bounds an LE row cannot cause unboundedness,
 				// and it gives redundancy/coefficient-reduction real work.
-				rel = lp.LE
-				rhs = float64(3 + r.Intn(15))
+				c.Rel = lp.LE
+				c.RHS = float64(3 + r.Intn(15))
 			}
-			p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{
-				Coeffs: row, Rel: rel, RHS: rhs,
-			})
+			p.LP.Constraints = append(p.LP.Constraints, c)
+		}
+		if cfg&32 != 0 {
+			// An empty row: a constant constraint 0 Rel RHS, feasible or
+			// not by its RHS alone.
+			c := lp.Constraint{Rel: lp.GE, RHS: float64(r.Intn(2))}
+			if r.Intn(2) == 0 {
+				c.Rel, c.RHS = lp.LE, float64(r.Intn(2)-1)
+			}
+			at := r.Intn(len(p.LP.Constraints) + 1)
+			p.LP.Constraints = append(p.LP.Constraints[:at], append([]lp.Constraint{c}, p.LP.Constraints[at:]...)...)
 		}
 
 		opts := Options{}

@@ -18,7 +18,7 @@ func TestPresolveBoundTightening(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{-1, -1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 3}, Rel: lp.LE, RHS: 12},
+				dense([]float64{2, 3}, lp.LE, 12),
 			},
 		},
 		Integer: []bool{true, true},
@@ -50,10 +50,7 @@ func TestQuickPresolveKeepsIntegerPoints(t *testing.T) {
 		k := coverBox(p)
 		feasible := func(x []float64) bool {
 			for _, c := range p.LP.Constraints {
-				dot := 0.0
-				for j := 0; j < n; j++ {
-					dot += c.Coeffs[j] * x[j]
-				}
+				dot := c.Dot(x)
 				if dot < c.RHS-1e-9 {
 					return false
 				}
@@ -99,8 +96,8 @@ func TestQuickPresolveKeepsIntegerPoints(t *testing.T) {
 				}
 				for _, c := range red.P.LP.Constraints {
 					dot := 0.0
-					for ri, j := range red.keep {
-						dot += c.Coeffs[ri] * x[j]
+					for k, ri := range c.Idx {
+						dot += c.Val[k] * x[red.keep[ri]]
 					}
 					switch c.Rel {
 					case lp.GE:
@@ -139,9 +136,9 @@ func TestQuickPresolveKeepsIntegerPoints(t *testing.T) {
 func coverBox(p *Problem) int {
 	k := 0
 	for _, c := range p.LP.Constraints {
-		for j := 0; j < p.LP.NumVars(); j++ {
-			if c.Coeffs[j] > 0 {
-				if need := int(math.Ceil(c.RHS / c.Coeffs[j])); need > k {
+		for _, v := range c.Val {
+			if v > 0 {
+				if need := int(math.Ceil(c.RHS / v)); need > k {
 					k = need
 				}
 			}
@@ -158,8 +155,8 @@ func TestPresolveRedundantRowRemoved(t *testing.T) {
 			Objective: []float64{-1, 1},
 			Hi:        []float64{2, 3},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Rel: lp.LE, RHS: 5},
-				{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 2},
+				dense([]float64{1, 0}, lp.LE, 5),
+				dense([]float64{1, 1}, lp.GE, 2),
 			},
 		},
 		Integer: []bool{true, true},
@@ -188,8 +185,8 @@ func TestPresolveFixedVariableSubstitution(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{5, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Rel: lp.EQ, RHS: 3},
-				{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 5},
+				dense([]float64{1, 0}, lp.EQ, 3),
+				dense([]float64{1, 1}, lp.GE, 5),
 			},
 		},
 		Integer: []bool{true, true},
@@ -224,7 +221,7 @@ func TestPresolveEmptyColumn(t *testing.T) {
 			Objective: []float64{1, -2},
 			Hi:        []float64{math.Inf(1), 5},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Rel: lp.GE, RHS: 1},
+				dense([]float64{1, 0}, lp.GE, 1),
 			},
 		},
 		Integer: []bool{true, true},
@@ -262,7 +259,7 @@ func TestPresolveCoefficientReduction(t *testing.T) {
 				Objective: []float64{-1, -1},
 				Hi:        []float64{2, 2},
 				Constraints: []lp.Constraint{
-					{Coeffs: []float64{3, 2}, Rel: lp.LE, RHS: 8},
+					dense([]float64{3, 2}, lp.LE, 8),
 				},
 			},
 			Integer: []bool{true, true},
@@ -279,15 +276,15 @@ func TestPresolveCoefficientReduction(t *testing.T) {
 		t.Fatalf("reduced rows = %d, want 1", len(red.P.LP.Constraints))
 	}
 	c := red.P.LP.Constraints[0]
-	if math.Abs(c.Coeffs[0]-2) > 1e-9 || math.Abs(c.Coeffs[1]-2) > 1e-9 || math.Abs(c.RHS-6) > 1e-9 {
-		t.Errorf("reduced row = %v <= %g, want 2x+2y <= 6", c.Coeffs, c.RHS)
+	if math.Abs(coef(c, 0)-2) > 1e-9 || math.Abs(coef(c, 1)-2) > 1e-9 || math.Abs(c.RHS-6) > 1e-9 {
+		t.Errorf("reduced row = %v·x[%v] <= %g, want 2x+2y <= 6", c.Val, c.Idx, c.RHS)
 	}
 	// The integer feasible sets must be identical over the box.
 	orig := mk()
 	for x := 0; x <= 2; x++ {
 		for y := 0; y <= 2; y++ {
 			inOrig := 3*x+2*y <= 8
-			inRed := c.Coeffs[0]*float64(x)+c.Coeffs[1]*float64(y) <= c.RHS+1e-9
+			inRed := c.Dot([]float64{float64(x), float64(y)}) <= c.RHS+1e-9
 			if inOrig != inRed {
 				t.Errorf("point (%d,%d): original feasible=%v, reduced feasible=%v", x, y, inOrig, inRed)
 			}
@@ -296,7 +293,7 @@ func TestPresolveCoefficientReduction(t *testing.T) {
 	_ = orig
 	// And the LP relaxation is strictly tighter: at the fractional LP
 	// vertex of the original row (x=4/3, y=2) the reduced row is violated.
-	if v := c.Coeffs[0]*(4.0/3) + c.Coeffs[1]*2 - c.RHS; v <= 1e-9 {
+	if v := c.Dot([]float64{4.0 / 3, 2}) - c.RHS; v <= 1e-9 {
 		t.Errorf("reduced row not tighter at the old LP vertex (slack %g)", -v)
 	}
 }
@@ -311,7 +308,7 @@ func TestPresolveCoefficientReductionNegative(t *testing.T) {
 			Objective: []float64{1, -1},
 			Hi:        []float64{2, 2},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{-3, 2}, Rel: lp.LE, RHS: 2},
+				dense([]float64{-3, 2}, lp.LE, 2),
 			},
 		},
 		Integer: []bool{true, true},
@@ -344,8 +341,8 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1}, Rel: lp.GE, RHS: 5},
-				{Coeffs: []float64{1}, Rel: lp.LE, RHS: 2},
+				dense([]float64{1}, lp.GE, 5),
+				dense([]float64{1}, lp.LE, 2),
 			},
 		},
 		Integer: []bool{true},
@@ -367,7 +364,7 @@ func TestPresolveCutoffTightensDefaultBounds(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3},
+				dense([]float64{1, 2}, lp.GE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -409,7 +406,7 @@ func TestPresolveCutoffInfeasibleProvesIncumbent(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3},
+				dense([]float64{1, 2}, lp.GE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -439,21 +436,21 @@ func TestPresolveEquivalenceFixedInstances(t *testing.T) {
 		{"covering", &Problem{
 			LP: lp.Problem{
 				Objective:   []float64{1, 1},
-				Constraints: []lp.Constraint{{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3}},
+				Constraints: []lp.Constraint{dense([]float64{1, 2}, lp.GE, 3)},
 			},
 			Integer: []bool{true, true},
 		}, nil},
 		{"knapsack", &Problem{
 			LP: lp.Problem{
 				Objective:   []float64{-10, -13},
-				Constraints: []lp.Constraint{{Coeffs: []float64{3, 4}, Rel: lp.LE, RHS: 7}},
+				Constraints: []lp.Constraint{dense([]float64{3, 4}, lp.LE, 7)},
 			},
 			Integer: []bool{true, true},
 		}, nil},
 		{"mixed", &Problem{
 			LP: lp.Problem{
 				Objective:   []float64{1, 5},
-				Constraints: []lp.Constraint{{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 2.5}},
+				Constraints: []lp.Constraint{dense([]float64{1, 1}, lp.GE, 2.5)},
 			},
 			Integer: []bool{false, true},
 		}, nil},

@@ -28,9 +28,7 @@ func randomCoverMILP(r *rand.Rand) *Problem {
 			row[j] = float64(r.Intn(4))
 		}
 		row[r.Intn(n)] = float64(1 + r.Intn(4))
-		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{
-			Coeffs: row, Rel: lp.GE, RHS: float64(r.Intn(12)),
-		})
+		p.LP.Constraints = append(p.LP.Constraints, dense(row, lp.GE, float64(r.Intn(12))))
 	}
 	return p
 }
@@ -107,9 +105,9 @@ func TestQuickWarmStartConsistent(t *testing.T) {
 		n := p.LP.NumVars()
 		inc := make([]float64, n)
 		for _, c := range p.LP.Constraints {
-			for j := 0; j < n; j++ {
-				if c.Coeffs[j] > 0 {
-					need := math.Ceil(c.RHS / c.Coeffs[j])
+			for k, j := range c.Idx {
+				if v := c.Val[k]; v > 0 {
+					need := math.Ceil(c.RHS / v)
 					if need > inc[j] {
 						inc[j] = need
 					}

@@ -13,8 +13,8 @@ func rootBasisProblem() *Problem {
 		LP: lp.Problem{
 			Objective: []float64{3, 2, 4},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2, 1}, Rel: lp.GE, RHS: 7},
-				{Coeffs: []float64{2, 1, 3}, Rel: lp.GE, RHS: 5},
+				dense([]float64{1, 2, 1}, lp.GE, 7),
+				dense([]float64{2, 1, 3}, lp.GE, 5),
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -78,7 +78,7 @@ func TestRootBasisShapeMismatchFallsBackCold(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: 3},
+				dense([]float64{1, 2}, lp.GE, 3),
 			},
 		},
 		Integer: []bool{true, true},

@@ -17,9 +17,9 @@ func coverProblem() *Problem {
 		LP: lp.Problem{
 			Objective: []float64{3, 5, 4, 7},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 2, 1, 3}, Rel: lp.GE, RHS: 7},
-				{Coeffs: []float64{2, 1, 3, 1}, Rel: lp.GE, RHS: 5},
-				{Coeffs: []float64{1, 1, 1, 1}, Rel: lp.GE, RHS: 4},
+				dense([]float64{1, 2, 1, 3}, lp.GE, 7),
+				dense([]float64{2, 1, 3, 1}, lp.GE, 5),
+				dense([]float64{1, 1, 1, 1}, lp.GE, 4),
 			},
 		},
 		Integer: []bool{true, true, true, true},

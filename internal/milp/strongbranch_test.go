@@ -15,9 +15,9 @@ func TestStrongBranchingSameOptimum(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{13, 7, 9, 4},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{3, 1, 2, 1}, Rel: lp.GE, RHS: 23},
-				{Coeffs: []float64{1, 2, 1, 3}, Rel: lp.GE, RHS: 17},
-				{Coeffs: []float64{2, 1, 3, 1}, Rel: lp.GE, RHS: 19},
+				dense([]float64{3, 1, 2, 1}, lp.GE, 23),
+				dense([]float64{1, 2, 1, 3}, lp.GE, 17),
+				dense([]float64{2, 1, 3, 1}, lp.GE, 19),
 			},
 		},
 		Integer: []bool{true, true, true, true},
@@ -40,7 +40,7 @@ func TestStrongBranchingWithCuts(t *testing.T) {
 		LP: lp.Problem{
 			Objective: []float64{-8, -11},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 7}, Rel: lp.LE, RHS: 17},
+				dense([]float64{5, 7}, lp.LE, 17),
 			},
 		},
 		Integer: []bool{true, true},
@@ -95,8 +95,8 @@ func TestStrongBranchingReducesNodes(t *testing.T) {
 		LP: lp.Problem{
 			Objective: obj,
 			Constraints: []lp.Constraint{
-				{Coeffs: row1, Rel: lp.GE, RHS: 47.5},
-				{Coeffs: row2, Rel: lp.GE, RHS: 33.5},
+				dense(row1, lp.GE, 47.5),
+				dense(row2, lp.GE, 33.5),
 			},
 		},
 		Integer: []bool{true, true, true, true, true},
@@ -171,9 +171,7 @@ func denseCoverMILP(n, rows int, seed int64) *Problem {
 		for j := range row {
 			row[j] = float64(r.Intn(7))
 		}
-		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{
-			Coeffs: row, Rel: lp.GE, RHS: float64(40+7*i) + 0.5,
-		})
+		p.LP.Constraints = append(p.LP.Constraints, dense(row, lp.GE, float64(40+7*i)+0.5))
 	}
 	return p
 }

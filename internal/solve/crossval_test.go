@@ -124,9 +124,7 @@ func TestCrossValBoundedVsRowBoundEncodings(t *testing.T) {
 
 		rows := &milp.Problem{LP: *base.LP.Clone(), Integer: base.Integer}
 		for j, hi := range box {
-			row := make([]float64, nv)
-			row[j] = 1
-			rows.LP.Constraints = append(rows.LP.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: hi})
+			rows.LP.Constraints = append(rows.LP.Constraints, lp.Constraint{Idx: []int32{int32(j)}, Val: []float64{1}, Rel: lp.LE, RHS: hi})
 		}
 
 		for _, coldLP := range []bool{false, true} {

@@ -99,18 +99,37 @@ func BuildMILP(m *core.CostModel, target int) *milp.Problem {
 	for q := 0; q < m.Q; q++ {
 		p.LP.Objective[m.J+q] = float64(m.C[q])
 	}
-	total := make([]float64, nv)
+	// Every row is carved from one backing idx/val pair: the total row
+	// holds every ρ_j, and type q's row the ρ_j of the recipes that use q
+	// (n_jq != 0) plus x_q, each in ascending column order.
+	nnz := m.J
 	for j := 0; j < m.J; j++ {
-		total[j] = 1
-	}
-	p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{Coeffs: total, Rel: lp.GE, RHS: float64(target)})
-	for q := 0; q < m.Q; q++ {
-		row := make([]float64, nv)
-		for j := 0; j < m.J; j++ {
-			row[j] = -float64(m.N[j][q])
+		for q := 0; q < m.Q; q++ {
+			if m.N[j][q] != 0 {
+				nnz++
+			}
 		}
-		row[m.J+q] = float64(m.R[q])
-		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{Coeffs: row, Rel: lp.GE, RHS: 0})
+	}
+	nnz += m.Q
+	idx, val := make([]int32, 0, nnz), make([]float64, 0, nnz)
+	p.LP.Constraints = make([]lp.Constraint, 0, 1+m.Q)
+	row := func(rel lp.Relation, rhs float64, s int) {
+		e := len(idx)
+		p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{Idx: idx[s:e:e], Val: val[s:e:e], Rel: rel, RHS: rhs})
+	}
+	for j := 0; j < m.J; j++ {
+		idx, val = append(idx, int32(j)), append(val, 1)
+	}
+	row(lp.GE, float64(target), 0)
+	for q := 0; q < m.Q; q++ {
+		s := len(idx)
+		for j := 0; j < m.J; j++ {
+			if n := m.N[j][q]; n != 0 {
+				idx, val = append(idx, int32(j)), append(val, -float64(n))
+			}
+		}
+		idx, val = append(idx, int32(m.J+q)), append(val, float64(m.R[q]))
+		row(lp.GE, 0, s)
 	}
 	return p
 }

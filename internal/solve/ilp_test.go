@@ -1,10 +1,13 @@
 package solve
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"rentmin/internal/core"
+	"rentmin/internal/lp"
 	"rentmin/internal/milp"
 )
 
@@ -203,5 +206,56 @@ func TestRoundingRepairProducesFeasiblePoints(t *testing.T) {
 		if int(y[m.J+q]) != a.Machines[q] {
 			t.Errorf("machine count %d = %g, want %d", q, y[m.J+q], a.Machines[q])
 		}
+	}
+}
+
+// TestBuildMILPSparseRows pins the sparse encoding of Section V-C: the
+// coverage row lists every ρ_j with coefficient 1, and type q's row lists
+// exactly the ρ_j of the recipes that use q (n_jq > 0) with -n_jq, then
+// x_q with r_q — |{j : n_jq > 0}| + 1 entries in ascending column order.
+func TestBuildMILPSparseRows(t *testing.T) {
+	models := []*core.CostModel{exampleModel(t)}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		p, _ := smallGeneratedProblem(r)
+		models = append(models, core.NewCostModel(p))
+	}
+	unused := 0 // (recipe, type) pairs with n_jq = 0, which no row lists
+	for mi, m := range models {
+		p := BuildMILP(m, 17)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("model %d: %v", mi, err)
+		}
+		if len(p.LP.Constraints) != 1+m.Q {
+			t.Fatalf("model %d: %d rows, want %d", mi, len(p.LP.Constraints), 1+m.Q)
+		}
+		total := p.LP.Constraints[0]
+		if total.Rel != lp.GE || total.RHS != 17 || len(total.Idx) != m.J {
+			t.Fatalf("model %d: coverage row %+v", mi, total)
+		}
+		for k, j := range total.Idx {
+			if int(j) != k || total.Val[k] != 1 {
+				t.Fatalf("model %d: coverage row entry %d is %g·x[%d]", mi, k, total.Val[k], j)
+			}
+		}
+		for q := 0; q < m.Q; q++ {
+			c := p.LP.Constraints[1+q]
+			var wantIdx []int32
+			var wantVal []float64
+			for j := 0; j < m.J; j++ {
+				if m.N[j][q] > 0 {
+					wantIdx, wantVal = append(wantIdx, int32(j)), append(wantVal, -float64(m.N[j][q]))
+				} else {
+					unused++
+				}
+			}
+			wantIdx, wantVal = append(wantIdx, int32(m.J+q)), append(wantVal, float64(m.R[q]))
+			if c.Rel != lp.GE || c.RHS != 0 || !slices.Equal(c.Idx, wantIdx) || !slices.Equal(c.Val, wantVal) {
+				t.Errorf("model %d type %d: row %v·x%v %v %g, want %v·x%v >= 0", mi, q, c.Val, c.Idx, c.Rel, c.RHS, wantVal, wantIdx)
+			}
+		}
+	}
+	if unused == 0 {
+		t.Fatal("no recipe skips a type: the models do not exercise sparse rows")
 	}
 }
