@@ -133,11 +133,12 @@ func fig3Instance(b *testing.B) *core.CostModel {
 func benchILPVariant(b *testing.B, opts solve.ILPOptions) {
 	b.Helper()
 	m := fig3Instance(b)
-	opts.TimeLimit = 10 * time.Second
 	proven := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solve.ILP(m, 100, &opts)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := solve.ILPContext(ctx, m, 100, &opts)
+		cancel()
 		if err != nil {
 			b.Fatal(err)
 		}

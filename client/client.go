@@ -64,6 +64,18 @@ type Options struct {
 	Stats bool
 }
 
+// millis renders a time limit as the wire's time_limit_ms, rounding a
+// positive duration up to whole milliseconds. Truncation would turn a
+// limit under 1 ms into 0, which the field omits and the daemon reads
+// as "use the default".
+func millis(d time.Duration) int64 {
+	ms := d.Milliseconds()
+	if d > 0 && d%time.Millisecond != 0 {
+		ms++
+	}
+	return ms
+}
+
 // APIError is a non-2xx response from the daemon.
 type APIError struct {
 	// StatusCode is the HTTP status: 400 malformed, 422 admission
@@ -129,7 +141,7 @@ func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (
 	}
 	req := SolveRequest{Problem: raw}
 	if opts != nil {
-		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
+		req.TimeLimitMs = millis(opts.TimeLimit)
 		req.Stats = opts.Stats
 		if opts.Target > 0 {
 			t := opts.Target
@@ -156,7 +168,7 @@ func (c *Client) SolveBatch(ctx context.Context, problems []*rentmin.Problem, op
 		req.Problems[i] = raw
 	}
 	if opts != nil {
-		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
+		req.TimeLimitMs = millis(opts.TimeLimit)
 		req.Stats = opts.Stats
 	}
 	var resp BatchResponse
@@ -244,7 +256,7 @@ func (c *Client) UploadProblem(ctx context.Context, hash string, doc json.RawMes
 func (c *Client) SolveRef(ctx context.Context, hash string, target int, opts *Options) (*Solution, error) {
 	req := SolveRequest{ProblemRef: &ProblemRef{Hash: hash, Target: &target}}
 	if opts != nil {
-		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
+		req.TimeLimitMs = millis(opts.TimeLimit)
 		req.Stats = opts.Stats
 	}
 	var sol Solution
@@ -260,7 +272,7 @@ func (c *Client) SolveRef(ctx context.Context, hash string, target int, opts *Op
 func (c *Client) SolveBatchRef(ctx context.Context, refs []ProblemRef, opts *Options) ([]Solution, error) {
 	req := BatchRequest{ProblemRefs: refs}
 	if opts != nil {
-		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
+		req.TimeLimitMs = millis(opts.TimeLimit)
 		req.Stats = opts.Stats
 	}
 	var resp BatchResponse

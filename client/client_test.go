@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -78,5 +79,27 @@ func TestSolveBatchLengthMismatchRejected(t *testing.T) {
 	_, err := c.SolveBatch(context.Background(), []*rentmin.Problem{rentmin.IllustratingExample()}, nil)
 	if err == nil {
 		t.Fatal("want an error for a solution-count mismatch")
+	}
+}
+
+// TestMillisRoundsUp: a positive limit under 1 ms must reach the wire as
+// 1, not as 0, which the daemon would read as "use the default".
+func TestMillisRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want int64
+	}{
+		{0, 0},
+		{time.Nanosecond, 1},
+		{500 * time.Microsecond, 1},
+		{time.Millisecond, 1},
+		{1500 * time.Microsecond, 2},
+		{7 * time.Second, 7000},
+		{-5 * time.Millisecond, -5},
+		{math.MaxInt64, math.MaxInt64/int64(time.Millisecond) + 1},
+	} {
+		if got := millis(tc.d); got != tc.want {
+			t.Errorf("millis(%v) = %d, want %d", tc.d, got, tc.want)
+		}
 	}
 }

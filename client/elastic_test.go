@@ -178,7 +178,7 @@ func TestWorkerReuploadsAfterEviction(t *testing.T) {
 
 	solve := func(p *rentmin.Problem, what string) {
 		t.Helper()
-		if _, err := w.Solve(ctx, p, nil); err != nil {
+		if _, err := w.Solve(ctx, p); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}

@@ -12,8 +12,9 @@ import (
 
 // SessionOptions tunes a server-side re-optimization session at creation.
 type SessionOptions struct {
-	// TimeLimit bounds each of the session's re-solves (zero = daemon
-	// default, clamped to the daemon maximum).
+	// TimeLimit bounds the session's initial solve (zero = daemon
+	// default, clamped to the daemon maximum). The daemon does not keep
+	// it: each events request carries its own limit (see EventsLimit).
 	TimeLimit time.Duration
 	// Target, when > 0, overrides the problem's target throughput.
 	Target int
@@ -38,7 +39,7 @@ func (c *Client) NewSession(ctx context.Context, p *rentmin.Problem, opts *Sessi
 	}
 	req := CreateSessionRequest{Problem: raw}
 	if opts != nil {
-		req.TimeLimitMs = opts.TimeLimit.Milliseconds()
+		req.TimeLimitMs = millis(opts.TimeLimit)
 		if opts.Target > 0 {
 			t := opts.Target
 			req.Target = &t
@@ -67,10 +68,11 @@ func (s *Session) Events(ctx context.Context, events ...SessionEvent) ([]Session
 	return s.EventsLimit(ctx, 0, events...)
 }
 
-// EventsLimit is Events with a per-event re-solve time limit overriding
-// the session's own (zero keeps the session's limit).
+// EventsLimit is Events with a time limit on each event's re-solve.
+// Zero, like Events, leaves each re-solve to the daemon's default limit;
+// the limit given at NewSession applies only to the initial solve.
 func (s *Session) EventsLimit(ctx context.Context, limit time.Duration, events ...SessionEvent) ([]SessionResolve, SessionState, error) {
-	req := SessionEventsRequest{Events: events, TimeLimitMs: limit.Milliseconds()}
+	req := SessionEventsRequest{Events: events, TimeLimitMs: millis(limit)}
 	var resp SessionEventsResponse
 	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/events", req, &resp); err != nil {
 		return nil, SessionState{}, err

@@ -276,9 +276,10 @@ type CreateSessionRequest struct {
 	Problem json.RawMessage `json:"problem"`
 	// Target, when non-nil, overrides the problem's target_throughput.
 	Target *int `json:"target,omitempty"`
-	// TimeLimitMs bounds each of the session's re-solves — the initial
-	// cold solve and every event re-solve — in milliseconds (zero =
-	// daemon default, clamped to the daemon maximum).
+	// TimeLimitMs bounds the initial cold solve in milliseconds (zero =
+	// daemon default, clamped to the daemon maximum). The session does
+	// not keep it: every events request brings its own limit (see
+	// SessionEventsRequest.TimeLimitMs).
 	TimeLimitMs int64 `json:"time_limit_ms,omitempty"`
 }
 

@@ -181,7 +181,7 @@ type fixedWorker struct{ sol rentmin.Solution }
 
 func (w fixedWorker) Name() string                              { return "fixed" }
 func (w fixedWorker) Capacity(ctx context.Context) (int, error) { return 1, nil }
-func (w fixedWorker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
+func (w fixedWorker) Solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
 	return w.sol, nil
 }
 

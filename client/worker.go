@@ -127,26 +127,45 @@ func (w *Worker) Capacity(ctx context.Context) (int, error) {
 
 // Solve implements rentmin.RemoteWorker over the daemon's solve API,
 // content-addressed: upload-once via PUT /v1/problems/{hash}, then
-// POST /v1/solve with a problem_ref.
-func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
-	copts := &Options{}
-	if opts != nil {
-		copts.TimeLimit = opts.TimeLimit
-	}
+// POST /v1/solve with a problem_ref. Each attempt sends ctx's remaining
+// budget as the request's time limit (see forwardedLimit); a budget
+// already spent fails with context.DeadlineExceeded before any request.
+func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
 	hash, doc, err := ProblemHash(p)
 	if err != nil {
 		return rentmin.Solution{}, err
 	}
 	var sol *Solution
 	err = Retry(ctx, w.retry, workerAttempts, func() error {
-		var err error
-		sol, err = w.solveRef(ctx, hash, doc, p.Target, copts)
+		limit, err := forwardedLimit(ctx)
+		if err != nil {
+			return err
+		}
+		sol, err = w.solveRef(ctx, hash, doc, p.Target, &Options{TimeLimit: limit})
 		return err
 	})
 	if err != nil {
 		return rentmin.Solution{}, w.classify(ctx, err)
 	}
 	return sol.ToSolution()
+}
+
+// forwardedLimit turns ctx's deadline into the time limit a worker
+// daemon is sent, since a context deadline does not cross the wire. The
+// worker gets the remaining budget less a grace of a tenth, at most
+// 500 ms, so it stops itself and ships its best incumbent back before
+// ctx cuts the connection. Without a deadline the limit is zero and the
+// daemon applies its own default.
+func forwardedLimit(ctx context.Context) (time.Duration, error) {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0, nil
+	}
+	remaining := time.Until(dl)
+	if remaining <= 0 {
+		return 0, context.DeadlineExceeded
+	}
+	return remaining - min(remaining/10, 500*time.Millisecond), nil
 }
 
 // solveRef is one cache-addressed solve attempt: ensure the daemon holds

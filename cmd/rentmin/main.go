@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -55,7 +56,13 @@ func main() {
 	start := time.Now()
 	switch strings.ToLower(*algo) {
 	case "ilp":
-		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: *timeLimit})
+		ctx := context.Background()
+		if *timeLimit > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeLimit)
+			defer cancel()
+		}
+		sol, err := rentmin.SolveContext(ctx, problem, nil)
 		if err != nil {
 			log.Fatalf("solve: %v", err)
 		}

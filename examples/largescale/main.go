@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,7 +46,9 @@ func main() {
 		problem.Target = target
 
 		start := time.Now()
-		sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: *limit})
+		ctx, cancel := context.WithTimeout(context.Background(), *limit)
+		sol, err := rentmin.SolveContext(ctx, problem, nil)
+		cancel()
 		ilpTime := time.Since(start)
 		if err != nil {
 			log.Fatalf("solve: %v", err)

@@ -1,6 +1,7 @@
 package rentmin_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -43,7 +44,9 @@ func TestQuickEndToEndPipeline(t *testing.T) {
 		m := core.NewCostModel(problem)
 		target := 5 + int(seed%40)
 
-		res, err := solve.ILP(m, target, &solve.ILPOptions{TimeLimit: 20 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		res, err := solve.ILPContext(ctx, m, target, nil)
+		cancel()
 		if err != nil || !res.Proven {
 			return false
 		}

@@ -30,8 +30,9 @@ type Setting struct {
 	Targets []int
 	// Heuristics tunes the Section VI heuristics.
 	Heuristics heuristics.Options
-	// ILPTimeLimit bounds each ILP solve (the paper's Fig. 8 uses 100 s).
-	// Zero means unlimited.
+	// ILPTimeLimit bounds each ILP solve (the paper's Fig. 8 uses 100 s)
+	// as a deadline on the solve's context; with a SolverPool it also
+	// covers the wait for a free worker. Zero means unlimited.
 	ILPTimeLimit time.Duration
 	// IncludeH0 adds the H0 random baseline, which the paper defines but
 	// omits from its result tables.

@@ -147,6 +147,7 @@ func runConfig(ctx context.Context, s Setting, algos []heuristics.Algorithm, mas
 // target) cell through rentmin.SolveContext, or through
 // Setting.SolverPool — which may dispatch it to a remote rentmind
 // worker — when one is configured. Both backends produce identical costs.
+// ILPTimeLimit becomes the solve's context deadline.
 func (s Setting) exactSolve(ctx context.Context, problem *core.Problem, target int) (rentmin.Solution, error) {
 	p := *problem // shallow copy: only the target differs per cell
 	p.Target = target
@@ -154,7 +155,12 @@ func (s Setting) exactSolve(ctx context.Context, problem *core.Problem, target i
 	if s.SolverPool != nil {
 		solveContext = s.SolverPool.SolveContext
 	}
-	return solveContext(ctx, &p, &rentmin.SolveOptions{TimeLimit: s.ILPTimeLimit})
+	if s.ILPTimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.ILPTimeLimit)
+		defer cancel()
+	}
+	return solveContext(ctx, &p, nil)
 }
 
 // aggregate folds the raw grid into the figures' quantities.

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestBaseProblemBoundsAcrossWorkers(t *testing.T) {
 		first := true
 		for _, w := range workerCounts {
 			for _, cold := range []bool{false, true} {
-				for _, res := range solveConcurrently(t, p, &Options{DisableWarmLP: cold}, w) {
+				for _, res := range solveConcurrently(context.Background(), t, p, &Options{DisableWarmLP: cold}, w) {
 					if res.Status != Optimal {
 						t.Fatalf("seed %d workers %d cold %v: status %v", seed, w, cold, res.Status)
 					}

@@ -15,8 +15,9 @@
 //   - integral-objective pruning: when every feasible objective value is
 //     an integer, a node with LP bound 123.01 cannot beat an incumbent of
 //     124 and is cut;
-//   - wall-clock time limit with best-found reporting, reproducing the
-//     paper's "ILP hits its 100 s budget" experiment (Fig. 8);
+//   - a wall-clock budget through the context deadline, with best-found
+//     reporting, reproducing the paper's "ILP hits its 100 s budget"
+//     experiment (Fig. 8);
 //   - dual-simplex LP warm starts over bound patches: a child's LP is its
 //     parent's with one variable bound tightened (the bound lives in the
 //     simplex ratio test, never as a constraint row, so the basis stays
@@ -111,8 +112,6 @@ type Rounder func(x []float64) ([]float64, bool)
 
 // Options tunes the search.
 type Options struct {
-	// TimeLimit bounds wall-clock time; zero means unlimited.
-	TimeLimit time.Duration
 	// NodeLimit bounds the number of explored nodes; zero means unlimited.
 	NodeLimit int
 	// IntegralObjective asserts that every integer-feasible point has an
@@ -272,14 +271,15 @@ func Solve(p *Problem, opts *Options) (Result, error) {
 	return SolveContext(context.Background(), p, opts)
 }
 
-// SolveContext runs branch and bound under a context. Cancellation (or a
-// context deadline) stops the search like a time limit does: the node in
-// hand is abandoned, and the best incumbent found so far is returned with
-// Status Feasible (or NoSolution when none exists) and the tightest
-// proven bound. Granularity: cancellation is observed before the root
-// solve and before and after each node's preparation — but not among a
-// node's child LP solves or inside a single simplex solve, so the root
-// relaxation (including its Gomory cut rounds) finishes once started.
+// SolveContext runs branch and bound under a context. The context is the
+// only wall-clock bound: cancellation or its deadline stops the search,
+// the node in hand is abandoned, and the best incumbent found so far is
+// returned with Status Feasible (or NoSolution when none exists) and the
+// tightest proven bound. Granularity: cancellation is observed before
+// the root solve and before and after each node's preparation — but not
+// among a node's child LP solves or inside a single simplex solve, so the
+// root relaxation (including its Gomory cut rounds) finishes once
+// started.
 // The exact stopping point depends on when the cancellation lands, so —
 // unlike a search with no limits — a cancelled run is not reproducible.
 func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error) {
@@ -918,9 +918,6 @@ func (s *solver) checkLimits() error {
 	if s.opts.NodeLimit > 0 && s.stats.Nodes >= s.opts.NodeLimit {
 		return errLimit
 	}
-	if s.opts.TimeLimit > 0 && time.Since(s.start) >= s.opts.TimeLimit {
-		return errLimit
-	}
 	return nil
 }
 
@@ -930,8 +927,8 @@ func (s *solver) cancelled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// limitResult assembles the stop-at-limit result (time limit, node limit
-// or context cancellation): the incumbent so far, Status Feasible or
+// limitResult assembles the stop-at-limit result (node limit, context
+// cancellation or deadline): the incumbent so far, Status Feasible or
 // NoSolution, and the tightest proven bound given the open frontier.
 func (s *solver) limitResult(lowest float64) Result {
 	res := s.result(0)

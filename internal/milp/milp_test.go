@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -34,7 +35,7 @@ var workerCounts = []int{1, 2, 8}
 
 // solveConcurrently runs w solves of p at once and returns their results
 // in start order.
-func solveConcurrently(t *testing.T, p *Problem, opts *Options, w int) []Result {
+func solveConcurrently(ctx context.Context, t *testing.T, p *Problem, opts *Options, w int) []Result {
 	t.Helper()
 	out := make([]Result, w)
 	errs := make([]error, w)
@@ -43,7 +44,7 @@ func solveConcurrently(t *testing.T, p *Problem, opts *Options, w int) []Result 
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out[g], errs[g] = Solve(p, opts)
+			out[g], errs[g] = SolveContext(ctx, p, opts)
 		}(g)
 	}
 	wg.Wait()
@@ -110,7 +111,7 @@ func TestParallelWorkersAgreeOnOptimum(t *testing.T) {
 			t.Fatalf("seed %d: status %v", seed, ref.Status)
 		}
 		for _, w := range workerCounts {
-			for g, res := range solveConcurrently(t, p, nil, w) {
+			for g, res := range solveConcurrently(context.Background(), t, p, nil, w) {
 				if !sameSearch(res, ref) {
 					t.Errorf("seed %d: solve %d of %d diverged: obj %g/%g nodes %d/%d pivots %d/%d",
 						seed, g, w, res.Objective, ref.Objective, res.Nodes, ref.Nodes,
@@ -131,7 +132,7 @@ func TestParallelStress(t *testing.T) {
 	if ref.Status != Optimal {
 		t.Fatalf("reference status %v", ref.Status)
 	}
-	for g, res := range solveConcurrently(t, p, opts, 6) {
+	for g, res := range solveConcurrently(context.Background(), t, p, opts, 6) {
 		if !sameSearch(res, ref) {
 			t.Errorf("concurrent solve %d diverged: obj %g/%g nodes %d/%d",
 				g, res.Objective, ref.Objective, res.Nodes, ref.Nodes)
@@ -160,7 +161,7 @@ func TestParallelQuickAgainstBruteForce(t *testing.T) {
 				{StrongBranch: 4},
 				{IntegralObjective: true, Rounder: rounder, RootCutRounds: 4},
 			} {
-				for _, res := range solveConcurrently(t, p, opts, w) {
+				for _, res := range solveConcurrently(context.Background(), t, p, opts, w) {
 					if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
 						return false
 					}
@@ -180,7 +181,7 @@ func TestParallelNodeLimit(t *testing.T) {
 	p := hardCoverMILP(10, 3)
 	for _, w := range workerCounts {
 		for _, limit := range []int{1, 3, 16} {
-			for g, res := range solveConcurrently(t, p, &Options{NodeLimit: limit}, w) {
+			for g, res := range solveConcurrently(context.Background(), t, p, &Options{NodeLimit: limit}, w) {
 				if res.Nodes > limit {
 					t.Errorf("solve %d of %d: explored %d nodes despite NodeLimit %d",
 						g, w, res.Nodes, limit)
@@ -190,7 +191,7 @@ func TestParallelNodeLimit(t *testing.T) {
 	}
 }
 
-// TestParallelTimeLimit verifies the time limit stops a deep search
+// TestParallelTimeLimit verifies a context deadline stops a deep search
 // promptly and still reports the warm-started incumbent, for every solve
 // of several running at once.
 func TestParallelTimeLimit(t *testing.T) {
@@ -204,10 +205,9 @@ func TestParallelTimeLimit(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		start := time.Now()
-		results := solveConcurrently(t, p, &Options{
-			TimeLimit: 20 * time.Millisecond,
-			Incumbent: inc,
-		}, w)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		results := solveConcurrently(ctx, t, p, &Options{Incumbent: inc}, w)
+		cancel()
 		// Generous slack: one node's child LP solves may straddle the deadline.
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Errorf("%d solves ran %v past a 20ms limit", w, elapsed)
@@ -394,14 +394,22 @@ func TestTimeLimitReturnsBestFound(t *testing.T) {
 	for i := range p.Integer {
 		p.Integer[i] = true
 	}
-	res := solveOK(t, p, &Options{TimeLimit: time.Nanosecond, Rounder: nil})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res, err := SolveContext(ctx, p, &Options{Rounder: nil})
+	if err != nil {
+		t.Fatalf("SolveContext: %v", err)
+	}
 	if res.Status != NoSolution && res.Status != Feasible && res.Status != Optimal {
 		t.Errorf("status = %v under tiny time limit", res.Status)
 	}
 	// With a warm start the limit must still report Feasible, not lose it.
 	inc := make([]float64, n)
 	inc[0] = math.Ceil(1000.5 / row[0])
-	res = solveOK(t, p, &Options{TimeLimit: time.Nanosecond, Incumbent: inc})
+	res, err = SolveContext(ctx, p, &Options{Incumbent: inc})
+	if err != nil {
+		t.Fatalf("SolveContext: %v", err)
+	}
 	if res.Status != Feasible && res.Status != Optimal {
 		t.Errorf("status = %v, want feasible with warm start", res.Status)
 	}

@@ -116,7 +116,7 @@ func TestWarmVsColdAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("cold=%v: cost %d != reference %d", cold, cost, refCost)
 		}
 		for _, w := range workerCounts {
-			for g, res := range solveConcurrently(t, p, &Options{DisableWarmLP: cold}, w) {
+			for g, res := range solveConcurrently(context.Background(), t, p, &Options{DisableWarmLP: cold}, w) {
 				if !sameSearch(res, ref) {
 					t.Errorf("workers=%d cold=%v: solve %d diverged from the sequential one", w, cold, g)
 				}

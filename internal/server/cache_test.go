@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"rentmin"
 	"rentmin/client"
@@ -249,6 +252,50 @@ func TestNegativeTimeLimitRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s with negative time_limit_ms: %d, want 400", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestSolveTimeLimitClamp: a requested limit resolves against the
+// default and the maximum, and one too large for a time.Duration clamps
+// to the maximum instead of overflowing into an expired deadline.
+func TestSolveTimeLimitClamp(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, DefaultTimeLimit: 10 * time.Second, MaxTimeLimit: time.Minute})
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, 10 * time.Second},
+		{1, time.Millisecond},
+		{59999, 59999 * time.Millisecond},
+		{60000, time.Minute},
+		{60001, time.Minute},
+		{9_300_000_000_000, time.Minute},
+		{1 << 62, time.Minute},
+		{math.MaxInt64, time.Minute},
+	} {
+		got, err := s.solveTimeLimit(tc.ms)
+		if err != nil || got != tc.want {
+			t.Errorf("solveTimeLimit(%d) = %v, %v; want %v", tc.ms, got, err, tc.want)
+		}
+	}
+
+	_, doc, err := client.ProblemHash(fastProblem(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"problem": %s, "target": 70, "time_limit_ms": %d}`, doc, int64(math.MaxInt64))
+	resp, err := http.Post(serverURL(c)+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sol client.Solution
+	err = json.NewDecoder(resp.Body).Decode(&sol)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("solve with time_limit_ms MaxInt64: HTTP %d, decode %v; want 200", resp.StatusCode, err)
+	}
+	if sol.Allocation.Cost != 124 || !sol.Proven {
+		t.Errorf("solve with time_limit_ms MaxInt64: cost %d proven %v, want 124 proven", sol.Allocation.Cost, sol.Proven)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -12,33 +11,33 @@ import (
 	"rentmin/client"
 )
 
-// recordingWorker is an in-process rentmin.RemoteWorker that captures
-// the options each dispatch carries — what a real rentmind worker
-// daemon would receive on the wire.
+// recordingWorker is an in-process rentmin.RemoteWorker that records
+// the time budget left on each dispatch's context: the deadline a real
+// rentmind worker would receive as time_limit_ms (see client.Worker).
 type recordingWorker struct {
-	mu   sync.Mutex
-	got  []rentmin.SolveOptions
-	caps int
+	mu      sync.Mutex
+	budgets []time.Duration // zero for a context without a deadline
+	caps    int
 }
 
 func (w *recordingWorker) Name() string                              { return "recorder" }
 func (w *recordingWorker) Capacity(ctx context.Context) (int, error) { return w.caps, nil }
 
-func (w *recordingWorker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
-	w.mu.Lock()
-	if opts != nil {
-		w.got = append(w.got, *opts)
-	} else {
-		w.got = append(w.got, rentmin.SolveOptions{})
+func (w *recordingWorker) Solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
+	var budget time.Duration
+	if dl, ok := ctx.Deadline(); ok {
+		budget = time.Until(dl)
 	}
+	w.mu.Lock()
+	w.budgets = append(w.budgets, budget)
 	w.mu.Unlock()
-	return rentmin.SolveContext(ctx, p, opts)
+	return rentmin.SolveContext(ctx, p, nil)
 }
 
-func (w *recordingWorker) options() []rentmin.SolveOptions {
+func (w *recordingWorker) received() []time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]rentmin.SolveOptions(nil), w.got...)
+	return append([]time.Duration(nil), w.budgets...)
 }
 
 func newCoordinatorServer(t *testing.T, worker *recordingWorker) *client.Client {
@@ -54,10 +53,10 @@ func newCoordinatorServer(t *testing.T, worker *recordingWorker) *client.Client 
 }
 
 // TestCoordinatorForwardsDeadlineToWorkers: the request's time budget
-// must reach the remote worker as an explicit limit — the context
-// deadline alone does not serialize onto the wire, and without it a
-// worker would apply its own default and diverge from local-mode
-// semantics.
+// must reach the remote worker as its context deadline, from which the
+// worker's transport derives the limit it sends (client.Worker).
+// Without it a worker would apply its own default and diverge from
+// local-mode semantics.
 func TestCoordinatorForwardsDeadlineToWorkers(t *testing.T) {
 	worker := &recordingWorker{caps: 2}
 	c := newCoordinatorServer(t, worker)
@@ -68,67 +67,27 @@ func TestCoordinatorForwardsDeadlineToWorkers(t *testing.T) {
 	if _, err := c.Solve(context.Background(), p, &client.Options{TimeLimit: requested}); err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	got := worker.options()
+	got := worker.received()
 	if len(got) != 1 {
 		t.Fatalf("worker saw %d dispatches, want 1", len(got))
 	}
-	if got[0].TimeLimit <= 0 || got[0].TimeLimit > requested {
-		t.Errorf("forwarded TimeLimit = %v, want in (0, %v]", got[0].TimeLimit, requested)
-	}
-	// The grace margin exists so the worker answers before the
-	// coordinator's context cuts the connection.
-	if got[0].TimeLimit > requested-400*time.Millisecond {
-		t.Errorf("forwarded TimeLimit = %v leaves no grace before the %v deadline", got[0].TimeLimit, requested)
+	if got[0] <= 0 || got[0] > requested {
+		t.Errorf("dispatched deadline leaves %v, want in (0, %v]", got[0], requested)
 	}
 
-	// Batch items share one deadline; each dispatch forwards a positive
+	// Batch items share one deadline; each dispatch carries a positive
 	// remaining budget.
 	if _, err := c.SolveBatch(context.Background(), []*rentmin.Problem{p, p, p}, &client.Options{TimeLimit: requested}); err != nil {
 		t.Fatalf("SolveBatch: %v", err)
 	}
-	got = worker.options()
+	got = worker.received()
 	if len(got) != 4 {
 		t.Fatalf("worker saw %d dispatches, want 4", len(got))
 	}
-	for i, o := range got[1:] {
-		if o.TimeLimit <= 0 || o.TimeLimit > requested {
-			t.Errorf("batch item %d: forwarded TimeLimit = %v, want in (0, %v]", i, o.TimeLimit, requested)
+	for i, b := range got[1:] {
+		if b <= 0 || b > requested {
+			t.Errorf("batch item %d: dispatched deadline leaves %v, want in (0, %v]", i, b, requested)
 		}
-	}
-}
-
-// TestLocalSolveOptionsLeaveDeadlineToContext: a daemon solving
-// in-process must not fabricate a TimeLimit from the context deadline —
-// the context alone governs the stop, so items still queued when a
-// batch deadline fires surface per-item deadline errors instead of
-// squeezing in as near-zero-budget pseudo-solves.
-func TestLocalSolveOptionsLeaveDeadlineToContext(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	opts, err := s.solveOptions(ctx)
-	if err != nil {
-		t.Fatalf("solveOptions: %v", err)
-	}
-	if opts.TimeLimit != 0 {
-		t.Errorf("local solveOptions fabricated TimeLimit = %v, want 0 (context governs)", opts.TimeLimit)
-	}
-}
-
-// TestCoordinatorExpiredDeadlineFailsFast: a budget already spent when
-// the options are built must fail the solve instead of dispatching it
-// over the wire with a fabricated near-zero limit.
-func TestCoordinatorExpiredDeadlineFailsFast(t *testing.T) {
-	worker := &recordingWorker{caps: 1}
-	pool := rentmin.NewElasticSolverPool(nil)
-	if _, err := pool.AddRemoteWorker(context.Background(), worker); err != nil {
-		t.Fatalf("AddRemoteWorker: %v", err)
-	}
-	s, _ := newTestServer(t, Config{SolverPool: pool})
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := s.solveOptions(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("solveOptions on an expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -49,10 +49,11 @@
 // request context with the per-request time limit attached (clamped to
 // MaxTimeLimit). Client disconnects and deadline expiry therefore cancel
 // the branch-and-bound search itself, between nodes (see
-// milp.SolveContext) — rather than merely abandoning the response. A deadline that stops a
-// search returns the best incumbent found so far with Proven == false,
-// exactly like rentmin.SolveOptions.TimeLimit; 504 is returned only when
-// no feasible allocation existed yet. Batch requests share one deadline:
+// milp.SolveContext) — rather than merely abandoning the response. The
+// context is the only bound on a solve: handlers pass no solve options.
+// A deadline that stops a search returns the best incumbent found so far
+// with Proven == false; 504 is returned only when no feasible allocation
+// existed yet. Batch requests share one deadline:
 // finished items keep their solutions, in-flight items stop best-so-far,
 // never-started items report a per-item error.
 //

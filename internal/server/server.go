@@ -424,48 +424,21 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func()
 // solveTimeLimit resolves a client-requested limit against the server
 // default and maximum. A negative limit is a client bug — the Options
 // API can produce one from a negative time.Duration — and is rejected
-// rather than silently swapped for the default.
+// rather than silently swapped for the default. The clamp compares in
+// milliseconds, before any conversion: time_limit_ms above about 292
+// years would overflow a time.Duration.
 func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 	if ms < 0 {
 		return 0, fmt.Errorf("negative time_limit_ms %d", ms)
 	}
 	d := s.cfg.DefaultTimeLimit
 	if ms > 0 {
+		if ms > s.cfg.MaxTimeLimit.Milliseconds() {
+			return s.cfg.MaxTimeLimit, nil
+		}
 		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeLimit {
-		d = s.cfg.MaxTimeLimit
-	}
-	return d, nil
-}
-
-// solveOptions builds the per-solve options. In-process the request
-// context alone governs the deadline — the search stops between nodes when
-// it fires, and items still queued surface context errors, so no
-// explicit TimeLimit is fabricated. A remote dispatch serializes only an
-// explicit limit onto the wire: without one a worker daemon would apply
-// its own default instead of the request's budget. So in coordinator
-// mode the context's remaining deadline becomes SolveOptions.TimeLimit,
-// shaved by a small grace so the worker stops itself and ships its best
-// incumbent back before the coordinator's context cuts the connection.
-// An already-expired deadline fails fast instead of dispatching.
-func (s *Server) solveOptions(ctx context.Context) (*rentmin.SolveOptions, error) {
-	opts := &rentmin.SolveOptions{}
-	if !s.pool.Remote() {
-		return opts, nil
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		remaining := time.Until(dl)
-		if remaining <= 0 {
-			return nil, context.DeadlineExceeded
-		}
-		grace := remaining / 10
-		if grace > 500*time.Millisecond {
-			grace = 500 * time.Millisecond
-		}
-		opts.TimeLimit = remaining - grace
-	}
-	return opts, nil
+	return min(d, s.cfg.MaxTimeLimit), nil
 }
 
 // --- handlers ----------------------------------------------------------------
@@ -530,13 +503,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// Only an opted-in request lets the search record its trajectory.
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	var sol rentmin.Solution
 	solveSpan := tr.StartSpan("solve")
 	solveStart := time.Now()
-	opts, err := s.solveOptions(ctx)
-	if err == nil {
-		sol, err = s.pool.SolveContext(ctx, p, opts)
-	}
+	sol, err := s.pool.SolveContext(ctx, p, nil)
 	solveDur := time.Since(solveStart)
 	solveSpan.End()
 	s.recordSolve(solveRecord(traceID, "solve", -1, reqStart, queueWait, solveDur, sol, err, tr))
@@ -690,19 +659,9 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stat
 					results[i] = itemResult{err: err, queueWait: qw, tr: tr}
 					continue // drain the remaining indexes fast
 				}
-				// Options are rebuilt per item: the batch deadline is
-				// shared, so in coordinator mode each later item forwards
-				// a smaller remaining limit (and an exhausted budget fails
-				// the item instead of dispatching it).
-				opts, err := s.solveOptions(ctx)
-				if err != nil {
-					releaseLease()
-					results[i] = itemResult{err: err, queueWait: qw, tr: tr}
-					continue
-				}
 				solveSpan := tr.StartSpan("solve")
 				solveStart := time.Now()
-				sol, err := s.pool.SolveContext(ictx, problems[i], opts)
+				sol, err := s.pool.SolveContext(ictx, problems[i], nil)
 				releaseLease()
 				solveSpan.End()
 				results[i] = itemResult{sol: sol, err: err, queueWait: qw, dur: time.Since(solveStart), tr: tr}

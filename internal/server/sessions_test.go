@@ -219,6 +219,29 @@ func TestSessionAdmissionBounds(t *testing.T) {
 	}
 }
 
+// TestSessionEventsUseDefaultLimit: the daemon keeps no limit per
+// session. The create's time_limit_ms bounds only the initial solve; an
+// events request without one runs under -default-time-limit.
+func TestSessionEventsUseDefaultLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, DefaultTimeLimit: time.Nanosecond})
+	ctx := context.Background()
+
+	sess, res, err := c.NewSession(ctx, fastProblem(70), &client.SessionOptions{TimeLimit: time.Minute})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	if res.Status != "optimal" {
+		t.Fatalf("initial solve under a 60 s limit: status %q, want optimal", res.Status)
+	}
+	results, _, err := sess.Events(ctx, client.TargetChangeEvent(80))
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	if !strings.Contains(results[0].Error, "deadline exceeded") {
+		t.Errorf("event under the 1 ns default limit = %+v, want a deadline error", results[0])
+	}
+}
+
 // TestSessionTableFull checks the MaxSessions bound and that deleting a
 // session frees its slot.
 func TestSessionTableFull(t *testing.T) {

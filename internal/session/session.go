@@ -79,9 +79,7 @@ type Event struct {
 // Options tunes a session's re-solves.
 type Options struct {
 	// ILP configures every re-solve. Leave WarmStart and RootBasis
-	// unset: the session fills them from the previous optimum. A
-	// TimeLimit may make a re-solve commit a Feasible (unproven)
-	// allocation.
+	// unset: the session fills them from the previous optimum.
 	ILP solve.ILPOptions
 	// DisableWarm forces every re-solve cold — no incumbent seed, no
 	// root-basis reuse (ablation and the cold benchmark baseline).
@@ -293,9 +291,9 @@ func effective(work *core.Problem, offline []bool) []int {
 // with work's graph list. Caller holds s.mu (or owns s exclusively, as New
 // does). On error nothing is committed.
 func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []bool, seed []int, kind EventKind, key string, seq int) (*Resolve, error) {
-	// An already-dead context commits nothing. Cancellation that lands
-	// mid-solve instead commits the best incumbent as StatusFeasible,
-	// exactly like a TimeLimit stop.
+	// An already-dead context commits nothing. Cancellation or a deadline
+	// that lands mid-solve instead commits the best incumbent as
+	// StatusFeasible.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}

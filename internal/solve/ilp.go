@@ -13,13 +13,12 @@ import (
 
 // ILPOptions tunes the integer-program path for the general shared-type
 // case (Section V-C). It is the one solver config: the public facade,
-// the daemon and sessions set only TimeLimit, WarmStart and RootBasis
-// (the search is observed through an obs.Trace in the context); the
-// Disable* ablation switches are set only by benchmarks and tests.
+// the daemon and sessions set only WarmStart and RootBasis; the Disable*
+// ablation switches are set only by benchmarks and tests. The context
+// carries the rest: its deadline is the only wall-clock bound on the
+// search (the paper's Fig. 8 stress test allows 100 s), and an
+// obs.Trace in it observes the search.
 type ILPOptions struct {
-	// TimeLimit bounds the branch-and-bound wall clock (the paper uses
-	// 100 s in its Fig. 8 stress test). Zero means unlimited.
-	TimeLimit time.Duration
 	// NodeLimit bounds explored nodes; zero means unlimited.
 	NodeLimit int
 	// WarmStart optionally seeds the search with per-graph throughputs.
@@ -193,17 +192,16 @@ func allocationToPoint(m *core.CostModel, a core.Allocation) []float64 {
 	return out
 }
 
-// ILP solves the general shared-type problem exactly (or best-effort under
-// a time limit) via branch and bound.
+// ILP solves the general shared-type problem exactly via branch and
+// bound. ILPContext bounds the search with a context deadline.
 func ILP(m *core.CostModel, target int, opts *ILPOptions) (ILPResult, error) {
 	return ILPContext(context.Background(), m, target, opts)
 }
 
 // ILPContext is ILP under a context: cancellation (or a context deadline)
 // stops the branch-and-bound search between nodes and returns the best
-// incumbent found so far with Proven == false, exactly like a TimeLimit
-// stop. A search cancelled before any incumbent exists reports Status
-// NoSolution with a nil allocation.
+// incumbent found so far with Proven == false. A search cancelled before
+// any incumbent exists reports Status NoSolution with a nil allocation.
 func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOptions) (ILPResult, error) {
 	if opts == nil {
 		opts = &ILPOptions{}
@@ -215,7 +213,6 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 	prob := BuildMILP(m, target)
 
 	mopts := &milp.Options{
-		TimeLimit:         opts.TimeLimit,
 		NodeLimit:         opts.NodeLimit,
 		IntegralObjective: !opts.DisableIntegralPruning,
 		DisableWarmLP:     opts.DisableLPWarmStart,

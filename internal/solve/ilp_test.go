@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -149,12 +150,14 @@ func TestILPWarmStartLengthChecked(t *testing.T) {
 
 func TestILPTimeLimitKeepsWarmStart(t *testing.T) {
 	m := exampleModel(t)
-	res, err := ILP(m, 150, &ILPOptions{TimeLimit: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res, err := ILPContext(ctx, m, 150, nil)
 	if err != nil {
-		t.Fatalf("ILP: %v", err)
+		t.Fatalf("ILPContext: %v", err)
 	}
-	// With a warm start, even an instantly expiring limit must report a
-	// feasible allocation (the H1 seed).
+	// With a warm start, even an instantly expiring deadline must report
+	// a feasible allocation (the H1 seed).
 	if res.Status != milp.Feasible && res.Status != milp.Optimal {
 		t.Fatalf("status = %v, want feasible or optimal", res.Status)
 	}

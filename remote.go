@@ -21,11 +21,13 @@ type RemoteWorker interface {
 	// the pool never keeps more than this many in flight on it. An HTTP
 	// worker discovers it from GET /v1/capacity.
 	Capacity(ctx context.Context) (int, error)
-	// Solve runs one problem on the worker. An error wrapping a
+	// Solve runs one problem on the worker. ctx's deadline is the
+	// solve's budget: a worker reached over a wire must send it along,
+	// since a context does not cross one. An error wrapping a
 	// *WorkerFaultError marks the worker unhealthy: the pool re-dispatches
 	// the problem to another worker and backs this one off. Any other
 	// error is the problem's own failure and is returned to the caller.
-	Solve(ctx context.Context, p *Problem, opts *SolveOptions) (Solution, error)
+	Solve(ctx context.Context, p *Problem) (Solution, error)
 }
 
 // WorkerFaultError marks a remote solve failure as indicting the worker
@@ -185,19 +187,20 @@ func (p *SolverPool) WorkerStats() []WorkerStatus {
 	return nil
 }
 
-// dispatch runs one solve on whatever backs the pool: in-process for a
-// local pool, the assigned remote worker for a remote pool. It must be
-// called from inside a pool task (the remote pool annotates the task
-// context with the worker's transport and times the round trip).
-func (p *SolverPool) dispatch(ctx context.Context, prob *Problem, opts *SolveOptions) (Solution, error) {
+// dispatch runs one solve with default options on whatever backs the
+// pool: in-process for a local pool, the assigned remote worker for a
+// remote pool. It must be called from inside a pool task (the remote
+// pool annotates the task context with the worker's transport and times
+// the round trip).
+func (p *SolverPool) dispatch(ctx context.Context, prob *Problem) (Solution, error) {
 	if !p.Remote() {
-		return SolveContext(ctx, prob, opts)
+		return SolveContext(ctx, prob, nil)
 	}
 	rw, ok := pool.AssignedWorker[RemoteWorker](ctx)
 	if !ok {
 		return Solution{}, errors.New("rentmin: remote dispatch outside a pool task")
 	}
-	sol, err := rw.Solve(ctx, prob, opts)
+	sol, err := rw.Solve(ctx, prob)
 	if err != nil {
 		return sol, err
 	}

@@ -32,11 +32,11 @@ func (w *stubWorker) Capacity(ctx context.Context) (int, error) {
 	return w.cap, nil
 }
 
-func (w *stubWorker) Solve(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
+func (w *stubWorker) Solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
 	if w.dead.Load() {
 		return rentmin.Solution{}, &rentmin.WorkerFaultError{Worker: w.name, Err: errors.New("connection refused")}
 	}
-	sol, err := rentmin.SolveContext(ctx, p, opts)
+	sol, err := rentmin.SolveContext(ctx, p, nil)
 	if err != nil {
 		return rentmin.Solution{}, err
 	}

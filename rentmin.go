@@ -38,10 +38,11 @@
 //	sols, err := pool.SolveBatch(problems, nil)
 //
 // Every solve entry point has a Context variant (SolveContext,
-// SolveBatchContext): cancelling the context — a client disconnect or a
-// per-request deadline — stops the branch-and-bound search between nodes and
-// returns the best allocation found so far with Proven == false, exactly
-// like a TimeLimit stop. cmd/rentmind serves these entry points over
+// SolveBatchContext), and the context is the only way to bound a solve:
+// cancelling it — a client disconnect, or a deadline set with
+// context.WithTimeout — stops the branch-and-bound search between nodes
+// and returns the best allocation found so far with Proven == false.
+// cmd/rentmind serves these entry points over
 // HTTP with admission control and a bounded work queue; see
 // internal/server and the typed client in rentmin/client.
 //
@@ -127,12 +128,9 @@ func ReadProblem(r io.Reader) (*Problem, error) { return core.ReadProblem(r) }
 // WriteProblem encodes a problem as indented JSON.
 func WriteProblem(w io.Writer, p *Problem) error { return core.WriteProblem(w, p) }
 
-// SolveOptions tunes the exact solver.
+// SolveOptions tunes the exact solver. It has no time limit: bound a
+// solve with a context deadline (SolveContext).
 type SolveOptions struct {
-	// TimeLimit bounds the branch-and-bound search; zero means unlimited.
-	// When the limit stops the search the best allocation found so far is
-	// returned with Proven == false.
-	TimeLimit time.Duration
 	// WarmStart optionally seeds the search with per-graph throughputs.
 	// It applies to Solve only; SolveBatch ignores it (problems in a
 	// batch generally have different shapes).
@@ -177,8 +175,7 @@ func Solve(p *Problem, opts *SolveOptions) (Solution, error) {
 // SolveContext is Solve under a context. Cancelling the context — a
 // client disconnect, or a per-request deadline via context.WithTimeout —
 // stops the branch-and-bound search between nodes and returns the best
-// allocation found so far with Proven == false, exactly like a TimeLimit
-// stop. If the search is cancelled before any feasible allocation exists,
+// allocation found so far with Proven == false. If the search is cancelled before any feasible allocation exists,
 // the returned error wraps ctx.Err().
 func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution, error) {
 	if err := p.Validate(); err != nil {
@@ -187,7 +184,6 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 	m := core.NewCostModel(p)
 	var iopts solve.ILPOptions
 	if opts != nil {
-		iopts.TimeLimit = opts.TimeLimit
 		iopts.WarmStart = opts.WarmStart
 	}
 	res, err := solve.ILPContext(ctx, m, p.Target, &iopts)
@@ -248,22 +244,28 @@ func (p *SolverPool) Workers() int { return p.pool.Workers() }
 func (p *SolverPool) Close() { p.pool.Close() }
 
 // SolveContext solves one problem on the pool: it waits for a free
-// worker — abandoning the wait when ctx is done — and then runs
-// SolveContext(ctx, prob, opts) on it. Unlike the batch methods, opts is
-// passed through unchanged, WarmStart included.
+// worker — abandoning the wait when ctx is done — and then solves prob
+// on it under ctx. A local pool runs SolveContext(ctx, prob, opts), so
+// unlike the batch methods opts is passed through, WarmStart included.
+// A remote worker receives the problem alone; ctx's deadline is its
+// budget.
 func (p *SolverPool) SolveContext(ctx context.Context, prob *Problem, opts *SolveOptions) (Solution, error) {
 	var sol Solution
 	err := p.pool.RunContext(ctx, 1, func(ctx context.Context, _ int) error {
 		var err error
-		sol, err = p.dispatch(ctx, prob, opts)
+		if p.Remote() {
+			sol, err = p.dispatch(ctx, prob)
+		} else {
+			sol, err = SolveContext(ctx, prob, opts)
+		}
 		return err
 	})
 	return sol, err
 }
 
 // SolveBatch solves every problem at its own Target on the pool and
-// returns the solutions in input order. TimeLimit applies per problem. On
-// failure the error of the lowest-index failing problem is returned.
+// returns the solutions in input order. opts is ignored: WarmStart does
+// not apply to a batch, and the pool's size is fixed. On failure the error of the lowest-index failing problem is returned.
 func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solution, error) {
 	out, err := p.SolveBatchContext(context.Background(), problems, opts)
 	if err != nil {
@@ -283,17 +285,12 @@ func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solu
 // cancelled before any feasible point existed), or ctx.Err() when
 // cancellation left problems unstarted. A cancellation that lands after
 // every problem was started and merely stopped in-flight searches early
-// is NOT an error — exactly like a per-problem TimeLimit, every entry
-// then holds its best-so-far allocation and callers must inspect
+// is NOT an error: every entry then holds its best-so-far allocation and callers must inspect
 // Solution.Proven to distinguish proven optima from truncated searches.
 func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOptions) ([]Solution, error) {
-	var each SolveOptions
-	if opts != nil {
-		each.TimeLimit = opts.TimeLimit
-	}
 	out := make([]Solution, len(problems))
 	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, i int) error {
-		sol, err := p.dispatch(ctx, problems[i], &each)
+		sol, err := p.dispatch(ctx, problems[i])
 		if err != nil {
 			return fmt.Errorf("rentmin: batch problem %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package rentmin_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -39,9 +40,11 @@ func TestSolveRejectsInvalidProblem(t *testing.T) {
 func TestSolveTimeLimitStillAnswers(t *testing.T) {
 	problem := rentmin.IllustratingExample()
 	problem.Target = 180
-	sol, err := rentmin.Solve(problem, &rentmin.SolveOptions{TimeLimit: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	sol, err := rentmin.SolveContext(ctx, problem, nil)
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("SolveContext: %v", err)
 	}
 	// The self-seeded warm start guarantees an answer even under an
 	// expired budget.

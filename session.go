@@ -2,10 +2,8 @@ package rentmin
 
 import (
 	"context"
-	"time"
 
 	"rentmin/internal/session"
-	"rentmin/internal/solve"
 )
 
 // Online re-optimization: a Session owns a mutable Problem plus its
@@ -49,10 +47,9 @@ var (
 	ErrInvalidSessionEvent = session.ErrInvalidEvent
 )
 
-// SessionOptions tunes a session's re-solves.
+// SessionOptions tunes a session's re-solves. It has no time limit:
+// the context passed to NewSession or Apply bounds that solve.
 type SessionOptions struct {
-	// TimeLimit bounds each individual re-solve (zero = unlimited).
-	TimeLimit time.Duration
 	// Workers is ignored: every re-solve runs one sequential
 	// branch-and-bound search.
 	//
@@ -76,10 +73,7 @@ type Session struct {
 func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session, *SessionResolve, error) {
 	var sopts session.Options
 	if opts != nil {
-		sopts = session.Options{
-			ILP:         solve.ILPOptions{TimeLimit: opts.TimeLimit},
-			DisableWarm: opts.DisableWarm,
-		}
+		sopts.DisableWarm = opts.DisableWarm
 	}
 	inner, res, err := session.New(ctx, p, sopts)
 	if err != nil {
