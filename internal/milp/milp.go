@@ -15,6 +15,12 @@
 //   - integral-objective pruning: when every feasible objective value is
 //     an integer, a node with LP bound 123.01 cannot beat an incumbent of
 //     124 and is cut;
+//   - node bound tightening by reduced costs: once an incumbent exists,
+//     every branching node recomputes its columns' reduced costs from its
+//     LP duals and caps each integer column resting at a bound by how far
+//     it can move before the LP bound passes the incumbent; both children
+//     inherit the tightened box, and columns it fixes drop out of pricing
+//     (see tighten). It is always on;
 //   - a wall-clock budget through the context deadline, with best-found
 //     reporting, reproducing the paper's "ILP hits its 100 s budget"
 //     experiment (Fig. 8);
@@ -31,7 +37,8 @@
 //     an opaque *lp.Basis, so the search never touches simplex internals.
 //
 // The search is one sequential loop: pop the best-bound node, prepare it
-// (leaf detection, rounding repair, branching candidates, basis restore),
+// (leaf detection, rounding repair, branching candidates, reduced-cost
+// bound tightening, basis restore),
 // then finish it (probe children, update pseudocosts, accept incumbents,
 // enqueue the winning pair). A solve is a pure function of its problem
 // and options, so every counter is reproducible run to run. Cores are
@@ -316,6 +323,10 @@ type solver struct {
 	// children all re-solve from it. Nil under DisableWarmLP.
 	nodeStart *lp.Start
 
+	// rc is tighten's scratch for a node's reduced costs, one per column
+	// of the tree's LP.
+	rc []float64
+
 	stats SearchStats
 	seq   int
 
@@ -510,8 +521,9 @@ type prep struct {
 
 // prepare runs the first half of a node's expansion: integral-leaf
 // detection, the rounding repair and branching-candidate selection, and,
-// for a node that branches, the restore of its optimal basis into the
-// search's Start, once for all its children.
+// for a node that branches, reduced-cost bound tightening and the restore
+// of its optimal basis into the search's Start, once for all its
+// children.
 func (s *solver) prepare(n *node) prep {
 	p := prep{n: n}
 	frac := s.fractionalVar(n.relax.X)
@@ -557,6 +569,7 @@ func (s *solver) prepare(n *node) prep {
 		p.probes = []branchCand{{j: frac, k: -1}}
 		p.reliable.j = -1
 	}
+	s.tighten(n)
 	if s.nodeStart != nil {
 		// The node branches: restore its basis once for all its children.
 		p.start = s.nodeStart
@@ -679,20 +692,100 @@ func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) *no
 func patchedBound(p *node, nvars, j int, lo, hi float64) *node {
 	c := &node{lo: p.lo, hi: p.hi}
 	if lo != p.lower(j) {
-		c.lo = make([]float64, nvars)
-		copy(c.lo, p.lo) // zero-filled when the parent has no explicit lows
+		c.lo = boundCopy(p.lo, nvars, 0)
 		c.lo[j] = lo
 	}
 	if hi != p.upper(j) {
-		c.hi = make([]float64, nvars)
-		if p.hi != nil {
-			copy(c.hi, p.hi)
-		} else {
-			for k := range c.hi {
-				c.hi[k] = math.Inf(1)
+		c.hi = boundCopy(p.hi, nvars, math.Inf(1))
+		c.hi[j] = hi
+	}
+	return c
+}
+
+// rcTol is the smallest reduced cost that tightens a bound: anything
+// smaller is pricing roundoff on a basic column.
+const rcTol = 1e-7
+
+// tighten applies reduced-cost fixing (Nemhauser & Wolsey 1988) to a
+// branching node. With LP bound z, incumbent z* and row duals y, every
+// point of the node's subtree satisfies c·x ≥ z + Σ_j d_j·(x_j − x*_j),
+// where d_j = c_j − yᵀa_j and x* is the node's relaxation point, and
+// dual feasibility makes every term of the sum non-negative. So an
+// integer column resting at its lower bound with d_j > 0 can rise by at
+// most ⌊gap/d_j⌋ in any point that beats the incumbent, where
+// gap = z* − z, or z* − 1 − z when every feasible objective is an
+// integer; a column at a finite upper bound with d_j < 0 mirrors the
+// rule. The gap is widened by a small margin
+// so roundoff never cuts off an improving point. The node's lo/hi may be
+// shared with its parent and sibling (patchedBound), so a tightened side
+// is replaced by a copy; both children then inherit it.
+func (s *solver) tighten(n *node) {
+	if !s.hasBest {
+		return
+	}
+	gap := s.bestObj - n.bound
+	if s.opts != nil && s.opts.IntegralObjective {
+		gap--
+	}
+	gap = math.Max(gap, 0) + 1e-6*math.Max(1, math.Abs(s.bestObj))
+	d := s.reducedCosts(n.relax.Duals)
+	var lo, hi []float64 // the node's tightened copies, made on first change
+	for j, isInt := range s.work.Integer {
+		if !isInt {
+			continue
+		}
+		x, l, u := n.relax.X[j], n.lower(j), n.upper(j)
+		switch {
+		case d[j] > rcTol && x <= l+intTol:
+			if nu := l + math.Floor(gap/d[j]); nu < u {
+				if hi == nil {
+					hi = boundCopy(n.hi, len(d), math.Inf(1))
+				}
+				hi[j] = nu
+			}
+		case d[j] < -rcTol && x >= u-intTol:
+			if nl := u - math.Floor(gap/-d[j]); nl > l {
+				if lo == nil {
+					lo = boundCopy(n.lo, len(d), 0)
+				}
+				lo[j] = nl
 			}
 		}
-		c.hi[j] = hi
+	}
+	if lo != nil {
+		n.lo = lo
+	}
+	if hi != nil {
+		n.hi = hi
+	}
+}
+
+// reducedCosts returns d = c − Aᵀy over the tree's rows, cut rows
+// included, in a scratch slice the solver reuses for every node.
+func (s *solver) reducedCosts(y []float64) []float64 {
+	d := append(s.rc[:0], s.base.Objective...)
+	for i := range s.base.Constraints {
+		if yi := y[i]; yi != 0 {
+			c := &s.base.Constraints[i]
+			for k, j := range c.Idx {
+				d[j] -= yi * c.Val[k]
+			}
+		}
+	}
+	s.rc = d
+	return d
+}
+
+// boundCopy returns a fresh copy of a node's bound slice, filled with
+// the default def when the node has none.
+func boundCopy(b []float64, n int, def float64) []float64 {
+	c := make([]float64, n)
+	if b != nil {
+		copy(c, b)
+	} else if def != 0 {
+		for k := range c {
+			c[k] = def
+		}
 	}
 	return c
 }

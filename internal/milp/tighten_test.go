@@ -1,0 +1,279 @@
+package milp
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rentmin/internal/lp"
+)
+
+// tightenFixture is a solver over an all-integer problem with the given
+// costs and rows, holding an incumbent of value inc unless inc is +Inf.
+func tightenFixture(obj []float64, rows []lp.Constraint, integral bool, inc float64) *solver {
+	p := &Problem{
+		LP:      lp.Problem{Objective: obj, Constraints: rows},
+		Integer: make([]bool, len(obj)),
+	}
+	for j := range p.Integer {
+		p.Integer[j] = true
+	}
+	return &solver{
+		p: p, work: p, base: &p.LP,
+		opts:    &Options{IntegralObjective: integral},
+		bestObj: inc,
+		hasBest: !math.IsInf(inc, 1),
+	}
+}
+
+// relaxed is a node with relaxation point x, row duals y and LP bound z
+// under the bounds lo/hi.
+func relaxed(lo, hi, x, y []float64, z float64) *node {
+	return &node{lo: lo, hi: hi, relax: lp.Solution{Status: lp.Optimal, X: x, Duals: y}, bound: z}
+}
+
+// TestTightenExactQuotient: gap/d_j = k exactly keeps lo + k, not
+// lo + k − 1, also when the quotient rounds to just below k in floating
+// point (0.6/0.2 = 2.9999999999999996). Reduced costs come from the
+// duals: d = c − yᵀA.
+func TestTightenExactQuotient(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		integral bool
+		c        []float64
+		inc, z   float64
+		want     []float64
+	}{
+		// d = (2, 4), gap = 7 − 1 − 0 = 6: 6/2 = 3 and 6/4 → 1.
+		{"integral", true, []float64{2, 4.5}, 7, 0, []float64{3, 1}},
+		// d = (0.2, 2), gap = 0.6: 0.6/0.2 → 3 and 0.6/2 → 0.
+		{"roundoff", false, []float64{0.2, 2.5}, 0.6, 0, []float64{3, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One row x1 >= 0 with dual 0.5 takes 0.5 off x1's cost.
+			s := tightenFixture(tc.c, []lp.Constraint{dense([]float64{0, 1}, lp.GE, 0)}, tc.integral, tc.inc)
+			n := relaxed(nil, nil, []float64{0, 0}, []float64{0.5}, tc.z)
+			s.tighten(n)
+			if n.lo != nil {
+				t.Errorf("lo = %v, want nil (no column rests at an upper bound)", n.lo)
+			}
+			if !slices.Equal(n.hi, tc.want) {
+				t.Errorf("hi = %v, want %v", n.hi, tc.want)
+			}
+		})
+	}
+}
+
+// TestTightenAtUpperBound: a column resting at a finite upper bound with
+// d_j < 0 gets its lower bound raised to hi − ⌊gap/|d_j|⌋; a column at
+// its lower bound in the same node is capped as usual.
+func TestTightenAtUpperBound(t *testing.T) {
+	// d = (−2, 1), gap = −6 − (−10) = 4.
+	s := tightenFixture([]float64{-2, 1}, nil, false, -6)
+	n := relaxed([]float64{0, 0}, []float64{5, math.Inf(1)}, []float64{5, 0}, nil, -10)
+	s.tighten(n)
+	if want := []float64{3, 0}; !slices.Equal(n.lo, want) {
+		t.Errorf("lo = %v, want %v", n.lo, want)
+	}
+	if want := []float64{5, 4}; !slices.Equal(n.hi, want) {
+		t.Errorf("hi = %v, want %v", n.hi, want)
+	}
+}
+
+// TestTightenGapWithoutIntegralObjective: with IntegralObjective off the
+// gap is z* − z, one unit wider than with it on.
+func TestTightenGapWithoutIntegralObjective(t *testing.T) {
+	for _, tc := range []struct {
+		integral bool
+		want     float64
+	}{{false, 3}, {true, 2}} {
+		s := tightenFixture([]float64{1}, nil, tc.integral, 5)
+		n := relaxed(nil, nil, []float64{0}, nil, 2)
+		s.tighten(n)
+		if n.hi == nil || n.hi[0] != tc.want {
+			t.Errorf("IntegralObjective %v: hi = %v, want [%g]", tc.integral, n.hi, tc.want)
+		}
+	}
+}
+
+// TestTightenNoIncumbent: without an incumbent nothing is tightened and
+// the node keeps its own slices.
+func TestTightenNoIncumbent(t *testing.T) {
+	s := tightenFixture([]float64{1, -1}, nil, true, math.Inf(1))
+	lo, hi := []float64{0, 0}, []float64{math.Inf(1), 4}
+	n := relaxed(lo, hi, []float64{0, 4}, nil, -4)
+	s.tighten(n)
+	if &n.lo[0] != &lo[0] || &n.hi[0] != &hi[0] {
+		t.Error("a node without an incumbent got new bound slices")
+	}
+	if !slices.Equal(lo, []float64{0, 0}) || !slices.Equal(hi, []float64{math.Inf(1), 4}) {
+		t.Errorf("bounds changed to lo %v, hi %v", lo, hi)
+	}
+}
+
+// TestTightenCopyOnWrite: patchedBound shares the untouched side of a
+// parent's bounds with each child, and the root shares the problem's.
+// Tightening the root and then a child writes none of those shared
+// slices: the problem's, the parent's and the sibling's lo/hi are
+// byte-identical afterwards.
+func TestTightenCopyOnWrite(t *testing.T) {
+	s := tightenFixture([]float64{1, -1, 1}, nil, false, 3)
+	s.p.LP.Lo = []float64{0, 0, 0}
+	s.p.LP.Hi = []float64{9, 6, 9}
+	bits := func(b []float64) []uint64 {
+		out := make([]uint64, len(b))
+		for k, v := range b {
+			out[k] = math.Float64bits(v)
+		}
+		return out
+	}
+	snap := func(ns ...*node) [][]uint64 {
+		var out [][]uint64
+		for _, n := range ns {
+			out = append(out, bits(n.lo), bits(n.hi))
+		}
+		return out
+	}
+	probLo, probHi := bits(s.p.LP.Lo), bits(s.p.LP.Hi)
+
+	// Root: x0 at 0 (d = 1), x1 at its upper bound 6 (d = −1), x2
+	// fractional. gap = 3 − (−5.5) = 8.5 leaves x0 ≤ 8 and x1 ≥ −2, so
+	// only x0 tightens.
+	root := relaxed(s.p.LP.Lo, s.p.LP.Hi, []float64{0, 6, 0.5}, nil, -5.5)
+	s.tighten(root)
+	if !slices.Equal(root.hi, []float64{8, 6, 9}) || &root.lo[0] != &s.p.LP.Lo[0] {
+		t.Fatalf("root lo %v hi %v, want lo shared, hi [8 6 9]", root.lo, root.hi)
+	}
+	if !slices.Equal(bits(s.p.LP.Lo), probLo) || !slices.Equal(bits(s.p.LP.Hi), probHi) {
+		t.Fatal("tightening the root wrote the problem's bounds")
+	}
+
+	// Branch on x2 = 0.5: the down child copies hi and shares lo, the up
+	// child copies lo and shares hi.
+	down := patchedBound(root, 3, 2, 0, 0)
+	up := patchedBound(root, 3, 2, 1, root.hi[2])
+	if &down.lo[0] != &root.lo[0] || &up.hi[0] != &root.hi[0] {
+		t.Fatal("patchedBound no longer shares the untouched side")
+	}
+	before := snap(root, up)
+	// The down child's LP: x0 at 0, x1 at 6, bound −1, so gap = 4 caps
+	// x0 at 4 and raises x1 to 2 — both sides change.
+	down.relax = lp.Solution{Status: lp.Optimal, X: []float64{0, 6, 0}}
+	down.bound = -1
+	s.tighten(down)
+	if !slices.Equal(down.lo, []float64{0, 2, 0}) || !slices.Equal(down.hi, []float64{4, 6, 0}) {
+		t.Errorf("down child lo %v hi %v, want [0 2 0] and [4 6 0]", down.lo, down.hi)
+	}
+	if after := snap(root, up); !slices.EqualFunc(before, after, slices.Equal[[]uint64]) {
+		t.Errorf("parent or sibling bounds changed: before %v, after %v", before, after)
+	}
+	if !slices.Equal(bits(s.p.LP.Lo), probLo) || !slices.Equal(bits(s.p.LP.Hi), probHi) {
+		t.Error("tightening a child wrote the problem's bounds")
+	}
+}
+
+// TestQuickTightenKeepsImprovingPoints: on random boxed covering MILPs,
+// tightening the root from its real LP duals and an incumbent above the
+// optimum never cuts off an integer point that beats the incumbent.
+// Every such point is enumerated and checked against the tightened box.
+func TestQuickTightenKeepsImprovingPoints(t *testing.T) {
+	tightened := 0
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		p := randomCoverMILP(r)
+		n := p.LP.NumVars()
+		p.LP.Lo = make([]float64, n)
+		p.LP.Hi = make([]float64, n)
+		for j := range p.LP.Hi {
+			p.LP.Hi[j] = math.Inf(1)
+			if r.Intn(2) == 0 {
+				p.LP.Hi[j] = float64(r.Intn(4))
+			}
+		}
+		sol, err := lp.Solve(&p.LP, nil)
+		if err != nil || sol.Status != lp.Optimal {
+			continue
+		}
+		opt := bruteForceBox(p, math.Inf(1), nil)
+		if math.IsInf(opt, 1) {
+			continue
+		}
+		for _, integral := range []bool{false, true} {
+			inc := opt + float64(1+r.Intn(3))
+			s := tightenFixture(p.LP.Objective, p.LP.Constraints, integral, inc)
+			s.p.LP.Lo, s.p.LP.Hi = p.LP.Lo, p.LP.Hi
+			root := relaxed(p.LP.Lo, p.LP.Hi, sol.X, sol.Duals, sol.Objective)
+			s.tighten(root)
+			if &root.lo[0] != &p.LP.Lo[0] || &root.hi[0] != &p.LP.Hi[0] {
+				tightened++
+			}
+			cut := inc - 1e-9
+			if integral {
+				cut = inc - 1 + 1e-9
+			}
+			bruteForceBox(p, cut, func(x []float64) {
+				for j, v := range x {
+					if v < root.lower(j) || v > root.upper(j) {
+						t.Fatalf("seed %d (integral %v): improving point %v leaves the tightened box lo %v hi %v",
+							seed, integral, x, root.lo, root.hi)
+					}
+				}
+			})
+		}
+	}
+	if tightened == 0 {
+		t.Fatal("no instance tightened a bound; the property is vacuous")
+	}
+}
+
+// bruteForceBox enumerates the integer points of a covering problem with
+// positive costs inside its Lo/Hi box whose objective is at most cut,
+// calling visit on each (when non-nil), and returns the best objective.
+// Positive costs bound every column by cut/c_j; an infinite cut uses
+// bruteForceCover's single-row cover bound instead.
+func bruteForceBox(p *Problem, cut float64, visit func([]float64)) float64 {
+	n := p.LP.NumVars()
+	limit := make([]float64, n)
+	for j := range limit {
+		k := cut / p.LP.Objective[j]
+		if math.IsInf(cut, 1) {
+			k = 0
+			for _, c := range p.LP.Constraints {
+				for _, v := range c.Val {
+					if v > 0 {
+						k = math.Max(k, math.Ceil(c.RHS/v))
+					}
+				}
+			}
+		}
+		limit[j] = math.Min(p.LP.UpperBound(j), math.Floor(k))
+	}
+	best := math.Inf(1)
+	x := make([]float64, n)
+	var rec func(i int, obj float64)
+	rec = func(i int, obj float64) {
+		if obj > cut {
+			return
+		}
+		if i == n {
+			for _, c := range p.LP.Constraints {
+				if c.Dot(x) < c.RHS-1e-9 {
+					return
+				}
+			}
+			best = math.Min(best, obj)
+			if visit != nil {
+				visit(x)
+			}
+			return
+		}
+		for v := p.LP.LowerBound(i); v <= limit[i]; v++ {
+			x[i] = v
+			rec(i+1, obj+p.LP.Objective[i]*v)
+		}
+		x[i] = 0
+	}
+	rec(0, 0)
+	return best
+}

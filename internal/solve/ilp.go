@@ -160,23 +160,38 @@ func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 // unit at a time, each unit going to the first graph with the smallest
 // marginal cost. rho must have one entry per graph of m, with at least
 // one graph.
+//
+// The per-type demand is computed once and kept current: one more unit of
+// graph j costs Σ_q c_q·(⌈(d_q+n_jq)/r_q⌉ − ⌈d_q/r_q⌉) over the types j
+// uses, which is exactly the difference of the two full costs.
 func PadToTarget(m *core.CostModel, rho []int, target int) {
 	sum := 0
 	for _, r := range rho {
 		sum += r
 	}
+	if sum >= target {
+		return
+	}
 	demand := make([]int64, m.Q)
+	m.Demands(rho, demand)
 	for ; sum < target; sum++ {
-		base := m.CostInto(rho, demand)
 		best, bestDelta := 0, int64(math.MaxInt64)
 		for j := range rho {
-			rho[j]++
-			if d := m.CostInto(rho, demand) - base; d < bestDelta {
+			var d int64
+			for q, n := range m.N[j] {
+				if n != 0 {
+					r := int64(m.R[q])
+					d += m.C[q] * (core.CeilDiv(demand[q]+int64(n), r) - core.CeilDiv(demand[q], r))
+				}
+			}
+			if d < bestDelta {
 				best, bestDelta = j, d
 			}
-			rho[j]--
 		}
 		rho[best]++
+		for q, n := range m.N[best] {
+			demand[q] += int64(n)
+		}
 	}
 }
 

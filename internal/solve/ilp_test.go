@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -260,5 +261,59 @@ func TestBuildMILPSparseRows(t *testing.T) {
 	}
 	if unused == 0 {
 		t.Fatal("no recipe skips a type: the models do not exercise sparse rows")
+	}
+}
+
+// padToTargetReference is the full-recompute PadToTarget: every unit of
+// padding re-prices the whole allocation once per graph. It is the
+// reference the incremental version must match bit for bit.
+func padToTargetReference(m *core.CostModel, rho []int, target int) {
+	sum := 0
+	for _, r := range rho {
+		sum += r
+	}
+	demand := make([]int64, m.Q)
+	for ; sum < target; sum++ {
+		base := m.CostInto(rho, demand)
+		best, bestDelta := 0, int64(math.MaxInt64)
+		for j := range rho {
+			rho[j]++
+			if d := m.CostInto(rho, demand) - base; d < bestDelta {
+				best, bestDelta = j, d
+			}
+			rho[j]--
+		}
+		rho[best]++
+	}
+}
+
+// TestPadToTargetMatchesFullRecompute: the incremental marginal-cost
+// padding picks the same graph as the full recompute at every unit, ties
+// included (small costs make them frequent), from random starting points
+// below, at and above the target.
+func TestPadToTargetMatchesFullRecompute(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	models := []*core.CostModel{exampleModel(t)}
+	for i := 0; i < 40; i++ {
+		models = append(models, randomSharedProblem(r))
+		p, _ := smallGeneratedProblem(r)
+		models = append(models, core.NewCostModel(p))
+	}
+	for mi, m := range models {
+		for trial := 0; trial < 10; trial++ {
+			target := r.Intn(120)
+			rho := make([]int, m.J)
+			for j := range rho {
+				if r.Intn(2) == 0 {
+					rho[j] = r.Intn(target/m.J + 2)
+				}
+			}
+			want := slices.Clone(rho)
+			padToTargetReference(m, want, target)
+			PadToTarget(m, rho, target)
+			if !slices.Equal(rho, want) {
+				t.Fatalf("model %d, target %d: PadToTarget = %v, full recompute = %v", mi, target, rho, want)
+			}
+		}
 	}
 }
