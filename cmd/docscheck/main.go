@@ -24,6 +24,11 @@ import (
 // links and autolinks are rare in this repository and stay out of scope.
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// codeRE matches inline code spans of one or two backticks. They are
+// blanked before links are matched, so link syntax quoted as code (say
+// `f[W](ctx)`) is never checked.
+var codeRE = regexp.MustCompile("``[^`]*(?:`[^`]+)*``|`[^`]*`")
+
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: docscheck <file.md|dir>...\n")
@@ -85,7 +90,7 @@ func checkFile(f string) []string {
 	var out []string
 	dir := filepath.Dir(f)
 	for i, line := range strings.Split(string(data), "\n") {
-		for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
+		for _, m := range linkRE.FindAllStringSubmatch(codeRE.ReplaceAllString(line, " "), -1) {
 			target := m[1]
 			if skip(target) {
 				continue

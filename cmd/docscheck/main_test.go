@@ -25,13 +25,16 @@ A good [link](other.md) and a [nested one](sub/deep.md).
 An [anchored link](other.md#section) and a [fragment](#here).
 An [external](https://example.com/x.md) and a [mail](mailto:a@b.c).
 A [broken one](missing.md) and a [broken anchored](gone.md#top).
+Code is not a link: `+"`f[W](ctx)`"+` and `+"``g[x](y)``"+`.
+After `+"`code`"+` a [real one](absent.md) still counts.
+An unmatched `+"`"+` tick leaves a [later link](stray.md) checked.
 `)
 
 	got := checkFile(filepath.Join(dir, "doc.md"))
-	if len(got) != 2 {
-		t.Fatalf("got %d broken links, want 2: %v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("got %d broken links, want 4: %v", len(got), got)
 	}
-	for i, want := range []string{"missing.md", "gone.md#top"} {
+	for i, want := range []string{"missing.md", "gone.md#top", "absent.md", "stray.md"} {
 		if !containsSuffix(got[i], want) {
 			t.Errorf("broken[%d] = %q, want suffix %q", i, got[i], want)
 		}
@@ -42,7 +45,7 @@ func TestCheckFileRealDocs(t *testing.T) {
 	// The repository's own docs must stay clean (the CI docs job runs the
 	// binary over the same set).
 	root := "../.."
-	for _, f := range []string{"README.md", "ARCHITECTURE.md", filepath.Join("docs", "metrics.md")} {
+	for _, f := range []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md", "CHANGES.md", filepath.Join("docs", "metrics.md")} {
 		path := filepath.Join(root, f)
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("expected doc missing: %v", err)

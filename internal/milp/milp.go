@@ -130,10 +130,10 @@ type Options struct {
 	// Rounder optionally repairs node LP relaxation points into feasible
 	// incumbents.
 	Rounder Rounder
-	// RootCutRounds enables Gomory fractional cutting planes at the root
-	// node for up to this many rounds. Requires a pure integer program
-	// with integral constraint data (see lp.SolveGomory); the caller is
-	// responsible for that contract. Zero disables cuts.
+	// RootCutRounds enables Gomory fractional cutting planes, the root's
+	// only cut family, for up to this many rounds. Requires a pure integer
+	// program with integral constraint data (see lp.SolveGomory); the
+	// caller is responsible for that contract. Zero disables cuts.
 	RootCutRounds int
 	// Presolve runs the root reduction pass (bound tightening, fixing,
 	// row/column elimination, coefficient reduction — see presolve.go)
@@ -141,9 +141,9 @@ type Options struct {
 	// the optimum back through the postsolve map. When an Incumbent is
 	// supplied, its objective feeds presolve as a cutoff, which is what
 	// gives the recipe model's default-bound formulation finite bounds to
-	// propagate. Combined with RootCutRounds it also enables a round of
-	// Chvátal–Gomory rounding cuts on the reduced rows (see cuts.go). The
-	// reported optimum is identical with and without presolve.
+	// propagate. Root cuts, when RootCutRounds asks for them, are
+	// generated on the reduced rows. The reported optimum is identical
+	// with and without presolve.
 	Presolve bool
 	// StrongBranch switches on reliability branching and caps the number
 	// of candidates probed per node: both children of up to this many
@@ -190,8 +190,9 @@ type SearchStats struct {
 	// Options.DisableWarmLP) solved cold, two-phase.
 	LPSolves     int `json:"lp_solves"`
 	WarmLPSolves int `json:"warm_lp_solves,omitempty"`
-	// Cuts counts cutting planes added at the root (Gomory fractional
-	// plus CG rounding) over CutRounds generation rounds.
+	// Cuts counts the Gomory fractional cuts added at the root over
+	// CutRounds generation rounds; CutRounds never exceeds
+	// Options.RootCutRounds.
 	Cuts      int `json:"cuts,omitempty"`
 	CutRounds int `json:"cut_rounds,omitempty"`
 	// Presolve counts the root reductions applied (all zero when
@@ -289,9 +290,13 @@ func Solve(p *Problem, opts *Options) (Result, error) {
 // started.
 // The exact stopping point depends on when the cancellation lands, so —
 // unlike a search with no limits — a cancelled run is not reproducible.
+// A nil opts means the zero Options.
 func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
+	}
+	if opts == nil {
+		opts = &Options{}
 	}
 	s := &solver{p: p, ctx: ctx, opts: opts, trace: obs.TraceFrom(ctx), start: time.Now()}
 	return s.run()
@@ -304,7 +309,7 @@ type solver struct {
 	base  *lp.Problem // work's LP plus root cuts
 	model *lp.Model   // base compiled once after the root; every child solves through it
 	ctx   context.Context
-	opts  *Options
+	opts  *Options // never nil
 	// trace observes the search (nil when the context carries none): it
 	// receives every accepted incumbent and a snapshot after every node.
 	trace *obs.Trace
@@ -366,7 +371,7 @@ func (s *solver) run() (Result, error) {
 		return s.limitResult(math.Inf(-1)), nil
 	}
 
-	if s.opts != nil && s.opts.Presolve {
+	if s.opts.Presolve {
 		if res, done := s.runPresolve(); done {
 			return res, nil
 		}
@@ -375,12 +380,12 @@ func (s *solver) run() (Result, error) {
 
 	root := &node{lo: s.base.Lo, hi: s.base.Hi}
 	var rootSeed *lp.Basis
-	if s.opts != nil && !s.opts.DisableWarmLP {
+	if !s.opts.DisableWarmLP {
 		rootSeed = s.opts.RootBasis
 	}
 	var st lp.Status
 	var err error
-	if rootSeed == nil && s.opts != nil && s.opts.RootCutRounds > 0 {
+	if rootSeed == nil && s.opts.RootCutRounds > 0 {
 		st, err = s.solveRootWithCuts(root)
 	} else {
 		st, err = s.solveRoot(root, rootSeed)
@@ -416,7 +421,7 @@ func (s *solver) run() (Result, error) {
 	heap.Init(h)
 	s.enqueue(h, root)
 
-	if s.opts == nil || !s.opts.DisableWarmLP {
+	if !s.opts.DisableWarmLP {
 		s.nodeStart = starts.Get().(*lp.Start)
 		defer starts.Put(s.nodeStart)
 	}
@@ -548,7 +553,7 @@ func (s *solver) prepare(n *node) prep {
 		}
 		return p
 	}
-	if s.opts != nil && s.opts.Rounder != nil {
+	if s.opts.Rounder != nil {
 		// The rounder works in original-variable space (it encodes model
 		// knowledge, e.g. solve.RoundingRepair's recipe rounding), so the
 		// reduced point is lifted first; its candidate is checked against
@@ -563,7 +568,7 @@ func (s *solver) prepare(n *node) prep {
 			}
 		}
 	}
-	if k := s.strongBranchLimit(); k > 0 {
+	if k := s.opts.StrongBranch; k > 0 {
 		p.probes, p.reliable = s.branchCandidates(n.relax.X, k)
 	} else {
 		p.probes = []branchCand{{j: frac, k: -1}}
@@ -724,7 +729,7 @@ func (s *solver) tighten(n *node) {
 		return
 	}
 	gap := s.bestObj - n.bound
-	if s.opts != nil && s.opts.IntegralObjective {
+	if s.opts.IntegralObjective {
 		gap--
 	}
 	gap = math.Max(gap, 0) + 1e-6*math.Max(1, math.Abs(s.bestObj))
@@ -790,13 +795,6 @@ func boundCopy(b []float64, n int, def float64) []float64 {
 	return c
 }
 
-func (s *solver) strongBranchLimit() int {
-	if s.opts == nil {
-		return 0
-	}
-	return s.opts.StrongBranch
-}
-
 // enqueue pushes a solved node unless its bound is already prunable.
 func (s *solver) enqueue(h *nodeHeap, n *node) {
 	if s.pruned(n.bound) {
@@ -813,15 +811,14 @@ func (s *solver) pruned(bound float64) bool {
 	if !s.hasBest {
 		return false
 	}
-	if s.opts != nil && s.opts.IntegralObjective {
+	if s.opts.IntegralObjective {
 		bound = math.Ceil(bound - 1e-6)
 	}
 	return bound >= s.bestObj-1e-9
 }
 
-// solveRootWithCuts strengthens the root relaxation with Gomory rounds
-// (plus, under presolve, one round of Chvátal–Gomory rounding cuts); the
-// generated cuts are valid globally and shared by every node.
+// solveRootWithCuts strengthens the root relaxation with Gomory rounds;
+// the generated cuts are valid globally and shared by every node.
 func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 	gr, err := lp.SolveGomory(&s.work.LP, nil, s.opts.RootCutRounds)
 	if err != nil {
@@ -835,41 +832,7 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 	// The Gomory solution (and its basis) belongs to the cut-augmented
 	// problem, which is exactly the node's LP from here on.
 	s.setRelax(root, gr.Solution)
-	if s.opts.Presolve && gr.Solution.Status == lp.Optimal {
-		s.addCGCuts(root)
-	}
 	return root.relax.Status, nil
-}
-
-// addCGCuts runs one Chvátal–Gomory rounding round on the root: separate
-// cuts violated at the current root point (over the problem rows plus,
-// when an incumbent exists, the objective-cutoff row) and re-solve, warm
-// from the root basis with the CG rows' slacks basic. The augmented
-// relaxation replaces the root only when it solves to optimality;
-// anything else discards the CG cuts and keeps the Gomory root untouched
-// — a cut round must never make the solve worse.
-func (s *solver) addCGCuts(root *node) {
-	var extra []lp.Constraint
-	if s.hasBest {
-		extra = []lp.Constraint{cutoffRow(s.work.LP.Objective, s.bestObj-s.objOff)}
-	}
-	cgs := cgCuts(s.work, extra, root.relax.X)
-	if len(cgs) == 0 {
-		return
-	}
-	trial := withRows(s.base, cgs)
-	basis := root.relax.Basis
-	if s.opts.DisableWarmLP {
-		basis = nil
-	}
-	sol, err := lp.SolveFrom(trial, basis, nil)
-	if err != nil || sol.Status != lp.Optimal {
-		return
-	}
-	s.base = trial
-	s.stats.Cuts += len(cgs)
-	s.stats.CutRounds++
-	s.setRelax(root, sol)
 }
 
 // withRows returns p with rows appended. The result shares p's rows,
@@ -995,7 +958,7 @@ func (s *solver) accept(x []float64, obj float64) {
 }
 
 func (s *solver) optIncumbent() []float64 {
-	if s.opts == nil || s.opts.Incumbent == nil {
+	if s.opts.Incumbent == nil {
 		return nil
 	}
 	return append([]float64(nil), s.opts.Incumbent...)
@@ -1004,9 +967,6 @@ func (s *solver) optIncumbent() []float64 {
 func (s *solver) checkLimits() error {
 	if s.cancelled() {
 		return errLimit
-	}
-	if s.opts == nil {
-		return nil
 	}
 	if s.opts.NodeLimit > 0 && s.stats.Nodes >= s.opts.NodeLimit {
 		return errLimit

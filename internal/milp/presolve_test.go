@@ -502,6 +502,9 @@ func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 			if math.Abs(res.Objective-want) > 1e-6 {
 				return false
 			}
+			if res.CutRounds > opts.RootCutRounds {
+				return false
+			}
 			s := &solver{p: p}
 			if obj, err := s.checkFeasible(res.X); err != nil || math.Abs(obj-res.Objective) > 1e-6 {
 				return false

@@ -31,8 +31,8 @@ import (
 //   - every task that runs is invoked exactly once per dispatch, and its
 //     outcome is recorded under its own index — results are ordered by
 //     index no matter which worker finished first;
-//   - Run and RunContext return the error of the lowest-index failing
-//     task, independent of the completion schedule;
+//   - RunContext returns the error of the lowest-index failing task,
+//     independent of the completion schedule;
 //   - once the context is done, tasks that have not started are never
 //     started; started tasks are awaited. If no task failed but at least
 //     one was skipped, RunContext returns ctx.Err();
@@ -42,22 +42,21 @@ type Pool interface {
 	// Workers returns the pool's concurrency bound: goroutines for a
 	// LocalPool, total fleet capacity for a RemotePool.
 	Workers() int
-	// Run executes fn(0) … fn(n-1) on the pool and waits for all of them.
-	Run(n int, fn func(i int) error) error
-	// RunContext is Run with cancellation. fn receives a context derived
-	// from ctx; a RemotePool annotates it with the assigned worker (see
-	// AssignedWorker), a LocalPool passes ctx through unchanged. Tasks
-	// already running are not interrupted by RunContext itself — fn must
-	// observe its context to stop early.
+	// RunContext executes fn(0) … fn(n-1) on the pool and waits for all
+	// of them. fn receives a context derived from ctx; a RemotePool
+	// annotates it with the assigned worker (see AssignedWorker), a
+	// LocalPool passes ctx through unchanged. Tasks already running are
+	// not interrupted by RunContext itself — fn must observe its context
+	// to stop early.
 	RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error
 	// Close releases the pool's resources. The pool must not be used
-	// after Close; pending Run calls complete first.
+	// after Close; pending RunContext calls complete first.
 	Close()
 }
 
 // PanicError is a task panic converted into an error so one bad task
 // cannot take down the pool's worker (or, for a RemotePool, the
-// dispatcher). Run and RunContext return it.
+// dispatcher). RunContext returns it.
 type PanicError struct {
 	// Index is the task that panicked.
 	Index int
@@ -93,11 +92,11 @@ func firstError(errs []error) error {
 }
 
 // LocalPool is the in-process Pool: a fixed set of worker goroutines,
-// started once and reused across Run calls, so a long-lived service can
-// keep one pool and push every incoming batch through it.
+// started once and reused across RunContext calls, so a long-lived
+// service can keep one pool and push every incoming batch through it.
 //
-// Run must not be called from inside a pool task: a task waiting on its
-// own pool can deadlock once every worker is occupied.
+// RunContext must not be called from inside a pool task: a task waiting
+// on its own pool can deadlock once every worker is occupied.
 type LocalPool struct {
 	workers int
 	jobs    chan func()
@@ -128,18 +127,13 @@ func New(workers int) *LocalPool {
 // Workers returns the pool size.
 func (p *LocalPool) Workers() int { return p.workers }
 
-// Run executes fn(0) … fn(n-1) on the pool and waits for all of them. It
+// RunContext executes fn(0) … fn(n-1) on the pool and waits for all of
+// them. Once ctx is done, tasks that have not yet been handed to a worker
+// are never started. RunContext waits for every started task, then
 // returns the error of the lowest-index failing task (wrap errors inside
-// fn to attach task context), independent of the completion schedule.
-func (p *LocalPool) Run(n int, fn func(i int) error) error {
-	return p.RunContext(context.Background(), n, func(_ context.Context, i int) error { return fn(i) })
-}
-
-// RunContext is Run with cancellation: once ctx is done, tasks that have
-// not yet been handed to a worker are never started. RunContext waits for
-// every started task, then returns the error of the lowest-index failing
-// task; if no task failed but ctx cancellation skipped at least one task,
-// it returns ctx.Err().
+// fn to attach task context), independent of the completion schedule; if
+// no task failed but ctx cancellation skipped at least one task, it
+// returns ctx.Err().
 func (p *LocalPool) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,7 +14,7 @@ func TestPoolRunsEveryTask(t *testing.T) {
 	p := New(3)
 	defer p.Close()
 	var done [50]atomic.Bool
-	if err := p.Run(len(done), func(i int) error {
+	if err := p.RunContext(context.Background(), len(done), func(_ context.Context, i int) error {
 		if done[i].Swap(true) {
 			return fmt.Errorf("task %d ran twice", i)
 		}
@@ -32,7 +33,7 @@ func TestPoolReturnsLowestIndexError(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	boom := errors.New("boom")
-	err := p.Run(20, func(i int) error {
+	err := p.RunContext(context.Background(), 20, func(_ context.Context, i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("task %d: %w", i, boom)
 		}
@@ -51,7 +52,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	p := New(workers)
 	defer p.Close()
 	var cur, peak atomic.Int64
-	if err := p.Run(30, func(int) error {
+	if err := p.RunContext(context.Background(), 30, func(context.Context, int) error {
 		if c := cur.Add(1); c > peak.Load() {
 			peak.Store(c)
 		}
@@ -79,16 +80,16 @@ func TestPoolReusableAcrossRuns(t *testing.T) {
 	defer p.Close()
 	var total atomic.Int64
 	var wg sync.WaitGroup
-	// Two concurrent Run calls plus a sequential reuse.
+	// Two concurrent RunContext calls plus a sequential reuse.
 	wg.Add(2)
 	for g := 0; g < 2; g++ {
 		go func() {
 			defer wg.Done()
-			_ = p.Run(10, func(int) error { total.Add(1); return nil })
+			_ = p.RunContext(context.Background(), 10, func(context.Context, int) error { total.Add(1); return nil })
 		}()
 	}
 	wg.Wait()
-	if err := p.Run(5, func(int) error { total.Add(1); return nil }); err != nil {
+	if err := p.RunContext(context.Background(), 5, func(context.Context, int) error { total.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != 25 {
@@ -99,7 +100,7 @@ func TestPoolReusableAcrossRuns(t *testing.T) {
 func TestPoolZeroTasks(t *testing.T) {
 	p := New(1)
 	defer p.Close()
-	if err := p.Run(0, func(int) error { return errors.New("never") }); err != nil {
-		t.Errorf("Run(0) = %v", err)
+	if err := p.RunContext(context.Background(), 0, func(context.Context, int) error { return errors.New("never") }); err != nil {
+		t.Errorf("RunContext(0) = %v", err)
 	}
 }

@@ -149,11 +149,11 @@ func AssignedWorker[W any](ctx context.Context) (W, bool) {
 //   - observation: every member record carries its dispatch counters
 //     and a sliding window of successful round-trip times (Stats).
 //
-// Worker health (strikes, backoff deadlines) persists across Run calls,
-// so a long-lived coordinator keeps avoiding a flapping worker between
-// batches. Concurrent Run calls share the fleet's capacity. A pool may
-// be built over an empty fleet: Run calls then park until a worker
-// joins or their context is cancelled.
+// Worker health (strikes, backoff deadlines) persists across RunContext
+// calls, so a long-lived coordinator keeps avoiding a flapping worker
+// between batches. Concurrent RunContext calls share the fleet's
+// capacity. A pool may be built over an empty fleet: RunContext calls
+// then park until a worker joins or their context is cancelled.
 type RemotePool[W any] struct {
 	backoff      func(strike int) time.Duration
 	evictStrikes int
@@ -163,11 +163,11 @@ type RemotePool[W any] struct {
 	evictions int64
 
 	// waiters are the schedulers currently starved of seats: one
-	// buffered-1 channel per waiting Run call, signalled (never blocked
-	// on) whenever a seat frees or the membership changes. Per-waiter
-	// channels make the wakeup lossless — the single shared token this
-	// replaced could drop signals under concurrent Runs and needed a
-	// 50ms poll as a lost-wakeup net.
+	// buffered-1 channel per waiting RunContext call, signalled (never
+	// blocked on) whenever a seat frees or the membership changes.
+	// Per-waiter channels make the wakeup lossless — the single shared
+	// token this replaced could drop signals under concurrent calls and
+	// needed a 50ms poll as a lost-wakeup net.
 	waiters []chan struct{}
 }
 
@@ -202,7 +202,7 @@ func defaultBackoff(strike int) time.Duration {
 
 // AddWorker adds a worker to the fleet (or revives/refreshes it) and
 // returns its stable index. Capacities below one are clamped to one.
-// Joining under a live Run is the point: schedulers starved of seats
+// Joining under a live RunContext is the point: schedulers starved of seats
 // wake immediately and dispatch queued items onto the new member.
 //
 //   - A brand-new name appends a member with spec's transport.
@@ -370,15 +370,10 @@ func (p *RemotePool[W]) Stats() []WorkerStatus {
 	return out
 }
 
-// Close releases the pool. RemotePool owns no goroutines between Run
-// calls, so Close only exists to satisfy the Pool contract; the remote
+// Close releases the pool. RemotePool owns no goroutines between
+// RunContext calls, so Close only exists to satisfy the Pool contract; the remote
 // workers themselves are owned by whoever created their transports.
 func (p *RemotePool[W]) Close() {}
-
-// Run executes fn(0) … fn(n-1) across the fleet and waits; see Pool.
-func (p *RemotePool[W]) Run(n int, fn func(i int) error) error {
-	return p.RunContext(context.Background(), n, func(_ context.Context, i int) error { return fn(i) })
-}
 
 // subscribe registers the calling scheduler for seat/membership wakeups
 // and returns its private buffered-1 channel. Register before scanning
@@ -640,7 +635,7 @@ func (p *RemotePool[W]) RunContext(ctx context.Context, n int, fn func(ctx conte
 
 		// Nothing dispatchable: wait for one of our dispatches to finish,
 		// any seat in the fleet to free or the membership to change (the
-		// wakeup may come from a concurrent Run's release or from
+		// wakeup may come from a concurrent RunContext's release or from
 		// AddWorker), the nearest backoff to expire, or cancellation.
 		var timerC <-chan time.Time
 		var timer *time.Timer

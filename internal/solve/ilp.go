@@ -35,8 +35,8 @@ type ILPOptions struct {
 	// DisableCuts switches off Gomory root cuts (ablation).
 	DisableCuts bool
 	// DisablePresolve switches off the root presolve pass (bound
-	// tightening, fixing, row/column elimination, coefficient reduction
-	// and the CG rounding cut round it enables — see milp.Options.Presolve).
+	// tightening, fixing, row/column elimination and coefficient
+	// reduction — see milp.Options.Presolve).
 	// Presolve is on by default: it shrinks the tree before the first
 	// pivot runs and the reported cost is identical either way.
 	DisablePresolve bool
@@ -213,6 +213,9 @@ func ILP(m *core.CostModel, target int, opts *ILPOptions) (ILPResult, error) {
 	return ILPContext(context.Background(), m, target, opts)
 }
 
+// rootCutRounds caps the Gomory rounds at the root of every ILP solve.
+const rootCutRounds = 4
+
 // ILPContext is ILP under a context: cancellation (or a context deadline)
 // stops the branch-and-bound search between nodes and returns the best
 // incumbent found so far with Proven == false. A search cancelled before
@@ -236,7 +239,7 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		mopts.StrongBranch = 8
 	}
 	if !opts.DisableCuts {
-		mopts.RootCutRounds = 4
+		mopts.RootCutRounds = rootCutRounds
 	}
 	if !opts.DisableRounding {
 		mopts.Rounder = RoundingRepair(m, target)

@@ -31,6 +31,9 @@ func TestILPTableIIIGolden(t *testing.T) {
 		if !res.Proven {
 			t.Fatalf("ILP(%d) not proven optimal: %+v", target, res)
 		}
+		if res.CutRounds > rootCutRounds {
+			t.Errorf("ILP(%d): %d cut rounds, cap %d", target, res.CutRounds, rootCutRounds)
+		}
 		if want := tableIIICosts[target]; res.Alloc.Cost != want {
 			t.Errorf("ILP(%d) cost = %d, want %d (alloc %v)", target, res.Alloc.Cost, want, res.Alloc.GraphThroughput)
 		}
