@@ -218,20 +218,23 @@ func (c *Client) Capacity(ctx context.Context) (Capacity, error) {
 
 // ProblemHash canonically encodes a problem for the content-addressed
 // cache and returns its reference hash with the exact document bytes to
-// upload. The canonical form zeroes target_throughput — the target
-// travels in each ProblemRef instead — so every solve of the same
+// upload. The canonical document is the compact json.Marshal form that
+// inline requests carry, with target_throughput zeroed: the target
+// travels in each ProblemRef instead, so every solve of the same
 // instance at a different target shares one cached document. Upload the
 // returned bytes verbatim: the daemon verifies the hash against the
-// bytes it receives.
+// bytes it receives, so a document hashed in another layout (such as
+// the indented form earlier versions used) still resolves under its
+// own hash.
 func ProblemHash(p *rentmin.Problem) (string, json.RawMessage, error) {
 	canon := *p
 	canon.Target = 0
-	var buf bytes.Buffer
-	if err := rentmin.WriteProblem(&buf, &canon); err != nil {
-		return "", nil, fmt.Errorf("encode problem: %w", err)
+	doc, err := encodeProblem(&canon)
+	if err != nil {
+		return "", nil, err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), buf.Bytes(), nil
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:]), doc, nil
 }
 
 // UploadProblem stores a problem document in the daemon's
@@ -359,9 +362,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
-// encodeProblem renders an inline problem compactly, the form the outer
-// request encoding would reduce it to anyway. ProblemHash keeps the
-// indented WriteProblem document, so content hashes do not change.
+// encodeProblem renders a problem as compact JSON: the inline document
+// of a request, and the canonical document ProblemHash hashes.
 func encodeProblem(p *rentmin.Problem) (json.RawMessage, error) {
 	raw, err := json.Marshal(p)
 	if err != nil {

@@ -22,10 +22,13 @@ import (
 // automatically).
 type ProblemRef struct {
 	// Hash is the lowercase hex SHA-256 of the uploaded document bytes.
+	// ProblemHash computes it over the canonical compact-JSON document;
+	// the daemon accepts any document uploaded under its own hash.
 	Hash string `json:"hash"`
 	// Target, when non-nil, patches the cached document's
-	// target_throughput for this solve. Cached documents are canonically
-	// stored with target 0, so refs carry the target explicitly.
+	// target_throughput for this solve. Canonical documents carry
+	// target 0, so refs carry the target explicitly. The document was
+	// validated at upload; the daemon checks only the patched target.
 	Target *int `json:"target,omitempty"`
 }
 

@@ -6,6 +6,7 @@ package client_test
 // dropping any tag of the embedded search counters fails them.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -226,5 +227,52 @@ func TestSolutionSurvivesWireHop(t *testing.T) {
 	}
 	if len(recs.Solves) != 1 || recs.Solves[0].SearchStats != want.SearchStats {
 		t.Errorf("flight recorder counters = %+v, want %+v", recs.Solves, want.SearchStats)
+	}
+}
+
+// TestProblemHashCanonicalDocument pins the cache document: compact JSON
+// that reads back as the same problem with its target zeroed, so one
+// hash serves every target of an instance.
+func TestProblemHashCanonicalDocument(t *testing.T) {
+	gen, err := rentmin.Generate(rentmin.GenConfig{
+		NumGraphs: 20, MinTasks: 5, MaxTasks: 8, MutatePercent: 0.5,
+		NumTypes: 5, CostMin: 1, CostMax: 100, ThroughputMin: 10, ThroughputMax: 100,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*rentmin.Problem{rentmin.IllustratingExample(), gen} {
+		p.Target = 70
+		hash, doc, err := client.ProblemHash(p)
+		if err != nil {
+			t.Fatalf("ProblemHash: %v", err)
+		}
+		compact, err := json.Marshal(json.RawMessage(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(compact) != string(doc) {
+			t.Errorf("%s: document is not compact JSON", p.App.Name)
+		}
+		back, err := rentmin.ReadProblem(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: document does not read back: %v", p.App.Name, err)
+		}
+		want := p.Clone()
+		want.Target = 0
+		if !reflect.DeepEqual(back, want) {
+			t.Errorf("%s: document reads back as %+v, want %+v", p.App.Name, back, want)
+		}
+		for _, target := range []int{0, 10, 200} {
+			q := p.Clone()
+			q.Target = target
+			h, _, err := client.ProblemHash(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != hash {
+				t.Errorf("%s: hash at target %d differs from target 70", p.App.Name, target)
+			}
+		}
 	}
 }

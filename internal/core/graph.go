@@ -134,30 +134,49 @@ func (g Graph) InDegrees() []int {
 }
 
 // TopoOrder returns a topological order of task IDs, or an error if the
-// graph has a cycle.
+// graph has a cycle. It runs Kahn's algorithm with a FIFO queue seeded
+// with the sources in ID order, visiting each task's successors in edge
+// order. One buffer holds all its state: the order (which doubles as the
+// queue), the in-degrees, and the successor lists in compressed sparse
+// row form (row offsets, then successors).
 func (g Graph) TopoOrder() ([]int, error) {
-	deg := g.InDegrees()
-	succ := g.Successors()
-	queue := make([]int, 0, len(g.Tasks))
+	n, m := len(g.Tasks), len(g.Edges)
+	buf := make([]int, 3*n+1+m)
+	order := buf[:0:n]
+	deg := buf[n : 2*n]
+	start := buf[2*n : 3*n+1]
+	succ := buf[3*n+1:]
+	for _, e := range g.Edges {
+		deg[e.To]++
+		start[e.From]++
+	}
+	for id := 1; id < n; id++ {
+		start[id] += start[id-1]
+	}
+	start[n] = m
+	// start[id] now ends row id; filling backwards moves it to the row's
+	// beginning and keeps each row in edge order.
+	for k := m - 1; k >= 0; k-- {
+		e := g.Edges[k]
+		start[e.From]--
+		succ[start[e.From]] = e.To
+	}
 	for id, d := range deg {
 		if d == 0 {
-			queue = append(queue, id)
+			order = append(order, id)
 		}
 	}
-	order := make([]int, 0, len(g.Tasks))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range succ[id] {
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, s := range succ[start[id]:start[id+1]] {
 			deg[s]--
 			if deg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
-	if len(order) != len(g.Tasks) {
-		return nil, fmt.Errorf("cycle detected (%d of %d tasks ordered)", len(order), len(g.Tasks))
+	if len(order) != n {
+		return nil, fmt.Errorf("cycle detected (%d of %d tasks ordered)", len(order), n)
 	}
 	return order, nil
 }

@@ -51,6 +51,13 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("graph %d: %w", j, err)
 		}
 	}
+	return p.ValidateTarget()
+}
+
+// ValidateTarget checks the target throughput alone. A problem whose
+// platform and graphs already passed Validate, such as a parsed or cached
+// document, needs only this check after its target is replaced.
+func (p *Problem) ValidateTarget() error {
 	if p.Target < 0 {
 		return fmt.Errorf("negative target throughput %d", p.Target)
 	}

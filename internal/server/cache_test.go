@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -186,6 +188,92 @@ func TestBatchByRefSweepsTargets(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "rentmind_problem_uploads_total 1") {
 		t.Errorf("sweep should need exactly one upload:\n%s", metrics)
+	}
+}
+
+// TestNegativeTargetPatchRejected covers every place a request replaces
+// the target of an already-validated problem: each checks the new target
+// and answers 400 with its own message.
+func TestNegativeTargetPatchRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	hash, doc, err := client.ProblemHash(fastProblem(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UploadProblem(context.Background(), hash, doc); err != nil {
+		t.Fatalf("UploadProblem: %v", err)
+	}
+	for _, tc := range []struct {
+		name, path, body, want string
+	}{
+		{"problem_ref target", "/v1/solve",
+			fmt.Sprintf(`{"problem_ref": {"hash": %q, "target": -5}}`, hash),
+			"invalid problem_ref target: negative target throughput -5"},
+		{"problem_refs[1] target", "/v1/batch",
+			fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 10}, {"hash": %q, "target": -5}]}`, hash, hash),
+			"problem 1: invalid problem_ref target: negative target throughput -5"},
+		{"target override on an inline problem", "/v1/solve",
+			fmt.Sprintf(`{"problem": %s, "target": -5}`, doc),
+			"invalid target override: negative target throughput -5"},
+		{"target override on a problem_ref", "/v1/solve",
+			fmt.Sprintf(`{"problem_ref": {"hash": %q, "target": 70}, "target": -5}`, hash),
+			"invalid target override: negative target throughput -5"},
+		{"target override on session create", "/v1/sessions",
+			fmt.Sprintf(`{"problem": %s, "target": -5}`, doc),
+			"invalid target override: negative target throughput -5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(serverURL(c)+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e client.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("decode error body: %v", err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Error != tc.want {
+				t.Errorf("HTTP %d %q, want 400 %q", resp.StatusCode, e.Error, tc.want)
+			}
+		})
+	}
+}
+
+// TestIndentedDocumentStillResolves uploads a document in the indented
+// layout earlier versions hashed. The daemon hashes the bytes as
+// received, so it resolves and solves by reference under its own hash,
+// and a fleet mixing old and new clients keeps working.
+func TestIndentedDocumentStillResolves(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	var buf bytes.Buffer
+	if err := rentmin.WriteProblem(&buf, fastProblem(0)); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	oldHash := hex.EncodeToString(sum[:])
+	newHash, _, err := client.ProblemHash(fastProblem(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldHash == newHash {
+		t.Fatal("indented and compact documents share a hash; the test needs the old layout")
+	}
+	if err := c.UploadProblem(ctx, oldHash, buf.Bytes()); err != nil {
+		t.Fatalf("UploadProblem (indented): %v", err)
+	}
+	sol, err := c.SolveRef(ctx, oldHash, 70, nil)
+	if err != nil {
+		t.Fatalf("SolveRef (indented): %v", err)
+	}
+	if !sol.Proven || sol.Allocation.Cost != 124 {
+		t.Errorf("indented ref solve: cost %d proven=%v, want proven 124", sol.Allocation.Cost, sol.Proven)
+	}
+	// The compact hash names a different document, which this daemon
+	// does not hold yet: one 412, then the client re-uploads.
+	_, err = c.SolveRef(ctx, newHash, 70, nil)
+	if apiErr := apiStatus(t, err); apiErr.StatusCode != http.StatusPreconditionFailed {
+		t.Errorf("compact hash before upload: HTTP %d, want 412", apiErr.StatusCode)
 	}
 }
 

@@ -477,8 +477,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Target != nil {
+		// Parsing or the upload already validated the rest of p.
 		p.Target = *req.Target
-		if err := p.Validate(); err != nil {
+		if err := p.ValidateTarget(); err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid target override: %v", err))
 			return
 		}
@@ -762,8 +763,10 @@ func (s *Server) handleProblemPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveRef materializes a problem from the cache, applying the ref's
-// target patch. A hash the daemon does not hold answers 412 — the
-// uploader's signal to PUT the document and retry.
+// target patch. The cached document passed validation at upload, so the
+// patched target is the only thing left to check. A hash the daemon
+// does not hold answers 412 — the uploader's signal to PUT the document
+// and retry.
 func (s *Server) resolveRef(w http.ResponseWriter, ref client.ProblemRef, prefix string) (*rentmin.Problem, bool) {
 	hash := strings.ToLower(strings.TrimSpace(ref.Hash))
 	if !isProblemHash(hash) {
@@ -778,7 +781,7 @@ func (s *Server) resolveRef(w http.ResponseWriter, ref client.ProblemRef, prefix
 	}
 	if ref.Target != nil {
 		p.Target = *ref.Target
-		if err := p.Validate(); err != nil {
+		if err := p.ValidateTarget(); err != nil {
 			s.writeError(w, http.StatusBadRequest, prefix+fmt.Sprintf("invalid problem_ref target: %v", err))
 			return nil, false
 		}

@@ -224,8 +224,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Target != nil {
+		// parseProblem already validated the rest of p.
 		p.Target = *req.Target
-		if err := p.Validate(); err != nil {
+		if err := p.ValidateTarget(); err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid target override: %v", err))
 			return
 		}
