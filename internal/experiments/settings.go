@@ -10,7 +10,6 @@ package experiments
 import (
 	"time"
 
-	"rentmin"
 	"rentmin/internal/graphgen"
 	"rentmin/internal/heuristics"
 )
@@ -31,8 +30,7 @@ type Setting struct {
 	// Heuristics tunes the Section VI heuristics.
 	Heuristics heuristics.Options
 	// ILPTimeLimit bounds each ILP solve (the paper's Fig. 8 uses 100 s)
-	// as a deadline on the solve's context; with a SolverPool it also
-	// covers the wait for a free worker. Zero means unlimited.
+	// as a deadline on the solve's context. Zero means unlimited.
 	ILPTimeLimit time.Duration
 	// IncludeH0 adds the H0 random baseline, which the paper defines but
 	// omits from its result tables.
@@ -42,18 +40,6 @@ type Setting struct {
 	// Workers bounds parallelism across configurations; 0 uses
 	// GOMAXPROCS, 1 gives the most faithful per-algorithm timings.
 	Workers int
-	// SolverPool, when non-nil, routes every exact (ILP) solve of the
-	// sweep through the given pool instead of calling the solver stack
-	// directly. The sweep code is identical for every backend: a local
-	// pool reproduces the in-process path, while a remote-backed pool
-	// (rentmin/client.NewFleet over rentmind worker daemons) shards the
-	// sweep's exact solves across processes or machines — the heuristics
-	// and instance generation always run in-process, since they are
-	// orders of magnitude cheaper than the ILP column they are compared
-	// against. The caller owns the pool (RunSweep does not close it).
-	// Costs — and therefore every figure quantity except wall-clock
-	// timings — are identical across backends.
-	SolverPool *rentmin.SolverPool
 }
 
 // TargetRange returns {lo, lo+step, ..., hi}.

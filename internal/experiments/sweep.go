@@ -59,8 +59,7 @@ func RunSweep(s Setting) (*SweepResult, error) {
 
 // RunSweepContext is RunSweep under a context: cancellation stops
 // configurations that have not started and aborts in-flight ILP solves
-// mid-search (a remote-backed Setting.SolverPool additionally aborts
-// queued and in-flight remote dispatches).
+// mid-search.
 func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 	if s.Configs <= 0 {
 		return nil, fmt.Errorf("experiments: %s: no configurations", s.Name)
@@ -89,12 +88,6 @@ func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 
 	master := rng.New(s.Seed)
 	workers := s.Workers
-	if workers == 0 && s.SolverPool != nil {
-		// Fan configurations out to the solver pool's own capacity: a
-		// remote fleet may hold far more solves in flight than this
-		// machine has cores.
-		workers = s.SolverPool.Workers()
-	}
 	if workers > s.Configs {
 		workers = s.Configs
 	}
@@ -144,23 +137,17 @@ func runConfig(ctx context.Context, s Setting, algos []heuristics.Algorithm, mas
 }
 
 // exactSolve runs the sweep's exact (ILP) solve for one (instance,
-// target) cell through rentmin.SolveContext, or through
-// Setting.SolverPool — which may dispatch it to a remote rentmind
-// worker — when one is configured. Both backends produce identical costs.
-// ILPTimeLimit becomes the solve's context deadline.
+// target) cell through rentmin.SolveContext. ILPTimeLimit becomes the
+// solve's context deadline.
 func (s Setting) exactSolve(ctx context.Context, problem *core.Problem, target int) (rentmin.Solution, error) {
 	p := *problem // shallow copy: only the target differs per cell
 	p.Target = target
-	solveContext := rentmin.SolveContext
-	if s.SolverPool != nil {
-		solveContext = s.SolverPool.SolveContext
-	}
 	if s.ILPTimeLimit > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.ILPTimeLimit)
 		defer cancel()
 	}
-	return solveContext(ctx, &p, nil)
+	return rentmin.SolveContext(ctx, &p, nil)
 }
 
 // aggregate folds the raw grid into the figures' quantities.

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"rentmin"
 )
 
 // quickFig3 is a scaled-down Figure 3 campaign for regression tests.
@@ -245,45 +243,6 @@ func TestPaperSettingsShape(t *testing.T) {
 	}
 	if got := Fig8Setting(5 * time.Second).ILPTimeLimit; got != 5*time.Second {
 		t.Errorf("Fig8 explicit limit = %v", got)
-	}
-}
-
-// TestSweepOverSolverPoolMatchesInProcess is the backend-equivalence
-// criterion: routing the sweep's exact solves through a SolverPool — the
-// same interface a remote rentmind fleet plugs into — reproduces the
-// in-process figures exactly (timings aside).
-func TestSweepOverSolverPoolMatchesInProcess(t *testing.T) {
-	s := quickFig3()
-	s.Configs = 3
-	direct, err := RunSweep(s)
-	if err != nil {
-		t.Fatalf("in-process sweep: %v", err)
-	}
-
-	pool := rentmin.NewSolverPool(2)
-	defer pool.Close()
-	s.SolverPool = pool
-	pooled, err := RunSweep(s)
-	if err != nil {
-		t.Fatalf("pool-backed sweep: %v", err)
-	}
-
-	for i := range direct.Algos {
-		for ti := range direct.Targets {
-			if direct.Algos[i].MeanNormalized[ti] != pooled.Algos[i].MeanNormalized[ti] {
-				t.Errorf("%s at target %d: normalized cost differs across backends",
-					direct.Algos[i].Name, direct.Targets[ti])
-			}
-			if direct.Algos[i].BestCount[ti] != pooled.Algos[i].BestCount[ti] {
-				t.Errorf("%s at target %d: best count differs across backends",
-					direct.Algos[i].Name, direct.Targets[ti])
-			}
-		}
-	}
-	for ti := range direct.Targets {
-		if direct.ILPProven[ti] != pooled.ILPProven[ti] {
-			t.Errorf("target %d: proven count differs across backends", direct.Targets[ti])
-		}
 	}
 }
 

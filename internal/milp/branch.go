@@ -8,13 +8,15 @@
 // variable's pseudocost in that direction), and once a variable has been
 // observed in both directions its children are estimated from the
 // pseudocosts instead of being solved. Only unreliable candidates are
-// probed, at most Options.StrongBranch of them per node, in order of
-// their estimated score.
+// probed, at most probeCap of them per node, in order of their estimated
+// score.
 package milp
 
 import "math"
 
 const (
+	// probeCap caps the unreliable candidates probed per node.
+	probeCap = 8
 	// reliableAfter is the number of observations per direction after
 	// which a variable is branched on from its pseudocosts alone.
 	reliableAfter = 1
@@ -37,8 +39,7 @@ func (pc *pseudocost) reliable() bool {
 
 // branchCand is a fractional integer column at a node: its index j, its
 // ordinal k among the searched problem's integer columns (its pseudocost
-// slot), and its score. k < 0 marks a candidate chosen with the rule
-// switched off; it records no pseudocosts.
+// slot), and its score.
 type branchCand struct {
 	j, k  int
 	score float64
@@ -134,9 +135,6 @@ func (s *solver) branchCandidates(x []float64, k int) (probes []branchCand, best
 // allocated on first use,
 // one slot per integer column: a solve that never branches pays nothing.
 func (s *solver) observe(n *node, c branchCand, down, up *node) {
-	if c.k < 0 {
-		return
-	}
 	if s.pcs == nil {
 		nInt := 0
 		for _, isInt := range s.work.Integer {

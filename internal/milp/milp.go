@@ -145,13 +145,6 @@ type Options struct {
 	// generated on the reduced rows. The reported optimum is identical
 	// with and without presolve.
 	Presolve bool
-	// StrongBranch switches on reliability branching and caps the number
-	// of candidates probed per node: both children of up to this many
-	// fractional variables without pseudocosts in both directions are
-	// solved, and the node branches on the best product score of bound
-	// gains, real for the probes and estimated from pseudocosts for the
-	// rest. Zero disables the rule (most-fractional is used instead).
-	StrongBranch int
 	// DisableWarmLP forces a cold two-phase simplex solve at every node
 	// instead of the default dual-simplex warm start from the parent's
 	// optimal basis (ablation/debugging; the optimum is identical either
@@ -531,8 +524,7 @@ type prep struct {
 // children.
 func (s *solver) prepare(n *node) prep {
 	p := prep{n: n}
-	frac := s.fractionalVar(n.relax.X)
-	if frac < 0 {
+	if s.fractionalVar(n.relax.X) < 0 {
 		// Integer feasible: the node is a leaf. Under presolve the
 		// relaxation point lives in reduced space; lift it (and price it
 		// against the original objective) before it can become an
@@ -568,12 +560,7 @@ func (s *solver) prepare(n *node) prep {
 			}
 		}
 	}
-	if k := s.opts.StrongBranch; k > 0 {
-		p.probes, p.reliable = s.branchCandidates(n.relax.X, k)
-	} else {
-		p.probes = []branchCand{{j: frac, k: -1}}
-		p.reliable.j = -1
-	}
+	p.probes, p.reliable = s.branchCandidates(n.relax.X, probeCap)
 	s.tighten(n)
 	if s.nodeStart != nil {
 		// The node branches: restore its basis once for all its children.

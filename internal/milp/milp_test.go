@@ -127,7 +127,7 @@ func TestParallelWorkersAgreeOnOptimum(t *testing.T) {
 // isolation of the pooled LP workspaces and Starts.
 func TestParallelStress(t *testing.T) {
 	p := hardCoverMILP(8, 99)
-	opts := &Options{StrongBranch: 4, IntegralObjective: true, Presolve: true}
+	opts := &Options{IntegralObjective: true, Presolve: true}
 	ref := solveOK(t, p, opts)
 	if ref.Status != Optimal {
 		t.Fatalf("reference status %v", ref.Status)
@@ -158,7 +158,6 @@ func TestParallelQuickAgainstBruteForce(t *testing.T) {
 		for _, w := range workerCounts {
 			for _, opts := range []*Options{
 				nil,
-				{StrongBranch: 4},
 				{IntegralObjective: true, Rounder: rounder, RootCutRounds: 4},
 			} {
 				for _, res := range solveConcurrently(context.Background(), t, p, opts, w) {

@@ -14,9 +14,9 @@ import (
 // solve — same status, same optimal objective within tolerance — and its
 // lifted incumbent must be feasible for the ORIGINAL problem under the
 // solver's own feasibility checker. The cfg byte toggles the surrounding
-// machinery (root cuts, integral-objective pruning, reliability branching, a
-// warm-start incumbent feeding the cutoff row), so the fuzzer also drives
-// the phantom-cutoff and CG-cut paths. Rows carry explicit zero values,
+// machinery (root cuts, integral-objective pruning, a warm-start
+// incumbent feeding the cutoff row), so the fuzzer also drives
+// the phantom-cutoff and Gomory-cut paths. Rows carry explicit zero values,
 // and with cfg bit 32 an empty row (satisfied or not by its right-hand
 // side alone) joins them, so the sparse walks' zero-skip and empty-row
 // branches run too.
@@ -93,9 +93,6 @@ func FuzzPresolve(f *testing.F) {
 		}
 		if cfg&2 != 0 {
 			opts.IntegralObjective = allInt(p)
-		}
-		if cfg&8 != 0 {
-			opts.StrongBranch = 4
 		}
 
 		plain, err := Solve(p, &opts)

@@ -150,7 +150,7 @@ func TestWarmReducesLPIterations(t *testing.T) {
 }
 
 // TestWarmWithAllFeatures exercises warm starts together with cuts,
-// strong branching, rounding and an incumbent seed, cross-checking the
+// reliability branching, rounding and an incumbent seed, cross-checking the
 // optimum against the plain cold configuration.
 func TestWarmWithAllFeatures(t *testing.T) {
 	p := hardCoverMILP(8, 11)
@@ -158,7 +158,7 @@ func TestWarmWithAllFeatures(t *testing.T) {
 	if base.Status != Optimal {
 		t.Fatalf("baseline status %v", base.Status)
 	}
-	res := solveOK(t, p, &Options{StrongBranch: 4, IntegralObjective: true})
+	res := solveOK(t, p, &Options{IntegralObjective: true})
 	if res.Status != Optimal || math.Abs(res.Objective-base.Objective) > 1e-9 {
 		t.Errorf("%v objective %v, want %v", res.Status, res.Objective, base.Objective)
 	}

@@ -14,7 +14,9 @@ import (
 // ILPOptions tunes the integer-program path for the general shared-type
 // case (Section V-C). It is the one solver config: the public facade,
 // the daemon and sessions set only WarmStart and RootBasis; the Disable*
-// ablation switches are set only by benchmarks and tests. The context
+// switches are set only by benchmarks and tests. Reliability branching,
+// the H1 incumbent seed and integral-objective pruning are always on:
+// the ablations in docs/ablation.md found that each pays. The context
 // carries the rest: its deadline is the only wall-clock bound on the
 // search (the paper's Fig. 8 stress test allows 100 s), and an
 // obs.Trace in it observes the search.
@@ -23,15 +25,10 @@ type ILPOptions struct {
 	NodeLimit int
 	// WarmStart optionally seeds the search with per-graph throughputs.
 	// When nil the solver seeds itself with the best single-graph
-	// solution (H1) unless DisableWarmStart is set.
+	// solution (H1).
 	WarmStart []int
-	// DisableWarmStart switches off self-seeding (ablation).
-	DisableWarmStart bool
 	// DisableRounding switches off the per-node rounding repair (ablation).
 	DisableRounding bool
-	// DisableIntegralPruning switches off integral-objective bound
-	// rounding (ablation).
-	DisableIntegralPruning bool
 	// DisableCuts switches off Gomory root cuts (ablation).
 	DisableCuts bool
 	// DisablePresolve switches off the root presolve pass (bound
@@ -40,9 +37,6 @@ type ILPOptions struct {
 	// Presolve is on by default: it shrinks the tree before the first
 	// pivot runs and the reported cost is identical either way.
 	DisablePresolve bool
-	// DisableStrongBranch switches reliability branching off and falls
-	// back to most-fractional branching (ablation).
-	DisableStrongBranch bool
 	// Workers is ignored: the branch-and-bound search is sequential, and
 	// cores are used by running many solves at once.
 	//
@@ -232,11 +226,8 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 
 	mopts := &milp.Options{
 		NodeLimit:         opts.NodeLimit,
-		IntegralObjective: !opts.DisableIntegralPruning,
+		IntegralObjective: true,
 		DisableWarmLP:     opts.DisableLPWarmStart,
-	}
-	if !opts.DisableStrongBranch {
-		mopts.StrongBranch = 8
 	}
 	if !opts.DisableCuts {
 		mopts.RootCutRounds = rootCutRounds
@@ -246,13 +237,12 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 	}
 	mopts.Presolve = !opts.DisablePresolve
 	mopts.RootBasis = opts.RootBasis
-	switch {
-	case opts.WarmStart != nil:
+	if opts.WarmStart != nil {
 		if len(opts.WarmStart) != m.J {
 			return ILPResult{}, fmt.Errorf("solve: warm start has %d throughputs, want %d", len(opts.WarmStart), m.J)
 		}
 		mopts.Incumbent = allocationToPoint(m, m.NewAllocation(opts.WarmStart))
-	case !opts.DisableWarmStart:
+	} else {
 		_, h1 := BestSingleGraph(m, target)
 		mopts.Incumbent = allocationToPoint(m, h1)
 	}

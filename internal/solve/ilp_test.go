@@ -126,10 +126,10 @@ func TestILPAblationVariantsAgree(t *testing.T) {
 			t.Fatalf("base: %v", err)
 		}
 		variants := []*ILPOptions{
-			{DisableWarmStart: true},
 			{DisableRounding: true},
-			{DisableIntegralPruning: true},
-			{DisableWarmStart: true, DisableRounding: true, DisableIntegralPruning: true},
+			{DisableCuts: true},
+			{DisablePresolve: true},
+			{DisableLPWarmStart: true},
 			{WarmStart: []int{0, 0, target}},
 		}
 		for i, opts := range variants {
