@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (scaled to benchmark-friendly sizes; cmd/experiments runs the
-// full-scale campaigns), plus ablation benches for the design choices
-// called out in DESIGN.md §5 and micro-benchmarks of the hot substrates.
+// full-scale campaigns), plus ablation benches for the default-on solver
+// features judged in docs/ablation.md and micro-benchmarks of the hot
+// substrates.
 //
 //	go test -bench=. -benchmem
 package rentmin_test
@@ -110,7 +111,7 @@ func BenchmarkFig8ILPTimeLimit(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------------
+// --- Ablations (docs/ablation.md) --------------------------------------------
 
 // fig3Instance returns one representative small-graph instance.
 func fig3Instance(tb testing.TB) *core.CostModel {
@@ -148,10 +149,6 @@ func benchILPVariant(b *testing.B, opts solve.ILPOptions) {
 }
 
 func BenchmarkAblationILPFull(b *testing.B) { benchILPVariant(b, solve.ILPOptions{}) }
-
-func BenchmarkAblationILPNoRounding(b *testing.B) {
-	benchILPVariant(b, solve.ILPOptions{DisableRounding: true})
-}
 
 func BenchmarkAblationILPNoCuts(b *testing.B) {
 	benchILPVariant(b, solve.ILPOptions{DisableCuts: true})

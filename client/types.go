@@ -84,13 +84,16 @@ type Solution struct {
 	// counts per type, and the hourly cost.
 	Allocation Allocation `json:"allocation"`
 	// Proven reports whether the allocation is proven optimal; false
-	// means a deadline stopped the search with the best incumbent so far.
+	// means a deadline stopped the search, or a node LP it could not
+	// resolve left the proof open, and the allocation is the best
+	// incumbent so far.
 	Proven bool `json:"proven"`
 	// Bound is the proven lower bound on the optimal cost.
 	Bound float64 `json:"bound"`
 	// SearchStats is the search effort: nodes, LP solves and pivots,
 	// root cuts and presolve reductions (keys nodes, lp_iterations,
-	// lp_solves, warm_lp_solves, cuts, cut_rounds and presolve).
+	// lp_solves, warm_lp_solves, cuts, cut_rounds, unresolved_lps and
+	// presolve).
 	rentmin.SearchStats
 	// ElapsedMs is the solver wall clock in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`

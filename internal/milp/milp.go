@@ -14,7 +14,8 @@
 //     points into feasible incumbents at every node;
 //   - integral-objective pruning: when every feasible objective value is
 //     an integer, a node with LP bound 123.01 cannot beat an incumbent of
-//     124 and is cut;
+//     124 and is cut. The solve reads this off the problem (see
+//     integralObjective), so no caller asserts it;
 //   - node bound tightening by reduced costs: once an incumbent exists,
 //     every branching node recomputes its columns' reduced costs from its
 //     LP duals and caps each integer column resting at a bound by how far
@@ -121,9 +122,6 @@ type Rounder func(x []float64) ([]float64, bool)
 type Options struct {
 	// NodeLimit bounds the number of explored nodes; zero means unlimited.
 	NodeLimit int
-	// IntegralObjective asserts that every integer-feasible point has an
-	// integral objective value, enabling bound rounding.
-	IntegralObjective bool
 	// Incumbent optionally warm-starts the search with a feasible point.
 	// It is validated; an invalid point is an error.
 	Incumbent []float64
@@ -191,6 +189,11 @@ type SearchStats struct {
 	// Presolve counts the root reductions applied (all zero when
 	// Options.Presolve is off).
 	Presolve PresolveStats `json:"presolve"`
+	// UnresolvedLPs counts child LPs that ended neither optimal nor
+	// infeasible twice, warm and then cold (an iteration limit, say). Such
+	// a child is set aside with its parent's bound, and a search that ends
+	// with one below the incumbent reports Feasible, not Optimal.
+	UnresolvedLPs int `json:"unresolved_lps,omitempty"`
 }
 
 // Result reports the outcome of a solve.
@@ -229,6 +232,9 @@ type node struct {
 	relax  lp.Solution
 	bound  float64
 	seq    int
+	// unresolved marks a child whose LP neither solved nor proved
+	// infeasibility: its bound is its parent's, and it is never searched.
+	unresolved bool
 }
 
 // lower returns the node's lower bound on variable j.
@@ -291,8 +297,23 @@ func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error
 	if opts == nil {
 		opts = &Options{}
 	}
-	s := &solver{p: p, ctx: ctx, opts: opts, trace: obs.TraceFrom(ctx), start: time.Now()}
+	s := &solver{
+		p: p, ctx: ctx, opts: opts, trace: obs.TraceFrom(ctx), start: time.Now(),
+		intObj: integralObjective(p),
+	}
 	return s.run()
+}
+
+// integralObjective reports whether every integer-feasible point of p has
+// an integral objective value: every integer column costs a whole number
+// and every continuous column costs nothing.
+func integralObjective(p *Problem) bool {
+	for j, c := range p.LP.Objective {
+		if p.Integer[j] && c != math.Round(c) || !p.Integer[j] && c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 type solver struct {
@@ -303,6 +324,9 @@ type solver struct {
 	model *lp.Model   // base compiled once after the root; every child solves through it
 	ctx   context.Context
 	opts  *Options // never nil
+	// intObj records that every feasible objective value is an integer
+	// (integralObjective), so pruned and tighten may round bounds.
+	intObj bool
 	// trace observes the search (nil when the context carries none): it
 	// receives every accepted incumbent and a snapshot after every node.
 	trace *obs.Trace
@@ -315,6 +339,9 @@ type solver struct {
 	bestX   []float64
 	bestObj float64 // +inf until an incumbent exists
 	hasBest bool
+	// aside is the lowest bound of a set-aside unresolved child (+inf
+	// while there is none): the search never proves anything below it.
+	aside float64
 
 	// nodeStart holds the restored basis of the node being expanded:
 	// prepare restores a branching node's basis into it, and the node's
@@ -346,6 +373,7 @@ var starts = sync.Pool{New: func() any { return new(lp.Start) }}
 
 func (s *solver) run() (Result, error) {
 	s.bestObj = math.Inf(1)
+	s.aside = math.Inf(1)
 	s.work = s.p
 
 	if inc := s.optIncumbent(); inc != nil {
@@ -438,9 +466,13 @@ func (s *solver) run() (Result, error) {
 			return s.limitResult(lowest), nil
 		}
 		s.finish(h, p)
-		s.trace.Round(round, lowest, s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
+		s.trace.Round(round, math.Min(lowest, s.aside), s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
 	}
 
+	if !math.IsInf(s.aside, 1) && !s.pruned(s.aside) {
+		// An unresolved subtree may still hold a better point.
+		return s.limitResult(s.aside), nil
+	}
 	res := s.result(Optimal)
 	if !s.hasBest {
 		res.Status = Infeasible
@@ -517,18 +549,19 @@ type prep struct {
 	reliable   branchCand
 }
 
-// prepare runs the first half of a node's expansion: integral-leaf
-// detection, the rounding repair and branching-candidate selection, and,
-// for a node that branches, reduced-cost bound tightening and the restore
-// of its optimal basis into the search's Start, once for all its
+// prepare runs the first half of a node's expansion: branching-candidate
+// selection, which also detects an integral leaf, the rounding repair,
+// and, for a node that branches, reduced-cost bound tightening and the
+// restore of its optimal basis into the search's Start, once for all its
 // children.
 func (s *solver) prepare(n *node) prep {
 	p := prep{n: n}
-	if s.fractionalVar(n.relax.X) < 0 {
-		// Integer feasible: the node is a leaf. Under presolve the
-		// relaxation point lives in reduced space; lift it (and price it
-		// against the original objective) before it can become an
-		// incumbent.
+	p.probes, p.reliable = s.branchCandidates(n.relax.X, probeCap)
+	if len(p.probes) == 0 && p.reliable.j < 0 {
+		// No fractional integer column: the node is a leaf. Under
+		// presolve the relaxation point lives in reduced space; lift it
+		// (and price it against the original objective) before it can
+		// become an incumbent.
 		p.integral = true
 		if s.red == nil {
 			if obj := n.relax.Objective; obj < s.bestObj-1e-9 {
@@ -560,7 +593,6 @@ func (s *solver) prepare(n *node) prep {
 			}
 		}
 	}
-	p.probes, p.reliable = s.branchCandidates(n.relax.X, probeCap)
 	s.tighten(n)
 	if s.nodeStart != nil {
 		// The node branches: restore its basis once for all its children.
@@ -655,8 +687,9 @@ func (s *solver) solveChild(p *prep, j, dir int) *node {
 // lo <= x_j <= hi merged in. The child's LP is the tree's model under the
 // parent's bounds with the one variable bound tightened, and its
 // relaxation is re-optimized from n's basis, restored in start, via the
-// dual-simplex warm start. It returns nil when the child is empty,
-// infeasible, or numerically unsolvable (all prunable).
+// dual-simplex warm start. It returns nil when the child is empty or
+// infeasible. A child whose LP ends otherwise is solved once more, cold;
+// if that fails too, the child comes back unresolved with n's bound.
 func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) *node {
 	if pl := n.lower(j); pl > lo {
 		lo = pl
@@ -668,8 +701,16 @@ func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) *no
 		return nil
 	}
 	c := patchedBound(n, s.base.NumVars(), j, lo, hi)
-	st, err := s.solveRelax(c, start)
-	if err != nil || st != lp.Optimal {
+	st, ok := s.solveRelax(c, start)
+	if !ok {
+		st, ok = s.solveRelax(c, nil)
+	}
+	switch {
+	case !ok:
+		s.stats.UnresolvedLPs++
+		c.unresolved, c.bound = true, n.bound
+		return c
+	case st != lp.Optimal:
 		return nil
 	}
 	return c
@@ -706,9 +747,9 @@ const rcTol = 1e-7
 // integer column resting at its lower bound with d_j > 0 can rise by at
 // most ⌊gap/d_j⌋ in any point that beats the incumbent, where
 // gap = z* − z, or z* − 1 − z when every feasible objective is an
-// integer; a column at a finite upper bound with d_j < 0 mirrors the
-// rule. The gap is widened by a small margin
-// so roundoff never cuts off an improving point. The node's lo/hi may be
+// integer (intObj); a column at a finite upper bound with d_j < 0
+// mirrors the rule. The gap is widened by a small margin so roundoff
+// never cuts off an improving point. The node's lo/hi may be
 // shared with its parent and sibling (patchedBound), so a tightened side
 // is replaced by a copy; both children then inherit it.
 func (s *solver) tighten(n *node) {
@@ -716,7 +757,7 @@ func (s *solver) tighten(n *node) {
 		return
 	}
 	gap := s.bestObj - n.bound
-	if s.opts.IntegralObjective {
+	if s.intObj {
 		gap--
 	}
 	gap = math.Max(gap, 0) + 1e-6*math.Max(1, math.Abs(s.bestObj))
@@ -782,9 +823,14 @@ func boundCopy(b []float64, n int, def float64) []float64 {
 	return c
 }
 
-// enqueue pushes a solved node unless its bound is already prunable.
+// enqueue pushes a solved node unless its bound is already prunable. An
+// unresolved node is set aside instead: only its bound is kept.
 func (s *solver) enqueue(h *nodeHeap, n *node) {
 	if s.pruned(n.bound) {
+		return
+	}
+	if n.unresolved {
+		s.aside = math.Min(s.aside, n.bound)
 		return
 	}
 	s.seq++
@@ -798,7 +844,7 @@ func (s *solver) pruned(bound float64) bool {
 	if !s.hasBest {
 		return false
 	}
-	if s.opts.IntegralObjective {
+	if s.intObj {
 		bound = math.Ceil(bound - 1e-6)
 	}
 	return bound >= s.bestObj-1e-9
@@ -848,14 +894,22 @@ func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
 // stores bound/solution. It re-optimizes from the parent basis restored
 // in start via the dual simplex, and solves cold when start is nil
 // (DisableWarmLP) or the restore was rejected, inside Model.SolveFrom.
-func (s *solver) solveRelax(n *node, start *lp.Start) (lp.Status, error) {
+// ok reports whether the LP settled the child: optimal or infeasible.
+func (s *solver) solveRelax(n *node, start *lp.Start) (st lp.Status, ok bool) {
 	sol, err := s.model.SolveFrom(n.lo, n.hi, start, nil)
 	if err != nil {
-		return 0, err
+		return 0, false
 	}
 	s.setRelax(n, sol)
-	return sol.Status, nil
+	if failChildLP != nil && failChildLP() {
+		return lp.IterLimit, false
+	}
+	return sol.Status, sol.Status == lp.Optimal || sol.Status == lp.Infeasible
 }
+
+// failChildLP, when a test sets it, is asked after every child LP solve;
+// true makes that solve count as unresolved.
+var failChildLP func() bool
 
 // setRelax records a node's solved relaxation and its bound, and folds the
 // solve into the statistics.
@@ -872,23 +926,6 @@ func (s *solver) countLP(sol lp.Solution) {
 	if sol.Warm {
 		s.stats.WarmLPSolves++
 	}
-}
-
-// fractionalVar returns the integer variable farthest from integrality,
-// or -1 if the point is integral.
-func (s *solver) fractionalVar(x []float64) int {
-	best, bestDist := -1, intTol
-	for j, isInt := range s.work.Integer {
-		if !isInt {
-			continue
-		}
-		f := x[j] - math.Floor(x[j])
-		dist := math.Min(f, 1-f)
-		if dist > bestDist {
-			best, bestDist = j, dist
-		}
-	}
-	return best
 }
 
 // checkFeasible verifies integrality and constraints for a candidate and
@@ -967,12 +1004,14 @@ func (s *solver) cancelled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// limitResult assembles the stop-at-limit result (node limit, context
-// cancellation or deadline): the incumbent so far, Status Feasible or
-// NoSolution, and the tightest proven bound given the open frontier.
+// limitResult assembles the result of a search that could not finish its
+// proof (node limit, context cancellation or deadline, or an unresolved
+// child left below the incumbent): the incumbent so far, Status Feasible
+// or NoSolution, and the tightest proven bound given the open frontier
+// and the set-aside children.
 func (s *solver) limitResult(lowest float64) Result {
 	res := s.result(0)
-	res.Bound = math.Min(lowest, res.Bound)
+	res.Bound = math.Min(math.Min(lowest, s.aside), res.Bound)
 	if s.hasBest {
 		res.Status = Feasible
 	} else {

@@ -127,7 +127,7 @@ func TestParallelWorkersAgreeOnOptimum(t *testing.T) {
 // isolation of the pooled LP workspaces and Starts.
 func TestParallelStress(t *testing.T) {
 	p := hardCoverMILP(8, 99)
-	opts := &Options{IntegralObjective: true, Presolve: true}
+	opts := &Options{Presolve: true}
 	ref := solveOK(t, p, opts)
 	if ref.Status != Optimal {
 		t.Fatalf("reference status %v", ref.Status)
@@ -158,7 +158,7 @@ func TestParallelQuickAgainstBruteForce(t *testing.T) {
 		for _, w := range workerCounts {
 			for _, opts := range []*Options{
 				nil,
-				{IntegralObjective: true, Rounder: rounder, RootCutRounds: 4},
+				{Rounder: rounder, RootCutRounds: 4},
 			} {
 				for _, res := range solveConcurrently(context.Background(), t, p, opts, w) {
 					if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
@@ -468,6 +468,10 @@ func TestRounderProvidesIncumbent(t *testing.T) {
 	}
 }
 
+// TestIntegralObjectivePruningKeepsOptimum: integral costs switch
+// integral-objective pruning on, and it keeps the optimum. The same
+// problem with an unused continuous column of cost 1/2 has the same
+// optimum, but its costs switch the pruning off.
 func TestIntegralObjectivePruningKeepsOptimum(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
@@ -479,8 +483,16 @@ func TestIntegralObjectivePruningKeepsOptimum(t *testing.T) {
 		},
 		Integer: []bool{true, true, true},
 	}
-	plain := solveOK(t, p, nil)
-	pruned := solveOK(t, p, &Options{IntegralObjective: true})
+	q := &Problem{
+		LP:      lp.Problem{Objective: []float64{13, 7, 9, 0.5}, Constraints: p.LP.Constraints},
+		Integer: []bool{true, true, true, false},
+	}
+	if !integralObjective(p) || integralObjective(q) {
+		t.Fatalf("integralObjective: %v for integral costs, %v with a 1/2-cost column",
+			integralObjective(p), integralObjective(q))
+	}
+	pruned := solveOK(t, p, nil)
+	plain := solveOK(t, q, nil)
 	if plain.Status != Optimal || pruned.Status != Optimal {
 		t.Fatalf("statuses: %v / %v", plain.Status, pruned.Status)
 	}
@@ -492,6 +504,28 @@ func TestIntegralObjectivePruningKeepsOptimum(t *testing.T) {
 	}
 	if want := bruteForceCover(p); math.Abs(plain.Objective-want) > 1e-6 {
 		t.Errorf("objective = %g, brute force says %g", plain.Objective, want)
+	}
+}
+
+// TestIntegralObjectiveDerived: the solve reads integral-objective
+// pruning off the problem. It holds when every integer column costs a
+// whole number and every continuous column costs nothing.
+func TestIntegralObjectiveDerived(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		costs   []float64
+		integer []bool
+		want    bool
+	}{
+		{"integral costs", []float64{13, -7, 0, 1e9}, []bool{true, true, true, true}, true},
+		{"one half-integral cost", []float64{13, 7.5, 9}, []bool{true, true, true}, false},
+		{"continuous column with a cost", []float64{13, 7, 2}, []bool{true, true, false}, false},
+		{"free continuous column", []float64{13, 7, 0}, []bool{true, true, false}, true},
+	} {
+		p := &Problem{LP: lp.Problem{Objective: tc.costs}, Integer: tc.integer}
+		if got := integralObjective(p); got != tc.want {
+			t.Errorf("%s: integralObjective = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

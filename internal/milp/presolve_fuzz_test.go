@@ -14,12 +14,14 @@ import (
 // solve — same status, same optimal objective within tolerance — and its
 // lifted incumbent must be feasible for the ORIGINAL problem under the
 // solver's own feasibility checker. The cfg byte toggles the surrounding
-// machinery (root cuts, integral-objective pruning, a warm-start
-// incumbent feeding the cutoff row), so the fuzzer also drives
-// the phantom-cutoff and Gomory-cut paths. Rows carry explicit zero values,
-// and with cfg bit 32 an empty row (satisfied or not by its right-hand
-// side alone) joins them, so the sparse walks' zero-skip and empty-row
-// branches run too.
+// machinery (root cuts, half-integral costs, a warm-start incumbent
+// feeding the cutoff row), so the fuzzer also drives the phantom-cutoff
+// and Gomory-cut paths, and both outcomes of the integral-objective
+// derivation: an all-integer problem keeps its whole costs, and so its
+// pruning, unless cfg bit 2 lowers some of them by 1/2. Rows carry
+// explicit zero values, and with cfg bit 32 an empty row (satisfied or
+// not by its right-hand side alone) joins them, so the sparse walks'
+// zero-skip and empty-row branches run too.
 //
 // Unbounded outcomes are skipped: when the LP relaxation is unbounded the
 // direct solve reports Unbounded, while presolve may legitimately prove
@@ -92,7 +94,16 @@ func FuzzPresolve(f *testing.F) {
 			opts.RootCutRounds = 4
 		}
 		if cfg&2 != 0 {
-			opts.IntegralObjective = allInt(p)
+			// Lower the first integer column's cost by 1/2, and each later
+			// one's with probability 1/2: integral-objective pruning no
+			// longer holds.
+			first := true
+			for j, isInt := range p.Integer {
+				if isInt && (first || r.Intn(2) == 0) {
+					p.LP.Objective[j] -= 0.5
+					first = false
+				}
+			}
 		}
 
 		plain, err := Solve(p, &opts)

@@ -484,30 +484,31 @@ func TestPresolveEquivalenceFixedInstances(t *testing.T) {
 }
 
 // Property: presolve -> solve -> postsolve matches brute force on random
-// covering MILPs, with and without cuts and incumbent warm starts.
+// covering MILPs, with and without cuts and integral-objective pruning.
 func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomCoverMILP(r)
-		want := bruteForceCover(p)
-		for _, opts := range []*Options{
-			{Presolve: true},
-			{Presolve: true, RootCutRounds: 6},
-			{Presolve: true, IntegralObjective: true},
-		} {
-			res, err := Solve(p, opts)
-			if err != nil || res.Status != Optimal {
-				return false
-			}
-			if math.Abs(res.Objective-want) > 1e-6 {
-				return false
-			}
-			if res.CutRounds > opts.RootCutRounds {
-				return false
-			}
-			s := &solver{p: p}
-			if obj, err := s.checkFeasible(res.X); err != nil || math.Abs(obj-res.Objective) > 1e-6 {
-				return false
+		for _, q := range []*Problem{p, halfCosts(p)} {
+			want := bruteForceCover(q)
+			for _, opts := range []*Options{
+				{Presolve: true},
+				{Presolve: true, RootCutRounds: 6},
+			} {
+				res, err := Solve(q, opts)
+				if err != nil || res.Status != Optimal {
+					return false
+				}
+				if math.Abs(res.Objective-want) > 1e-6 {
+					return false
+				}
+				if res.CutRounds > opts.RootCutRounds {
+					return false
+				}
+				s := &solver{p: q}
+				if obj, err := s.checkFeasible(res.X); err != nil || math.Abs(obj-res.Objective) > 1e-6 {
+					return false
+				}
 			}
 		}
 		return true

@@ -33,6 +33,17 @@ func randomCoverMILP(r *rand.Rand) *Problem {
 	return p
 }
 
+// halfCosts returns a copy of p with every cost lowered by 1/2. The costs
+// of a randomCoverMILP stay positive, and integral-objective pruning no
+// longer holds.
+func halfCosts(p *Problem) *Problem {
+	q := &Problem{LP: *p.LP.Clone(), Integer: p.Integer}
+	for j := range q.LP.Objective {
+		q.LP.Objective[j] -= 0.5
+	}
+	return q
+}
+
 // Property: branch and bound matches brute force on random covering MILPs,
 // with and without integral-objective pruning, with and without a rounder.
 func TestQuickMatchesBruteForce(t *testing.T) {
@@ -46,19 +57,16 @@ func TestQuickMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomCoverMILP(r)
-		want := bruteForceCover(p)
-		for _, opts := range []*Options{
-			nil,
-			{IntegralObjective: true},
-			{Rounder: rounder},
-			{IntegralObjective: true, Rounder: rounder},
-		} {
-			res, err := Solve(p, opts)
-			if err != nil || res.Status != Optimal {
-				return false
-			}
-			if math.Abs(res.Objective-want) > 1e-6 {
-				return false
+		for _, q := range []*Problem{p, halfCosts(p)} {
+			want := bruteForceCover(q)
+			for _, opts := range []*Options{nil, {Rounder: rounder}} {
+				res, err := Solve(q, opts)
+				if err != nil || res.Status != Optimal {
+					return false
+				}
+				if math.Abs(res.Objective-want) > 1e-6 {
+					return false
+				}
 			}
 		}
 		return true

@@ -41,12 +41,13 @@ func TestStrongBranchingWithCuts(t *testing.T) {
 		},
 		Integer: []bool{true, true},
 	}
-	res := solveOK(t, p, &Options{RootCutRounds: 5, IntegralObjective: true})
+	res := solveOK(t, p, &Options{RootCutRounds: 5})
 	wantOptimal(t, res, -27) // (2,1)
 }
 
-// Property: reliability branching, alone and with cuts, pruning and
-// rounding, agrees with brute force on random covering IPs.
+// Property: reliability branching, alone, with cuts, and with cuts and
+// rounding, agrees with brute force on random covering IPs (whose integral
+// costs keep integral-objective pruning on).
 func TestQuickAllFeaturesAgree(t *testing.T) {
 	rounder := func(x []float64) ([]float64, bool) {
 		y := make([]float64, len(x))
@@ -62,7 +63,7 @@ func TestQuickAllFeaturesAgree(t *testing.T) {
 		for _, opts := range []*Options{
 			{},
 			{RootCutRounds: 6},
-			{RootCutRounds: 6, IntegralObjective: true, Rounder: rounder},
+			{RootCutRounds: 6, Rounder: rounder},
 		} {
 			res, err := Solve(p, opts)
 			if err != nil || res.Status != Optimal {

@@ -11,7 +11,8 @@ import (
 
 // tightenFixture is a solver over an all-integer problem with the given
 // costs and rows, holding an incumbent of value inc unless inc is +Inf.
-func tightenFixture(obj []float64, rows []lp.Constraint, integral bool, inc float64) *solver {
+// As in a solve, the costs decide integral-objective pruning.
+func tightenFixture(obj []float64, rows []lp.Constraint, inc float64) *solver {
 	p := &Problem{
 		LP:      lp.Problem{Objective: obj, Constraints: rows},
 		Integer: make([]bool, len(obj)),
@@ -21,7 +22,8 @@ func tightenFixture(obj []float64, rows []lp.Constraint, integral bool, inc floa
 	}
 	return &solver{
 		p: p, work: p, base: &p.LP,
-		opts:    &Options{IntegralObjective: integral},
+		opts:    &Options{},
+		intObj:  integralObjective(p),
 		bestObj: inc,
 		hasBest: !math.IsInf(inc, 1),
 	}
@@ -39,20 +41,20 @@ func relaxed(lo, hi, x, y []float64, z float64) *node {
 // duals: d = c − yᵀA.
 func TestTightenExactQuotient(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		integral bool
-		c        []float64
-		inc, z   float64
-		want     []float64
+		name   string
+		c      []float64
+		inc, z float64
+		want   []float64
 	}{
-		// d = (2, 4), gap = 7 − 1 − 0 = 6: 6/2 = 3 and 6/4 → 1.
-		{"integral", true, []float64{2, 4.5}, 7, 0, []float64{3, 1}},
+		// Integral costs: d = (2, 3.5), gap = 7 − 1 − 0 = 6: 6/2 = 3 and
+		// 6/3.5 → 1.
+		{"integral", []float64{2, 4}, 7, 0, []float64{3, 1}},
 		// d = (0.2, 2), gap = 0.6: 0.6/0.2 → 3 and 0.6/2 → 0.
-		{"roundoff", false, []float64{0.2, 2.5}, 0.6, 0, []float64{3, 0}},
+		{"roundoff", []float64{0.2, 2.5}, 0.6, 0, []float64{3, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// One row x1 >= 0 with dual 0.5 takes 0.5 off x1's cost.
-			s := tightenFixture(tc.c, []lp.Constraint{dense([]float64{0, 1}, lp.GE, 0)}, tc.integral, tc.inc)
+			s := tightenFixture(tc.c, []lp.Constraint{dense([]float64{0, 1}, lp.GE, 0)}, tc.inc)
 			n := relaxed(nil, nil, []float64{0, 0}, []float64{0.5}, tc.z)
 			s.tighten(n)
 			if n.lo != nil {
@@ -69,30 +71,33 @@ func TestTightenExactQuotient(t *testing.T) {
 // d_j < 0 gets its lower bound raised to hi − ⌊gap/|d_j|⌋; a column at
 // its lower bound in the same node is capped as usual.
 func TestTightenAtUpperBound(t *testing.T) {
-	// d = (−2, 1), gap = −6 − (−10) = 4.
-	s := tightenFixture([]float64{-2, 1}, nil, false, -6)
+	// d = (−2, 1.5), gap = −6 − (−10) = 4: the half-integral cost leaves
+	// the gap whole.
+	s := tightenFixture([]float64{-2, 1.5}, nil, -6)
 	n := relaxed([]float64{0, 0}, []float64{5, math.Inf(1)}, []float64{5, 0}, nil, -10)
 	s.tighten(n)
 	if want := []float64{3, 0}; !slices.Equal(n.lo, want) {
 		t.Errorf("lo = %v, want %v", n.lo, want)
 	}
-	if want := []float64{5, 4}; !slices.Equal(n.hi, want) {
+	if want := []float64{5, 2}; !slices.Equal(n.hi, want) {
 		t.Errorf("hi = %v, want %v", n.hi, want)
 	}
 }
 
-// TestTightenGapWithoutIntegralObjective: with IntegralObjective off the
-// gap is z* − z, one unit wider than with it on.
+// TestTightenGapWithoutIntegralObjective: when the costs leave some
+// feasible objective fractional the gap is z* − z, one unit wider than
+// under integral costs. Column 0 costs 1 in both problems; column 1
+// costs 1/2 or 1.
 func TestTightenGapWithoutIntegralObjective(t *testing.T) {
 	for _, tc := range []struct {
-		integral bool
-		want     float64
-	}{{false, 3}, {true, 2}} {
-		s := tightenFixture([]float64{1}, nil, tc.integral, 5)
-		n := relaxed(nil, nil, []float64{0}, nil, 2)
+		c1   float64
+		want []float64
+	}{{0.5, []float64{3, 6}}, {1, []float64{2, 2}}} {
+		s := tightenFixture([]float64{1, tc.c1}, nil, 5)
+		n := relaxed(nil, nil, []float64{0, 0}, nil, 2)
 		s.tighten(n)
-		if n.hi == nil || n.hi[0] != tc.want {
-			t.Errorf("IntegralObjective %v: hi = %v, want [%g]", tc.integral, n.hi, tc.want)
+		if !slices.Equal(n.hi, tc.want) {
+			t.Errorf("costs [1 %g] (integral %v): hi = %v, want %v", tc.c1, s.intObj, n.hi, tc.want)
 		}
 	}
 }
@@ -100,7 +105,7 @@ func TestTightenGapWithoutIntegralObjective(t *testing.T) {
 // TestTightenNoIncumbent: without an incumbent nothing is tightened and
 // the node keeps its own slices.
 func TestTightenNoIncumbent(t *testing.T) {
-	s := tightenFixture([]float64{1, -1}, nil, true, math.Inf(1))
+	s := tightenFixture([]float64{1, -1}, nil, math.Inf(1))
 	lo, hi := []float64{0, 0}, []float64{math.Inf(1), 4}
 	n := relaxed(lo, hi, []float64{0, 4}, nil, -4)
 	s.tighten(n)
@@ -118,7 +123,7 @@ func TestTightenNoIncumbent(t *testing.T) {
 // slices: the problem's, the parent's and the sibling's lo/hi are
 // byte-identical afterwards.
 func TestTightenCopyOnWrite(t *testing.T) {
-	s := tightenFixture([]float64{1, -1, 1}, nil, false, 3)
+	s := tightenFixture([]float64{1, -1, 1.5}, nil, 3)
 	s.p.LP.Lo = []float64{0, 0, 0}
 	s.p.LP.Hi = []float64{9, 6, 9}
 	bits := func(b []float64) []uint64 {
@@ -177,6 +182,8 @@ func TestTightenCopyOnWrite(t *testing.T) {
 // tightening the root from its real LP duals and an incumbent above the
 // optimum never cuts off an integer point that beats the incumbent.
 // Every such point is enumerated and checked against the tightened box.
+// Each instance runs with its integral costs and with every cost lowered
+// by 1/2, so both gap rules are checked.
 func TestQuickTightenKeepsImprovingPoints(t *testing.T) {
 	tightened := 0
 	for seed := int64(0); seed < 400; seed++ {
@@ -191,32 +198,32 @@ func TestQuickTightenKeepsImprovingPoints(t *testing.T) {
 				p.LP.Hi[j] = float64(r.Intn(4))
 			}
 		}
-		sol, err := lp.Solve(&p.LP, nil)
-		if err != nil || sol.Status != lp.Optimal {
-			continue
-		}
-		opt := bruteForceBox(p, math.Inf(1), nil)
-		if math.IsInf(opt, 1) {
-			continue
-		}
-		for _, integral := range []bool{false, true} {
+		for _, q := range []*Problem{halfCosts(p), p} {
+			sol, err := lp.Solve(&q.LP, nil)
+			if err != nil || sol.Status != lp.Optimal {
+				continue
+			}
+			opt := bruteForceBox(q, math.Inf(1), nil)
+			if math.IsInf(opt, 1) {
+				continue
+			}
 			inc := opt + float64(1+r.Intn(3))
-			s := tightenFixture(p.LP.Objective, p.LP.Constraints, integral, inc)
-			s.p.LP.Lo, s.p.LP.Hi = p.LP.Lo, p.LP.Hi
-			root := relaxed(p.LP.Lo, p.LP.Hi, sol.X, sol.Duals, sol.Objective)
+			s := tightenFixture(q.LP.Objective, q.LP.Constraints, inc)
+			s.p.LP.Lo, s.p.LP.Hi = q.LP.Lo, q.LP.Hi
+			root := relaxed(q.LP.Lo, q.LP.Hi, sol.X, sol.Duals, sol.Objective)
 			s.tighten(root)
-			if &root.lo[0] != &p.LP.Lo[0] || &root.hi[0] != &p.LP.Hi[0] {
+			if &root.lo[0] != &q.LP.Lo[0] || &root.hi[0] != &q.LP.Hi[0] {
 				tightened++
 			}
 			cut := inc - 1e-9
-			if integral {
+			if s.intObj {
 				cut = inc - 1 + 1e-9
 			}
-			bruteForceBox(p, cut, func(x []float64) {
+			bruteForceBox(q, cut, func(x []float64) {
 				for j, v := range x {
 					if v < root.lower(j) || v > root.upper(j) {
 						t.Fatalf("seed %d (integral %v): improving point %v leaves the tightened box lo %v hi %v",
-							seed, integral, x, root.lo, root.hi)
+							seed, s.intObj, x, root.lo, root.hi)
 					}
 				}
 			})

@@ -158,7 +158,7 @@ func TestWarmWithAllFeatures(t *testing.T) {
 	if base.Status != Optimal {
 		t.Fatalf("baseline status %v", base.Status)
 	}
-	res := solveOK(t, p, &Options{IntegralObjective: true})
+	res := solveOK(t, p, nil)
 	if res.Status != Optimal || math.Abs(res.Objective-base.Objective) > 1e-9 {
 		t.Errorf("%v objective %v, want %v", res.Status, res.Objective, base.Objective)
 	}

@@ -128,7 +128,7 @@ func TestCrossValBoundedVsRowBoundEncodings(t *testing.T) {
 		}
 
 		for _, coldLP := range []bool{false, true} {
-			opts := &milp.Options{DisableWarmLP: coldLP, IntegralObjective: true}
+			opts := &milp.Options{DisableWarmLP: coldLP}
 			for name, prob := range map[string]*milp.Problem{"bounded": bounded, "rows": rows} {
 				res, err := milp.Solve(prob, opts)
 				if err != nil {

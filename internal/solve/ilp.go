@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"rentmin/internal/core"
 	"rentmin/internal/lp"
@@ -15,11 +14,12 @@ import (
 // case (Section V-C). It is the one solver config: the public facade,
 // the daemon and sessions set only WarmStart and RootBasis; the Disable*
 // switches are set only by benchmarks and tests. Reliability branching,
-// the H1 incumbent seed and integral-objective pruning are always on:
-// the ablations in docs/ablation.md found that each pays. The context
-// carries the rest: its deadline is the only wall-clock bound on the
-// search (the paper's Fig. 8 stress test allows 100 s), and an
-// obs.Trace in it observes the search.
+// the H1 incumbent seed and the rounding repair are always on: the
+// ablations in docs/ablation.md found that each pays. Integral-objective
+// pruning is on because milp reads it off the model's integer prices.
+// The context carries the rest: its deadline is the only wall-clock
+// bound on the search (the paper's Fig. 8 stress test allows 100 s), and
+// an obs.Trace in it observes the search.
 type ILPOptions struct {
 	// NodeLimit bounds explored nodes; zero means unlimited.
 	NodeLimit int
@@ -27,8 +27,6 @@ type ILPOptions struct {
 	// When nil the solver seeds itself with the best single-graph
 	// solution (H1).
 	WarmStart []int
-	// DisableRounding switches off the per-node rounding repair (ablation).
-	DisableRounding bool
 	// DisableCuts switches off Gomory root cuts (ablation).
 	DisableCuts bool
 	// DisablePresolve switches off the root presolve pass (bound
@@ -56,23 +54,15 @@ type ILPOptions struct {
 	RootBasis *lp.Basis
 }
 
-// ILPResult is the outcome of the integer-programming solve.
+// ILPResult is the outcome of the integer-programming solve: milp's
+// result (Bound is a proven lower bound on the optimal cost, and
+// RootBasis is reusable as ILPOptions.RootBasis by a later re-solve of a
+// mutated problem) plus the allocation it encodes.
 type ILPResult struct {
+	milp.Result
 	Alloc core.Allocation
 	// Proven is true when the allocation is proven optimal.
-	Proven  bool
-	Status  milp.Status
-	Bound   float64 // proven lower bound on the optimal cost
-	Elapsed time.Duration
-	Gap     float64
-	milp.SearchStats
-	// RootBasis is the root relaxation's optimal basis, reusable as
-	// ILPOptions.RootBasis by a later re-solve of a mutated problem (nil
-	// when no root LP ran — e.g. presolve finished the solve outright).
-	RootBasis *lp.Basis
-	// RootLPWarm reports whether the root LP actually restored the
-	// caller-supplied RootBasis instead of solving cold.
-	RootLPWarm bool
+	Proven bool
 }
 
 // BuildMILP encodes Definition 1 with shared task types as the MIP of
@@ -220,20 +210,17 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 	}
 	if target <= 0 {
 		a := m.NewAllocation(make([]int, m.J))
-		return ILPResult{Alloc: a, Proven: true, Status: milp.Optimal}, nil
+		return ILPResult{Result: milp.Result{Status: milp.Optimal}, Alloc: a, Proven: true}, nil
 	}
 	prob := BuildMILP(m, target)
 
 	mopts := &milp.Options{
-		NodeLimit:         opts.NodeLimit,
-		IntegralObjective: true,
-		DisableWarmLP:     opts.DisableLPWarmStart,
+		NodeLimit:     opts.NodeLimit,
+		Rounder:       RoundingRepair(m, target),
+		DisableWarmLP: opts.DisableLPWarmStart,
 	}
 	if !opts.DisableCuts {
 		mopts.RootCutRounds = rootCutRounds
-	}
-	if !opts.DisableRounding {
-		mopts.Rounder = RoundingRepair(m, target)
 	}
 	mopts.Presolve = !opts.DisablePresolve
 	mopts.RootBasis = opts.RootBasis
@@ -251,16 +238,7 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 	if err != nil {
 		return ILPResult{}, err
 	}
-	out := ILPResult{
-		Status:      res.Status,
-		Bound:       res.Bound,
-		Elapsed:     res.Elapsed,
-		Gap:         res.Gap,
-		Proven:      res.Status == milp.Optimal,
-		SearchStats: res.SearchStats,
-		RootBasis:   res.RootBasis,
-		RootLPWarm:  res.RootLPWarm,
-	}
+	out := ILPResult{Result: res, Proven: res.Status == milp.Optimal}
 	if res.Status == milp.Optimal || res.Status == milp.Feasible {
 		rho := make([]int, m.J)
 		for j := 0; j < m.J; j++ {

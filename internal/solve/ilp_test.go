@@ -126,7 +126,6 @@ func TestILPAblationVariantsAgree(t *testing.T) {
 			t.Fatalf("base: %v", err)
 		}
 		variants := []*ILPOptions{
-			{DisableRounding: true},
 			{DisableCuts: true},
 			{DisablePresolve: true},
 			{DisableLPWarmStart: true},

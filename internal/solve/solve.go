@@ -154,9 +154,10 @@ func BlackBoxDP(m *core.CostModel, target int) (core.Allocation, error) {
 //
 //	C(t, j) = min_{0<=s<=t} C(t-s, j-1) + solo_j(s),
 //
-// where solo_j(s) is the Section IV-A closed form (per-type ceilings; see
-// DESIGN.md for the paper's per-task typo). Runs in O(J·ρ²) plus the
-// O(J·ρ·Q) solo-cost precomputation.
+// where solo_j(s) = Σ_q c_q·⌈n_jq·s/r_q⌉ is the Section IV-A closed form:
+// the ceiling is taken once per machine type over all n_jq tasks of that
+// type, never per task. Runs in O(J·ρ²) plus the O(J·ρ·Q) solo-cost
+// precomputation.
 func NoSharedDP(m *core.CostModel, target int) (core.Allocation, error) {
 	if SharesTypes(m) {
 		return core.Allocation{}, ErrSharedTypes
