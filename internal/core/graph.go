@@ -58,7 +58,11 @@ func (g Graph) Clone() Graph {
 // Validate checks task numbering, type ranges, edge endpoints and
 // acyclicity. numTypes is the platform's Q; pass a negative value to skip
 // the type-range check.
-func (g Graph) Validate(numTypes int) error {
+func (g Graph) Validate(numTypes int) error { return g.validate(numTypes, nil) }
+
+// validate is Validate with the acyclicity check running in buf, grown
+// when it is too small (see topoOrder).
+func (g Graph) validate(numTypes int, buf []int) error {
 	if len(g.Tasks) == 0 {
 		return fmt.Errorf("graph %q: no tasks", g.Name)
 	}
@@ -78,7 +82,7 @@ func (g Graph) Validate(numTypes int) error {
 			return fmt.Errorf("graph %q: self-loop on task %d", g.Name, e.From)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	if _, err := g.topoOrder(buf); err != nil {
 		return fmt.Errorf("graph %q: %w", g.Name, err)
 	}
 	return nil
@@ -139,13 +143,24 @@ func (g Graph) InDegrees() []int {
 // order. One buffer holds all its state: the order (which doubles as the
 // queue), the in-degrees, and the successor lists in compressed sparse
 // row form (row offsets, then successors).
-func (g Graph) TopoOrder() ([]int, error) {
+func (g Graph) TopoOrder() ([]int, error) { return g.topoOrder(nil) }
+
+// topoBufLen is the length of the buffer topoOrder works in.
+func (g Graph) topoBufLen() int { return 3*len(g.Tasks) + 1 + len(g.Edges) }
+
+// topoOrder is TopoOrder working in buf, which it allocates when buf is
+// shorter than topoBufLen. The order it returns aliases buf, so one
+// buffer serves many graphs in turn.
+func (g Graph) topoOrder(buf []int) ([]int, error) {
 	n, m := len(g.Tasks), len(g.Edges)
-	buf := make([]int, 3*n+1+m)
+	if len(buf) < g.topoBufLen() {
+		buf = make([]int, g.topoBufLen())
+	}
 	order := buf[:0:n]
 	deg := buf[n : 2*n]
 	start := buf[2*n : 3*n+1]
-	succ := buf[3*n+1:]
+	succ := buf[3*n+1 : 3*n+1+m]
+	clear(buf[n : 3*n+1])
 	for _, e := range g.Edges {
 		deg[e.To]++
 		start[e.From]++

@@ -1,22 +1,36 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// ReadProblem decodes a Problem from JSON and validates it.
+// ReadProblem reads r to its end and parses the document with
+// ParseProblem.
 func ReadProblem(r io.Reader) (*Problem, error) {
-	dec := json.NewDecoder(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("decode problem: %w", err)
+	}
+	return ParseProblem(data)
+}
+
+// decodeProblem is the reference decoder behind ParseProblem:
+// encoding/json with unknown fields disallowed, and nothing but
+// whitespace allowed after the document. It does not validate.
+func decodeProblem(data []byte) (*Problem, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Problem
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("decode problem: %w", err)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid problem: %w", err)
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return nil, errors.New("decode problem: trailing data after the document")
 	}
 	return &p, nil
 }

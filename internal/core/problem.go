@@ -38,7 +38,9 @@ func (p *Problem) NumGraphs() int { return len(p.App.Graphs) }
 // NumTypes returns Q.
 func (p *Problem) NumTypes() int { return p.Platform.NumTypes() }
 
-// Validate checks the platform, every graph, and the target.
+// Validate checks the platform, every graph, and the target. Every
+// graph's acyclicity check runs in one buffer, sized for the largest
+// graph, so a valid problem costs one allocation.
 func (p *Problem) Validate() error {
 	if err := p.Platform.Validate(); err != nil {
 		return err
@@ -46,8 +48,13 @@ func (p *Problem) Validate() error {
 	if len(p.App.Graphs) == 0 {
 		return fmt.Errorf("application %q: no graphs", p.App.Name)
 	}
+	size := 0
+	for _, g := range p.App.Graphs {
+		size = max(size, g.topoBufLen())
+	}
+	buf := make([]int, size)
 	for j, g := range p.App.Graphs {
-		if err := g.Validate(p.NumTypes()); err != nil {
+		if err := g.validate(p.NumTypes(), buf); err != nil {
 			return fmt.Errorf("graph %d: %w", j, err)
 		}
 	}

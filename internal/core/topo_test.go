@@ -99,6 +99,7 @@ func TestTopoOrderMatchesReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	cycles := 0
+	var graphs [2][]core.Graph // acyclic, cyclic
 	for i := 0; i < 2000; i++ {
 		cyclic := i%2 == 1
 		g := randomGraph(r, cyclic)
@@ -106,9 +107,32 @@ func TestTopoOrderMatchesReference(t *testing.T) {
 		if _, err := g.TopoOrder(); err != nil {
 			cycles++
 		}
+		graphs[i%2] = append(graphs[i%2], g)
 	}
 	if cycles == 0 {
 		t.Fatal("no random graph had a cycle; the error path went untested")
+	}
+	// Problem.Validate checks every graph in one shared buffer; its
+	// verdict must match validating the graphs one by one. Each problem
+	// has three acyclic graphs, then every other time a generated
+	// cyclic one.
+	platform := core.Platform{Machines: []core.MachineType{{Throughput: 1}}}
+	for k := 0; 3*k+3 <= len(graphs[0]); k++ {
+		gs := append([]core.Graph(nil), graphs[0][3*k:3*k+3]...)
+		if k%2 == 1 {
+			gs = append(gs, graphs[1][k])
+		}
+		p := core.Problem{App: core.Application{Graphs: gs}, Platform: platform}
+		var want error
+		for j, g := range p.App.Graphs {
+			if err := g.Validate(1); err != nil {
+				want = fmt.Errorf("graph %d: %w", j, err)
+				break
+			}
+		}
+		if got := p.Validate(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("problem %d: Validate %v, one by one %v", k, got, want)
+		}
 	}
 }
 
@@ -129,5 +153,26 @@ func TestTopoOrderOneAllocation(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("TopoOrder: %v allocations per call, want 1", allocs)
+	}
+}
+
+// TestValidateOneAllocation pins Problem.Validate to a single allocation
+// for a multi-graph problem: every graph's acyclicity check shares one
+// buffer.
+func TestValidateOneAllocation(t *testing.T) {
+	p, err := graphgen.Generate(graphgen.Config{
+		NumGraphs: 20, MinTasks: 5, MaxTasks: 30, MutatePercent: 0.5, NumTypes: 5,
+		CostMin: 1, CostMax: 100, ThroughputMin: 10, ThroughputMax: 100, ExtraEdgeProb: 0.1,
+	}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Validate of %d graphs: %v allocations per call, want 1", p.NumGraphs(), allocs)
 	}
 }

@@ -18,9 +18,11 @@
 //
 // The wire types live in package client (rentmin/client) so external
 // programs can use them; the server importing them back keeps the two
-// sides in lock step. Problem documents are decoded by core.ReadProblem
+// sides in lock step. Problem documents are decoded by core.ParseProblem
 // — the same fuzz-hardened, unknown-field-rejecting ingestion the CLI
-// uses — so the network surface adds no new parsing code.
+// uses through core.ReadProblem — so the network surface adds no new
+// parsing code. Every request body and document must end after its JSON
+// value: anything but whitespace after it is a 400.
 //
 // # Request lifecycle
 //

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -451,12 +450,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
 	tctx, traceID := s.traceContext(w, r)
 	tr := obs.NewTrace(traceID)
+	// The decode phase covers the envelope, the problem document (or the
+	// ref's cache lookup) and the target override.
 	decodeSpan := tr.StartSpan("decode")
 	var req client.SolveRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	decodeSpan.End()
 	limit, err := s.solveTimeLimit(req.TimeLimitMs)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
@@ -484,6 +484,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	decodeSpan.End()
 	if err := s.admit(p); err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -749,7 +750,7 @@ func (s *Server) handleProblemPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "document bytes do not hash to the requested key")
 		return
 	}
-	p, err := core.ReadProblem(bytes.NewReader(body))
+	p, err := core.ParseProblem(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -923,13 +924,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- encoding helpers --------------------------------------------------------
 
-// decodeBody decodes a JSON request envelope, rejecting unknown fields
-// and bodies over the configured size, and answers 400 on any failure.
+// decodeBody decodes a JSON request envelope, rejecting unknown fields,
+// bodies over the configured size and anything but whitespace after the
+// envelope, and answers 400 on any failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Only the end of the body may follow the envelope. A body cut
+		// by the size limit there is reported as such.
+		var tooLarge *http.MaxBytesError
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the request")
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return false
 	}
@@ -937,14 +950,14 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{
 }
 
 // parseProblem runs one problem document through the fuzz-hardened core
-// ingestion (schema, unknown fields, model validation) and answers 400 on
-// failure.
+// ingestion (core.ParseProblem: schema, unknown fields, model validation)
+// and answers 400 on failure.
 func (s *Server) parseProblem(w http.ResponseWriter, raw json.RawMessage, prefix string) (*rentmin.Problem, bool) {
 	if len(raw) == 0 {
 		s.writeError(w, http.StatusBadRequest, prefix+"missing problem document")
 		return nil, false
 	}
-	p, err := core.ReadProblem(bytes.NewReader(raw))
+	p, err := core.ParseProblem(raw)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, prefix+err.Error())
 		return nil, false

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -393,3 +395,84 @@ func errFrom(_ *client.Solution, err error) error { return err }
 // serverURL recovers the base URL from the typed client for the raw
 // HTTP checks.
 func serverURL(c *client.Client) string { return c.BaseURL() }
+
+// TestTrailingDataRejected checks that every ingest point answers 400
+// when anything but whitespace follows the JSON value, and still serves
+// the same body with a whitespace tail.
+func TestTrailingDataRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	send := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, serverURL(c)+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		return resp.StatusCode, msg.String()
+	}
+	_, doc, err := client.ProblemHash(fastProblem(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tails := []string{" garbage", "]", `{"target_throughput": 5}`}
+	for _, tc := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/solve", `{"problem": ` + string(doc) + `}`, http.StatusOK},
+		{"/v1/batch", `{"problems": [` + string(doc) + `]}`, http.StatusOK},
+		{"/v1/sessions", `{"problem": ` + string(doc) + `}`, http.StatusOK},
+	} {
+		if code, msg := send(http.MethodPost, tc.path, tc.body+" \n"); code != tc.ok {
+			t.Fatalf("POST %s with a whitespace tail: %d %s, want %d", tc.path, code, msg, tc.ok)
+		}
+		for _, tail := range tails {
+			code, msg := send(http.MethodPost, tc.path, tc.body+tail)
+			if code != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+				t.Errorf("POST %s with tail %q: %d %s, want 400 trailing data", tc.path, tail, code, msg)
+			}
+		}
+	}
+	// An upload is addressed by the hash of its exact bytes, tail included.
+	put := func(body string) (int, string) {
+		sum := sha256.Sum256([]byte(body))
+		return send(http.MethodPut, "/v1/problems/"+hex.EncodeToString(sum[:]), body)
+	}
+	if code, msg := put(string(doc) + "\n"); code != http.StatusCreated {
+		t.Fatalf("upload with a whitespace tail: %d %s, want 201", code, msg)
+	}
+	for _, tail := range tails {
+		code, msg := put(string(doc) + tail)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+			t.Errorf("upload with tail %q: %d %s, want 400 trailing data", tail, code, msg)
+		}
+	}
+}
+
+// TestOversizeTailReportsTooLarge checks that a body whose whitespace
+// tail runs past the size limit is refused as too large, not as trailing
+// data.
+func TestOversizeTailReportsTooLarge(t *testing.T) {
+	_, doc, err := client.ProblemHash(fastProblem(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"problem": ` + string(doc) + `}`
+	_, c := newTestServer(t, Config{Workers: 1, MaxBodyBytes: int64(len(body) + 16)})
+	resp, err := http.Post(serverURL(c)+"/v1/solve", "application/json", strings.NewReader(body+strings.Repeat(" ", 4096)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg bytes.Buffer
+	msg.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "too large") {
+		t.Errorf("oversize whitespace tail: %d %s, want 400 too large", resp.StatusCode, msg.String())
+	}
+}

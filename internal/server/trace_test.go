@@ -44,17 +44,18 @@ func TestSolveStatsBlock(t *testing.T) {
 	if len(st.Rounds) == 0 {
 		t.Error("local solve recorded no round points")
 	}
-	var sawSolvePhase bool
+	phases := map[string]client.PhaseTiming{}
 	for _, ph := range st.Phases {
-		if ph.Name == "solve" {
-			sawSolvePhase = true
-			if ph.DurMs <= 0 {
-				t.Errorf("solve phase duration %g, want > 0", ph.DurMs)
-			}
-		}
+		phases[ph.Name] = ph
 	}
-	if !sawSolvePhase {
-		t.Errorf("phases %v missing the solve span", st.Phases)
+	if ph, ok := phases["solve"]; !ok || ph.DurMs <= 0 {
+		t.Errorf("phases %v: want a solve span of positive duration", st.Phases)
+	}
+	// The decode phase covers the problem parse and ends before the
+	// queue wait begins.
+	decode, ok := phases["decode"]
+	if !ok || decode.DurMs <= 0 || decode.StartMs+decode.DurMs > phases["queue"].StartMs {
+		t.Errorf("phases %v: want a decode span of positive duration ending before queue", st.Phases)
 	}
 }
 
