@@ -45,3 +45,38 @@ func TestILPCounterGolden(t *testing.T) {
 		})
 	}
 }
+
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// items at random and allocation counts stop being deterministic.
+var raceEnabled bool
+
+// maxAllocsPerLPSolve is the measured allocation count of the fig3
+// golden solve (357 objects) over its LP solves (61). Each node LP
+// result costs three objects (one buffer for X and the duals, one for
+// the basis snapshot's lists, the *lp.Basis); a child that is only
+// probed gets no node and no bound copy, and the rounding repair
+// reuses its scratch for the whole solve.
+const maxAllocsPerLPSolve = 357.0 / 61
+
+// TestILPAllocsPerLPSolve pins the allocations of one default exact
+// solve of the fig3 golden instance, per LP it solves. A change that
+// makes the search allocate more per node LP fails here even when the
+// counters of TestILPCounterGolden do not move.
+func TestILPAllocsPerLPSolve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	m := fig3Instance(t)
+	var lpSolves int
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := solve.ILP(m, 100, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpSolves = res.LPSolves
+	})
+	if perLP := allocs / float64(lpSolves); perLP > maxAllocsPerLPSolve {
+		t.Errorf("the fig3 solve allocates %v times over %d LP solves: %.2f per LP solve, want at most %.2f",
+			allocs, lpSolves, perLP, maxAllocsPerLPSolve)
+	}
+}

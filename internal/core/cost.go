@@ -16,7 +16,8 @@ func CeilDiv(a, b int64) int64 {
 type CostModel struct {
 	J int // number of graphs
 	Q int // number of types
-	// N[j][q] = n_jq, number of tasks of type q in graph j.
+	// N[j][q] = n_jq, number of tasks of type q in graph j. The rows
+	// share one J×Q backing array; each is capped at Q entries.
 	N [][]int
 	// R[q] = r_q, per-machine throughput of type q.
 	R []int
@@ -31,8 +32,11 @@ type CostModel struct {
 func NewCostModel(p *Problem) *CostModel {
 	m := &CostModel{J: p.NumGraphs(), Q: p.NumTypes()}
 	m.N = make([][]int, m.J)
-	for j, g := range p.App.Graphs {
-		m.N[j] = g.TypeCounts(m.Q)
+	counts := make([]int, m.J*m.Q)
+	for j := range p.App.Graphs {
+		row := counts[j*m.Q : (j+1)*m.Q : (j+1)*m.Q]
+		p.App.Graphs[j].countTypes(row)
+		m.N[j] = row
 	}
 	m.R = make([]int, m.Q)
 	m.C = make([]int64, m.Q)

@@ -92,12 +92,17 @@ func (g Graph) validate(numTypes int, buf []int) error {
 // of type q, for q in [0,numTypes).
 func (g Graph) TypeCounts(numTypes int) []int {
 	counts := make([]int, numTypes)
+	g.countTypes(counts)
+	return counts
+}
+
+// countTypes adds each task of a type in [0,len(counts)) to counts.
+func (g *Graph) countTypes(counts []int) {
 	for _, t := range g.Tasks {
-		if t.Type >= 0 && t.Type < numTypes {
+		if t.Type >= 0 && t.Type < len(counts) {
 			counts[t.Type]++
 		}
 	}
-	return counts
 }
 
 // TypesUsed returns the sorted set of types that appear in the graph.

@@ -89,7 +89,9 @@
 // and a Start's base etas, which no solve writes, and drops those
 // references when it returns to the pool; and nothing that escapes a
 // solve (Solution.X, Solution.Duals, the basis snapshot) points into a
-// workspace, a model or a Start — those are always freshly allocated. A
+// workspace, a model or a Start — those are always freshly allocated,
+// three objects per optimal result: X and Duals share one buffer, the
+// snapshot's row and flip lists another, and the *Basis. A
 // workspace belongs to one solve at a time, so concurrent solves never
 // share mutable state (they may share a model and a Start), and results
 // are bit-identical whichever workspace served them.

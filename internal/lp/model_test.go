@@ -9,25 +9,18 @@ import (
 // items at random and allocation counts stop being deterministic.
 var raceEnabled bool
 
-// flipsSink keeps the flips copy in TestModelSolveAllocs on the heap.
-var flipsSink []int32
-
-// TestModelSolveAllocs pins the allocations of the compiled path. A
-// steady-state NewModel draws its buffers from the pool and allocates
-// nothing, and neither does a Restore into a reused Start. A warm child
-// re-solve through a model and a Start allocates only what escapes the
-// solve — X, Duals, the basis snapshot and its row and flip lists — which
-// is exactly what the one-shot SolveFrom of the same child allocates.
-func TestModelSolveAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	p := reuseLP(rand.New(rand.NewSource(0xA110C)), 120, 90)
+// warmChild solves a fixed LP, halves the upper bound of its largest
+// variable and re-solves that child warm through a compiled model. The
+// caller releases the model. The child rests columns at their upper
+// bounds, so its basis has flips.
+func warmChild(t *testing.T) (p, q *Problem, parent, child Solution, md *Model, st *Start) {
+	t.Helper()
+	p = reuseLP(rand.New(rand.NewSource(0xA110C)), 120, 90)
 	parent, err := Solve(p, nil)
 	if err != nil || parent.Status != Optimal {
 		t.Fatalf("parent: %v %v", err, parent.Status)
 	}
-	q := p.Clone()
+	q = p.Clone()
 	j := 0
 	for k, v := range parent.X {
 		if v > parent.X[j] {
@@ -36,28 +29,38 @@ func TestModelSolveAllocs(t *testing.T) {
 	}
 	q.SetBounds(j, q.LowerBound(j), parent.X[j]/2)
 
-	md, err := NewModel(p)
-	if err != nil {
+	if md, err = NewModel(p); err != nil {
 		t.Fatal(err)
 	}
-	defer md.Release()
-	var st Start
-	md.Restore(&st, parent.Basis)
-	child, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
+	st = new(Start)
+	md.Restore(st, parent.Basis)
+	child, err = md.SolveFrom(q.Lo, q.Hi, st, nil)
 	if err != nil || !child.Warm {
 		t.Fatalf("child did not re-solve warm: %v %+v", err, child.Status)
 	}
+	if len(child.Basis.flips) == 0 {
+		t.Fatal("the child rests no column at its upper bound")
+	}
+	return p, q, parent, child, md, st
+}
 
-	// X, Duals, the Basis and its rows, plus the growth steps of flips.
-	want := 4 + testing.AllocsPerRun(10, func() {
-		var f []int32
-		for _, v := range child.Basis.flips {
-			f = append(f, v)
-		}
-		flipsSink = f
-	})
+// TestModelSolveAllocs pins the allocations of the compiled path. A
+// steady-state NewModel draws its buffers from the pool and allocates
+// nothing, and neither does a Restore into a reused Start. A warm child
+// re-solve through a model and a Start allocates only what escapes the
+// solve — one buffer for X and Duals, one for the basis snapshot's row
+// and flip lists, and the *Basis — which is exactly what the one-shot
+// SolveFrom of the same child allocates.
+func TestModelSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	p, q, parent, _, md, st := warmChild(t)
+	defer md.Release()
+
+	const want = 3 // X+Duals, rows+flips, the *Basis
 	viaModel := testing.AllocsPerRun(50, func() {
-		if _, err := md.SolveFrom(q.Lo, q.Hi, &st, nil); err != nil {
+		if _, err := md.SolveFrom(q.Lo, q.Hi, st, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -81,8 +84,40 @@ func TestModelSolveAllocs(t *testing.T) {
 	if compile != 0 {
 		t.Errorf("steady-state NewModel allocates %v times per op, want 0", compile)
 	}
-	restore := testing.AllocsPerRun(50, func() { md.Restore(&st, parent.Basis) })
+	restore := testing.AllocsPerRun(50, func() { md.Restore(st, parent.Basis) })
 	if restore != 0 {
 		t.Errorf("steady-state Restore into a reused Start allocates %v times per op, want 0", restore)
+	}
+}
+
+// TestResultSharedStorage: an LP result's X and Duals share one
+// allocation, and so do a basis snapshot's rows and flips. Each first
+// slice is capped at its length, so appending to X never writes into
+// Duals and appending to rows never writes into flips.
+func TestResultSharedStorage(t *testing.T) {
+	_, _, _, child, md, _ := warmChild(t)
+	defer md.Release()
+
+	duals := append([]float64(nil), child.Duals...)
+	x := append(child.X, 1e300, 1e300)
+	if &x[0] == &child.X[0] {
+		t.Error("appending to Solution.X grew it in place")
+	}
+	for i, y := range child.Duals {
+		if y != duals[i] {
+			t.Fatalf("appending to Solution.X changed Duals[%d]: %g, was %g", i, y, duals[i])
+		}
+	}
+
+	b := child.Basis
+	flips := append([]int32(nil), b.flips...)
+	rows := append(b.rows, -1, -1)
+	if &rows[0] == &b.rows[0] {
+		t.Error("appending to a Basis's rows grew them in place")
+	}
+	for i, f := range b.flips {
+		if f != flips[i] {
+			t.Fatalf("appending to a Basis's rows changed flips[%d]: %d, was %d", i, f, flips[i])
+		}
 	}
 }

@@ -34,7 +34,8 @@ import "math"
 // the workspace's own model, and a Model.SolveFrom points the workspace
 // at the caller's compiled, read-only arrays. Only Solution.X,
 // Solution.Duals and the basis snapshot escape a solve; they are always
-// freshly allocated.
+// freshly allocated, X and Duals as one buffer and the snapshot's row
+// and flip lists as another.
 type sparseSolver struct {
 	md   *Model // the loaded model: own, or a caller's compiled Model
 	own  Model  // the workspace's own compile buffers, for one-shot solves
@@ -589,7 +590,10 @@ func (sp *sparseSolver) withinBounds(slack float64) bool {
 // solution assembles the Optimal result in original coordinates. sp.yrow
 // must hold the duals of the final basis under the phase-2 cost.
 func (sp *sparseSolver) solution(warm bool) Solution {
-	x := make([]float64, sp.n)
+	// X and Duals share one allocation; the three-index slice caps X at
+	// n, so an append to X reallocates instead of writing into Duals.
+	buf := make([]float64, sp.n+sp.m)
+	x := buf[:sp.n:sp.n]
 	for j := 0; j < sp.n; j++ {
 		v := sp.x[j]
 		// Clamp roundoff-sized bound violations (cosmetic).
@@ -608,7 +612,7 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 	// Duals: y solves B^T·y = c_B, read directly in original-row space.
 	// The reduced cost of slack i is -y_i, so a slack-basic (non-binding)
 	// row automatically reports 0.
-	duals := make([]float64, sp.m)
+	duals := buf[sp.n:]
 	copy(duals, sp.yrow)
 	return Solution{
 		Status:     Optimal,
@@ -648,9 +652,18 @@ func (b *Basis) fits(md *Model) bool {
 	return b != nil && b.n == md.n && len(b.rows) <= md.m
 }
 
-// snapshot captures the current basis.
+// snapshot captures the current basis. It counts the flips first, so
+// rows and flips share one exact-size allocation; the three-index slice
+// caps rows, so an append to it reallocates instead of writing into flips.
 func (sp *sparseSolver) snapshot() *Basis {
-	rows := make([]int32, sp.m)
+	nf := 0
+	for _, s := range sp.status[:sp.n] {
+		if s == spUpper {
+			nf++
+		}
+	}
+	buf := make([]int32, sp.m+nf)
+	rows, flips := buf[:sp.m:sp.m], buf[sp.m:]
 	for p := 0; p < sp.m; p++ {
 		c := sp.basis[p]
 		if c < int32(sp.n) {
@@ -659,10 +672,11 @@ func (sp *sparseSolver) snapshot() *Basis {
 			rows[p] = ^(c - int32(sp.n)) // slack of row c-n
 		}
 	}
-	var flips []int32
+	k := 0
 	for j := 0; j < sp.n; j++ {
 		if sp.status[j] == spUpper {
-			flips = append(flips, int32(j))
+			flips[k] = int32(j)
+			k++
 		}
 	}
 	return &Basis{rows: rows, flips: flips, n: sp.n}

@@ -131,10 +131,10 @@ func (s *solver) branchCandidates(x []float64, k int) (probes []branchCand, best
 }
 
 // observe folds a solved pair of children of n, branched on c, into the
-// pseudocosts. An infeasible (nil) or unresolved child is not recorded.
+// pseudocosts. An infeasible or unresolved child is not recorded.
 // The table is allocated on first use, one slot per integer column: a
 // solve that never branches pays nothing.
-func (s *solver) observe(n *node, c branchCand, down, up *node) {
+func (s *solver) observe(n *node, c branchCand, down, up *child) {
 	if s.pcs == nil {
 		nInt := 0
 		for _, isInt := range s.work.Integer {
@@ -146,8 +146,8 @@ func (s *solver) observe(n *node, c branchCand, down, up *node) {
 	}
 	pc := &s.pcs[c.k]
 	fd, fu := fracParts(n.relax.X[c.j])
-	for d, kid := range [2]*node{down, up} {
-		if kid == nil || kid.unresolved {
+	for d, kid := range [2]*child{down, up} {
+		if kid.state != childSolved {
 			continue
 		}
 		f := fd
@@ -162,9 +162,9 @@ func (s *solver) observe(n *node, c branchCand, down, up *node) {
 // pairScore is the product score of a solved pair of children of n; an
 // infeasible child counts as an infinite gain, and an unresolved one,
 // which carries n's bound, as none.
-func pairScore(n, down, up *node) float64 {
-	gain := func(kid *node) float64 {
-		if kid == nil {
+func pairScore(n *node, down, up *child) float64 {
+	gain := func(kid *child) float64 {
+		if kid.state == childInfeasible {
 			return math.Inf(1)
 		}
 		return kid.bound - n.bound

@@ -114,8 +114,11 @@ func (s Status) String() string {
 }
 
 // Rounder attempts to repair a (fractional) LP point into an integer
-// feasible point. It returns the candidate and true on success. The
-// returned slice must not alias the input.
+// feasible point. It returns the candidate and true on success. x is
+// valid only during the call: the search lifts it into scratch it
+// overwrites at the next node, so a Rounder must not keep it. The
+// returned slice must not alias the input, and the search may keep it
+// as the incumbent. A search calls its Rounder from one goroutine only.
 type Rounder func(x []float64) ([]float64, bool)
 
 // Options tunes the search.
@@ -232,9 +235,6 @@ type node struct {
 	relax  lp.Solution
 	bound  float64
 	seq    int
-	// unresolved marks a child whose LP neither solved nor proved
-	// infeasibility: its bound is its parent's, and it is never searched.
-	unresolved bool
 }
 
 // lower returns the node's lower bound on variable j.
@@ -351,6 +351,11 @@ type solver struct {
 	// rc is tighten's scratch for a node's reduced costs, one per column
 	// of the tree's LP.
 	rc []float64
+	// clo and chi are buildChild's scratch for a child's patched bound
+	// sides, one entry per column of the tree's LP, and lifted is
+	// prepare's for a relaxation point lifted to the original space for
+	// the Rounder. All three live for one search.
+	clo, chi, lifted []float64
 
 	stats SearchStats
 	seq   int
@@ -585,7 +590,8 @@ func (s *solver) prepare(n *node) prep {
 		// the original problem as usual.
 		rx := n.relax.X
 		if s.red != nil {
-			rx = s.red.Postsolve(rx)
+			s.lifted = s.red.postsolveInto(s.lifted, rx)
+			rx = s.lifted
 		}
 		if cand, ok := s.opts.Rounder(rx); ok {
 			if obj, err := s.checkFeasible(cand); err == nil && obj < s.bestObj-1e-9 {
@@ -644,18 +650,18 @@ func (s *solver) finish(h *nodeHeap, p prep) {
 	// no later probe could beat it except a fully pruned pair. A reliable
 	// candidate whose estimate beats every probe is branched on, its pair
 	// solved only now.
-	var bestPair [2]*node
+	var bestPair [2]child
 	bestScore := math.Inf(-1)
 	for _, c := range p.probes {
 		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
-		s.observe(p.n, c, down, up)
-		if down == nil && up == nil {
+		s.observe(p.n, c, &down, &up)
+		if down.state == childInfeasible && up.state == childInfeasible {
 			return // both children infeasible: the node is fully pruned
 		}
-		score := pairScore(p.n, down, up)
+		score := pairScore(p.n, &down, &up)
 		if score > bestScore {
 			bestScore = score
-			bestPair = [2]*node{down, up}
+			bestPair = [2]child{down, up}
 		}
 		if math.IsInf(score, 1) {
 			break // one child infeasible: the node keeps a single child
@@ -663,19 +669,44 @@ func (s *solver) finish(h *nodeHeap, p prep) {
 	}
 	if c := p.reliable; c.j >= 0 && c.score > bestScore {
 		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
-		s.observe(p.n, c, down, up)
-		bestPair = [2]*node{down, up}
+		s.observe(p.n, c, &down, &up)
+		bestPair = [2]child{down, up}
 	}
-	for _, c := range bestPair {
-		if c != nil {
-			s.enqueue(h, c)
-		}
+	for i := range bestPair {
+		s.enqueueChild(h, p.n, &bestPair[i])
 	}
+}
+
+// childState is how a child's LP ended. The zero value is infeasible, so
+// a child never solved (a pair slot no probe filled) enqueues nothing.
+type childState int8
+
+const (
+	// childInfeasible: the patched box is empty or the LP is infeasible.
+	childInfeasible childState = iota
+	// childSolved: the LP is optimal; relax and bound hold its result.
+	childSolved
+	// childUnresolved: the LP settled neither way, warm nor cold; bound
+	// is the parent's.
+	childUnresolved
+)
+
+// child is a solved child of a node, kept as a value: the bound patch
+// lo <= x_j <= hi on its parent's box, its relaxation and its bound. A
+// probe that loses, an infeasible child and an unresolved one that is set
+// aside never become more; only enqueueChild gives a child a *node and
+// its own bound slices.
+type child struct {
+	j      int
+	lo, hi float64
+	relax  lp.Solution
+	bound  float64
+	state  childState
 }
 
 // solveChild builds and solves one child of the prepared node: dir 0
 // adds x_j <= floor, dir 1 adds x_j >= ceil.
-func (s *solver) solveChild(p *prep, j, dir int) *node {
+func (s *solver) solveChild(p *prep, j, dir int) child {
 	v := p.n.relax.X[j]
 	if dir == 0 {
 		return s.buildChild(p.n, p.start, j, math.Inf(-1), math.Floor(v))
@@ -683,56 +714,72 @@ func (s *solver) solveChild(p *prep, j, dir int) *node {
 	return s.buildChild(p.n, p.start, j, math.Ceil(v), math.Inf(1))
 }
 
-// buildChild creates and solves one child of n with the extra bound
-// lo <= x_j <= hi merged in. The child's LP is the tree's model under the
-// parent's bounds with the one variable bound tightened, and its
-// relaxation is re-optimized from n's basis, restored in start, via the
-// dual-simplex warm start. It returns nil when the child is empty or
-// infeasible. A child whose LP ends otherwise is solved once more, cold;
-// if that fails too, the child comes back unresolved with n's bound.
-func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) *node {
+// buildChild solves one child of n with the extra bound lo <= x_j <= hi
+// merged in. The child's LP is the tree's model under the parent's bounds
+// with the one variable bound tightened: the side that changes is a copy
+// in the solver's scratch with entry j patched, the other side is the
+// parent's own slice (Model.SolveFrom copies bounds in at load, so the
+// scratch is free again once the solve returns). Its relaxation is
+// re-optimized from n's basis, restored in start, via the dual-simplex
+// warm start. A child whose box is empty or whose LP is infeasible comes
+// back childInfeasible. A child whose LP ends otherwise is solved once
+// more, cold; if that fails too, it comes back unresolved with n's bound.
+func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) child {
 	if pl := n.lower(j); pl > lo {
 		lo = pl
 	}
 	if ph := n.upper(j); ph < hi {
 		hi = ph
 	}
+	c := child{j: j, lo: lo, hi: hi}
 	if lo > hi {
-		return nil
+		return c
 	}
-	c := patchedBound(n, s.base.NumVars(), j, lo, hi)
-	st, ok := s.solveRelax(c, start)
+	nv := s.base.NumVars()
+	if s.clo == nil {
+		s.clo, s.chi = make([]float64, nv), make([]float64, nv)
+	}
+	clo, chi := patchBounds(n, nv, j, lo, hi, s.clo, s.chi)
+	st, ok := s.solveRelax(&c, clo, chi, start)
 	if !ok {
-		st, ok = s.solveRelax(c, nil)
+		st, ok = s.solveRelax(&c, clo, chi, nil)
 	}
 	switch {
 	case !ok:
 		s.stats.UnresolvedLPs++
-		c.unresolved, c.bound = true, n.bound
-		return c
-	case st != lp.Optimal:
-		return nil
+		c.state, c.bound = childUnresolved, n.bound
+	case st == lp.Optimal:
+		c.state = childSolved
 	}
 	return c
 }
 
-// patchedBound derives a child node from its parent: only the bound slice
-// that actually changes is copied with entry j replaced; the untouched
-// side stays shared with the parent (a down branch copies hi only, so a
-// tree that never raises a lower bound keeps lo nil). Copying one n-sized
-// slice is the entire per-node problem derivation; bounds are positional,
-// so no ordering has to be kept deterministic.
+// patchedBound derives a child node from its parent, with fresh copies
+// of the bound sides that change (patchBounds).
 func patchedBound(p *node, nvars, j int, lo, hi float64) *node {
-	c := &node{lo: p.lo, hi: p.hi}
+	c := &node{}
+	c.lo, c.hi = patchBounds(p, nvars, j, lo, hi, nil, nil)
+	return c
+}
+
+// patchBounds returns p's bounds with lo <= x_j <= hi patched in. Only
+// the bound slice that actually changes is copied, into dlo or dhi (nil
+// makes a fresh one), with entry j replaced; the untouched side stays
+// shared with the parent (a down branch copies hi only, so a tree that
+// never raises a lower bound keeps lo nil). Copying one n-sized slice is
+// the entire per-node problem derivation; bounds are positional, so no
+// ordering has to be kept deterministic.
+func patchBounds(p *node, nvars, j int, lo, hi float64, dlo, dhi []float64) (clo, chi []float64) {
+	clo, chi = p.lo, p.hi
 	if lo != p.lower(j) {
-		c.lo = boundCopy(p.lo, nvars, 0)
-		c.lo[j] = lo
+		clo = boundInto(dlo, p.lo, nvars, 0)
+		clo[j] = lo
 	}
 	if hi != p.upper(j) {
-		c.hi = boundCopy(p.hi, nvars, math.Inf(1))
-		c.hi[j] = hi
+		chi = boundInto(dhi, p.hi, nvars, math.Inf(1))
+		chi[j] = hi
 	}
-	return c
+	return clo, chi
 }
 
 // rcTol is the smallest reduced cost that tightens a bound: anything
@@ -812,25 +859,44 @@ func (s *solver) reducedCosts(y []float64) []float64 {
 // boundCopy returns a fresh copy of a node's bound slice, filled with
 // the default def when the node has none.
 func boundCopy(b []float64, n int, def float64) []float64 {
-	c := make([]float64, n)
-	if b != nil {
-		copy(c, b)
-	} else if def != 0 {
-		for k := range c {
-			c[k] = def
-		}
-	}
-	return c
+	return boundInto(nil, b, n, def)
 }
 
-// enqueue pushes a solved node unless its bound is already prunable. An
-// unresolved node is set aside instead: only its bound is kept.
-func (s *solver) enqueue(h *nodeHeap, n *node) {
-	if s.pruned(n.bound) {
+// boundInto is boundCopy into dst, which has n entries or is nil.
+func boundInto(dst, b []float64, n int, def float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, n)
+	}
+	if b != nil {
+		copy(dst, b)
+	} else {
+		for k := range dst {
+			dst[k] = def
+		}
+	}
+	return dst
+}
+
+// enqueueChild keeps a solved child of n: an infeasible or prunable child
+// is dropped, an unresolved one is set aside (only its bound is kept),
+// and a child that enters the heap gets its node, with its own copy of
+// the patched bound side (patchedBound), only now.
+func (s *solver) enqueueChild(h *nodeHeap, n *node, c *child) {
+	if c.state == childInfeasible || s.pruned(c.bound) {
 		return
 	}
-	if n.unresolved {
-		s.aside = math.Min(s.aside, n.bound)
+	if c.state == childUnresolved {
+		s.aside = math.Min(s.aside, c.bound)
+		return
+	}
+	kid := patchedBound(n, s.base.NumVars(), c.j, c.lo, c.hi)
+	kid.relax, kid.bound = c.relax, c.bound
+	s.enqueue(h, kid)
+}
+
+// enqueue pushes a solved node unless its bound is already prunable.
+func (s *solver) enqueue(h *nodeHeap, n *node) {
+	if s.pruned(n.bound) {
 		return
 	}
 	s.seq++
@@ -890,17 +956,19 @@ func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
 	return sol.Status, nil
 }
 
-// solveRelax solves a child's LP relaxation through the tree's model and
-// stores bound/solution. It re-optimizes from the parent basis restored
-// in start via the dual simplex, and solves cold when start is nil
-// (DisableWarmLP) or the restore was rejected, inside Model.SolveFrom.
-// ok reports whether the LP settled the child: optimal or infeasible.
-func (s *solver) solveRelax(n *node, start *lp.Start) (st lp.Status, ok bool) {
-	sol, err := s.model.SolveFrom(n.lo, n.hi, start, nil)
+// solveRelax solves a child's LP relaxation under the bounds lo/hi
+// through the tree's model and stores bound/solution. It re-optimizes
+// from the parent basis restored in start via the dual simplex, and
+// solves cold when start is nil (DisableWarmLP) or the restore was
+// rejected, inside Model.SolveFrom. ok reports whether the LP settled the
+// child: optimal or infeasible.
+func (s *solver) solveRelax(c *child, lo, hi []float64, start *lp.Start) (st lp.Status, ok bool) {
+	sol, err := s.model.SolveFrom(lo, hi, start, nil)
 	if err != nil {
 		return 0, false
 	}
-	s.setRelax(n, sol)
+	s.countLP(sol)
+	c.relax, c.bound = sol, sol.Objective+s.objOff
 	if failChildLP != nil && failChildLP() {
 		return lp.IterLimit, false
 	}

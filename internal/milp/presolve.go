@@ -103,8 +103,18 @@ type Reduced struct {
 // space, restoring every fixed variable. x must have one entry per
 // reduced variable (nil when the reduced problem has zero variables).
 func (r *Reduced) Postsolve(x []float64) []float64 {
-	out := make([]float64, r.origN)
-	for j := 0; j < r.origN; j++ {
+	return r.postsolveInto(nil, x)
+}
+
+// postsolveInto is Postsolve into out, which it grows to the original
+// variable count when it is shorter.
+func (r *Reduced) postsolveInto(out, x []float64) []float64 {
+	if cap(out) < r.origN {
+		out = make([]float64, r.origN)
+	}
+	out = out[:r.origN]
+	for j := range out {
+		out[j] = 0
 		if r.isFixed[j] {
 			out[j] = r.fixedVal[j]
 		}
@@ -546,15 +556,20 @@ func (w *pres) reduceCoefficients() {
 		if r.rel == lp.GE {
 			sign = -1
 		}
+		// The row's activity is computed once, on its first candidate, and
+		// again in full only after a reduction has changed a coefficient:
+		// no incremental update, so every candidate sees exactly the
+		// activity a fresh rowActivity would give it.
+		var a activity
+		stale := true
 		for k := r.start; k < r.end; k++ {
 			j := w.idx[k]
 			if !w.live[j] || !w.isInt[j] || w.val[k] == 0 {
 				continue
 			}
-			// Activity is recomputed per candidate over the row's entries:
-			// an applied reduction changes the row's coefficients, and rows
-			// are short enough that clarity wins over an incremental update.
-			a := w.rowActivity(r)
+			if stale {
+				a, stale = w.rowActivity(r), false
+			}
 			v := w.val[k]
 			aj := sign * v
 			var d float64
@@ -592,6 +607,7 @@ func (w *pres) reduceCoefficients() {
 			default:
 				continue
 			}
+			stale = true
 			w.changed = true
 			w.stats.CoeffsReduced++
 		}

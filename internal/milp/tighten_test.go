@@ -178,6 +178,69 @@ func TestTightenCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestEnqueuedChildOwnsItsBounds: buildChild solves each child over the
+// solver's scratch bound slices, and only enqueueChild gives a child its
+// own copy of the patched side. Overwriting the scratch and the parent's
+// bounds after both children of a branching are enqueued leaves their
+// patched sides unchanged.
+func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
+	// min x0 + x1 s.t. 2·x0 + 2·x1 >= 3 in the box [0,5]²: the root LP
+	// sits at x0 = 1.5, x1 = 0.
+	s := tightenFixture([]float64{1, 1}, []lp.Constraint{dense([]float64{2, 2}, lp.GE, 3)}, math.Inf(1))
+	s.aside = math.Inf(1)
+	s.p.LP.Lo = []float64{0, 0}
+	s.p.LP.Hi = []float64{5, 5}
+	var err error
+	if s.model, err = lp.NewModel(s.base); err != nil {
+		t.Fatal(err)
+	}
+	defer s.model.Release()
+	root := &node{lo: s.p.LP.Lo, hi: s.p.LP.Hi}
+	sol, err := lp.Solve(s.base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setRelax(root, sol)
+	j := slices.IndexFunc(root.relax.X, func(v float64) bool { return v != math.Floor(v) })
+	if j < 0 {
+		t.Fatalf("root relaxation %v is integral", root.relax.X)
+	}
+	v := root.relax.X[j]
+
+	down := s.buildChild(root, nil, j, math.Inf(-1), math.Floor(v))
+	up := s.buildChild(root, nil, j, math.Ceil(v), math.Inf(1))
+	if down.state != childSolved || up.state != childSolved {
+		t.Fatalf("children did not solve: down %v, up %v", down.state, up.state)
+	}
+	h := &nodeHeap{}
+	s.enqueueChild(h, root, &down)
+	s.enqueueChild(h, root, &up)
+	if h.Len() != 2 {
+		t.Fatalf("heap holds %d nodes, want both children", h.Len())
+	}
+	var kidDown, kidUp *node
+	for _, n := range *h {
+		if n.hi[j] == math.Floor(v) {
+			kidDown = n
+		} else {
+			kidUp = n
+		}
+	}
+	if kidDown == nil || kidUp == nil || kidUp.lo[j] != math.Ceil(v) {
+		t.Fatalf("heap %v does not hold the down and the up child of x%d = %g", *h, j, v)
+	}
+	wantHi, wantLo := slices.Clone(kidDown.hi), slices.Clone(kidUp.lo)
+	for _, b := range [][]float64{s.clo, s.chi, root.lo, root.hi} {
+		for k := range b {
+			b[k] = math.NaN()
+		}
+	}
+	if !slices.Equal(kidDown.hi, wantHi) || !slices.Equal(kidUp.lo, wantLo) {
+		t.Errorf("overwriting the scratch and the parent changed the children: down hi %v (want %v), up lo %v (want %v)",
+			kidDown.hi, wantHi, kidUp.lo, wantLo)
+	}
+}
+
 // TestQuickTightenKeepsImprovingPoints: on random boxed covering MILPs,
 // tightening the root from its real LP duals and an incumbent above the
 // optimum never cuts off an integer point that beats the incumbent.

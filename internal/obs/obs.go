@@ -152,6 +152,16 @@ func NewTrace(id string) *Trace {
 	return &Trace{ID: id, start: time.Now()}
 }
 
+// Fork returns a new trace with t's ID, start and completed spans: one
+// item of a request that t has traced so far, going on with a timeline
+// of its own. Fork on a nil tracer returns nil.
+func (t *Trace) Fork() *Trace {
+	if t == nil {
+		return nil
+	}
+	return &Trace{ID: t.ID, start: t.start, spans: t.Spans()}
+}
+
 // Span is an in-flight phase of a Trace. The zero Span (from a nil
 // tracer) is inert.
 type Span struct {

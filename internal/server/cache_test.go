@@ -239,6 +239,48 @@ func TestNegativeTargetPatchRejected(t *testing.T) {
 	}
 }
 
+// TestBatchItemRejectionMessages pins the message of every per-item
+// rejection a batch answers with, byte for byte: each names the item's
+// index, and a batch of accepted items builds no such prefix at all.
+func TestBatchItemRejectionMessages(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	hash, doc, err := client.ProblemHash(fastProblem(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UploadProblem(context.Background(), hash, doc); err != nil {
+		t.Fatalf("UploadProblem: %v", err)
+	}
+	missing := strings.Repeat("ab", 32)
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"malformed document", fmt.Sprintf(`{"problems": [%s, {"bogus": 1}]}`, doc),
+			http.StatusBadRequest, `problem 1: decode problem: json: unknown field "bogus"`},
+		{"malformed ref hash", fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 10}, {"hash": "xyz"}]}`, hash),
+			http.StatusBadRequest, "problem 1: malformed problem_ref hash: want 64 hex characters (lowercase sha256)"},
+		{"uncached ref", fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 10}, {"hash": %q, "target": 10}]}`, hash, missing),
+			http.StatusPreconditionFailed, "problem 1: problem " + missing + " not cached: upload it via PUT /v1/problems/{hash} and retry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(serverURL(c)+"/v1/batch", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e client.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("decode error body: %v", err)
+			}
+			if resp.StatusCode != tc.code || e.Error != tc.want {
+				t.Errorf("HTTP %d %q, want %d %q", resp.StatusCode, e.Error, tc.code, tc.want)
+			}
+		})
+	}
+}
+
 // TestIndentedDocumentStillResolves uploads a document in the indented
 // layout earlier versions hashed. The daemon hashes the bytes as
 // received, so it resolves and solves by reference under its own hash,

@@ -469,9 +469,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "problem and problem_ref are mutually exclusive")
 		return
 	case req.ProblemRef != nil:
-		p, ok = s.resolveRef(w, *req.ProblemRef, "")
+		p, ok = s.resolveRef(w, *req.ProblemRef, -1)
 	default:
-		p, ok = s.parseProblem(w, req.Problem, "")
+		p, ok = s.parseProblem(w, req.Problem, -1)
 	}
 	if !ok {
 		return
@@ -540,6 +540,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	reqStart := time.Now()
 	tctx, traceID := s.traceContext(w, r)
+	tr := obs.NewTrace(traceID)
+	// The decode phase covers the envelope, every problem document (or
+	// ref's cache lookup) and each item's admission check. Every item's
+	// stats block reports it, on a timeline shared with the item's own
+	// queue and solve phases.
+	decodeSpan := tr.StartSpan("decode")
 	var req client.BatchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -568,9 +574,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		var p *rentmin.Problem
 		var ok bool
 		if len(req.Problems) > 0 {
-			p, ok = s.parseProblem(w, req.Problems[i], fmt.Sprintf("problem %d: ", i))
+			p, ok = s.parseProblem(w, req.Problems[i], i)
 		} else {
-			p, ok = s.resolveRef(w, req.ProblemRefs[i], fmt.Sprintf("problem %d: ", i))
+			p, ok = s.resolveRef(w, req.ProblemRefs[i], i)
 		}
 		if !ok {
 			return
@@ -581,6 +587,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		problems[i] = p
 	}
+	decodeSpan.End()
+	if !req.Stats {
+		tr = nil
+	}
 	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		return
@@ -589,7 +599,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(tctx, limit)
 	defer cancel()
-	results := s.solveAll(ctx, problems, req.Stats)
+	results := s.solveAll(ctx, problems, tr)
 	// Solver statistics are recorded before the disconnect check: the
 	// pool did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
@@ -625,11 +635,13 @@ type itemResult struct {
 // dispatcher goroutines claim problems in index order, and each solve
 // takes its own lease before touching the pool — so batch items queue
 // behind (and share capacity fairly with) every other request's solves
-// instead of flooding the pool from behind a single lease. Lower indexes start first; once ctx is done or the server drains,
-// remaining items fail fast with per-item errors. With stats, each item
-// gets its own trace under the request's trace ID, carrying its queue
-// and solve spans and, in its context, its search trajectory.
-func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stats bool) []itemResult {
+// instead of flooding the pool from behind a single lease. Lower indexes
+// start first; once ctx is done or the server drains, remaining items
+// fail fast with per-item errors. A non-nil reqTrace asks for stats:
+// each item gets its own fork of the request's trace, carrying the
+// request's decode span, its own queue and solve spans and, in its
+// context, its search trajectory.
+func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqTrace *obs.Trace) []itemResult {
 	results := make([]itemResult, len(problems))
 	dispatchers := s.cfg.Workers
 	if dispatchers > len(problems) {
@@ -646,10 +658,9 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, stat
 				if i >= len(problems) {
 					return
 				}
-				var tr *obs.Trace
 				ictx := ctx
-				if stats {
-					tr = obs.NewTrace(obs.TraceID(ctx))
+				tr := reqTrace.Fork()
+				if tr != nil {
 					ictx = obs.WithTrace(ctx, tr)
 				}
 				queueSpan := tr.StartSpan("queue")
@@ -768,22 +779,22 @@ func (s *Server) handleProblemPut(w http.ResponseWriter, r *http.Request) {
 // patched target is the only thing left to check. A hash the daemon
 // does not hold answers 412 — the uploader's signal to PUT the document
 // and retry.
-func (s *Server) resolveRef(w http.ResponseWriter, ref client.ProblemRef, prefix string) (*rentmin.Problem, bool) {
+func (s *Server) resolveRef(w http.ResponseWriter, ref client.ProblemRef, item int) (*rentmin.Problem, bool) {
 	hash := strings.ToLower(strings.TrimSpace(ref.Hash))
 	if !isProblemHash(hash) {
-		s.writeError(w, http.StatusBadRequest, prefix+"malformed problem_ref hash: want 64 hex characters (lowercase sha256)")
+		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+"malformed problem_ref hash: want 64 hex characters (lowercase sha256)")
 		return nil, false
 	}
 	p, ok := s.cache.resolve(hash)
 	if !ok {
 		s.writeError(w, http.StatusPreconditionFailed,
-			prefix+fmt.Sprintf("problem %s not cached: upload it via PUT /v1/problems/{hash} and retry", hash))
+			itemPrefix(item)+fmt.Sprintf("problem %s not cached: upload it via PUT /v1/problems/{hash} and retry", hash))
 		return nil, false
 	}
 	if ref.Target != nil {
 		p.Target = *ref.Target
 		if err := p.ValidateTarget(); err != nil {
-			s.writeError(w, http.StatusBadRequest, prefix+fmt.Sprintf("invalid problem_ref target: %v", err))
+			s.writeError(w, http.StatusBadRequest, itemPrefix(item)+fmt.Sprintf("invalid problem_ref target: %v", err))
 			return nil, false
 		}
 	}
@@ -951,18 +962,29 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{
 
 // parseProblem runs one problem document through the fuzz-hardened core
 // ingestion (core.ParseProblem: schema, unknown fields, model validation)
-// and answers 400 on failure.
-func (s *Server) parseProblem(w http.ResponseWriter, raw json.RawMessage, prefix string) (*rentmin.Problem, bool) {
+// and answers 400 on failure. item is the document's index in a batch,
+// or -1 for a request of one problem.
+func (s *Server) parseProblem(w http.ResponseWriter, raw json.RawMessage, item int) (*rentmin.Problem, bool) {
 	if len(raw) == 0 {
-		s.writeError(w, http.StatusBadRequest, prefix+"missing problem document")
+		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+"missing problem document")
 		return nil, false
 	}
 	p, err := core.ParseProblem(raw)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, prefix+err.Error())
+		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+err.Error())
 		return nil, false
 	}
 	return p, true
+}
+
+// itemPrefix is the prefix of a rejection message about batch item item,
+// and empty for a request of one problem (item < 0). It is built only
+// when a rejection is written, so an accepted item costs no string.
+func itemPrefix(item int) string {
+	if item < 0 {
+		return ""
+	}
+	return fmt.Sprintf("problem %d: ", item)
 }
 
 func toWireSolution(sol rentmin.Solution) client.Solution {

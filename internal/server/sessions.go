@@ -219,7 +219,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	p, ok := s.parseProblem(w, req.Problem, "")
+	p, ok := s.parseProblem(w, req.Problem, -1)
 	if !ok {
 		return
 	}

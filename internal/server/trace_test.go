@@ -59,9 +59,10 @@ func TestSolveStatsBlock(t *testing.T) {
 	}
 }
 
-// TestBatchStatsBlock: every batch item with stats carries its own
-// queue and solve phases and its own search trajectory, on one timeline
-// — each trajectory point falls inside that item's solve phase.
+// TestBatchStatsBlock: every batch item with stats carries the batch's
+// decode phase, its own queue and solve phases and its own search
+// trajectory, on one timeline — decode ends before the item's queue
+// phase, and each trajectory point falls inside the item's solve phase.
 func TestBatchStatsBlock(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	problems := []*rentmin.Problem{fastProblem(40), fastProblem(70), fastProblem(100)}
@@ -82,8 +83,18 @@ func TestBatchStatsBlock(t *testing.T) {
 		if !ok || solve.DurMs <= 0 {
 			t.Fatalf("item %d: phases %+v, want a solve phase with positive duration", i, st.Phases)
 		}
-		if _, ok := phases["queue"]; !ok {
+		queue, ok := phases["queue"]
+		if !ok {
 			t.Errorf("item %d: phases %+v missing the queue span", i, st.Phases)
+		}
+		// The decode phase covers the envelope and every document parse;
+		// all items report the same one, ending before their queue wait.
+		decode, ok := phases["decode"]
+		if !ok || decode.DurMs <= 0 || decode.StartMs+decode.DurMs > queue.StartMs {
+			t.Errorf("item %d: phases %+v, want a decode span of positive duration ending before queue", i, st.Phases)
+		}
+		if first := sols[0].Stats.Phases[0]; decode != first {
+			t.Errorf("item %d: decode phase %+v, item 0 reports %+v", i, decode, first)
 		}
 		if len(st.Incumbents) == 0 {
 			t.Errorf("item %d: no incumbent points", i)

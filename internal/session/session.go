@@ -391,7 +391,7 @@ func warmSeed(m *core.CostModel, effIdx []int, prev []int, target int) []int {
 			rho[i] = prev[j]
 		}
 	}
-	solve.PadToTarget(m, rho, target)
+	solve.PadToTarget(m, rho, target, make([]int64, m.Q))
 	return rho
 }
 

@@ -120,21 +120,24 @@ func BuildMILP(m *core.CostModel, target int) *milp.Problem {
 // RoundingRepair returns a milp.Rounder that turns a fractional relaxation
 // point into a feasible integer point: graph throughputs are floored, the
 // lost units are re-added by PadToTarget, and machine counts are
-// recomputed as exact ceilings.
+// recomputed as exact ceilings of the padded demand. The throughputs and
+// the demand live in scratch the rounder reuses on every call, so it
+// allocates only the point it returns, and it must not be called from two
+// goroutines at once (a milp search calls it sequentially).
 func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
+	rho := make([]int, m.J)
+	demand := make([]int64, m.Q)
 	return func(x []float64) ([]float64, bool) {
-		rho := make([]int, m.J)
-		for j := 0; j < m.J; j++ {
+		for j := range rho {
 			rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
 		}
-		PadToTarget(m, rho, target)
-		a := m.NewAllocation(rho)
+		PadToTarget(m, rho, target, demand)
 		out := make([]float64, m.J+m.Q)
 		for j, r := range rho {
 			out[j] = float64(r)
 		}
-		for q, n := range a.Machines {
-			out[m.J+q] = float64(n)
+		for q, d := range demand {
+			out[m.J+q] = float64(core.CeilDiv(d, int64(m.R[q])))
 		}
 		return out, true
 	}
@@ -143,20 +146,17 @@ func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 // PadToTarget raises the total throughput of rho to target in place, one
 // unit at a time, each unit going to the first graph with the smallest
 // marginal cost. rho must have one entry per graph of m, with at least
-// one graph.
+// one graph. demand is the caller's scratch of length m.Q; on return it
+// holds the per-type demand of the padded rho (CostModel.Demands).
 //
 // The per-type demand is computed once and kept current: one more unit of
 // graph j costs Σ_q c_q·(⌈(d_q+n_jq)/r_q⌉ − ⌈d_q/r_q⌉) over the types j
 // uses, which is exactly the difference of the two full costs.
-func PadToTarget(m *core.CostModel, rho []int, target int) {
+func PadToTarget(m *core.CostModel, rho []int, target int, demand []int64) {
 	sum := 0
 	for _, r := range rho {
 		sum += r
 	}
-	if sum >= target {
-		return
-	}
-	demand := make([]int64, m.Q)
 	m.Demands(rho, demand)
 	for ; sum < target; sum++ {
 		best, bestDelta := 0, int64(math.MaxInt64)

@@ -215,6 +215,103 @@ func TestRoundingRepairProducesFeasiblePoints(t *testing.T) {
 	}
 }
 
+// roundingReference is the rounding repair computed from scratch for
+// every point: a fresh throughput vector, PadToTarget and the exact
+// machine ceilings of core.NewAllocation.
+func roundingReference(m *core.CostModel, target int, x []float64) []float64 {
+	rho := make([]int, m.J)
+	for j := range rho {
+		rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
+	}
+	PadToTarget(m, rho, target, make([]int64, m.Q))
+	a := m.NewAllocation(rho)
+	out := make([]float64, m.J+m.Q)
+	for j, r := range rho {
+		out[j] = float64(r)
+	}
+	for q, n := range a.Machines {
+		out[m.J+q] = float64(n)
+	}
+	return out
+}
+
+// TestRoundingRepairScratch: one rounder reuses its throughput and
+// demand scratch on every call, yet each call matches the from-scratch
+// repair bit for bit, returns a fresh point, and leaves the points it
+// returned earlier and its input untouched.
+func TestRoundingRepairScratch(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for mi := 0; mi < 20; mi++ {
+		m := randomSharedProblem(r)
+		target := 1 + r.Intn(60)
+		rounder := RoundingRepair(m, target)
+		var kept [][]float64
+		var want [][]float64
+		for call := 0; call < 8; call++ {
+			x := make([]float64, m.J+m.Q)
+			for j := range x {
+				x[j] = r.Float64() * float64(target) / float64(m.J)
+			}
+			in := slices.Clone(x)
+			y, ok := rounder(x)
+			if !ok {
+				t.Fatal("rounder refused")
+			}
+			if !slices.Equal(x, in) {
+				t.Fatalf("model %d call %d: the rounder wrote its input", mi, call)
+			}
+			ref := roundingReference(m, target, x)
+			if !slices.Equal(y, ref) {
+				t.Fatalf("model %d call %d: rounder %v, from-scratch repair %v", mi, call, y, ref)
+			}
+			kept, want = append(kept, y), append(want, ref)
+		}
+		for call := range kept {
+			if !slices.Equal(kept[call], want[call]) {
+				t.Fatalf("model %d: a later call changed the point of call %d: %v, want %v", mi, call, kept[call], want[call])
+			}
+		}
+	}
+}
+
+// TestRoundingScratchPerSolve: every solve builds its own rounder, so
+// concurrent exact solves over one shared CostModel repeat the
+// sequential reference counter for counter (and, under -race, share no
+// scratch). Table III at target 110 branches over several nodes.
+func TestRoundingScratchPerSolve(t *testing.T) {
+	m := exampleModel(t)
+	const target = 110
+	ref, err := ILP(m, target, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Nodes < 2 {
+		t.Fatalf("the reference search explores %d nodes; it never calls the rounder twice", ref.Nodes)
+	}
+	const n = 4
+	var res [n]ILPResult
+	var errs [n]error
+	done := make(chan int)
+	for i := 0; i < n; i++ {
+		go func() {
+			res[i], errs[i] = ILP(m, target, nil)
+			done <- i
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res[i].SearchStats != ref.SearchStats || res[i].Alloc.Cost != ref.Alloc.Cost {
+			t.Errorf("solve %d: stats %+v cost %d, sequential reference %+v cost %d",
+				i, res[i].SearchStats, res[i].Alloc.Cost, ref.SearchStats, ref.Alloc.Cost)
+		}
+	}
+}
+
 // TestBuildMILPSparseRows pins the sparse encoding of Section V-C: the
 // coverage row lists every ρ_j with coefficient 1, and type q's row lists
 // exactly the ρ_j of the recipes that use q (n_jq > 0) with -n_jq, then
@@ -312,9 +409,15 @@ func TestPadToTargetMatchesFullRecompute(t *testing.T) {
 			}
 			want := slices.Clone(rho)
 			padToTargetReference(m, want, target)
-			PadToTarget(m, rho, target)
+			demand := make([]int64, m.Q)
+			PadToTarget(m, rho, target, demand)
 			if !slices.Equal(rho, want) {
 				t.Fatalf("model %d, target %d: PadToTarget = %v, full recompute = %v", mi, target, rho, want)
+			}
+			wantDemand := make([]int64, m.Q)
+			m.Demands(rho, wantDemand)
+			if !slices.Equal(demand, wantDemand) {
+				t.Fatalf("model %d, target %d: PadToTarget left demand %v, want %v", mi, target, demand, wantDemand)
 			}
 		}
 	}
