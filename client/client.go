@@ -186,12 +186,12 @@ func (c *Client) SolveBatch(ctx context.Context, problems []*rentmin.Problem, op
 // error.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	body, status, err := c.do(ctx, http.MethodGet, "/healthz", nil)
+	body, status, hdr, err := c.do(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return h, err
 	}
 	if status != http.StatusOK && status != http.StatusServiceUnavailable {
-		return h, apiError(status, body, nil)
+		return h, apiError(status, body, hdr)
 	}
 	if err := json.Unmarshal(body, &h); err != nil {
 		return h, fmt.Errorf("rentmind: decode health: %w", err)
@@ -203,17 +203,8 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 // a coordinator to discover this worker's in-flight cap.
 func (c *Client) Capacity(ctx context.Context) (Capacity, error) {
 	var cap Capacity
-	body, status, err := c.do(ctx, http.MethodGet, "/v1/capacity", nil)
-	if err != nil {
-		return cap, err
-	}
-	if status != http.StatusOK {
-		return cap, apiError(status, body, nil)
-	}
-	if err := json.Unmarshal(body, &cap); err != nil {
-		return cap, fmt.Errorf("rentmind: decode capacity: %w", err)
-	}
-	return cap, nil
+	err := c.get(ctx, "/v1/capacity", &cap)
+	return cap, err
 }
 
 // ProblemHash canonically encodes a problem for the content-addressed
@@ -242,7 +233,7 @@ func ProblemHash(p *rentmin.Problem) (string, json.RawMessage, error) {
 // exact bytes hash was computed over (use ProblemHash); a mismatch is
 // rejected with 400. Uploading an already-cached hash is a cheap no-op.
 func (c *Client) UploadProblem(ctx context.Context, hash string, doc json.RawMessage) error {
-	body, status, hdr, err := c.doFull(ctx, http.MethodPut, "/v1/problems/"+hash, doc)
+	body, status, hdr, err := c.do(ctx, http.MethodPut, "/v1/problems/"+hash, doc)
 	if err != nil {
 		return err
 	}
@@ -297,17 +288,8 @@ func (c *Client) DebugSolves(ctx context.Context, n int) (DebugSolvesResponse, e
 	if n > 0 {
 		path += "?n=" + strconv.Itoa(n)
 	}
-	body, status, err := c.do(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return out, err
-	}
-	if status != http.StatusOK {
-		return out, apiError(status, body, nil)
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return out, fmt.Errorf("rentmind: decode debug solves: %w", err)
-	}
-	return out, nil
+	err := c.get(ctx, path, &out)
+	return out, err
 }
 
 // RegisterWorker announces a worker endpoint to a coordinator's
@@ -323,41 +305,32 @@ func (c *Client) RegisterWorker(ctx context.Context, endpoint string) (FleetResp
 // FleetWorkers lists a coordinator's fleet via GET /v1/workers.
 func (c *Client) FleetWorkers(ctx context.Context) (FleetResponse, error) {
 	var fleet FleetResponse
-	body, status, err := c.do(ctx, http.MethodGet, "/v1/workers", nil)
-	if err != nil {
-		return fleet, err
-	}
-	if status != http.StatusOK {
-		return fleet, apiError(status, body, nil)
-	}
-	if err := json.Unmarshal(body, &fleet); err != nil {
-		return fleet, fmt.Errorf("rentmind: decode fleet: %w", err)
-	}
-	return fleet, nil
+	err := c.get(ctx, "/v1/workers", &fleet)
+	return fleet, err
 }
 
 // DeregisterWorker removes a worker from a coordinator's fleet via
 // DELETE /v1/workers?endpoint=...; queued work re-routes to the
 // remaining members.
 func (c *Client) DeregisterWorker(ctx context.Context, endpoint string) error {
-	body, status, err := c.do(ctx, http.MethodDelete, "/v1/workers?endpoint="+url.QueryEscape(endpoint), nil)
+	body, status, hdr, err := c.do(ctx, http.MethodDelete, "/v1/workers?endpoint="+url.QueryEscape(endpoint), nil)
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return apiError(status, body, nil)
+		return apiError(status, body, hdr)
 	}
 	return nil
 }
 
 // Metrics returns the raw Prometheus-style text of GET /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	body, status, err := c.do(ctx, http.MethodGet, "/metrics", nil)
+	body, status, hdr, err := c.do(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
 	if status != http.StatusOK {
-		return "", apiError(status, body, nil)
+		return "", apiError(status, body, hdr)
 	}
 	return string(body), nil
 }
@@ -377,7 +350,17 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out interface{}
 	if err != nil {
 		return fmt.Errorf("encode request: %w", err)
 	}
-	body, status, hdr, err := c.doFull(ctx, http.MethodPost, path, payload)
+	return c.call(ctx, http.MethodPost, path, payload, out)
+}
+
+func (c *Client) get(ctx context.Context, path string, out interface{}) error {
+	return c.call(ctx, http.MethodGet, path, nil, out)
+}
+
+// call sends one request and decodes a 200 response into out; any
+// other status is an *APIError.
+func (c *Client) call(ctx context.Context, method, path string, payload []byte, out interface{}) error {
+	body, status, hdr, err := c.do(ctx, method, path, payload)
 	if err != nil {
 		return err
 	}
@@ -390,12 +373,10 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out interface{}
 	return nil
 }
 
-func (c *Client) do(ctx context.Context, method, path string, payload []byte) ([]byte, int, error) {
-	body, status, _, err := c.doFull(ctx, method, path, payload)
-	return body, status, err
-}
-
-func (c *Client) doFull(ctx context.Context, method, path string, payload []byte) ([]byte, int, http.Header, error) {
+// do is the one transport routine: it sends a request and returns the
+// response's body, status and header, from which apiError reads the
+// Retry-After hint.
+func (c *Client) do(ctx context.Context, method, path string, payload []byte) ([]byte, int, http.Header, error) {
 	var rd io.Reader
 	if payload != nil {
 		rd = bytes.NewReader(payload)
@@ -428,10 +409,8 @@ func apiError(status int, body []byte, hdr http.Header) error {
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		e.Message = er.Error
 	}
-	if hdr != nil {
-		if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
-			e.RetryAfter = time.Duration(secs) * time.Second
-		}
+	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
+		e.RetryAfter = time.Duration(secs) * time.Second
 	}
 	return e
 }

@@ -86,28 +86,19 @@ func (s *Session) EventsLimit(ctx context.Context, limit time.Duration, events .
 // State fetches the session's current snapshot (GET /v1/sessions/{id}).
 func (s *Session) State(ctx context.Context) (SessionState, error) {
 	var st SessionState
-	body, status, err := s.c.do(ctx, http.MethodGet, "/v1/sessions/"+s.id, nil)
-	if err != nil {
-		return st, err
-	}
-	if status != http.StatusOK {
-		return st, apiError(status, body, nil)
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("rentmind: decode session state: %w", err)
-	}
-	return st, nil
+	err := s.c.get(ctx, "/v1/sessions/"+s.id, &st)
+	return st, err
 }
 
 // Close deletes the session (DELETE /v1/sessions/{id}), freeing its slot
 // in the daemon's session table.
 func (s *Session) Close(ctx context.Context) error {
-	body, status, err := s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.id, nil)
+	body, status, hdr, err := s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.id, nil)
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return apiError(status, body, nil)
+		return apiError(status, body, hdr)
 	}
 	return nil
 }

@@ -366,9 +366,7 @@ func (s *Server) acquireSlot(w http.ResponseWriter) (release func(), ok bool) {
 
 // leaseWait blocks until a worker lease frees, the server drains, or ctx
 // is done. Leases are the server's core capacity invariant: at most
-// Workers solves are ever submitted to the pool concurrently, so a lease
-// holder's pool submission never queues behind another request's fan-out
-// — a solve that holds a lease is genuinely running.
+// Workers solves are ever submitted to the pool concurrently.
 func (s *Server) leaseWait(ctx context.Context) (release func(), err error) {
 	s.queued.Add(1)
 	defer s.queued.Add(-1)
@@ -395,8 +393,9 @@ func (s *Server) leaseWait(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// acquire is the single-solve path through the queue: slot, then lease.
-// On failure it has already written the response.
+// acquire is a session request's path through the queue: slot, then
+// lease, both held until the request is answered. On failure it has
+// already written the response.
 func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
@@ -405,19 +404,24 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func()
 	releaseLease, err := s.leaseWait(r.Context())
 	if err != nil {
 		releaseSlot()
-		if errors.Is(err, errDraining) {
-			s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		} else {
-			// The client is gone (or its deadline passed) while queued;
-			// the response is best-effort.
-			s.writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-		}
+		s.writeQueueError(w, err)
 		return nil, false
 	}
 	return func() {
 		releaseLease()
 		releaseSlot()
 	}, true
+}
+
+// writeQueueError answers a request whose lease wait failed.
+func (s *Server) writeQueueError(w http.ResponseWriter, err error) {
+	if errors.Is(err, errDraining) {
+		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		return
+	}
+	// The client is gone (or its deadline passed) while queued; the
+	// response is best-effort.
+	s.writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
 }
 
 // solveTimeLimit resolves a client-requested limit against the server
@@ -440,77 +444,200 @@ func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 	return min(d, s.cfg.MaxTimeLimit), nil
 }
 
-// --- handlers ----------------------------------------------------------------
+// --- the request path --------------------------------------------------------
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// request is a solving request past its prologue.
+type request struct {
+	ctx     context.Context // the HTTP request's context, carrying the trace ID
+	traceID string
+	start   time.Time
+	limit   time.Duration // the resolved time_limit_ms
+	// tr times the request; its decode span is open until the handler
+	// has taken in every problem.
+	tr     *obs.Trace
+	decode obs.Span
+}
+
+// prologue is the first step of every solving request: the drain check,
+// the trace ID, the envelope decode into env and the time limit, read
+// from *limitMs once env is decoded. On failure it has already written
+// the response.
+func (s *Server) prologue(w http.ResponseWriter, r *http.Request, env interface{}, limitMs *int64) (request, bool) {
 	if s.draining() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
+		return request{}, false
 	}
-	reqStart := time.Now()
-	tctx, traceID := s.traceContext(w, r)
-	tr := obs.NewTrace(traceID)
-	// The decode phase covers the envelope, the problem document (or the
-	// ref's cache lookup) and the target override.
-	decodeSpan := tr.StartSpan("decode")
-	var req client.SolveRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	rq := request{start: time.Now()}
+	rq.ctx, rq.traceID = s.traceContext(w, r)
+	rq.tr = obs.NewTrace(rq.traceID)
+	rq.decode = rq.tr.StartSpan("decode")
+	if !s.decodeBody(w, r, env) {
+		return request{}, false
 	}
-	limit, err := s.solveTimeLimit(req.TimeLimitMs)
-	if err != nil {
+	var err error
+	if rq.limit, err = s.solveTimeLimit(*limitMs); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return request{}, false
+	}
+	return rq, true
+}
+
+// endDecode closes the decode phase once every problem is taken in. The
+// trace is kept only for a request that asked for stats.
+func (rq *request) endDecode(stats bool) {
+	rq.decode.End()
+	if !stats {
+		rq.tr = nil
+	}
+}
+
+// intake turns one problem, given inline (doc) or by reference to the
+// content-addressed cache (ref), into an admitted problem. The inline
+// document runs through the fuzz-hardened core ingestion; a cached one
+// passed it at upload, so only the ref's target patch is checked. A
+// non-nil target then overrides the target, and the result must pass
+// the admission bounds. item is the problem's index in a batch, which
+// every rejection names, or -1 for a request of one problem. On failure
+// intake has already written the rejection: 400 for a malformed
+// problem, 412 for a hash the daemon does not hold — the uploader's
+// signal to PUT the document and retry — and 422 for a problem over the
+// admission bounds.
+func (s *Server) intake(w http.ResponseWriter, doc json.RawMessage, ref *client.ProblemRef, target *int, item int) (*rentmin.Problem, bool) {
+	reject := func(code int, msg string) (*rentmin.Problem, bool) {
+		if item >= 0 {
+			// Built only for a rejection: an accepted item costs no string.
+			msg = fmt.Sprintf("problem %d: %s", item, msg)
+		}
+		s.writeError(w, code, msg)
+		return nil, false
 	}
 	var p *rentmin.Problem
-	var ok bool
 	switch {
-	case req.ProblemRef != nil && len(req.Problem) > 0:
-		s.writeError(w, http.StatusBadRequest, "problem and problem_ref are mutually exclusive")
-		return
-	case req.ProblemRef != nil:
-		p, ok = s.resolveRef(w, *req.ProblemRef, -1)
+	case ref != nil && len(doc) > 0:
+		return reject(http.StatusBadRequest, "problem and problem_ref are mutually exclusive")
+	case ref != nil:
+		hash := strings.ToLower(strings.TrimSpace(ref.Hash))
+		if !isProblemHash(hash) {
+			return reject(http.StatusBadRequest, "malformed problem_ref hash: want 64 hex characters (lowercase sha256)")
+		}
+		var ok bool
+		if p, ok = s.cache.resolve(hash); !ok {
+			return reject(http.StatusPreconditionFailed,
+				fmt.Sprintf("problem %s not cached: upload it via PUT /v1/problems/{hash} and retry", hash))
+		}
+		if ref.Target != nil {
+			p.Target = *ref.Target
+			if err := p.ValidateTarget(); err != nil {
+				return reject(http.StatusBadRequest, fmt.Sprintf("invalid problem_ref target: %v", err))
+			}
+		}
+	case len(doc) == 0:
+		return reject(http.StatusBadRequest, "missing problem document")
 	default:
-		p, ok = s.parseProblem(w, req.Problem, -1)
-	}
-	if !ok {
-		return
-	}
-	if req.Target != nil {
-		// Parsing or the upload already validated the rest of p.
-		p.Target = *req.Target
-		if err := p.ValidateTarget(); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid target override: %v", err))
-			return
+		var err error
+		if p, err = core.ParseProblem(doc); err != nil {
+			return reject(http.StatusBadRequest, err.Error())
 		}
 	}
-	decodeSpan.End()
-	if err := s.admit(p); err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
+	if target != nil {
+		p.Target = *target
+		if err := p.ValidateTarget(); err != nil {
+			return reject(http.StatusBadRequest, fmt.Sprintf("invalid target override: %v", err))
+		}
 	}
-	queueSpan := tr.StartSpan("queue")
+	if err := s.admit(p); err != nil {
+		return reject(http.StatusUnprocessableEntity, err.Error())
+	}
+	return p, true
+}
+
+type itemResult struct {
+	sol       rentmin.Solution
+	err       error
+	leased    bool          // false when the lease wait failed and the problem never reached the pool
+	queueWait time.Duration // time spent waiting for a worker lease
+	dur       time.Duration // time spent solving
+	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
+}
+
+// run solves one admitted problem: it waits for a worker lease under
+// ctx, solves with the lease held and releases it as soon as the solve
+// returns. The solve's deadline is limit from the lease grant, and
+// never later than ctx's own: a batch's ctx carries the batch deadline,
+// which began before its items queued. A non-nil reqTrace asks for
+// stats: the item gets its own fork of it, carrying the request's decode
+// span, its own queue and solve spans and, in its context, its search
+// trajectory.
+func (s *Server) run(ctx context.Context, p *rentmin.Problem, reqTrace *obs.Trace, limit time.Duration) itemResult {
+	res := itemResult{tr: reqTrace.Fork()}
+	queueSpan := res.tr.StartSpan("queue")
 	qStart := time.Now()
-	release, ok := s.acquire(w, r)
+	releaseLease, err := s.leaseWait(ctx)
+	res.queueWait = time.Since(qStart)
+	queueSpan.End()
+	if err != nil {
+		res.err = err
+		return res
+	}
+	res.leased = true
+	ctx, cancel := context.WithTimeout(ctx, limit)
+	defer cancel()
+	if res.tr != nil {
+		ctx = obs.WithTrace(ctx, res.tr)
+	}
+	solveSpan := res.tr.StartSpan("solve")
+	solveStart := time.Now()
+	res.sol, res.err = s.pool.SolveContext(ctx, p, nil)
+	releaseLease()
+	res.dur = time.Since(solveStart)
+	solveSpan.End()
+	return res
+}
+
+// answer folds one item's result into the flight recorder and the
+// solution metrics and renders it for the wire, with the stats block
+// when the item has a trace (the request asked for stats). A failed
+// solve returns its error.
+func (s *Server) answer(rq request, endpoint string, item int, res itemResult) (client.Solution, error) {
+	s.recordSolve(solveRecord(rq.traceID, endpoint, item, rq.start, res))
+	if res.err != nil {
+		return client.Solution{}, res.err
+	}
+	s.met.recordSolution(res.sol)
+	ws := toWireSolution(res.sol)
+	if res.tr != nil {
+		ws.Stats = solveStats(rq.traceID, res)
+	}
+	return ws, nil
+}
+
+// --- handlers ----------------------------------------------------------------
+
+// handleSolve serves one problem as a batch of one, on the handler's
+// goroutine. Unlike a batch, its deadline starts when its lease is
+// granted.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	var req client.SolveRequest
+	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
 	if !ok {
 		return
 	}
-	defer release()
-	queueWait := time.Since(qStart)
-	queueSpan.End()
-
-	ctx, cancel := context.WithTimeout(tctx, limit)
-	defer cancel()
-	if req.Stats {
-		// Only an opted-in request lets the search record its trajectory.
-		ctx = obs.WithTrace(ctx, tr)
+	p, ok := s.intake(w, req.Problem, req.ProblemRef, req.Target, -1)
+	if !ok {
+		return
 	}
-	solveSpan := tr.StartSpan("solve")
-	solveStart := time.Now()
-	sol, err := s.pool.SolveContext(ctx, p, nil)
-	solveDur := time.Since(solveStart)
-	solveSpan.End()
-	s.recordSolve(solveRecord(traceID, "solve", -1, reqStart, queueWait, solveDur, sol, err, tr))
+	rq.endDecode(req.Stats)
+	releaseSlot, ok := s.acquireSlot(w)
+	if !ok {
+		return
+	}
+	defer releaseSlot()
+	res := s.run(rq.ctx, p, rq.tr, rq.limit)
+	if !res.leased {
+		s.writeQueueError(w, res.err)
+		return
+	}
+	ws, err := s.answer(rq, "solve", -1, res)
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -525,34 +652,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.met.recordSolution(sol)
-	ws := toWireSolution(sol)
-	if req.Stats {
-		ws.Stats = solveStats(traceID, queueWait, solveDur, sol, tr)
-	}
 	s.writeJSON(w, http.StatusOK, ws)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	reqStart := time.Now()
-	tctx, traceID := s.traceContext(w, r)
-	tr := obs.NewTrace(traceID)
-	// The decode phase covers the envelope, every problem document (or
-	// ref's cache lookup) and each item's admission check. Every item's
-	// stats block reports it, on a timeline shared with the item's own
-	// queue and solve phases.
-	decodeSpan := tr.StartSpan("decode")
 	var req client.BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	limit, err := s.solveTimeLimit(req.TimeLimitMs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
+	if !ok {
 		return
 	}
 	if len(req.Problems) > 0 && len(req.ProblemRefs) > 0 {
@@ -571,48 +677,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	problems := make([]*rentmin.Problem, n)
 	for i := range problems {
-		var p *rentmin.Problem
-		var ok bool
+		var doc json.RawMessage
+		var ref *client.ProblemRef
 		if len(req.Problems) > 0 {
-			p, ok = s.parseProblem(w, req.Problems[i], i)
+			doc = req.Problems[i]
 		} else {
-			p, ok = s.resolveRef(w, req.ProblemRefs[i], i)
+			ref = &req.ProblemRefs[i]
 		}
-		if !ok {
+		if problems[i], ok = s.intake(w, doc, ref, nil, i); !ok {
 			return
 		}
-		if err := s.admit(p); err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf("problem %d: %v", i, err))
-			return
-		}
-		problems[i] = p
 	}
-	decodeSpan.End()
-	if !req.Stats {
-		tr = nil
-	}
+	rq.endDecode(req.Stats)
 	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		return
 	}
 	defer releaseSlot()
-
-	ctx, cancel := context.WithTimeout(tctx, limit)
-	defer cancel()
-	results := s.solveAll(ctx, problems, tr)
+	results := s.solveAll(rq.ctx, problems, rq.tr, rq.limit)
 	// Solver statistics are recorded before the disconnect check: the
 	// pool did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
 	for i, res := range results {
-		s.recordSolve(solveRecord(traceID, "batch", i, reqStart, res.queueWait, res.dur, res.sol, res.err, res.tr))
-		if res.err != nil {
-			resp.Solutions[i] = client.Solution{Error: itemError(res.err)}
-			continue
-		}
-		s.met.recordSolution(res.sol)
-		ws := toWireSolution(res.sol)
-		if req.Stats {
-			ws.Stats = solveStats(traceID, res.queueWait, res.dur, res.sol, res.tr)
+		ws, err := s.answer(rq, "batch", i, res)
+		if err != nil {
+			ws = client.Solution{Error: itemError(err)}
 		}
 		resp.Solutions[i] = ws
 	}
@@ -623,30 +712,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-type itemResult struct {
-	sol       rentmin.Solution
-	err       error
-	queueWait time.Duration // time spent waiting for a worker lease
-	dur       time.Duration // time spent solving
-	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
-}
-
 // solveAll fans a batch out over the worker leases: up to Workers
-// dispatcher goroutines claim problems in index order, and each solve
-// takes its own lease before touching the pool — so batch items queue
-// behind (and share capacity fairly with) every other request's solves
-// instead of flooding the pool from behind a single lease. Lower indexes
-// start first; once ctx is done or the server drains, remaining items
-// fail fast with per-item errors. A non-nil reqTrace asks for stats:
-// each item gets its own fork of the request's trace, carrying the
-// request's decode span, its own queue and solve spans and, in its
-// context, its search trajectory.
-func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqTrace *obs.Trace) []itemResult {
+// dispatcher goroutines claim problems in index order and run each —
+// so batch items queue behind (and share capacity fairly with) every
+// other request's solves instead of flooding the pool from behind a
+// single lease. The batch has one deadline, limit from now, which
+// covers queueing too. Lower indexes start first; once it passes, ctx
+// is done or the server drains, remaining items fail fast with per-item
+// errors.
+func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqTrace *obs.Trace, limit time.Duration) []itemResult {
+	ctx, cancel := context.WithTimeout(ctx, limit)
+	defer cancel()
 	results := make([]itemResult, len(problems))
-	dispatchers := s.cfg.Workers
-	if dispatchers > len(problems) {
-		dispatchers = len(problems)
-	}
+	dispatchers := min(s.cfg.Workers, len(problems))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < dispatchers; g++ {
@@ -658,26 +736,7 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqT
 				if i >= len(problems) {
 					return
 				}
-				ictx := ctx
-				tr := reqTrace.Fork()
-				if tr != nil {
-					ictx = obs.WithTrace(ctx, tr)
-				}
-				queueSpan := tr.StartSpan("queue")
-				qStart := time.Now()
-				releaseLease, err := s.leaseWait(ctx)
-				qw := time.Since(qStart)
-				queueSpan.End()
-				if err != nil {
-					results[i] = itemResult{err: err, queueWait: qw, tr: tr}
-					continue // drain the remaining indexes fast
-				}
-				solveSpan := tr.StartSpan("solve")
-				solveStart := time.Now()
-				sol, err := s.pool.SolveContext(ictx, problems[i], nil)
-				releaseLease()
-				solveSpan.End()
-				results[i] = itemResult{sol: sol, err: err, queueWait: qw, dur: time.Since(solveStart), tr: tr}
+				results[i] = s.run(ctx, problems[i], reqTrace, limit)
 			}
 		}()
 	}
@@ -772,33 +831,6 @@ func (s *Server) handleProblemPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.put(hash, p)
 	s.writeJSON(w, http.StatusCreated, map[string]string{"hash": hash})
-}
-
-// resolveRef materializes a problem from the cache, applying the ref's
-// target patch. The cached document passed validation at upload, so the
-// patched target is the only thing left to check. A hash the daemon
-// does not hold answers 412 — the uploader's signal to PUT the document
-// and retry.
-func (s *Server) resolveRef(w http.ResponseWriter, ref client.ProblemRef, item int) (*rentmin.Problem, bool) {
-	hash := strings.ToLower(strings.TrimSpace(ref.Hash))
-	if !isProblemHash(hash) {
-		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+"malformed problem_ref hash: want 64 hex characters (lowercase sha256)")
-		return nil, false
-	}
-	p, ok := s.cache.resolve(hash)
-	if !ok {
-		s.writeError(w, http.StatusPreconditionFailed,
-			itemPrefix(item)+fmt.Sprintf("problem %s not cached: upload it via PUT /v1/problems/{hash} and retry", hash))
-		return nil, false
-	}
-	if ref.Target != nil {
-		p.Target = *ref.Target
-		if err := p.ValidateTarget(); err != nil {
-			s.writeError(w, http.StatusBadRequest, itemPrefix(item)+fmt.Sprintf("invalid problem_ref target: %v", err))
-			return nil, false
-		}
-	}
-	return p, true
 }
 
 // --- fleet membership --------------------------------------------------------
@@ -958,33 +990,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{
 		return false
 	}
 	return true
-}
-
-// parseProblem runs one problem document through the fuzz-hardened core
-// ingestion (core.ParseProblem: schema, unknown fields, model validation)
-// and answers 400 on failure. item is the document's index in a batch,
-// or -1 for a request of one problem.
-func (s *Server) parseProblem(w http.ResponseWriter, raw json.RawMessage, item int) (*rentmin.Problem, bool) {
-	if len(raw) == 0 {
-		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+"missing problem document")
-		return nil, false
-	}
-	p, err := core.ParseProblem(raw)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, itemPrefix(item)+err.Error())
-		return nil, false
-	}
-	return p, true
-}
-
-// itemPrefix is the prefix of a rejection message about batch item item,
-// and empty for a request of one problem (item < 0). It is built only
-// when a rejection is written, so an accepted item costs no string.
-func itemPrefix(item int) string {
-	if item < 0 {
-		return ""
-	}
-	return fmt.Sprintf("problem %d: ", item)
 }
 
 func toWireSolution(sol rentmin.Solution) client.Solution {

@@ -26,9 +26,9 @@ import (
 //
 // Sessions live in a bounded table with idle eviction. Event re-solves
 // run in-process on the daemon (never dispatched across a coordinator's
-// fleet: the warm state is local), but they hold the same admission slot
-// and worker lease as any /v1/solve, so sessions share capacity fairly
-// with one-shot requests.
+// fleet: the warm state is local), but each request takes an admission
+// slot and a worker lease like any /v1/solve, so sessions share capacity
+// fairly with one-shot requests.
 
 // sessionEntry is one table slot. The entry-level fields (lastUsed,
 // inFlight, events) are guarded by the table mutex; the session itself
@@ -205,34 +205,13 @@ func (s *Server) sessionEvictLoop() {
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	tctx, traceID := s.traceContext(w, r)
 	var req client.CreateSessionRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	limit, err := s.solveTimeLimit(req.TimeLimitMs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	p, ok := s.parseProblem(w, req.Problem, -1)
+	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
 	if !ok {
 		return
 	}
-	if req.Target != nil {
-		// parseProblem already validated the rest of p.
-		p.Target = *req.Target
-		if err := p.ValidateTarget(); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid target override: %v", err))
-			return
-		}
-	}
-	if err := s.admit(p); err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
+	p, ok := s.intake(w, req.Problem, nil, req.Target, -1)
+	if !ok {
 		return
 	}
 
@@ -250,7 +229,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(tctx, limit)
+	ctx, cancel := context.WithTimeout(rq.ctx, rq.limit)
 	defer cancel()
 	sess, res, err := rentmin.NewSession(ctx, p, nil)
 	if err != nil {
@@ -268,7 +247,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.sessions.mu.Unlock()
 	s.sessions.release(entry)
 	s.met.recordSessionResolve(res.Warm, ms(res.SolveTime), res.Churn, fleetSize(res.Alloc.Machines))
-	s.log.Info("session created", "trace_id", traceID, "session", id,
+	s.log.Info("session created", "trace_id", rq.traceID, "session", id,
 		"cost", res.Alloc.Cost, "solve_ms", ms(res.SolveTime))
 	s.writeJSON(w, http.StatusOK, client.CreateSessionResponse{
 		ID:     id,
@@ -278,18 +257,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	tctx, traceID := s.traceContext(w, r)
 	var req client.SessionEventsRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	limit, err := s.solveTimeLimit(req.TimeLimitMs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
+	if !ok {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -321,7 +291,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			results[i] = client.SessionResolve{Kind: wev.Kind, Error: err.Error()}
 			continue
 		}
-		ctx, cancel := context.WithTimeout(tctx, limit)
+		ctx, cancel := context.WithTimeout(rq.ctx, rq.limit)
 		res, err := entry.sess.Apply(ctx, ev)
 		cancel()
 		if err != nil {
@@ -338,7 +308,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		applied++
 		s.met.recordSessionResolve(res.Warm, ms(res.SolveTime), res.Churn, fleetSize(res.Alloc.Machines))
-		s.log.Info("session event applied", "trace_id", traceID, "session", entry.id,
+		s.log.Info("session event applied", "trace_id", rq.traceID, "session", entry.id,
 			"seq", res.Seq, "kind", string(res.Kind), "status", res.Status, "warm", res.Warm,
 			"churn", res.Churn, "cost", res.Alloc.Cost, "solve_ms", ms(res.SolveTime))
 		results[i] = wireSessionResolve(res)

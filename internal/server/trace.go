@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"rentmin"
 	"rentmin/client"
 	"rentmin/internal/obs"
 )
@@ -30,25 +29,25 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // solveRecord assembles the flight-recorder entry of a finished (or
 // failed) solve, in the form GET /debug/solves serves it.
-func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait, dur time.Duration, sol rentmin.Solution, err error, tr *obs.Trace) client.DebugSolve {
+func solveRecord(traceID, endpoint string, item int, start time.Time, res itemResult) client.DebugSolve {
 	rec := client.DebugSolve{
 		TraceID:     traceID,
 		Endpoint:    endpoint,
 		Item:        item,
-		Worker:      sol.Worker,
+		Worker:      res.sol.Worker,
 		Start:       start,
-		QueueWaitMs: ms(queueWait),
-		SolveMs:     ms(dur),
-		Proven:      sol.Proven,
-		SearchStats: sol.SearchStats,
+		QueueWaitMs: ms(res.queueWait),
+		SolveMs:     ms(res.dur),
+		Proven:      res.sol.Proven,
+		SearchStats: res.sol.SearchStats,
 	}
-	if sol.Alloc.GraphThroughput != nil {
-		rec.Cost = sol.Alloc.Cost
+	if res.sol.Alloc.GraphThroughput != nil {
+		rec.Cost = res.sol.Alloc.Cost
 	}
-	if err != nil {
-		rec.Error = err.Error()
+	if res.err != nil {
+		rec.Error = res.err.Error()
 	}
-	incs, rounds, _ := tr.Trajectory()
+	incs, rounds, _ := res.tr.Trajectory()
 	rec.Incumbents = len(incs)
 	rec.Rounds = len(rounds)
 	return rec
@@ -57,15 +56,15 @@ func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait,
 // solveStats renders the opt-in response stats block for one solve from
 // the trace that observed it: its phases and, for a local solve, the
 // search trajectory, all offsets from the trace's start.
-func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Solution, tr *obs.Trace) *client.SolveStats {
+func solveStats(traceID string, res itemResult) *client.SolveStats {
 	out := &client.SolveStats{
 		TraceID:     traceID,
-		Worker:      sol.Worker,
-		QueueWaitMs: ms(queueWait),
-		SolveMs:     ms(dur),
+		Worker:      res.sol.Worker,
+		QueueWaitMs: ms(res.queueWait),
+		SolveMs:     ms(res.dur),
 	}
-	out.Incumbents, out.Rounds, out.TrajectoryTruncated = tr.Trajectory()
-	for _, sp := range tr.Spans() {
+	out.Incumbents, out.Rounds, out.TrajectoryTruncated = res.tr.Trajectory()
+	for _, sp := range res.tr.Spans() {
 		out.Phases = append(out.Phases, client.PhaseTiming{Name: sp.Name, StartMs: ms(sp.Start), DurMs: ms(sp.Dur)})
 	}
 	return out

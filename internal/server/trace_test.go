@@ -10,6 +10,7 @@ import (
 
 	"rentmin"
 	"rentmin/client"
+	"rentmin/internal/experiments"
 	"rentmin/internal/obs"
 )
 
@@ -356,5 +357,52 @@ func TestDebugSolvesRejectsBadCount(t *testing.T) {
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("GET /debug/solves%s = %d, want 400", q, w.Code)
 		}
+	}
+}
+
+// TestSolveIsABatchOfOne solves one Fig. 3 instance through /v1/solve
+// and through a one-item /v1/batch: both take the same path, so they
+// report the same cost and search counters, the same phases in the same
+// order, and one flight-recorder record each.
+func TestSolveIsABatchOfOne(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	p, err := rentmin.Generate(experiments.Fig3Setting().Gen, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Target = 100
+	opts := &client.Options{Stats: true}
+	one, err := c.Solve(ctx, p, opts)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	batch, err := c.SolveBatch(ctx, []*rentmin.Problem{p}, opts)
+	if err != nil || batch[0].Error != "" {
+		t.Fatalf("SolveBatch: %v %q", err, batch[0].Error)
+	}
+	if one.Allocation.Cost != batch[0].Allocation.Cost || one.SearchStats != batch[0].SearchStats {
+		t.Errorf("solve: cost %d %+v; batch of one: cost %d %+v",
+			one.Allocation.Cost, one.SearchStats, batch[0].Allocation.Cost, batch[0].SearchStats)
+	}
+	for name, st := range map[string]*client.SolveStats{"solve": one.Stats, "batch": batch[0].Stats} {
+		var phases []string
+		for _, ph := range st.Phases {
+			phases = append(phases, ph.Name)
+		}
+		if strings.Join(phases, ",") != "decode,queue,solve" {
+			t.Errorf("%s phases %v, want decode, queue, solve", name, phases)
+		}
+	}
+	recs, err := c.DebugSolves(ctx, 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	if len(recs.Solves) != 2 {
+		t.Fatalf("flight recorder holds %d records, want 2", len(recs.Solves))
+	}
+	// Newest first.
+	if b, s := recs.Solves[0], recs.Solves[1]; b.Endpoint != "batch" || b.Item != 0 || s.Endpoint != "solve" || s.Item != -1 {
+		t.Errorf("records %s/%d and %s/%d, want batch/0 and solve/-1", b.Endpoint, b.Item, s.Endpoint, s.Item)
 	}
 }
