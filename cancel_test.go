@@ -2,6 +2,7 @@ package rentmin_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -127,5 +128,25 @@ func TestSolveContextBackground(t *testing.T) {
 	}
 	if sol.LPSolves <= 0 {
 		t.Errorf("LPSolves = %d, want positive", sol.LPSolves)
+	}
+}
+
+// A solve cancelled before it starts stops before its root LP and keeps
+// its H1 seed. No price is negative, so its bound is 0, not -Inf, and the
+// solution encodes as JSON, as a daemon must answer it.
+func TestPreCancelledSolveEncodes(t *testing.T) {
+	p := rentmin.IllustratingExample()
+	p.Target = 70
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sol, err := rentmin.SolveContext(ctx, p, nil)
+	if err != nil {
+		t.Fatalf("SolveContext: %v", err)
+	}
+	if sol.Proven || sol.Bound != 0 {
+		t.Errorf("proven %v, bound %v: want an unproven seed with bound 0", sol.Proven, sol.Bound)
+	}
+	if _, err := json.Marshal(sol); err != nil {
+		t.Errorf("json.Marshal: %v", err)
 	}
 }

@@ -167,9 +167,9 @@ type BatchResponse struct {
 // sizing a coordinator needs to dispatch against this daemon. The
 // instantaneous queue state lives in Health instead.
 type Capacity struct {
-	// Workers is the daemon's solver pool size — the maximum number of
-	// solves it runs concurrently, and the in-flight cap a RemotePool
-	// dispatcher applies to this worker.
+	// Workers is the daemon's number of worker leases — the maximum
+	// number of solves it runs concurrently, and the in-flight cap a
+	// RemotePool dispatcher applies to this worker.
 	Workers int `json:"workers"`
 	// QueueCapacity is how many admitted solves may wait beyond the
 	// in-flight ones before the daemon answers 429.
@@ -182,8 +182,8 @@ type Capacity struct {
 type Health struct {
 	// Status is "ok" while serving and "draining" during shutdown.
 	Status string `json:"status"`
-	// Workers is the solver pool size; QueueDepth counts solves waiting
-	// for a pool worker and InFlight the solves currently running.
+	// Workers is the number of worker leases; QueueDepth counts solves
+	// waiting for a lease and InFlight the solves holding one.
 	Workers    int `json:"workers"`
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`

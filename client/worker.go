@@ -115,8 +115,8 @@ func (w *Worker) forget(hash string) {
 func (w *Worker) Name() string { return w.c.BaseURL() }
 
 // Capacity implements rentmin.RemoteWorker via GET /v1/capacity: the
-// daemon's solver pool size is the in-flight cap the dispatcher applies
-// to this worker.
+// daemon's number of worker leases is the in-flight cap the dispatcher
+// applies to this worker.
 func (w *Worker) Capacity(ctx context.Context) (int, error) {
 	info, err := w.c.Capacity(ctx)
 	if err != nil {

@@ -6,35 +6,28 @@ import (
 	"rentmin"
 )
 
-// admissionError is a problem-size rejection; the handlers map it to
-// HTTP 422 before the problem ever reaches the work queue.
-type admissionError struct {
-	reason string
-}
-
-func (e *admissionError) Error() string { return e.reason }
-
-// admit checks one validated problem against the configured size bounds.
+// admit checks one validated problem against the configured size bounds;
+// its callers answer a rejection with 422 before the problem is queued.
 // The bounds are a latency guard, not a correctness one: branch-and-bound
 // cost grows superlinearly with instance size, so an oversize problem
 // would pin a solver worker far beyond any reasonable request deadline.
 func (s *Server) admit(p *rentmin.Problem) error {
 	cfg := s.cfg
 	if j := p.NumGraphs(); j > cfg.MaxGraphs {
-		return &admissionError{fmt.Sprintf("problem has %d recipe graphs, admission limit is %d", j, cfg.MaxGraphs)}
+		return fmt.Errorf("problem has %d recipe graphs, admission limit is %d", j, cfg.MaxGraphs)
 	}
 	if q := p.NumTypes(); q > cfg.MaxTypes {
-		return &admissionError{fmt.Sprintf("problem has %d machine types, admission limit is %d", q, cfg.MaxTypes)}
+		return fmt.Errorf("problem has %d machine types, admission limit is %d", q, cfg.MaxTypes)
 	}
 	tasks := 0
 	for _, g := range p.App.Graphs {
 		tasks += len(g.Tasks)
 	}
 	if tasks > cfg.MaxTasks {
-		return &admissionError{fmt.Sprintf("problem has %d tasks across its graphs, admission limit is %d", tasks, cfg.MaxTasks)}
+		return fmt.Errorf("problem has %d tasks across its graphs, admission limit is %d", tasks, cfg.MaxTasks)
 	}
 	if p.Target > cfg.MaxTarget {
-		return &admissionError{fmt.Sprintf("target throughput %d exceeds admission limit %d", p.Target, cfg.MaxTarget)}
+		return fmt.Errorf("target throughput %d exceeds admission limit %d", p.Target, cfg.MaxTarget)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package server implements the rentmind batch-solve service: the HTTP
 // handlers, admission control, bounded work queue and metrics behind
 // cmd/rentmind. It turns the library's exact solver into an online
-// endpoint serving many concurrent clients over one rentmin.SolverPool.
+// endpoint serving many concurrent clients, each solve bounded by one of
+// the daemon's worker leases.
 //
 // The operator-facing reference — every route and /metrics series with
 // its semantics, the admission limits and their flags, and the
@@ -53,21 +54,20 @@
 //     it is answered. Beyond them the server answers 429 with a
 //     Retry-After hint instead of accumulating latency.
 //  4. The runner: each problem waits for one of Workers leases, solves
-//     holding it and releases it when the solve returns, before the
-//     response is written. /v1/solve runs its problem as a batch of one
-//     on the handler goroutine; /v1/batch runs its problems in index
-//     order on up to Workers dispatcher goroutines, so its fan-out
-//     shares solver capacity fairly with every other request. A waiter
-//     gives up when its client disconnects or the server drains (503).
+//     on the goroutine holding it and releases it when the solve
+//     returns, before the response is written. /v1/solve runs its
+//     problem as a batch of one on the handler goroutine; /v1/batch runs
+//     its problems in index order on up to Workers dispatcher goroutines,
+//     so its fan-out shares solver capacity fairly with every other
+//     request. A waiter gives up when its client disconnects or the
+//     server drains (503).
 //
 // A session request instead holds its slot and one lease until it is
 // answered: its re-solves run in-process, one after another, on the
-// session's warm state. Leases bound the solves submitted to the pool at
-// once. On a local pool, or a coordinator whose Workers is its fleet's
-// summed capacity, a lease holder's solve starts at once. An elastic
-// coordinator (Config.WorkerDialer) has elasticLeases leases, more than
-// its fleet's seats, so a lease holder may still wait inside the pool
-// for a worker seat.
+// session's warm state. Leases are the one bound on concurrent solves:
+// a lease holder's solve starts at once, except on an elastic
+// coordinator (Config.WorkerDialer), whose elasticLeases outnumber its
+// fleet's seats, so a lease holder may wait there for a worker seat.
 //
 // # Cancellation
 //
@@ -89,9 +89,9 @@
 // 503 and wakes every request still waiting for a lease with the same
 // 503; in-flight solves finish. The owner then calls
 // http.Server.Shutdown and Server.Close, as cmd/rentmind does on
-// SIGINT/SIGTERM. Config.SolverPool swaps the in-process pool for a
-// pre-built one, in practice the remote-backed fleet of
-// rentmin/client.NewFleet (`rentmind -workers-endpoints`): the request
-// path is unchanged, and every solve is dispatched to a worker daemon.
+// SIGINT/SIGTERM. Config.SolverPool makes the daemon a coordinator over
+// a remote-backed fleet, in practice that of rentmin/client.NewFleet
+// (`rentmind -workers-endpoints`): the request path is unchanged, and
+// every leased solve is dispatched to a worker daemon.
 // See docs/distributed.md.
 package server

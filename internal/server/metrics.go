@@ -111,15 +111,9 @@ type gauges struct {
 	queueDepth int
 	inFlight   int
 	draining   bool
-	// remote marks a coordinator (remote-backed pool): it gates the
-	// fleet series so a plain worker daemon never emits them, even with
-	// an empty elastic fleet.
-	remote bool
-	// fleet is the per-worker health of a remote-backed (coordinator)
-	// pool; nil on a plain worker daemon. evictions counts members the
-	// strike threshold removed.
-	fleet     []rentmin.WorkerStatus
-	evictions int64
+	// fleet is a coordinator's fleet, whose series are emitted even while
+	// it is empty; nil on a plain daemon, which emits none.
+	fleet *rentmin.SolverPool
 	// cache is the content-addressed problem cache snapshot (every
 	// daemon has one).
 	cache cacheStats
@@ -203,8 +197,7 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	m.writeSessions(w, g)
 	writeCache(w, g.cache)
 
-	if g.remote {
-		writeFleetAggregates(w, g.fleet, g.evictions)
+	if g.fleet != nil {
 		writeFleet(w, g.fleet)
 	}
 }
@@ -286,13 +279,15 @@ func writeCache(w io.Writer, c cacheStats) {
 	fmt.Fprintf(w, "rentmind_problem_cache_hit_ratio %g\n", ratio)
 }
 
-// writeFleetAggregates renders the coordinator's whole-fleet series: how
-// many members are live, their summed capacity, and how many the strike
-// threshold has evicted. Emitted (possibly as zeros) for every
-// remote-backed pool so autoscaling dashboards always find the series.
-func writeFleetAggregates(w io.Writer, fleet []rentmin.WorkerStatus, evictions int64) {
+// writeFleet renders a coordinator's fleet series. The whole-fleet ones
+// (how many members are live, their summed capacity, and how many the
+// strike threshold has evicted) are emitted, possibly as zeros, so
+// autoscaling dashboards always find them; then one series per remote
+// worker, labelled by its endpoint, for each health gauge.
+func writeFleet(w io.Writer, fleet *rentmin.SolverPool) {
+	stats := fleet.WorkerStats()
 	size, capacity := 0, 0
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		if !ws.Removed {
 			size++
 			capacity += ws.Capacity
@@ -306,15 +301,11 @@ func writeFleetAggregates(w io.Writer, fleet []rentmin.WorkerStatus, evictions i
 	fmt.Fprintf(w, "rentmind_fleet_capacity %d\n", capacity)
 	fmt.Fprintf(w, "# HELP rentmind_worker_evictions_total Fleet members removed by the consecutive-strike threshold.\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_evictions_total counter\n")
-	fmt.Fprintf(w, "rentmind_worker_evictions_total %d\n", evictions)
-}
+	fmt.Fprintf(w, "rentmind_worker_evictions_total %d\n", fleet.WorkerEvictions())
 
-// writeFleet renders the coordinator's per-worker health gauges: one
-// series per remote worker, labelled by its endpoint.
-func writeFleet(w io.Writer, fleet []rentmin.WorkerStatus) {
 	fmt.Fprintf(w, "# HELP rentmind_worker_up 1 while the remote worker is considered healthy (0 while it backs off after faults).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_up gauge\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		up := 0
 		if ws.Healthy {
 			up = 1
@@ -323,32 +314,32 @@ func writeFleet(w io.Writer, fleet []rentmin.WorkerStatus) {
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_capacity The worker's discovered in-flight cap (its solver pool size).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_capacity gauge\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_capacity{worker=%q} %d\n", ws.Name, ws.Capacity)
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_inflight_solves Solves currently dispatched to the worker.\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_inflight_solves gauge\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_inflight_solves{worker=%q} %d\n", ws.Name, ws.InFlight)
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_dispatches_total Solve dispatches handed to the worker (re-dispatches count per attempt).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_dispatches_total counter\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_dispatches_total{worker=%q} %d\n", ws.Name, ws.Dispatched)
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_successes_total Dispatches the worker answered without a fault (a task-level error returned to the caller still counts: it follows the problem, not the worker).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_successes_total counter\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_successes_total{worker=%q} %d\n", ws.Name, ws.Succeeded)
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_faults_total Dispatches that ended in a worker fault (connection failure or exhausted transient retries) and were re-dispatched.\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_faults_total counter\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_faults_total{worker=%q} %d\n", ws.Name, ws.Faults)
 	}
 	fmt.Fprintf(w, "# HELP rentmind_worker_dispatch_rtt_ms Round-trip time of successful dispatches to the worker (sliding window).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_dispatch_rtt_ms summary\n")
-	for _, ws := range fleet {
+	for _, ws := range stats {
 		if ws.RTTSamples == 0 {
 			continue // no successful dispatch yet: no window to summarize
 		}

@@ -13,7 +13,6 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,9 +27,9 @@ import (
 // Config tunes a Server. The zero value is serviceable: every field has a
 // default, applied by New.
 type Config struct {
-	// Workers is the solver pool size — how many solves run concurrently
-	// (0 = GOMAXPROCS). The pool is saturated by concurrent requests,
-	// which keeps per-request latency predictable under load.
+	// Workers is the number of worker leases — how many solves run at
+	// once (0 = GOMAXPROCS). Each solve runs on the goroutine holding its
+	// lease, which keeps per-request latency predictable under load.
 	Workers int
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// lease (0 = 64). Beyond Workers+QueueDepth outstanding requests the
@@ -57,16 +56,13 @@ type Config struct {
 	// sends none (0 = 10s); MaxTimeLimit clamps client-requested limits
 	// (0 = 60s).
 	DefaultTimeLimit, MaxTimeLimit time.Duration
-	// RetryAfter is the hint attached to 429 responses (0 = 1s).
-	RetryAfter time.Duration
-	// SolverPool, when non-nil, is a pre-built pool the server takes
-	// ownership of (Close closes it) instead of starting its own local
-	// one — the hook that turns a daemon into a coordinator: pass a
-	// remote-backed pool (rentmin/client.NewFleet over worker daemons)
-	// and every solve and batch item is dispatched across the fleet,
-	// with the workers' health exported on /metrics. Workers defaults to
-	// the pool's capacity (or, with WorkerDialer set, a large lease
-	// table sized for a fleet that grows after boot).
+	// SolverPool, when non-nil, makes the daemon a coordinator over this
+	// remote-backed fleet (rentmin/client.NewFleet over worker daemons),
+	// which the server owns (Close closes it): every solve and batch item
+	// is dispatched across it, and the workers' health is exported on
+	// /metrics. Workers defaults to the fleet's capacity (or, with
+	// WorkerDialer set, a large lease table sized for a fleet that grows
+	// after boot). A plain daemon leaves it nil and solves in-process.
 	SolverPool *rentmin.SolverPool
 	// WorkerDialer, when non-nil, enables live fleet membership on a
 	// coordinator: POST /v1/workers dials the announced endpoint through
@@ -98,8 +94,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
+	switch {
+	case c.Workers > 0:
+	case c.SolverPool == nil:
 		c.Workers = runtime.GOMAXPROCS(0)
+	case c.WorkerDialer != nil:
+		c.Workers = elasticLeases
+	default:
+		c.Workers = c.SolverPool.Workers()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -134,9 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeLimit <= 0 {
 		c.MaxTimeLimit = 60 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.ProblemCacheSize <= 0 {
 		c.ProblemCacheSize = 256
 	}
@@ -161,7 +160,7 @@ const elasticLeases = 256
 // documentation for the full sequence).
 type Server struct {
 	cfg   Config
-	pool  *rentmin.SolverPool
+	fleet *rentmin.SolverPool // the coordinator's fleet; nil on a plain daemon
 	mux   *http.ServeMux
 	met   *metrics
 	cache *problemCache
@@ -169,7 +168,7 @@ type Server struct {
 	log   *slog.Logger
 
 	// slots admits a request into the system (capacity Workers+QueueDepth,
-	// try-acquire → 429); leases let it run on the pool (capacity Workers).
+	// try-acquire → 429); leases let it solve (capacity Workers).
 	// A request between the two is "queued"; drain wakes those waiters so
 	// shutdown fails them fast instead of letting them start late solves.
 	slots     chan struct{}
@@ -192,24 +191,13 @@ type Server struct {
 	inFlight atomic.Int64
 }
 
-// New builds a Server and starts its solver pool (or adopts the
-// pre-built one from Config.SolverPool).
+// New builds a Server. With Config.SolverPool set it is a coordinator
+// and adopts that fleet.
 func New(cfg Config) *Server {
-	if cfg.SolverPool != nil && cfg.Workers <= 0 {
-		if cfg.WorkerDialer != nil {
-			cfg.Workers = elasticLeases
-		} else {
-			cfg.Workers = cfg.SolverPool.Workers()
-		}
-	}
 	cfg = cfg.withDefaults()
-	p := cfg.SolverPool
-	if p == nil {
-		p = rentmin.NewSolverPool(cfg.Workers)
-	}
 	s := &Server{
 		cfg:    cfg,
-		pool:   p,
+		fleet:  cfg.SolverPool,
 		mux:    http.NewServeMux(),
 		met:    newMetrics(),
 		cache:  newProblemCache(cfg.ProblemCacheSize),
@@ -245,7 +233,7 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	if cfg.HealthInterval > 0 && p.Remote() {
+	if cfg.HealthInterval > 0 && s.fleet != nil {
 		s.healthDone = make(chan struct{})
 		go s.healthLoop(cfg.HealthInterval)
 	}
@@ -267,7 +255,7 @@ func (s *Server) healthLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			ctx, cancel := context.WithTimeout(context.Background(), interval)
-			for _, name := range s.pool.ProbeWorkers(ctx) {
+			for _, name := range s.fleet.ProbeWorkers(ctx) {
 				s.log.Warn("evicted unresponsive worker", "worker", name, "rejoin", "re-register")
 			}
 			cancel()
@@ -275,7 +263,7 @@ func (s *Server) healthLoop(interval time.Duration) {
 	}
 }
 
-// Workers returns the solver pool size.
+// Workers returns the number of worker leases.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
 // BeginDrain starts a graceful shutdown: /healthz flips to 503, new and
@@ -285,17 +273,19 @@ func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() { close(s.drain) })
 }
 
-// Close releases the solver pool. Call it only after the HTTP server has
-// stopped dispatching requests (http.Server.Shutdown / httptest.Server
-// Close), so no handler still needs the pool. Close implies BeginDrain.
+// Close stops the daemon's loops and closes a coordinator's fleet. Call
+// it only after the HTTP server has stopped dispatching requests
+// (http.Server.Shutdown / httptest.Server Close). Close implies BeginDrain.
 func (s *Server) Close() {
 	s.BeginDrain()
 	s.closeOnce.Do(func() {
 		if s.healthDone != nil {
-			<-s.healthDone // probes must not race the pool teardown
+			<-s.healthDone // probes must not race the fleet teardown
 		}
 		<-s.sessDone // the eviction loop closes every remaining session
-		s.pool.Close()
+		if s.fleet != nil {
+			s.fleet.Close()
+		}
 	})
 }
 
@@ -366,7 +356,7 @@ func (s *Server) acquireSlot(w http.ResponseWriter) (release func(), ok bool) {
 
 // leaseWait blocks until a worker lease frees, the server drains, or ctx
 // is done. Leases are the server's core capacity invariant: at most
-// Workers solves are ever submitted to the pool concurrently.
+// Workers solves ever run at once.
 func (s *Server) leaseWait(ctx context.Context) (release func(), err error) {
 	s.queued.Add(1)
 	defer s.queued.Add(-1)
@@ -554,7 +544,7 @@ func (s *Server) intake(w http.ResponseWriter, doc json.RawMessage, ref *client.
 type itemResult struct {
 	sol       rentmin.Solution
 	err       error
-	leased    bool          // false when the lease wait failed and the problem never reached the pool
+	leased    bool          // false when the lease wait failed and the problem never reached a solver
 	queueWait time.Duration // time spent waiting for a worker lease
 	dur       time.Duration // time spent solving
 	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
@@ -587,11 +577,33 @@ func (s *Server) run(ctx context.Context, p *rentmin.Problem, reqTrace *obs.Trac
 	}
 	solveSpan := res.tr.StartSpan("solve")
 	solveStart := time.Now()
-	res.sol, res.err = s.pool.SolveContext(ctx, p, nil)
+	res.sol, res.err = s.solve(ctx, p)
 	releaseLease()
 	res.dur = time.Since(solveStart)
 	solveSpan.End()
 	return res
+}
+
+// localSolve is the solver of a plain daemon; a test swaps it.
+var localSolve = rentmin.SolveContext
+
+// solve runs one leased problem on the coordinator's fleet or on the
+// calling goroutine. leaseWait can grant a lease to a ctx that is done;
+// such a problem does not start (the solver would answer its H1 seed). A
+// local panic fails only its problem: a batch dispatcher has no recover.
+func (s *Server) solve(ctx context.Context, p *rentmin.Problem) (sol rentmin.Solution, err error) {
+	if err := ctx.Err(); err != nil {
+		return sol, err
+	}
+	if s.fleet != nil {
+		return s.fleet.SolveContext(ctx, p, nil)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("solve panicked: %v", v)
+		}
+	}()
+	return localSolve(ctx, p, nil)
 }
 
 // answer folds one item's result into the flight recorder and the
@@ -696,7 +708,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer releaseSlot()
 	results := s.solveAll(rq.ctx, problems, rq.tr, rq.limit)
 	// Solver statistics are recorded before the disconnect check: the
-	// pool did the work whether or not anyone is left to read the answer.
+	// solver did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
 	for i, res := range results {
 		ws, err := s.answer(rq, "batch", i, res)
@@ -715,7 +727,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // solveAll fans a batch out over the worker leases: up to Workers
 // dispatcher goroutines claim problems in index order and run each —
 // so batch items queue behind (and share capacity fairly with) every
-// other request's solves instead of flooding the pool from behind a
+// other request's solves instead of flooding the solvers from behind a
 // single lease. The batch has one deadline, limit from now, which
 // covers queueing too. Lower indexes start first; once it passes, ctx
 // is done or the server drains, remaining items fail fast with per-item
@@ -759,7 +771,7 @@ func itemError(err error) string {
 
 // handleCapacity reports the daemon's static sizing: what a coordinator
 // needs to know to dispatch against this worker (most importantly the
-// in-flight cap — the solver pool size). A draining daemon answers 503:
+// in-flight cap, its number of worker leases). A draining daemon answers 503:
 // advertising capacity it is about to tear down would enroll it into a
 // fleet moments before it dies, and the coordinator's fleet dial and
 // health probes key off this signal to skip and evict it.
@@ -839,7 +851,7 @@ func (s *Server) handleProblemPut(w http.ResponseWriter, r *http.Request) {
 // on a daemon dispatching to a remote fleet with a dialer to admit new
 // members.
 func (s *Server) coordinator(w http.ResponseWriter) bool {
-	if s.cfg.WorkerDialer == nil || !s.pool.Remote() {
+	if s.cfg.WorkerDialer == nil || s.fleet == nil {
 		s.writeError(w, http.StatusNotImplemented,
 			"this daemon is not a coordinator: fleet membership needs a remote-backed solver pool")
 		return false
@@ -849,7 +861,7 @@ func (s *Server) coordinator(w http.ResponseWriter) bool {
 
 // fleetResponse snapshots the fleet in wire form.
 func (s *Server) fleetResponse() client.FleetResponse {
-	stats := s.pool.WorkerStats()
+	stats := s.fleet.WorkerStats()
 	resp := client.FleetResponse{Workers: make([]client.FleetWorker, len(stats))}
 	for i, ws := range stats {
 		resp.Workers[i] = client.FleetWorker{
@@ -890,7 +902,7 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("worker endpoint %q is not an absolute http(s) URL", req.Endpoint))
 		return
 	}
-	if _, err := s.pool.AddRemoteWorker(r.Context(), s.cfg.WorkerDialer(ep)); err != nil {
+	if _, err := s.fleet.AddRemoteWorker(r.Context(), s.cfg.WorkerDialer(ep)); err != nil {
 		// The worker announced itself but cannot answer /v1/capacity (or
 		// is draining): leave the fleet unchanged and let it try again.
 		s.writeError(w, http.StatusBadGateway, err.Error())
@@ -923,7 +935,7 @@ func (s *Server) handleWorkerRemove(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing endpoint query parameter")
 		return
 	}
-	if !s.pool.RemoveRemoteWorker(ep) {
+	if !s.fleet.RemoveRemoteWorker(ep) {
 		s.writeError(w, http.StatusNotFound, fmt.Sprintf("worker %q is not a live fleet member", ep))
 		return
 	}
@@ -955,9 +967,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		queueDepth:      int(s.queued.Load()),
 		inFlight:        int(s.inFlight.Load()),
 		draining:        s.draining(),
-		remote:          s.pool.Remote(),
-		fleet:           s.pool.WorkerStats(), // nil unless remote-backed
-		evictions:       s.pool.WorkerEvictions(),
+		fleet:           s.fleet,
 		cache:           s.cache.stats(),
 		sessionsActive:  active,
 		sessionsCreated: created,
@@ -1002,18 +1012,23 @@ func toWireSolution(sol rentmin.Solution) client.Solution {
 	}
 }
 
+// writeJSON answers 500, never a 200 without a body, when v does not encode.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(client.ErrorResponse{Error: "encode response: " + err.Error()}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	// Every retryable rejection carries the Retry-After hint the client
-	// package surfaces as APIError.RetryAfter.
+	// Every retryable rejection carries a one-second Retry-After hint,
+	// which the client package surfaces as APIError.RetryAfter.
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", "1")
 	}
 	s.writeJSON(w, code, client.ErrorResponse{Error: msg})
 }

@@ -417,13 +417,14 @@ func sessionItemError(err error) string {
 	return err.Error()
 }
 
+// wireSessionResolve renders a committed re-solve. Its allocation is the
+// Resolve's own copy, which the session does not keep.
 func wireSessionResolve(res *rentmin.SessionResolve) client.SessionResolve {
-	alloc := res.Alloc.Clone()
 	return client.SessionResolve{
 		Seq:         res.Seq,
 		Kind:        string(res.Kind),
 		Status:      res.Status,
-		Allocation:  &alloc,
+		Allocation:  &res.Alloc,
 		Warm:        res.Warm,
 		RootLPWarm:  res.RootLPWarm,
 		Churn:       res.Churn,

@@ -96,6 +96,7 @@ type Resolve struct {
 	// Alloc is the committed allocation over the FULL problem shape:
 	// graphs excluded by an outage appear with zero throughput, offline
 	// types with zero machines. Zero-valued when Status is infeasible.
+	// It is the Resolve's own copy: the session shares none of it.
 	Alloc core.Allocation
 	// Warm reports whether the re-solve was seeded from the previous
 	// optimum (incumbent cutoff + root basis). The initial solve, trivial
