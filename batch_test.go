@@ -1,8 +1,12 @@
 package rentmin_test
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rentmin"
 )
@@ -130,5 +134,71 @@ func TestSolveWorkersAgree(t *testing.T) {
 					i, w, sol.Alloc.Cost, sol.SearchStats, ref.Alloc.Cost, ref.SearchStats)
 			}
 		}
+	}
+}
+
+// TestSolverPoolDefaultsToGOMAXPROCS: an in-process pool of 0 workers
+// solves GOMAXPROCS problems at once.
+func TestSolverPoolDefaultsToGOMAXPROCS(t *testing.T) {
+	if got, want := rentmin.NewSolverPool(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers() = %d, want %d", got, want)
+	}
+}
+
+// TestInProcessPoolLeavesNothingRunning: an in-process pool holds no
+// goroutines between calls, so after a batch with a panicking item and
+// a cancelled batch the goroutine count returns to its baseline without
+// Close. The pool's one member, named "", then has nothing in flight and
+// counts every solve that started.
+func TestInProcessPoolLeavesNothingRunning(t *testing.T) {
+	fast := rentmin.IllustratingExample()
+	fast.Target = 70
+	slow := slowProblem(t)
+	base := runtime.NumGoroutine()
+	pool := rentmin.NewSolverPool(1)
+
+	// A nil problem panics inside the solve; the panic fails the batch
+	// and every other item is still solved.
+	sols, err := pool.SolveBatchContext(context.Background(), []*rentmin.Problem{fast, nil, fast, fast}, nil)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("batch with a panicking item: err = %v, want the panic", err)
+	}
+	started := 4
+	for _, i := range []int{0, 2, 3} {
+		if sols[i].Alloc.Cost != 124 || sols[i].Worker != "" {
+			t.Errorf("item %d: cost %d worker %q, want 124 solved in process", i, sols[i].Alloc.Cost, sols[i].Worker)
+		}
+	}
+
+	// The deadline stops the slow item mid-search and leaves the last
+	// one unstarted.
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	sols, err = pool.SolveBatchContext(ctx, []*rentmin.Problem{fast, slow, slow}, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled batch: err = %v, want context.DeadlineExceeded", err)
+	}
+	for _, s := range sols {
+		if s.Alloc.GraphThroughput != nil {
+			started++
+		}
+		if s.Worker != "" {
+			t.Errorf("in-process solve attributed to worker %q", s.Worker)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the batches, want the baseline %d", n, base)
+	}
+	stats := pool.WorkerStats()
+	if len(stats) != 1 {
+		t.Fatalf("WorkerStats has %d members, want 1", len(stats))
+	}
+	if s := stats[0]; s.Name != "" || s.InFlight != 0 || s.Dispatched != int64(started) {
+		t.Errorf("member %q: in flight %d, dispatched %d; want \"\", 0, %d", s.Name, s.InFlight, s.Dispatched, started)
 	}
 }

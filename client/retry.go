@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync"
 	"time"
 
@@ -74,13 +75,14 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 }
 
 // Retry runs fn up to attempts times (at least once; attempts <= 0 means
-// 3), honoring what the daemon said about retrying: only an *APIError
-// with Temporary() true — queue overflow or a draining server — is
-// retried, and the wait before the next attempt is the larger of the
-// backoff delay and the server's Retry-After hint. Permanent rejections
-// (400, 422), solve failures and transport errors return immediately:
-// at the fleet level those are the dispatcher's business (re-dispatch to
-// another worker), not this worker's.
+// 3), honoring what the daemon said about retrying: only a queue
+// overflow (an *APIError with status 429) is retried, and the wait
+// before the next attempt is the larger of the backoff delay and the
+// server's Retry-After hint. A draining daemon's 503 never clears, so
+// it returns immediately, as do permanent rejections (400, 422), solve
+// failures and transport errors: at the fleet level those are the
+// dispatcher's business (re-dispatch to another worker), not this
+// worker's.
 //
 // Cancelling ctx during a wait returns the last error observed.
 func Retry(ctx context.Context, b *Backoff, attempts int, fn func() error) error {
@@ -96,7 +98,7 @@ func Retry(ctx context.Context, b *Backoff, attempts int, fn func() error) error
 			return err
 		}
 		var ae *APIError
-		if !errors.As(err, &ae) || !ae.Temporary() {
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusTooManyRequests {
 			return err
 		}
 		wait := b.Delay(attempt)

@@ -169,7 +169,7 @@ type BatchResponse struct {
 type Capacity struct {
 	// Workers is the daemon's number of worker leases — the maximum
 	// number of solves it runs concurrently, and the in-flight cap a
-	// RemotePool dispatcher applies to this worker.
+	// fleet dispatcher applies to this worker.
 	Workers int `json:"workers"`
 	// QueueCapacity is how many admitted solves may wait beyond the
 	// in-flight ones before the daemon answers 429.

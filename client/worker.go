@@ -21,11 +21,12 @@ const knownHashLimit = 4096
 
 // Worker adapts a Client into a rentmin.RemoteWorker, so a rentmind
 // daemon can serve as one unit of capacity inside a remote-backed
-// rentmin.SolverPool. It retries transient rejections (429/503) against
-// its own daemon first — honoring APIError.Temporary and the Retry-After
-// hint via Retry — and only once those retries are exhausted, or the
-// connection itself fails, does it report a rentmin.WorkerFaultError so
-// the dispatcher re-routes the problem to a healthier worker.
+// rentmin.SolverPool. It retries a queue overflow (429) against its own
+// daemon first — honoring the Retry-After hint via Retry — and once
+// those retries are exhausted, or at once when the daemon is draining
+// (503) or the connection itself fails, it reports a
+// rentmin.WorkerFaultError so the dispatcher re-routes the problem to a
+// healthier worker.
 //
 // Dispatches are content-addressed: each solve uploads the canonical
 // problem document to the daemon's cache once (PUT /v1/problems/{hash})
@@ -206,11 +207,12 @@ func (w *Worker) classify(ctx context.Context, err error) error {
 	}
 	var ae *APIError
 	if errors.As(err, &ae) {
-		// A still-temporary rejection after all retries (overflowing
-		// queue, draining) means this worker cannot take the problem —
-		// another one can. Permanent rejections (400 malformed, 422
-		// admission, 504 deadline before feasibility) follow the problem
-		// to any worker, so they are the caller's error.
+		// A temporary rejection (a queue overflow that outlived its
+		// retries, or a draining daemon) means this worker cannot take
+		// the problem — another one can. Permanent rejections (400
+		// malformed, 422 admission, 504 deadline before feasibility)
+		// follow the problem to any worker, so they are the caller's
+		// error.
 		if ae.Temporary() {
 			return &rentmin.WorkerFaultError{Worker: w.Name(), Err: err}
 		}
@@ -293,7 +295,6 @@ func NewElasticFleet(ctx context.Context, seeds []string, cfg *FleetConfig) (*re
 			if isStatus(err, http.StatusServiceUnavailable) {
 				continue // draining: enrolling it would hand work to a dying daemon
 			}
-			pool.Close()
 			return nil, nil, err
 		}
 	}
@@ -316,7 +317,6 @@ func NewFleet(ctx context.Context, endpoints []string, cfg *FleetConfig) (*rentm
 		return nil, err
 	}
 	if len(pool.WorkerStats()) == 0 {
-		pool.Close()
 		return nil, errors.New("rentmind: fleet needs at least one worker endpoint")
 	}
 	return pool, nil

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,5 +96,33 @@ func TestWorkerForwardsDeadline(t *testing.T) {
 	}
 	if after, _ := sent(); after != before {
 		t.Errorf("spent budget sent %d requests, want none", after-before)
+	}
+}
+
+// TestWorkerFaultsAtOnceOnDrainingDaemon: draining never clears, so a
+// Worker does not retry a 503 against its own daemon. One request, then
+// a worker fault that sends the problem to another fleet member.
+func TestWorkerFaultsAtOnceOnDrainingDaemon(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	var requests atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	srv.BeginDrain()
+
+	p := rentmin.IllustratingExample()
+	p.Target = 70
+	_, err := client.NewWorker(client.New(hs.URL), nil).Solve(context.Background(), p)
+	var fault *rentmin.WorkerFaultError
+	if !errors.As(err, &fault) {
+		t.Fatalf("Solve on a draining daemon: err = %v, want a *rentmin.WorkerFaultError", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("Solve on a draining daemon sent %d requests, want 1", n)
 	}
 }

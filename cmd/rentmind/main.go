@@ -1,5 +1,5 @@
 // Command rentmind serves rental-minimization solves over HTTP: a batch
-// solve service over a shared solver pool, with problem-size admission
+// solve service bounded by worker leases, with problem-size admission
 // control, a bounded work queue, per-request deadlines that cancel the
 // branch-and-bound search between nodes, and graceful drain on SIGINT/SIGTERM.
 //
@@ -118,7 +118,7 @@ func main() {
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("solve-workers", 0, "concurrent solves on the shared pool (0 = GOMAXPROCS)")
+	workers := flag.Int("solve-workers", 0, "worker leases: the most solves that run at once (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admitted requests that may wait for a solver beyond the in-flight ones (overflow answers 429)")
 	maxGraphs := flag.Int("max-graphs", 64, "admission limit: recipe graphs per problem (oversize answers 422)")
 	maxTypes := flag.Int("max-types", 256, "admission limit: machine types per problem")
@@ -209,7 +209,7 @@ func main() {
 
 	// Graceful drain: stop routing (healthz 503, queued requests fail
 	// fast), let in-flight solves finish within the grace period, then
-	// release the pool.
+	// stop the daemon's loops.
 	slog.Info("signal received, draining", "grace", *grace)
 	srv.BeginDrain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"rentmin"
@@ -50,7 +51,8 @@ type SweepResult struct {
 
 // RunSweep executes the campaign: Configs random (application, cloud)
 // instances × Targets × (ILP + heuristics). Configurations run in
-// parallel on an internal/pool.Pool; every algorithm draws its
+// parallel on a one-member internal/pool.Pool whose capacity is
+// Workers; every algorithm draws its
 // randomness from a sub-stream of (Seed, config, target, algo), so
 // results are independent of the worker schedule.
 func RunSweep(s Setting) (*SweepResult, error) {
@@ -88,11 +90,10 @@ func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 
 	master := rng.New(s.Seed)
 	workers := s.Workers
-	if workers > s.Configs {
-		workers = s.Configs
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	var p pool.Pool = pool.New(workers) // 0 = GOMAXPROCS
-	defer p.Close()
+	p := pool.New([]pool.RemoteSpec[struct{}]{{Capacity: min(workers, s.Configs)}}, pool.RemoteConfig{})
 	err := p.RunContext(ctx, s.Configs, func(ctx context.Context, c int) error {
 		if err := runConfig(ctx, s, algos, master, c, grid); err != nil {
 			return fmt.Errorf("experiments: %s config %d: %w", s.Name, c, err)

@@ -1,12 +1,13 @@
 package pool
 
-// The Pool conformance suite: every implementation must honor the same
-// contract (results land by index, lowest-index error wins, cancellation
-// skips unstarted tasks, panics are isolated), so the serving layers can
-// swap a LocalPool for a RemotePool without re-auditing their semantics.
-// The RemotePool under test is httptest-backed: every task round-trips
-// through a real HTTP server first, so the remote dispatch path is
-// exercised with genuine network scheduling and cancellation noise.
+// The Pool conformance suite: the contract (results land by index,
+// lowest-index error wins, cancellation skips unstarted tasks, panics
+// are isolated) must hold for both shapes a Pool takes. "LocalPool" is
+// an in-process pool: one member of capacity 3 whose tasks run with no
+// hop. "RemotePool" is a fleet of two members behind an httptest
+// server: every task round-trips through real HTTP first, so the fleet
+// dispatch path is exercised with genuine network scheduling and
+// cancellation noise.
 
 import (
 	"context"
@@ -23,28 +24,26 @@ import (
 type taskFn = func(ctx context.Context, i int) error
 
 // backend builds a fresh Pool and a decorator applied to every
-// conformance task (the RemotePool backend inserts an HTTP hop).
+// conformance task (the fleet backend inserts an HTTP hop).
 type backend struct {
-	make func(t *testing.T) (Pool, func(taskFn) taskFn)
+	make func(t *testing.T) (*Pool[string], func(taskFn) taskFn)
 }
 
 func conformanceBackends() map[string]backend {
 	return map[string]backend{
-		"LocalPool": {make: func(t *testing.T) (Pool, func(taskFn) taskFn) {
-			p := New(3)
-			t.Cleanup(p.Close)
+		"LocalPool": {make: func(t *testing.T) (*Pool[string], func(taskFn) taskFn) {
+			p := New([]RemoteSpec[string]{{Name: "local", Capacity: 3}}, RemoteConfig{})
 			return p, func(fn taskFn) taskFn { return fn }
 		}},
-		"RemotePool": {make: func(t *testing.T) (Pool, func(taskFn) taskFn) {
+		"RemotePool": {make: func(t *testing.T) (*Pool[string], func(taskFn) taskFn) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusOK)
 			}))
 			t.Cleanup(srv.Close)
-			p := NewRemote(
+			p := New(
 				[]RemoteSpec[string]{{Name: "a", Capacity: 2, Worker: "a"}, {Name: "b", Capacity: 1, Worker: "b"}},
 				RemoteConfig{Backoff: func(int) time.Duration { return time.Millisecond }},
 			)
-			t.Cleanup(p.Close)
 			hop := func(fn taskFn) taskFn {
 				return func(ctx context.Context, i int) error {
 					if _, ok := AssignedWorker[string](ctx); !ok {

@@ -8,8 +8,7 @@ import (
 )
 
 func TestRunContextCompletesWithoutCancellation(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	p := inProcess(2)
 	var ran atomic.Int64
 	if err := p.RunContext(context.Background(), 20, func(_ context.Context, i int) error {
 		ran.Add(1)
@@ -23,8 +22,7 @@ func TestRunContextCompletesWithoutCancellation(t *testing.T) {
 }
 
 func TestRunContextPreCancelledSkipsEverything(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	p := inProcess(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
@@ -41,12 +39,11 @@ func TestRunContextPreCancelledSkipsEverything(t *testing.T) {
 }
 
 func TestRunContextStopsSubmittingMidway(t *testing.T) {
-	p := New(1)
-	defer p.Close()
+	p := inProcess(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	// The first task cancels the context; with one worker every later
-	// task is still unsubmitted at that point and must never start.
+	// The first task cancels the context; with one seat every later
+	// task is still undispatched at that point and must never start.
 	err := p.RunContext(ctx, 50, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
@@ -57,15 +54,13 @@ func TestRunContextStopsSubmittingMidway(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// At most a couple of tasks can already sit in the submission window.
 	if n := ran.Load(); n >= 50 || n < 1 {
 		t.Errorf("ran %d of 50 tasks, want an early stop", n)
 	}
 }
 
 func TestRunContextTaskErrorWinsOverCancellation(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	p := inProcess(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
 	err := p.RunContext(ctx, 8, func(_ context.Context, i int) error {

@@ -10,19 +10,19 @@ import (
 	"rentmin/internal/obs"
 )
 
-// RemoteSpec describes one remote executor behind a RemotePool: a name
-// for errors and metrics (typically the worker's endpoint URL), its
-// capacity — the maximum number of tasks the pool keeps in flight on it
-// at once, discovered from the worker itself (GET /v1/capacity for a
-// rentmind daemon) — and the transport tasks reach it through, handed
-// to every task bound to it (AssignedWorker).
+// RemoteSpec describes one executor behind a Pool: a name for errors
+// and metrics (a remote worker's endpoint URL), its capacity — the
+// maximum number of tasks the pool keeps in flight on it at once,
+// discovered from the worker itself (GET /v1/capacity for a rentmind
+// daemon) — and the transport tasks reach it through, handed to every
+// task bound to it (AssignedWorker).
 type RemoteSpec[W any] struct {
 	Name     string
 	Capacity int
 	Worker   W
 }
 
-// RemoteConfig tunes a RemotePool's failure handling.
+// RemoteConfig tunes a Pool's failure handling.
 type RemoteConfig struct {
 	// Backoff returns how long a worker sits out after its strike-th
 	// consecutive fault (strike counts from 1). Nil uses a deterministic
@@ -40,7 +40,7 @@ type RemoteConfig struct {
 }
 
 // WorkerStatus is a point-in-time snapshot of one worker's health
-// inside a RemotePool, exported as the coordinator's worker gauges.
+// inside a Pool, exported as the coordinator's worker gauges.
 type WorkerStatus struct {
 	// Name identifies the worker; Capacity is its discovered in-flight cap.
 	Name     string
@@ -114,25 +114,31 @@ func IsWorkerFault(err error) bool {
 type workerKey struct{}
 
 // AssignedWorker returns the transport (RemoteSpec.Worker) of the
-// worker a RemotePool[W] bound the current task to, and whether the task
+// worker a Pool[W] bound the current task to, and whether the task
 // is running under such a pool at all. Task functions use it to route
-// their work to the right remote executor.
+// their work to the right executor.
 func AssignedWorker[W any](ctx context.Context) (W, bool) {
 	w, ok := ctx.Value(workerKey{}).(W)
 	return w, ok
 }
 
-// RemotePool is a Pool whose concurrency slots are the capacity of a
-// fleet of remote executors reached through transports of type W. It
-// does not ship closures anywhere: it decides which worker a task index
-// is bound to and when, and the task function routes its work to that
-// worker's transport (AssignedWorker). What the pool owns is everything
-// around that decision:
+// Pool runs n independent index-addressed tasks with bounded
+// concurrency. Its concurrency slots are the capacity of a fleet of
+// executors reached through transports of type W. It does not ship
+// closures anywhere: it decides which worker a task index is bound to
+// and when, and the task function routes its work to that worker's
+// transport (AssignedWorker). An in-process pool is a fleet of one
+// member; its tasks run on the goroutine the pool starts for each
+// dispatch. What the pool owns is everything around that decision:
 //
 //   - per-worker in-flight caps (a worker never holds more tasks than
 //     its discovered capacity);
-//   - deterministic result ordering — outcomes land by task index no
-//     matter which worker answered, exactly like LocalPool;
+//   - deterministic result ordering — every task that runs is invoked
+//     once per dispatch and its outcome lands under its own index, no
+//     matter which worker answered; RunContext returns the error of the
+//     lowest-index failing task, independent of the completion schedule;
+//   - panic isolation: a panicking task becomes a *PanicError instead of
+//     crashing the dispatcher;
 //   - failure handling: a task error marking a worker fault (see
 //     IsWorkerFault) puts the task back on the queue for a healthy
 //     worker and gives the faulted worker an exponential backoff, so a
@@ -145,16 +151,20 @@ func AssignedWorker[W any](ctx context.Context) (W, bool) {
 //     when a worker's consecutive strikes cross the threshold;
 //   - cancellation: queued tasks are never dispatched after ctx is
 //     done, and in-flight tasks see the cancellation through their
-//     context (a remote HTTP solve aborts mid-flight);
+//     context (a remote HTTP solve aborts mid-flight). If no task failed
+//     but at least one was skipped, RunContext returns ctx.Err();
 //   - observation: every member record carries its dispatch counters
 //     and a sliding window of successful round-trip times (Stats).
 //
 // Worker health (strikes, backoff deadlines) persists across RunContext
 // calls, so a long-lived coordinator keeps avoiding a flapping worker
 // between batches. Concurrent RunContext calls share the fleet's
-// capacity. A pool may be built over an empty fleet: RunContext calls
-// then park until a worker joins or their context is cancelled.
-type RemotePool[W any] struct {
+// capacity. The pool holds no goroutines between RunContext calls, so
+// it needs no Close. A pool may be built over an empty fleet: RunContext
+// calls then park until a worker joins or their context is cancelled.
+// The conformance suite in conformance_test.go pins this contract for
+// an in-process member and for an HTTP-backed fleet.
+type Pool[W any] struct {
 	backoff      func(strike int) time.Duration
 	evictStrikes int
 
@@ -171,13 +181,11 @@ type RemotePool[W any] struct {
 	waiters []chan struct{}
 }
 
-var _ Pool = (*RemotePool[any])(nil)
-
-// NewRemote builds a RemotePool over the given workers. Capacities below
+// New builds a Pool over the given workers. Capacities below
 // one are clamped to one. The fleet may be empty: an elastic pool starts
 // with no members and grows by AddWorker.
-func NewRemote[W any](specs []RemoteSpec[W], cfg RemoteConfig) *RemotePool[W] {
-	p := &RemotePool[W]{backoff: cfg.Backoff, evictStrikes: cfg.EvictStrikes}
+func New[W any](specs []RemoteSpec[W], cfg RemoteConfig) *Pool[W] {
+	p := &Pool[W]{backoff: cfg.Backoff, evictStrikes: cfg.EvictStrikes}
 	if p.backoff == nil {
 		p.backoff = defaultBackoff
 	}
@@ -216,7 +224,7 @@ func defaultBackoff(strike int) time.Duration {
 // announce, and the installed transport may carry per-worker state
 // worth preserving (rentmin/client's upload dedup — replacing it on
 // every re-announce would re-upload every problem document).
-func (p *RemotePool[W]) AddWorker(spec RemoteSpec[W]) int {
+func (p *Pool[W]) AddWorker(spec RemoteSpec[W]) int {
 	if spec.Capacity < 1 {
 		spec.Capacity = 1
 	}
@@ -251,7 +259,7 @@ func (p *RemotePool[W]) AddWorker(spec RemoteSpec[W]) int {
 // queued items excluded from every remaining member have their
 // exclusion sets reset so they keep flowing. The index stays reserved —
 // AddWorker with the same name rejoins in place.
-func (p *RemotePool[W]) RemoveWorker(name string) bool {
+func (p *Pool[W]) RemoveWorker(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if w := p.liveLocked(name); w >= 0 {
@@ -267,7 +275,7 @@ func (p *RemotePool[W]) RemoveWorker(name string) bool {
 // touching the dispatch counters (a probe is not a dispatch). It
 // reports whether the strike crossed the eviction threshold and removed
 // the worker. Unknown or already-removed names are a no-op.
-func (p *RemotePool[W]) Strike(name string) (evicted bool) {
+func (p *Pool[W]) Strike(name string) (evicted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if w := p.liveLocked(name); w >= 0 {
@@ -278,7 +286,7 @@ func (p *RemotePool[W]) Strike(name string) (evicted bool) {
 
 // liveLocked returns the index of the named live member, or -1. Caller
 // holds mu.
-func (p *RemotePool[W]) liveLocked(name string) int {
+func (p *Pool[W]) liveLocked(name string) int {
 	for w := range p.members {
 		if p.members[w].Name == name && !p.members[w].removed {
 			return w
@@ -289,7 +297,7 @@ func (p *RemotePool[W]) liveLocked(name string) int {
 
 // strikeLocked adds a strike and backoff to worker w, evicting it when
 // the configured threshold is crossed. Caller holds mu.
-func (p *RemotePool[W]) strikeLocked(w int) (evicted bool) {
+func (p *Pool[W]) strikeLocked(w int) (evicted bool) {
 	m := &p.members[w]
 	m.strikes++
 	m.until = time.Now().Add(p.backoff(m.strikes))
@@ -304,7 +312,7 @@ func (p *RemotePool[W]) strikeLocked(w int) (evicted bool) {
 
 // Evictions counts workers removed by the strike threshold since the
 // pool was created (manual RemoveWorker calls are not counted).
-func (p *RemotePool[W]) Evictions() int64 {
+func (p *Pool[W]) Evictions() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.evictions
@@ -312,7 +320,7 @@ func (p *RemotePool[W]) Evictions() int64 {
 
 // Workers returns the fleet's current total capacity (active members
 // only). It changes as workers join and leave.
-func (p *RemotePool[W]) Workers() int {
+func (p *Pool[W]) Workers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
@@ -327,7 +335,7 @@ func (p *RemotePool[W]) Workers() int {
 // Specs returns a snapshot of the fleet's active members, transports
 // included. The slice is a copy: mutating it cannot corrupt the pool's
 // membership table.
-func (p *RemotePool[W]) Specs() []RemoteSpec[W] {
+func (p *Pool[W]) Specs() []RemoteSpec[W] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]RemoteSpec[W], 0, len(p.members))
@@ -342,7 +350,7 @@ func (p *RemotePool[W]) Specs() []RemoteSpec[W] {
 // Stats snapshots per-worker health for metrics export. Removed members
 // are included (flagged Removed) so dashboards can count evictions and
 // a coordinator can report a vanished worker's final counters.
-func (p *RemotePool[W]) Stats() []WorkerStatus {
+func (p *Pool[W]) Stats() []WorkerStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
@@ -370,16 +378,11 @@ func (p *RemotePool[W]) Stats() []WorkerStatus {
 	return out
 }
 
-// Close releases the pool. RemotePool owns no goroutines between
-// RunContext calls, so Close only exists to satisfy the Pool contract; the remote
-// workers themselves are owned by whoever created their transports.
-func (p *RemotePool[W]) Close() {}
-
 // subscribe registers the calling scheduler for seat/membership wakeups
 // and returns its private buffered-1 channel. Register before scanning
 // for seats: a release landing between the scan and the sleep is then
 // buffered, not lost.
-func (p *RemotePool[W]) subscribe() chan struct{} {
+func (p *Pool[W]) subscribe() chan struct{} {
 	ch := make(chan struct{}, 1)
 	p.mu.Lock()
 	p.waiters = append(p.waiters, ch)
@@ -388,7 +391,7 @@ func (p *RemotePool[W]) subscribe() chan struct{} {
 }
 
 // unsubscribe removes the scheduler's wakeup channel.
-func (p *RemotePool[W]) unsubscribe(ch chan struct{}) {
+func (p *Pool[W]) unsubscribe(ch chan struct{}) {
 	p.mu.Lock()
 	for i := range p.waiters {
 		if p.waiters[i] == ch {
@@ -401,7 +404,7 @@ func (p *RemotePool[W]) unsubscribe(ch chan struct{}) {
 
 // broadcastLocked signals every waiting scheduler (non-blocking: each
 // waiter channel holds one pending token). Caller holds mu.
-func (p *RemotePool[W]) broadcastLocked() {
+func (p *Pool[W]) broadcastLocked() {
 	for _, ch := range p.waiters {
 		select {
 		case ch <- struct{}{}:
@@ -424,7 +427,7 @@ func (p *RemotePool[W]) broadcastLocked() {
 // and its transport, or (-1, -1) and the wait until the nearest backoff
 // expiry among workers with free seats (zero when no backoff is pending
 // and the caller must wait for a seat or a membership change instead).
-func (p *RemotePool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time.Duration) {
+func (p *Pool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for qi := 0; qi < len(queue); qi++ {
@@ -486,7 +489,7 @@ func (p *RemotePool[W]) pickAssignment(now time.Time, queue []item) (int, int, W
 // success adds the round trip to its RTT window. A failure once ctx is
 // done says nothing about the worker's health and leaves its record
 // alone.
-func (p *RemotePool[W]) finish(ctx context.Context, w int, err error, rtt time.Duration) {
+func (p *Pool[W]) finish(ctx context.Context, w int, err error, rtt time.Duration) {
 	cancelled := err != nil && ctx.Err() != nil
 	fault := err != nil && !cancelled && IsWorkerFault(err)
 	p.mu.Lock()
@@ -512,7 +515,7 @@ func (p *RemotePool[W]) finish(ctx context.Context, w int, err error, rtt time.D
 // attemptBudget is the per-item dispatch budget: 3·(active workers), at
 // least 4, re-evaluated per fault so the budget tracks an elastic fleet
 // (and a fleet that is entirely down cannot spin forever).
-func (p *RemotePool[W]) attemptBudget() int {
+func (p *Pool[W]) attemptBudget() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	active := 0
@@ -545,7 +548,7 @@ func (it *item) excludes(w int) bool {
 
 // excludeWorker marks the worker in the item's fault history, resetting
 // the set when it has come to cover every active member.
-func (p *RemotePool[W]) excludeWorker(it *item, w int) {
+func (p *Pool[W]) excludeWorker(it *item, w int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(it.excluded) < len(p.members) {
@@ -569,14 +572,14 @@ type completion struct {
 	err error
 }
 
-// RunContext dispatches fn(0) … fn(n-1) across the fleet; see Pool and
-// the RemotePool type comment for the contract. Each invocation of fn
+// RunContext dispatches fn(0) … fn(n-1) across the fleet and waits for
+// all of them; see the Pool type comment for the contract. Each invocation of fn
 // receives a context annotated with its assigned worker's transport
 // (AssignedWorker). A task whose error marks a worker fault is
 // re-dispatched — up to 3·(active workers) dispatches, at least 4, after
 // which its last fault stands as its error. Tasks cancelled after at least one faulted attempt report that
 // last fault rather than ctx.Err().
-func (p *RemotePool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+func (p *Pool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -676,7 +679,7 @@ func (p *RemotePool[W]) RunContext(ctx context.Context, n int, fn func(ctx conte
 // lands the result, a worker fault re-queues the task for a worker it
 // has not faulted on yet (until its attempt budget runs out), any other
 // error is the task's own.
-func (p *RemotePool[W]) settle(ctx context.Context, c completion, queue *[]item, errs []error) {
+func (p *Pool[W]) settle(ctx context.Context, c completion, queue *[]item, errs []error) {
 	switch {
 	case c.err == nil:
 		errs[c.it.i] = nil

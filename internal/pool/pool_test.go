@@ -10,9 +10,14 @@ import (
 	"testing"
 )
 
+// inProcess builds a pool of one member with the given capacity: the
+// shape of an in-process rentmin.SolverPool and of an experiment sweep.
+func inProcess(capacity int) *Pool[struct{}] {
+	return New([]RemoteSpec[struct{}]{{Name: "local", Capacity: capacity}}, RemoteConfig{})
+}
+
 func TestPoolRunsEveryTask(t *testing.T) {
-	p := New(3)
-	defer p.Close()
+	p := inProcess(3)
 	var done [50]atomic.Bool
 	if err := p.RunContext(context.Background(), len(done), func(_ context.Context, i int) error {
 		if done[i].Swap(true) {
@@ -30,8 +35,7 @@ func TestPoolRunsEveryTask(t *testing.T) {
 }
 
 func TestPoolReturnsLowestIndexError(t *testing.T) {
-	p := New(4)
-	defer p.Close()
+	p := inProcess(4)
 	boom := errors.New("boom")
 	err := p.RunContext(context.Background(), 20, func(_ context.Context, i int) error {
 		if i%2 == 1 {
@@ -49,8 +53,7 @@ func TestPoolReturnsLowestIndexError(t *testing.T) {
 
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 2
-	p := New(workers)
-	defer p.Close()
+	p := inProcess(workers)
 	var cur, peak atomic.Int64
 	if err := p.RunContext(context.Background(), 30, func(context.Context, int) error {
 		if c := cur.Add(1); c > peak.Load() {
@@ -63,21 +66,12 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if peak.Load() > workers {
-		t.Errorf("observed %d concurrent tasks with %d workers", peak.Load(), workers)
-	}
-}
-
-func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
-	p := New(0)
-	defer p.Close()
-	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("Workers() = %d, want %d", got, want)
+		t.Errorf("observed %d concurrent tasks with capacity %d", peak.Load(), workers)
 	}
 }
 
 func TestPoolReusableAcrossRuns(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	p := inProcess(2)
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	// Two concurrent RunContext calls plus a sequential reuse.
@@ -98,8 +92,7 @@ func TestPoolReusableAcrossRuns(t *testing.T) {
 }
 
 func TestPoolZeroTasks(t *testing.T) {
-	p := New(1)
-	defer p.Close()
+	p := inProcess(1)
 	if err := p.RunContext(context.Background(), 0, func(context.Context, int) error { return errors.New("never") }); err != nil {
 		t.Errorf("RunContext(0) = %v", err)
 	}

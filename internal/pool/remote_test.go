@@ -22,11 +22,9 @@ func newFault(w int) error            { return &faultErr{worker: w} }
 // fastBackoff keeps re-dispatch tests quick.
 func fastBackoff(int) time.Duration { return time.Millisecond }
 
-func twoWorkerPool(t *testing.T, cfg RemoteConfig) *RemotePool[int] {
+func twoWorkerPool(t *testing.T, cfg RemoteConfig) *Pool[int] {
 	t.Helper()
-	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}, {Name: "w1", Capacity: 2, Worker: 1}}, cfg)
-	t.Cleanup(p.Close)
-	return p
+	return New([]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}, {Name: "w1", Capacity: 2, Worker: 1}}, cfg)
 }
 
 func TestRemoteRedispatchAfterWorkerFault(t *testing.T) {
@@ -106,11 +104,10 @@ func TestRemoteBackoffShieldsDeadWorker(t *testing.T) {
 // 3 dispatches per active worker (at least 4), so a task on a fleet of
 // two dead workers gives up after exactly 6 dispatches.
 func TestRemoteGivesUpAfterMaxAttempts(t *testing.T) {
-	p := NewRemote(
+	p := New(
 		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 1, Worker: 1}},
 		RemoteConfig{Backoff: fastBackoff},
 	)
-	defer p.Close()
 	var tries atomic.Int64
 	err := p.RunContext(context.Background(), 1, func(ctx context.Context, i int) error {
 		tries.Add(1)
@@ -188,11 +185,10 @@ func TestRemoteConcurrentRunsShareCapacity(t *testing.T) {
 }
 
 func TestRemotePerWorkerInFlightCap(t *testing.T) {
-	p := NewRemote(
+	p := New(
 		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 3, Worker: 1}},
 		RemoteConfig{Backoff: fastBackoff},
 	)
-	defer p.Close()
 	var cur [2]atomic.Int64
 	var peak [2]atomic.Int64
 	err := p.RunContext(context.Background(), 30, func(ctx context.Context, i int) error {
@@ -223,8 +219,7 @@ func TestRemotePerWorkerInFlightCap(t *testing.T) {
 // attempts, and the first AddWorker wakes the scheduler and drains the
 // queue.
 func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
-	p := NewRemote[int](nil, RemoteConfig{Backoff: fastBackoff})
-	defer p.Close()
+	p := New[int](nil, RemoteConfig{Backoff: fastBackoff})
 	if got := p.Workers(); got != 0 {
 		t.Fatalf("empty fleet Workers() = %d, want 0", got)
 	}
@@ -263,8 +258,7 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 // still abort on cancellation, reporting context.Canceled with every
 // task skipped.
 func TestRemoteEmptyFleetRunHonorsCancel(t *testing.T) {
-	p := NewRemote[int](nil, RemoteConfig{})
-	defer p.Close()
+	p := New[int](nil, RemoteConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -288,8 +282,7 @@ func TestRemoteEmptyFleetRunHonorsCancel(t *testing.T) {
 // saturated picks up queued items (run under -race in CI, this is the
 // membership-resize safety test).
 func TestRemoteJoinMidRunReceivesWork(t *testing.T) {
-	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{Backoff: fastBackoff})
-	defer p.Close()
+	p := New([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{Backoff: fastBackoff})
 	const n = 16
 	var byWorker [2]atomic.Int64
 	joined := make(chan struct{})
@@ -325,11 +318,10 @@ func TestRemoteJoinMidRunReceivesWork(t *testing.T) {
 // new dispatches to it; queued items flow to the remaining member even
 // when their exclusion sets pointed the other way.
 func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
-	p := NewRemote(
+	p := New(
 		[]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}, {Name: "w1", Capacity: 1, Worker: 1}},
 		RemoteConfig{Backoff: fastBackoff},
 	)
-	defer p.Close()
 	const n = 12
 	var removed atomic.Bool
 	var afterRemoval atomic.Int64
@@ -362,11 +354,10 @@ func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
 // the worker from the fleet and counts an eviction; re-registration
 // revives it with clean health at the same index.
 func TestRemoteStrikeEviction(t *testing.T) {
-	p := NewRemote(
+	p := New(
 		[]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}},
 		RemoteConfig{Backoff: fastBackoff, EvictStrikes: 3},
 	)
-	defer p.Close()
 	for i := 0; i < 2; i++ {
 		if evicted := p.Strike("w0"); evicted {
 			t.Fatalf("strike %d evicted below the threshold", i+1)
@@ -432,10 +423,9 @@ func TestRemoteReregisterRefreshesCapacity(t *testing.T) {
 func TestRemoteCancelAbortsQueuedRedispatch(t *testing.T) {
 	// A task whose worker faulted sits on the retry queue; cancellation
 	// must fail it with its last fault instead of waiting out backoffs.
-	p := NewRemote([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{
+	p := New([]RemoteSpec[int]{{Name: "w0", Capacity: 1, Worker: 0}}, RemoteConfig{
 		Backoff: func(int) time.Duration { return time.Hour },
 	})
-	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var tries atomic.Int64
 	done := make(chan error, 1)
@@ -467,7 +457,7 @@ func TestRemoteCancelAbortsQueuedRedispatch(t *testing.T) {
 // one RTT sample to its worker's window (faults add none), and
 // re-registering a live or removed name keeps the installed transport.
 func TestRemoteMemberRecordCarriesRTTAndTransport(t *testing.T) {
-	p := NewRemote([]RemoteSpec[string]{
+	p := New([]RemoteSpec[string]{
 		{Name: "w0", Capacity: 1, Worker: "dead"},
 		{Name: "w1", Capacity: 1, Worker: "live"},
 	}, RemoteConfig{Backoff: fastBackoff})

@@ -174,7 +174,7 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "rentmind_queue_wait_ms{quantile=\"0.5\"} %g\n", q50)
 	fmt.Fprintf(w, "rentmind_queue_wait_ms{quantile=\"0.99\"} %g\n", q99)
 
-	fmt.Fprintf(w, "# HELP rentmind_workers Solver pool size.\n")
+	fmt.Fprintf(w, "# HELP rentmind_workers Number of worker leases, the most solves that run at once.\n")
 	fmt.Fprintf(w, "# TYPE rentmind_workers gauge\n")
 	fmt.Fprintf(w, "rentmind_workers %d\n", g.workers)
 	fmt.Fprintf(w, "# HELP rentmind_queue_capacity Maximum queued requests beyond the in-flight ones.\n")
@@ -312,7 +312,7 @@ func writeFleet(w io.Writer, fleet *rentmin.SolverPool) {
 		}
 		fmt.Fprintf(w, "rentmind_worker_up{worker=%q} %d\n", ws.Name, up)
 	}
-	fmt.Fprintf(w, "# HELP rentmind_worker_capacity The worker's discovered in-flight cap (its solver pool size).\n")
+	fmt.Fprintf(w, "# HELP rentmind_worker_capacity The worker's discovered in-flight cap (its worker leases).\n")
 	fmt.Fprintf(w, "# TYPE rentmind_worker_capacity gauge\n")
 	for _, ws := range stats {
 		fmt.Fprintf(w, "rentmind_worker_capacity{worker=%q} %d\n", ws.Name, ws.Capacity)

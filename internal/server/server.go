@@ -273,19 +273,16 @@ func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() { close(s.drain) })
 }
 
-// Close stops the daemon's loops and closes a coordinator's fleet. Call
-// it only after the HTTP server has stopped dispatching requests
+// Close stops the daemon's loops and waits for them to exit. Call it
+// only after the HTTP server has stopped dispatching requests
 // (http.Server.Shutdown / httptest.Server Close). Close implies BeginDrain.
 func (s *Server) Close() {
 	s.BeginDrain()
 	s.closeOnce.Do(func() {
 		if s.healthDone != nil {
-			<-s.healthDone // probes must not race the fleet teardown
+			<-s.healthDone // no probe outlives Close
 		}
 		<-s.sessDone // the eviction loop closes every remaining session
-		if s.fleet != nil {
-			s.fleet.Close()
-		}
 	})
 }
 

@@ -2,17 +2,17 @@ package rentmin
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"rentmin/internal/pool"
 )
 
-// RemoteWorker is one rentmind worker daemon as seen by a remote-backed
-// SolverPool: a unit of solve capacity reached over some transport.
-// rentmin/client.Worker implements it over the daemon's HTTP API; tests
-// implement it in-process.
+// RemoteWorker is one member of a SolverPool's fleet: a unit of solve
+// capacity reached over some transport. rentmin/client.Worker
+// implements it over a rentmind daemon's HTTP API; an in-process pool's
+// one member solves in process (NewSolverPool), and tests implement it
+// with stubs.
 type RemoteWorker interface {
 	// Name identifies the worker in errors and metrics (its endpoint URL
 	// for an HTTP worker).
@@ -54,20 +54,20 @@ func (e *WorkerFaultError) Unwrap() error { return e.Err }
 // internal/pool.IsWorkerFault).
 func (e *WorkerFaultError) WorkerFault() bool { return true }
 
-// RemoteConfig tunes a remote-backed SolverPool's failure handling:
+// RemoteConfig tunes an elastic SolverPool's failure handling:
 // the per-strike Backoff schedule and the EvictStrikes threshold (an
 // evicted worker rejoins with clean health via AddRemoteWorker — a
 // coordinator pairs eviction with worker re-registration).
 type RemoteConfig = pool.RemoteConfig
 
-// WorkerStatus is a point-in-time snapshot of one remote worker's health
-// inside a remote-backed SolverPool (dispatch counters, backoff state,
+// WorkerStatus is a point-in-time snapshot of one fleet member's health
+// inside a SolverPool (dispatch counters, backoff state,
 // dispatch round-trip quantiles), exported by the coordinator's /metrics
 // worker gauges and GET /v1/workers.
 type WorkerStatus = pool.WorkerStatus
 
 // NewElasticSolverPool builds a SolverPool whose capacity is a fleet of
-// rentmind workers instead of in-process goroutines: every solve pushed
+// rentmind workers instead of an in-process member: every solve pushed
 // through the pool is dispatched to a worker, and batch items spread
 // across the whole fleet. The fleet starts empty: grow it with
 // AddRemoteWorker as workers register (the coordinator's POST
@@ -85,16 +85,10 @@ func NewElasticSolverPool(cfg *RemoteConfig) *SolverPool {
 	if cfg != nil {
 		c = *cfg
 	}
-	return &SolverPool{pool: pool.NewRemote[RemoteWorker](nil, c)}
+	return &SolverPool{pool: pool.New[RemoteWorker](nil, c)}
 }
 
-// fleet returns the remote pool behind p, or nil for a local pool.
-func (p *SolverPool) fleet() *pool.RemotePool[RemoteWorker] {
-	rp, _ := p.pool.(*pool.RemotePool[RemoteWorker])
-	return rp
-}
-
-// AddRemoteWorker adds a worker to a remote-backed pool's fleet (or
+// AddRemoteWorker adds a worker to the pool's fleet (or
 // revives/refreshes one with the same name), mid-batch if need be:
 // schedulers starved of capacity immediately dispatch queued items onto
 // it. The worker's capacity is discovered under ctx; a discovery failure
@@ -102,28 +96,23 @@ func (p *SolverPool) fleet() *pool.RemotePool[RemoteWorker] {
 // index.
 //
 // Re-adding a name that is already a member keeps the installed
-// transport (see pool.RemotePool.AddWorker): registration is a
+// transport (see pool.Pool.AddWorker): registration is a
 // periodic, idempotent announce, and the installed transport carries
 // the content-cache upload dedup. The new transport object is simply
 // dropped; capacity is still refreshed.
 func (p *SolverPool) AddRemoteWorker(ctx context.Context, w RemoteWorker) (int, error) {
-	rp := p.fleet()
-	if rp == nil {
-		return 0, errors.New("rentmin: AddRemoteWorker on a non-remote pool")
-	}
 	c, err := w.Capacity(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("rentmin: discover capacity of worker %s: %w", w.Name(), err)
 	}
-	return rp.AddWorker(pool.RemoteSpec[RemoteWorker]{Name: w.Name(), Capacity: c, Worker: w}), nil
+	return p.pool.AddWorker(pool.RemoteSpec[RemoteWorker]{Name: w.Name(), Capacity: c, Worker: w}), nil
 }
 
 // RemoveRemoteWorker takes the named worker out of the fleet; in-flight
 // solves on it finish (or fault and re-dispatch), queued items flow to
 // the remaining members. It reports whether a live member was removed.
 func (p *SolverPool) RemoveRemoteWorker(name string) bool {
-	rp := p.fleet()
-	return rp != nil && rp.RemoveWorker(name)
+	return p.pool.RemoveWorker(name)
 }
 
 // ProbeWorkers health-checks every active fleet member by asking it for
@@ -131,16 +120,11 @@ func (p *SolverPool) RemoveRemoteWorker(name string) bool {
 // worker — backoff, and eviction at the configured EvictStrikes
 // threshold — without polluting its dispatch fault counters; a
 // successful probe refreshes the worker's capacity if it changed. It
-// returns the names evicted by this round, and nil for a non-remote
-// pool. Probes run concurrently so every member gets ctx's full budget —
-// a sequential round would let one slow member starve the probes behind
-// it into spurious strikes.
+// returns the names evicted by this round. Probes run concurrently so
+// every member gets ctx's full budget — a sequential round would let one
+// slow member starve the probes behind it into spurious strikes.
 func (p *SolverPool) ProbeWorkers(ctx context.Context) (evicted []string) {
-	rp := p.fleet()
-	if rp == nil {
-		return nil
-	}
-	specs := rp.Specs()
+	specs := p.pool.Specs()
 	caps := make([]int, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -155,51 +139,30 @@ func (p *SolverPool) ProbeWorkers(ctx context.Context) (evicted []string) {
 	for i, s := range specs {
 		switch {
 		case errs[i] != nil:
-			if rp.Strike(s.Name) {
+			if p.pool.Strike(s.Name) {
 				evicted = append(evicted, s.Name)
 			}
 		case caps[i] != s.Capacity:
 			s.Capacity = caps[i]
-			rp.AddWorker(s)
+			p.pool.AddWorker(s)
 		}
 	}
 	return evicted
 }
 
 // WorkerEvictions counts fleet members removed by the strike threshold
-// since the pool was created; zero for a non-remote pool.
-func (p *SolverPool) WorkerEvictions() int64 {
-	if rp := p.fleet(); rp != nil {
-		return rp.Evictions()
-	}
-	return 0
-}
+// since the pool was created.
+func (p *SolverPool) WorkerEvictions() int64 { return p.pool.Evictions() }
 
-// Remote reports whether the pool dispatches to remote workers.
-func (p *SolverPool) Remote() bool { return p.fleet() != nil }
+// WorkerStats snapshots per-member health; an in-process pool reports
+// its one member, named "".
+func (p *SolverPool) WorkerStats() []WorkerStatus { return p.pool.Stats() }
 
-// WorkerStats snapshots per-worker health of a remote-backed pool; it
-// returns nil for a local pool.
-func (p *SolverPool) WorkerStats() []WorkerStatus {
-	if rp := p.fleet(); rp != nil {
-		return rp.Stats()
-	}
-	return nil
-}
-
-// dispatch runs one solve with default options on whatever backs the
-// pool: in-process for a local pool, the assigned remote worker for a
-// remote pool. It must be called from inside a pool task (the remote
-// pool annotates the task context with the worker's transport and times
-// the round trip).
-func (p *SolverPool) dispatch(ctx context.Context, prob *Problem) (Solution, error) {
-	if !p.Remote() {
-		return SolveContext(ctx, prob, nil)
-	}
-	rw, ok := pool.AssignedWorker[RemoteWorker](ctx)
-	if !ok {
-		return Solution{}, errors.New("rentmin: remote dispatch outside a pool task")
-	}
+// dispatch runs one solve with default options on the member the pool
+// assigned: in process, or on a remote worker. It must be called from
+// inside a pool task, whose context carries the member's transport.
+func dispatch(ctx context.Context, prob *Problem) (Solution, error) {
+	rw, _ := pool.AssignedWorker[RemoteWorker](ctx)
 	sol, err := rw.Solve(ctx, prob)
 	if err != nil {
 		return sol, err

@@ -160,8 +160,8 @@ type Solution struct {
 	// Elapsed is the solver wall-clock time.
 	Elapsed time.Duration
 	// Worker is the endpoint of the remote worker that produced this
-	// solution when it was dispatched through a remote SolverPool; ""
-	// for in-process solves. Stamped by the coordinator-side dispatcher,
+	// solution when it was dispatched through a SolverPool; "" for
+	// in-process solves. Stamped by the coordinator-side dispatcher,
 	// not transmitted over the wire.
 	Worker string
 }
@@ -208,56 +208,70 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 	}, nil
 }
 
-// SolverPool is a reusable fixed-size worker pool for batch solving. A
-// long-lived service should create one pool and push every incoming batch
-// through it instead of paying goroutine fan-out per request:
+// SolverPool solves batches of problems with bounded concurrency. It
+// dispatches each solve to a member of a fleet: one in-process member
+// for NewSolverPool, rentmind worker daemons for NewElasticSolverPool
+// (remote.go), with per-member capacity caps, fault re-dispatch and
+// deterministic result ordering. Batch semantics, cancellation and
+// partial results are identical either way:
 //
-//	pool := rentmin.NewSolverPool(0) // GOMAXPROCS workers
+//	pool := rentmin.NewSolverPool(0) // GOMAXPROCS concurrent solves
 //	defer pool.Close()
 //	for batch := range requests {
 //		sols, err := pool.SolveBatch(batch, nil)
 //		...
 //	}
 //
-// The same API can be backed by a fleet of rentmind worker daemons
-// instead of in-process goroutines: NewElasticSolverPool (remote.go)
-// dispatches every solve across remote workers with per-worker capacity
-// caps, fault re-dispatch and deterministic result ordering. Batch
-// semantics, cancellation and partial results are identical either way.
+// The pool holds no goroutines between calls: each call starts one
+// goroutine per dispatched solve, and every one has finished its solve
+// before the call returns.
 type SolverPool struct {
-	// pool is a *pool.LocalPool, or a *pool.RemotePool[RemoteWorker]
-	// whose member table holds the fleet's transports, health and RTT
-	// windows (see fleet in remote.go).
-	pool pool.Pool
+	// pool's member table holds the fleet's transports, health and RTT
+	// windows.
+	pool *pool.Pool[RemoteWorker]
 }
 
-// NewSolverPool starts a pool that solves up to workers problems
-// concurrently (0 = GOMAXPROCS). Close must be called to release it.
+// NewSolverPool builds a pool that solves up to workers problems
+// concurrently in process (0 = GOMAXPROCS). It is a fleet of one
+// member with an empty name, so Solution.Worker stays "": WorkerStats
+// reports that member, and AddRemoteWorker adds remote members beside
+// it as on any pool.
 func NewSolverPool(workers int) *SolverPool {
-	return &SolverPool{pool: pool.New(workers)}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	spec := pool.RemoteSpec[RemoteWorker]{Capacity: workers, Worker: inProcess{workers}}
+	return &SolverPool{pool: pool.New([]pool.RemoteSpec[RemoteWorker]{spec}, pool.RemoteConfig{})}
 }
 
-// Workers returns the pool size.
+// inProcess is the member of an in-process SolverPool: it solves on the
+// goroutine the dispatcher gives it.
+type inProcess struct{ capacity int }
+
+func (inProcess) Name() string                            { return "" }
+func (w inProcess) Capacity(context.Context) (int, error) { return w.capacity, nil }
+func (inProcess) Solve(ctx context.Context, p *Problem) (Solution, error) {
+	return SolveContext(ctx, p, nil)
+}
+
+// Workers returns the pool's concurrency: the fleet's total capacity.
 func (p *SolverPool) Workers() int { return p.pool.Workers() }
 
-// Close stops the pool's workers. The pool must not be used afterwards.
-func (p *SolverPool) Close() { p.pool.Close() }
+// Close is a no-op kept for callers that pair a pool with a deferred
+// Close: the pool holds no goroutines between calls, and remote
+// workers are owned by whoever created their transports.
+func (p *SolverPool) Close() {}
 
 // SolveContext solves one problem on the pool: it waits for a free
-// worker — abandoning the wait when ctx is done — and then solves prob
-// on it under ctx. A local pool runs SolveContext(ctx, prob, opts), so
-// unlike the batch methods opts is passed through, WarmStart included.
-// A remote worker receives the problem alone; ctx's deadline is its
-// budget.
+// seat — abandoning the wait when ctx is done — and then solves prob on
+// the assigned member under ctx. opts is ignored, as in the batch
+// methods; a remote worker receives the problem alone, and ctx's
+// deadline is its budget.
 func (p *SolverPool) SolveContext(ctx context.Context, prob *Problem, opts *SolveOptions) (Solution, error) {
 	var sol Solution
 	err := p.pool.RunContext(ctx, 1, func(ctx context.Context, _ int) error {
 		var err error
-		if p.Remote() {
-			sol, err = p.dispatch(ctx, prob)
-		} else {
-			sol, err = SolveContext(ctx, prob, opts)
-		}
+		sol, err = dispatch(ctx, prob)
 		return err
 	})
 	return sol, err
@@ -290,7 +304,7 @@ func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solu
 func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOptions) ([]Solution, error) {
 	out := make([]Solution, len(problems))
 	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, i int) error {
-		sol, err := p.dispatch(ctx, problems[i])
+		sol, err := dispatch(ctx, problems[i])
 		if err != nil {
 			return fmt.Errorf("rentmin: batch problem %d: %w", i, err)
 		}
@@ -328,9 +342,7 @@ func SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOpti
 	if workers < 1 {
 		workers = 1
 	}
-	pool := NewSolverPool(workers)
-	defer pool.Close()
-	return pool.SolveBatchContext(ctx, problems, opts)
+	return NewSolverPool(workers).SolveBatchContext(ctx, problems, opts)
 }
 
 // SolveBlackBox solves the Section V-A special case (each recipe is a
