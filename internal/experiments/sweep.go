@@ -94,7 +94,7 @@ func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := pool.New([]pool.RemoteSpec[struct{}]{{Capacity: min(workers, s.Configs)}}, pool.RemoteConfig{})
-	err := p.RunContext(ctx, s.Configs, func(ctx context.Context, c int) error {
+	err := p.RunContext(ctx, s.Configs, func(ctx context.Context, _ struct{}, c int) error {
 		if err := runConfig(ctx, s, algos, master, c, grid); err != nil {
 			return fmt.Errorf("experiments: %s config %d: %w", s.Name, c, err)
 		}

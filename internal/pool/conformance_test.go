@@ -21,7 +21,7 @@ import (
 	"time"
 )
 
-type taskFn = func(ctx context.Context, i int) error
+type taskFn = func(ctx context.Context, w string, i int) error
 
 // backend builds a fresh Pool and a decorator applied to every
 // conformance task (the fleet backend inserts an HTTP hop).
@@ -45,9 +45,9 @@ func conformanceBackends() map[string]backend {
 				RemoteConfig{Backoff: func(int) time.Duration { return time.Millisecond }},
 			)
 			hop := func(fn taskFn) taskFn {
-				return func(ctx context.Context, i int) error {
-					if _, ok := AssignedWorker[string](ctx); !ok {
-						return errors.New("no worker assigned in remote task context")
+				return func(ctx context.Context, w string, i int) error {
+					if w != "a" && w != "b" {
+						return fmt.Errorf("remote task handed worker %q", w)
 					}
 					req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
 					if err != nil {
@@ -58,7 +58,7 @@ func conformanceBackends() map[string]backend {
 						return err
 					}
 					resp.Body.Close()
-					return fn(ctx, i)
+					return fn(ctx, w, i)
 				}
 			}
 			return p, hop
@@ -75,7 +75,7 @@ func TestPoolConformance(t *testing.T) {
 				const n = 24
 				out := make([]int64, n)
 				var runs atomic.Int64
-				err := p.RunContext(context.Background(), n, wrap(func(_ context.Context, i int) error {
+				err := p.RunContext(context.Background(), n, wrap(func(_ context.Context, _ string, i int) error {
 					runs.Add(1)
 					atomic.StoreInt64(&out[i], int64(i*i))
 					return nil
@@ -96,7 +96,7 @@ func TestPoolConformance(t *testing.T) {
 			t.Run("LowestIndexErrorWins", func(t *testing.T) {
 				p, wrap := b.make(t)
 				boom := errors.New("boom")
-				err := p.RunContext(context.Background(), 20, wrap(func(_ context.Context, i int) error {
+				err := p.RunContext(context.Background(), 20, wrap(func(_ context.Context, _ string, i int) error {
 					if i%3 == 1 {
 						return fmt.Errorf("task %d: %w", i, boom)
 					}
@@ -115,7 +115,7 @@ func TestPoolConformance(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				var ran atomic.Int64
-				err := p.RunContext(ctx, 10, wrap(func(context.Context, int) error {
+				err := p.RunContext(ctx, 10, wrap(func(context.Context, string, int) error {
 					ran.Add(1)
 					return nil
 				}))
@@ -132,7 +132,7 @@ func TestPoolConformance(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var ran atomic.Int64
-				err := p.RunContext(ctx, 50, wrap(func(tctx context.Context, i int) error {
+				err := p.RunContext(ctx, 50, wrap(func(tctx context.Context, _ string, i int) error {
 					ran.Add(1)
 					if i == 0 {
 						cancel()
@@ -158,7 +158,7 @@ func TestPoolConformance(t *testing.T) {
 			t.Run("PanicIsolation", func(t *testing.T) {
 				p, wrap := b.make(t)
 				var ran atomic.Int64
-				err := p.RunContext(context.Background(), 12, wrap(func(_ context.Context, i int) error {
+				err := p.RunContext(context.Background(), 12, wrap(func(_ context.Context, _ string, i int) error {
 					if i == 3 {
 						panic("kaboom")
 					}
@@ -186,7 +186,7 @@ func TestPoolConformance(t *testing.T) {
 
 			t.Run("ZeroTasks", func(t *testing.T) {
 				p, wrap := b.make(t)
-				if err := p.RunContext(context.Background(), 0, wrap(func(context.Context, int) error {
+				if err := p.RunContext(context.Background(), 0, wrap(func(context.Context, string, int) error {
 					return errors.New("never")
 				})); err != nil {
 					t.Errorf("RunContext(0) = %v", err)

@@ -10,7 +10,7 @@ import (
 func TestRunContextCompletesWithoutCancellation(t *testing.T) {
 	p := inProcess(2)
 	var ran atomic.Int64
-	if err := p.RunContext(context.Background(), 20, func(_ context.Context, i int) error {
+	if err := p.RunContext(context.Background(), 20, func(_ context.Context, _ struct{}, i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
@@ -26,7 +26,7 @@ func TestRunContextPreCancelledSkipsEverything(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := p.RunContext(ctx, 10, func(_ context.Context, i int) error {
+	err := p.RunContext(ctx, 10, func(_ context.Context, _ struct{}, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -44,7 +44,7 @@ func TestRunContextStopsSubmittingMidway(t *testing.T) {
 	var ran atomic.Int64
 	// The first task cancels the context; with one seat every later
 	// task is still undispatched at that point and must never start.
-	err := p.RunContext(ctx, 50, func(_ context.Context, i int) error {
+	err := p.RunContext(ctx, 50, func(_ context.Context, _ struct{}, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
@@ -63,7 +63,7 @@ func TestRunContextTaskErrorWinsOverCancellation(t *testing.T) {
 	p := inProcess(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	err := p.RunContext(ctx, 8, func(_ context.Context, i int) error {
+	err := p.RunContext(ctx, 8, func(_ context.Context, _ struct{}, i int) error {
 		if i == 0 {
 			cancel()
 			return boom

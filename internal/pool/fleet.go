@@ -15,7 +15,7 @@ import (
 // maximum number of tasks the pool keeps in flight on it at once,
 // discovered from the worker itself (GET /v1/capacity for a rentmind
 // daemon) — and the transport tasks reach it through, handed to every
-// task bound to it (AssignedWorker).
+// task dispatched to it.
 type RemoteSpec[W any] struct {
 	Name     string
 	Capacity int
@@ -79,14 +79,14 @@ type WorkerStatus struct {
 // quantiles are computed over.
 const rttWindow = 256
 
-// member is one fleet member: its spec (transport included), seats,
-// health and cumulative dispatch counters. Members are never deleted —
-// removal tombstones the record — so a member's index is stable for the
-// pool's lifetime and a rejoin resumes its counters and RTT history.
+// member is one fleet member: its spec (transport included), tasks in
+// flight, health and cumulative dispatch counters. Members are never
+// deleted — removal tombstones the record — so a member's index is
+// stable for the pool's lifetime and a rejoin resumes its counters and
+// RTT history.
 type member[W any] struct {
 	RemoteSpec[W]
 	removed    bool
-	free       int       // free seats
 	strikes    int       // consecutive faults
 	until      time.Time // backoff deadline
 	inFlight   int
@@ -95,6 +95,10 @@ type member[W any] struct {
 	faults     int64
 	rtt        *obs.Window // successful dispatch round trips, ms
 }
+
+// free returns the member's free seats: its capacity less the tasks in
+// flight on it (negative while a shrunk member drains).
+func (m *member[W]) free() int { return m.Capacity - m.inFlight }
 
 // workerFaulter is the contract a task error uses to indict the worker
 // it ran on rather than the task itself: the task is re-dispatched to
@@ -110,24 +114,12 @@ func IsWorkerFault(err error) bool {
 	return errors.As(err, &f) && f.WorkerFault()
 }
 
-// workerKey carries the assigned worker's transport in the task context.
-type workerKey struct{}
-
-// AssignedWorker returns the transport (RemoteSpec.Worker) of the
-// worker a Pool[W] bound the current task to, and whether the task
-// is running under such a pool at all. Task functions use it to route
-// their work to the right executor.
-func AssignedWorker[W any](ctx context.Context) (W, bool) {
-	w, ok := ctx.Value(workerKey{}).(W)
-	return w, ok
-}
-
 // Pool runs n independent index-addressed tasks with bounded
 // concurrency. Its concurrency slots are the capacity of a fleet of
 // executors reached through transports of type W. It does not ship
 // closures anywhere: it decides which worker a task index is bound to
-// and when, and the task function routes its work to that worker's
-// transport (AssignedWorker). An in-process pool is a fleet of one
+// and when, and hands the task function that worker's transport to
+// route its work through. An in-process pool is a fleet of one
 // member; its tasks run on the goroutine the pool starts for each
 // dispatch. What the pool owns is everything around that decision:
 //
@@ -159,9 +151,10 @@ func AssignedWorker[W any](ctx context.Context) (W, bool) {
 // Worker health (strikes, backoff deadlines) persists across RunContext
 // calls, so a long-lived coordinator keeps avoiding a flapping worker
 // between batches. Concurrent RunContext calls share the fleet's
-// capacity. The pool holds no goroutines between RunContext calls, so
-// it needs no Close. A pool may be built over an empty fleet: RunContext
-// calls then park until a worker joins or their context is cancelled.
+// capacity, and while it is used up they wait on one wakeup channel.
+// The pool holds no goroutines between RunContext calls, so it needs no
+// Close. A pool may be built over an empty fleet: RunContext calls then
+// park until a worker joins or their context is cancelled.
 // The conformance suite in conformance_test.go pins this contract for
 // an in-process member and for an HTTP-backed fleet.
 type Pool[W any] struct {
@@ -172,13 +165,12 @@ type Pool[W any] struct {
 	members   []member[W] // the fleet table, indexed by stable member index
 	evictions int64
 
-	// waiters are the schedulers currently starved of seats: one
-	// buffered-1 channel per waiting RunContext call, signalled (never
-	// blocked on) whenever a seat frees or the membership changes.
-	// Per-waiter channels make the wakeup lossless — the single shared
-	// token this replaced could drop signals under concurrent calls and
-	// needed a 50ms poll as a lost-wakeup net.
-	waiters []chan struct{}
+	// changed is closed, and cleared, at the next seat release or
+	// membership change; every RunContext call starved of seats waits on
+	// it. It is nil while none waits: pickAssignment makes it under the
+	// lock of the scan that found nothing to dispatch, so a change after
+	// that scan always closes the channel the scheduler holds.
+	changed chan struct{}
 }
 
 // New builds a Pool over the given workers. Capacities below
@@ -237,19 +229,16 @@ func (p *Pool[W]) AddWorker(spec RemoteSpec[W]) int {
 			continue
 		}
 		if m.removed {
-			// Rejoin after removal/eviction: clean health, fresh seats
-			// (minus any dispatches still draining from before removal).
+			// Rejoin after removal/eviction: clean health; dispatches
+			// still draining from before removal keep their seats.
 			m.removed = false
 			m.strikes = 0
 			m.until = time.Time{}
-			m.free = spec.Capacity - m.inFlight
-		} else {
-			m.free += spec.Capacity - m.Capacity
 		}
 		m.Capacity = spec.Capacity
 		return w
 	}
-	p.members = append(p.members, member[W]{RemoteSpec: spec, free: spec.Capacity, rtt: obs.NewWindow(rttWindow)})
+	p.members = append(p.members, member[W]{RemoteSpec: spec, rtt: obs.NewWindow(rttWindow)})
 	return len(p.members) - 1
 }
 
@@ -270,16 +259,27 @@ func (p *Pool[W]) RemoveWorker(name string) bool {
 	return false
 }
 
-// Strike records a health-probe failure against the named worker: a
-// strike plus backoff exactly as a dispatch fault would add, without
-// touching the dispatch counters (a probe is not a dispatch). It
-// reports whether the strike crossed the eviction threshold and removed
-// the worker. Unknown or already-removed names are a no-op.
-func (p *Pool[W]) Strike(name string) (evicted bool) {
+// Probed folds a health probe of the named worker into its record: a
+// probe error is a strike plus backoff exactly as a dispatch fault
+// would add, without touching the dispatch counters (a probe is not a
+// dispatch); a success sets the capacity it reported (clamped to one),
+// growing or shrinking the seats. It reports whether the strike crossed
+// the eviction threshold and removed the worker. A name that is not a
+// live member is left alone, so a probe that was in flight when its
+// worker was removed never brings the worker back.
+func (p *Pool[W]) Probed(name string, capacity int, err error) (evicted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w := p.liveLocked(name); w >= 0 {
+	w := p.liveLocked(name)
+	if w < 0 {
+		return false
+	}
+	if err != nil {
 		return p.strikeLocked(w)
+	}
+	if m, c := &p.members[w], max(capacity, 1); m.Capacity != c {
+		m.Capacity = c
+		p.broadcastLocked()
 	}
 	return false
 }
@@ -378,38 +378,12 @@ func (p *Pool[W]) Stats() []WorkerStatus {
 	return out
 }
 
-// subscribe registers the calling scheduler for seat/membership wakeups
-// and returns its private buffered-1 channel. Register before scanning
-// for seats: a release landing between the scan and the sleep is then
-// buffered, not lost.
-func (p *Pool[W]) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	p.mu.Lock()
-	p.waiters = append(p.waiters, ch)
-	p.mu.Unlock()
-	return ch
-}
-
-// unsubscribe removes the scheduler's wakeup channel.
-func (p *Pool[W]) unsubscribe(ch chan struct{}) {
-	p.mu.Lock()
-	for i := range p.waiters {
-		if p.waiters[i] == ch {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
-}
-
-// broadcastLocked signals every waiting scheduler (non-blocking: each
-// waiter channel holds one pending token). Caller holds mu.
+// broadcastLocked wakes every scheduler waiting for a seat or a
+// membership change. Caller holds mu.
 func (p *Pool[W]) broadcastLocked() {
-	for _, ch := range p.waiters {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	if p.changed != nil {
+		close(p.changed)
+		p.changed = nil
 	}
 }
 
@@ -424,10 +398,11 @@ func (p *Pool[W]) broadcastLocked() {
 // filling workers one by one. An item whose exclusion set has come to
 // cover every active member — membership shrank under it — has the set
 // reset so it keeps flowing. It returns the queue position, the worker
-// and its transport, or (-1, -1) and the wait until the nearest backoff
-// expiry among workers with free seats (zero when no backoff is pending
-// and the caller must wait for a seat or a membership change instead).
-func (p *Pool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time.Duration) {
+// and its transport. With nothing to dispatch it returns (-1, -1), the
+// wait until the nearest backoff expiry among workers with free seats
+// (zero when no backoff is pending) and the channel the next seat
+// release or membership change closes.
+func (p *Pool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time.Duration, <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for qi := 0; qi < len(queue); qi++ {
@@ -443,19 +418,18 @@ func (p *Pool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time
 				continue
 			}
 			eligible++
-			if m.free <= 0 || m.until.After(now) {
+			if m.free() <= 0 || m.until.After(now) {
 				continue
 			}
-			if best < 0 || m.free > p.members[best].free {
+			if best < 0 || m.free() > p.members[best].free() {
 				best = w
 			}
 		}
 		if best >= 0 {
 			m := &p.members[best]
-			m.free--
 			m.inFlight++
 			m.dispatched++
-			return qi, best, m.Worker, 0
+			return qi, best, m.Worker, 0, nil
 		}
 		if active > 0 && eligible == 0 {
 			// Every worker this item hasn't faulted on has since left the
@@ -471,15 +445,18 @@ func (p *Pool[W]) pickAssignment(now time.Time, queue []item) (int, int, W, time
 	var wait time.Duration
 	for w := range p.members {
 		m := &p.members[w]
-		if m.removed || m.free <= 0 {
+		if m.removed || m.free() <= 0 {
 			continue
 		}
 		if d := m.until.Sub(now); d > 0 && (wait == 0 || d < wait) {
 			wait = d
 		}
 	}
+	if p.changed == nil {
+		p.changed = make(chan struct{})
+	}
 	var none W
-	return -1, -1, none, wait
+	return -1, -1, none, wait, p.changed
 }
 
 // finish folds one dispatch outcome into worker w's record and frees
@@ -507,7 +484,6 @@ func (p *Pool[W]) finish(ctx context.Context, w int, err error, rtt time.Duratio
 			m.rtt.Add(float64(rtt) / float64(time.Millisecond))
 		}
 	}
-	m.free++
 	m.inFlight--
 	p.broadcastLocked()
 }
@@ -573,13 +549,14 @@ type completion struct {
 }
 
 // RunContext dispatches fn(0) … fn(n-1) across the fleet and waits for
-// all of them; see the Pool type comment for the contract. Each invocation of fn
-// receives a context annotated with its assigned worker's transport
-// (AssignedWorker). A task whose error marks a worker fault is
+// all of them; see the Pool type comment for the contract. Each
+// invocation of fn is handed the transport of the worker it was
+// dispatched to. A task whose error marks a worker fault is
 // re-dispatched — up to 3·(active workers) dispatches, at least 4, after
-// which its last fault stands as its error. Tasks cancelled after at least one faulted attempt report that
-// last fault rather than ctx.Err().
-func (p *Pool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// which its last fault stands as its error. Tasks cancelled after at
+// least one faulted attempt report that last fault rather than
+// ctx.Err().
+func (p *Pool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Context, w W, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -612,28 +589,23 @@ func (p *Pool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Con
 		}
 
 		var healWait time.Duration
-		var wake chan struct{}
+		var changed <-chan struct{}
 		if len(queue) > 0 {
-			// Subscribe before scanning: a seat released (or a worker
-			// joining) between the scan and the sleep lands in the
-			// buffered waiter channel instead of being lost.
-			wake = p.subscribe()
-			qi, w, worker, wait := p.pickAssignment(time.Now(), queue)
+			qi, w, worker, wait, ch := p.pickAssignment(time.Now(), queue)
 			if w >= 0 {
-				p.unsubscribe(wake)
 				it := queue[qi]
 				queue = append(queue[:qi], queue[qi+1:]...)
 				it.attempts++
 				inflight++
-				go func(it item, w int, worker W) {
+				go func() {
 					start := time.Now()
-					err := safeCall(context.WithValue(ctx, workerKey{}, worker), it.i, fn)
+					err := safeCall(ctx, worker, it.i, fn)
 					p.finish(ctx, w, err, time.Since(start))
 					done <- completion{it: it, w: w, err: err}
-				}(it, w, worker)
+				}()
 				continue
 			}
-			healWait = wait
+			healWait, changed = wait, ch
 		}
 
 		// Nothing dispatchable: wait for one of our dispatches to finish,
@@ -654,15 +626,12 @@ func (p *Pool[W]) RunContext(ctx context.Context, n int, fn func(ctx context.Con
 		case c := <-done:
 			inflight--
 			p.settle(ctx, c, &queue, errs)
-		case <-wake:
+		case <-changed:
 		case <-timerC:
 		case <-ctxDone:
 		}
 		if timer != nil {
 			timer.Stop()
-		}
-		if wake != nil {
-			p.unsubscribe(wake)
 		}
 	}
 

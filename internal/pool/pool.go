@@ -5,9 +5,10 @@
 //
 // One type, Pool, dispatches index-addressed tasks across the capacity
 // of a fleet of executors, with per-member in-flight caps, per-member
-// backoff and re-dispatch on worker faults. A remote fleet's members
-// are rentmind worker daemons; an in-process pool is a fleet of one
-// member whose capacity is its concurrency, and its tasks solve on the
+// backoff and re-dispatch on worker faults, and hands each task the
+// transport of the member it runs on. A remote fleet's members are
+// rentmind worker daemons; an in-process pool is a fleet of one member
+// whose capacity is its concurrency, and its tasks solve on the
 // goroutine the dispatcher gives them. Either way results land by task
 // index, the lowest-index task error wins, and cancellation skips tasks
 // that have not started.
@@ -35,14 +36,14 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: task %d panicked: %v", e.Index, e.Value)
 }
 
-// safeCall invokes fn(ctx, i), converting a panic into a *PanicError.
-func safeCall(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+// safeCall invokes fn(ctx, w, i), converting a panic into a *PanicError.
+func safeCall[W any](ctx context.Context, w W, i int, fn func(ctx context.Context, w W, i int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, i)
+	return fn(ctx, w, i)
 }
 
 // firstError returns the lowest-index non-nil error.

@@ -32,11 +32,7 @@ func TestRemoteRedispatchAfterWorkerFault(t *testing.T) {
 	const n = 12
 	var solvedByHealthy atomic.Int64
 	out := make([]int64, n)
-	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, ok := AssignedWorker[int](ctx)
-		if !ok {
-			return errors.New("no assigned worker")
-		}
+	err := p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
 		if w == 0 {
 			return newFault(w) // worker 0 is dead: every dispatch to it faults
 		}
@@ -77,8 +73,8 @@ func TestRemoteBackoffShieldsDeadWorker(t *testing.T) {
 	p := twoWorkerPool(t, RemoteConfig{Backoff: func(int) time.Duration { return time.Minute }})
 	const n = 20
 	var faults atomic.Int64
-	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		if w, _ := AssignedWorker[int](ctx); w == 0 {
+	err := p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
+		if w == 0 {
 			faults.Add(1)
 			return newFault(w)
 		}
@@ -109,9 +105,8 @@ func TestRemoteGivesUpAfterMaxAttempts(t *testing.T) {
 		RemoteConfig{Backoff: fastBackoff},
 	)
 	var tries atomic.Int64
-	err := p.RunContext(context.Background(), 1, func(ctx context.Context, i int) error {
+	err := p.RunContext(context.Background(), 1, func(_ context.Context, w int, i int) error {
 		tries.Add(1)
-		w, _ := AssignedWorker[int](ctx)
 		return newFault(w) // the whole fleet is down
 	})
 	if err == nil {
@@ -130,8 +125,8 @@ func TestRemoteSuccessResetsStrikes(t *testing.T) {
 	var flaky atomic.Bool
 	flaky.Store(true)
 	run := func(n int) error {
-		return p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-			if w, _ := AssignedWorker[int](ctx); w == 0 && flaky.Load() {
+		return p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
+			if w == 0 && flaky.Load() {
 				return newFault(w)
 			}
 			return nil
@@ -160,7 +155,7 @@ func TestRemoteSuccessResetsStrikes(t *testing.T) {
 func TestRemoteConcurrentRunsShareCapacity(t *testing.T) {
 	p := twoWorkerPool(t, RemoteConfig{Backoff: fastBackoff})
 	var cur, peak atomic.Int64
-	task := func(ctx context.Context, i int) error {
+	task := func(context.Context, int, int) error {
 		if c := cur.Add(1); c > peak.Load() {
 			peak.Store(c)
 		}
@@ -191,8 +186,7 @@ func TestRemotePerWorkerInFlightCap(t *testing.T) {
 	)
 	var cur [2]atomic.Int64
 	var peak [2]atomic.Int64
-	err := p.RunContext(context.Background(), 30, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker[int](ctx)
+	err := p.RunContext(context.Background(), 30, func(_ context.Context, w int, i int) error {
 		if c := cur[w].Add(1); c > peak[w].Load() {
 			peak[w].Store(c)
 		}
@@ -227,9 +221,9 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 	var solved atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-			if _, ok := AssignedWorker[int](ctx); !ok {
-				return errors.New("no assigned worker")
+		done <- p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
+			if w != 7 {
+				return fmt.Errorf("handed worker %d, want the joining 7", w)
 			}
 			solved.Add(1)
 			return nil
@@ -240,7 +234,7 @@ func TestRemoteEmptyFleetParksUntilJoin(t *testing.T) {
 		t.Fatalf("Run over an empty fleet returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	p.AddWorker(RemoteSpec[int]{Name: "late", Capacity: 2, Worker: 0})
+	p.AddWorker(RemoteSpec[int]{Name: "late", Capacity: 2, Worker: 7})
 	select {
 	case err := <-done:
 		if err != nil {
@@ -262,7 +256,7 @@ func TestRemoteEmptyFleetRunHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- p.RunContext(ctx, 3, func(context.Context, int) error {
+		done <- p.RunContext(ctx, 3, func(context.Context, int, int) error {
 			return errors.New("must never run")
 		})
 	}()
@@ -287,8 +281,7 @@ func TestRemoteJoinMidRunReceivesWork(t *testing.T) {
 	var byWorker [2]atomic.Int64
 	joined := make(chan struct{})
 	var once sync.Once
-	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker[int](ctx)
+	err := p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
 		once.Do(func() {
 			// First dispatch is in flight on w0 with n-1 items queued:
 			// grow the fleet under the live scheduler.
@@ -325,8 +318,7 @@ func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
 	const n = 12
 	var removed atomic.Bool
 	var afterRemoval atomic.Int64
-	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		w, _ := AssignedWorker[int](ctx)
+	err := p.RunContext(context.Background(), n, func(_ context.Context, w int, i int) error {
 		if removed.Load() && w == 0 {
 			afterRemoval.Add(1)
 		}
@@ -351,19 +343,21 @@ func TestRemoteRemoveMidRunRedirectsQueue(t *testing.T) {
 }
 
 // TestRemoteStrikeEviction: crossing the EvictStrikes threshold removes
-// the worker from the fleet and counts an eviction; re-registration
-// revives it with clean health at the same index.
+// the worker from the fleet and counts an eviction; later probes leave
+// it removed, and only re-registration revives it with clean health at
+// the same index. A probe of a live worker resizes its seats.
 func TestRemoteStrikeEviction(t *testing.T) {
 	p := New(
 		[]RemoteSpec[int]{{Name: "w0", Capacity: 2, Worker: 0}},
 		RemoteConfig{Backoff: fastBackoff, EvictStrikes: 3},
 	)
+	down := errors.New("probe failed")
 	for i := 0; i < 2; i++ {
-		if evicted := p.Strike("w0"); evicted {
+		if evicted := p.Probed("w0", 0, down); evicted {
 			t.Fatalf("strike %d evicted below the threshold", i+1)
 		}
 	}
-	if !p.Strike("w0") {
+	if !p.Probed("w0", 0, down) {
 		t.Fatalf("threshold strike did not evict")
 	}
 	if got := p.Evictions(); got != 1 {
@@ -376,9 +370,13 @@ func TestRemoteStrikeEviction(t *testing.T) {
 	if len(stats) != 1 || !stats[0].Removed {
 		t.Fatalf("evicted worker not flagged Removed: %+v", stats)
 	}
-	// Strikes against an evicted worker are a no-op, not a second eviction.
-	if p.Strike("w0") {
-		t.Errorf("strike on an evicted worker evicted again")
+	// Probes of an evicted worker are a no-op, not a second eviction
+	// and not a revival.
+	if p.Probed("w0", 0, down) || p.Probed("w0", 9, nil) {
+		t.Errorf("probe of an evicted worker evicted again")
+	}
+	if s := p.Stats()[0]; !s.Removed || s.Capacity != 2 {
+		t.Errorf("evicted worker after probes: %+v, want removed at capacity 2", s)
 	}
 	if got := p.Evictions(); got != 1 {
 		t.Errorf("Evictions() = %d after no-op strike, want 1", got)
@@ -390,6 +388,9 @@ func TestRemoteStrikeEviction(t *testing.T) {
 	s := p.Stats()[0]
 	if s.Removed || s.Strikes != 0 || s.BackingOff || s.Capacity != 4 {
 		t.Errorf("rejoined worker state: %+v, want live with clean health and capacity 4", s)
+	}
+	if p.Probed("w0", 5, nil) || p.Workers() != 5 {
+		t.Errorf("Workers() = %d after a probe reported 5, want 5", p.Workers())
 	}
 }
 
@@ -430,7 +431,7 @@ func TestRemoteCancelAbortsQueuedRedispatch(t *testing.T) {
 	var tries atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- p.RunContext(ctx, 1, func(ctx context.Context, i int) error {
+		done <- p.RunContext(ctx, 1, func(context.Context, int, int) error {
 			tries.Add(1)
 			cancel() // cancel while the task is being (re-)queued
 			return newFault(0)
@@ -462,8 +463,8 @@ func TestRemoteMemberRecordCarriesRTTAndTransport(t *testing.T) {
 		{Name: "w1", Capacity: 1, Worker: "live"},
 	}, RemoteConfig{Backoff: fastBackoff})
 	const n = 8
-	err := p.RunContext(context.Background(), n, func(ctx context.Context, i int) error {
-		if w, _ := AssignedWorker[string](ctx); w == "dead" {
+	err := p.RunContext(context.Background(), n, func(_ context.Context, w string, i int) error {
+		if w == "dead" {
 			return newFault(0)
 		}
 		return nil

@@ -119,7 +119,8 @@ func (p *SolverPool) RemoveRemoteWorker(name string) bool {
 // its capacity under ctx. A failed probe takes a strike against the
 // worker — backoff, and eviction at the configured EvictStrikes
 // threshold — without polluting its dispatch fault counters; a
-// successful probe refreshes the worker's capacity if it changed. It
+// successful probe refreshes the worker's capacity if it changed. A
+// worker removed while its probe was in flight stays removed. It
 // returns the names evicted by this round. Probes run concurrently so
 // every member gets ctx's full budget — a sequential round would let one
 // slow member starve the probes behind it into spurious strikes.
@@ -137,14 +138,8 @@ func (p *SolverPool) ProbeWorkers(ctx context.Context) (evicted []string) {
 	}
 	wg.Wait()
 	for i, s := range specs {
-		switch {
-		case errs[i] != nil:
-			if p.pool.Strike(s.Name) {
-				evicted = append(evicted, s.Name)
-			}
-		case caps[i] != s.Capacity:
-			s.Capacity = caps[i]
-			p.pool.AddWorker(s)
+		if p.pool.Probed(s.Name, caps[i], errs[i]) {
+			evicted = append(evicted, s.Name)
 		}
 	}
 	return evicted
@@ -158,11 +153,9 @@ func (p *SolverPool) WorkerEvictions() int64 { return p.pool.Evictions() }
 // its one member, named "".
 func (p *SolverPool) WorkerStats() []WorkerStatus { return p.pool.Stats() }
 
-// dispatch runs one solve with default options on the member the pool
-// assigned: in process, or on a remote worker. It must be called from
-// inside a pool task, whose context carries the member's transport.
-func dispatch(ctx context.Context, prob *Problem) (Solution, error) {
-	rw, _ := pool.AssignedWorker[RemoteWorker](ctx)
+// dispatch runs one solve with default options on rw, the member a pool
+// task was dispatched to: in process, or on a remote worker.
+func dispatch(ctx context.Context, rw RemoteWorker, prob *Problem) (Solution, error) {
 	sol, err := rw.Solve(ctx, prob)
 	if err != nil {
 		return sol, err

@@ -197,6 +197,49 @@ func TestReregisterKeepsTransport(t *testing.T) {
 	}
 }
 
+// parkedProbe is a stubWorker whose capacity probes, once armed, wait
+// for release and then report capacity 5.
+type parkedProbe struct {
+	*stubWorker
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *parkedProbe) Capacity(ctx context.Context) (int, error) {
+	if !w.armed.Load() {
+		return w.stubWorker.Capacity(ctx)
+	}
+	w.entered <- struct{}{}
+	<-w.release
+	return 5, nil
+}
+
+// TestProbeNeverRevivesARemovedWorker: a worker removed while its health
+// probe is in flight stays removed when the probe answers, at the
+// capacity it left with.
+func TestProbeNeverRevivesARemovedWorker(t *testing.T) {
+	w := &parkedProbe{stubWorker: &stubWorker{name: "w0", cap: 2}, entered: make(chan struct{}), release: make(chan struct{})}
+	pool := remotePool(t, w)
+	w.armed.Store(true)
+	done := make(chan []string, 1)
+	go func() { done <- pool.ProbeWorkers(context.Background()) }()
+	<-w.entered
+	if !pool.RemoveRemoteWorker("w0") {
+		t.Fatal("RemoveRemoteWorker found no live w0")
+	}
+	close(w.release)
+	if evicted := <-done; len(evicted) != 0 {
+		t.Errorf("probe round evicted %v, want none", evicted)
+	}
+	if s := pool.WorkerStats()[0]; !s.Removed || s.Healthy || s.Capacity != 2 {
+		t.Errorf("after a probe that raced its removal: %+v, want removed at capacity 2", s)
+	}
+	if got := pool.Workers(); got != 0 {
+		t.Errorf("Workers() = %d, want 0", got)
+	}
+}
+
 // TestRemoteSolverPoolCapacityDiscoveryFailure: a fleet member that
 // cannot report capacity fails to join, by name.
 func TestRemoteSolverPoolCapacityDiscoveryFailure(t *testing.T) {

@@ -269,9 +269,9 @@ func (p *SolverPool) Close() {}
 // deadline is its budget.
 func (p *SolverPool) SolveContext(ctx context.Context, prob *Problem, opts *SolveOptions) (Solution, error) {
 	var sol Solution
-	err := p.pool.RunContext(ctx, 1, func(ctx context.Context, _ int) error {
+	err := p.pool.RunContext(ctx, 1, func(ctx context.Context, w RemoteWorker, _ int) error {
 		var err error
-		sol, err = dispatch(ctx, prob)
+		sol, err = dispatch(ctx, w, prob)
 		return err
 	})
 	return sol, err
@@ -303,8 +303,8 @@ func (p *SolverPool) SolveBatch(problems []*Problem, opts *SolveOptions) ([]Solu
 // Solution.Proven to distinguish proven optima from truncated searches.
 func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOptions) ([]Solution, error) {
 	out := make([]Solution, len(problems))
-	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, i int) error {
-		sol, err := dispatch(ctx, problems[i])
+	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, w RemoteWorker, i int) error {
+		sol, err := dispatch(ctx, w, problems[i])
 		if err != nil {
 			return fmt.Errorf("rentmin: batch problem %d: %w", i, err)
 		}
@@ -332,15 +332,6 @@ func SolveBatchContext(ctx context.Context, problems []*Problem, opts *SolveOpti
 	workers := 0
 	if opts != nil {
 		workers = opts.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(problems) {
-		workers = len(problems)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	return NewSolverPool(workers).SolveBatchContext(ctx, problems, opts)
 }
