@@ -238,8 +238,8 @@ type FleetResponse struct {
 // keeps counts only.
 type DebugSolve struct {
 	TraceID  string    `json:"trace_id"`
-	Endpoint string    `json:"endpoint"` // "solve" or "batch"
-	Item     int       `json:"item"`     // batch item index, -1 for single solves
+	Endpoint string    `json:"endpoint"` // "solve", "batch" or "session"
+	Item     int       `json:"item"`     // batch item or event index, -1 for single solves and session creates
 	Worker   string    `json:"worker,omitempty"`
 	Start    time.Time `json:"start"`
 

@@ -93,7 +93,7 @@ func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := pool.New([]pool.RemoteSpec[struct{}]{{Capacity: min(workers, s.Configs)}}, pool.RemoteConfig{})
+	p := pool.New([]pool.RemoteSpec[struct{}]{{Capacity: workers}}, pool.RemoteConfig{})
 	err := p.RunContext(ctx, s.Configs, func(ctx context.Context, _ struct{}, c int) error {
 		if err := runConfig(ctx, s, algos, master, c, grid); err != nil {
 			return fmt.Errorf("experiments: %s config %d: %w", s.Name, c, err)

@@ -53,21 +53,24 @@
 //  3. The queue: a request holds one of Workers+QueueDepth slots until
 //     it is answered. Beyond them the server answers 429 with a
 //     Retry-After hint instead of accumulating latency.
-//  4. The runner: each problem waits for one of Workers leases, solves
-//     on the goroutine holding it and releases it when the solve
-//     returns, before the response is written. /v1/solve runs its
-//     problem as a batch of one on the handler goroutine; /v1/batch runs
-//     its problems in index order on up to Workers dispatcher goroutines,
-//     so its fan-out shares solver capacity fairly with every other
-//     request. A waiter gives up when its client disconnects or the
-//     server drains (503).
+//  4. The runner: each solve waits for one of Workers leases, runs on
+//     the goroutine holding it and releases it when the solve returns,
+//     before the response is written. /v1/solve and a session create run
+//     their one solve on the handler goroutine; /v1/batch runs its
+//     problems in index order on up to Workers dispatcher goroutines, so
+//     its fan-out shares solver capacity fairly with every other request.
+//     An events request runs its events in order, each re-solve under a
+//     lease of its own; an event that fails validation takes none. A
+//     waiter gives up when its client disconnects or the server drains: a
+//     request of one solve answers 503, a batch item or an event reports
+//     its own error.
 //
-// A session request instead holds its slot and one lease until it is
-// answered: its re-solves run in-process, one after another, on the
-// session's warm state. Leases are the one bound on concurrent solves:
-// a lease holder's solve starts at once, except on an elastic
-// coordinator (Config.WorkerDialer), whose elasticLeases outnumber its
-// fleet's seats, so a lease holder may wait there for a worker seat.
+// Every leased solve, session re-solves included, leaves one
+// flight-recorder record, one queue-wait sample and one log line. Leases
+// are the one bound on concurrent solves: a lease holder's solve starts
+// at once, except on an elastic coordinator (Config.WorkerDialer), whose
+// elasticLeases outnumber its fleet's seats, so a lease holder may wait
+// there for a worker seat.
 //
 // # Cancellation
 //
@@ -75,19 +78,20 @@
 // with the time limit attached (clamped to MaxTimeLimit), so client
 // disconnects and deadline expiry cancel the branch-and-bound search
 // itself, between nodes (see milp.SolveContext). The context is the only
-// bound on a solve: handlers pass no solve options. A /v1/solve deadline
-// starts when its lease is granted. A batch's one deadline starts before
-// its items queue: finished items keep their solutions, in-flight items
-// stop best-so-far, never-started items report a per-item error. A
-// deadline that stops a search returns the best incumbent found so far
-// with Proven == false; 504 is returned only when no feasible allocation
+// bound on a solve: handlers pass no solve options. The deadline of a
+// /v1/solve, a session create and each session re-solve starts when its
+// lease is granted. A batch's one deadline starts before its items
+// queue: finished items keep their solutions, in-flight items stop
+// best-so-far, never-started items report a per-item error. A deadline
+// that stops a search returns the best incumbent found so far with
+// Proven == false; 504 is returned only when no feasible allocation
 // existed yet.
 //
 // # Shutdown and coordinator mode
 //
 // BeginDrain flips /healthz to 503, makes new requests fail fast with
-// 503 and wakes every request still waiting for a lease with the same
-// 503; in-flight solves finish. The owner then calls
+// 503 and wakes every solve still waiting for a lease, which fails as
+// above; in-flight solves finish. The owner then calls
 // http.Server.Shutdown and Server.Close, as cmd/rentmind does on
 // SIGINT/SIGTERM. Config.SolverPool makes the daemon a coordinator over
 // a remote-backed fleet, in practice that of rentmin/client.NewFleet

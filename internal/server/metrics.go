@@ -89,18 +89,20 @@ func (m *metrics) recordSolution(sol rentmin.Solution) {
 // recordSessionResolve folds one committed session re-solve in: which
 // path ran (warm or cold), its wall clock, and its churn (machine moves
 // plus the post-event fleet size, the churn ratio's denominator).
-func (m *metrics) recordSessionResolve(warm bool, ms float64, churn, fleet int) {
+func (m *metrics) recordSessionResolve(res *rentmin.SessionResolve) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if warm {
+	if res.Warm {
 		m.sessWarm++
-		m.sessWarmMs.Add(ms)
+		m.sessWarmMs.Add(ms(res.SolveTime))
 	} else {
 		m.sessCold++
-		m.sessColdMs.Add(ms)
+		m.sessColdMs.Add(ms(res.SolveTime))
 	}
-	m.sessChurnMoves += int64(churn)
-	m.sessChurnBase += int64(fleet)
+	m.sessChurnMoves += int64(res.Churn)
+	for _, n := range res.Alloc.Machines {
+		m.sessChurnBase += int64(n)
+	}
 }
 
 // gauges carries the instantaneous state the metrics page reports next to

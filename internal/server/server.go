@@ -80,8 +80,9 @@ type Config struct {
 	// recently used documents are evicted beyond it.
 	ProblemCacheSize int
 	// DebugSolves bounds the solve flight recorder served by
-	// GET /debug/solves (0 = 64 entries): every solve and batch item —
-	// failed ones included — leaves a summary record in the ring.
+	// GET /debug/solves (0 = 64 entries): every solve, batch item and
+	// session re-solve — failed ones included — leaves a summary record
+	// in the ring.
 	DebugSolves int
 	// Pprof mounts the net/http/pprof profiling handlers under
 	// /debug/pprof/ (cmd/rentmind's -pprof flag). Off by default: the
@@ -380,37 +381,6 @@ func (s *Server) leaseWait(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// acquire is a session request's path through the queue: slot, then
-// lease, both held until the request is answered. On failure it has
-// already written the response.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	releaseSlot, ok := s.acquireSlot(w)
-	if !ok {
-		return nil, false
-	}
-	releaseLease, err := s.leaseWait(r.Context())
-	if err != nil {
-		releaseSlot()
-		s.writeQueueError(w, err)
-		return nil, false
-	}
-	return func() {
-		releaseLease()
-		releaseSlot()
-	}, true
-}
-
-// writeQueueError answers a request whose lease wait failed.
-func (s *Server) writeQueueError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errDraining) {
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	// The client is gone (or its deadline passed) while queued; the
-	// response is best-effort.
-	s.writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-}
-
 // solveTimeLimit resolves a client-requested limit against the server
 // default and maximum. A negative limit is a client bug — the Options
 // API can produce one from a negative time.Duration — and is rejected
@@ -547,15 +517,17 @@ type itemResult struct {
 	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
 }
 
-// run solves one admitted problem: it waits for a worker lease under
-// ctx, solves with the lease held and releases it as soon as the solve
-// returns. The solve's deadline is limit from the lease grant, and
+// run runs one solve step: it waits for a worker lease under ctx, runs
+// the step with the lease held and releases it as soon as the step
+// returns. Every leased solve starts here: the one-shot solve of a
+// /v1/solve or /v1/batch problem, a session's creating solve and each of
+// its re-solves. The step's deadline is limit from the lease grant, and
 // never later than ctx's own: a batch's ctx carries the batch deadline,
 // which began before its items queued. A non-nil reqTrace asks for
 // stats: the item gets its own fork of it, carrying the request's decode
 // span, its own queue and solve spans and, in its context, its search
 // trajectory.
-func (s *Server) run(ctx context.Context, p *rentmin.Problem, reqTrace *obs.Trace, limit time.Duration) itemResult {
+func (s *Server) run(ctx context.Context, reqTrace *obs.Trace, limit time.Duration, step func(context.Context) (rentmin.Solution, error)) itemResult {
 	res := itemResult{tr: reqTrace.Fork()}
 	queueSpan := res.tr.StartSpan("queue")
 	qStart := time.Now()
@@ -574,33 +546,61 @@ func (s *Server) run(ctx context.Context, p *rentmin.Problem, reqTrace *obs.Trac
 	}
 	solveSpan := res.tr.StartSpan("solve")
 	solveStart := time.Now()
-	res.sol, res.err = s.solve(ctx, p)
+	res.sol, res.err = guard(ctx, step)
 	releaseLease()
 	res.dur = time.Since(solveStart)
 	solveSpan.End()
 	return res
 }
 
-// localSolve is the solver of a plain daemon; a test swaps it.
-var localSolve = rentmin.SolveContext
-
-// solve runs one leased problem on the coordinator's fleet or on the
-// calling goroutine. leaseWait can grant a lease to a ctx that is done;
-// such a problem does not start (the solver would answer its H1 seed). A
-// local panic fails only its problem: a batch dispatcher has no recover.
-func (s *Server) solve(ctx context.Context, p *rentmin.Problem) (sol rentmin.Solution, err error) {
+// guard runs one leased step. leaseWait can grant a lease to a ctx that
+// is done; such a step does not start (the solver would answer its H1
+// seed). A panic fails only its step: a batch dispatcher has no recover.
+func guard(ctx context.Context, step func(context.Context) (rentmin.Solution, error)) (sol rentmin.Solution, err error) {
 	if err := ctx.Err(); err != nil {
 		return sol, err
-	}
-	if s.fleet != nil {
-		return s.fleet.SolveContext(ctx, p, nil)
 	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("solve panicked: %v", v)
 		}
 	}()
+	return step(ctx)
+}
+
+// localSolve is the solver of a plain daemon; a test swaps it.
+var localSolve = rentmin.SolveContext
+
+// solve is the step of a one-shot problem: it runs on the coordinator's
+// fleet or on the calling goroutine.
+func (s *Server) solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
+	if s.fleet != nil {
+		return s.fleet.SolveContext(ctx, p, nil)
+	}
 	return localSolve(ctx, p, nil)
+}
+
+// writeRunError answers a request of one solve whose run failed: 503 when
+// its lease wait failed or its client went away, 504 when its time limit
+// passed before any feasible allocation was found, 500 otherwise.
+func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, res itemResult) {
+	switch {
+	case errors.Is(res.err, errDraining):
+		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+	case !res.leased:
+		// The client is gone (or its deadline passed) while queued; the
+		// response is best-effort.
+		s.writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
+	case r.Context().Err() != nil:
+		// Client disconnect: the search already stopped; nobody is
+		// reading, but finish the exchange cleanly.
+		s.writeError(w, http.StatusServiceUnavailable, "client went away")
+	case errors.Is(res.err, context.DeadlineExceeded):
+		s.writeError(w, http.StatusGatewayTimeout,
+			"time limit hit before any feasible allocation was found")
+	default:
+		s.writeError(w, http.StatusInternalServerError, res.err.Error())
+	}
 }
 
 // answer folds one item's result into the flight recorder and the
@@ -641,27 +641,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSlot()
-	res := s.run(rq.ctx, p, rq.tr, rq.limit)
-	if !res.leased {
-		s.writeQueueError(w, res.err)
-		return
-	}
-	ws, err := s.answer(rq, "solve", -1, res)
-	if err != nil {
-		switch {
-		case r.Context().Err() != nil:
-			// Client disconnect: the search already stopped;
-			// nobody is reading, but finish the exchange cleanly.
-			s.writeError(w, http.StatusServiceUnavailable, "client went away")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.writeError(w, http.StatusGatewayTimeout,
-				"time limit hit before any feasible allocation was found")
-		default:
-			s.writeError(w, http.StatusInternalServerError, err.Error())
+	res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (rentmin.Solution, error) {
+		return s.solve(ctx, p)
+	})
+	if res.leased {
+		if ws, err := s.answer(rq, "solve", -1, res); err == nil {
+			s.writeJSON(w, http.StatusOK, ws)
+			return
 		}
-		return
 	}
-	s.writeJSON(w, http.StatusOK, ws)
+	s.writeRunError(w, r, res)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -745,7 +734,9 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqT
 				if i >= len(problems) {
 					return
 				}
-				results[i] = s.run(ctx, problems[i], reqTrace, limit)
+				results[i] = s.run(ctx, reqTrace, limit, func(ctx context.Context) (rentmin.Solution, error) {
+					return s.solve(ctx, problems[i])
+				})
 			}
 		}()
 	}

@@ -26,21 +26,20 @@ import (
 //
 // Sessions live in a bounded table with idle eviction. Event re-solves
 // run in-process on the daemon (never dispatched across a coordinator's
-// fleet: the warm state is local), but each request takes an admission
-// slot and a worker lease like any /v1/solve, so sessions share capacity
-// fairly with one-shot requests.
+// fleet: the warm state is local), but they take the request path of
+// /v1/solve and /v1/batch: each request takes an admission slot, and each
+// re-solve a worker lease of its own through run, so sessions share
+// capacity fairly with one-shot requests.
 
-// sessionEntry is one table slot. The entry-level fields (lastUsed,
-// inFlight, events) are guarded by the table mutex; the session itself
-// has its own lock and serializes concurrent Apply calls.
+// sessionEntry is one table slot. The entry-level fields (sess, lastUsed,
+// inFlight) are guarded by the table mutex; the session itself has its
+// own lock and serializes concurrent Apply calls.
 type sessionEntry struct {
 	id   string
 	sess *rentmin.Session // nil while the creating request is still solving
 
-	created  time.Time
 	lastUsed time.Time
 	inFlight int // requests currently using the entry; eviction skips > 0
-	events   int // events committed over the session's life
 }
 
 // sessionTable is the daemon's bounded session registry.
@@ -71,8 +70,7 @@ func (t *sessionTable) reserve(id string) (*sessionEntry, error) {
 	if len(t.m) >= t.max {
 		return nil, errSessionTableFull
 	}
-	now := time.Now()
-	e := &sessionEntry{id: id, created: now, lastUsed: now, inFlight: 1}
+	e := &sessionEntry{id: id, lastUsed: time.Now(), inFlight: 1}
 	t.m[id] = e
 	t.created++
 	return e, nil
@@ -105,20 +103,6 @@ func (t *sessionTable) release(e *sessionEntry) {
 	defer t.mu.Unlock()
 	e.inFlight--
 	e.lastUsed = time.Now()
-}
-
-// touch bumps the idle clock (snapshot reads keep a session alive).
-func (t *sessionTable) touch(e *sessionEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e.lastUsed = time.Now()
-}
-
-// addEvents accumulates the entry's committed-event count.
-func (t *sessionTable) addEvents(e *sessionEntry, n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e.events += n
 }
 
 // remove deletes an entry by id (DELETE /v1/sessions/{id}).
@@ -195,7 +179,7 @@ func (s *Server) sessionEvictLoop() {
 		case <-t.C:
 			for _, e := range s.sessions.sweepIdle(s.cfg.SessionIdleTimeout) {
 				e.sess.Close()
-				s.log.Info("session evicted idle", "session", e.id, "events", e.events,
+				s.log.Info("session evicted idle", "session", e.id, "events", e.sess.State().Events,
 					"idle", s.cfg.SessionIdleTimeout.String())
 			}
 		}
@@ -214,7 +198,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
+	rq.endDecode(false)
 	id := obs.NewTraceID()
 	entry, err := s.sessions.reserve(id)
 	if err != nil {
@@ -222,40 +206,43 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("session table is full (%d open sessions); delete one or retry later", s.cfg.MaxSessions))
 		return
 	}
-	release, ok := s.acquire(w, r)
+	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		s.sessions.abandon(id)
 		return
 	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(rq.ctx, rq.limit)
-	defer cancel()
-	sess, res, err := rentmin.NewSession(ctx, p, nil)
-	if err != nil {
+	defer releaseSlot()
+	var sess *rentmin.Session
+	var resolve *rentmin.SessionResolve
+	res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (sol rentmin.Solution, err error) {
+		sess, resolve, err = rentmin.NewSession(ctx, p, nil)
+		return resolved(resolve, err)
+	})
+	if res.leased {
+		s.recordSolve(solveRecord(rq.traceID, "session", -1, rq.start, res), "session", id)
+	}
+	if res.err != nil {
 		s.sessions.abandon(id)
-		if r.Context().Err() != nil {
-			s.writeError(w, http.StatusServiceUnavailable, "client went away")
-			return
-		}
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.writeRunError(w, r, res)
 		return
 	}
-
 	s.sessions.mu.Lock()
 	entry.sess = sess
 	s.sessions.mu.Unlock()
 	s.sessions.release(entry)
-	s.met.recordSessionResolve(res.Warm, ms(res.SolveTime), res.Churn, fleetSize(res.Alloc.Machines))
-	s.log.Info("session created", "trace_id", rq.traceID, "session", id,
-		"cost", res.Alloc.Cost, "solve_ms", ms(res.SolveTime))
+	s.met.recordSessionResolve(resolve)
 	s.writeJSON(w, http.StatusOK, client.CreateSessionResponse{
 		ID:     id,
-		Result: wireSessionResolve(res),
+		Result: wireSessionResolve(resolve),
 		State:  wireSessionState(id, sess.State()),
 	})
 }
 
+// handleSessionEvents applies a request's events in order, each as its
+// own leased re-solve: an event that fails validation takes no lease,
+// and a failed lease wait or re-solve is that event's error. Once the
+// client is gone, every later event fails at once, as an unstarted batch
+// item does; the applied prefix stays committed.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	var req client.SessionEventsRequest
 	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
@@ -271,49 +258,39 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request has %d events, admission limit is %d", len(req.Events), s.cfg.MaxBatch))
 		return
 	}
+	rq.endDecode(false)
 	entry, ok := s.sessions.retain(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "no such session (expired, deleted, or never created)")
 		return
 	}
 	defer s.sessions.release(entry)
-	release, ok := s.acquire(w, r)
+	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		return
 	}
-	defer release()
+	defer releaseSlot()
 
 	results := make([]client.SessionResolve, len(req.Events))
-	applied := 0
 	for i, wev := range req.Events {
 		ev, err := s.sessionEvent(entry.sess, wev)
 		if err != nil {
 			results[i] = client.SessionResolve{Kind: wev.Kind, Error: err.Error()}
 			continue
 		}
-		ctx, cancel := context.WithTimeout(rq.ctx, rq.limit)
-		res, err := entry.sess.Apply(ctx, ev)
-		cancel()
-		if err != nil {
-			results[i] = client.SessionResolve{Kind: wev.Kind, Error: sessionItemError(err)}
-			if r.Context().Err() != nil {
-				// The client is gone: later events would burn solver time
-				// nobody reads. The applied prefix stays committed.
-				for j := i + 1; j < len(results); j++ {
-					results[j] = client.SessionResolve{Kind: req.Events[j].Kind, Error: "not applied: request cancelled"}
-				}
-				break
-			}
+		var resolve *rentmin.SessionResolve
+		res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (sol rentmin.Solution, err error) {
+			resolve, err = entry.sess.Apply(ctx, ev)
+			return resolved(resolve, err)
+		})
+		s.recordSolve(solveRecord(rq.traceID, "session", i, rq.start, res), "session", entry.id)
+		if res.err != nil {
+			results[i] = client.SessionResolve{Kind: wev.Kind, Error: sessionItemError(res.err)}
 			continue
 		}
-		applied++
-		s.met.recordSessionResolve(res.Warm, ms(res.SolveTime), res.Churn, fleetSize(res.Alloc.Machines))
-		s.log.Info("session event applied", "trace_id", rq.traceID, "session", entry.id,
-			"seq", res.Seq, "kind", string(res.Kind), "status", res.Status, "warm", res.Warm,
-			"churn", res.Churn, "cost", res.Alloc.Cost, "solve_ms", ms(res.SolveTime))
-		results[i] = wireSessionResolve(res)
+		s.met.recordSessionResolve(resolve)
+		results[i] = wireSessionResolve(resolve)
 	}
-	s.sessions.addEvents(entry, applied)
 	if r.Context().Err() != nil {
 		s.writeError(w, http.StatusServiceUnavailable, "client went away")
 		return
@@ -343,8 +320,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry.sess.Close()
-	s.log.Info("session deleted", "session", entry.id, "events", entry.events)
-	s.writeJSON(w, http.StatusOK, client.CloseSessionResponse{ID: entry.id, Events: entry.events})
+	events := entry.sess.State().Events
+	s.log.Info("session deleted", "session", entry.id, "events", events)
+	s.writeJSON(w, http.StatusOK, client.CloseSessionResponse{ID: entry.id, Events: events})
 }
 
 // --- wire conversion ---------------------------------------------------------
@@ -404,9 +382,11 @@ func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (r
 	return ev, nil
 }
 
-// sessionItemError renders a per-event Apply failure.
+// sessionItemError renders a per-event failure of a lease wait or Apply.
 func sessionItemError(err error) string {
 	switch {
+	case errors.Is(err, errDraining):
+		return "not applied: server is shutting down"
 	case errors.Is(err, rentmin.ErrSessionClosed):
 		return "not applied: session closed"
 	case errors.Is(err, context.DeadlineExceeded):
@@ -415,6 +395,21 @@ func sessionItemError(err error) string {
 		return "not applied: request cancelled"
 	}
 	return err.Error()
+}
+
+// resolved is a session re-solve in the form a solve step returns: the
+// flight recorder files its allocation, proof and search counters as it
+// does a one-shot solve's.
+func resolved(res *rentmin.SessionResolve, err error) (rentmin.Solution, error) {
+	if err != nil {
+		return rentmin.Solution{}, err
+	}
+	return rentmin.Solution{
+		Alloc:       res.Alloc,
+		Proven:      res.Status == "optimal",
+		SearchStats: res.SearchStats,
+		Elapsed:     res.SolveTime,
+	}, nil
 }
 
 // wireSessionResolve renders a committed re-solve. Its allocation is the
@@ -453,14 +448,4 @@ func wireSessionState(id string, st rentmin.SessionState) client.SessionState {
 		ChurnMoves:   st.ChurnMoves,
 		ChurnRatio:   ratio,
 	}
-}
-
-// fleetSize sums a committed allocation's machine counts — the
-// denominator unit of the churn ratio.
-func fleetSize(machines []int) int {
-	n := 0
-	for _, m := range machines {
-		n += m
-	}
-	return n
 }

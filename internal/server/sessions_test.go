@@ -450,3 +450,187 @@ func TestSessionZeroTrafficMetrics(t *testing.T) {
 		}
 	}
 }
+
+// holdLease makes the local solver block, starts a /v1/solve and returns
+// once that solve holds a worker lease: on a Workers: 1 daemon it holds
+// the only one. unblock lets the solve finish and waits for its answer.
+// Session re-solves do not run through localSolve, so they are not
+// blocked themselves.
+func holdLease(t *testing.T, c *client.Client) (unblock func()) {
+	t.Helper()
+	release := make(chan struct{})
+	leased := make(chan struct{})
+	localSolve = func(ctx context.Context, p *rentmin.Problem, opts *rentmin.SolveOptions) (rentmin.Solution, error) {
+		close(leased)
+		<-release
+		return rentmin.SolveContext(ctx, p, opts)
+	}
+	t.Cleanup(func() { localSolve = rentmin.SolveContext })
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Solve(context.Background(), fastProblem(70), nil)
+		done <- err
+	}()
+	<-leased
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(release)
+			if err := <-done; err != nil {
+				t.Errorf("the lease-holding solve: %v", err)
+			}
+		})
+	}
+}
+
+// TestSessionInvalidEventsTakeNoLease: an event that fails validation
+// takes no worker lease, so a request of only invalid events is answered
+// while another solve holds the daemon's only lease.
+func TestSessionInvalidEventsTakeNoLease(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, MaxTarget: 100})
+	ctx := context.Background()
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	unblock := holdLease(t, c)
+	defer unblock()
+
+	wait, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	results, st, err := sess.Events(wait,
+		client.SessionEvent{Kind: "target_change"}, // missing operand
+		client.SessionEvent{Kind: "bogus"},         // unknown kind
+		client.TargetChangeEvent(101),              // above MaxTarget
+	)
+	if err != nil {
+		t.Fatalf("invalid events while the lease is held: %v", err)
+	}
+	for i, res := range results {
+		if res.Error == "" || res.Allocation != nil {
+			t.Errorf("invalid event %d = %+v, want an error and no allocation", i, res)
+		}
+	}
+	if st.Events != 0 || st.Target != 70 {
+		t.Errorf("state after invalid events = %+v, want it unchanged", st)
+	}
+}
+
+// TestSessionEventWaitingAtDrainIsNotApplied: an event still waiting for
+// a lease when the daemon drains is that event's error in a 200, and the
+// session stays as it was.
+func TestSessionEventWaitingAtDrainIsNotApplied(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	unblock := holdLease(t, c)
+	defer unblock()
+
+	type reply struct {
+		results []client.SessionResolve
+		st      client.SessionState
+		err     error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		results, st, err := sess.Events(ctx, client.TargetChangeEvent(80))
+		got <- reply{results, st, err}
+	}()
+	waitHealth(t, c, "the event waits for the lease", func(h client.Health) bool { return h.QueueDepth == 1 })
+	s.BeginDrain()
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("events request waiting at drain: %v, want a 200", r.err)
+	}
+	if want := "not applied: server is shutting down"; r.results[0].Error != want {
+		t.Errorf("event error %q, want %q", r.results[0].Error, want)
+	}
+	if r.st.Events != 0 || r.st.Target != 70 || r.st.Cost != 124 {
+		t.Errorf("state after the unapplied event = %+v, want it unchanged", r.st)
+	}
+}
+
+// TestSessionResolvesAreRecorded: a create and each event re-solve leave
+// one flight-recorder record and one queue-wait sample, like a /v1/solve
+// and each /v1/batch item.
+func TestSessionResolvesAreRecorded(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	results, _, err := sess.Events(ctx, client.TargetChangeEvent(80), client.TargetChangeEvent(70))
+	if err != nil || results[0].Error != "" || results[1].Error != "" {
+		t.Fatalf("Events: %v %+v", err, results)
+	}
+	recs, err := c.DebugSolves(ctx, 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	if len(recs.Solves) != 3 {
+		t.Fatalf("flight recorder holds %d records, want 3", len(recs.Solves))
+	}
+	// Newest first: event 1, event 0, then the create.
+	for i, want := range []int{1, 0, -1} {
+		rec := recs.Solves[i]
+		if rec.Endpoint != "session" || rec.Item != want || rec.Error != "" {
+			t.Errorf("record %d = %s/%d %q, want session/%d without error", i, rec.Endpoint, rec.Item, rec.Error, want)
+		}
+	}
+	if recs.Solves[2].Cost != 124 || !recs.Solves[2].Proven || recs.Solves[2].LPSolves <= 0 {
+		t.Errorf("create record %+v, want proven cost 124 with search counters", recs.Solves[2])
+	}
+	if n := s.met.qw.Count(); n != 3 {
+		t.Errorf("rentmind_queue_wait_ms holds %d samples, want 3", n)
+	}
+}
+
+// TestSessionDeleteCountsCommittedEvents: DELETE reports the events the
+// session committed, not the events it was sent.
+func TestSessionDeleteCountsCommittedEvents(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	if _, _, err := sess.Events(ctx,
+		client.TargetChangeEvent(80),
+		client.SessionEvent{Kind: "bogus"}, // fails validation
+		client.TargetChangeEvent(-1),       // the session rejects it
+		client.TargetChangeEvent(90),
+	); err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	req, err := http.NewRequest(http.MethodDelete, c.BaseURL()+"/v1/sessions/"+sess.ID(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	defer resp.Body.Close()
+	var closed client.CloseSessionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&closed); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE answered %d (%v)", resp.StatusCode, err)
+	}
+	if closed.Events != 2 {
+		t.Errorf("DELETE reports %d events, want the 2 committed", closed.Events)
+	}
+}
+
+// TestSessionCreateDeadlineBeforeStartIs504: a create whose time limit
+// passes before its solve starts answers as /v1/solve does in that case.
+func TestSessionCreateDeadlineBeforeStartIs504(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, DefaultTimeLimit: time.Nanosecond})
+	_, _, err := c.NewSession(context.Background(), fastProblem(70), nil)
+	e := apiStatus(t, err)
+	if want := "time limit hit before any feasible allocation was found"; e.StatusCode != http.StatusGatewayTimeout || e.Message != want {
+		t.Errorf("create under a 1 ns limit: %d %q, want 504 %q", e.StatusCode, e.Message, want)
+	}
+}

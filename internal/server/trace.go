@@ -73,11 +73,12 @@ func solveStats(traceID string, res itemResult) *client.SolveStats {
 // recordSolve folds one finished solve into every observability surface:
 // the flight-recorder ring, the queue-wait histogram, and a structured
 // log line carrying the trace ID so one grep follows a solve across the
-// coordinator's and the worker's logs.
-func (s *Server) recordSolve(rec client.DebugSolve) {
+// coordinator's and the worker's logs. attrs are further key-value pairs
+// for that line (a session re-solve names its session).
+func (s *Server) recordSolve(rec client.DebugSolve, attrs ...interface{}) {
 	s.rec.Add(rec)
 	s.met.recordQueueWait(rec.QueueWaitMs)
-	attrs := []interface{}{
+	attrs = append([]interface{}{
 		"trace_id", rec.TraceID,
 		"endpoint", rec.Endpoint,
 		"item", rec.Item,
@@ -86,7 +87,7 @@ func (s *Server) recordSolve(rec client.DebugSolve) {
 		"solve_ms", rec.SolveMs,
 		"cost", rec.Cost,
 		"proven", rec.Proven,
-	}
+	}, attrs...)
 	if rec.Error != "" {
 		s.log.Warn("solve failed", append(attrs, "err", rec.Error)...)
 		return
