@@ -342,9 +342,11 @@ type SessionResolve struct {
 	// per-event error.
 	Allocation *Allocation `json:"allocation,omitempty"`
 	// Warm reports whether the re-solve was seeded from the previous
-	// optimum (incumbent cutoff + root basis); false means it ran cold.
-	// RootLPWarm additionally reports that the seeded root basis was
-	// restored by the LP kernel rather than discarded.
+	// optimum (incumbent cutoff + structural root basis); false means it
+	// ran cold. RootLPWarm additionally reports that the root LP started
+	// from the structural basis and ran no root cuts (false when
+	// presolve settled the re-solve without a root LP, or the basis was
+	// rejected and the root solved cold).
 	Warm       bool `json:"warm"`
 	RootLPWarm bool `json:"root_lp_warm,omitempty"`
 	// Churn counts machine moves: the L1 distance between the previous

@@ -105,25 +105,6 @@ func (g *Graph) countTypes(counts []int) {
 	}
 }
 
-// TypesUsed returns the sorted set of types that appear in the graph.
-func (g Graph) TypesUsed() []int {
-	seen := map[int]bool{}
-	max := -1
-	for _, t := range g.Tasks {
-		seen[t.Type] = true
-		if t.Type > max {
-			max = t.Type
-		}
-	}
-	var used []int
-	for q := 0; q <= max; q++ {
-		if seen[q] {
-			used = append(used, q)
-		}
-	}
-	return used
-}
-
 // Successors returns the adjacency list succ[id] = IDs of direct successors.
 func (g Graph) Successors() [][]int {
 	succ := make([][]int, len(g.Tasks))

@@ -67,15 +67,6 @@ func TestTypeCounts(t *testing.T) {
 	}
 }
 
-func TestTypesUsed(t *testing.T) {
-	g := NewChain("g", 3, 0, 3)
-	got := g.TypesUsed()
-	want := []int{0, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TypesUsed = %v, want %v", got, want)
-	}
-}
-
 func TestTopoOrderDiamond(t *testing.T) {
 	// 0 -> {1,2} -> 3
 	g := Graph{

@@ -106,6 +106,8 @@
 // appended rows (branch-and-bound bound rows, cut rows) enter with their
 // own slack basic. Restoring refactorizes the named columns, which is
 // numerically fresh by construction, and prices the nonbasic columns.
+// NewBasis builds a basis from a list of one basic column per row, for a
+// caller that knows a problem's optimal basis without solving it.
 //
 // Neither step depends on the bounds, so a basis is restored once per
 // branch-and-bound node, not once per child: Model.Restore writes the

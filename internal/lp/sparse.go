@@ -645,6 +645,22 @@ type Basis struct {
 	n int
 }
 
+// NewBasis builds a basis for a problem of n structural variables from
+// the column basic in each constraint row: cols[i] >= 0 names structural
+// variable cols[i], a negative cols[i] the slack of row i. No column
+// rests at its upper bound. A basis that is singular, names a column
+// twice, or is not dual feasible seeds nothing: SolveFrom solves cold.
+func NewBasis(n int, cols []int32) *Basis {
+	rows := make([]int32, len(cols))
+	for i, c := range cols {
+		if c < 0 {
+			c = ^int32(i)
+		}
+		rows[i] = c
+	}
+	return &Basis{rows: rows, n: n}
+}
+
 // fits reports whether the snapshot can seed a solve of md: same
 // structural variables, and no more rows than md (rows md appends enter
 // with their slack basic). A nil snapshot fits nothing.

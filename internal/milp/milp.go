@@ -151,16 +151,18 @@ type Options struct {
 	// optimal basis (ablation/debugging; the optimum is identical either
 	// way, warm starts only change how many pivots reach it).
 	DisableWarmLP bool
-	// RootBasis optionally warm-starts the ROOT relaxation from a basis
-	// snapshot taken by an earlier solve of a similar problem (online
-	// re-optimization: a session hands the previous solve's Result.RootBasis
-	// back in after mutating the problem). A snapshot that no longer fits
-	// falls back to a cold solve transparently inside lp.SolveFrom. A
-	// seeded root skips RootCutRounds: keeping the root's row set
-	// identical across re-solves is what lets the NEXT solve restore this
-	// one's basis, and cut generation needs a cut-free root anyway.
-	// Ignored under DisableWarmLP.
-	RootBasis *lp.Basis
+	// RootBasis optionally starts the ROOT relaxation from a known basis:
+	// one basic column per constraint row of the problem, in the
+	// problem's own column space (a negative entry names the row's own
+	// slack; rows past the list keep their slack basic). A caller that
+	// knows its root's optimal basis, as package solve does for the
+	// recipe model, solves the root with 0 pivots. Under Presolve the
+	// basis is mapped onto the reduced problem: a removed row drops out,
+	// and a kept row whose basic column was fixed takes its own slack. A
+	// basis that is singular or not dual feasible there falls back to a
+	// cold solve inside lp.SolveFrom. A seeded root runs no
+	// RootCutRounds. Ignored under DisableWarmLP.
+	RootBasis []int32
 }
 
 // intTol is the integrality tolerance: a value within it of an integer
@@ -209,17 +211,9 @@ type Result struct {
 	// Gap is (Objective-Bound)/max(1,|Objective|); zero when optimal.
 	Gap float64
 	SearchStats
-	// RootBasis is the root relaxation's optimal basis, for feeding a
-	// later re-solve of a mutated problem via Options.RootBasis. Nil when
-	// no root LP ran (presolve finished the solve outright, or the root
-	// was infeasible/unbounded). The snapshot belongs to the problem the
-	// tree actually searched — under presolve, the reduced problem; with
-	// root cuts, the cut-augmented rows — so a restore onto a different
-	// shape simply falls back cold inside lp.SolveFrom.
-	RootBasis *lp.Basis
-	// RootLPWarm reports whether the root relaxation really restored the
-	// caller-supplied Options.RootBasis (false when it solved cold or the
-	// restore was rejected and fell back).
+	// RootLPWarm reports whether the root relaxation started from
+	// Options.RootBasis (false when none was given, no root LP ran, or the
+	// basis was rejected and the root solved cold).
 	RootLPWarm bool
 }
 
@@ -365,9 +359,9 @@ type solver struct {
 	// finish; nil until the first branching decision.
 	pcs []pseudocost
 
-	// Root relaxation outcome, exported for re-optimization chains.
-	rootBasis *lp.Basis
-	rootWarm  bool
+	// rootWarm records that the root relaxation started from
+	// Options.RootBasis.
+	rootWarm bool
 }
 
 var errLimit = errors.New("milp: limit reached")
@@ -397,17 +391,27 @@ func (s *solver) run() (Result, error) {
 		return s.limitResult(math.Inf(-1)), nil
 	}
 
+	// basis is the root's seed over the searched problem's rows and
+	// columns: Options.RootBasis, mapped by presolve when the search runs
+	// on its reduction.
+	var basis []int32
+	if !s.opts.DisableWarmLP {
+		basis = s.opts.RootBasis
+	}
 	if s.opts.Presolve {
-		if res, done := s.runPresolve(); done {
+		if res, done := s.runPresolve(basis); done {
 			return res, nil
+		}
+		if s.red != nil {
+			basis = s.red.basis
 		}
 	}
 	s.base = &s.work.LP
 
 	root := &node{lo: s.base.Lo, hi: s.base.Hi}
 	var rootSeed *lp.Basis
-	if !s.opts.DisableWarmLP {
-		rootSeed = s.opts.RootBasis
+	if basis != nil {
+		rootSeed = lp.NewBasis(s.base.NumVars(), basis)
 	}
 	var st lp.Status
 	var err error
@@ -419,10 +423,7 @@ func (s *solver) run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if st == lp.Optimal {
-		s.rootBasis = root.relax.Basis
-		s.rootWarm = rootSeed != nil && root.relax.Warm
-	}
+	s.rootWarm = st == lp.Optimal && rootSeed != nil && root.relax.Warm
 	switch st {
 	case lp.Unbounded:
 		return s.result(Unbounded), nil
@@ -488,16 +489,17 @@ func (s *solver) run() (Result, error) {
 }
 
 // runPresolve runs the root reduction pass and installs the reduced
-// problem as the search target. It returns (result, true) when presolve
+// problem as the search target, mapping basis (a root basis, or nil)
+// onto it. It returns (result, true) when presolve
 // finishes the solve outright: proven infeasibility, a cutoff-infeasible
 // reduction (nothing beats the incumbent, which proves it optimal), or a
 // fully fixed problem whose single candidate point settles the answer.
-func (s *solver) runPresolve() (Result, bool) {
+func (s *solver) runPresolve(basis []int32) (Result, bool) {
 	cutoff := math.Inf(1)
 	if s.hasBest {
 		cutoff = s.bestObj
 	}
-	red := Presolve(s.p, cutoff)
+	red := presolve(s.p, cutoff, basis)
 	s.stats.Presolve = red.Stats
 	if red.Infeasible {
 		if s.hasBest {
@@ -1094,7 +1096,6 @@ func (s *solver) result(st Status) Result {
 		Status:      st,
 		Elapsed:     time.Since(s.start),
 		SearchStats: s.stats,
-		RootBasis:   s.rootBasis,
 		RootLPWarm:  s.rootWarm,
 	}
 	if s.hasBest {

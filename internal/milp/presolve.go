@@ -93,8 +93,11 @@ type Reduced struct {
 	// this constant.
 	ObjOffset float64
 
-	origN    int
-	keep     []int // reduced column -> original column
+	origN int
+	keep  []int // reduced column -> original column
+	// basis is the caller's root basis mapped onto P's rows and columns
+	// (see Options.RootBasis); nil unless presolve was given one.
+	basis    []int32
 	fixedVal []float64
 	isFixed  []bool
 }
@@ -159,7 +162,11 @@ type pres struct {
 
 // Presolve runs the root reduction pass on p with the given objective
 // cutoff (pass +inf for none). The input problem is not modified.
-func Presolve(p *Problem, cutoff float64) *Reduced {
+func Presolve(p *Problem, cutoff float64) *Reduced { return presolve(p, cutoff, nil) }
+
+// presolve is Presolve that also maps basis, a root basis in p's rows
+// and columns (see Options.RootBasis), onto the reduced problem.
+func presolve(p *Problem, cutoff float64, basis []int32) *Reduced {
 	n := p.LP.NumVars()
 	w := &pres{
 		lo:    make([]float64, n),
@@ -196,7 +203,7 @@ func Presolve(p *Problem, cutoff float64) *Reduced {
 	if w.dropEmptyRows() {
 		return infeasibleReduced(p, w)
 	}
-	return w.build(p)
+	return w.build(p, basis)
 }
 
 // load copies p's rows (and, under a finite cutoff, the phantom cutoff
@@ -653,8 +660,10 @@ func (w *pres) dropEmptyRows() bool {
 	return false
 }
 
-// build assembles the reduced problem and the postsolve map.
-func (w *pres) build(p *Problem) *Reduced {
+// build assembles the reduced problem and the postsolve map, and maps
+// basis when one is given: each emitted row keeps its basic column when
+// that column stays, and takes its own slack otherwise.
+func (w *pres) build(p *Problem, basis []int32) *Reduced {
 	n := p.LP.NumVars()
 	red := &Reduced{
 		Stats:     w.stats,
@@ -689,10 +698,20 @@ func (w *pres) build(p *Problem) *Reduced {
 	// pair; colOf is increasing, so every row stays ascending.
 	idx, val := make([]int32, 0, len(w.idx)), make([]float64, 0, len(w.idx))
 	rp.LP.Constraints = make([]lp.Constraint, 0, len(w.rows))
+	if basis != nil {
+		red.basis = make([]int32, 0, len(w.rows))
+	}
 	for i := range w.rows {
 		r := &w.rows[i]
 		if r.dead || r.phantom {
 			continue
+		}
+		if basis != nil {
+			c := int32(-1)
+			if i < len(basis) && basis[i] >= 0 && int(basis[i]) < n {
+				c = colOf[basis[i]]
+			}
+			red.basis = append(red.basis, c)
 		}
 		s := len(idx)
 		for k := r.start; k < r.end; k++ {

@@ -21,7 +21,11 @@ import (
 // pruning, unless cfg bit 2 lowers some of them by 1/2. Rows carry
 // explicit zero values, and with cfg bit 32 an empty row (satisfied or
 // not by its right-hand side alone) joins them, so the sparse walks'
-// zero-skip and empty-row branches run too.
+// zero-skip and empty-row branches run too. With cfg bit 64 the
+// presolved solve is handed a random root basis (a column or the row's
+// slack per row, duplicates and dual-infeasible picks included), which
+// presolve maps onto the reduced problem: a basis changes how the root
+// starts, never the answer.
 //
 // Unbounded outcomes are skipped: when the LP relaxation is unbounded the
 // direct solve reports Unbounded, while presolve may legitimately prove
@@ -35,6 +39,7 @@ func FuzzPresolve(f *testing.F) {
 	f.Add(uint64(3), uint8(32))
 	f.Add(uint64(0xCAFE), uint8(37))
 	f.Add(uint64(99), uint8(63))
+	f.Add(uint64(5), uint8(64|16|4))
 	f.Fuzz(func(t *testing.T, seed uint64, cfg uint8) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		n := 1 + r.Intn(4)
@@ -116,6 +121,12 @@ func FuzzPresolve(f *testing.F) {
 			// Feed the known optimum back as a warm start: the cutoff row
 			// then proves it optimal either before or during the search.
 			popts.Incumbent = append([]float64(nil), plain.X...)
+		}
+		if cfg&64 != 0 {
+			popts.RootBasis = make([]int32, len(p.LP.Constraints))
+			for i := range popts.RootBasis {
+				popts.RootBasis[i] = int32(r.Intn(n+1) - 1)
+			}
 		}
 		pres, err := Solve(p, &popts)
 		if err != nil {

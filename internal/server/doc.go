@@ -60,7 +60,8 @@
 //     problems in index order on up to Workers dispatcher goroutines, so
 //     its fan-out shares solver capacity fairly with every other request.
 //     An events request runs its events in order, each re-solve under a
-//     lease of its own; an event that fails validation takes none. A
+//     lease of its own; an event that fails validation, the session's
+//     own operand checks included, takes none. A
 //     waiter gives up when its client disconnects or the server drains: a
 //     request of one solve answers 503, a batch item or an event reports
 //     its own error.

@@ -171,7 +171,7 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "rentmind_solve_latency_ms{quantile=\"0.99\"} %g\n", p99)
 
 	q50, q99 := windowQuantiles(m.qw)
-	fmt.Fprintf(w, "# HELP rentmind_queue_wait_ms Time solves spent waiting for a worker lease over the last %d solves (batch items included).\n", latencyWindow)
+	fmt.Fprintf(w, "# HELP rentmind_queue_wait_ms Time solves spent waiting for a worker lease over the last %d solves (batch items and session re-solves counted individually).\n", latencyWindow)
 	fmt.Fprintf(w, "# TYPE rentmind_queue_wait_ms summary\n")
 	fmt.Fprintf(w, "rentmind_queue_wait_ms{quantile=\"0.5\"} %g\n", q50)
 	fmt.Fprintf(w, "rentmind_queue_wait_ms{quantile=\"0.99\"} %g\n", q99)

@@ -20,9 +20,9 @@ import (
 // every streamed event (recipe arrival/departure, target change, price
 // change, outage, restore) is applied as a problem delta and re-solved
 // WARM from the previous optimum — the committed allocation seeds the
-// incumbent cutoff and the previous root LP basis seeds the root
-// relaxation — with a transparent cold fallback (see rentmin.Session and
-// docs/sessions.md).
+// incumbent cutoff and the root relaxation starts from the recipe
+// model's structural basis — with a transparent cold fallback (see
+// rentmin.Session and docs/sessions.md).
 //
 // Sessions live in a bounded table with idle eviction. Event re-solves
 // run in-process on the daemon (never dispatched across a coordinator's
@@ -331,7 +331,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // enforcing per-event admission: an arrival may not grow the problem past
 // the daemon's graph/task bounds and a target change may not exceed the
 // target bound — the same limits /v1/solve admission applies, checked
-// against the session's current size.
+// against the session's current size. Last, the session checks the
+// operands itself (rentmin.Session.Validate), so an event it would
+// reject takes no lease and leaves no record.
 func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (rentmin.SessionEvent, error) {
 	ev := rentmin.SessionEvent{Kind: rentmin.SessionEventKind(wev.Kind)}
 	switch ev.Kind {
@@ -379,7 +381,7 @@ func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (r
 	default:
 		return ev, fmt.Errorf("unknown event kind %q", wev.Kind)
 	}
-	return ev, nil
+	return ev, sess.Validate(ev)
 }
 
 // sessionItemError renders a per-event failure of a lease wait or Apply.

@@ -516,6 +516,71 @@ func TestSessionInvalidEventsTakeNoLease(t *testing.T) {
 	}
 }
 
+// TestSessionOperandErrorsTakeNoLease: an event the session itself
+// rejects (rentmin.Session.Validate) is answered while another solve
+// holds the daemon's only lease, with the error text Apply gives it, and
+// leaves no flight-recorder record.
+func TestSessionOperandErrorsTakeNoLease(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	one := fastProblem(70)
+	one.App.Graphs = one.App.Graphs[:1]
+	single, _, err := c.NewSession(ctx, one, nil)
+	if err != nil {
+		t.Fatalf("NewSession (one graph): %v", err)
+	}
+	unblock := holdLease(t, c)
+	defer unblock()
+
+	wait, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	results, st, err := sess.Events(wait,
+		client.TargetChangeEvent(-1),
+		client.PriceChangeEvent(99, 5),
+		client.PriceChangeEvent(1, -5),
+		client.OutageEvent(-1),
+		client.RecipeDepartureEvent(7),
+		client.RecipeArrivalEvent(rentmin.NewChain("bad", 9)),
+	)
+	if err != nil {
+		t.Fatalf("operand errors while the lease is held: %v", err)
+	}
+	last, _, err := single.Events(wait, client.RecipeDepartureEvent(0))
+	if err != nil {
+		t.Fatalf("last-graph departure while the lease is held: %v", err)
+	}
+	want := []string{
+		"session: invalid event: negative target -1",
+		"session: invalid event: machine type 99 out of range [0,4)",
+		"session: invalid event: negative price -5",
+		"session: invalid event: machine type -1 out of range [0,4)",
+		"session: invalid event: graph index 7 out of range [0,3)",
+		`session: invalid event: graph "bad": task 0 has type 9 outside [0,4)`,
+		"session: invalid event: the last graph cannot depart",
+	}
+	for i, res := range append(results, last...) {
+		if res.Error != want[i] || res.Allocation != nil {
+			t.Errorf("event %d = error %q, allocation %v; want %q and none", i, res.Error, res.Allocation, want[i])
+		}
+	}
+	if st.Events != 0 || st.Target != 70 {
+		t.Errorf("state after rejected events = %+v, want it unchanged", st)
+	}
+	recs, err := c.DebugSolves(ctx, 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	for _, rec := range recs.Solves {
+		if rec.Endpoint == "session" && rec.Item != -1 {
+			t.Errorf("a rejected event left record %s/%d %q", rec.Endpoint, rec.Item, rec.Error)
+		}
+	}
+}
+
 // TestSessionEventWaitingAtDrainIsNotApplied: an event still waiting for
 // a lease when the daemon drains is that event's error in a 200, and the
 // session stays as it was.

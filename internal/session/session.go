@@ -6,22 +6,29 @@
 // applies each event as a problem delta, and re-solves warm from the
 // previous optimum: the prior allocation, repaired to feasibility for
 // the mutated problem, seeds the branch-and-bound incumbent (a presolve
-// cutoff), and the prior root basis snapshot seeds the root LP. Both
-// fall back to a cold solve transparently; every Resolve reports which
-// path ran. The re-solve is exact, so each event's cost equals a cold
-// solve of the same mutated problem — the property the fuzz harness and
-// the CI session-smoke job assert.
+// cutoff), and the root LP starts from the recipe model's structural
+// optimal basis, which solve names for every warm-started solve, and
+// runs no root cuts. A basis the mutated problem rejects falls back to a
+// cold root solve transparently; every Resolve reports which path ran.
+// The re-solve is exact, so each event's cost equals a cold solve of the
+// same mutated problem — the property the fuzz harness and the CI
+// session-smoke job assert.
+//
+// Committed problems share their graphs: an event copies only what it
+// changes (the graph list for an arrival or departure, the machine list
+// for a price change), and nothing writes a committed graph, machine
+// list or offline set in place.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"rentmin/internal/core"
-	"rentmin/internal/lp"
 	"rentmin/internal/milp"
 	"rentmin/internal/solve"
 )
@@ -78,11 +85,11 @@ type Event struct {
 
 // Options tunes a session's re-solves.
 type Options struct {
-	// ILP configures every re-solve. Leave WarmStart and RootBasis
-	// unset: the session fills them from the previous optimum.
+	// ILP configures every re-solve. Leave WarmStart unset: the session
+	// fills it from the previous optimum.
 	ILP solve.ILPOptions
 	// DisableWarm forces every re-solve cold — no incumbent seed, no
-	// root-basis reuse (ablation and the cold benchmark baseline).
+	// structural root basis (ablation and the cold benchmark baseline).
 	DisableWarm bool
 }
 
@@ -99,12 +106,14 @@ type Resolve struct {
 	// It is the Resolve's own copy: the session shares none of it.
 	Alloc core.Allocation
 	// Warm reports whether the re-solve was seeded from the previous
-	// optimum (incumbent cutoff + root basis). The initial solve, trivial
-	// zero-target resolves, and infeasible resolves are cold.
+	// optimum (incumbent cutoff + structural root basis). The initial
+	// solve, trivial zero-target resolves, and infeasible resolves are
+	// cold.
 	Warm bool
-	// RootLPWarm reports whether the root LP actually restored the prior
-	// basis snapshot (false when the restore fell back cold, e.g. after
-	// the problem changed shape).
+	// RootLPWarm reports whether the root LP started from the structural
+	// basis (false when the re-solve was cold, presolve settled it
+	// without a root LP, or the basis was rejected and the root solved
+	// cold).
 	RootLPWarm bool
 	// Churn is the solution-churn cost of this event: Σ_q |Δ machines of
 	// type q| between the previous and the new committed allocation.
@@ -162,7 +171,6 @@ type Session struct {
 
 	feasible bool
 	alloc    core.Allocation // full shape; meaningful only when feasible
-	basis    *lp.Basis
 
 	seq        int
 	log        []Record
@@ -205,66 +213,90 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*Resolve, error) {
 	return s.resolve(ctx, work, offline, seed, ev.Kind, key, s.seq+1)
 }
 
-// mutate applies ev to clones of the session's problem, offline set, and
-// previous throughput vector (kept index-aligned with the mutated graph
-// list so it can seed the re-solve). Caller holds s.mu.
-func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []int, key string, err error) {
-	work = s.prob.Clone()
-	offline = append([]bool(nil), s.offline...)
-	if s.feasible {
-		seed = append([]int(nil), s.alloc.GraphThroughput...)
-	}
-	q := work.NumTypes()
+// Validate checks ev's operands against the session's current problem:
+// the error Apply would return for them, without solving. An event that
+// passes may still fail in Apply when another event commits in between.
+func (s *Session) Validate(ev Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.validate(ev)
+}
+
+// validate is Validate for a caller that holds s.mu.
+func (s *Session) validate(ev Event) error {
+	q, nj := s.prob.NumTypes(), s.prob.NumGraphs()
 	switch ev.Kind {
 	case RecipeArrival:
 		if ev.Graph == nil {
-			return nil, nil, nil, "", fmt.Errorf("%w: recipe_arrival needs a graph", ErrInvalidEvent)
+			return fmt.Errorf("%w: recipe_arrival needs a graph", ErrInvalidEvent)
 		}
+		if err := ev.Graph.Validate(q); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidEvent, err)
+		}
+	case RecipeDeparture:
+		if j := ev.GraphIndex; j < 0 || j >= nj {
+			return fmt.Errorf("%w: graph index %d out of range [0,%d)", ErrInvalidEvent, j, nj)
+		}
+		if nj == 1 {
+			return fmt.Errorf("%w: the last graph cannot depart", ErrInvalidEvent)
+		}
+	case TargetChange:
+		if ev.Target < 0 {
+			return fmt.Errorf("%w: negative target %d", ErrInvalidEvent, ev.Target)
+		}
+	case PriceChange, Outage, Restore:
+		if ev.Type < 0 || ev.Type >= q {
+			return fmt.Errorf("%w: machine type %d out of range [0,%d)", ErrInvalidEvent, ev.Type, q)
+		}
+		if ev.Kind == PriceChange && ev.Price < 0 {
+			return fmt.Errorf("%w: negative price %d", ErrInvalidEvent, ev.Price)
+		}
+	default:
+		return fmt.Errorf("%w: unknown kind %q", ErrInvalidEvent, ev.Kind)
+	}
+	return nil
+}
+
+// mutate validates ev and applies it to the session's problem, offline
+// set and previous throughput vector (kept index-aligned with the
+// mutated graph list so it can seed the re-solve). What ev changes is
+// copied; the rest is shared with the committed state, which nothing
+// writes in place. Caller holds s.mu.
+func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []int, key string, err error) {
+	if err := s.validate(ev); err != nil {
+		return nil, nil, nil, "", err
+	}
+	w := *s.prob
+	work, offline = &w, s.offline
+	if s.feasible {
+		seed = s.alloc.GraphThroughput
+	}
+	switch ev.Kind {
+	case RecipeArrival:
 		g := ev.Graph.Clone()
-		if verr := g.Validate(q); verr != nil {
-			return nil, nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidEvent, verr)
-		}
-		work.App.Graphs = append(work.App.Graphs, g)
+		work.App.Graphs = append(slices.Clip(work.App.Graphs), g)
 		if seed != nil {
-			seed = append(seed, 0)
+			seed = append(slices.Clip(seed), 0)
 		}
 		key = "graph=" + g.Name
 	case RecipeDeparture:
 		j := ev.GraphIndex
-		if j < 0 || j >= work.NumGraphs() {
-			return nil, nil, nil, "", fmt.Errorf("%w: graph index %d out of range [0,%d)", ErrInvalidEvent, j, work.NumGraphs())
-		}
-		if work.NumGraphs() == 1 {
-			return nil, nil, nil, "", fmt.Errorf("%w: the last graph cannot depart", ErrInvalidEvent)
-		}
 		key = "graph=" + work.App.Graphs[j].Name
-		work.App.Graphs = append(work.App.Graphs[:j], work.App.Graphs[j+1:]...)
+		work.App.Graphs = slices.Delete(slices.Clone(work.App.Graphs), j, j+1)
 		if seed != nil {
-			seed = append(seed[:j], seed[j+1:]...)
+			seed = slices.Delete(slices.Clone(seed), j, j+1)
 		}
 	case TargetChange:
-		if ev.Target < 0 {
-			return nil, nil, nil, "", fmt.Errorf("%w: negative target %d", ErrInvalidEvent, ev.Target)
-		}
 		work.Target = ev.Target
 		key = fmt.Sprintf("target=%d", ev.Target)
 	case PriceChange:
-		if ev.Type < 0 || ev.Type >= q {
-			return nil, nil, nil, "", fmt.Errorf("%w: machine type %d out of range [0,%d)", ErrInvalidEvent, ev.Type, q)
-		}
-		if ev.Price < 0 {
-			return nil, nil, nil, "", fmt.Errorf("%w: negative price %d", ErrInvalidEvent, ev.Price)
-		}
+		work.Platform = work.Platform.Clone()
 		work.Platform.Machines[ev.Type].Cost = ev.Price
 		key = fmt.Sprintf("type=%d price=%d", ev.Type, ev.Price)
 	case Outage, Restore:
-		if ev.Type < 0 || ev.Type >= q {
-			return nil, nil, nil, "", fmt.Errorf("%w: machine type %d out of range [0,%d)", ErrInvalidEvent, ev.Type, q)
-		}
+		offline = append([]bool(nil), offline...)
 		offline[ev.Type] = ev.Kind == Outage
 		key = fmt.Sprintf("type=%d", ev.Type)
-	default:
-		return nil, nil, nil, "", fmt.Errorf("%w: unknown kind %q", ErrInvalidEvent, ev.Kind)
 	}
 	return work, offline, seed, key, nil
 }
@@ -272,17 +304,14 @@ func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []i
 // effective returns the indices of work's graphs that use no offline type.
 func effective(work *core.Problem, offline []bool) []int {
 	idx := make([]int, 0, work.NumGraphs())
-	for j, g := range work.App.Graphs {
-		ok := true
-		for _, t := range g.TypesUsed() {
-			if t >= 0 && t < len(offline) && offline[t] {
-				ok = false
-				break
+graphs:
+	for j := range work.App.Graphs {
+		for _, t := range work.App.Graphs[j].Tasks {
+			if t.Type >= 0 && t.Type < len(offline) && offline[t.Type] {
+				continue graphs
 			}
 		}
-		if ok {
-			idx = append(idx, j)
-		}
+		idx = append(idx, j)
 	}
 	return idx
 }
@@ -307,7 +336,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		// Nothing to produce: the zero allocation is trivially optimal.
 		res.Status = StatusOptimal
 		res.Alloc = fullModel.NewAllocation(make([]int, fullModel.J))
-		s.commit(work, offline, res, res.Alloc, nil, key)
+		s.commit(work, offline, res, res.Alloc, key)
 		return res, nil
 	case len(effIdx) == 0:
 		// Every graph needs an offline type and the target is positive:
@@ -320,20 +349,24 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		return res, nil
 	}
 
-	eff := &core.Problem{
-		App:      core.Application{Name: work.App.Name},
-		Platform: work.Platform,
-		Target:   work.Target,
+	// The solver's model covers the effective graphs only; with none
+	// excluded, that is the full model.
+	m := fullModel
+	if len(effIdx) < fullModel.J {
+		eff := &core.Problem{
+			App:      core.Application{Name: work.App.Name, Graphs: make([]core.Graph, 0, len(effIdx))},
+			Platform: work.Platform,
+			Target:   work.Target,
+		}
+		for _, j := range effIdx {
+			eff.App.Graphs = append(eff.App.Graphs, work.App.Graphs[j])
+		}
+		m = core.NewCostModel(eff)
 	}
-	for _, j := range effIdx {
-		eff.App.Graphs = append(eff.App.Graphs, work.App.Graphs[j])
-	}
-	m := core.NewCostModel(eff)
 
 	iopts := s.opts.ILP
 	if seed != nil && !s.opts.DisableWarm {
 		iopts.WarmStart = warmSeed(m, effIdx, seed, work.Target)
-		iopts.RootBasis = s.basis
 		res.Warm = true
 	}
 
@@ -377,7 +410,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		return nil, fmt.Errorf("session: internal error: lifted cost %d != solved cost %d", alloc.Cost, r.Alloc.Cost)
 	}
 	res.Alloc = alloc
-	s.commit(work, offline, res, alloc, r.RootBasis, key)
+	s.commit(work, offline, res, alloc, key)
 	return res, nil
 }
 
@@ -397,13 +430,12 @@ func warmSeed(m *core.CostModel, effIdx []int, prev []int, target int) []int {
 }
 
 // commit installs a feasible re-solve outcome. Caller holds s.mu.
-func (s *Session) commit(work *core.Problem, offline []bool, res *Resolve, alloc core.Allocation, basis *lp.Basis, key string) {
+func (s *Session) commit(work *core.Problem, offline []bool, res *Resolve, alloc core.Allocation, key string) {
 	res.Churn = churn(s.alloc.Machines, alloc.Machines)
 	s.prob = work
 	s.offline = offline
 	s.alloc = alloc
 	s.feasible = true
-	s.basis = basis
 	s.finish(res, key, alloc)
 }
 
@@ -415,7 +447,6 @@ func (s *Session) commitInfeasible(work *core.Problem, offline []bool, res *Reso
 	s.offline = offline
 	s.alloc = empty
 	s.feasible = false
-	s.basis = nil
 	s.finish(res, key, empty)
 }
 
@@ -518,11 +549,10 @@ func (s *Session) EffectiveProblem() (*core.Problem, []int) {
 	return eff, idx
 }
 
-// Close marks the session closed (Apply fails with ErrClosed) and drops
-// the basis snapshot. State, Log, and Problem keep working.
+// Close marks the session closed (Apply fails with ErrClosed). State,
+// Log, and Problem keep working.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.basis = nil
 }

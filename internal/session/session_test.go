@@ -150,8 +150,8 @@ func TestSessionOutageSemantics(t *testing.T) {
 	}
 	for j, g := range s.Problem().App.Graphs {
 		needs := false
-		for _, q := range g.TypesUsed() {
-			if q == 0 {
+		for _, task := range g.Tasks {
+			if task.Type == 0 {
 				needs = true
 			}
 		}
@@ -264,26 +264,130 @@ func TestSessionDisableWarmSameCosts(t *testing.T) {
 	}
 }
 
-// With presolve off (so every resolve runs a root LP) a chain of
-// same-shape events must eventually restore the root basis for real.
+// cycle is a 9-event cycle on the paper's example at target 70, the
+// shape of the benchmark's session stream: target up, price ×2, outage,
+// recipe arrival, target down, restore, departure of the arrival, price
+// back, target back. It ends in the start state.
+func cycle() []Event {
+	arrival := core.NewChain("phi4", 0, 2)
+	return []Event{
+		{Kind: TargetChange, Target: 90},
+		{Kind: PriceChange, Type: 3, Price: 66},
+		{Kind: Outage, Type: 2},
+		{Kind: RecipeArrival, Graph: &arrival},
+		{Kind: TargetChange, Target: 50},
+		{Kind: Restore, Type: 2},
+		{Kind: RecipeDeparture, GraphIndex: 3},
+		{Kind: PriceChange, Type: 3, Price: 33},
+		{Kind: TargetChange, Target: 70},
+	}
+}
+
+// Every warm re-solve of the cycle starts its root LP from the
+// structural basis, with presolve on and off, and matches the cold
+// oracle; the create, which has no previous optimum, solves its root
+// cold.
 func TestSessionRootBasisChain(t *testing.T) {
+	for _, presolve := range []bool{true, false} {
+		p := core.IllustratingExample()
+		p.Target = 70
+		s, res, err := New(ctxb(), p, Options{ILP: solve.ILPOptions{DisablePresolve: !presolve}})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if res.RootLPWarm {
+			t.Errorf("presolve %v: the create reports a warm root", presolve)
+		}
+		for _, ev := range cycle() {
+			res := mustApply(t, s, ev)
+			checkOracle(t, s, res)
+			if !res.Warm || !res.RootLPWarm {
+				t.Errorf("presolve %v: event %d (%s): warm %v, root LP warm %v; want both", presolve, res.Seq, res.Kind, res.Warm, res.RootLPWarm)
+			}
+		}
+	}
+}
+
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// items at random and allocation counts stop being deterministic.
+var raceEnabled bool
+
+// One warm event allocates a bounded number of objects: the event copies
+// only what it changes, and the root LP starts solved. The paper's
+// example at target 70 runs target 80 and back per call.
+func TestSessionEventAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
 	p := core.IllustratingExample()
 	p.Target = 70
-	s, _, err := New(ctxb(), p, Options{ILP: solve.ILPOptions{DisablePresolve: true}})
+	s, _, err := New(ctxb(), p, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	targets := []int{72, 74, 76, 78}
-	sawWarmRoot := false
-	for _, tg := range targets {
-		res := mustApply(t, s, Event{Kind: TargetChange, Target: tg})
-		checkOracle(t, s, res)
-		if res.RootLPWarm {
-			sawWarmRoot = true
+	pair := []Event{{Kind: TargetChange, Target: 80}, {Kind: TargetChange, Target: 70}}
+	perPair := testing.AllocsPerRun(20, func() {
+		for _, ev := range pair {
+			if _, err := s.Apply(ctxb(), ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perEvent := perPair / 2; perEvent > 110 {
+		t.Errorf("one target change allocates %.1f objects, want at most 110", perEvent)
+	}
+}
+
+// Snapshots and events share the committed graphs and machine list:
+// reading them (and writing the returned copies) while Apply commits
+// events that replace them is race free.
+func TestSessionSnapshotsRaceApply(t *testing.T) {
+	p := core.IllustratingExample()
+	p.Target = 70
+	s, _, err := New(ctxb(), p, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				full := s.Problem()
+				eff, _ := s.EffectiveProblem()
+				st := s.State()
+				for _, q := range []*core.Problem{full, eff} {
+					for g := range q.App.Graphs {
+						q.App.Graphs[g].Tasks[0].Type = 0
+						q.App.Graphs[g].Name = "scribbled"
+					}
+					q.Platform.Machines[0].Cost = 1
+				}
+				if len(st.Alloc.Machines) > 0 {
+					st.Alloc.Machines[0] = -1
+				}
+			}
+		}()
+	}
+	for range 2 {
+		for _, ev := range cycle() {
+			res := mustApply(t, s, ev)
+			if res.Status != StatusOptimal {
+				t.Errorf("event %d (%s): status %s", res.Seq, res.Kind, res.Status)
+			}
 		}
 	}
-	if !sawWarmRoot {
-		t.Error("no re-solve in the chain restored the previous root basis")
+	close(stop)
+	wg.Wait()
+	if full := s.Problem(); full.App.Graphs[0].Name != "phi1" || full.Platform.Machines[0].Cost != 10 {
+		t.Errorf("a snapshot's writes reached the session: %+v", full)
 	}
 }
 

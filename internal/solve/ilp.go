@@ -12,7 +12,7 @@ import (
 
 // ILPOptions tunes the integer-program path for the general shared-type
 // case (Section V-C). It is the one solver config: the public facade,
-// the daemon and sessions set only WarmStart and RootBasis; the Disable*
+// the daemon and sessions set only WarmStart; the Disable*
 // switches are set only by benchmarks and tests. Reliability branching,
 // the H1 incumbent seed and the rounding repair are always on: the
 // ablations in docs/ablation.md found that each pays. Integral-objective
@@ -23,9 +23,11 @@ import (
 type ILPOptions struct {
 	// NodeLimit bounds explored nodes; zero means unlimited.
 	NodeLimit int
-	// WarmStart optionally seeds the search with per-graph throughputs.
-	// When nil the solver seeds itself with the best single-graph
-	// solution (H1).
+	// WarmStart optionally seeds the search with per-graph throughputs,
+	// and marks the solve as a re-solve: its root LP then starts from
+	// the recipe model's structural optimal basis (see structuralBasis)
+	// and runs no root cuts. When nil the solver seeds itself with the
+	// best single-graph solution (H1) and its root solves cold.
 	WarmStart []int
 	// DisableCuts switches off Gomory root cuts (ablation).
 	DisableCuts bool
@@ -47,17 +49,11 @@ type ILPOptions struct {
 	// costs, more simplex pivots). Distinct from WarmStart, which seeds
 	// the incumbent, not the per-node LP solves.
 	DisableLPWarmStart bool
-	// RootBasis warm-starts the root relaxation from a prior solve's
-	// ILPResult.RootBasis (online re-optimization; see milp.Options.RootBasis).
-	// A snapshot that no longer fits the mutated problem falls back to a
-	// cold root solve transparently.
-	RootBasis *lp.Basis
 }
 
 // ILPResult is the outcome of the integer-programming solve: milp's
-// result (Bound is a proven lower bound on the optimal cost, and
-// RootBasis is reusable as ILPOptions.RootBasis by a later re-solve of a
-// mutated problem) plus the allocation it encodes.
+// result (Bound is a proven lower bound on the optimal cost) plus the
+// allocation it encodes.
 type ILPResult struct {
 	milp.Result
 	Alloc core.Allocation
@@ -191,6 +187,29 @@ func allocationToPoint(m *core.CostModel, a core.Allocation) []float64 {
 	return out
 }
 
+// structuralBasis names the optimal basis of BuildMILP's LP relaxation,
+// one basic column per row: the total row holds ρ_{j*} of the recipe j*
+// with the least UnitRate (the first on a tie), and type q's row holds
+// x_q. The relaxation sends the whole target through j*, so every x_q is
+// basic, at zero for a type j* does not use. The row duals are then
+// UnitRate(j*) and c_q/r_q, so every other ρ_j prices at UnitRate(j) −
+// UnitRate(j*) ≥ 0 and the basis is dual feasible: lp's warm path solves
+// the root with 0 pivots.
+func structuralBasis(m *core.CostModel) []int32 {
+	best := 0
+	for j, rate := range m.UnitRate {
+		if rate < m.UnitRate[best] {
+			best = j
+		}
+	}
+	cols := make([]int32, 1+m.Q)
+	cols[0] = int32(best)
+	for q := 0; q < m.Q; q++ {
+		cols[1+q] = int32(m.J + q)
+	}
+	return cols
+}
+
 // ILP solves the general shared-type problem exactly via branch and
 // bound. ILPContext bounds the search with a context deadline.
 func ILP(m *core.CostModel, target int, opts *ILPOptions) (ILPResult, error) {
@@ -223,12 +242,12 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		mopts.RootCutRounds = rootCutRounds
 	}
 	mopts.Presolve = !opts.DisablePresolve
-	mopts.RootBasis = opts.RootBasis
 	if opts.WarmStart != nil {
 		if len(opts.WarmStart) != m.J {
 			return ILPResult{}, fmt.Errorf("solve: warm start has %d throughputs, want %d", len(opts.WarmStart), m.J)
 		}
 		mopts.Incumbent = allocationToPoint(m, m.NewAllocation(opts.WarmStart))
+		mopts.RootBasis = structuralBasis(m)
 	} else {
 		_, h1 := BestSingleGraph(m, target)
 		mopts.Incumbent = allocationToPoint(m, h1)

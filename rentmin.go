@@ -132,8 +132,10 @@ func WriteProblem(w io.Writer, p *Problem) error { return core.WriteProblem(w, p
 // solve with a context deadline (SolveContext).
 type SolveOptions struct {
 	// WarmStart optionally seeds the search with per-graph throughputs.
-	// It applies to Solve only; SolveBatch ignores it (problems in a
-	// batch generally have different shapes).
+	// A warm-started solve is a re-solve: its root LP starts from the
+	// recipe model's structural optimal basis and runs no root cuts. It
+	// applies to Solve only; SolveBatch ignores it (problems in a batch
+	// generally have different shapes).
 	WarmStart []int
 	// Workers is the number of problems SolveBatch solves concurrently
 	// (0 = GOMAXPROCS). Solve ignores it: each search is sequential.

@@ -57,7 +57,8 @@ type SessionOptions struct {
 	// compile; it will be removed once none does.
 	Workers int
 	// DisableWarm forces every re-solve cold: no incumbent seeding from
-	// the previous optimum and no root-basis reuse (ablation/benchmarks).
+	// the previous optimum and no structural root basis
+	// (ablation/benchmarks).
 	DisableWarm bool
 }
 
@@ -89,6 +90,12 @@ func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session
 func (s *Session) Apply(ctx context.Context, ev SessionEvent) (*SessionResolve, error) {
 	return s.inner.Apply(ctx, ev)
 }
+
+// Validate checks an event's operands against the session's current
+// problem and returns the error Apply would return for them, without
+// solving. An event that passes may still fail in Apply when another
+// event commits in between.
+func (s *Session) Validate(ev SessionEvent) error { return s.inner.Validate(ev) }
 
 // State returns a snapshot: current target, allocation, offline types,
 // warm/cold resolve counters, and cumulative churn.
