@@ -194,7 +194,7 @@ func TestBoundsCrossedRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := md.SolveFrom(p.Lo, p.Hi, nil, nil); err == nil {
+		if err := md.SolveFrom(new(Solution), p.Lo, p.Hi, nil, nil); err == nil {
 			t.Errorf("Model.SolveFrom accepted %s bounds", name)
 		}
 		md.Release()

@@ -89,12 +89,25 @@
 // and a Start's base etas, which no solve writes, and drops those
 // references when it returns to the pool; and nothing that escapes a
 // solve (Solution.X, Solution.Duals, the basis snapshot) points into a
-// workspace, a model or a Start — those are always freshly allocated,
-// three objects per optimal result: X and Duals share one buffer, the
-// snapshot's row and flip lists another, and the *Basis. A
-// workspace belongs to one solve at a time, so concurrent solves never
-// share mutable state (they may share a model and a Start), and results
-// are bit-identical whichever workspace served them.
+// workspace, a model or a Start. A Start likewise copies what it keeps of
+// the snapshot it was restored from. A workspace belongs to one solve at a
+// time, so concurrent solves never share mutable state (they may share a
+// model and a Start), and results are bit-identical whichever workspace
+// served them.
+//
+// # Result reuse
+//
+// An optimal result is three objects: X and Duals share one buffer, the
+// snapshot's row and flip lists another, and the *Basis. Solve, SolveFrom
+// and SolveGomory return a result they allocated, which the caller owns.
+// Model.SolveFrom writes into a *Solution the caller hands it and reuses
+// its three objects, allocating only a buffer too short for the model, so
+// a steady stream of re-solves into recycled results allocates nothing.
+// The contract: a result is valid until the next solve into it, and its X,
+// Duals and Basis are meaningful only when its Status is Optimal (a solve
+// that ends otherwise leaves them as they were). The milp search keeps a
+// free list of results: each child LP solves into one from it, and only a
+// node on the heap holds one for longer.
 //
 // # Warm starts
 //

@@ -97,7 +97,8 @@ func SolveGomory(p *Problem, opts *Options, maxRounds int) (GomoryResult, error)
 	totalIters := 0
 	var basis *Basis
 	for round := 0; ; round++ {
-		sol := sp.run(&work, opts, basis)
+		var sol Solution
+		sp.run(&sol, &work, opts, basis)
 		totalIters += sol.Iterations
 		sol.Iterations = totalIters
 		sol.Warm = false

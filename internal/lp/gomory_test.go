@@ -229,7 +229,8 @@ func TestSolveGomoryArenaReuse(t *testing.T) {
 	}
 	grown := p.Clone()
 	grown.Constraints = append(grown.Constraints, res.Cuts...)
-	cold := new(sparseSolver).run(grown, nil, nil)
+	var cold Solution
+	new(sparseSolver).run(&cold, grown, nil, nil)
 	if cold.Status != Optimal || res.Solution.Status != Optimal {
 		t.Fatalf("status: loop %v, cold %v", res.Solution.Status, cold.Status)
 	}

@@ -217,29 +217,49 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Solution is the result of a solve.
+// Solution is the result of a solve. X, Duals and Basis are meaningful
+// only when Status is Optimal.
+//
+// Solve, SolveFrom and SolveGomory return a result they allocated, which
+// the caller owns. Model.SolveFrom instead writes into a result the caller
+// hands it and reuses that result's buffers: X and Duals share one, Basis
+// and its lists are the others, and each is reallocated only when it is
+// too short for the model. Such a result is valid until the next solve
+// into it; a copy of the struct shares its buffers. A solve that ends
+// without an optimum leaves X, Duals and Basis as the last optimal solve
+// into the result left them (nil in a result never solved optimally).
 type Solution struct {
 	Status     Status
-	X          []float64 // structural variable values (valid when Status == Optimal)
-	Objective  float64   // c·X
+	X          []float64 // structural variable values
+	Objective  float64   // c·X (0 when Status is not Optimal)
 	Iterations int       // total simplex pivots across both phases
-	// Duals holds one multiplier per constraint (valid when Status ==
-	// Optimal): the shadow price of the constraint's right-hand side.
-	// With the minimization convention used here, duals of binding GE
-	// rows are >= 0, duals of binding LE rows are <= 0, and equality rows
-	// are unrestricted. For default-bound problems b·Duals == Objective
-	// at optimality (strong duality); with finite variable bounds the
-	// bound multipliers (the reduced costs of variables resting at a
-	// bound) contribute the remainder. Rows proven redundant report 0.
+	// Duals holds one multiplier per constraint: the shadow price of the
+	// constraint's right-hand side. With the minimization convention used
+	// here, duals of binding GE rows are >= 0, duals of binding LE rows
+	// are <= 0, and equality rows are unrestricted. For default-bound
+	// problems b·Duals == Objective at optimality (strong duality); with
+	// finite variable bounds the bound multipliers (the reduced costs of
+	// variables resting at a bound) contribute the remainder. Rows proven
+	// redundant report 0.
 	Duals []float64
 	// Basis is an opaque snapshot of the optimal basis, restorable on a
-	// related problem via SolveFrom. It is nil when the status is not
-	// Optimal.
+	// related problem via SolveFrom or Model.Restore.
 	Basis *Basis
 	// Warm reports that this solution came from SolveFrom's warm-started
 	// dual-simplex path; false means a cold two-phase solve produced it
 	// (including SolveFrom calls that fell back).
 	Warm bool
+
+	// buf is the storage X and Duals share; a solve into this result
+	// again reuses it (see solution).
+	buf []float64
+}
+
+// end records a solve that stopped without an optimum: its status, the
+// pivots it spent and whether the warm path ended it. X, Duals and Basis
+// are left as they are.
+func (sol *Solution) end(st Status, iters int, warm bool) {
+	sol.Status, sol.Objective, sol.Iterations, sol.Warm = st, 0, iters, warm
 }
 
 // Options tunes the solver.

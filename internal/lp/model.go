@@ -51,22 +51,31 @@ func (md *Model) Release() {
 	models.Put(md)
 }
 
-// SolveFrom solves the model under the variable bounds lo <= x <= hi, warm
-// from the basis st was restored from, exactly as the one-shot SolveFrom
-// would solve the model's problem with Lo and Hi replaced, warm from that
-// basis. A nil Start, one whose Restore failed, and one restored on
-// another Model or before this Model's last compile solve cold. So does a
-// Start under Options whose Tol differs from the default that Restore
+// SolveFrom solves the model under the variable bounds lo <= x <= hi into
+// sol, warm from the basis st was restored from, exactly as the one-shot
+// SolveFrom would solve the model's problem with Lo and Hi replaced, warm
+// from that basis. A nil Start, one whose Restore failed, and one restored
+// on another Model or before this Model's last compile solve cold. So does
+// a Start under Options whose Tol differs from the default that Restore
 // factors with. lo and hi follow the rules of Problem.Lo and Problem.Hi
-// (nil takes the default); they are the only input validated here. st is
-// only read, so concurrent SolveFrom calls may share it.
-func (md *Model) SolveFrom(lo, hi []float64, st *Start, opts *Options) (Solution, error) {
+// (nil takes the default); they are the only input validated here, and a
+// rejected pair leaves sol untouched. st is only read, so concurrent
+// SolveFrom calls may share it.
+//
+// sol is the caller's: SolveFrom overwrites it and reuses its buffers (X
+// and Duals share one, Basis and its lists are the others), allocating only
+// a buffer that is too short, so a re-solve into a reused result allocates
+// nothing. The result is valid until the next solve into it, and X, Duals
+// and Basis are meaningful only when its Status is Optimal (see Solution).
+// Concurrent calls must solve into different results.
+func (md *Model) SolveFrom(sol *Solution, lo, hi []float64, st *Start, opts *Options) error {
 	if err := validateBounds(lo, hi, md.n); err != nil {
-		return Solution{}, err
+		return err
 	}
 	sp := getWorkspace()
 	defer putWorkspace(sp)
-	return sp.runModel(md, lo, hi, opts, st), nil
+	sp.runModel(sol, md, lo, hi, opts, st)
+	return nil
 }
 
 // Restore restores snapshot b on the model into st, reusing st's buffers:

@@ -9,6 +9,13 @@ import (
 // items at random and allocation counts stop being deterministic.
 var raceEnabled bool
 
+// modelSolve solves md under lo/hi from st into a fresh result.
+func modelSolve(md *Model, lo, hi []float64, st *Start) (Solution, error) {
+	var sol Solution
+	err := md.SolveFrom(&sol, lo, hi, st, nil)
+	return sol, err
+}
+
 // warmChild solves a fixed LP, halves the upper bound of its largest
 // variable and re-solves that child warm through a compiled model. The
 // caller releases the model. The child rests columns at their upper
@@ -34,7 +41,7 @@ func warmChild(t *testing.T) (p, q *Problem, parent, child Solution, md *Model, 
 	}
 	st = new(Start)
 	md.Restore(st, parent.Basis)
-	child, err = md.SolveFrom(q.Lo, q.Hi, st, nil)
+	child, err = modelSolve(md, q.Lo, q.Hi, st)
 	if err != nil || !child.Warm {
 		t.Fatalf("child did not re-solve warm: %v %+v", err, child.Status)
 	}
@@ -47,10 +54,11 @@ func warmChild(t *testing.T) (p, q *Problem, parent, child Solution, md *Model, 
 // TestModelSolveAllocs pins the allocations of the compiled path. A
 // steady-state NewModel draws its buffers from the pool and allocates
 // nothing, and neither does a Restore into a reused Start. A warm child
-// re-solve through a model and a Start allocates only what escapes the
-// solve — one buffer for X and Duals, one for the basis snapshot's row
-// and flip lists, and the *Basis — which is exactly what the one-shot
-// SolveFrom of the same child allocates.
+// re-solve through a model and a Start into a reused result allocates
+// nothing either: the result's buffers are long enough already. The
+// one-shot SolveFrom of the same child allocates the result it returns —
+// one buffer for X and Duals, one for the basis snapshot's row and flip
+// lists, and the *Basis.
 func TestModelSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -58,20 +66,23 @@ func TestModelSolveAllocs(t *testing.T) {
 	p, q, parent, _, md, st := warmChild(t)
 	defer md.Release()
 
-	const want = 3 // X+Duals, rows+flips, the *Basis
+	var into Solution
 	viaModel := testing.AllocsPerRun(50, func() {
-		if _, err := md.SolveFrom(q.Lo, q.Hi, st, nil); err != nil {
+		if err := md.SolveFrom(&into, q.Lo, q.Hi, st, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if viaModel != 0 {
+		t.Errorf("a warm child re-solve into a reused result allocates %v times per op, want 0", viaModel)
+	}
+	const want = 3 // X+Duals, rows+flips, the *Basis
 	oneShot := testing.AllocsPerRun(50, func() {
 		if _, err := SolveFrom(q, parent.Basis, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if viaModel != want || oneShot != want {
-		t.Errorf("child re-solve allocates %v times through the model and %v one-shot; want %v (the escaping results only)",
-			viaModel, oneShot, want)
+	if oneShot != want {
+		t.Errorf("one-shot child re-solve allocates %v times per op; want %v (the returned result only)", oneShot, want)
 	}
 
 	compile := testing.AllocsPerRun(50, func() {
@@ -90,26 +101,45 @@ func TestModelSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestResultSharedStorage: an LP result's X and Duals share one
-// allocation, and so do a basis snapshot's rows and flips. Each first
-// slice is capped at its length, so appending to X never writes into
-// Duals and appending to rows never writes into flips.
+// TestResultSharedStorage: an LP result's X and Duals share one buffer,
+// and so do a basis snapshot's rows and flips, also when the result is
+// reused and its buffers are longer than the LP. Each first slice is
+// capped at its length, so appending to X never writes into Duals and
+// appending to rows never writes into flips. The result first holds a
+// larger LP, then the warm child, which must match a fresh solve.
 func TestResultSharedStorage(t *testing.T) {
-	_, _, _, child, md, _ := warmChild(t)
+	_, q, _, child, md, st := warmChild(t)
 	defer md.Release()
+	big := reuseLP(rand.New(rand.NewSource(0xB16)), 160, 130)
+	bigMd, err := NewModel(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bigMd.Release()
+	var res Solution
+	if err := bigMd.SolveFrom(&res, big.Lo, big.Hi, nil, nil); err != nil || res.Status != Optimal {
+		t.Fatalf("large LP: %v %v", err, res.Status)
+	}
+	if err := md.SolveFrom(&res, q.Lo, q.Hi, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "child into a reused result", res, child)
+	if cap(res.buf) <= len(res.X)+len(res.Duals) {
+		t.Fatal("the reused result's buffer has no room to spare; the test no longer exercises it")
+	}
 
-	duals := append([]float64(nil), child.Duals...)
-	x := append(child.X, 1e300, 1e300)
-	if &x[0] == &child.X[0] {
+	duals := append([]float64(nil), res.Duals...)
+	x := append(res.X, 1e300, 1e300)
+	if &x[0] == &res.X[0] {
 		t.Error("appending to Solution.X grew it in place")
 	}
-	for i, y := range child.Duals {
+	for i, y := range res.Duals {
 		if y != duals[i] {
 			t.Fatalf("appending to Solution.X changed Duals[%d]: %g, was %g", i, y, duals[i])
 		}
 	}
 
-	b := child.Basis
+	b := res.Basis
 	flips := append([]int32(nil), b.flips...)
 	rows := append(b.rows, -1, -1)
 	if &rows[0] == &b.rows[0] {

@@ -43,8 +43,7 @@ func putWorkspace(sp *sparseSolver) {
 	// Do not pin the caller's problem or model while pooled.
 	sp.md, sp.own.p = nil, nil
 	sp.csc, sp.obj, sp.b = csc{}, nil, nil
-	sp.f.clear()         // stop reading a caller's Start
-	sp.start.flips = nil // nor the flips of a caller's Basis
+	sp.f.clear() // stop reading a caller's Start
 	workspaces.Put(sp)
 }
 
@@ -69,32 +68,35 @@ func SolveFrom(p *Problem, b *Basis, opts *Options) (Solution, error) {
 	}
 	sp := getWorkspace()
 	defer putWorkspace(sp)
-	return sp.run(p, opts, b), nil
+	var sol Solution
+	sp.run(&sol, p, opts, b)
+	return sol, nil
 }
 
 // run compiles p into the workspace's own model, restores b there into
-// the workspace's own Start, and solves; see runModel.
-func (sp *sparseSolver) run(p *Problem, opts *Options, b *Basis) Solution {
+// the workspace's own Start, and solves into sol; see runModel.
+func (sp *sparseSolver) run(sol *Solution, p *Problem, opts *Options, b *Basis) {
 	sp.own.compile(p)
 	sp.own.restore(&sp.start, b, sqrtTol(opts.tol()))
-	return sp.runModel(&sp.own, p.Lo, p.Hi, opts, &sp.start)
+	sp.runModel(sol, &sp.own, p.Lo, p.Hi, opts, &sp.start)
 }
 
-// runModel loads md under the bounds lo/hi and solves it, warm from st
-// when st holds a basis restored on md under the load's tolerance. On
-// return the workspace holds the final basis and factorization of the
-// reported solve, which SolveGomory reads its cut rows from.
-func (sp *sparseSolver) runModel(md *Model, lo, hi []float64, opts *Options, st *Start) Solution {
+// runModel loads md under the bounds lo/hi and solves it into sol, warm
+// from st when st holds a basis restored on md under the load's
+// tolerance. On return the workspace holds the final basis and
+// factorization of the reported solve, which SolveGomory reads its cut
+// rows from.
+func (sp *sparseSolver) runModel(sol *Solution, md *Model, lo, hi []float64, opts *Options, st *Start) {
 	sp.load(md, lo, hi, opts)
 	if !st.valid(md, sp.dtol) {
-		return sp.solve()
+		sp.solve(sol)
+		return
 	}
-	if sol, ok := sp.warm(st); ok {
-		return sol
+	if sp.warm(sol, st) {
+		return
 	}
 	wasted := sp.pivots
 	sp.load(md, lo, hi, opts)
-	sol := sp.solve()
+	sp.solve(sol)
 	sol.Iterations += wasted
-	return sol
 }

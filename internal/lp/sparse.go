@@ -33,9 +33,10 @@ import "math"
 // The problem data itself is a Model's: a one-shot solve compiles into
 // the workspace's own model, and a Model.SolveFrom points the workspace
 // at the caller's compiled, read-only arrays. Only Solution.X,
-// Solution.Duals and the basis snapshot escape a solve; they are always
-// freshly allocated, X and Duals as one buffer and the snapshot's row
-// and flip lists as another.
+// Solution.Duals and the basis snapshot escape a solve. They are written
+// into the caller's result (solution), X and Duals in one buffer and the
+// snapshot's row and flip lists in another, reusing the result's buffers
+// when they are long enough.
 type sparseSolver struct {
 	md   *Model // the loaded model: own, or a caller's compiled Model
 	own  Model  // the workspace's own compile buffers, for one-shot solves
@@ -100,12 +101,18 @@ const (
 // resize returns s with length n and every element zeroed, reusing its
 // backing array when it is large enough.
 func resize[T any](s []T, n int) []T {
+	s = reuse(s, n)
+	clear(s)
+	return s
+}
+
+// reuse returns s with length n, reusing its backing array when it is
+// large enough. The caller overwrites every element.
+func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }
 
 // sqrtTol loosens the base tolerance for aggregate feasibility and
@@ -531,18 +538,19 @@ func (sp *sparseSolver) restoreRelax(c int32) {
 }
 
 // solve runs the artificial-free phase 1 and then phase 2 on the true
-// objective.
-func (sp *sparseSolver) solve() Solution {
-	if st := sp.phase1(); st != Optimal {
-		return Solution{Status: st, Iterations: sp.pivots}
-	}
-	sp.cost = sp.obj
-	st := sp.repairPrimal(sp.primalIterate())
+// objective, and writes the outcome into sol.
+func (sp *sparseSolver) solve(sol *Solution) {
+	st := sp.phase1()
 	if st == Optimal {
-		sp.reducedCosts()
-		return sp.solution(false)
+		sp.cost = sp.obj
+		st = sp.repairPrimal(sp.primalIterate())
 	}
-	return Solution{Status: st, Iterations: sp.pivots}
+	if st != Optimal {
+		sol.end(st, sp.pivots, false)
+		return
+	}
+	sp.reducedCosts()
+	sp.solution(sol, false)
 }
 
 // repairPrimal is the feasibility net after phase 2: refresh the
@@ -587,13 +595,14 @@ func (sp *sparseSolver) withinBounds(slack float64) bool {
 	return true
 }
 
-// solution assembles the Optimal result in original coordinates. sp.yrow
-// must hold the duals of the final basis under the phase-2 cost.
-func (sp *sparseSolver) solution(warm bool) Solution {
-	// X and Duals share one allocation; the three-index slice caps X at
-	// n, so an append to X reallocates instead of writing into Duals.
-	buf := make([]float64, sp.n+sp.m)
-	x := buf[:sp.n:sp.n]
+// solution writes the Optimal result into sol, in original coordinates.
+// sp.yrow must hold the duals of the final basis under the phase-2 cost.
+func (sp *sparseSolver) solution(sol *Solution, warm bool) {
+	// X and Duals share one buffer, sol's own when it is long enough; the
+	// three-index slice caps X at n, so an append to X reallocates instead
+	// of writing into Duals.
+	sol.buf = reuse(sol.buf, sp.n+sp.m)
+	x := sol.buf[:sp.n:sp.n]
 	for j := 0; j < sp.n; j++ {
 		v := sp.x[j]
 		// Clamp roundoff-sized bound violations (cosmetic).
@@ -612,17 +621,13 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 	// Duals: y solves B^T·y = c_B, read directly in original-row space.
 	// The reduced cost of slack i is -y_i, so a slack-basic (non-binding)
 	// row automatically reports 0.
-	duals := buf[sp.n:]
+	duals := sol.buf[sp.n:]
 	copy(duals, sp.yrow)
-	return Solution{
-		Status:     Optimal,
-		X:          x,
-		Objective:  obj,
-		Iterations: sp.pivots,
-		Duals:      duals,
-		Basis:      sp.snapshot(),
-		Warm:       warm,
+	if sol.Basis == nil {
+		sol.Basis = new(Basis)
 	}
+	sp.snapshot(sol.Basis)
+	sol.Status, sol.X, sol.Objective, sol.Iterations, sol.Duals, sol.Warm = Optimal, x, obj, sp.pivots, duals, warm
 }
 
 // Basis is an opaque snapshot of an optimal simplex basis, taken from an
@@ -643,6 +648,9 @@ type Basis struct {
 	flips []int32
 	// n is the structural variable count of the snapshot's problem.
 	n int
+	// buf is the storage rows and flips share; a snapshot taken into this
+	// Basis again reuses it (snapshot).
+	buf []int32
 }
 
 // NewBasis builds a basis for a problem of n structural variables from
@@ -668,18 +676,19 @@ func (b *Basis) fits(md *Model) bool {
 	return b != nil && b.n == md.n && len(b.rows) <= md.m
 }
 
-// snapshot captures the current basis. It counts the flips first, so
-// rows and flips share one exact-size allocation; the three-index slice
-// caps rows, so an append to it reallocates instead of writing into flips.
-func (sp *sparseSolver) snapshot() *Basis {
+// snapshot captures the current basis into b. It counts the flips first,
+// so rows and flips share b's storage, grown only when it is too short;
+// the three-index slice caps rows, so an append to it reallocates instead
+// of writing into flips.
+func (sp *sparseSolver) snapshot(b *Basis) {
 	nf := 0
 	for _, s := range sp.status[:sp.n] {
 		if s == spUpper {
 			nf++
 		}
 	}
-	buf := make([]int32, sp.m+nf)
-	rows, flips := buf[:sp.m:sp.m], buf[sp.m:]
+	b.buf = reuse(b.buf, sp.m+nf)
+	rows, flips := b.buf[:sp.m:sp.m], b.buf[sp.m:]
 	for p := 0; p < sp.m; p++ {
 		c := sp.basis[p]
 		if c < int32(sp.n) {
@@ -695,5 +704,5 @@ func (sp *sparseSolver) snapshot() *Basis {
 			k++
 		}
 	}
-	return &Basis{rows: rows, flips: flips, n: sp.n}
+	b.rows, b.flips, b.n = rows, flips, sp.n
 }

@@ -32,7 +32,7 @@ type Start struct {
 
 	basis []int32 // column basic at each position
 	basic []bool  // per column: basic
-	flips []int32 // the snapshot's structural columns at their upper bound
+	flips []int32 // a copy of the snapshot's structural columns at their upper bound
 	f     basisFactor
 	d     []float64 // reduced cost per nonbasic column
 	cpos  []float64 // pricing scratch
@@ -53,7 +53,7 @@ func (st *Start) valid(md *Model, minPiv float64) bool {
 // of range, or the basis is singular.
 func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
 	st.md, st.gen, st.minPiv, st.ok = md, md.gen, minPiv, false
-	st.flips = nil
+	st.flips = st.flips[:0]
 	if !b.fits(md) {
 		return
 	}
@@ -87,7 +87,9 @@ func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
 			return
 		}
 	}
-	st.flips = b.flips
+	// The Start owns its copy: a result the snapshot came from may be
+	// solved into again while the Start still serves its node.
+	st.flips = append(st.flips, b.flips...)
 
 	st.f.reset(m)
 	if !st.f.refactorize(md, st.basis, minPiv) {
@@ -112,20 +114,22 @@ func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
 }
 
 // warm re-optimizes from st (valid for the loaded model) under the
-// loaded bounds; ok == false means the caller must solve cold.
-func (sp *sparseSolver) warm(st *Start) (Solution, bool) {
+// loaded bounds and writes the outcome into sol; false means the caller
+// must solve cold, and sol is untouched.
+func (sp *sparseSolver) warm(sol *Solution, st *Start) bool {
 	if !sp.install(st) {
-		return Solution{}, false
+		return false
 	}
 	switch sp.dualIterate() {
 	case Infeasible:
-		return Solution{Status: Infeasible, Iterations: sp.pivots, Warm: true}, true
+		sol.end(Infeasible, sp.pivots, true)
+		return true
 	case IterLimit:
-		return Solution{}, false
+		return false
 	}
 	// Polish: dual pivots keep dual feasibility only up to roundoff.
 	if st := sp.primalIterate(); st != Optimal {
-		return Solution{}, false
+		return false
 	}
 	// Trust but verify before reporting optimality through the warm path.
 	// The polish's last pass priced this basis under the phase-2 cost, so
@@ -133,9 +137,10 @@ func (sp *sparseSolver) warm(st *Start) (Solution, bool) {
 	// without another BTRAN.
 	sp.priceFromDuals()
 	if !sp.withinBounds(sp.dtol) || !sp.dualFeasible(sp.dtol) {
-		return Solution{}, false
+		return false
 	}
-	return sp.solution(true), true
+	sp.solution(sol, true)
+	return true
 }
 
 // install sets the loaded workspace up at st's basis under the loaded

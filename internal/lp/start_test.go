@@ -60,7 +60,7 @@ func TestRestoreSiblingsBitIdentical(t *testing.T) {
 		if want[i], err = SolveFrom(q, parent.Basis, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
+		got, err := modelSolve(md, q.Lo, q.Hi, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRestoreSiblingsBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
+			got, err := modelSolve(md, q.Lo, q.Hi, &st)
 			if err != nil {
 				t.Error(err)
 				return
@@ -87,6 +87,54 @@ func TestRestoreSiblingsBitIdentical(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStartOwnsItsFlips: a Start keeps its own copy of the restored
+// snapshot's at-upper columns. A result whose basis a Start was restored
+// from is solved into again, which rewrites the basis's storage in place,
+// and the children solved from the Start afterwards must still be the
+// one-shot re-solves from the basis as it was.
+func TestStartOwnsItsFlips(t *testing.T) {
+	p, q, _, _, md, st := warmChild(t)
+	defer md.Release()
+	var res Solution
+	if err := md.SolveFrom(&res, q.Lo, q.Hi, st, nil); err != nil || res.Status != Optimal {
+		t.Fatalf("child: %v %v", err, res.Status)
+	}
+	saved := &Basis{rows: slices.Clone(res.Basis.rows), flips: slices.Clone(res.Basis.flips), n: res.Basis.n}
+	var own Start
+	md.Restore(&own, res.Basis)
+
+	kids := siblings(q, res.X, 3)
+	want := make([]Solution, len(kids))
+	for i, k := range kids {
+		var err error
+		if want[i], err = SolveFrom(k, saved, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flips := res.Basis.flips
+	// Recycle the result: a cold solve of the parent into it.
+	if err := md.SolveFrom(&res, p.Lo, p.Hi, nil, nil); err != nil || res.Status != Optimal {
+		t.Fatalf("recycling solve: %v %v", err, res.Status)
+	}
+	if slices.Equal(flips, saved.flips) {
+		t.Fatal("the recycling solve left the old flips' storage as it was; the test no longer exercises it")
+	}
+	warm := 0
+	for i, k := range kids {
+		got, err := modelSolve(md, k.Lo, k.Hi, &own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolution(t, fmt.Sprintf("grandchild %d", i), got, want[i])
+		if got.Warm {
+			warm++
+		}
+	}
+	if warm == 0 {
+		t.Fatal("no grandchild re-solved warm; the test no longer exercises the Start")
+	}
 }
 
 // TestStaleStartSolvesCold checks that a Start serves only the compile it
@@ -110,7 +158,7 @@ func TestStaleStartSolvesCold(t *testing.T) {
 	}
 	var st Start
 	a.Restore(&st, parent.Basis)
-	if sol, err := a.SolveFrom(q.Lo, q.Hi, &st, nil); err != nil || !sol.Warm {
+	if sol, err := modelSolve(a, q.Lo, q.Hi, &st); err != nil || !sol.Warm {
 		t.Fatalf("fresh Start did not re-solve warm: %v %+v", err, sol.Status)
 	}
 	a.Release()
@@ -121,11 +169,11 @@ func TestStaleStartSolvesCold(t *testing.T) {
 	defer b.Release()
 	t.Logf("model B reuses model A's pointer: %v", a == b)
 
-	cold, err := b.SolveFrom(q.Lo, q.Hi, nil, nil)
+	cold, err := modelSolve(b, q.Lo, q.Hi, nil)
 	if err != nil || cold.Warm {
 		t.Fatalf("nil Start: %v warm %v", err, cold.Warm)
 	}
-	stale, err := b.SolveFrom(q.Lo, q.Hi, &st, nil)
+	stale, err := modelSolve(b, q.Lo, q.Hi, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +184,7 @@ func TestStaleStartSolvesCold(t *testing.T) {
 		t.Fatalf("other: %v %v", err, other.Status)
 	}
 	b.Restore(&st, other.Basis)
-	misfit, err := b.SolveFrom(q.Lo, q.Hi, &st, nil)
+	misfit, err := modelSolve(b, q.Lo, q.Hi, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +243,7 @@ func TestDualUpdateDrift(t *testing.T) {
 		t.Errorf("maintained reduced costs drift by %g from a fresh pricing, beyond %g", worst, sp.dtol)
 	}
 
-	warm, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
+	warm, err := modelSolve(md, q.Lo, q.Hi, &st)
 	if err != nil || !warm.Warm || warm.Status != Optimal {
 		t.Fatalf("warm re-solve: %v warm %v %v", err, warm.Warm, warm.Status)
 	}

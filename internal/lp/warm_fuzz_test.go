@@ -75,7 +75,7 @@ func FuzzSolveFrom(f *testing.F) {
 			}
 			var st Start
 			md.Restore(&st, parent.Basis)
-			viaModel, err := md.SolveFrom(q.Lo, q.Hi, &st, nil)
+			viaModel, err := modelSolve(md, q.Lo, q.Hi, &st)
 			md.Release()
 			if err != nil {
 				t.Fatalf("Model.SolveFrom: %v", err)

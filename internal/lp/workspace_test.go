@@ -44,15 +44,19 @@ type reuseStep struct {
 	md    *Model
 }
 
-// solveBoth solves the step one-shot on sp and then through its model on
-// the same workspace, so each path inherits the other's buffers, and
-// requires both to match want bit for bit.
-func (s reuseStep) solveBoth(t *testing.T, sp *sparseSolver, step int, want Solution) {
+// solveBoth solves the step one-shot on sp into a fresh result and then
+// through its model on the same workspace into into, so each path
+// inherits the other's buffers and into keeps the result buffers of the
+// caller's earlier steps, and requires both to match want bit for bit.
+func (s reuseStep) solveBoth(t *testing.T, sp *sparseSolver, step int, want Solution, into *Solution) {
 	t.Helper()
-	sameSolution(t, fmt.Sprintf("step %d one-shot", step), sp.run(s.p, nil, s.basis), want)
+	var oneShot Solution
+	sp.run(&oneShot, s.p, nil, s.basis)
+	sameSolution(t, fmt.Sprintf("step %d one-shot", step), oneShot, want)
 	var st Start
 	s.md.Restore(&st, s.basis)
-	sameSolution(t, fmt.Sprintf("step %d model", step), sp.runModel(s.md, s.p.Lo, s.p.Hi, nil, &st), want)
+	sp.runModel(into, s.md, s.p.Lo, s.p.Hi, nil, &st)
+	sameSolution(t, fmt.Sprintf("step %d model", step), *into, want)
 }
 
 // reuseScript returns the script large → small → large, cold and then
@@ -64,7 +68,8 @@ func reuseScript(t *testing.T) ([]reuseStep, []Solution) {
 	r := rand.New(rand.NewSource(0x5EA5))
 	large, small := reuseLP(r, 120, 90), reuseLP(r, 6, 4)
 	ref := func(p *Problem, b *Basis) Solution {
-		sol := new(sparseSolver).run(p, nil, b)
+		var sol Solution
+		new(sparseSolver).run(&sol, p, nil, b)
 		if sol.Status != Optimal {
 			t.Fatalf("reference solve: %v", sol.Status)
 		}
@@ -131,13 +136,16 @@ func sameSolution(t *testing.T, what string, got, want Solution) {
 // workspace state must never leak between solves. Every step solves both
 // one-shot and through a compiled model, so a one-shot compile that
 // wrote into a model's arrays, or a model solve that left the workspace
-// pointing at them, would show.
+// pointing at them, would show. The model solves all write into one
+// result, so its X, Duals and basis buffers shrink and grow with the
+// script too.
 func TestWorkspaceReuse(t *testing.T) {
 	steps, want := reuseScript(t)
 	sp := new(sparseSolver)
+	var into Solution
 	for round := 0; round < 2; round++ {
 		for i, s := range steps {
-			s.solveBoth(t, sp, i, want[i])
+			s.solveBoth(t, sp, i, want[i], &into)
 		}
 	}
 }
@@ -146,7 +154,8 @@ func TestWorkspaceReuse(t *testing.T) {
 // API from several goroutines at once, interleaving one-shot and model
 // solves, so pooled workspaces hop between goroutines, problem shapes and
 // load paths while the goroutines share each read-only model (run it
-// under -race).
+// under -race). Each goroutine solves through the models into one result
+// of its own.
 func TestWorkspacePoolConcurrent(t *testing.T) {
 	steps, want := reuseScript(t)
 	var wg sync.WaitGroup
@@ -155,6 +164,7 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var st Start
+			var viaModel Solution
 			for round := 0; round < 2; round++ {
 				for i, s := range steps {
 					oneShot, err := SolveFrom(s.p, s.basis, nil)
@@ -163,8 +173,7 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 						return
 					}
 					s.md.Restore(&st, s.basis)
-					viaModel, err := s.md.SolveFrom(s.p.Lo, s.p.Hi, &st, nil)
-					if err != nil {
+					if err := s.md.SolveFrom(&viaModel, s.p.Lo, s.p.Hi, &st, nil); err != nil {
 						t.Error(err)
 						return
 					}

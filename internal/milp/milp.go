@@ -220,13 +220,16 @@ type Result struct {
 // node is one branch-and-bound subproblem, defined by variable bounds.
 // Its LP is the tree's compiled model under the node's accumulated bound
 // patches lo/hi (nil slices take lp.Problem's defaults) — the LP shape is
-// m×n at every node of the tree. relax.Basis is the optimal basis its
-// children re-optimize from with dual-simplex warm starts; a bound
-// tightening never disturbs dual feasibility, so the parent basis is
-// always a valid warm start for a child.
+// m×n at every node of the tree. relax is the node's optimal LP result,
+// which the node owns from the moment it enters the heap until its
+// expansion is finished, when it goes back to the search's free list;
+// relax.Basis is the optimal basis its children re-optimize from with
+// dual-simplex warm starts. A bound tightening never disturbs dual
+// feasibility, so the parent basis is always a valid warm start for a
+// child.
 type node struct {
 	lo, hi []float64
-	relax  lp.Solution
+	relax  *lp.Solution
 	bound  float64
 	seq    int
 }
@@ -350,6 +353,11 @@ type solver struct {
 	// prepare's for a relaxation point lifted to the original space for
 	// the Rounder. All three live for one search.
 	clo, chi, lifted []float64
+	// free holds the LP results no node or child holds: every child LP
+	// solves into one taken from it (takeResult), and finish and run give
+	// back each result that no node keeps (freeResult). It comes from, and
+	// goes back to, the results pool.
+	free []*lp.Solution
 
 	stats SearchStats
 	seq   int
@@ -369,6 +377,11 @@ var errLimit = errors.New("milp: limit reached")
 // starts recycles the search's Start across searches, so a search
 // allocates none once its buffers have grown to its LP.
 var starts = sync.Pool{New: func() any { return new(lp.Start) }}
+
+// results recycles a search's free list of LP results across searches,
+// as starts does its Start: a search allocates only the results it holds
+// at once beyond what its free list brings.
+var results = sync.Pool{New: func() any { return new([]*lp.Solution) }}
 
 func (s *solver) run() (Result, error) {
 	s.bestObj = math.Inf(1)
@@ -408,6 +421,19 @@ func (s *solver) run() (Result, error) {
 	}
 	s.base = &s.work.LP
 
+	free := results.Get().(*[]*lp.Solution)
+	s.free = *free
+	h := &nodeHeap{}
+	defer func() {
+		// Nodes a limit or the prune left on the heap give their results
+		// back too.
+		for _, n := range *h {
+			s.freeResult(n.relax)
+		}
+		*free = s.free
+		results.Put(free)
+	}()
+
 	root := &node{lo: s.base.Lo, hi: s.base.Hi}
 	var rootSeed *lp.Basis
 	if basis != nil {
@@ -444,8 +470,6 @@ func (s *solver) run() (Result, error) {
 	}
 	defer s.model.Release()
 
-	h := &nodeHeap{}
-	heap.Init(h)
 	s.enqueue(h, root)
 
 	if !s.opts.DisableWarmLP {
@@ -464,6 +488,9 @@ func (s *solver) run() (Result, error) {
 			break
 		}
 		n := heap.Pop(h).(*node)
+		if onPop != nil {
+			onPop(s, n)
+		}
 		lowest = n.bound
 		p := s.prepare(n)
 		if s.cancelled() {
@@ -472,6 +499,7 @@ func (s *solver) run() (Result, error) {
 			return s.limitResult(lowest), nil
 		}
 		s.finish(h, p)
+		s.freeResult(n.relax)
 		s.trace.Round(round, math.Min(lowest, s.aside), s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
 	}
 
@@ -651,31 +679,49 @@ func (s *solver) finish(h *nodeHeap, p prep) {
 	// with one infeasible child scores +Inf and ends the scan too, since
 	// no later probe could beat it except a fully pruned pair. A reliable
 	// candidate whose estimate beats every probe is branched on, its pair
-	// solved only now.
-	var bestPair [2]child
+	// solved only now. Every pair that loses gives its results back to the
+	// free list at once, so the next pair solves into them.
+	var best [2]child
 	bestScore := math.Inf(-1)
 	for _, c := range p.probes {
-		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
-		s.observe(p.n, c, &down, &up)
-		if down.state == childInfeasible && up.state == childInfeasible {
+		pair := s.solvePair(&p, c)
+		if pair[0].state == childInfeasible && pair[1].state == childInfeasible {
+			s.discard(&pair)
+			s.discard(&best)
 			return // both children infeasible: the node is fully pruned
 		}
-		score := pairScore(p.n, &down, &up)
+		score := pairScore(p.n, &pair[0], &pair[1])
 		if score > bestScore {
 			bestScore = score
-			bestPair = [2]child{down, up}
+			best, pair = pair, best
 		}
+		s.discard(&pair)
 		if math.IsInf(score, 1) {
 			break // one child infeasible: the node keeps a single child
 		}
 	}
 	if c := p.reliable; c.j >= 0 && c.score > bestScore {
-		down, up := s.solveChild(&p, c.j, 0), s.solveChild(&p, c.j, 1)
-		s.observe(p.n, c, &down, &up)
-		bestPair = [2]child{down, up}
+		s.discard(&best)
+		best = s.solvePair(&p, c)
 	}
-	for i := range bestPair {
-		s.enqueueChild(h, p.n, &bestPair[i])
+	for i := range best {
+		s.enqueueChild(h, p.n, &best[i])
+	}
+}
+
+// solvePair solves both children of the prepared node on candidate c and
+// folds them into the pseudocosts.
+func (s *solver) solvePair(p *prep, c branchCand) [2]child {
+	pair := [2]child{s.solveChild(p, c.j, 0), s.solveChild(p, c.j, 1)}
+	s.observe(p.n, c, &pair[0], &pair[1])
+	return pair
+}
+
+// discard gives the results of a pair that becomes no node back to the
+// free list.
+func (s *solver) discard(pair *[2]child) {
+	for i := range pair {
+		s.freeResult(pair[i].relax)
 	}
 }
 
@@ -694,14 +740,17 @@ const (
 )
 
 // child is a solved child of a node, kept as a value: the bound patch
-// lo <= x_j <= hi on its parent's box, its relaxation and its bound. A
-// probe that loses, an infeasible child and an unresolved one that is set
-// aside never become more; only enqueueChild gives a child a *node and
-// its own bound slices.
+// lo <= x_j <= hi on its parent's box, its LP result and its bound. relax
+// is a result taken from the search's free list for the child's solve
+// (nil when the patched box is empty and nothing was solved). A probe that
+// loses, an infeasible child, a pruned one and an unresolved one that is
+// set aside never become more, and their results go back to the free list
+// (discard, enqueueChild); only enqueueChild gives a child a *node, its
+// own bound slices and, with no copy, its result.
 type child struct {
 	j      int
 	lo, hi float64
-	relax  lp.Solution
+	relax  *lp.Solution
 	bound  float64
 	state  childState
 }
@@ -723,9 +772,10 @@ func (s *solver) solveChild(p *prep, j, dir int) child {
 // parent's own slice (Model.SolveFrom copies bounds in at load, so the
 // scratch is free again once the solve returns). Its relaxation is
 // re-optimized from n's basis, restored in start, via the dual-simplex
-// warm start. A child whose box is empty or whose LP is infeasible comes
-// back childInfeasible. A child whose LP ends otherwise is solved once
-// more, cold; if that fails too, it comes back unresolved with n's bound.
+// warm start, into a result taken from the free list. A child whose box
+// is empty or whose LP is infeasible comes back childInfeasible. A child
+// whose LP ends otherwise is solved once more, cold, into the same
+// result; if that fails too, it comes back unresolved with n's bound.
 func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) child {
 	if pl := n.lower(j); pl > lo {
 		lo = pl
@@ -742,6 +792,7 @@ func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) chi
 		s.clo, s.chi = make([]float64, nv), make([]float64, nv)
 	}
 	clo, chi := patchBounds(n, nv, j, lo, hi, s.clo, s.chi)
+	c.relax = s.takeResult()
 	st, ok := s.solveRelax(&c, clo, chi, start)
 	if !ok {
 		st, ok = s.solveRelax(&c, clo, chi, nil)
@@ -882,18 +933,44 @@ func boundInto(dst, b []float64, n int, def float64) []float64 {
 // enqueueChild keeps a solved child of n: an infeasible or prunable child
 // is dropped, an unresolved one is set aside (only its bound is kept),
 // and a child that enters the heap gets its node, with its own copy of
-// the patched bound side (patchedBound), only now.
+// the patched bound side (patchedBound), only now. The node takes over
+// the child's result; a dropped or set-aside child's result goes back to
+// the free list.
 func (s *solver) enqueueChild(h *nodeHeap, n *node, c *child) {
-	if c.state == childInfeasible || s.pruned(c.bound) {
-		return
-	}
-	if c.state == childUnresolved {
+	switch {
+	case c.state == childInfeasible || s.pruned(c.bound):
+	case c.state == childUnresolved:
 		s.aside = math.Min(s.aside, c.bound)
+	default:
+		kid := patchedBound(n, s.base.NumVars(), c.j, c.lo, c.hi)
+		kid.relax, kid.bound = c.relax, c.bound
+		if onEnqueue != nil {
+			onEnqueue(s, n, kid)
+		}
+		s.enqueue(h, kid)
 		return
 	}
-	kid := patchedBound(n, s.base.NumVars(), c.j, c.lo, c.hi)
-	kid.relax, kid.bound = c.relax, c.bound
-	s.enqueue(h, kid)
+	s.freeResult(c.relax)
+}
+
+// takeResult takes an LP result off the free list, or makes one when the
+// list is empty.
+func (s *solver) takeResult() *lp.Solution {
+	k := len(s.free) - 1
+	if k < 0 {
+		return new(lp.Solution)
+	}
+	r := s.free[k]
+	s.free = s.free[:k]
+	return r
+}
+
+// freeResult gives an LP result that nothing holds any more back to the
+// free list; nil is ignored.
+func (s *solver) freeResult(r *lp.Solution) {
+	if r != nil {
+		s.free = append(s.free, r)
+	}
 }
 
 // enqueue pushes a solved node unless its bound is already prunable.
@@ -932,7 +1009,7 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 	s.stats.CutRounds = gr.Rounds
 	// The Gomory solution (and its basis) belongs to the cut-augmented
 	// problem, which is exactly the node's LP from here on.
-	s.setRelax(root, gr.Solution)
+	s.setRelax(root, &gr.Solution)
 	return root.relax.Status, nil
 }
 
@@ -954,43 +1031,53 @@ func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.setRelax(root, sol)
+	s.setRelax(root, &sol)
 	return sol.Status, nil
 }
 
 // solveRelax solves a child's LP relaxation under the bounds lo/hi
-// through the tree's model and stores bound/solution. It re-optimizes
-// from the parent basis restored in start via the dual simplex, and
-// solves cold when start is nil (DisableWarmLP) or the restore was
-// rejected, inside Model.SolveFrom. ok reports whether the LP settled the
-// child: optimal or infeasible.
+// through the tree's model into c.relax and stores the bound. It
+// re-optimizes from the parent basis restored in start via the dual
+// simplex, and solves cold when start is nil (DisableWarmLP) or the
+// restore was rejected, inside Model.SolveFrom. ok reports whether the LP
+// settled the child: optimal or infeasible.
 func (s *solver) solveRelax(c *child, lo, hi []float64, start *lp.Start) (st lp.Status, ok bool) {
-	sol, err := s.model.SolveFrom(lo, hi, start, nil)
-	if err != nil {
+	if err := s.model.SolveFrom(c.relax, lo, hi, start, nil); err != nil {
 		return 0, false
 	}
-	s.countLP(sol)
-	c.relax, c.bound = sol, sol.Objective+s.objOff
+	s.countLP(c.relax)
+	c.bound = c.relax.Objective + s.objOff
 	if failChildLP != nil && failChildLP() {
 		return lp.IterLimit, false
 	}
-	return sol.Status, sol.Status == lp.Optimal || sol.Status == lp.Infeasible
+	return c.relax.Status, c.relax.Status == lp.Optimal || c.relax.Status == lp.Infeasible
 }
 
 // failChildLP, when a test sets it, is asked after every child LP solve;
 // true makes that solve count as unresolved.
 var failChildLP func() bool
 
-// setRelax records a node's solved relaxation and its bound, and folds the
-// solve into the statistics.
-func (s *solver) setRelax(n *node, sol lp.Solution) {
+// onEnqueue and onPop, when a test sets them, see every child that enters
+// the heap, with the node whose expansion solved it, and every node popped
+// for expansion.
+var (
+	onEnqueue func(s *solver, parent, kid *node)
+	onPop     func(s *solver, n *node)
+)
+
+// setRelax records the root's relaxation, a result the one-shot path
+// allocated, and its bound, and folds the solve into the statistics. The
+// node holds it in a result struct from the free list, whose own buffers
+// give way to the one-shot's; it goes back to the list like any node's.
+func (s *solver) setRelax(n *node, sol *lp.Solution) {
 	s.countLP(sol)
-	n.relax = sol
+	n.relax = s.takeResult()
+	*n.relax = *sol
 	n.bound = sol.Objective + s.objOff
 }
 
 // countLP folds one node LP solve into the search statistics.
-func (s *solver) countLP(sol lp.Solution) {
+func (s *solver) countLP(sol *lp.Solution) {
 	s.stats.LPIterations += sol.Iterations
 	s.stats.LPSolves++
 	if sol.Warm {

@@ -32,7 +32,7 @@ func tightenFixture(obj []float64, rows []lp.Constraint, inc float64) *solver {
 // relaxed is a node with relaxation point x, row duals y and LP bound z
 // under the bounds lo/hi.
 func relaxed(lo, hi, x, y []float64, z float64) *node {
-	return &node{lo: lo, hi: hi, relax: lp.Solution{Status: lp.Optimal, X: x, Duals: y}, bound: z}
+	return &node{lo: lo, hi: hi, relax: &lp.Solution{Status: lp.Optimal, X: x, Duals: y}, bound: z}
 }
 
 // TestTightenExactQuotient: gap/d_j = k exactly keeps lo + k, not
@@ -164,7 +164,7 @@ func TestTightenCopyOnWrite(t *testing.T) {
 	before := snap(root, up)
 	// The down child's LP: x0 at 0, x1 at 6, bound −1, so gap = 4 caps
 	// x0 at 4 and raises x1 to 2 — both sides change.
-	down.relax = lp.Solution{Status: lp.Optimal, X: []float64{0, 6, 0}}
+	down.relax = &lp.Solution{Status: lp.Optimal, X: []float64{0, 6, 0}}
 	down.bound = -1
 	s.tighten(down)
 	if !slices.Equal(down.lo, []float64{0, 2, 0}) || !slices.Equal(down.hi, []float64{4, 6, 0}) {
@@ -200,7 +200,7 @@ func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.setRelax(root, sol)
+	s.setRelax(root, &sol)
 	j := slices.IndexFunc(root.relax.X, func(v float64) bool { return v != math.Floor(v) })
 	if j < 0 {
 		t.Fatalf("root relaxation %v is integral", root.relax.X)

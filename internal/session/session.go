@@ -425,7 +425,8 @@ func warmSeed(m *core.CostModel, effIdx []int, prev []int, target int) []int {
 			rho[i] = prev[j]
 		}
 	}
-	solve.PadToTarget(m, rho, target, make([]int64, m.Q))
+	scratch := make([]int64, m.Q+m.J)
+	solve.PadToTarget(m, rho, target, scratch[:m.Q], scratch[m.Q:])
 	return rho
 }
 

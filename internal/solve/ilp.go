@@ -117,17 +117,19 @@ func BuildMILP(m *core.CostModel, target int) *milp.Problem {
 // point into a feasible integer point: graph throughputs are floored, the
 // lost units are re-added by PadToTarget, and machine counts are
 // recomputed as exact ceilings of the padded demand. The throughputs and
-// the demand live in scratch the rounder reuses on every call, so it
-// allocates only the point it returns, and it must not be called from two
-// goroutines at once (a milp search calls it sequentially).
+// PadToTarget's demand and marginal costs live in scratch the rounder
+// reuses on every call, so it allocates only the point it returns, and it
+// must not be called from two goroutines at once (a milp search calls it
+// sequentially).
 func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 	rho := make([]int, m.J)
-	demand := make([]int64, m.Q)
+	scratch := make([]int64, m.Q+m.J)
+	demand, delta := scratch[:m.Q], scratch[m.Q:]
 	return func(x []float64) ([]float64, bool) {
 		for j := range rho {
 			rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
 		}
-		PadToTarget(m, rho, target, demand)
+		PadToTarget(m, rho, target, demand, delta)
 		out := make([]float64, m.J+m.Q)
 		for j, r := range rho {
 			out[j] = float64(r)
@@ -139,40 +141,68 @@ func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 	}
 }
 
+// unpriced marks a graph whose marginal cost PadToTarget must compute
+// again: no real marginal cost is this low.
+const unpriced = math.MinInt64
+
 // PadToTarget raises the total throughput of rho to target in place, one
 // unit at a time, each unit going to the first graph with the smallest
 // marginal cost. rho must have one entry per graph of m, with at least
-// one graph. demand is the caller's scratch of length m.Q; on return it
-// holds the per-type demand of the padded rho (CostModel.Demands).
+// one graph. demand and delta are the caller's scratch, of length m.Q and
+// m.J; on return demand holds the per-type demand of the padded rho
+// (CostModel.Demands).
 //
 // The per-type demand is computed once and kept current: one more unit of
 // graph j costs Σ_q c_q·(⌈(d_q+n_jq)/r_q⌉ − ⌈d_q/r_q⌉) over the types j
-// uses, which is exactly the difference of the two full costs.
-func PadToTarget(m *core.CostModel, rho []int, target int, demand []int64) {
+// uses, which is exactly the difference of the two full costs. delta[j]
+// keeps that marginal cost across units. A unit of graph b moves only the
+// demand of b's types, so only the graphs that share a type with b are
+// priced again, when the next unit is placed.
+func PadToTarget(m *core.CostModel, rho []int, target int, demand, delta []int64) {
 	sum := 0
 	for _, r := range rho {
 		sum += r
 	}
 	m.Demands(rho, demand)
+	for j := range delta {
+		delta[j] = unpriced
+	}
 	for ; sum < target; sum++ {
-		best, bestDelta := 0, int64(math.MaxInt64)
+		best := 0
 		for j := range rho {
-			var d int64
-			for q, n := range m.N[j] {
-				if n != 0 {
-					r := int64(m.R[q])
-					d += m.C[q] * (core.CeilDiv(demand[q]+int64(n), r) - core.CeilDiv(demand[q], r))
-				}
+			if delta[j] == unpriced {
+				delta[j] = marginalCost(m, j, demand)
 			}
-			if d < bestDelta {
-				best, bestDelta = j, d
+			if delta[j] < delta[best] {
+				best = j
 			}
 		}
 		rho[best]++
 		for q, n := range m.N[best] {
+			if n == 0 {
+				continue
+			}
 			demand[q] += int64(n)
+			for j := range delta {
+				if m.N[j][q] != 0 {
+					delta[j] = unpriced
+				}
+			}
 		}
 	}
+}
+
+// marginalCost is the cost of one more unit of graph j at the per-type
+// demand demand.
+func marginalCost(m *core.CostModel, j int, demand []int64) int64 {
+	var d int64
+	for q, n := range m.N[j] {
+		if n != 0 {
+			r := int64(m.R[q])
+			d += m.C[q] * (core.CeilDiv(demand[q]+int64(n), r) - core.CeilDiv(demand[q], r))
+		}
+	}
+	return d
 }
 
 // allocationToPoint encodes an allocation as a MILP variable vector.

@@ -223,7 +223,7 @@ func roundingReference(m *core.CostModel, target int, x []float64) []float64 {
 	for j := range rho {
 		rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
 	}
-	PadToTarget(m, rho, target, make([]int64, m.Q))
+	padToTargetReference(m, rho, target)
 	a := m.NewAllocation(rho)
 	out := make([]float64, m.J+m.Q)
 	for j, r := range rho {
@@ -386,10 +386,32 @@ func padToTargetReference(m *core.CostModel, rho []int, target int) {
 	}
 }
 
+// wideSharedModel is a shared-type model of j recipes over q machine
+// types, each recipe a chain of 3 to 8 tasks of random types. Costs and
+// throughputs are small, so marginal costs tie often.
+func wideSharedModel(r *rand.Rand, j, q int) *core.CostModel {
+	p := &core.Problem{Platform: core.Platform{Machines: make([]core.MachineType, q)}}
+	for i := range p.Platform.Machines {
+		p.Platform.Machines[i] = core.MachineType{Throughput: 1 + r.Intn(6), Cost: 1 + r.Intn(4)}
+	}
+	for g := 0; g < j; g++ {
+		types := make([]int, 3+r.Intn(6))
+		for i := range types {
+			types[i] = r.Intn(q)
+		}
+		p.App.Graphs = append(p.App.Graphs, core.NewChain("", types...))
+	}
+	return core.NewCostModel(p)
+}
+
 // TestPadToTargetMatchesFullRecompute: the incremental marginal-cost
 // padding picks the same graph as the full recompute at every unit, ties
 // included (small costs make them frequent), from random starting points
-// below, at and above the target.
+// below, at and above the target. Besides the small models, wide ones of
+// 60 to 90 types are padded by 200 units and more, so marginal costs kept
+// across many units, and graphs that share no type with the last pick,
+// are exercised. The scratch is reused across pads, as the rounder reuses
+// it.
 func TestPadToTargetMatchesFullRecompute(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	models := []*core.CostModel{exampleModel(t)}
@@ -398,19 +420,30 @@ func TestPadToTargetMatchesFullRecompute(t *testing.T) {
 		p, _ := smallGeneratedProblem(r)
 		models = append(models, core.NewCostModel(p))
 	}
+	small := len(models)
+	for i := 0; i < 6; i++ {
+		models = append(models, wideSharedModel(r, 12+r.Intn(20), 60+r.Intn(31)))
+	}
 	for mi, m := range models {
+		scratch := make([]int64, m.Q+m.J)
+		demand, delta := scratch[:m.Q], scratch[m.Q:]
 		for trial := 0; trial < 10; trial++ {
 			target := r.Intn(120)
+			if mi >= small {
+				target = 200 + r.Intn(200)
+			}
 			rho := make([]int, m.J)
 			for j := range rho {
 				if r.Intn(2) == 0 {
 					rho[j] = r.Intn(target/m.J + 2)
 				}
 			}
+			if mi >= small && trial%2 == 0 {
+				clear(rho) // the whole target is padded
+			}
 			want := slices.Clone(rho)
 			padToTargetReference(m, want, target)
-			demand := make([]int64, m.Q)
-			PadToTarget(m, rho, target, demand)
+			PadToTarget(m, rho, target, demand, delta)
 			if !slices.Equal(rho, want) {
 				t.Fatalf("model %d, target %d: PadToTarget = %v, full recompute = %v", mi, target, rho, want)
 			}
