@@ -135,21 +135,12 @@ func (c *Client) BaseURL() string { return c.base }
 // Cancelling ctx aborts the request and — server-side — stops the
 // branch-and-bound search between nodes.
 func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (*Solution, error) {
-	raw, err := encodeProblem(p)
+	body, err := solveBody(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	req := SolveRequest{Problem: raw}
-	if opts != nil {
-		req.TimeLimitMs = millis(opts.TimeLimit)
-		req.Stats = opts.Stats
-		if opts.Target > 0 {
-			t := opts.Target
-			req.Target = &t
-		}
-	}
 	var sol Solution
-	if err := c.post(ctx, "/v1/solve", req, &sol); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/solve", body, &sol); err != nil {
 		return nil, err
 	}
 	return &sol, nil
@@ -159,20 +150,12 @@ func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (
 // solutions in input order. Items that failed or never started before
 // the batch deadline have Error set instead of an allocation.
 func (c *Client) SolveBatch(ctx context.Context, problems []*rentmin.Problem, opts *Options) ([]Solution, error) {
-	req := BatchRequest{Problems: make([]json.RawMessage, len(problems))}
-	for i, p := range problems {
-		raw, err := encodeProblem(p)
-		if err != nil {
-			return nil, fmt.Errorf("problem %d: %w", i, err)
-		}
-		req.Problems[i] = raw
-	}
-	if opts != nil {
-		req.TimeLimitMs = millis(opts.TimeLimit)
-		req.Stats = opts.Stats
+	body, err := batchBody(problems, opts)
+	if err != nil {
+		return nil, err
 	}
 	var resp BatchResponse
-	if err := c.post(ctx, "/v1/batch", req, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/batch", body, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Solutions) != len(problems) {
@@ -248,13 +231,8 @@ func (c *Client) UploadProblem(ctx context.Context, hash string, doc json.RawMes
 // daemon that no longer holds the hash answers HTTP 412 (surfaced as
 // *APIError); re-upload with UploadProblem and retry.
 func (c *Client) SolveRef(ctx context.Context, hash string, target int, opts *Options) (*Solution, error) {
-	req := SolveRequest{ProblemRef: &ProblemRef{Hash: hash, Target: &target}}
-	if opts != nil {
-		req.TimeLimitMs = millis(opts.TimeLimit)
-		req.Stats = opts.Stats
-	}
 	var sol Solution
-	if err := c.post(ctx, "/v1/solve", req, &sol); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/solve", refBody(hash, target, opts), &sol); err != nil {
 		return nil, err
 	}
 	return &sol, nil
@@ -264,13 +242,8 @@ func (c *Client) SolveRef(ctx context.Context, hash string, target int, opts *Op
 // resolves from the daemon's content-addressed cache at its own target.
 // One missing hash fails the whole batch with HTTP 412.
 func (c *Client) SolveBatchRef(ctx context.Context, refs []ProblemRef, opts *Options) ([]Solution, error) {
-	req := BatchRequest{ProblemRefs: refs}
-	if opts != nil {
-		req.TimeLimitMs = millis(opts.TimeLimit)
-		req.Stats = opts.Stats
-	}
 	var resp BatchResponse
-	if err := c.post(ctx, "/v1/batch", req, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/batch", batchRefBody(refs, opts), &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Solutions) != len(refs) {
@@ -336,13 +309,134 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 }
 
 // encodeProblem renders a problem as compact JSON: the inline document
-// of a request, and the canonical document ProblemHash hashes.
+// of a request, appended to its body as it is, and the canonical
+// document ProblemHash hashes.
 func encodeProblem(p *rentmin.Problem) (json.RawMessage, error) {
 	raw, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("encode problem: %w", err)
 	}
 	return raw, nil
+}
+
+// The bodies of /v1/solve and /v1/batch are written by hand: each is
+// byte for byte what json.Marshal writes for its SolveRequest or
+// BatchRequest (fields in declaration order, empty ones omitted), but
+// the compact documents are appended as they are, where json.Marshal
+// would scan each one again to compact it.
+
+// solveBody is the /v1/solve body of Solve.
+func solveBody(p *rentmin.Problem, opts *Options) ([]byte, error) {
+	doc, err := encodeProblem(p)
+	if err != nil {
+		return nil, err
+	}
+	b := append(appendKey(make([]byte, 0, len(doc)+envelopeSize), "problem"), doc...)
+	if opts != nil && opts.Target > 0 {
+		b = strconv.AppendInt(appendKey(b, "target"), int64(opts.Target), 10)
+	}
+	return appendOptions(b, opts), nil
+}
+
+// refBody is the /v1/solve body of SolveRef.
+func refBody(hash string, target int, opts *Options) []byte {
+	b := make([]byte, 0, len(hash)+envelopeSize)
+	return appendOptions(appendRef(appendKey(b, "problem_ref"), ProblemRef{Hash: hash, Target: &target}), opts)
+}
+
+// batchBody is the /v1/batch body of SolveBatch.
+func batchBody(problems []*rentmin.Problem, opts *Options) ([]byte, error) {
+	docs := make([]json.RawMessage, len(problems))
+	size := envelopeSize
+	for i, p := range problems {
+		doc, err := encodeProblem(p)
+		if err != nil {
+			return nil, fmt.Errorf("problem %d: %w", i, err)
+		}
+		docs[i] = doc
+		size += len(doc) + 1
+	}
+	b := make([]byte, 0, size)
+	if len(docs) > 0 {
+		b = appendKey(b, "problems")
+		sep := byte('[')
+		for _, doc := range docs {
+			b = append(append(b, sep), doc...)
+			sep = ','
+		}
+		b = append(b, ']')
+	}
+	return appendOptions(b, opts), nil
+}
+
+// batchRefBody is the /v1/batch body of SolveBatchRef.
+func batchRefBody(refs []ProblemRef, opts *Options) []byte {
+	b := make([]byte, 0, envelopeSize*(len(refs)+1))
+	if len(refs) > 0 {
+		b = appendKey(b, "problem_refs")
+		sep := byte('[')
+		for _, ref := range refs {
+			b = appendRef(append(b, sep), ref)
+			sep = ','
+		}
+		b = append(b, ']')
+	}
+	return appendOptions(b, opts)
+}
+
+// envelopeSize is room for a body's fields around its documents: enough
+// for the options, or for one ref with a 64-character hash.
+const envelopeSize = 128
+
+// appendKey opens the object at its first field, or appends the comma
+// before a later one, then the key and its colon.
+func appendKey(b []byte, key string) []byte {
+	if len(b) == 0 {
+		b = append(b, '{')
+	} else {
+		b = append(b, ',')
+	}
+	b = append(append(b, '"'), key...)
+	return append(b, '"', ':')
+}
+
+// appendOptions appends the fields every request body ends with, then
+// closes the object.
+func appendOptions(b []byte, opts *Options) []byte {
+	if opts != nil {
+		if ms := millis(opts.TimeLimit); ms != 0 {
+			b = strconv.AppendInt(appendKey(b, "time_limit_ms"), ms, 10)
+		}
+		if opts.Stats {
+			b = append(appendKey(b, "stats"), "true"...)
+		}
+	}
+	if len(b) == 0 {
+		b = append(b, '{')
+	}
+	return append(b, '}')
+}
+
+// appendRef appends one ProblemRef object.
+func appendRef(b []byte, ref ProblemRef) []byte {
+	b = appendString(append(b, `{"hash":`...), ref.Hash)
+	if ref.Target != nil {
+		b = strconv.AppendInt(append(b, `,"target":`...), int64(*ref.Target), 10)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as json.Marshal encodes it. A string of
+// printable ASCII that json.Marshal writes unescaped, as every hash
+// ProblemHash returns is, is appended as it is.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 func (c *Client) post(ctx context.Context, path string, reqBody, out interface{}) error {

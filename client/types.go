@@ -32,7 +32,11 @@ type ProblemRef struct {
 	Target *int `json:"target,omitempty"`
 }
 
-// SolveRequest is the body of POST /v1/solve.
+// SolveRequest is the body of POST /v1/solve. Client.Solve and SolveRef
+// write it by hand, byte for byte as json.Marshal writes it, with the
+// compact document appended as it is rather than compacted again. The
+// daemon reads a body of that shape in one pass, documents included, and
+// any other body with encoding/json.
 type SolveRequest struct {
 	// Problem is one MinCost instance in the rentmin JSON schema (the
 	// same document rentmin.ReadProblem accepts). The daemon decodes it
@@ -57,7 +61,8 @@ type SolveRequest struct {
 	Stats bool `json:"stats,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/batch.
+// BatchRequest is the body of POST /v1/batch. Client.SolveBatch and
+// SolveBatchRef write it by hand, as for SolveRequest.
 type BatchRequest struct {
 	// Problems are the instances to solve, each at its own target.
 	// Exactly one of Problems and ProblemRefs must be non-empty.

@@ -22,45 +22,89 @@ func ParseProblem(data []byte) (*Problem, error) {
 			return nil, err
 		}
 	}
+	return Validated(p)
+}
+
+// Validated returns p if it passes Validate, and otherwise the error
+// ParseProblem returns for a document that decodes to p.
+func Validated(p *Problem) (*Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid problem: %w", err)
 	}
 	return p, nil
 }
 
-// parseFast decodes data when it has the shape json.Marshal and
-// WriteProblem emit, and reports false for any other input:
+// parseFast decodes data when it is one document in the shape Scanner
+// reads, followed by nothing but whitespace, and reports false for any
+// other input.
+func parseFast(data []byte) (*Problem, bool) {
+	sc := NewScanner(data)
+	p := sc.Problem()
+	return p, sc.End()
+}
+
+// Scanner reads JSON in the shape json.Marshal and WriteProblem emit,
+// and fails at the first byte outside it:
 //
 //   - strings of printable ASCII without escapes;
 //   - integer literals without fraction, exponent, leading zero or "-0"
 //     that fit in an int;
-//   - the schema's keys in exact case, each at most once per object;
-//   - no null, true or false;
-//   - nothing but whitespace after the document.
+//   - object keys in exact case, each at most once per object;
+//   - no null or false, and true only where the caller reads it (True).
 //
-// On such input encoding/json with unknown fields disallowed returns the
-// same problem. The decoder reads the input twice. The sizing pass counts
-// graphs, machines, tasks, edges and name bytes; the fill pass then stores
-// all the tasks of the problem in one array of exactly that size, all its
+// On such input encoding/json with unknown fields disallowed reads the
+// same values. Every reader skips the whitespace before its value, and
+// once one fails, every later reader does nothing and End reports false.
+// A Scanner allocates nothing itself; only Problem does.
+type Scanner struct {
+	data []byte
+	pos  int
+	ok   bool
+}
+
+// NewScanner returns a Scanner at the start of data.
+func NewScanner(data []byte) Scanner { return Scanner{data: data, ok: true} }
+
+// End reports whether every read succeeded and nothing but whitespace
+// follows the last one.
+func (s *Scanner) End() bool {
+	s.space()
+	return s.ok && s.pos == len(s.data)
+}
+
+// Problem decodes the problem document at the scanner's position in
+// place and moves past it. It does not validate: see Validated.
+//
+// The decoder reads the document twice. The sizing pass counts graphs,
+// machines, tasks, edges and name bytes; the fill pass then stores all
+// the tasks of the problem in one array of exactly that size, all its
 // edges in another, and every name in one string. Each graph holds a
 // slice of the shared arrays whose capacity ends at its last element, so
-// an append to one graph never writes into the next.
-func parseFast(data []byte) (*Problem, bool) {
-	d := fastDecoder{data: data, ok: true}
+// an append to one graph never writes into the next. The problem shares
+// no memory with the scanned bytes.
+func (s *Scanner) Problem() *Problem {
+	s.space()
+	if !s.ok {
+		return nil
+	}
+	start := s.pos
+	d := fastDecoder{Scanner: *s}
 	var sized Problem
 	d.document(&sized)
 	if !d.ok {
-		return nil, false
+		s.ok = false
+		return nil
 	}
 	d.graphs.alloc()
 	d.machines.alloc()
 	d.tasks.alloc()
 	d.edges.alloc()
 	d.names.Grow(d.nameLen)
-	d.pos, d.fill = 0, true
+	d.pos, d.fill = start, true
 	p := new(Problem)
 	d.document(p)
-	return p, d.ok
+	s.pos, s.ok = d.pos, d.ok
+	return p
 }
 
 // arena is the storage of one element type. On the sizing pass buf is
@@ -92,12 +136,10 @@ func (a *arena[T]) since(start int) []T {
 	return a.buf[start:a.n:a.n]
 }
 
-// fastDecoder holds parseFast's state. ok falls to false at the first
-// byte outside the accepted shape, and every reader does nothing after.
+// fastDecoder holds the state of Scanner.Problem: a scanner of its own
+// and the storage of the two passes.
 type fastDecoder struct {
-	data []byte
-	pos  int
-	ok   bool
+	Scanner
 	fill bool
 
 	graphs   arena[Graph]
@@ -110,30 +152,26 @@ type fastDecoder struct {
 
 func (d *fastDecoder) document(p *Problem) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "application", "platform", "target_throughput") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "application", "platform", "target_throughput") {
 		case 0:
 			d.application(&p.App)
 		case 1:
 			d.platform(&p.Platform)
 		case 2:
-			p.Target = d.int()
+			p.Target = d.Int()
 		}
-	}
-	d.space()
-	if d.pos != len(d.data) {
-		d.ok = false
 	}
 }
 
 func (d *fastDecoder) application(a *Application) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "name", "graphs") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "name", "graphs") {
 		case 0:
 			a.Name = d.name()
 		case 1:
-			for more := d.open('['); more; more = d.more(']') {
+			for more := d.Open('['); more; more = d.More(']') {
 				d.graph(d.graphs.next())
 			}
 			a.Graphs = d.graphs.since(0)
@@ -143,19 +181,19 @@ func (d *fastDecoder) application(a *Application) {
 
 func (d *fastDecoder) graph(g *Graph) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "name", "tasks", "edges") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "name", "tasks", "edges") {
 		case 0:
 			g.Name = d.name()
 		case 1:
 			start := d.tasks.n
-			for more := d.open('['); more; more = d.more(']') {
+			for more := d.Open('['); more; more = d.More(']') {
 				d.task(d.tasks.next())
 			}
 			g.Tasks = d.tasks.since(start)
 		case 2:
 			start := d.edges.n
-			for more := d.open('['); more; more = d.more(']') {
+			for more := d.Open('['); more; more = d.More(']') {
 				d.edge(d.edges.next())
 			}
 			g.Edges = d.edges.since(start)
@@ -165,12 +203,12 @@ func (d *fastDecoder) graph(g *Graph) {
 
 func (d *fastDecoder) task(t *Task) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "id", "type", "name") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "id", "type", "name") {
 		case 0:
-			t.ID = d.int()
+			t.ID = d.Int()
 		case 1:
-			t.Type = d.int()
+			t.Type = d.Int()
 		case 2:
 			t.Name = d.name()
 		}
@@ -179,24 +217,24 @@ func (d *fastDecoder) task(t *Task) {
 
 func (d *fastDecoder) edge(e *Edge) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "from", "to") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "from", "to") {
 		case 0:
-			e.From = d.int()
+			e.From = d.Int()
 		case 1:
-			e.To = d.int()
+			e.To = d.Int()
 		}
 	}
 }
 
 func (d *fastDecoder) platform(pl *Platform) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "name", "machines") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "name", "machines") {
 		case 0:
 			pl.Name = d.name()
 		case 1:
-			for more := d.open('['); more; more = d.more(']') {
+			for more := d.Open('['); more; more = d.More(']') {
 				d.machine(d.machines.next())
 			}
 			pl.Machines = d.machines.since(0)
@@ -206,74 +244,73 @@ func (d *fastDecoder) platform(pl *Platform) {
 
 func (d *fastDecoder) machine(m *MachineType) {
 	var seen uint8
-	for more := d.open('{'); more; more = d.more('}') {
-		switch d.field(&seen, "name", "throughput", "cost") {
+	for more := d.Open('{'); more; more = d.More('}') {
+		switch d.Field(&seen, "name", "throughput", "cost") {
 		case 0:
 			m.Name = d.name()
 		case 1:
-			m.Throughput = d.int()
+			m.Throughput = d.Int()
 		case 2:
-			m.Cost = d.int()
+			m.Cost = d.Int()
 		}
 	}
 }
 
 // space skips JSON whitespace.
-func (d *fastDecoder) space() {
-	for d.pos < len(d.data) {
-		if c := d.data[d.pos]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
+func (s *Scanner) space() {
+	for s.pos < len(s.data) {
+		if c := s.data[s.pos]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
 			return
 		}
-		d.pos++
+		s.pos++
 	}
 }
 
-// open consumes the bracket c that opens an array ('[') or an object
+// Open consumes the bracket c that opens an array ('[') or an object
 // ('{') and reports whether a first element follows. An empty array or
 // object is consumed whole.
-func (d *fastDecoder) open(c byte) bool {
-	d.space()
-	if !d.ok || d.pos == len(d.data) || d.data[d.pos] != c {
-		d.ok = false
+func (s *Scanner) Open(c byte) bool {
+	s.space()
+	if !s.ok || s.pos == len(s.data) || s.data[s.pos] != c {
+		s.ok = false
 		return false
 	}
-	d.pos++
-	d.space()
+	s.pos++
+	s.space()
 	// In ASCII each closing bracket follows its opener by two.
-	if d.pos < len(d.data) && d.data[d.pos] == c+2 {
-		d.pos++
+	if s.pos < len(s.data) && s.data[s.pos] == c+2 {
+		s.pos++
 		return false
 	}
 	return true
 }
 
-// more consumes the comma before another element, reporting true, or
+// More consumes the comma before another element, reporting true, or
 // the closing bracket end, reporting false.
-func (d *fastDecoder) more(end byte) bool {
-	d.space()
-	if d.ok && d.pos < len(d.data) {
-		switch d.data[d.pos] {
+func (s *Scanner) More(end byte) bool {
+	s.space()
+	if s.ok && s.pos < len(s.data) {
+		switch s.data[s.pos] {
 		case ',':
-			d.pos++
+			s.pos++
 			return true
 		case end:
-			d.pos++
+			s.pos++
 			return false
 		}
 	}
-	d.ok = false
+	s.ok = false
 	return false
 }
 
-// field reads an object key and its colon, and returns the key's index
+// Field reads an object key and its colon, and returns the key's index
 // in keys. A key outside keys, or one already marked in seen, fails the
-// decode and returns -1.
-func (d *fastDecoder) field(seen *uint8, keys ...string) int {
-	d.space()
-	k := d.str()
-	d.space()
-	if d.ok && d.pos < len(d.data) && d.data[d.pos] == ':' {
-		d.pos++
+// scan and returns -1.
+func (s *Scanner) Field(seen *uint8, keys ...string) int {
+	k := s.Str()
+	s.space()
+	if s.ok && s.pos < len(s.data) && s.data[s.pos] == ':' {
+		s.pos++
 		for i, key := range keys {
 			if string(k) == key && *seen&(1<<i) == 0 {
 				*seen |= 1 << i
@@ -281,27 +318,28 @@ func (d *fastDecoder) field(seen *uint8, keys ...string) int {
 			}
 		}
 	}
-	d.ok = false
+	s.ok = false
 	return -1
 }
 
-// str reads a string literal of printable ASCII without escapes and
-// returns its contents.
-func (d *fastDecoder) str() []byte {
-	if d.ok && d.pos < len(d.data) && d.data[d.pos] == '"' {
-		for i := d.pos + 1; i < len(d.data); i++ {
-			switch c := d.data[i]; {
+// Str reads a string literal of printable ASCII without escapes and
+// returns its contents, a slice of the scanned bytes.
+func (s *Scanner) Str() []byte {
+	s.space()
+	if s.ok && s.pos < len(s.data) && s.data[s.pos] == '"' {
+		for i := s.pos + 1; i < len(s.data); i++ {
+			switch c := s.data[i]; {
 			case c == '"':
-				s := d.data[d.pos+1 : i]
-				d.pos = i + 1
-				return s
+				v := s.data[s.pos+1 : i]
+				s.pos = i + 1
+				return v
 			case c < ' ' || c > '~' || c == '\\':
-				d.ok = false
+				s.ok = false
 				return nil
 			}
 		}
 	}
-	d.ok = false
+	s.ok = false
 	return nil
 }
 
@@ -309,47 +347,59 @@ func (d *fastDecoder) str() []byte {
 // returns it as a slice of the problem's one name string on the fill
 // pass.
 func (d *fastDecoder) name() string {
-	d.space()
-	s := d.str()
+	v := d.Str()
 	if !d.fill {
-		d.nameLen += len(s)
+		d.nameLen += len(v)
 		return ""
 	}
 	start := d.names.Len()
-	d.names.Write(s)
+	d.names.Write(v)
 	return d.names.String()[start:]
 }
 
-// int reads an integer literal: an optional minus, then 0 or a digit
+// Int reads an integer literal: an optional minus, then 0 or a digit
 // string without a leading zero. "-0" and magnitudes above math.MaxInt
-// fail the decode. A fraction or exponent fails it too, since every
-// caller then expects a comma or a closing brace.
-func (d *fastDecoder) int() int {
-	d.space()
-	if !d.ok {
+// fail the scan. A fraction or exponent fails it too, since every
+// caller then expects a comma or a closing bracket.
+func (s *Scanner) Int() int {
+	s.space()
+	if !s.ok {
 		return 0
 	}
-	i := d.pos
-	neg := i < len(d.data) && d.data[i] == '-'
+	i := s.pos
+	neg := i < len(s.data) && s.data[i] == '-'
 	if neg {
 		i++
 	}
 	first, n := i, 0
-	for ; i < len(d.data) && '0' <= d.data[i] && d.data[i] <= '9'; i++ {
-		digit := int(d.data[i] - '0')
+	for ; i < len(s.data) && '0' <= s.data[i] && s.data[i] <= '9'; i++ {
+		digit := int(s.data[i] - '0')
 		if n > math.MaxInt/10 || (n == math.MaxInt/10 && digit > math.MaxInt%10) {
-			d.ok = false
+			s.ok = false
 			return 0
 		}
 		n = n*10 + digit
 	}
-	if i == first || d.data[first] == '0' && (i > first+1 || neg) {
-		d.ok = false
+	if i == first || s.data[first] == '0' && (i > first+1 || neg) {
+		s.ok = false
 		return 0
 	}
-	d.pos = i
+	s.pos = i
 	if neg {
 		return -n
 	}
 	return n
+}
+
+// True reads the literal true. Any other value fails the scan, false
+// included: a field that json.Marshal omits when false is never false in
+// the shape.
+func (s *Scanner) True() bool {
+	s.space()
+	if s.ok && len(s.data)-s.pos >= 4 && string(s.data[s.pos:s.pos+4]) == "true" {
+		s.pos += 4
+		return true
+	}
+	s.ok = false
+	return false
 }

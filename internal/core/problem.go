@@ -35,6 +35,15 @@ type Problem struct {
 // NumGraphs returns J.
 func (p *Problem) NumGraphs() int { return len(p.App.Graphs) }
 
+// NumTasks returns the number of tasks across all graphs.
+func (p *Problem) NumTasks() int {
+	n := 0
+	for _, g := range p.App.Graphs {
+		n += len(g.Tasks)
+	}
+	return n
+}
+
 // NumTypes returns Q.
 func (p *Problem) NumTypes() int { return p.Platform.NumTypes() }
 

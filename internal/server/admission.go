@@ -19,11 +19,7 @@ func (s *Server) admit(p *rentmin.Problem) error {
 	if q := p.NumTypes(); q > cfg.MaxTypes {
 		return fmt.Errorf("problem has %d machine types, admission limit is %d", q, cfg.MaxTypes)
 	}
-	tasks := 0
-	for _, g := range p.App.Graphs {
-		tasks += len(g.Tasks)
-	}
-	if tasks > cfg.MaxTasks {
+	if tasks := p.NumTasks(); tasks > cfg.MaxTasks {
 		return fmt.Errorf("problem has %d tasks across its graphs, admission limit is %d", tasks, cfg.MaxTasks)
 	}
 	if p.Target > cfg.MaxTarget {

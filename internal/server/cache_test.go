@@ -251,21 +251,54 @@ func TestBatchItemRejectionMessages(t *testing.T) {
 	if err := c.UploadProblem(context.Background(), hash, doc); err != nil {
 		t.Fatalf("UploadProblem: %v", err)
 	}
+	// A second daemon takes bodies of at most a small margin over doc.
+	bodyLimit := len(doc) + 64
+	_, small := newTestServer(t, Config{Workers: 1, MaxBodyBytes: int64(bodyLimit)})
+	doc10, err := json.Marshal(fastProblem(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := strings.Replace(string(doc10), `"phi1"`, `"\u0070hi1"`, 1)
 	missing := strings.Repeat("ab", 32)
 	for _, tc := range []struct {
 		name, body string
 		code       int
 		want       string
+		c          *client.Client // nil: the first daemon
 	}{
 		{"malformed document", fmt.Sprintf(`{"problems": [%s, {"bogus": 1}]}`, doc),
-			http.StatusBadRequest, `problem 1: decode problem: json: unknown field "bogus"`},
+			http.StatusBadRequest, `problem 1: decode problem: json: unknown field "bogus"`, nil},
 		{"malformed ref hash", fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 10}, {"hash": "xyz"}]}`, hash),
-			http.StatusBadRequest, "problem 1: malformed problem_ref hash: want 64 hex characters (lowercase sha256)"},
+			http.StatusBadRequest, "problem 1: malformed problem_ref hash: want 64 hex characters (lowercase sha256)", nil},
 		{"uncached ref", fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 10}, {"hash": %q, "target": 10}]}`, hash, missing),
-			http.StatusPreconditionFailed, "problem 1: problem " + missing + " not cached: upload it via PUT /v1/problems/{hash} and retry"},
+			http.StatusPreconditionFailed, "problem 1: problem " + missing + " not cached: upload it via PUT /v1/problems/{hash} and retry", nil},
+		// The edge of the shape client emits. Each body below leaves it, in
+		// the envelope, in a document or by the size limit, and is
+		// answered as encoding/json reads it: an answer of 200 means it
+		// solves.
+		{"duplicate problems key", fmt.Sprintf(`{"problems": [%s], "problems": [%s, {"bogus": 1}]}`, doc10, doc10),
+			http.StatusBadRequest, `problem 1: decode problem: json: unknown field "bogus"`, nil},
+		{"problems key in another case", fmt.Sprintf(`{"Problems": [%s]}`, doc10), http.StatusOK, "", nil},
+		{"null problem", fmt.Sprintf(`{"problems": [%s, null]}`, doc10),
+			http.StatusBadRequest, `problem 1: invalid problem: platform "": no machine types`, nil},
+		{"malformed document and negative time limit", `{"problems": [{"bogus": 1}], "time_limit_ms": -5}`,
+			http.StatusBadRequest, "negative time_limit_ms -5", nil},
+		{"malformed document and refs", fmt.Sprintf(`{"problems": [{"bogus": 1}], "problem_refs": [{"hash": %q}]}`, hash),
+			http.StatusBadRequest, "problems and problem_refs are mutually exclusive", nil},
+		{"escaped string in document", fmt.Sprintf(`{"problems": [%s, %s]}`, doc10, escaped), http.StatusOK, "", nil},
+		{"fractional ref target", fmt.Sprintf(`{"problem_refs": [{"hash": %q, "target": 1.5}]}`, hash),
+			http.StatusBadRequest, "decode request: json: cannot unmarshal number 1.5 into Go struct field ProblemRef.problem_refs.target of type int", nil},
+		{"stats false", fmt.Sprintf(`{"problems": [%s], "stats": false}`, doc10), http.StatusOK, "", nil},
+		{"padded past the size limit", fmt.Sprintf(`{"problems": [%s]}`, doc10) + strings.Repeat(" ", bodyLimit),
+			http.StatusBadRequest, "decode request: http: request body too large", small},
+		{"cut by the size limit", fmt.Sprintf(`{"problems": [%s, %s]}`, doc10, doc10),
+			http.StatusBadRequest, "decode request: http: request body too large", small},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(serverURL(c)+"/v1/batch", "application/json", strings.NewReader(tc.body))
+			if tc.c == nil {
+				tc.c = c
+			}
+			resp, err := http.Post(serverURL(tc.c)+"/v1/batch", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

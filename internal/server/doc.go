@@ -30,11 +30,12 @@
 //
 // The wire types live in package client (rentmin/client) so external
 // programs can use them; the server importing them back keeps the two
-// sides in lock step. Problem documents are decoded by core.ParseProblem
-// — the same fuzz-hardened, unknown-field-rejecting ingestion the CLI
-// uses through core.ReadProblem — so the network surface adds no new
-// parsing code. Every request body and document must end after its JSON
-// value: anything but whitespace after it is a 400.
+// sides in lock step. Problem documents are decoded by the decoders of
+// core.ParseProblem — the same fuzz-hardened, unknown-field-rejecting
+// ingestion the CLI uses through core.ReadProblem — so the network
+// surface adds no new document parser. Every request body and document
+// must end after its JSON value: anything but whitespace after it is a
+// 400.
 //
 // # Request lifecycle
 //
@@ -43,8 +44,17 @@
 //
 //  1. The prologue: a draining server answers 503, the trace ID is
 //     adopted or minted, the envelope is decoded (400 on any failure)
-//     and time_limit_ms is resolved (400 when negative).
-//  2. The intake takes in each problem, inline or by problem_ref (400,
+//     and time_limit_ms is resolved (400 when negative). A /v1/solve or
+//     /v1/batch body is read whole into one buffer sized from
+//     Content-Length and scanned once: a body in the shape client
+//     writes has its envelope and every inline document decoded in that
+//     one pass (envelope.go). Any other body goes whole to encoding/json
+//     with unknown fields disallowed, which words every 400 and leaves
+//     each document for the intake to parse, so both paths answer a
+//     body alike (FuzzEnvelope). The session endpoints decode with
+//     encoding/json alone.
+//  2. The intake takes in each problem, inline (validating a document
+//     the scan decoded, parsing one it did not) or by problem_ref (400,
 //     or 412 for a hash the cache does not hold), applies the target
 //     override and checks the admission bounds (graphs, machine types,
 //     total tasks, target). An oversize problem is rejected with 422

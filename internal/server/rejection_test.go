@@ -18,7 +18,8 @@ import (
 // POST /v1/sessions/{id}/events answer with. Three daemons serve the
 // table: an open one whose admission bounds are exactly the size of the
 // paper's Section VII example and whose one session slot is taken, one
-// whose queue is full, and one that is draining.
+// whose queue is full, and one that is draining. A fourth, with a small
+// body limit, answers the bodies cut or padded past it.
 func TestSolvingEndpointRejections(t *testing.T) {
 	ctx := context.Background()
 	_, oc := newTestServer(t, Config{Workers: 1, MaxGraphs: 3, MaxTypes: 4, MaxTasks: 6,
@@ -31,6 +32,9 @@ func TestSolvingEndpointRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fourth daemon takes bodies of at most a small margin over doc.
+	bodyLimit := int64(len(doc) + 64)
+	_, sc := newTestServer(t, Config{Workers: 1, MaxBodyBytes: bodyLimit})
 	if err := oc.UploadProblem(ctx, hash, doc); err != nil {
 		t.Fatalf("UploadProblem: %v", err)
 	}
@@ -72,6 +76,10 @@ func TestSolvingEndpointRejections(t *testing.T) {
 	tooHighTarget := over(func(p *rentmin.Problem) { p.Target = 5000 })
 	missing := strings.Repeat("ab", 32)
 	event := `{"kind": "target_change", "target": 20}`
+	// escaped spells a name of doc with a JSON escape; longDoc is doc
+	// with a name longer than the small daemon's body limit.
+	escaped := strings.Replace(string(doc), `"phi1"`, `"\u0070hi1"`, 1)
+	longDoc := over(func(p *rentmin.Problem) { p.App.Name = strings.Repeat("a", int(bodyLimit)) })
 
 	const (
 		shuttingDown = "server is shutting down"
@@ -124,6 +132,25 @@ func TestSolvingEndpointRejections(t *testing.T) {
 	add("solve/admission ref target", oc, "/v1/solve", fmt.Sprintf(`{"problem_ref": {"hash": %q, "target": 5000}}`, hash),
 		422, "target throughput 5000 exceeds admission limit 1000")
 	add("solve/queue full", fc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 10}`, doc), 429, queueFull)
+	// The edge of the shape client emits. Each body below leaves it, in
+	// the envelope, in the document or by the size limit, and is answered
+	// as encoding/json reads it: an answer of 200 means it solves.
+	add("solve/duplicate problem key", oc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "problem": {"bogus": 1}}`, doc),
+		400, `decode problem: json: unknown field "bogus"`)
+	add("solve/problem key in another case", oc, "/v1/solve", fmt.Sprintf(`{"Problem": %s, "target": 10}`, doc), 200, "")
+	add("solve/null problem", oc, "/v1/solve", `{"problem": null}`, 400, `invalid problem: platform "": no machine types`)
+	add("solve/malformed document and negative time limit", oc, "/v1/solve", `{"problem": {"bogus": 1}, "time_limit_ms": -5}`,
+		400, "negative time_limit_ms -5")
+	add("solve/malformed document and ref", oc, "/v1/solve", fmt.Sprintf(`{"problem": {"bogus": 1}, "problem_ref": {"hash": %q}}`, hash),
+		400, "problem and problem_ref are mutually exclusive")
+	add("solve/escaped string in document", oc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 10}`, escaped), 200, "")
+	add("solve/fractional target", oc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 1.5}`, doc),
+		400, "decode request: json: cannot unmarshal number 1.5 into Go struct field SolveRequest.target of type int")
+	add("solve/stats false", oc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 10, "stats": false}`, doc), 200, "")
+	add("solve/padded past the size limit", sc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 10}`, doc)+strings.Repeat(" ", int(bodyLimit)),
+		400, "decode request: http: request body too large")
+	add("solve/cut by the size limit", sc, "/v1/solve", fmt.Sprintf(`{"problem": %s, "target": 10}`, longDoc),
+		400, "decode request: http: request body too large")
 
 	// POST /v1/sessions
 	add("create/draining", dc, "/v1/sessions", fmt.Sprintf(`{"problem": %s}`, doc), 503, shuttingDown)

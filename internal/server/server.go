@@ -448,18 +448,19 @@ func (rq *request) endDecode(stats bool) {
 	}
 }
 
-// intake turns one problem, given inline (doc) or by reference to the
-// content-addressed cache (ref), into an admitted problem. The inline
-// document runs through the fuzz-hardened core ingestion; a cached one
-// passed it at upload, so only the ref's target patch is checked. A
-// non-nil target then overrides the target, and the result must pass
-// the admission bounds. item is the problem's index in a batch, which
-// every rejection names, or -1 for a request of one problem. On failure
+// intake turns one problem, given inline (in) or by reference to the
+// content-addressed cache (ref), into an admitted problem. An inline
+// document the envelope scan decoded is validated; one left as bytes
+// runs through the fuzz-hardened core ingestion; a cached one passed it
+// at upload, so only the ref's target patch is checked. A non-nil
+// target then overrides the target, and the result must pass the
+// admission bounds. item is the problem's index in a batch, which every
+// rejection names, or -1 for a request of one problem. On failure
 // intake has already written the rejection: 400 for a malformed
 // problem, 412 for a hash the daemon does not hold — the uploader's
 // signal to PUT the document and retry — and 422 for a problem over the
 // admission bounds.
-func (s *Server) intake(w http.ResponseWriter, doc json.RawMessage, ref *client.ProblemRef, target *int, item int) (*rentmin.Problem, bool) {
+func (s *Server) intake(w http.ResponseWriter, in inline, ref *client.ProblemRef, target *int, item int) (*rentmin.Problem, bool) {
 	reject := func(code int, msg string) (*rentmin.Problem, bool) {
 		if item >= 0 {
 			// Built only for a rejection: an accepted item costs no string.
@@ -469,8 +470,9 @@ func (s *Server) intake(w http.ResponseWriter, doc json.RawMessage, ref *client.
 		return nil, false
 	}
 	var p *rentmin.Problem
+	var err error
 	switch {
-	case ref != nil && len(doc) > 0:
+	case ref != nil && (in.p != nil || len(in.doc) > 0):
 		return reject(http.StatusBadRequest, "problem and problem_ref are mutually exclusive")
 	case ref != nil:
 		hash := strings.ToLower(strings.TrimSpace(ref.Hash))
@@ -488,11 +490,14 @@ func (s *Server) intake(w http.ResponseWriter, doc json.RawMessage, ref *client.
 				return reject(http.StatusBadRequest, fmt.Sprintf("invalid problem_ref target: %v", err))
 			}
 		}
-	case len(doc) == 0:
+	case in.p != nil:
+		if p, err = core.Validated(in.p); err != nil {
+			return reject(http.StatusBadRequest, err.Error())
+		}
+	case len(in.doc) == 0:
 		return reject(http.StatusBadRequest, "missing problem document")
 	default:
-		var err error
-		if p, err = core.ParseProblem(doc); err != nil {
+		if p, err = core.ParseProblem(in.doc); err != nil {
 			return reject(http.StatusBadRequest, err.Error())
 		}
 	}
@@ -626,16 +631,16 @@ func (s *Server) answer(rq request, endpoint string, item int, res itemResult) (
 // goroutine. Unlike a batch, its deadline starts when its lease is
 // granted.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req client.SolveRequest
-	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
+	var env solveEnvelope
+	rq, ok := s.prologue(w, r, &env, &env.TimeLimitMs)
 	if !ok {
 		return
 	}
-	p, ok := s.intake(w, req.Problem, req.ProblemRef, req.Target, -1)
+	p, ok := s.intake(w, env.inline(), env.ProblemRef, env.Target, -1)
 	if !ok {
 		return
 	}
-	rq.endDecode(req.Stats)
+	rq.endDecode(env.Stats)
 	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		return
@@ -654,39 +659,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req client.BatchRequest
-	rq, ok := s.prologue(w, r, &req, &req.TimeLimitMs)
+	var env batchEnvelope
+	rq, ok := s.prologue(w, r, &env, &env.TimeLimitMs)
 	if !ok {
 		return
 	}
-	if len(req.Problems) > 0 && len(req.ProblemRefs) > 0 {
-		s.writeError(w, http.StatusBadRequest, "problems and problem_refs are mutually exclusive")
+	problems, ok := s.batchIntake(w, &env)
+	if !ok {
 		return
 	}
-	n := len(req.Problems) + len(req.ProblemRefs)
-	if n == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch has no problems")
-		return
-	}
-	if n > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("batch has %d problems, admission limit is %d", n, s.cfg.MaxBatch))
-		return
-	}
-	problems := make([]*rentmin.Problem, n)
-	for i := range problems {
-		var doc json.RawMessage
-		var ref *client.ProblemRef
-		if len(req.Problems) > 0 {
-			doc = req.Problems[i]
-		} else {
-			ref = &req.ProblemRefs[i]
-		}
-		if problems[i], ok = s.intake(w, doc, ref, nil, i); !ok {
-			return
-		}
-	}
-	rq.endDecode(req.Stats)
+	rq.endDecode(env.Stats)
 	releaseSlot, ok := s.acquireSlot(w)
 	if !ok {
 		return
@@ -708,6 +690,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// batchIntake takes in every problem of a batch, in index order, after
+// the checks on the batch as a whole. On failure it has already written
+// the rejection.
+func (s *Server) batchIntake(w http.ResponseWriter, env *batchEnvelope) ([]*rentmin.Problem, bool) {
+	if env.docs() > 0 && len(env.ProblemRefs) > 0 {
+		s.writeError(w, http.StatusBadRequest, "problems and problem_refs are mutually exclusive")
+		return nil, false
+	}
+	n := env.docs() + len(env.ProblemRefs)
+	if n == 0 {
+		s.writeError(w, http.StatusBadRequest, "batch has no problems")
+		return nil, false
+	}
+	if n > s.cfg.MaxBatch {
+		s.writeError(w, http.StatusUnprocessableEntity,
+			fmt.Sprintf("batch has %d problems, admission limit is %d", n, s.cfg.MaxBatch))
+		return nil, false
+	}
+	problems := make([]*rentmin.Problem, n)
+	for i := range problems {
+		in, ref := env.item(i)
+		var ok bool
+		if problems[i], ok = s.intake(w, in, ref, nil, i); !ok {
+			return nil, false
+		}
+	}
+	return problems, true
 }
 
 // solveAll fans a batch out over the worker leases: up to Workers
@@ -967,10 +978,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody decodes a JSON request envelope, rejecting unknown fields,
 // bodies over the configured size and anything but whitespace after the
-// envelope, and answers 400 on any failure.
+// envelope, and answers 400 on any failure. A fastEnvelope's body is read
+// whole first, into a buffer sized from Content-Length, and goes to
+// encoding/json only when its scan refuses it; encoding/json then reads
+// the buffered bytes and the read's error, so it answers as it would
+// have answered reading the body itself.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	var body io.Reader = r.Body
+	if env, ok := v.(fastEnvelope); ok {
+		data, err := readBody(r.Body, min(r.ContentLength, s.cfg.MaxBodyBytes))
+		if err == io.EOF && env.scan(data) {
+			return true
+		}
+		body, v = &replay{data: data, err: err}, env.reference()
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {

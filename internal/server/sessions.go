@@ -194,7 +194,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p, ok := s.intake(w, req.Problem, nil, req.Target, -1)
+	p, ok := s.intake(w, inline{doc: req.Problem}, nil, req.Target, -1)
 	if !ok {
 		return
 	}
@@ -331,9 +331,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // enforcing per-event admission: an arrival may not grow the problem past
 // the daemon's graph/task bounds and a target change may not exceed the
 // target bound — the same limits /v1/solve admission applies, checked
-// against the session's current size. Last, the session checks the
-// operands itself (rentmin.Session.Validate), so an event it would
-// reject takes no lease and leaves no record.
+// against the session's current size. Last, the session's operand check
+// (rentmin.Session.Validate, which also reads that size) answers, so an
+// event it would reject takes no lease and leaves no record.
 func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (rentmin.SessionEvent, error) {
 	ev := rentmin.SessionEvent{Kind: rentmin.SessionEventKind(wev.Kind)}
 	switch ev.Kind {
@@ -346,13 +346,6 @@ func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (r
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&g); err != nil {
 			return ev, fmt.Errorf("decode graph: %v", err)
-		}
-		st := sess.State()
-		if st.Graphs+1 > s.cfg.MaxGraphs {
-			return ev, fmt.Errorf("arrival would grow the session to %d recipe graphs, admission limit is %d", st.Graphs+1, s.cfg.MaxGraphs)
-		}
-		if st.Tasks+len(g.Tasks) > s.cfg.MaxTasks {
-			return ev, fmt.Errorf("arrival would grow the session to %d tasks, admission limit is %d", st.Tasks+len(g.Tasks), s.cfg.MaxTasks)
 		}
 		ev.Graph = &g
 	case rentmin.SessionRecipeDeparture:
@@ -381,7 +374,16 @@ func (s *Server) sessionEvent(sess *rentmin.Session, wev client.SessionEvent) (r
 	default:
 		return ev, fmt.Errorf("unknown event kind %q", wev.Kind)
 	}
-	return ev, sess.Validate(ev)
+	graphs, tasks, err := sess.Validate(ev)
+	if ev.Kind == rentmin.SessionRecipeArrival {
+		if graphs+1 > s.cfg.MaxGraphs {
+			return ev, fmt.Errorf("arrival would grow the session to %d recipe graphs, admission limit is %d", graphs+1, s.cfg.MaxGraphs)
+		}
+		if tasks+len(ev.Graph.Tasks) > s.cfg.MaxTasks {
+			return ev, fmt.Errorf("arrival would grow the session to %d tasks, admission limit is %d", tasks+len(ev.Graph.Tasks), s.cfg.MaxTasks)
+		}
+	}
+	return ev, err
 }
 
 // sessionItemError renders a per-event failure of a lease wait or Apply.

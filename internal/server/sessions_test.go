@@ -207,8 +207,24 @@ func TestSessionAdmissionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Events: %v", err)
 	}
-	if results[0].Error == "" || !strings.Contains(results[0].Error, "admission limit") {
-		t.Fatalf("over-bound arrival = %+v", results[0])
+	if want := "arrival would grow the session to 4 recipe graphs, admission limit is 3"; results[0].Error != want {
+		t.Fatalf("over-bound arrival = %+v, want error %q", results[0], want)
+	}
+
+	// The task bound, checked before the session's own operand check:
+	// an arrival over it is rejected for its size even when its graph is
+	// invalid too (type 9 is out of range).
+	_, tc := newTestServer(t, Config{Workers: 1, MaxTasks: 7})
+	tsess, _, err := tc.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession under the task bound: %v", err)
+	}
+	results, _, err = tsess.Events(ctx, client.RecipeArrivalEvent(rentmin.NewChain("wide", 0, 9)))
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	if want := "arrival would grow the session to 8 tasks, admission limit is 7"; results[0].Error != want {
+		t.Fatalf("over-bound arrival = %+v, want error %q", results[0], want)
 	}
 
 	// More events than MaxBatch is rejected wholesale.

@@ -214,12 +214,14 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*Resolve, error) {
 }
 
 // Validate checks ev's operands against the session's current problem:
-// the error Apply would return for them, without solving. An event that
-// passes may still fail in Apply when another event commits in between.
-func (s *Session) Validate(ev Event) error {
+// the error Apply would return for them, without solving. It also
+// returns the problem's size, its recipe graphs and the tasks across
+// them, read under the same lock. An event that passes may still fail in
+// Apply when another event commits in between.
+func (s *Session) Validate(ev Event) (graphs, tasks int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.validate(ev)
+	return s.prob.NumGraphs(), s.prob.NumTasks(), s.validate(ev)
 }
 
 // validate is Validate for a caller that holds s.mu.
@@ -499,6 +501,7 @@ func (s *Session) State() State {
 	st := State{
 		Events:       s.seq,
 		Graphs:       s.prob.NumGraphs(),
+		Tasks:        s.prob.NumTasks(),
 		Target:       s.prob.Target,
 		Feasible:     s.feasible || s.prob.Target <= 0,
 		Cost:         s.alloc.Cost,
@@ -507,9 +510,6 @@ func (s *Session) State() State {
 		ColdResolves: s.cold,
 		ChurnMoves:   s.churnMoves,
 		ChurnBase:    s.churnBase,
-	}
-	for _, g := range s.prob.App.Graphs {
-		st.Tasks += len(g.Tasks)
 	}
 	for q, off := range s.offline {
 		if off {

@@ -93,9 +93,12 @@ func (s *Session) Apply(ctx context.Context, ev SessionEvent) (*SessionResolve, 
 
 // Validate checks an event's operands against the session's current
 // problem and returns the error Apply would return for them, without
-// solving. An event that passes may still fail in Apply when another
-// event commits in between.
-func (s *Session) Validate(ev SessionEvent) error { return s.inner.Validate(ev) }
+// solving, together with the problem's size: its recipe graphs and the
+// tasks across them, read under the same lock. An event that passes may
+// still fail in Apply when another event commits in between.
+func (s *Session) Validate(ev SessionEvent) (graphs, tasks int, err error) {
+	return s.inner.Validate(ev)
+}
 
 // State returns a snapshot: current target, allocation, offline types,
 // warm/cold resolve counters, and cumulative churn.
