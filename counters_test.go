@@ -51,14 +51,14 @@ func TestILPCounterGolden(t *testing.T) {
 var raceEnabled bool
 
 // maxAllocsPerLPSolve is the measured allocation count of the fig3
-// golden solve (207 objects) over its LP solves (61). Child LPs solve
-// into results recycled through the search's free list, so only the
-// root's one-shot result and the results the search holds at once beyond
-// its pooled free list cost objects (three each: one buffer for X and
-// the duals, one for the basis snapshot's lists, the *lp.Basis); a child
-// that is only probed gets no node and no bound copy, and the rounding
-// repair reuses its scratch for the whole solve.
-const maxAllocsPerLPSolve = 207.0 / 61
+// golden solve (95 objects) over its LP solves (61). A search draws all
+// its per-search storage from one pooled scratch: child LPs solve into
+// results from its free list, heap nodes and their bound buffers come
+// from another, and the presolve state and the reduced problem are
+// rebuilt in reused buffers, so only the root's one-shot result, the root
+// cuts and what outgrows the pooled scratch cost objects; the rounding
+// repair reuses its scratch and its returned point for the whole solve.
+const maxAllocsPerLPSolve = 95.0 / 61
 
 // TestILPAllocsPerLPSolve pins the allocations of one default exact
 // solve of the fig3 golden instance, per LP it solves. A change that

@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,8 +118,10 @@ func (s Status) String() string {
 // feasible point. It returns the candidate and true on success. x is
 // valid only during the call: the search lifts it into scratch it
 // overwrites at the next node, so a Rounder must not keep it. The
-// returned slice must not alias the input, and the search may keep it
-// as the incumbent. A search calls its Rounder from one goroutine only.
+// returned slice must not alias the input; it is valid until the next
+// call, so a Rounder may return its own reused buffer, and the search
+// copies a point that becomes an incumbent candidate. A search calls its
+// Rounder from one goroutine only.
 type Rounder func(x []float64) ([]float64, bool)
 
 // Options tunes the search.
@@ -218,36 +221,21 @@ type Result struct {
 }
 
 // node is one branch-and-bound subproblem, defined by variable bounds.
-// Its LP is the tree's compiled model under the node's accumulated bound
-// patches lo/hi (nil slices take lp.Problem's defaults) — the LP shape is
-// m×n at every node of the tree. relax is the node's optimal LP result,
-// which the node owns from the moment it enters the heap until its
-// expansion is finished, when it goes back to the search's free list;
-// relax.Basis is the optimal basis its children re-optimize from with
-// dual-simplex warm starts. A bound tightening never disturbs dual
-// feasibility, so the parent basis is always a valid warm start for a
-// child.
+// Its LP is the tree's compiled model under the node's bounds lo/hi, the
+// two halves of one buffer the node owns — the LP shape is m×n at every
+// node of the tree. relax is the node's optimal LP result; relax.Basis is
+// the optimal basis its children re-optimize from with dual-simplex warm
+// starts. A bound tightening never disturbs dual feasibility, so the
+// parent basis is always a valid warm start for a child. A node, its
+// bounds and its result come from the search's scratch when it enters
+// the heap (the root when it is solved) and go back there when its
+// expansion is finished, when enqueue prunes it, or when the search ends
+// with it on the heap.
 type node struct {
 	lo, hi []float64
 	relax  *lp.Solution
 	bound  float64
 	seq    int
-}
-
-// lower returns the node's lower bound on variable j.
-func (n *node) lower(j int) float64 {
-	if n.lo == nil {
-		return 0
-	}
-	return n.lo[j]
-}
-
-// upper returns the node's upper bound on variable j.
-func (n *node) upper(j int) float64 {
-	if n.hi == nil {
-		return math.Inf(1)
-	}
-	return n.hi[j]
 }
 
 type nodeHeap []*node
@@ -342,22 +330,12 @@ type solver struct {
 
 	// nodeStart holds the restored basis of the node being expanded:
 	// prepare restores a branching node's basis into it, and the node's
-	// children all re-solve from it. Nil under DisableWarmLP.
+	// children all re-solve from it. It is the scratch's Start; nil under
+	// DisableWarmLP.
 	nodeStart *lp.Start
 
-	// rc is tighten's scratch for a node's reduced costs, one per column
-	// of the tree's LP.
-	rc []float64
-	// clo and chi are buildChild's scratch for a child's patched bound
-	// sides, one entry per column of the tree's LP, and lifted is
-	// prepare's for a relaxation point lifted to the original space for
-	// the Rounder. All three live for one search.
-	clo, chi, lifted []float64
-	// free holds the LP results no node or child holds: every child LP
-	// solves into one taken from it (takeResult), and finish and run give
-	// back each result that no node keeps (freeResult). It comes from, and
-	// goes back to, the results pool.
-	free []*lp.Solution
+	// sc is the storage the search recycles (see scratch).
+	sc *scratch
 
 	stats SearchStats
 	seq   int
@@ -374,19 +352,41 @@ type solver struct {
 
 var errLimit = errors.New("milp: limit reached")
 
-// starts recycles the search's Start across searches, so a search
-// allocates none once its buffers have grown to its LP.
-var starts = sync.Pool{New: func() any { return new(lp.Start) }}
+// scratch is the storage one search recycles. results and nodes are its
+// free lists: every child LP solves into a result taken from results, and
+// every node that enters the heap is taken from nodes with its bound
+// buffer; an expanded or pruned node, and one left on the heap, gives
+// both back. heap holds the search's open nodes, and is empty between
+// searches. start is the Start branching nodes restore their basis into,
+// pres presolve's working state and the reduced problem it builds, rc
+// tighten's reduced costs, clo/chi buildChild's patched bound sides and
+// lifted prepare's relaxation point lifted for the Rounder. A search
+// holds one scratch from start to end, drawn from and given back to the
+// scratches pool, so concurrent searches never share one, and a search
+// allocates only what outgrows the scratch its predecessor left.
+type scratch struct {
+	heap                 nodeHeap
+	results              []*lp.Solution
+	nodes                []*node
+	start                lp.Start
+	pres                 pres
+	rc, clo, chi, lifted []float64
+}
 
-// results recycles a search's free list of LP results across searches,
-// as starts does its Start: a search allocates only the results it holds
-// at once beyond what its free list brings.
-var results = sync.Pool{New: func() any { return new([]*lp.Solution) }}
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 func (s *solver) run() (Result, error) {
 	s.bestObj = math.Inf(1)
 	s.aside = math.Inf(1)
 	s.work = s.p
+	s.sc = scratches.Get().(*scratch)
+	// The scratch goes back last, after the model that may read the
+	// reduced problem in it is released. Nothing in a Result points into
+	// it: incumbents are the search's own copies.
+	defer func() {
+		s.sc.pres.release()
+		scratches.Put(s.sc)
+	}()
 
 	if inc := s.optIncumbent(); inc != nil {
 		obj, err := s.checkFeasible(inc)
@@ -421,20 +421,20 @@ func (s *solver) run() (Result, error) {
 	}
 	s.base = &s.work.LP
 
-	free := results.Get().(*[]*lp.Solution)
-	s.free = *free
-	h := &nodeHeap{}
+	h := &s.sc.heap
 	defer func() {
-		// Nodes a limit or the prune left on the heap give their results
-		// back too.
+		// Nodes a limit or the prune left on the heap go back too.
 		for _, n := range *h {
-			s.freeResult(n.relax)
+			s.freeNode(n)
 		}
-		*free = s.free
-		results.Put(free)
+		clear(*h)
+		*h = (*h)[:0]
 	}()
 
-	root := &node{lo: s.base.Lo, hi: s.base.Hi}
+	root := s.takeNode(s.base.NumVars())
+	for j := range root.lo {
+		root.lo[j], root.hi[j] = s.base.LowerBound(j), s.base.UpperBound(j)
+	}
 	var rootSeed *lp.Basis
 	if basis != nil {
 		rootSeed = lp.NewBasis(s.base.NumVars(), basis)
@@ -473,8 +473,7 @@ func (s *solver) run() (Result, error) {
 	s.enqueue(h, root)
 
 	if !s.opts.DisableWarmLP {
-		s.nodeStart = starts.Get().(*lp.Start)
-		defer starts.Put(s.nodeStart)
+		s.nodeStart = &s.sc.start
 	}
 
 	lowest := root.bound // best proven global bound
@@ -499,7 +498,7 @@ func (s *solver) run() (Result, error) {
 			return s.limitResult(lowest), nil
 		}
 		s.finish(h, p)
-		s.freeResult(n.relax)
+		s.freeNode(n)
 		s.trace.Round(round, math.Min(lowest, s.aside), s.bestObj, s.hasBest, h.Len(), s.stats.Nodes)
 	}
 
@@ -527,7 +526,7 @@ func (s *solver) runPresolve(basis []int32) (Result, bool) {
 	if s.hasBest {
 		cutoff = s.bestObj
 	}
-	red := presolve(s.p, cutoff, basis)
+	red := s.sc.pres.run(s.p, cutoff, basis)
 	s.stats.Presolve = red.Stats
 	if red.Infeasible {
 		if s.hasBest {
@@ -620,12 +619,14 @@ func (s *solver) prepare(n *node) prep {
 		// the original problem as usual.
 		rx := n.relax.X
 		if s.red != nil {
-			s.lifted = s.red.postsolveInto(s.lifted, rx)
-			rx = s.lifted
+			s.sc.lifted = s.red.postsolveInto(s.sc.lifted, rx)
+			rx = s.sc.lifted
 		}
 		if cand, ok := s.opts.Rounder(rx); ok {
+			// The Rounder's point is valid until its next call: only a
+			// point that becomes a candidate is copied.
 			if obj, err := s.checkFeasible(cand); err == nil && obj < s.bestObj-1e-9 {
-				p.candidates = append(p.candidates, candidate{x: cand, obj: obj})
+				p.candidates = append(p.candidates, candidate{x: slices.Clone(cand), obj: obj})
 			}
 		}
 	}
@@ -645,13 +646,13 @@ func (s *solver) prepare(n *node) prep {
 // exactly against the original cost vector — the same trust the
 // non-presolve path places in an integral relaxation.
 func (s *solver) liftLeaf(rx []float64) ([]float64, float64) {
-	y := append([]float64(nil), rx...)
-	for j, isInt := range s.work.Integer {
+	x := s.red.Postsolve(rx)
+	for i, isInt := range s.work.Integer {
 		if isInt {
-			y[j] = math.Round(y[j])
+			j := s.red.keep[i]
+			x[j] = math.Round(x[j])
 		}
 	}
-	x := s.red.Postsolve(y)
 	obj := 0.0
 	for j, c := range s.p.LP.Objective {
 		obj += c * x[j]
@@ -745,8 +746,8 @@ const (
 // (nil when the patched box is empty and nothing was solved). A probe that
 // loses, an infeasible child, a pruned one and an unresolved one that is
 // set aside never become more, and their results go back to the free list
-// (discard, enqueueChild); only enqueueChild gives a child a *node, its
-// own bound slices and, with no copy, its result.
+// (discard, enqueueChild); only enqueueChild gives a child a node, with
+// its own copy of the patched box and, with no copy, its result.
 type child struct {
 	j      int
 	lo, hi float64
@@ -767,31 +768,26 @@ func (s *solver) solveChild(p *prep, j, dir int) child {
 
 // buildChild solves one child of n with the extra bound lo <= x_j <= hi
 // merged in. The child's LP is the tree's model under the parent's bounds
-// with the one variable bound tightened: the side that changes is a copy
-// in the solver's scratch with entry j patched, the other side is the
-// parent's own slice (Model.SolveFrom copies bounds in at load, so the
-// scratch is free again once the solve returns). Its relaxation is
-// re-optimized from n's basis, restored in start, via the dual-simplex
-// warm start, into a result taken from the free list. A child whose box
-// is empty or whose LP is infeasible comes back childInfeasible. A child
-// whose LP ends otherwise is solved once more, cold, into the same
-// result; if that fails too, it comes back unresolved with n's bound.
+// with the one variable bound tightened (patchBounds; Model.SolveFrom
+// copies bounds in at load, so the scratch is free again once the solve
+// returns). Its relaxation is re-optimized from n's basis, restored in
+// start, via the dual-simplex warm start, into a result taken from the
+// free list. A child whose box is empty or whose LP is infeasible comes
+// back childInfeasible. A child whose LP ends otherwise is solved once
+// more, cold, into the same result; if that fails too, it comes back
+// unresolved with n's bound.
 func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) child {
-	if pl := n.lower(j); pl > lo {
+	if pl := n.lo[j]; pl > lo {
 		lo = pl
 	}
-	if ph := n.upper(j); ph < hi {
+	if ph := n.hi[j]; ph < hi {
 		hi = ph
 	}
 	c := child{j: j, lo: lo, hi: hi}
 	if lo > hi {
 		return c
 	}
-	nv := s.base.NumVars()
-	if s.clo == nil {
-		s.clo, s.chi = make([]float64, nv), make([]float64, nv)
-	}
-	clo, chi := patchBounds(n, nv, j, lo, hi, s.clo, s.chi)
+	clo, chi := s.patchBounds(n, j, lo, hi)
 	c.relax = s.takeResult()
 	st, ok := s.solveRelax(&c, clo, chi, start)
 	if !ok {
@@ -807,29 +803,21 @@ func (s *solver) buildChild(n *node, start *lp.Start, j int, lo, hi float64) chi
 	return c
 }
 
-// patchedBound derives a child node from its parent, with fresh copies
-// of the bound sides that change (patchBounds).
-func patchedBound(p *node, nvars, j int, lo, hi float64) *node {
-	c := &node{}
-	c.lo, c.hi = patchBounds(p, nvars, j, lo, hi, nil, nil)
-	return c
-}
-
-// patchBounds returns p's bounds with lo <= x_j <= hi patched in. Only
-// the bound slice that actually changes is copied, into dlo or dhi (nil
-// makes a fresh one), with entry j replaced; the untouched side stays
-// shared with the parent (a down branch copies hi only, so a tree that
-// never raises a lower bound keeps lo nil). Copying one n-sized slice is
-// the entire per-node problem derivation; bounds are positional, so no
-// ordering has to be kept deterministic.
-func patchBounds(p *node, nvars, j int, lo, hi float64, dlo, dhi []float64) (clo, chi []float64) {
-	clo, chi = p.lo, p.hi
-	if lo != p.lower(j) {
-		clo = boundInto(dlo, p.lo, nvars, 0)
+// patchBounds returns n's bounds with lo <= x_j <= hi patched in, for a
+// probe's LP solve. A side that changes is copied into the search's
+// scratch (clo or chi) with entry j replaced; a side that does not is
+// n's own. Copying one n-sized slice is the entire per-probe problem
+// derivation.
+func (s *solver) patchBounds(n *node, j int, lo, hi float64) (clo, chi []float64) {
+	clo, chi = n.lo, n.hi
+	if lo != n.lo[j] {
+		s.sc.clo = append(s.sc.clo[:0], n.lo...)
+		clo = s.sc.clo
 		clo[j] = lo
 	}
-	if hi != p.upper(j) {
-		chi = boundInto(dhi, p.hi, nvars, math.Inf(1))
+	if hi != n.hi[j] {
+		s.sc.chi = append(s.sc.chi[:0], n.hi...)
+		chi = s.sc.chi
 		chi[j] = hi
 	}
 	return clo, chi
@@ -849,9 +837,8 @@ const rcTol = 1e-7
 // gap = z* − z, or z* − 1 − z when every feasible objective is an
 // integer (intObj); a column at a finite upper bound with d_j < 0
 // mirrors the rule. The gap is widened by a small margin so roundoff
-// never cuts off an improving point. The node's lo/hi may be
-// shared with its parent and sibling (patchedBound), so a tightened side
-// is replaced by a copy; both children then inherit it.
+// never cuts off an improving point. The node owns its bounds, so they
+// are tightened in place, and both children copy the tightened box.
 func (s *solver) tighten(n *node) {
 	if !s.hasBest {
 		return
@@ -862,41 +849,28 @@ func (s *solver) tighten(n *node) {
 	}
 	gap = math.Max(gap, 0) + 1e-6*math.Max(1, math.Abs(s.bestObj))
 	d := s.reducedCosts(n.relax.Duals)
-	var lo, hi []float64 // the node's tightened copies, made on first change
 	for j, isInt := range s.work.Integer {
 		if !isInt {
 			continue
 		}
-		x, l, u := n.relax.X[j], n.lower(j), n.upper(j)
+		x, l, u := n.relax.X[j], n.lo[j], n.hi[j]
 		switch {
 		case d[j] > rcTol && x <= l+intTol:
 			if nu := l + math.Floor(gap/d[j]); nu < u {
-				if hi == nil {
-					hi = boundCopy(n.hi, len(d), math.Inf(1))
-				}
-				hi[j] = nu
+				n.hi[j] = nu
 			}
 		case d[j] < -rcTol && x >= u-intTol:
 			if nl := u - math.Floor(gap/-d[j]); nl > l {
-				if lo == nil {
-					lo = boundCopy(n.lo, len(d), 0)
-				}
-				lo[j] = nl
+				n.lo[j] = nl
 			}
 		}
-	}
-	if lo != nil {
-		n.lo = lo
-	}
-	if hi != nil {
-		n.hi = hi
 	}
 }
 
 // reducedCosts returns d = c − Aᵀy over the tree's rows, cut rows
 // included, in a scratch slice the solver reuses for every node.
 func (s *solver) reducedCosts(y []float64) []float64 {
-	d := append(s.rc[:0], s.base.Objective...)
+	d := append(s.sc.rc[:0], s.base.Objective...)
 	for i := range s.base.Constraints {
 		if yi := y[i]; yi != 0 {
 			c := &s.base.Constraints[i]
@@ -905,45 +879,22 @@ func (s *solver) reducedCosts(y []float64) []float64 {
 			}
 		}
 	}
-	s.rc = d
+	s.sc.rc = d
 	return d
-}
-
-// boundCopy returns a fresh copy of a node's bound slice, filled with
-// the default def when the node has none.
-func boundCopy(b []float64, n int, def float64) []float64 {
-	return boundInto(nil, b, n, def)
-}
-
-// boundInto is boundCopy into dst, which has n entries or is nil.
-func boundInto(dst, b []float64, n int, def float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	if b != nil {
-		copy(dst, b)
-	} else {
-		for k := range dst {
-			dst[k] = def
-		}
-	}
-	return dst
 }
 
 // enqueueChild keeps a solved child of n: an infeasible or prunable child
 // is dropped, an unresolved one is set aside (only its bound is kept),
-// and a child that enters the heap gets its node, with its own copy of
-// the patched bound side (patchedBound), only now. The node takes over
-// the child's result; a dropped or set-aside child's result goes back to
-// the free list.
+// and a child that enters the heap gets its node only now (childNode).
+// The node takes over the child's result; a dropped or set-aside child's
+// result goes back to the free list.
 func (s *solver) enqueueChild(h *nodeHeap, n *node, c *child) {
 	switch {
 	case c.state == childInfeasible || s.pruned(c.bound):
 	case c.state == childUnresolved:
 		s.aside = math.Min(s.aside, c.bound)
 	default:
-		kid := patchedBound(n, s.base.NumVars(), c.j, c.lo, c.hi)
-		kid.relax, kid.bound = c.relax, c.bound
+		kid := s.childNode(n, c)
 		if onEnqueue != nil {
 			onEnqueue(s, n, kid)
 		}
@@ -953,15 +904,56 @@ func (s *solver) enqueueChild(h *nodeHeap, n *node, c *child) {
 	s.freeResult(c.relax)
 }
 
+// childNode makes the node of a solved child of n: a node from the free
+// list whose bounds are n's with the child's patch on column c.j, and
+// which takes over the child's result and bound. n must still hold its
+// bounds, so a parent goes back to the free list only after finish.
+func (s *solver) childNode(n *node, c *child) *node {
+	kid := s.takeNode(len(n.lo))
+	copy(kid.lo, n.lo)
+	copy(kid.hi, n.hi)
+	kid.lo[c.j], kid.hi[c.j] = c.lo, c.hi
+	kid.relax, kid.bound = c.relax, c.bound
+	return kid
+}
+
+// takeNode takes a node off the free list, or makes one when the list is
+// empty, with lo and hi of nv entries each carved from one buffer. Their
+// contents are the caller's to fill. lo's capacity spans the whole
+// buffer, so the node keeps it across free and take.
+func (s *solver) takeNode(nv int) *node {
+	var n *node
+	if k := len(s.sc.nodes) - 1; k >= 0 {
+		n = s.sc.nodes[k]
+		s.sc.nodes = s.sc.nodes[:k]
+	} else {
+		n = new(node)
+	}
+	buf := n.lo[:cap(n.lo)]
+	if len(buf) < 2*nv {
+		buf = make([]float64, 2*nv)
+	}
+	n.lo, n.hi = buf[:nv], buf[nv:2*nv:2*nv]
+	return n
+}
+
+// freeNode gives a node that nothing holds any more, and its result, back
+// to the free lists.
+func (s *solver) freeNode(n *node) {
+	s.freeResult(n.relax)
+	*n = node{lo: n.lo}
+	s.sc.nodes = append(s.sc.nodes, n)
+}
+
 // takeResult takes an LP result off the free list, or makes one when the
 // list is empty.
 func (s *solver) takeResult() *lp.Solution {
-	k := len(s.free) - 1
+	k := len(s.sc.results) - 1
 	if k < 0 {
 		return new(lp.Solution)
 	}
-	r := s.free[k]
-	s.free = s.free[:k]
+	r := s.sc.results[k]
+	s.sc.results = s.sc.results[:k]
 	return r
 }
 
@@ -969,13 +961,15 @@ func (s *solver) takeResult() *lp.Solution {
 // free list; nil is ignored.
 func (s *solver) freeResult(r *lp.Solution) {
 	if r != nil {
-		s.free = append(s.free, r)
+		s.sc.results = append(s.sc.results, r)
 	}
 }
 
-// enqueue pushes a solved node unless its bound is already prunable.
+// enqueue pushes a solved node unless its bound is already prunable, in
+// which case the node goes back to the free list.
 func (s *solver) enqueue(h *nodeHeap, n *node) {
 	if s.pruned(n.bound) {
+		s.freeNode(n)
 		return
 	}
 	s.seq++

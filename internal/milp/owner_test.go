@@ -52,27 +52,43 @@ func fig3MILP(t *testing.T, target int) *Problem {
 	return p
 }
 
-// TestNodesOwnTheirResults: a node owns its LP result from the moment it
-// enters the heap until its expansion is finished. Every child that
-// enters the heap is re-solved fresh, one-shot, over its own box from its
-// parent's basis, and when it is popped its X, Duals and basis must still
-// be that re-solve's, bit for bit, although the probes, infeasible and
-// pruned children solved in between reuse the results the search gave
-// back. Several searches run at once, as a server runs them, so they
-// share the results pool (run it under -race).
+// TestNodesOwnTheirResults: a node owns its LP result and its bounds from
+// the moment it enters the heap until its expansion is finished. Every
+// child that enters the heap must differ from its parent's box in one
+// column, in a buffer of its own; it is re-solved fresh, one-shot, over
+// its box from its parent's basis, and when it is popped its box must
+// still be the one it entered with and its X, Duals and basis that
+// re-solve's, bit for bit, although the probes, infeasible and pruned
+// children solved in between reuse the results, and the nodes expanded
+// or pruned in between the nodes and bounds, that the search gave back.
+// Several searches run at once, as a server runs them, so they share the
+// scratch pool (run it under -race).
 func TestNodesOwnTheirResults(t *testing.T) {
 	p := fig3MILP(t, 100)
 	// The search proves in 23 nodes; the limit only ends a broken one.
 	opts := &Options{RootCutRounds: 4, Presolve: true, NodeLimit: 1000}
 
+	// entry is what a child entered the heap with: its box and the fresh
+	// re-solve of it.
+	type entry struct {
+		lo, hi []uint64
+		sol    lp.Solution
+	}
 	var mu sync.Mutex
-	wants := map[*node]lp.Solution{}
+	wants := map[*node]entry{}
 	// lpsAtPop is each search's LP count at its last pop, so the next pop
 	// learns how many child LPs the expansion in between solved.
 	lpsAtPop := map[*solver]int{}
 	checked, multiProbe, mismatched := 0, 0, 0
 	var firstMismatch string
 	onEnqueue = func(s *solver, parent, kid *node) {
+		if &kid.lo[0] == &parent.lo[0] || &kid.hi[0] == &parent.hi[0] {
+			t.Error("a child's bounds share their parent's buffer")
+			return
+		}
+		if d := boxDiff(parent, kid); d != 1 {
+			t.Errorf("a child's box differs from its parent's in %d columns, want 1", d)
+		}
 		q := *s.base
 		q.Lo, q.Hi = kid.lo, kid.hi
 		sol, err := lp.SolveFrom(&q, parent.relax.Basis, nil)
@@ -81,32 +97,39 @@ func TestNodesOwnTheirResults(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		wants[kid] = sol
+		wants[kid] = entry{bits(kid.lo), bits(kid.hi), sol}
 		mu.Unlock()
 	}
 	onPop = func(s *solver, n *node) {
 		mu.Lock()
-		if last, ok := lpsAtPop[s]; ok && s.stats.LPSolves-last >= 4 {
+		last, seen := lpsAtPop[s]
+		if seen && s.stats.LPSolves-last >= 4 {
 			multiProbe++
 		}
 		lpsAtPop[s] = s.stats.LPSolves
 		want, ok := wants[n]
 		delete(wants, n)
+		// The first pop is the root, which never entered through
+		// onEnqueue: an entry under its pointer is stale, left by a node
+		// of an earlier search that was pruned or left on the heap.
+		ok = ok && seen
 		if ok {
 			checked++
 		}
 		mu.Unlock()
 		if !ok {
-			return // the root
+			return
 		}
 		got, what := n.relax, ""
 		switch {
-		case got.Status != lp.Optimal || want.Status != lp.Optimal:
-			what = fmt.Sprintf("status %v, fresh re-solve %v", got.Status, want.Status)
-		case !slices.Equal(bits(got.X), bits(want.X)) || !slices.Equal(bits(got.Duals), bits(want.Duals)) ||
-			math.Float64bits(got.Objective) != math.Float64bits(want.Objective):
+		case !slices.Equal(bits(n.lo), want.lo) || !slices.Equal(bits(n.hi), want.hi):
+			what = "its box differs from the one it entered the heap with"
+		case got.Status != lp.Optimal || want.sol.Status != lp.Optimal:
+			what = fmt.Sprintf("status %v, fresh re-solve %v", got.Status, want.sol.Status)
+		case !slices.Equal(bits(got.X), bits(want.sol.X)) || !slices.Equal(bits(got.Duals), bits(want.sol.Duals)) ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.sol.Objective):
 			what = "X, Duals or objective differ from a fresh re-solve of its box"
-		case !reflect.DeepEqual(*got.Basis, *want.Basis):
+		case !reflect.DeepEqual(*got.Basis, *want.sol.Basis):
 			what = "basis differs from a fresh re-solve of its box"
 		default:
 			return
@@ -155,6 +178,17 @@ func TestNodesOwnTheirResults(t *testing.T) {
 	if multiProbe < 3*searches {
 		t.Fatalf("%d expansions of two probes or more over %d searches; the search no longer exercises losing pairs", multiProbe, searches)
 	}
+}
+
+// boxDiff counts the columns where a's and b's bounds differ.
+func boxDiff(a, b *node) int {
+	d := 0
+	for j := range a.lo {
+		if a.lo[j] != b.lo[j] || a.hi[j] != b.hi[j] {
+			d++
+		}
+	}
+	return d
 }
 
 // bits returns v's IEEE bit patterns, so NaNs and signed zeros compare

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"slices"
 
 	"rentmin/internal/lp"
 )
@@ -76,6 +77,9 @@ func (s PresolveStats) empty() bool { return s == PresolveStats{} }
 
 // Reduced is the outcome of a presolve pass: the reduced problem plus the
 // postsolve map that lifts its points back to the original variable space.
+// One from Presolve is the caller's. A search presolves into its scratch
+// instead, so the Reduced it searches, its problem included, lives only
+// as long as the search.
 type Reduced struct {
 	// P is the reduced problem. It may have zero variables (every column
 	// was fixed; the unique candidate point is Postsolve(nil)) — note
@@ -140,16 +144,21 @@ type presRow struct {
 	phantom    bool // cutoff row: propagates but is never emitted
 }
 
-// pres is the working state of one presolve pass. Every row's nonzeros
-// sit in one flat idx/val pair, and the column index lists, per column
-// and in ascending row order, the rows holding it and the entry's
-// position, so each pass costs O(nnz).
+// pres is the working state of one presolve pass and the storage of its
+// output. Every row's nonzeros sit in one flat idx/val pair, and the
+// column index lists, per column and in ascending row order, the rows
+// holding it and the entry's position, so each pass costs O(nnz). run
+// rebuilds every field from its problem and keeps only the buffers, so a
+// search's scratch presolves one problem after another without
+// allocating once its buffers have grown.
 type pres struct {
 	rows []presRow
 	idx  []int32
 	val  []float64
-	// Column j's entries are colRow/colPos[colStart[j]:colStart[j+1]].
-	colStart, colRow, colPos []int32
+	// Column j's entries are colRow/colPos[colStart[j]:colStart[j+1]];
+	// next is load's fill cursor per column.
+	colStart, colRow, colPos, next []int32
+	cutoff                         lp.Constraint // the phantom row's storage
 
 	lo, hi  []float64
 	live    []bool // column not yet fixed
@@ -158,23 +167,37 @@ type pres struct {
 	changed bool
 	stats   PresolveStats
 	objOff  float64
+
+	// build's output: red and its problem rp, over the buffers below and
+	// lo/hi/idx/val, which build compacts in place into rp's bounds and
+	// rows.
+	red      Reduced
+	rp       Problem
+	colOf    []int32 // original column -> reduced, -1 when fixed
+	keep     []int
+	basis    []int32
+	fixedVal []float64
+	isFixed  []bool
 }
 
 // Presolve runs the root reduction pass on p with the given objective
-// cutoff (pass +inf for none). The input problem is not modified.
+// cutoff (pass +inf for none). The input problem is not modified, and
+// the result is the caller's.
 func Presolve(p *Problem, cutoff float64) *Reduced { return presolve(p, cutoff, nil) }
 
 // presolve is Presolve that also maps basis, a root basis in p's rows
 // and columns (see Options.RootBasis), onto the reduced problem.
 func presolve(p *Problem, cutoff float64, basis []int32) *Reduced {
+	return new(pres).run(p, cutoff, basis)
+}
+
+// run is presolve into w: the Reduced it returns, and everything it
+// points to, is w's until the next run.
+func (w *pres) run(p *Problem, cutoff float64, basis []int32) *Reduced {
 	n := p.LP.NumVars()
-	w := &pres{
-		lo:    make([]float64, n),
-		hi:    make([]float64, n),
-		live:  make([]bool, n),
-		obj:   p.LP.Objective,
-		isInt: p.Integer,
-	}
+	w.lo, w.hi, w.live = grow(w.lo, n), grow(w.hi, n), grow(w.live, n)
+	w.obj, w.isInt = p.LP.Objective, p.Integer
+	w.changed, w.stats, w.objOff = false, PresolveStats{}, 0
 	for j := 0; j < n; j++ {
 		w.lo[j] = p.LP.LowerBound(j)
 		w.hi[j] = p.LP.UpperBound(j)
@@ -191,7 +214,7 @@ func presolve(p *Problem, cutoff float64, basis []int32) *Reduced {
 	for round := 0; round < presolveMaxRounds; round++ {
 		w.changed = false
 		if w.tightenAll() {
-			return infeasibleReduced(p, w)
+			return w.infeasible(n)
 		}
 		w.fixClosed()
 		w.fixEmpty()
@@ -201,9 +224,24 @@ func presolve(p *Problem, cutoff float64, basis []int32) *Reduced {
 		}
 	}
 	if w.dropEmptyRows() {
-		return infeasibleReduced(p, w)
+		return w.infeasible(n)
 	}
 	return w.build(p, basis)
+}
+
+// release drops w's references to the last problem it presolved, so a
+// pooled scratch keeps no caller's problem alive.
+func (w *pres) release() {
+	w.obj, w.isInt = nil, nil
+}
+
+// grow returns s with length n, reusing its backing array when it is
+// large enough; never nil. The caller overwrites every element.
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // load copies p's rows (and, under a finite cutoff, the phantom cutoff
@@ -212,33 +250,25 @@ func presolve(p *Problem, cutoff float64, basis []int32) *Reduced {
 func (w *pres) load(p *Problem, cutoff float64) {
 	n := p.LP.NumVars()
 	rows := len(p.LP.Constraints)
-	var phantom lp.Constraint
+	var phantom *lp.Constraint
+	nnz := 0
 	if !math.IsInf(cutoff, 1) {
-		phantom = cutoffRow(p.LP.Objective, cutoff)
+		phantom = w.cutoffRow(p.LP.Objective, cutoff)
 		rows++
+		nnz += len(phantom.Idx)
 	}
-	nnz := len(phantom.Idx)
 	for i := range p.LP.Constraints {
 		nnz += len(p.LP.Constraints[i].Idx)
 	}
-	w.rows = make([]presRow, 0, rows)
-	w.idx, w.val = make([]int32, 0, nnz), make([]float64, 0, nnz)
-	w.colStart = make([]int32, n+1)
-	add := func(c *lp.Constraint, phantom bool) {
-		start := int32(len(w.idx))
-		for k, j := range c.Idx {
-			if v := c.Val[k]; v != 0 {
-				w.idx, w.val = append(w.idx, j), append(w.val, v)
-				w.colStart[j+1]++
-			}
-		}
-		w.rows = append(w.rows, presRow{start: start, end: int32(len(w.idx)), rel: c.Rel, rhs: c.RHS, phantom: phantom})
-	}
+	w.rows = slices.Grow(w.rows[:0], rows)
+	w.idx, w.val = slices.Grow(w.idx[:0], nnz), slices.Grow(w.val[:0], nnz)
+	w.colStart = grow(w.colStart, n+1)
+	clear(w.colStart)
 	for i := range p.LP.Constraints {
-		add(&p.LP.Constraints[i], false)
+		w.addRow(&p.LP.Constraints[i], false)
 	}
-	if rows > len(p.LP.Constraints) {
-		add(&phantom, true)
+	if phantom != nil {
+		w.addRow(phantom, true)
 	}
 
 	// Counting sort by column: rows are visited in order, so each
@@ -246,28 +276,36 @@ func (w *pres) load(p *Problem, cutoff float64) {
 	for j := 0; j < n; j++ {
 		w.colStart[j+1] += w.colStart[j]
 	}
-	next := append([]int32(nil), w.colStart[:n]...)
-	w.colRow = make([]int32, len(w.idx))
-	w.colPos = make([]int32, len(w.idx))
+	w.next = append(w.next[:0], w.colStart[:n]...)
+	w.colRow = grow(w.colRow, len(w.idx))
+	w.colPos = grow(w.colPos, len(w.idx))
 	for i, r := range w.rows {
 		for k := r.start; k < r.end; k++ {
 			j := w.idx[k]
-			w.colRow[next[j]], w.colPos[next[j]] = int32(i), k
-			next[j]++
+			w.colRow[w.next[j]], w.colPos[w.next[j]] = int32(i), k
+			w.next[j]++
 		}
 	}
 }
 
-// cutoffRow returns the objective cutoff obj·x <= cutoff as a row over
-// obj's nonzeros.
-func cutoffRow(obj []float64, cutoff float64) lp.Constraint {
-	nz := 0
-	for _, v := range obj {
-		if v != 0 {
-			nz++
+// addRow appends c's nonzeros to the flat storage as one working row and
+// counts them into colStart.
+func (w *pres) addRow(c *lp.Constraint, phantom bool) {
+	start := int32(len(w.idx))
+	for k, j := range c.Idx {
+		if v := c.Val[k]; v != 0 {
+			w.idx, w.val = append(w.idx, j), append(w.val, v)
+			w.colStart[j+1]++
 		}
 	}
-	c := lp.Constraint{Idx: make([]int32, 0, nz), Val: make([]float64, 0, nz), Rel: lp.LE, RHS: cutoff}
+	w.rows = append(w.rows, presRow{start: start, end: int32(len(w.idx)), rel: c.Rel, rhs: c.RHS, phantom: phantom})
+}
+
+// cutoffRow returns the objective cutoff obj·x <= cutoff as a row over
+// obj's nonzeros, in w's storage for it.
+func (w *pres) cutoffRow(obj []float64, cutoff float64) *lp.Constraint {
+	c := &w.cutoff
+	c.Idx, c.Val, c.Rel, c.RHS = c.Idx[:0], c.Val[:0], lp.LE, cutoff
 	for j, v := range obj {
 		if v != 0 {
 			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
@@ -276,8 +314,10 @@ func cutoffRow(obj []float64, cutoff float64) lp.Constraint {
 	return c
 }
 
-func infeasibleReduced(p *Problem, w *pres) *Reduced {
-	return &Reduced{Infeasible: true, Stats: w.stats, origN: p.LP.NumVars()}
+// infeasible returns w's Reduced as a proof of infeasibility.
+func (w *pres) infeasible(n int) *Reduced {
+	w.red = Reduced{Infeasible: true, Stats: w.stats, origN: n}
+	return &w.red
 }
 
 // activity computes a row's minimum and maximum activity over the current
@@ -660,46 +700,46 @@ func (w *pres) dropEmptyRows() bool {
 	return false
 }
 
-// build assembles the reduced problem and the postsolve map, and maps
-// basis when one is given: each emitted row keeps its basic column when
-// that column stays, and takes its own slack otherwise.
+// build assembles the reduced problem and the postsolve map in w's
+// output storage, and maps basis when one is given: each emitted row
+// keeps its basic column when that column stays, and takes its own slack
+// otherwise. The reduced bounds and rows are compacted in place over
+// w.lo/hi and w.idx/val: a kept column or entry only ever moves to a
+// lower position, past every one still to be read.
 func (w *pres) build(p *Problem, basis []int32) *Reduced {
 	n := p.LP.NumVars()
-	red := &Reduced{
-		Stats:     w.stats,
-		ObjOffset: w.objOff,
-		origN:     n,
-		fixedVal:  make([]float64, n),
-		isFixed:   make([]bool, n),
-	}
-	colOf := make([]int32, n) // original -> reduced, -1 when fixed
+	w.fixedVal, w.isFixed, w.colOf = grow(w.fixedVal, n), grow(w.isFixed, n), grow(w.colOf, n)
+	clear(w.fixedVal)
+	clear(w.isFixed)
+	keep := w.keep[:0]
 	for j := 0; j < n; j++ {
 		if w.live[j] {
-			colOf[j] = int32(len(red.keep))
-			red.keep = append(red.keep, j)
+			w.colOf[j] = int32(len(keep))
+			keep = append(keep, j)
 		} else {
-			colOf[j] = -1
-			red.isFixed[j] = true
-			red.fixedVal[j] = w.lo[j]
+			w.colOf[j] = -1
+			w.isFixed[j] = true
+			w.fixedVal[j] = w.lo[j]
 		}
 	}
-	nr := len(red.keep)
-	rp := &Problem{Integer: make([]bool, nr)}
-	rp.LP.Objective = make([]float64, nr)
-	rp.LP.Lo = make([]float64, nr)
-	rp.LP.Hi = make([]float64, nr)
-	for i, j := range red.keep {
+	w.keep = keep
+	nr := len(keep)
+	rp := &w.rp
+	rp.Integer = grow(rp.Integer, nr)
+	rp.LP.Objective = grow(rp.LP.Objective, nr)
+	for i, j := range keep {
 		rp.Integer[i] = w.isInt[j]
 		rp.LP.Objective[i] = w.obj[j]
-		rp.LP.Lo[i] = w.lo[j]
-		rp.LP.Hi[i] = w.hi[j]
+		w.lo[i], w.hi[i] = w.lo[j], w.hi[j]
 	}
-	// Gather the emitted rows' live nonzeros, renumbered, into one backing
-	// pair; colOf is increasing, so every row stays ascending.
-	idx, val := make([]int32, 0, len(w.idx)), make([]float64, 0, len(w.idx))
-	rp.LP.Constraints = make([]lp.Constraint, 0, len(w.rows))
+	rp.LP.Lo, rp.LP.Hi = w.lo[:nr], w.hi[:nr]
+	// Gather the emitted rows' live nonzeros, renumbered, at the front of
+	// idx/val; colOf is increasing, so every row stays ascending.
+	idx, val := w.idx[:0], w.val[:0]
+	rp.LP.Constraints = slices.Grow(rp.LP.Constraints[:0], len(w.rows))
+	var rbasis []int32
 	if basis != nil {
-		red.basis = make([]int32, 0, len(w.rows))
+		rbasis = grow(w.basis, len(w.rows))[:0]
 	}
 	for i := range w.rows {
 		r := &w.rows[i]
@@ -709,14 +749,14 @@ func (w *pres) build(p *Problem, basis []int32) *Reduced {
 		if basis != nil {
 			c := int32(-1)
 			if i < len(basis) && basis[i] >= 0 && int(basis[i]) < n {
-				c = colOf[basis[i]]
+				c = w.colOf[basis[i]]
 			}
-			red.basis = append(red.basis, c)
+			rbasis = append(rbasis, c)
 		}
 		s := len(idx)
 		for k := r.start; k < r.end; k++ {
 			if w.val[k] != 0 && w.live[w.idx[k]] {
-				idx, val = append(idx, colOf[w.idx[k]]), append(val, w.val[k])
+				idx, val = append(idx, w.colOf[w.idx[k]]), append(val, w.val[k])
 			}
 		}
 		e := len(idx)
@@ -727,6 +767,18 @@ func (w *pres) build(p *Problem, basis []int32) *Reduced {
 			RHS: r.rhs,
 		})
 	}
-	red.P = rp
-	return red
+	if basis != nil {
+		w.basis = rbasis
+	}
+	w.red = Reduced{
+		P:         rp,
+		Stats:     w.stats,
+		ObjOffset: w.objOff,
+		origN:     n,
+		keep:      keep,
+		basis:     rbasis,
+		fixedVal:  w.fixedVal,
+		isFixed:   w.isFixed,
+	}
+	return &w.red
 }

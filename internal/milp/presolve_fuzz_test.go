@@ -27,6 +27,11 @@ import (
 // presolve maps onto the reduced problem: a basis changes how the root
 // starts, never the answer.
 //
+// Every input also runs twice through the pooled scratch a search draws:
+// each presolve there must match a fresh Presolve bit for bit, and a
+// second presolved solve must repeat the first one's search, although it
+// inherits the storage the first one wrote.
+//
 // Unbounded outcomes are skipped: when the LP relaxation is unbounded the
 // direct solve reports Unbounded, while presolve may legitimately prove
 // integer infeasibility first — both truthful, not comparable.
@@ -132,6 +137,23 @@ func FuzzPresolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("presolved solve: %v (seed=%d cfg=%d)", err, seed, cfg)
 		}
+		if again, err := Solve(p, &popts); err != nil || !sameSearch(again, pres) {
+			t.Fatalf("a second presolved solve differs: %+v, %v; first %+v (seed=%d cfg=%d)",
+				again.SearchStats, err, pres.SearchStats, seed, cfg)
+		}
+		cutoff := math.Inf(1)
+		if popts.Incumbent != nil {
+			cutoff = plain.Objective
+		}
+		fresh := presolve(p, cutoff, popts.RootBasis)
+		sc := scratches.Get().(*scratch)
+		for run := 0; run < 2; run++ {
+			if d := reducedDiff(sc.pres.run(p, cutoff, popts.RootBasis), fresh); d != "" {
+				t.Fatalf("presolve %d through the scratch differs from a fresh one: %s (seed=%d cfg=%d)", run, d, seed, cfg)
+			}
+		}
+		sc.pres.release()
+		scratches.Put(sc)
 		if plain.Status == Unbounded || pres.Status == Unbounded {
 			return
 		}

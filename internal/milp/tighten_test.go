@@ -23,6 +23,7 @@ func tightenFixture(obj []float64, rows []lp.Constraint, inc float64) *solver {
 	return &solver{
 		p: p, work: p, base: &p.LP,
 		opts:    &Options{},
+		sc:      new(scratch),
 		intObj:  integralObjective(p),
 		bestObj: inc,
 		hasBest: !math.IsInf(inc, 1),
@@ -30,8 +31,17 @@ func tightenFixture(obj []float64, rows []lp.Constraint, inc float64) *solver {
 }
 
 // relaxed is a node with relaxation point x, row duals y and LP bound z
-// under the bounds lo/hi.
+// under the bounds lo/hi; a nil side takes the defaults, 0 and +Inf.
 func relaxed(lo, hi, x, y []float64, z float64) *node {
+	if lo == nil {
+		lo = make([]float64, len(x))
+	}
+	if hi == nil {
+		hi = make([]float64, len(x))
+		for j := range hi {
+			hi[j] = math.Inf(1)
+		}
+	}
 	return &node{lo: lo, hi: hi, relax: &lp.Solution{Status: lp.Optimal, X: x, Duals: y}, bound: z}
 }
 
@@ -57,8 +67,8 @@ func TestTightenExactQuotient(t *testing.T) {
 			s := tightenFixture(tc.c, []lp.Constraint{dense([]float64{0, 1}, lp.GE, 0)}, tc.inc)
 			n := relaxed(nil, nil, []float64{0, 0}, []float64{0.5}, tc.z)
 			s.tighten(n)
-			if n.lo != nil {
-				t.Errorf("lo = %v, want nil (no column rests at an upper bound)", n.lo)
+			if !slices.Equal(n.lo, []float64{0, 0}) {
+				t.Errorf("lo = %v, want [0 0] (no column rests at an upper bound)", n.lo)
 			}
 			if !slices.Equal(n.hi, tc.want) {
 				t.Errorf("hi = %v, want %v", n.hi, tc.want)
@@ -102,8 +112,8 @@ func TestTightenGapWithoutIntegralObjective(t *testing.T) {
 	}
 }
 
-// TestTightenNoIncumbent: without an incumbent nothing is tightened and
-// the node keeps its own slices.
+// TestTightenNoIncumbent: without an incumbent nothing is tightened, in
+// the node's own slices.
 func TestTightenNoIncumbent(t *testing.T) {
 	s := tightenFixture([]float64{1, -1}, nil, math.Inf(1))
 	lo, hi := []float64{0, 0}, []float64{math.Inf(1), 4}
@@ -117,22 +127,14 @@ func TestTightenNoIncumbent(t *testing.T) {
 	}
 }
 
-// TestTightenCopyOnWrite: patchedBound shares the untouched side of a
-// parent's bounds with each child, and the root shares the problem's.
-// Tightening the root and then a child writes none of those shared
-// slices: the problem's, the parent's and the sibling's lo/hi are
-// byte-identical afterwards.
-func TestTightenCopyOnWrite(t *testing.T) {
+// TestTightenWritesOnlyItsNode: every node owns its bounds, so
+// tightening writes them in place. Tightening the root and then a child
+// leaves the problem's bounds, and the parent's and the sibling's once
+// the children are made, byte-identical.
+func TestTightenWritesOnlyItsNode(t *testing.T) {
 	s := tightenFixture([]float64{1, -1, 1.5}, nil, 3)
 	s.p.LP.Lo = []float64{0, 0, 0}
 	s.p.LP.Hi = []float64{9, 6, 9}
-	bits := func(b []float64) []uint64 {
-		out := make([]uint64, len(b))
-		for k, v := range b {
-			out[k] = math.Float64bits(v)
-		}
-		return out
-	}
 	snap := func(ns ...*node) [][]uint64 {
 		var out [][]uint64
 		for _, n := range ns {
@@ -145,21 +147,26 @@ func TestTightenCopyOnWrite(t *testing.T) {
 	// Root: x0 at 0 (d = 1), x1 at its upper bound 6 (d = −1), x2
 	// fractional. gap = 3 − (−5.5) = 8.5 leaves x0 ≤ 8 and x1 ≥ −2, so
 	// only x0 tightens.
-	root := relaxed(s.p.LP.Lo, s.p.LP.Hi, []float64{0, 6, 0.5}, nil, -5.5)
+	root := relaxed(slices.Clone(s.p.LP.Lo), slices.Clone(s.p.LP.Hi), []float64{0, 6, 0.5}, nil, -5.5)
+	rootLo, rootHi := &root.lo[0], &root.hi[0]
 	s.tighten(root)
-	if !slices.Equal(root.hi, []float64{8, 6, 9}) || &root.lo[0] != &s.p.LP.Lo[0] {
-		t.Fatalf("root lo %v hi %v, want lo shared, hi [8 6 9]", root.lo, root.hi)
+	if !slices.Equal(root.hi, []float64{8, 6, 9}) || !slices.Equal(root.lo, []float64{0, 0, 0}) {
+		t.Fatalf("root lo %v hi %v, want lo [0 0 0], hi [8 6 9]", root.lo, root.hi)
+	}
+	if &root.lo[0] != rootLo || &root.hi[0] != rootHi {
+		t.Fatal("tightening the root replaced its bound slices")
 	}
 	if !slices.Equal(bits(s.p.LP.Lo), probLo) || !slices.Equal(bits(s.p.LP.Hi), probHi) {
 		t.Fatal("tightening the root wrote the problem's bounds")
 	}
 
-	// Branch on x2 = 0.5: the down child copies hi and shares lo, the up
-	// child copies lo and shares hi.
-	down := patchedBound(root, 3, 2, 0, 0)
-	up := patchedBound(root, 3, 2, 1, root.hi[2])
-	if &down.lo[0] != &root.lo[0] || &up.hi[0] != &root.hi[0] {
-		t.Fatal("patchedBound no longer shares the untouched side")
+	// Branch on x2 = 0.5: each child copies the root's tightened box with
+	// its patch on x2.
+	down := s.childNode(root, &child{j: 2, lo: 0, hi: 0})
+	up := s.childNode(root, &child{j: 2, lo: 1, hi: root.hi[2]})
+	if !slices.Equal(down.lo, []float64{0, 0, 0}) || !slices.Equal(down.hi, []float64{8, 6, 0}) ||
+		!slices.Equal(up.lo, []float64{0, 0, 1}) || !slices.Equal(up.hi, []float64{8, 6, 9}) {
+		t.Fatalf("children down [%v %v], up [%v %v]", down.lo, down.hi, up.lo, up.hi)
 	}
 	before := snap(root, up)
 	// The down child's LP: x0 at 0, x1 at 6, bound −1, so gap = 4 caps
@@ -180,7 +187,7 @@ func TestTightenCopyOnWrite(t *testing.T) {
 
 // TestEnqueuedChildOwnsItsBounds: buildChild solves each child over the
 // solver's scratch bound slices, and only enqueueChild gives a child its
-// own copy of the patched side. Overwriting the scratch and the parent's
+// own copy of the patched box. Overwriting the scratch and the parent's
 // bounds after both children of a branching are enqueued leaves their
 // patched sides unchanged.
 func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
@@ -195,7 +202,7 @@ func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.model.Release()
-	root := &node{lo: s.p.LP.Lo, hi: s.p.LP.Hi}
+	root := &node{lo: slices.Clone(s.p.LP.Lo), hi: slices.Clone(s.p.LP.Hi)}
 	sol, err := lp.Solve(s.base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +237,7 @@ func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
 		t.Fatalf("heap %v does not hold the down and the up child of x%d = %g", *h, j, v)
 	}
 	wantHi, wantLo := slices.Clone(kidDown.hi), slices.Clone(kidUp.lo)
-	for _, b := range [][]float64{s.clo, s.chi, root.lo, root.hi} {
+	for _, b := range [][]float64{s.sc.clo, s.sc.chi, root.lo, root.hi} {
 		for k := range b {
 			b[k] = math.NaN()
 		}
@@ -273,9 +280,9 @@ func TestQuickTightenKeepsImprovingPoints(t *testing.T) {
 			inc := opt + float64(1+r.Intn(3))
 			s := tightenFixture(q.LP.Objective, q.LP.Constraints, inc)
 			s.p.LP.Lo, s.p.LP.Hi = q.LP.Lo, q.LP.Hi
-			root := relaxed(q.LP.Lo, q.LP.Hi, sol.X, sol.Duals, sol.Objective)
+			root := relaxed(slices.Clone(q.LP.Lo), slices.Clone(q.LP.Hi), sol.X, sol.Duals, sol.Objective)
 			s.tighten(root)
-			if &root.lo[0] != &q.LP.Lo[0] || &root.hi[0] != &q.LP.Hi[0] {
+			if !slices.Equal(root.lo, q.LP.Lo) || !slices.Equal(root.hi, q.LP.Hi) {
 				tightened++
 			}
 			cut := inc - 1e-9
@@ -284,7 +291,7 @@ func TestQuickTightenKeepsImprovingPoints(t *testing.T) {
 			}
 			bruteForceBox(q, cut, func(x []float64) {
 				for j, v := range x {
-					if v < root.lower(j) || v > root.upper(j) {
+					if v < root.lo[j] || v > root.hi[j] {
 						t.Fatalf("seed %d (integral %v): improving point %v leaves the tightened box lo %v hi %v",
 							seed, s.intObj, x, root.lo, root.hi)
 					}

@@ -314,8 +314,9 @@ var raceEnabled bool
 
 // One warm event allocates a bounded number of objects: the event copies
 // only what it changes, the root LP starts solved, and the search's child
-// LPs solve into pooled results. The paper's example at target 70 runs
-// target 80 and back per call.
+// LPs, nodes and presolve run in pooled scratch. The paper's example at
+// target 70 runs target 80 and back per call; 50.5 objects per event is
+// the measured count.
 func TestSessionEventAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -334,8 +335,8 @@ func TestSessionEventAllocs(t *testing.T) {
 			}
 		}
 	})
-	if perEvent := perPair / 2; perEvent > 100 {
-		t.Errorf("one target change allocates %.1f objects, want at most 100", perEvent)
+	if perEvent := perPair / 2; perEvent > 50.5 {
+		t.Errorf("one target change allocates %.1f objects, want at most 50.5", perEvent)
 	}
 }
 

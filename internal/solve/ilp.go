@@ -116,21 +116,22 @@ func BuildMILP(m *core.CostModel, target int) *milp.Problem {
 // RoundingRepair returns a milp.Rounder that turns a fractional relaxation
 // point into a feasible integer point: graph throughputs are floored, the
 // lost units are re-added by PadToTarget, and machine counts are
-// recomputed as exact ceilings of the padded demand. The throughputs and
-// PadToTarget's demand and marginal costs live in scratch the rounder
-// reuses on every call, so it allocates only the point it returns, and it
-// must not be called from two goroutines at once (a milp search calls it
-// sequentially).
+// recomputed as exact ceilings of the padded demand. The throughputs,
+// PadToTarget's demand and marginal costs, and the point it returns live
+// in scratch the rounder reuses on every call, so it allocates nothing
+// per call: the point is valid until the next call (milp copies it only
+// when it becomes an incumbent candidate). It must not be called from two
+// goroutines at once (a milp search calls it sequentially).
 func RoundingRepair(m *core.CostModel, target int) milp.Rounder {
 	rho := make([]int, m.J)
 	scratch := make([]int64, m.Q+m.J)
 	demand, delta := scratch[:m.Q], scratch[m.Q:]
+	out := make([]float64, m.J+m.Q)
 	return func(x []float64) ([]float64, bool) {
 		for j := range rho {
 			rho[j] = max(int(math.Floor(x[j]+1e-9)), 0)
 		}
 		PadToTarget(m, rho, target, demand, delta)
-		out := make([]float64, m.J+m.Q)
 		for j, r := range rho {
 			out[j] = float64(r)
 		}
