@@ -20,9 +20,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"rentmin"
+	"rentmin/internal/core"
 	"rentmin/internal/obs"
 )
 
@@ -135,12 +137,8 @@ func (c *Client) BaseURL() string { return c.base }
 // Cancelling ctx aborts the request and — server-side — stops the
 // branch-and-bound search between nodes.
 func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (*Solution, error) {
-	body, err := solveBody(p, opts)
-	if err != nil {
-		return nil, err
-	}
 	var sol Solution
-	if err := c.call(ctx, http.MethodPost, "/v1/solve", body, &sol); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/solve", solveBody(p, opts), &sol); err != nil {
 		return nil, err
 	}
 	return &sol, nil
@@ -150,12 +148,8 @@ func (c *Client) Solve(ctx context.Context, p *rentmin.Problem, opts *Options) (
 // solutions in input order. Items that failed or never started before
 // the batch deadline have Error set instead of an allocation.
 func (c *Client) SolveBatch(ctx context.Context, problems []*rentmin.Problem, opts *Options) ([]Solution, error) {
-	body, err := batchBody(problems, opts)
-	if err != nil {
-		return nil, err
-	}
 	var resp BatchResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/batch", body, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/batch", batchBody(problems, opts), &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Solutions) != len(problems) {
@@ -199,16 +193,15 @@ func (c *Client) Capacity(ctx context.Context) (Capacity, error) {
 // returned bytes verbatim: the daemon verifies the hash against the
 // bytes it receives, so a document hashed in another layout (such as
 // the indented form earlier versions used) still resolves under its
-// own hash.
+// own hash. The error is always nil: every problem encodes.
 func ProblemHash(p *rentmin.Problem) (string, json.RawMessage, error) {
 	canon := *p
 	canon.Target = 0
-	doc, err := encodeProblem(&canon)
-	if err != nil {
-		return "", nil, err
-	}
+	doc := encodeProblem(&canon)
 	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:]), doc, nil
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:]), doc, nil
 }
 
 // UploadProblem stores a problem document in the daemon's
@@ -308,34 +301,41 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
-// encodeProblem renders a problem as compact JSON: the inline document
-// of a request, appended to its body as it is, and the canonical
-// document ProblemHash hashes.
-func encodeProblem(p *rentmin.Problem) (json.RawMessage, error) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("encode problem: %w", err)
-	}
-	return raw, nil
+// encodeProblem renders a problem as compact JSON (core.AppendProblem):
+// the inline document of a session request, and the canonical document
+// ProblemHash hashes.
+func encodeProblem(p *rentmin.Problem) json.RawMessage {
+	return written(func(b []byte) []byte { return core.AppendProblem(b, p) })
+}
+
+// scratch recycles the buffers documents and request bodies are written
+// in.
+var scratch = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// written returns a copy, in one allocation of its length, of what write
+// appends to an empty buffer.
+func written(write func([]byte) []byte) []byte {
+	buf := scratch.Get().(*[]byte)
+	*buf = write((*buf)[:0])
+	out := append([]byte(nil), *buf...)
+	scratch.Put(buf)
+	return out
 }
 
 // The bodies of /v1/solve and /v1/batch are written by hand: each is
 // byte for byte what json.Marshal writes for its SolveRequest or
-// BatchRequest (fields in declaration order, empty ones omitted), but
-// the compact documents are appended as they are, where json.Marshal
-// would scan each one again to compact it.
+// BatchRequest (fields in declaration order, empty ones omitted), with
+// each document written in place by core.AppendProblem.
 
 // solveBody is the /v1/solve body of Solve.
-func solveBody(p *rentmin.Problem, opts *Options) ([]byte, error) {
-	doc, err := encodeProblem(p)
-	if err != nil {
-		return nil, err
-	}
-	b := append(appendKey(make([]byte, 0, len(doc)+envelopeSize), "problem"), doc...)
-	if opts != nil && opts.Target > 0 {
-		b = strconv.AppendInt(appendKey(b, "target"), int64(opts.Target), 10)
-	}
-	return appendOptions(b, opts), nil
+func solveBody(p *rentmin.Problem, opts *Options) []byte {
+	return written(func(b []byte) []byte {
+		b = core.AppendProblem(appendKey(b, "problem"), p)
+		if opts != nil && opts.Target > 0 {
+			b = strconv.AppendInt(appendKey(b, "target"), int64(opts.Target), 10)
+		}
+		return appendOptions(b, opts)
+	})
 }
 
 // refBody is the /v1/solve body of SolveRef.
@@ -345,28 +345,22 @@ func refBody(hash string, target int, opts *Options) []byte {
 }
 
 // batchBody is the /v1/batch body of SolveBatch.
-func batchBody(problems []*rentmin.Problem, opts *Options) ([]byte, error) {
-	docs := make([]json.RawMessage, len(problems))
-	size := envelopeSize
-	for i, p := range problems {
-		doc, err := encodeProblem(p)
-		if err != nil {
-			return nil, fmt.Errorf("problem %d: %w", i, err)
+func batchBody(problems []*rentmin.Problem, opts *Options) []byte {
+	return written(func(b []byte) []byte {
+		if len(problems) > 0 {
+			b = appendKey(b, "problems")
+			for i, p := range problems {
+				if i == 0 {
+					b = append(b, '[')
+				} else {
+					b = append(b, ',')
+				}
+				b = core.AppendProblem(b, p)
+			}
+			b = append(b, ']')
 		}
-		docs[i] = doc
-		size += len(doc) + 1
-	}
-	b := make([]byte, 0, size)
-	if len(docs) > 0 {
-		b = appendKey(b, "problems")
-		sep := byte('[')
-		for _, doc := range docs {
-			b = append(append(b, sep), doc...)
-			sep = ','
-		}
-		b = append(b, ']')
-	}
-	return appendOptions(b, opts), nil
+		return appendOptions(b, opts)
+	})
 }
 
 // batchRefBody is the /v1/batch body of SolveBatchRef.
@@ -419,24 +413,11 @@ func appendOptions(b []byte, opts *Options) []byte {
 
 // appendRef appends one ProblemRef object.
 func appendRef(b []byte, ref ProblemRef) []byte {
-	b = appendString(append(b, `{"hash":`...), ref.Hash)
+	b = core.AppendString(append(b, `{"hash":`...), ref.Hash)
 	if ref.Target != nil {
 		b = strconv.AppendInt(append(b, `,"target":`...), int64(*ref.Target), 10)
 	}
 	return append(b, '}')
-}
-
-// appendString appends s as json.Marshal encodes it. A string of
-// printable ASCII that json.Marshal writes unescaped, as every hash
-// ProblemHash returns is, is appended as it is.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
 }
 
 func (c *Client) post(ctx context.Context, path string, reqBody, out interface{}) error {
@@ -451,8 +432,8 @@ func (c *Client) get(ctx context.Context, path string, out interface{}) error {
 	return c.call(ctx, http.MethodGet, path, nil, out)
 }
 
-// call sends one request and decodes a 200 response into out; any
-// other status is an *APIError.
+// call sends one request and decodes a 200 response into out (see
+// decodeAnswer); any other status is an *APIError.
 func (c *Client) call(ctx context.Context, method, path string, payload []byte, out interface{}) error {
 	body, status, hdr, err := c.do(ctx, method, path, payload)
 	if err != nil {
@@ -461,7 +442,7 @@ func (c *Client) call(ctx context.Context, method, path string, payload []byte, 
 	if status != http.StatusOK {
 		return apiError(status, body, hdr)
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := decodeAnswer(body, out); err != nil {
 		return fmt.Errorf("rentmind: decode %s response: %w", path, err)
 	}
 	return nil
@@ -469,7 +450,9 @@ func (c *Client) call(ctx context.Context, method, path string, payload []byte, 
 
 // do is the one transport routine: it sends a request and returns the
 // response's body, status and header, from which apiError reads the
-// Retry-After hint.
+// Retry-After hint. A body of known length up to maxResponseBytes is read
+// into one buffer of exactly that length; any other body is read up to
+// maxResponseBytes and cut there.
 func (c *Client) do(ctx context.Context, method, path string, payload []byte) ([]byte, int, http.Header, error) {
 	var rd io.Reader
 	if payload != nil {
@@ -490,12 +473,22 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte) ([
 		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var body []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	}
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("rentmind: read response: %w", err)
 	}
 	return body, resp.StatusCode, resp.Header, nil
 }
+
+// maxResponseBytes caps the bytes of a response the client reads. A
+// variable only so that tests can lower it.
+var maxResponseBytes int64 = 64 << 20
 
 func apiError(status int, body []byte, hdr http.Header) error {
 	e := &APIError{StatusCode: status, Message: http.StatusText(status)}

@@ -2,12 +2,12 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"rentmin"
+	"rentmin/internal/core"
 )
 
 // SessionOptions tunes a server-side re-optimization session at creation.
@@ -33,11 +33,7 @@ type Session struct {
 // the event stream. The returned SessionResolve is the initial solve
 // (Seq 0).
 func (c *Client) NewSession(ctx context.Context, p *rentmin.Problem, opts *SessionOptions) (*Session, *SessionResolve, error) {
-	raw, err := encodeProblem(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	req := CreateSessionRequest{Problem: raw}
+	req := CreateSessionRequest{Problem: encodeProblem(p)}
 	if opts != nil {
 		req.TimeLimitMs = millis(opts.TimeLimit)
 		if opts.Target > 0 {
@@ -107,8 +103,7 @@ func (s *Session) Close(ctx context.Context) error {
 
 // RecipeArrivalEvent builds a recipe_arrival event adding g.
 func RecipeArrivalEvent(g rentmin.Graph) SessionEvent {
-	raw, _ := json.Marshal(g) // plain ints/strings/slices: cannot fail
-	return SessionEvent{Kind: "recipe_arrival", Graph: raw}
+	return SessionEvent{Kind: "recipe_arrival", Graph: core.AppendGraph(nil, &g)}
 }
 
 // RecipeDepartureEvent builds a recipe_departure event removing the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -50,7 +51,10 @@ func parseFast(data []byte) (*Problem, bool) {
 //   - integer literals without fraction, exponent, leading zero or "-0"
 //     that fit in an int;
 //   - object keys in exact case, each at most once per object;
-//   - no null or false, and true only where the caller reads it (True).
+//   - no null, true only where the caller reads it (True), and false
+//     only where it reads a boolean (Bool);
+//   - numbers of any JSON form only where the caller reads a float
+//     (Float).
 //
 // On such input encoding/json with unknown fields disallowed reads the
 // same values. Every reader skips the whitespace before its value, and
@@ -95,31 +99,36 @@ func (s *Scanner) Problem() *Problem {
 		s.ok = false
 		return nil
 	}
-	d.graphs.alloc()
-	d.machines.alloc()
-	d.tasks.alloc()
-	d.edges.alloc()
-	d.names.Grow(d.nameLen)
-	d.pos, d.fill = start, true
+	d.graphs.Alloc()
+	d.machines.Alloc()
+	d.tasks.Alloc()
+	d.edges.Alloc()
+	d.names.Alloc()
+	d.pos = start
 	p := new(Problem)
 	d.document(p)
 	s.pos, s.ok = d.pos, d.ok
 	return p
 }
 
-// arena is the storage of one element type. On the sizing pass buf is
-// nil and every element goes to scratch; n counts them. alloc then makes
-// buf exactly n long, and the fill pass hands out its slots in order.
-type arena[T any] struct {
+// Arena is the storage of one element type in a decoder that reads its
+// input twice, as Scanner.Problem does. On the sizing pass buf is nil and
+// every element goes to scratch; Len counts them. Alloc then makes buf
+// exactly that long, and the fill pass hands out its slots in order.
+type Arena[T any] struct {
 	buf     []T
 	n       int
 	scratch T
 }
 
-func (a *arena[T]) alloc() { a.buf, a.n = make([]T, a.n), 0 }
+// Alloc ends the sizing pass.
+func (a *Arena[T]) Alloc() { a.buf, a.n = make([]T, a.n), 0 }
 
-// next returns where the next element goes.
-func (a *arena[T]) next() *T {
+// Len is the number of elements handed out so far in this pass.
+func (a *Arena[T]) Len() int { return a.n }
+
+// Next returns where the next element goes.
+func (a *Arena[T]) Next() *T {
 	a.n++
 	if a.buf == nil {
 		return &a.scratch
@@ -127,31 +136,55 @@ func (a *arena[T]) next() *T {
 	return &a.buf[a.n-1]
 }
 
-// since returns the elements stored from index start on, with capacity
-// ending at the last of them; nil on the sizing pass.
-func (a *arena[T]) since(start int) []T {
+// Since returns the elements stored from index start on, with capacity
+// ending at the last of them; nil on the sizing pass, and empty but not
+// nil when the fill pass stored none.
+func (a *Arena[T]) Since(start int) []T {
 	if a.buf == nil {
 		return nil
 	}
 	return a.buf[start:a.n:a.n]
 }
 
+// Text is the string storage of a two-pass decoder: every string it
+// keeps is a slice of one string. On the sizing pass Add counts bytes;
+// Alloc then sizes the one string, and on the fill pass Add stores each
+// string's bytes and returns them.
+type Text struct {
+	b    strings.Builder
+	n    int
+	fill bool
+}
+
+// Alloc ends the sizing pass.
+func (t *Text) Alloc() { t.b.Grow(t.n); t.fill = true }
+
+// Add stores v, returning it as a string on the fill pass and "" on the
+// sizing pass.
+func (t *Text) Add(v []byte) string {
+	if !t.fill {
+		t.n += len(v)
+		return ""
+	}
+	start := t.b.Len()
+	t.b.Write(v)
+	return t.b.String()[start:]
+}
+
 // fastDecoder holds the state of Scanner.Problem: a scanner of its own
 // and the storage of the two passes.
 type fastDecoder struct {
 	Scanner
-	fill bool
 
-	graphs   arena[Graph]
-	machines arena[MachineType]
-	tasks    arena[Task]
-	edges    arena[Edge]
-	names    strings.Builder
-	nameLen  int
+	graphs   Arena[Graph]
+	machines Arena[MachineType]
+	tasks    Arena[Task]
+	edges    Arena[Edge]
+	names    Text
 }
 
 func (d *fastDecoder) document(p *Problem) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "application", "platform", "target_throughput") {
 		case 0:
@@ -165,44 +198,44 @@ func (d *fastDecoder) document(p *Problem) {
 }
 
 func (d *fastDecoder) application(a *Application) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "name", "graphs") {
 		case 0:
-			a.Name = d.name()
+			a.Name = d.names.Add(d.Str())
 		case 1:
 			for more := d.Open('['); more; more = d.More(']') {
-				d.graph(d.graphs.next())
+				d.graph(d.graphs.Next())
 			}
-			a.Graphs = d.graphs.since(0)
+			a.Graphs = d.graphs.Since(0)
 		}
 	}
 }
 
 func (d *fastDecoder) graph(g *Graph) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "name", "tasks", "edges") {
 		case 0:
-			g.Name = d.name()
+			g.Name = d.names.Add(d.Str())
 		case 1:
-			start := d.tasks.n
+			start := d.tasks.Len()
 			for more := d.Open('['); more; more = d.More(']') {
-				d.task(d.tasks.next())
+				d.task(d.tasks.Next())
 			}
-			g.Tasks = d.tasks.since(start)
+			g.Tasks = d.tasks.Since(start)
 		case 2:
-			start := d.edges.n
+			start := d.edges.Len()
 			for more := d.Open('['); more; more = d.More(']') {
-				d.edge(d.edges.next())
+				d.edge(d.edges.Next())
 			}
-			g.Edges = d.edges.since(start)
+			g.Edges = d.edges.Since(start)
 		}
 	}
 }
 
 func (d *fastDecoder) task(t *Task) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "id", "type", "name") {
 		case 0:
@@ -210,13 +243,13 @@ func (d *fastDecoder) task(t *Task) {
 		case 1:
 			t.Type = d.Int()
 		case 2:
-			t.Name = d.name()
+			t.Name = d.names.Add(d.Str())
 		}
 	}
 }
 
 func (d *fastDecoder) edge(e *Edge) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "from", "to") {
 		case 0:
@@ -228,26 +261,26 @@ func (d *fastDecoder) edge(e *Edge) {
 }
 
 func (d *fastDecoder) platform(pl *Platform) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "name", "machines") {
 		case 0:
-			pl.Name = d.name()
+			pl.Name = d.names.Add(d.Str())
 		case 1:
 			for more := d.Open('['); more; more = d.More(']') {
-				d.machine(d.machines.next())
+				d.machine(d.machines.Next())
 			}
-			pl.Machines = d.machines.since(0)
+			pl.Machines = d.machines.Since(0)
 		}
 	}
 }
 
 func (d *fastDecoder) machine(m *MachineType) {
-	var seen uint8
+	var seen uint32
 	for more := d.Open('{'); more; more = d.More('}') {
 		switch d.Field(&seen, "name", "throughput", "cost") {
 		case 0:
-			m.Name = d.name()
+			m.Name = d.names.Add(d.Str())
 		case 1:
 			m.Throughput = d.Int()
 		case 2:
@@ -305,8 +338,11 @@ func (s *Scanner) More(end byte) bool {
 
 // Field reads an object key and its colon, and returns the key's index
 // in keys. A key outside keys, or one already marked in seen, fails the
-// scan and returns -1.
-func (s *Scanner) Field(seen *uint8, keys ...string) int {
+// scan and returns -1. An object is read with at most 32 keys.
+func (s *Scanner) Field(seen *uint32, keys ...string) int {
+	if len(keys) > 32 {
+		panic("core: Scanner.Field takes at most 32 keys")
+	}
 	k := s.Str()
 	s.space()
 	if s.ok && s.pos < len(s.data) && s.data[s.pos] == ':' {
@@ -341,20 +377,6 @@ func (s *Scanner) Str() []byte {
 	}
 	s.ok = false
 	return nil
-}
-
-// name reads a string value: it counts its bytes on the sizing pass and
-// returns it as a slice of the problem's one name string on the fill
-// pass.
-func (d *fastDecoder) name() string {
-	v := d.Str()
-	if !d.fill {
-		d.nameLen += len(v)
-		return ""
-	}
-	start := d.names.Len()
-	d.names.Write(v)
-	return d.names.String()[start:]
 }
 
 // Int reads an integer literal: an optional minus, then 0 or a digit
@@ -402,4 +424,74 @@ func (s *Scanner) True() bool {
 	}
 	s.ok = false
 	return false
+}
+
+// Bool reads the literal true or false.
+func (s *Scanner) Bool() bool {
+	s.space()
+	if s.ok && len(s.data)-s.pos >= 5 && string(s.data[s.pos:s.pos+5]) == "false" {
+		s.pos += 5
+		return false
+	}
+	return s.True()
+}
+
+// Float reads a JSON number as a float64, as encoding/json reads it into
+// one. The number grammar is checked first, since strconv.ParseFloat
+// also takes forms JSON does not ("Inf", "0x1p3", "+1", ".5"); a number
+// outside the float64 range fails the scan.
+func (s *Scanner) Float() float64 {
+	s.space()
+	if !s.ok {
+		return 0
+	}
+	i := s.pos
+	if i < len(s.data) && s.data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(s.data) && s.data[i] == '0':
+		i++
+	case i < len(s.data) && '1' <= s.data[i] && s.data[i] <= '9':
+		i = s.digits(i)
+	default:
+		s.ok = false
+		return 0
+	}
+	if i < len(s.data) && s.data[i] == '.' {
+		if i = s.digits(i + 1); i < 0 {
+			s.ok = false
+			return 0
+		}
+	}
+	if i < len(s.data) && (s.data[i] == 'e' || s.data[i] == 'E') {
+		i++
+		if i < len(s.data) && (s.data[i] == '+' || s.data[i] == '-') {
+			i++
+		}
+		if i = s.digits(i); i < 0 {
+			s.ok = false
+			return 0
+		}
+	}
+	v, err := strconv.ParseFloat(string(s.data[s.pos:i]), 64)
+	if err != nil {
+		s.ok = false
+		return 0
+	}
+	s.pos = i
+	return v
+}
+
+// digits returns the index after the run of decimal digits starting at
+// i, or -1 when there is none.
+func (s *Scanner) digits(i int) int {
+	start := i
+	for i < len(s.data) && '0' <= s.data[i] && s.data[i] <= '9' {
+		i++
+	}
+	if i == start {
+		return -1
+	}
+	return i
 }

@@ -43,7 +43,7 @@ func (e *solveEnvelope) inline() inline { return inline{p: e.problem, doc: e.Pro
 func (e *solveEnvelope) scan(body []byte) bool {
 	var out solveEnvelope
 	sc := core.NewScanner(body)
-	var seen uint8
+	var seen uint32
 	for more := sc.Open('{'); more; more = sc.More('}') {
 		switch sc.Field(&seen, "problem", "problem_ref", "target", "time_limit_ms", "stats") {
 		case 0:
@@ -94,7 +94,7 @@ func (e *batchEnvelope) item(i int) (inline, *client.ProblemRef) {
 func (e *batchEnvelope) scan(body []byte) bool {
 	var out batchEnvelope
 	sc := core.NewScanner(body)
-	var seen uint8
+	var seen uint32
 	for more := sc.Open('{'); more; more = sc.More('}') {
 		switch sc.Field(&seen, "problems", "problem_refs", "time_limit_ms", "stats") {
 		case 0:
@@ -123,7 +123,7 @@ func (e *batchEnvelope) scan(body []byte) bool {
 // scanRef reads one problem_ref object.
 func scanRef(sc *core.Scanner) client.ProblemRef {
 	var ref client.ProblemRef
-	var seen uint8
+	var seen uint32
 	for more := sc.Open('{'); more; more = sc.More('}') {
 		switch sc.Field(&seen, "hash", "target") {
 		case 0:

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -219,7 +220,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return resolved(resolve, err)
 	})
 	if res.leased {
-		s.recordSolve(solveRecord(rq.traceID, "session", -1, rq.start, res), "session", id)
+		s.recordSolve(solveRecord(rq.traceID, "session", -1, rq.start, res), slog.String("session", id))
 	}
 	if res.err != nil {
 		s.sessions.abandon(id)
@@ -283,7 +284,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			resolve, err = entry.sess.Apply(ctx, ev)
 			return resolved(resolve, err)
 		})
-		s.recordSolve(solveRecord(rq.traceID, "session", i, rq.start, res), "session", entry.id)
+		s.recordSolve(solveRecord(rq.traceID, "session", i, rq.start, res), slog.String("session", entry.id))
 		if res.err != nil {
 			results[i] = client.SessionResolve{Kind: wev.Kind, Error: sessionItemError(res.err)}
 			continue

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -73,26 +74,32 @@ func solveStats(traceID string, res itemResult) *client.SolveStats {
 // recordSolve folds one finished solve into every observability surface:
 // the flight-recorder ring, the queue-wait histogram, and a structured
 // log line carrying the trace ID so one grep follows a solve across the
-// coordinator's and the worker's logs. attrs are further key-value pairs
-// for that line (a session re-solve names its session).
-func (s *Server) recordSolve(rec client.DebugSolve, attrs ...interface{}) {
+// coordinator's and the worker's logs. attrs are further attributes for
+// that line (a session re-solve names its session). The attributes are
+// typed, so a disabled level costs nothing and an enabled one boxes no
+// number.
+func (s *Server) recordSolve(rec client.DebugSolve, attrs ...slog.Attr) {
 	s.rec.Add(rec)
 	s.met.recordQueueWait(rec.QueueWaitMs)
-	attrs = append([]interface{}{
-		"trace_id", rec.TraceID,
-		"endpoint", rec.Endpoint,
-		"item", rec.Item,
-		"worker", rec.Worker,
-		"queue_wait_ms", rec.QueueWaitMs,
-		"solve_ms", rec.SolveMs,
-		"cost", rec.Cost,
-		"proven", rec.Proven,
-	}, attrs...)
+	level, msg := slog.LevelInfo, "solve finished"
 	if rec.Error != "" {
-		s.log.Warn("solve failed", append(attrs, "err", rec.Error)...)
-		return
+		level, msg = slog.LevelWarn, "solve failed"
 	}
-	s.log.Info("solve finished", attrs...)
+	line := append(make([]slog.Attr, 0, 10),
+		slog.String("trace_id", rec.TraceID),
+		slog.String("endpoint", rec.Endpoint),
+		slog.Int("item", rec.Item),
+		slog.String("worker", rec.Worker),
+		slog.Float64("queue_wait_ms", rec.QueueWaitMs),
+		slog.Float64("solve_ms", rec.SolveMs),
+		slog.Int64("cost", rec.Cost),
+		slog.Bool("proven", rec.Proven),
+	)
+	line = append(line, attrs...)
+	if rec.Error != "" {
+		line = append(line, slog.String("err", rec.Error))
+	}
+	s.log.LogAttrs(context.Background(), level, msg, line...)
 }
 
 // handleDebugSolves serves the flight recorder: the last N solve

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"rentmin"
 	"rentmin/client"
@@ -404,5 +407,30 @@ func TestSolveIsABatchOfOne(t *testing.T) {
 	// Newest first.
 	if b, s := recs.Solves[0], recs.Solves[1]; b.Endpoint != "batch" || b.Item != 0 || s.Endpoint != "solve" || s.Item != -1 {
 		t.Errorf("records %s/%d and %s/%d, want batch/0 and solve/-1", b.Endpoint, b.Item, s.Endpoint, s.Item)
+	}
+}
+
+// TestRecordSolveLogLine pins the text-handler lines of one finished and
+// one failed solve, byte for byte: attribute order, number formats and
+// quoting.
+func TestRecordSolveLogLine(t *testing.T) {
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+		if len(groups) == 0 && a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}}))
+	s := New(Config{Logger: log})
+	defer s.Close()
+	s.recordSolve(client.DebugSolve{TraceID: "t1", Endpoint: "batch", Item: 3, Worker: "http://w:1", Start: time.Unix(1, 0),
+		QueueWaitMs: 0.125, SolveMs: 12.5, Cost: 1234567, Proven: true})
+	s.recordSolve(client.DebugSolve{TraceID: "t2", Endpoint: "session", Item: -1, QueueWaitMs: 1e-7, SolveMs: 300,
+		Error: `no "feasible" allocation`}, slog.String("session", "s-9"))
+	want := `level=INFO msg="solve finished" trace_id=t1 endpoint=batch item=3 worker=http://w:1 queue_wait_ms=0.125 solve_ms=12.5 cost=1234567 proven=true
+level=WARN msg="solve failed" trace_id=t2 endpoint=session item=-1 worker="" queue_wait_ms=1e-07 solve_ms=300 cost=0 proven=false session=s-9 err="no \"feasible\" allocation"
+`
+	if got := buf.String(); got != want {
+		t.Errorf("log lines\n%s\nwant\n%s", got, want)
 	}
 }
