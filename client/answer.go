@@ -102,13 +102,13 @@ func (d *answerReader) batch(resp *BatchResponse) {
 	}
 }
 
-// The keys of a Solution and a SessionResolve, those of their embedded
-// rentmin.SearchStats last.
+// The keys of a Solution and a SessionResolve: their own four and eight,
+// then those of their embedded rentmin.SearchStats, in searchStat's
+// order.
 var (
-	solutionKeys = []string{"allocation", "proven", "bound", "elapsed_ms",
-		"nodes", "lp_iterations", "lp_solves", "warm_lp_solves", "cuts", "cut_rounds", "presolve", "unresolved_lps"}
-	resolveKeys = []string{"seq", "kind", "status", "allocation", "warm", "root_lp_warm", "churn", "solve_ms",
-		"nodes", "lp_iterations", "lp_solves", "warm_lp_solves", "cuts", "cut_rounds", "presolve", "unresolved_lps"}
+	searchKeys   = []string{"nodes", "lp_iterations", "lp_solves", "warm_lp_solves", "cuts", "cut_rounds", "presolve", "unresolved_lps"}
+	solutionKeys = append([]string{"allocation", "proven", "bound", "elapsed_ms"}, searchKeys...)
+	resolveKeys  = append([]string{"seq", "kind", "status", "allocation", "warm", "root_lp_warm", "churn", "solve_ms"}, searchKeys...)
 )
 
 func (d *answerReader) solution(s *Solution) {
@@ -233,8 +233,7 @@ func (d *answerReader) intArray() []int {
 	return d.ints.Since(start)
 }
 
-// searchStat reads the value of the k-th key of rentmin.SearchStats, in
-// the order the key lists above name them.
+// searchStat reads the value of searchKeys[k].
 func (d *answerReader) searchStat(st *rentmin.SearchStats, k int) {
 	switch k {
 	case 0:

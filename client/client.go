@@ -7,6 +7,12 @@
 // Server-side rejections come back as *client.APIError: admission control
 // rejects oversize problems with HTTP 422, and a full work queue answers
 // 429 with a Retry-After hint (see APIError.RetryAfter and Temporary).
+//
+// The client writes every problem it sends with core.AppendProblem, byte
+// for byte what json.Marshal writes, and scans the answers of /v1/solve,
+// /v1/batch and session events in one pass. Any other answer, and any
+// answer outside the shape the daemon writes, is decoded by
+// encoding/json.
 package client
 
 import (

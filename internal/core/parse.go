@@ -338,7 +338,8 @@ func (s *Scanner) More(end byte) bool {
 
 // Field reads an object key and its colon, and returns the key's index
 // in keys. A key outside keys, or one already marked in seen, fails the
-// scan and returns -1. An object is read with at most 32 keys.
+// scan and returns -1. seen has a bit for each key, so keys may hold at
+// most 32; Field panics on more.
 func (s *Scanner) Field(seen *uint32, keys ...string) int {
 	if len(keys) > 32 {
 		panic("core: Scanner.Field takes at most 32 keys")
