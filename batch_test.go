@@ -70,7 +70,6 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 func TestSolverPoolReuse(t *testing.T) {
 	problems := batchProblems(t)
 	pool := rentmin.NewSolverPool(2)
-	defer pool.Close()
 	var first []rentmin.Solution
 	for round := 0; round < 3; round++ {
 		sols, err := pool.SolveBatch(problems, nil)

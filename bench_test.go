@@ -275,7 +275,6 @@ func BenchmarkSolveBatchSequential(b *testing.B) {
 func BenchmarkSolveBatchPooled(b *testing.B) {
 	problems := batchInstances(b)
 	pool := rentmin.NewSolverPool(0)
-	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pool.SolveBatch(problems, nil); err != nil {

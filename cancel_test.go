@@ -83,7 +83,6 @@ func TestSolveBatchContextCancelsPromptly(t *testing.T) {
 	problems := []*rentmin.Problem{fast, slowProblem(t), slowProblem(t), slowProblem(t)}
 
 	pool := rentmin.NewSolverPool(1) // sequential: the slow tail cannot all start
-	defer pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 

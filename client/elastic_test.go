@@ -207,7 +207,6 @@ func TestSweepUploadsOncePerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
-	defer fleet.Close()
 
 	targets := []int{10, 20, 30, 40, 50, 60, 70, 25, 35, 45, 55, 65}
 	problems := make([]*rentmin.Problem, len(targets))

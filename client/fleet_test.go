@@ -84,7 +84,6 @@ func TestFleetBatchSpansWorkersAndMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
-	defer fleet.Close()
 	if fleet.Workers() != 4 {
 		t.Errorf("fleet capacity = %d, want 4 (2 workers × 2 discovered)", fleet.Workers())
 	}
@@ -121,7 +120,6 @@ func TestFleetSurvivesKilledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
-	defer fleet.Close()
 
 	// Kill worker B after capacity discovery: every dispatch to it now
 	// fails at the transport (connection refused), exactly like a

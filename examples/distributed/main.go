@@ -98,7 +98,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer fleet.Close()
 	fmt.Printf("fleet capacity discovered via /v1/capacity: %d concurrent solves\n\n", fleet.Workers())
 
 	problems, err := batch()

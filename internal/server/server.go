@@ -57,12 +57,13 @@ type Config struct {
 	// (0 = 60s).
 	DefaultTimeLimit, MaxTimeLimit time.Duration
 	// SolverPool, when non-nil, makes the daemon a coordinator over this
-	// remote-backed fleet (rentmin/client.NewFleet over worker daemons),
-	// which the server owns (Close closes it): every solve and batch item
-	// is dispatched across it, and the workers' health is exported on
-	// /metrics. Workers defaults to the fleet's capacity (or, with
-	// WorkerDialer set, a large lease table sized for a fleet that grows
-	// after boot). A plain daemon leaves it nil and solves in-process.
+	// remote-backed fleet (rentmin/client.NewFleet over worker daemons):
+	// every solve and batch item is dispatched across it, and the
+	// workers' health is exported on /metrics. A pool holds nothing that
+	// needs closing, and Server.Close leaves it as it is. Workers defaults
+	// to the fleet's capacity (or, with WorkerDialer set, a large lease
+	// table sized for a fleet that grows after boot). A plain daemon
+	// leaves it nil and solves in-process.
 	SolverPool *rentmin.SolverPool
 	// WorkerDialer, when non-nil, enables live fleet membership on a
 	// coordinator: POST /v1/workers dials the announced endpoint through

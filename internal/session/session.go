@@ -53,7 +53,7 @@ const (
 	// Restore brings machine type Event.Type back online. Idempotent.
 	Restore EventKind = "restore"
 
-	// created tags the session's initial solve in its event log.
+	// created is the Kind of the initial solve's Resolve.
 	created EventKind = "create"
 )
 
@@ -124,18 +124,6 @@ type Resolve struct {
 	milp.SearchStats
 }
 
-// Record is one entry of the session's event log: enough to compare two
-// interleavings of the same event multiset for deterministic serialization.
-type Record struct {
-	Seq  int
-	Kind EventKind
-	// Key identifies the event's payload ("graph=phi2", "target=90", ...).
-	Key   string
-	Cost  int64
-	Warm  bool
-	Churn int
-}
-
 // State is a snapshot of a session.
 type State struct {
 	// Events counts successfully applied events (invalid events don't count).
@@ -173,7 +161,6 @@ type Session struct {
 	alloc    core.Allocation // full shape; meaningful only when feasible
 
 	seq        int
-	log        []Record
 	warm, cold int
 	churnMoves int64
 	churnBase  int64
@@ -190,7 +177,7 @@ func New(ctx context.Context, p *core.Problem, opts Options) (*Session, *Resolve
 		return nil, nil, fmt.Errorf("session: %w", err)
 	}
 	s := &Session{opts: opts}
-	res, err := s.resolve(ctx, p.Clone(), make([]bool, p.NumTypes()), nil, created, "", 0)
+	res, err := s.resolve(ctx, p.Clone(), make([]bool, p.NumTypes()), nil, created, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -206,11 +193,11 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*Resolve, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	work, offline, seed, key, err := s.mutate(ev)
+	work, offline, seed, err := s.mutate(ev)
 	if err != nil {
 		return nil, err
 	}
-	return s.resolve(ctx, work, offline, seed, ev.Kind, key, s.seq+1)
+	return s.resolve(ctx, work, offline, seed, ev.Kind, s.seq+1)
 }
 
 // Validate checks ev's operands against the session's current problem:
@@ -264,9 +251,9 @@ func (s *Session) validate(ev Event) error {
 // mutated graph list so it can seed the re-solve). What ev changes is
 // copied; the rest is shared with the committed state, which nothing
 // writes in place. Caller holds s.mu.
-func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []int, key string, err error) {
+func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []int, err error) {
 	if err := s.validate(ev); err != nil {
-		return nil, nil, nil, "", err
+		return nil, nil, nil, err
 	}
 	w := *s.prob
 	work, offline = &w, s.offline
@@ -275,36 +262,33 @@ func (s *Session) mutate(ev Event) (work *core.Problem, offline []bool, seed []i
 	}
 	switch ev.Kind {
 	case RecipeArrival:
-		g := ev.Graph.Clone()
-		work.App.Graphs = append(slices.Clip(work.App.Graphs), g)
+		work.App.Graphs = append(slices.Clip(work.App.Graphs), ev.Graph.Clone())
 		if seed != nil {
 			seed = append(slices.Clip(seed), 0)
 		}
-		key = "graph=" + g.Name
 	case RecipeDeparture:
 		j := ev.GraphIndex
-		key = "graph=" + work.App.Graphs[j].Name
 		work.App.Graphs = slices.Delete(slices.Clone(work.App.Graphs), j, j+1)
 		if seed != nil {
 			seed = slices.Delete(slices.Clone(seed), j, j+1)
 		}
 	case TargetChange:
 		work.Target = ev.Target
-		key = fmt.Sprintf("target=%d", ev.Target)
 	case PriceChange:
 		work.Platform = work.Platform.Clone()
 		work.Platform.Machines[ev.Type].Cost = ev.Price
-		key = fmt.Sprintf("type=%d price=%d", ev.Type, ev.Price)
 	case Outage, Restore:
 		offline = append([]bool(nil), offline...)
 		offline[ev.Type] = ev.Kind == Outage
-		key = fmt.Sprintf("type=%d", ev.Type)
 	}
-	return work, offline, seed, key, nil
+	return work, offline, seed, nil
 }
 
-// effective returns the indices of work's graphs that use no offline type.
-func effective(work *core.Problem, offline []bool) []int {
+// effective returns the problem the solver sees for work with offline
+// applied, plus the index in work of each graph it keeps. With nothing
+// excluded that is work itself; otherwise a problem that shares work's
+// graphs and platform.
+func effective(work *core.Problem, offline []bool) (*core.Problem, []int) {
 	idx := make([]int, 0, work.NumGraphs())
 graphs:
 	for j := range work.App.Graphs {
@@ -315,14 +299,25 @@ graphs:
 		}
 		idx = append(idx, j)
 	}
-	return idx
+	if len(idx) == len(work.App.Graphs) {
+		return work, idx
+	}
+	eff := &core.Problem{
+		App:      core.Application{Name: work.App.Name, Graphs: make([]core.Graph, 0, len(idx))},
+		Platform: work.Platform,
+		Target:   work.Target,
+	}
+	for _, j := range idx {
+		eff.App.Graphs = append(eff.App.Graphs, work.App.Graphs[j])
+	}
+	return eff, idx
 }
 
 // resolve solves work (with offline applied) and commits the result.
 // seed, when non-nil, is the previous optimum's throughput vector aligned
 // with work's graph list. Caller holds s.mu (or owns s exclusively, as New
 // does). On error nothing is committed.
-func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []bool, seed []int, kind EventKind, key string, seq int) (*Resolve, error) {
+func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []bool, seed []int, kind EventKind, seq int) (*Resolve, error) {
 	// An already-dead context commits nothing. Cancellation or a deadline
 	// that lands mid-solve instead commits the best incumbent as
 	// StatusFeasible.
@@ -330,15 +325,14 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		return nil, fmt.Errorf("session: %w", err)
 	}
 	fullModel := core.NewCostModel(work)
-	effIdx := effective(work, offline)
+	eff, effIdx := effective(work, offline)
 	res := &Resolve{Seq: seq, Kind: kind}
 
 	switch {
 	case work.Target <= 0:
 		// Nothing to produce: the zero allocation is trivially optimal.
 		res.Status = StatusOptimal
-		res.Alloc = fullModel.NewAllocation(make([]int, fullModel.J))
-		s.commit(work, offline, res, res.Alloc, key)
+		s.commit(work, offline, res, fullModel.NewAllocation(make([]int, fullModel.J)), true)
 		return res, nil
 	case len(effIdx) == 0:
 		// Every graph needs an offline type and the target is positive:
@@ -346,23 +340,14 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 		// still commits (a later Restore recovers), with the fleet
 		// released — churn counts the drop to zero machines.
 		res.Status = StatusInfeasible
-		empty := fullModel.NewAllocation(make([]int, fullModel.J))
-		s.commitInfeasible(work, offline, res, empty, key)
+		s.commit(work, offline, res, fullModel.NewAllocation(make([]int, fullModel.J)), false)
 		return res, nil
 	}
 
 	// The solver's model covers the effective graphs only; with none
 	// excluded, that is the full model.
 	m := fullModel
-	if len(effIdx) < fullModel.J {
-		eff := &core.Problem{
-			App:      core.Application{Name: work.App.Name, Graphs: make([]core.Graph, 0, len(effIdx))},
-			Platform: work.Platform,
-			Target:   work.Target,
-		}
-		for _, j := range effIdx {
-			eff.App.Graphs = append(eff.App.Graphs, work.App.Graphs[j])
-		}
+	if eff != work {
 		m = core.NewCostModel(eff)
 	}
 
@@ -389,8 +374,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 	case milp.Infeasible:
 		res.Status = StatusInfeasible
 		res.Warm = false
-		empty := fullModel.NewAllocation(make([]int, fullModel.J))
-		s.commitInfeasible(work, offline, res, empty, key)
+		s.commit(work, offline, res, fullModel.NewAllocation(make([]int, fullModel.J)), false)
 		return res, nil
 	default:
 		// A limit or cancellation hit before any incumbent: nothing to
@@ -411,8 +395,7 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 	if alloc.Cost != r.Alloc.Cost {
 		return nil, fmt.Errorf("session: internal error: lifted cost %d != solved cost %d", alloc.Cost, r.Alloc.Cost)
 	}
-	res.Alloc = alloc
-	s.commit(work, offline, res, alloc, key)
+	s.commit(work, offline, res, alloc, true)
 	return res, nil
 }
 
@@ -432,28 +415,15 @@ func warmSeed(m *core.CostModel, effIdx []int, prev []int, target int) []int {
 	return rho
 }
 
-// commit installs a feasible re-solve outcome. Caller holds s.mu.
-func (s *Session) commit(work *core.Problem, offline []bool, res *Resolve, alloc core.Allocation, key string) {
+// commit installs a re-solve outcome and gives res its churn and its own
+// copy of alloc. An infeasible outcome still commits the mutation, with
+// the zero allocation, and the next resolve starts cold. Caller holds s.mu.
+func (s *Session) commit(work *core.Problem, offline []bool, res *Resolve, alloc core.Allocation, feasible bool) {
 	res.Churn = churn(s.alloc.Machines, alloc.Machines)
 	s.prob = work
 	s.offline = offline
 	s.alloc = alloc
-	s.feasible = true
-	s.finish(res, key, alloc)
-}
-
-// commitInfeasible installs an infeasible outcome: the mutation persists,
-// the allocation drops to zero, and the next resolve starts cold.
-func (s *Session) commitInfeasible(work *core.Problem, offline []bool, res *Resolve, empty core.Allocation, key string) {
-	res.Churn = churn(s.alloc.Machines, empty.Machines)
-	s.prob = work
-	s.offline = offline
-	s.alloc = empty
-	s.feasible = false
-	s.finish(res, key, empty)
-}
-
-func (s *Session) finish(res *Resolve, key string, alloc core.Allocation) {
+	s.feasible = feasible
 	s.seq = res.Seq
 	if res.Warm {
 		s.warm++
@@ -466,7 +436,6 @@ func (s *Session) finish(res *Resolve, key string, alloc core.Allocation) {
 	}
 	s.churnMoves += int64(res.Churn)
 	s.churnBase += int64(fleet)
-	s.log = append(s.log, Record{Seq: res.Seq, Kind: res.Kind, Key: key, Cost: alloc.Cost, Warm: res.Warm, Churn: res.Churn})
 	res.Alloc = alloc.Clone()
 }
 
@@ -519,13 +488,6 @@ func (s *Session) State() State {
 	return st
 }
 
-// Log returns a copy of the event log (including the Seq-0 create entry).
-func (s *Session) Log() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Record(nil), s.log...)
-}
-
 // Problem returns a clone of the full mutated problem (outages NOT
 // applied; see EffectiveProblem).
 func (s *Session) Problem() *core.Problem {
@@ -542,16 +504,12 @@ func (s *Session) Problem() *core.Problem {
 func (s *Session) EffectiveProblem() (*core.Problem, []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx := effective(s.prob, s.offline)
-	eff := &core.Problem{App: core.Application{Name: s.prob.App.Name}, Platform: s.prob.Platform.Clone(), Target: s.prob.Target}
-	for _, j := range idx {
-		eff.App.Graphs = append(eff.App.Graphs, s.prob.App.Graphs[j].Clone())
-	}
-	return eff, idx
+	eff, idx := effective(s.prob, s.offline)
+	return eff.Clone(), idx
 }
 
 // Close marks the session closed (Apply fails with ErrClosed). State,
-// Log, and Problem keep working.
+// Problem and EffectiveProblem keep working.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

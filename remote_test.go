@@ -49,7 +49,6 @@ func remotePool(t *testing.T, workers ...rentmin.RemoteWorker) *rentmin.SolverPo
 	pool := rentmin.NewElasticSolverPool(&rentmin.RemoteConfig{
 		Backoff: func(int) time.Duration { return time.Millisecond },
 	})
-	t.Cleanup(pool.Close)
 	for _, w := range workers {
 		if _, err := pool.AddRemoteWorker(context.Background(), w); err != nil {
 			t.Fatalf("AddRemoteWorker: %v", err)
@@ -246,7 +245,6 @@ func TestRemoteSolverPoolCapacityDiscoveryFailure(t *testing.T) {
 	w0 := &stubWorker{name: "w0", cap: 2}
 	w1 := &stubWorker{name: "w-broken", cap: 2, capErr: fmt.Errorf("dial tcp: connection refused")}
 	pool := rentmin.NewElasticSolverPool(nil)
-	defer pool.Close()
 	var err error
 	for _, w := range []rentmin.RemoteWorker{w0, w1} {
 		if _, err = pool.AddRemoteWorker(context.Background(), w); err != nil {

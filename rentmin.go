@@ -34,7 +34,6 @@
 // it:
 //
 //	pool := rentmin.NewSolverPool(0)
-//	defer pool.Close()
 //	sols, err := pool.SolveBatch(problems, nil)
 //
 // Every solve entry point has a Context variant (SolveContext,
@@ -218,7 +217,6 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 // partial results are identical either way:
 //
 //	pool := rentmin.NewSolverPool(0) // GOMAXPROCS concurrent solves
-//	defer pool.Close()
 //	for batch := range requests {
 //		sols, err := pool.SolveBatch(batch, nil)
 //		...

@@ -24,8 +24,6 @@ type (
 	SessionResolve = session.Resolve
 	// SessionState is a point-in-time session snapshot.
 	SessionState = session.State
-	// SessionRecord is one event-log entry.
-	SessionRecord = session.Record
 )
 
 // The session event kinds.
@@ -64,10 +62,10 @@ type SessionOptions struct {
 
 // Session is a long-lived online re-optimization session. Methods are
 // safe for concurrent use; concurrent Apply calls serialize in arrival
-// order and commit deterministically.
-type Session struct {
-	inner *session.Session
-}
+// order and commit deterministically. On error — ErrInvalidSessionEvent,
+// ErrSessionClosed, or a cancelled context — Apply leaves the session
+// unchanged.
+type Session = session.Session
 
 // NewSession validates and adopts a clone of p, solves it cold, and
 // returns the session plus the initial resolve (Seq 0).
@@ -76,46 +74,5 @@ func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session
 	if opts != nil {
 		sopts.DisableWarm = opts.DisableWarm
 	}
-	inner, res, err := session.New(ctx, p, sopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Session{inner: inner}, res, nil
+	return session.New(ctx, p, sopts)
 }
-
-// Apply applies one event as a problem delta, re-solves (warm from the
-// previous optimum when possible), commits, and reports the outcome.
-// On error — ErrInvalidSessionEvent, ErrSessionClosed, or a cancelled
-// context — the session state is unchanged.
-func (s *Session) Apply(ctx context.Context, ev SessionEvent) (*SessionResolve, error) {
-	return s.inner.Apply(ctx, ev)
-}
-
-// Validate checks an event's operands against the session's current
-// problem and returns the error Apply would return for them, without
-// solving, together with the problem's size: its recipe graphs and the
-// tasks across them, read under the same lock. An event that passes may
-// still fail in Apply when another event commits in between.
-func (s *Session) Validate(ev SessionEvent) (graphs, tasks int, err error) {
-	return s.inner.Validate(ev)
-}
-
-// State returns a snapshot: current target, allocation, offline types,
-// warm/cold resolve counters, and cumulative churn.
-func (s *Session) State() SessionState { return s.inner.State() }
-
-// Log returns a copy of the event log.
-func (s *Session) Log() []SessionRecord { return s.inner.Log() }
-
-// Problem returns a clone of the full mutated problem (outages not
-// applied).
-func (s *Session) Problem() *Problem { return s.inner.Problem() }
-
-// EffectiveProblem returns a clone of the problem the next re-solve
-// actually optimizes — graphs excluded by outages dropped — plus each
-// retained graph's index in the full problem. A cold Solve of this
-// problem is the session's correctness oracle.
-func (s *Session) EffectiveProblem() (*Problem, []int) { return s.inner.EffectiveProblem() }
-
-// Close rejects further events (snapshots keep working).
-func (s *Session) Close() { s.inner.Close() }
