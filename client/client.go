@@ -201,13 +201,41 @@ func (c *Client) Capacity(ctx context.Context) (Capacity, error) {
 // the indented form earlier versions used) still resolves under its
 // own hash. The error is always nil: every problem encodes.
 func ProblemHash(p *rentmin.Problem) (string, json.RawMessage, error) {
+	doc := canonicalDocument(p)
+	return documentHash(doc), doc, nil
+}
+
+// problemHash is ProblemHash's hash alone: it hashes the canonical
+// document in a pooled buffer, so the returned string is all it
+// allocates.
+func problemHash(p *rentmin.Problem) string {
+	buf := scratch.Get().(*[]byte)
+	*buf = appendCanonical((*buf)[:0], p)
+	hash := documentHash(*buf)
+	scratch.Put(buf)
+	return hash
+}
+
+// canonicalDocument is the document ProblemHash hashes.
+func canonicalDocument(p *rentmin.Problem) json.RawMessage {
+	return written(func(b []byte) []byte { return appendCanonical(b, p) })
+}
+
+// appendCanonical appends p's canonical document: p with its target
+// zeroed, as core.AppendProblem writes it.
+func appendCanonical(b []byte, p *rentmin.Problem) []byte {
 	canon := *p
 	canon.Target = 0
-	doc := encodeProblem(&canon)
+	return core.AppendProblem(b, &canon)
+}
+
+// documentHash is the cache key of a document: its SHA-256 in lowercase
+// hex.
+func documentHash(doc []byte) string {
 	sum := sha256.Sum256(doc)
 	var digest [2 * sha256.Size]byte
 	hex.Encode(digest[:], sum[:])
-	return string(digest[:]), doc, nil
+	return string(digest[:])
 }
 
 // UploadProblem stores a problem document in the daemon's
@@ -308,8 +336,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 }
 
 // encodeProblem renders a problem as compact JSON (core.AppendProblem):
-// the inline document of a session request, and the canonical document
-// ProblemHash hashes.
+// the inline document of a session request.
 func encodeProblem(p *rentmin.Problem) json.RawMessage {
 	return written(func(b []byte) []byte { return core.AppendProblem(b, p) })
 }

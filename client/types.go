@@ -135,7 +135,8 @@ type SolveStats struct {
 	Incumbents          []IncumbentPoint `json:"incumbents,omitempty"`
 	Rounds              []RoundPoint     `json:"rounds,omitempty"`
 	TrajectoryTruncated bool             `json:"trajectory_truncated,omitempty"`
-	// Phases are the request's span timings (decode, queue, solve, ...).
+	// Phases are the request's decode, queue and solve phases, offsets
+	// from its arrival.
 	Phases []PhaseTiming `json:"phases,omitempty"`
 }
 
@@ -150,7 +151,8 @@ type IncumbentPoint = obs.IncumbentPoint
 // internal/obs, where the search trace records it.
 type RoundPoint = obs.RoundPoint
 
-// PhaseTiming is one named request phase (a completed trace span).
+// PhaseTiming is one named request phase: its offset from the
+// request's arrival and its duration.
 type PhaseTiming struct {
 	Name    string  `json:"name"`
 	StartMs float64 `json:"start_ms"`

@@ -70,11 +70,12 @@ func (w *Worker) markKnownLocked(hash string) {
 	w.known[hash] = struct{}{}
 }
 
-// ensureUploaded guarantees the daemon holds doc under hash. Concurrent
-// callers for the same hash are single-flighted: one uploads, the rest
-// wait and recheck — so a sweep dispatching one instance across every
-// seat of this worker still uploads exactly once.
-func (w *Worker) ensureUploaded(ctx context.Context, hash string, doc []byte) error {
+// ensureUploaded guarantees the daemon holds p's canonical document
+// under hash, encoding the document only when it has to upload it.
+// Concurrent callers for the same hash are single-flighted: one uploads,
+// the rest wait and recheck — so a sweep dispatching one instance across
+// every seat of this worker still uploads exactly once.
+func (w *Worker) ensureUploaded(ctx context.Context, hash string, p *rentmin.Problem) error {
 	for {
 		w.mu.Lock()
 		if _, ok := w.known[hash]; ok {
@@ -94,7 +95,7 @@ func (w *Worker) ensureUploaded(ctx context.Context, hash string, doc []byte) er
 		w.uploading[hash] = ch
 		w.mu.Unlock()
 
-		err := w.c.UploadProblem(ctx, hash, doc)
+		err := w.c.UploadProblem(ctx, hash, canonicalDocument(p))
 		w.mu.Lock()
 		delete(w.uploading, hash)
 		if err == nil {
@@ -132,17 +133,14 @@ func (w *Worker) Capacity(ctx context.Context) (int, error) {
 // budget as the request's time limit (see forwardedLimit); a budget
 // already spent fails with context.DeadlineExceeded before any request.
 func (w *Worker) Solve(ctx context.Context, p *rentmin.Problem) (rentmin.Solution, error) {
-	hash, doc, err := ProblemHash(p)
-	if err != nil {
-		return rentmin.Solution{}, err
-	}
+	hash := problemHash(p)
 	var sol *Solution
-	err = Retry(ctx, w.retry, workerAttempts, func() error {
+	err := Retry(ctx, w.retry, workerAttempts, func() error {
 		limit, err := forwardedLimit(ctx)
 		if err != nil {
 			return err
 		}
-		sol, err = w.solveRef(ctx, hash, doc, p.Target, &Options{TimeLimit: limit})
+		sol, err = w.solveRef(ctx, hash, p, &Options{TimeLimit: limit})
 		return err
 	})
 	if err != nil {
@@ -169,22 +167,22 @@ func forwardedLimit(ctx context.Context) (time.Duration, error) {
 	return remaining - min(remaining/10, 500*time.Millisecond), nil
 }
 
-// solveRef is one cache-addressed solve attempt: ensure the daemon holds
-// the document, then solve by reference. A 412 — the daemon evicted the
-// hash between our upload and the solve (LRU pressure or a restart) —
-// re-uploads and retries the solve once within the same attempt, so
-// eviction costs a round trip, not a worker fault.
-func (w *Worker) solveRef(ctx context.Context, hash string, doc []byte, target int, copts *Options) (*Solution, error) {
-	if err := w.ensureUploaded(ctx, hash, doc); err != nil {
+// solveRef is one cache-addressed solve attempt of p at its target:
+// ensure the daemon holds the document, then solve by reference. A 412
+// — the daemon evicted the hash between our upload and the solve (LRU
+// pressure or a restart) — re-uploads and retries the solve once within
+// the same attempt, so eviction costs a round trip, not a worker fault.
+func (w *Worker) solveRef(ctx context.Context, hash string, p *rentmin.Problem, copts *Options) (*Solution, error) {
+	if err := w.ensureUploaded(ctx, hash, p); err != nil {
 		return nil, err
 	}
-	sol, err := w.c.SolveRef(ctx, hash, target, copts)
+	sol, err := w.c.SolveRef(ctx, hash, p.Target, copts)
 	if isStatus(err, http.StatusPreconditionFailed) {
 		w.forget(hash)
-		if uerr := w.ensureUploaded(ctx, hash, doc); uerr != nil {
+		if uerr := w.ensureUploaded(ctx, hash, p); uerr != nil {
 			return nil, uerr
 		}
-		sol, err = w.c.SolveRef(ctx, hash, target, copts)
+		sol, err = w.c.SolveRef(ctx, hash, p.Target, copts)
 	}
 	return sol, err
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"rentmin/internal/lp"
 	"rentmin/internal/obs"
@@ -30,7 +31,7 @@ func coverProblem() *Problem {
 // result with the trajectory the trace recorded.
 func traced(t *testing.T, p *Problem, opts *Options) (Result, []obs.IncumbentPoint, []obs.RoundPoint) {
 	t.Helper()
-	tr := obs.NewTrace("milp-test")
+	tr := obs.NewTrace(time.Now())
 	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, opts)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)

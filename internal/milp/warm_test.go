@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"rentmin/internal/obs"
 )
@@ -25,7 +26,7 @@ func intObj(t *testing.T, v float64) int64 {
 // runTrace solves p and records the incumbent objective sequence.
 func runTrace(t *testing.T, p *Problem, cold bool) (Result, []float64) {
 	t.Helper()
-	tr := obs.NewTrace("milp-test")
+	tr := obs.NewTrace(time.Now())
 	res, err := SolveContext(obs.WithTrace(context.Background(), tr), p, &Options{DisableWarmLP: cold})
 	if err != nil {
 		t.Fatalf("Solve(cold=%v): %v", cold, err)

@@ -1,15 +1,14 @@
 // Package obs is the zero-dependency observability layer shared by the
 // solver service: trace IDs propagated across processes via
-// context.Context and the X-Rentmin-Trace-Id header, a per-request span
-// tracer, a per-solve flight recorder (ring buffer behind GET
-// /debug/solves), and a sliding-window quantile estimator backing the
-// /metrics latency summaries.
+// context.Context and the X-Rentmin-Trace-Id header, a search trace, a
+// per-solve flight recorder (ring buffer behind GET /debug/solves), and a
+// sliding-window quantile estimator backing the /metrics latency
+// summaries.
 //
 // Everything here is deliberately cheap enough to leave on in
-// production: the tracer has a nil fast path (a nil *Trace hands out
-// no-op spans and drops trajectory points without allocating), and the
-// recorder is a fixed-size ring. A Trace is also the one observer of a
-// search: attached to a solve's context with WithTrace, it receives the
+// production: a nil *Trace drops trajectory points without allocating,
+// and the recorder is a fixed-size ring. A Trace is the one observer of
+// a search: attached to a solve's context with WithTrace, it receives the
 // branch-and-bound trajectory once per accepted incumbent and once per
 // expansion round — never from the node-expansion hot path — and a
 // context without a trace costs the search one nil check per event.
@@ -77,14 +76,6 @@ func TraceID(ctx context.Context) string {
 	return id
 }
 
-// SpanRecord is one completed span: a named phase of a request with its
-// offset from the trace start and its duration.
-type SpanRecord struct {
-	Name  string
-	Start time.Duration // offset from Trace start
-	Dur   time.Duration
-}
-
 // Trajectory caps: a pathological search could improve its incumbent or
 // run rounds millions of times; a trace keeps the head of the trajectory
 // and marks the truncation instead of growing without bound.
@@ -114,18 +105,14 @@ type RoundPoint struct {
 	Nodes     int      `json:"nodes"`
 }
 
-// Trace collects the spans of one request and, when attached to a solve's
-// context, that search's trajectory. Every offset it records is measured
-// from its own start. A nil *Trace is a valid no-op tracer: StartSpan
-// returns a zero Span whose End does nothing, and the trajectory methods
-// drop their points, without allocating — callers never need to guard
-// call sites.
+// Trace collects, attached to a solve's context, that search's
+// trajectory. Every offset it records is measured from its start. A nil
+// *Trace is a valid no-op tracer: the trajectory methods drop their
+// points without allocating, so callers never need to guard call sites.
 type Trace struct {
-	ID    string
 	start time.Time
 
 	mu         sync.Mutex
-	spans      []SpanRecord
 	incumbents []IncumbentPoint
 	rounds     []RoundPoint
 	truncated  bool
@@ -147,60 +134,9 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// NewTrace starts a trace identified by id.
-func NewTrace(id string) *Trace {
-	return &Trace{ID: id, start: time.Now()}
-}
-
-// Fork returns a new trace with t's ID, start and completed spans: one
-// item of a request that t has traced so far, going on with a timeline
-// of its own. Fork on a nil tracer returns nil.
-func (t *Trace) Fork() *Trace {
-	if t == nil {
-		return nil
-	}
-	return &Trace{ID: t.ID, start: t.start, spans: t.Spans()}
-}
-
-// Span is an in-flight phase of a Trace. The zero Span (from a nil
-// tracer) is inert.
-type Span struct {
-	t     *Trace
-	name  string
-	start time.Duration
-}
-
-// StartSpan opens a named span. On a nil tracer it returns an inert
-// zero Span and performs no allocation.
-func (t *Trace) StartSpan(name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, name: name, start: time.Since(t.start)}
-}
-
-// End closes the span, appending it to its trace. Inert spans no-op.
-func (s Span) End() {
-	if s.t == nil {
-		return
-	}
-	end := time.Since(s.t.start)
-	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, SpanRecord{Name: s.name, Start: s.start, Dur: end - s.start})
-	s.t.mu.Unlock()
-}
-
-// Spans returns a copy of the completed spans in completion order.
-// Safe on a nil tracer.
-func (t *Trace) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
-	return out
+// NewTrace starts a trace whose offsets count from start.
+func NewTrace(start time.Time) *Trace {
+	return &Trace{start: start}
 }
 
 // Incumbent records an accepted incumbent of the given cost. Safe on a
@@ -253,11 +189,3 @@ func (t *Trace) Trajectory() (incumbents []IncumbentPoint, rounds []RoundPoint, 
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Elapsed is the time since the trace started (zero on a nil tracer).
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}

@@ -76,8 +76,10 @@
 //     request of one solve answers 503, a batch item or an event reports
 //     its own error.
 //
-// Every leased solve, session re-solves included, leaves one
-// flight-recorder record, one queue-wait sample and one log line. Leases
+// The runner times and records every solve, whether or not its lease was
+// granted: it leaves one flight-recorder record, one queue-wait sample
+// and one log line, and for a request with stats it derives the block's
+// queue and solve phases from the same clock readings. Leases
 // are the one bound on concurrent solves: a lease holder's solve starts
 // at once, except on an elastic coordinator (Config.WorkerDialer), whose
 // elasticLeases outnumber its fleet's seats, so a lease holder may wait

@@ -408,12 +408,13 @@ func (s *Server) solveTimeLimit(ms int64) (time.Duration, error) {
 type request struct {
 	ctx     context.Context // the HTTP request's context, carrying the trace ID
 	traceID string
-	start   time.Time
 	limit   time.Duration // the resolved time_limit_ms
-	// tr times the request; its decode span is open until the handler
-	// has taken in every problem.
-	tr     *obs.Trace
-	decode obs.Span
+	// start is the request's arrival and decoded the instant the handler
+	// had taken in every problem. Every offset of the request's stats
+	// blocks counts from start; stats is set when the request asked for
+	// them.
+	start, decoded time.Time
+	stats          bool
 }
 
 // prologue is the first step of every solving request: the drain check,
@@ -427,8 +428,6 @@ func (s *Server) prologue(w http.ResponseWriter, r *http.Request, env interface{
 	}
 	rq := request{start: time.Now()}
 	rq.ctx, rq.traceID = s.traceContext(w, r)
-	rq.tr = obs.NewTrace(rq.traceID)
-	rq.decode = rq.tr.StartSpan("decode")
 	if !s.decodeBody(w, r, env) {
 		return request{}, false
 	}
@@ -440,13 +439,10 @@ func (s *Server) prologue(w http.ResponseWriter, r *http.Request, env interface{
 	return rq, true
 }
 
-// endDecode closes the decode phase once every problem is taken in. The
-// trace is kept only for a request that asked for stats.
+// endDecode ends the decode phase once every problem is taken in.
 func (rq *request) endDecode(stats bool) {
-	rq.decode.End()
-	if !stats {
-		rq.tr = nil
-	}
+	rq.decoded = time.Now()
+	rq.stats = stats
 }
 
 // intake turns one problem, given inline (in) or by reference to the
@@ -518,44 +514,48 @@ type itemResult struct {
 	sol       rentmin.Solution
 	err       error
 	leased    bool          // false when the lease wait failed and the problem never reached a solver
+	queued    time.Time     // when run claimed the item: the start of its queue phase
 	queueWait time.Duration // time spent waiting for a worker lease
 	dur       time.Duration // time spent solving
-	tr        *obs.Trace    // the item's own trace; nil unless the request opted into stats
+	tr        *obs.Trace    // the item's search trace; nil unless the request opted into stats
 }
 
-// run runs one solve step: it waits for a worker lease under ctx, runs
-// the step with the lease held and releases it as soon as the step
-// returns. Every leased solve starts here: the one-shot solve of a
-// /v1/solve or /v1/batch problem, a session's creating solve and each of
-// its re-solves. The step's deadline is limit from the lease grant, and
-// never later than ctx's own: a batch's ctx carries the batch deadline,
-// which began before its items queued. A non-nil reqTrace asks for
-// stats: the item gets its own fork of it, carrying the request's decode
-// span, its own queue and solve spans and, in its context, its search
-// trajectory.
-func (s *Server) run(ctx context.Context, reqTrace *obs.Trace, limit time.Duration, step func(context.Context) (rentmin.Solution, error)) itemResult {
-	res := itemResult{tr: reqTrace.Fork()}
-	queueSpan := res.tr.StartSpan("queue")
-	qStart := time.Now()
+// run runs one solve step of rq and accounts for it: it waits for a
+// worker lease under ctx, runs the step with the lease held, releases the
+// lease as soon as the step returns, and files the step's one
+// flight-recorder record, queue-wait sample and log line, whether or not
+// the lease was granted. Every leased solve starts here: the one-shot
+// solve of a /v1/solve or /v1/batch problem, a session's creating solve
+// and each of its re-solves. endpoint and item name the step in its
+// record; attrs are further attributes of its log line. The step's
+// deadline is rq's limit from the lease grant, and never later than
+// ctx's own: a batch's ctx carries the batch deadline, which began before
+// its items queued.
+//
+// Three clock readings time the step: when run claims it, when the lease
+// is granted, which ends the queue phase and starts the solve phase, and
+// when the step returns. For a request that asked for stats, the step's
+// context carries a search trace of its own, counting from the request's
+// arrival like every other offset of the stats block.
+func (s *Server) run(ctx context.Context, rq request, endpoint string, item int, step func(context.Context) (rentmin.Solution, error), attrs ...slog.Attr) itemResult {
+	res := itemResult{queued: time.Now()}
 	releaseLease, err := s.leaseWait(ctx)
-	res.queueWait = time.Since(qStart)
-	queueSpan.End()
-	if err != nil {
-		res.err = err
-		return res
+	granted := time.Now()
+	res.queueWait = granted.Sub(res.queued)
+	res.err = err
+	if err == nil {
+		res.leased = true
+		ctx, cancel := context.WithTimeout(ctx, rq.limit)
+		if rq.stats {
+			res.tr = obs.NewTrace(rq.start)
+			ctx = obs.WithTrace(ctx, res.tr)
+		}
+		res.sol, res.err = guard(ctx, step)
+		releaseLease()
+		res.dur = time.Since(granted)
+		cancel()
 	}
-	res.leased = true
-	ctx, cancel := context.WithTimeout(ctx, limit)
-	defer cancel()
-	if res.tr != nil {
-		ctx = obs.WithTrace(ctx, res.tr)
-	}
-	solveSpan := res.tr.StartSpan("solve")
-	solveStart := time.Now()
-	res.sol, res.err = guard(ctx, step)
-	releaseLease()
-	res.dur = time.Since(solveStart)
-	solveSpan.End()
+	s.recordSolve(solveRecord(&rq, endpoint, item, res), attrs...)
 	return res
 }
 
@@ -609,19 +609,17 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, res itemR
 	}
 }
 
-// answer folds one item's result into the flight recorder and the
-// solution metrics and renders it for the wire, with the stats block
-// when the item has a trace (the request asked for stats). A failed
-// solve returns its error.
-func (s *Server) answer(rq request, endpoint string, item int, res itemResult) (client.Solution, error) {
-	s.recordSolve(solveRecord(rq.traceID, endpoint, item, rq.start, res))
+// answer folds one item's solution into the solution metrics and renders
+// it for the wire, with the stats block when the request asked for it. A
+// failed solve returns its error.
+func (s *Server) answer(rq *request, res itemResult) (client.Solution, error) {
 	if res.err != nil {
 		return client.Solution{}, res.err
 	}
 	s.met.recordSolution(res.sol)
 	ws := toWireSolution(res.sol)
-	if res.tr != nil {
-		ws.Stats = solveStats(rq.traceID, res)
+	if rq.stats {
+		ws.Stats = solveStats(rq, res)
 	}
 	return ws, nil
 }
@@ -647,14 +645,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSlot()
-	res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (rentmin.Solution, error) {
+	res := s.run(rq.ctx, rq, "solve", -1, func(ctx context.Context) (rentmin.Solution, error) {
 		return s.solve(ctx, p)
 	})
-	if res.leased {
-		if ws, err := s.answer(rq, "solve", -1, res); err == nil {
-			s.writeJSON(w, http.StatusOK, ws)
-			return
-		}
+	if ws, err := s.answer(&rq, res); err == nil {
+		s.writeJSON(w, http.StatusOK, ws)
+		return
 	}
 	s.writeRunError(w, r, res)
 }
@@ -675,12 +671,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSlot()
-	results := s.solveAll(rq.ctx, problems, rq.tr, rq.limit)
-	// Solver statistics are recorded before the disconnect check: the
+	results := s.solveAll(rq, problems)
+	// Solution metrics are recorded before the disconnect check: the
 	// solver did the work whether or not anyone is left to read the answer.
 	resp := client.BatchResponse{Solutions: make([]client.Solution, len(results))}
 	for i, res := range results {
-		ws, err := s.answer(rq, "batch", i, res)
+		ws, err := s.answer(&rq, res)
 		if err != nil {
 			ws = client.Solution{Error: itemError(err)}
 		}
@@ -726,12 +722,12 @@ func (s *Server) batchIntake(w http.ResponseWriter, env *batchEnvelope) ([]*rent
 // dispatcher goroutines claim problems in index order and run each —
 // so batch items queue behind (and share capacity fairly with) every
 // other request's solves instead of flooding the solvers from behind a
-// single lease. The batch has one deadline, limit from now, which
-// covers queueing too. Lower indexes start first; once it passes, ctx
-// is done or the server drains, remaining items fail fast with per-item
-// errors.
-func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqTrace *obs.Trace, limit time.Duration) []itemResult {
-	ctx, cancel := context.WithTimeout(ctx, limit)
+// single lease. The batch has one deadline, rq's limit from now, which
+// covers queueing too. Lower indexes start first; once it passes, rq's
+// context is done or the server drains, remaining items fail fast with
+// per-item errors.
+func (s *Server) solveAll(rq request, problems []*rentmin.Problem) []itemResult {
+	ctx, cancel := context.WithTimeout(rq.ctx, rq.limit)
 	defer cancel()
 	results := make([]itemResult, len(problems))
 	dispatchers := min(s.cfg.Workers, len(problems))
@@ -746,7 +742,7 @@ func (s *Server) solveAll(ctx context.Context, problems []*rentmin.Problem, reqT
 				if i >= len(problems) {
 					return
 				}
-				results[i] = s.run(ctx, reqTrace, limit, func(ctx context.Context) (rentmin.Solution, error) {
+				results[i] = s.run(ctx, rq, "batch", i, func(ctx context.Context) (rentmin.Solution, error) {
 					return s.solve(ctx, problems[i])
 				})
 			}

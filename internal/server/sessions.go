@@ -215,13 +215,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	defer releaseSlot()
 	var sess *rentmin.Session
 	var resolve *rentmin.SessionResolve
-	res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (sol rentmin.Solution, err error) {
+	res := s.run(rq.ctx, rq, "session", -1, func(ctx context.Context) (sol rentmin.Solution, err error) {
 		sess, resolve, err = rentmin.NewSession(ctx, p, nil)
 		return resolved(resolve, err)
-	})
-	if res.leased {
-		s.recordSolve(solveRecord(rq.traceID, "session", -1, rq.start, res), slog.String("session", id))
-	}
+	}, slog.String("session", id))
 	if res.err != nil {
 		s.sessions.abandon(id)
 		s.writeRunError(w, r, res)
@@ -280,11 +277,10 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var resolve *rentmin.SessionResolve
-		res := s.run(rq.ctx, rq.tr, rq.limit, func(ctx context.Context) (sol rentmin.Solution, err error) {
+		res := s.run(rq.ctx, rq, "session", i, func(ctx context.Context) (sol rentmin.Solution, err error) {
 			resolve, err = entry.sess.Apply(ctx, ev)
 			return resolved(resolve, err)
-		})
-		s.recordSolve(solveRecord(rq.traceID, "session", i, rq.start, res), slog.String("session", entry.id))
+		}, slog.String("session", entry.id))
 		if res.err != nil {
 			results[i] = client.SessionResolve{Kind: wev.Kind, Error: sessionItemError(res.err)}
 			continue

@@ -29,14 +29,14 @@ func (s *Server) traceContext(w http.ResponseWriter, r *http.Request) (context.C
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // solveRecord assembles the flight-recorder entry of a finished (or
-// failed) solve, in the form GET /debug/solves serves it.
-func solveRecord(traceID, endpoint string, item int, start time.Time, res itemResult) client.DebugSolve {
+// failed) solve of rq, in the form GET /debug/solves serves it.
+func solveRecord(rq *request, endpoint string, item int, res itemResult) client.DebugSolve {
 	rec := client.DebugSolve{
-		TraceID:     traceID,
+		TraceID:     rq.traceID,
 		Endpoint:    endpoint,
 		Item:        item,
 		Worker:      res.sol.Worker,
-		Start:       start,
+		Start:       rq.start,
 		QueueWaitMs: ms(res.queueWait),
 		SolveMs:     ms(res.dur),
 		Proven:      res.sol.Proven,
@@ -54,20 +54,24 @@ func solveRecord(traceID, endpoint string, item int, start time.Time, res itemRe
 	return rec
 }
 
-// solveStats renders the opt-in response stats block for one solve from
-// the trace that observed it: its phases and, for a local solve, the
-// search trajectory, all offsets from the trace's start.
-func solveStats(traceID string, res itemResult) *client.SolveStats {
+// solveStats renders the opt-in response stats block for one solve of
+// rq: its decode, queue and solve phases, derived from the durations run
+// measured, and, for a local solve, the search trajectory, all offsets
+// from the request's arrival.
+func solveStats(rq *request, res itemResult) *client.SolveStats {
+	queued := res.queued.Sub(rq.start)
 	out := &client.SolveStats{
-		TraceID:     traceID,
+		TraceID:     rq.traceID,
 		Worker:      res.sol.Worker,
 		QueueWaitMs: ms(res.queueWait),
 		SolveMs:     ms(res.dur),
+		Phases: []client.PhaseTiming{
+			{Name: "decode", DurMs: ms(rq.decoded.Sub(rq.start))},
+			{Name: "queue", StartMs: ms(queued), DurMs: ms(res.queueWait)},
+			{Name: "solve", StartMs: ms(queued + res.queueWait), DurMs: ms(res.dur)},
+		},
 	}
 	out.Incumbents, out.Rounds, out.TrajectoryTruncated = res.tr.Trajectory()
-	for _, sp := range res.tr.Spans() {
-		out.Phases = append(out.Phases, client.PhaseTiming{Name: sp.Name, StartMs: ms(sp.Start), DurMs: ms(sp.Dur)})
-	}
 	return out
 }
 

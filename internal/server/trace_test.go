@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -432,5 +433,87 @@ level=WARN msg="solve failed" trace_id=t2 endpoint=session item=-1 worker="" que
 `
 	if got := buf.String(); got != want {
 		t.Errorf("log lines\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestStatsPhasesShareOneClock: the queue and solve phases are the
+// durations queue_wait_ms and solve_ms report, and the queue phase ends
+// where the solve phase starts, for a /v1/solve and for every batch item.
+func TestStatsPhasesShareOneClock(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	opts := &client.Options{Stats: true}
+	one, err := c.Solve(ctx, fastProblem(70), opts)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	sols, err := c.SolveBatch(ctx, []*rentmin.Problem{fastProblem(40), fastProblem(100)}, opts)
+	if err != nil {
+		t.Fatalf("SolveBatch: %v", err)
+	}
+	for i, sol := range append([]client.Solution{*one}, sols...) {
+		st := sol.Stats
+		if sol.Error != "" || st == nil || len(st.Phases) != 3 {
+			t.Fatalf("answer %d: error %q, stats %+v, want decode, queue and solve phases", i, sol.Error, st)
+		}
+		queue, solve := st.Phases[1], st.Phases[2]
+		if queue.Name != "queue" || solve.Name != "solve" {
+			t.Fatalf("answer %d: phases %+v, want queue then solve", i, st.Phases)
+		}
+		if queue.DurMs != st.QueueWaitMs || solve.DurMs != st.SolveMs {
+			t.Errorf("answer %d: queue phase %gms and solve phase %gms, queue_wait_ms %g and solve_ms %g",
+				i, queue.DurMs, solve.DurMs, st.QueueWaitMs, st.SolveMs)
+		}
+		// The offsets are whole nanoseconds in milliseconds, so the sum
+		// agrees with the solve phase's start to within rounding.
+		if gap := solve.StartMs - (queue.StartMs + queue.DurMs); math.Abs(gap) > 1e-6 {
+			t.Errorf("answer %d: %gms between the end of the queue phase and the solve phase (%+v)", i, gap, st.Phases)
+		}
+	}
+}
+
+// TestLeaseWaitAtDrainIsRecorded: a /v1/solve and a session create still
+// waiting for a lease when the daemon drains each leave one flight-recorder
+// record carrying the error and one queue-wait sample, as a batch item
+// and a session event do.
+func TestLeaseWaitAtDrainIsRecorded(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	unblock := holdLease(t, c)
+	defer unblock()
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.Solve(ctx, fastProblem(40), nil)
+		errs <- err
+	}()
+	go func() {
+		_, _, err := c.NewSession(ctx, fastProblem(70), nil)
+		errs <- err
+	}()
+	waitHealth(t, c, "both requests wait for the lease", func(h client.Health) bool { return h.QueueDepth == 2 })
+	s.BeginDrain()
+	for i := 0; i < 2; i++ {
+		if e := apiStatus(t, <-errs); e.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("request waiting at drain answered %d %q, want 503", e.StatusCode, e.Message)
+		}
+	}
+	// The lease holder is still solving, so the two waiters are the only
+	// records.
+	recs, err := c.DebugSolves(ctx, 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	got := map[string]int{}
+	for _, rec := range recs.Solves {
+		got[rec.Endpoint]++
+		if rec.Item != -1 || rec.Error != errDraining.Error() {
+			t.Errorf("record %s/%d %q, want item -1 failed with %q", rec.Endpoint, rec.Item, rec.Error, errDraining)
+		}
+	}
+	if len(recs.Solves) != 2 || got["solve"] != 1 || got["session"] != 1 {
+		t.Errorf("flight recorder holds %d records (%v), want one solve and one session", len(recs.Solves), got)
+	}
+	if n := s.met.qw.Count(); n != 2 {
+		t.Errorf("rentmind_queue_wait_ms holds %d samples, want 2", n)
 	}
 }
