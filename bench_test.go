@@ -398,7 +398,7 @@ func BenchmarkILPBoundedDive(b *testing.B) {
 				steps = steps[:len(steps)-1]
 				continue
 			}
-			sol, err := lp.SolveFrom(q, cur.Basis, nil)
+			sol, err := lp.SolveFrom(q, cur.Basis)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -423,7 +423,7 @@ func BenchmarkILPBoundedDive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		parent := root
 		for d := 1; d <= len(steps); d++ {
-			sol, err := lp.SolveFrom(boundedProb(d), parent.Basis, nil)
+			sol, err := lp.SolveFrom(boundedProb(d), parent.Basis)
 			if err != nil {
 				b.Fatal(err)
 			}

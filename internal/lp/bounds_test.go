@@ -90,7 +90,7 @@ func TestBoundsFixedVariable(t *testing.T) {
 	// Tighten the fixed point via a warm start: y fixed at 4 -> x = 1.
 	q := p.Clone()
 	q.SetBounds(1, 4, 4)
-	warm, err := SolveFrom(q, parent.Basis, nil)
+	warm, err := SolveFrom(q, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBoundsInfeasibleCrossingDual(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		q.SetBounds(j, 0, 2)
 	}
-	warm, err := SolveFrom(q, parent.Basis, nil)
+	warm, err := SolveFrom(q, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestBoundsCrossedRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := md.SolveFrom(new(Solution), p.Lo, p.Hi, nil, nil); err == nil {
+		if err := md.SolveFrom(new(Solution), p.Lo, p.Hi, nil); err == nil {
 			t.Errorf("Model.SolveFrom accepted %s bounds", name)
 		}
 		md.Release()
@@ -216,7 +216,7 @@ func TestBoundsWarmTightenBeatsCold(t *testing.T) {
 	q := p.Clone()
 	q.SetBounds(2, 0, 3) // cap z below its relaxed value
 	cold := solveOK(t, q)
-	warm, err := SolveFrom(q, parent.Basis, nil)
+	warm, err := SolveFrom(q, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestQuickBoundedWarmEqualsCold(t *testing.T) {
 		} else {
 			q.SetBounds(j, math.Ceil(parent.X[j]+0.5), math.Inf(1))
 		}
-		warm, err := SolveFrom(q, parent.Basis, nil)
+		warm, err := SolveFrom(q, parent.Basis)
 		if err != nil {
 			return false
 		}

@@ -41,10 +41,14 @@
 // refactorization re-prices them, and the final check of a warm solve
 // prices from fresh duals. Duals fall out of BTRAN in original row space
 // with no extra bookkeeping.
-// All degeneracy decisions share one loosened tolerance (the square root
-// of the pricing tolerance). Status values map to typed sentinel errors
-// (ErrInfeasible, ErrUnbounded, ErrIterLimit) via Status.Err, so callers
-// can errors.Is against outcomes that cross API layers.
+// The solver runs one way: one tolerance, 1e-9, for pricing, ratio
+// tests and feasibility checks, one loosened tolerance (its square root)
+// shared by every degeneracy decision and by the minimum pivot of a basis
+// restore, and a pivot cap sized from the problem. Nothing configures
+// them; Options is an empty, deprecated struct. Status values map to
+// typed sentinel errors (ErrInfeasible, ErrUnbounded, ErrIterLimit) via
+// Status.Err, so callers can errors.Is against outcomes that cross API
+// layers.
 //
 // Phase 1 needs no artificial columns: the all-slack basis is always a
 // basis, and each basic variable that violates a bound has that bound
@@ -65,8 +69,10 @@
 // and pointing the workspace at the model's arrays instead of copying
 // them. This is the branch-and-bound shape — every node of a tree shares
 // its rows and differs only in Lo/Hi — and the milp package compiles
-// each tree's LP once, after the root and its cuts, and solves every
-// child through it. Solve and SolveFrom compile into the workspace's own
+// each tree's LP once and solves every child through it: after the root
+// and its cuts, or, when the root runs no cuts (a seeded re-solve, or
+// cuts switched off), before the root, which then solves through the
+// model as well. Solve and SolveFrom compile into the workspace's own
 // model buffers and run the same path, so the one-shot and compiled
 // solves of one problem are bit-identical. Model buffers come from their
 // own pool; Model.Release hands them back once no solve uses the model.
@@ -128,10 +134,10 @@
 // starts each child from it — the child's statuses from the snapshot
 // under its own bounds, the Start's base etas read in place (a child
 // that refactorizes writes its own), and the Start's reduced costs for
-// the dual feasibility check. Restore runs the same code and minimum
-// pivot a one-shot SolveFrom runs inline, so a child solved through a
-// Start is bit-identical to the one-shot re-solve from the same basis. A
-// nil, failed or stale Start solves cold.
+// the dual feasibility check. A one-shot SolveFrom restores its basis
+// into the workspace's own Start with the same code, so a child solved
+// through a Start is bit-identical to the one-shot re-solve from the same
+// basis. A nil, failed or stale Start solves cold.
 //
 // The restored basis stays dual feasible across bound changes because
 // reduced costs depend on the basis and the cost vector, never on b, lo

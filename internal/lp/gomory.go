@@ -72,6 +72,7 @@ type GomoryResult struct {
 // bound-relative coordinates the cut rows are written in are integral at
 // integer points only when every finite bound is an integer. A problem
 // with a fractional bound is solved normally but no cuts are generated.
+// opts is ignored (see Options).
 func SolveGomory(p *Problem, opts *Options, maxRounds int) (GomoryResult, error) {
 	if err := p.Validate(); err != nil {
 		return GomoryResult{}, err
@@ -98,7 +99,7 @@ func SolveGomory(p *Problem, opts *Options, maxRounds int) (GomoryResult, error)
 	var basis *Basis
 	for round := 0; ; round++ {
 		var sol Solution
-		sp.run(&sol, &work, opts, basis)
+		sp.run(&sol, &work, basis)
 		totalIters += sol.Iterations
 		sol.Iterations = totalIters
 		sol.Warm = false
@@ -127,7 +128,6 @@ func SolveGomory(p *Problem, opts *Options, maxRounds int) (GomoryResult, error)
 // integralBounds reports whether every finite variable bound of p is an
 // integer — the precondition for the bounded-variable Gomory derivation.
 func integralBounds(p *Problem) bool {
-	const tol = 1e-9
 	for j := 0; j < p.NumVars(); j++ {
 		lo := p.LowerBound(j)
 		if math.IsInf(lo, 0) || math.Abs(lo-math.Round(lo)) > tol {

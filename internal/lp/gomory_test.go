@@ -230,7 +230,7 @@ func TestSolveGomoryArenaReuse(t *testing.T) {
 	grown := p.Clone()
 	grown.Constraints = append(grown.Constraints, res.Cuts...)
 	var cold Solution
-	new(sparseSolver).run(&cold, grown, nil, nil)
+	new(sparseSolver).run(&cold, grown, nil)
 	if cold.Status != Optimal || res.Solution.Status != Optimal {
 		t.Fatalf("status: loop %v, cold %v", res.Solution.Status, cold.Status)
 	}

@@ -191,7 +191,7 @@ func TestKernelConformance(t *testing.T) {
 			if len(sol.Duals) != len(tc.p.Constraints) {
 				t.Fatalf("got %d duals for %d rows", len(sol.Duals), len(tc.p.Constraints))
 			}
-			warm, err := SolveFrom(tc.p, sol.Basis, nil)
+			warm, err := SolveFrom(tc.p, sol.Basis)
 			if err != nil {
 				t.Fatalf("SolveFrom: %v", err)
 			}
@@ -314,7 +314,7 @@ func TestKernelsAgreeOnDuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveFrom(child, parent.Basis, nil)
+	warm, err := SolveFrom(child, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestCrossKernelWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveFrom(child, parent.Basis, nil)
+	warm, err := SolveFrom(child, parent.Basis)
 	if err != nil {
 		t.Fatalf("SolveFrom: %v", err)
 	}
@@ -380,7 +380,7 @@ func TestCrossKernelWarmStartAppendedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveFrom(child, parent.Basis, nil)
+	warm, err := SolveFrom(child, parent.Basis)
 	if err != nil {
 		t.Fatalf("SolveFrom: %v", err)
 	}

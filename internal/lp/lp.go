@@ -221,11 +221,13 @@ func (s Status) String() string {
 // only when Status is Optimal.
 //
 // Solve, SolveFrom and SolveGomory return a result they allocated, which
-// the caller owns. Model.SolveFrom instead writes into a result the caller
-// hands it and reuses that result's buffers: X and Duals share one, Basis
-// and its lists are the others, and each is reallocated only when it is
-// too short for the model. Such a result is valid until the next solve
-// into it; a copy of the struct shares its buffers. A solve that ends
+// the caller owns. Model.SolveFrom, the path of every branch-and-bound LP
+// after the root's cuts and of a root that runs none, instead writes into
+// a result the caller hands it and reuses that result's buffers: X and
+// Duals share one, Basis and its lists are the others, and each is
+// reallocated only when it is too short for the model. Such a result is
+// valid until the next solve into it; a copy of the struct shares its
+// buffers. A solve that ends
 // without an optimum leaves X, Duals and Basis as the last optimal solve
 // into the result left them (nil in a result never solved optimally).
 type Solution struct {
@@ -245,9 +247,9 @@ type Solution struct {
 	// Basis is an opaque snapshot of the optimal basis, restorable on a
 	// related problem via SolveFrom or Model.Restore.
 	Basis *Basis
-	// Warm reports that this solution came from SolveFrom's warm-started
-	// dual-simplex path; false means a cold two-phase solve produced it
-	// (including SolveFrom calls that fell back).
+	// Warm reports that this solution came from the warm-started
+	// dual-simplex path of SolveFrom or Model.SolveFrom; false means a
+	// cold two-phase solve produced it (including calls that fell back).
 	Warm bool
 
 	// buf is the storage X and Duals share; a solve into this result
@@ -262,26 +264,9 @@ func (sol *Solution) end(st Status, iters int, warm bool) {
 	sol.Status, sol.Objective, sol.Iterations, sol.Warm = st, 0, iters, warm
 }
 
-// Options tunes the solver.
-type Options struct {
-	// Tol is the numerical tolerance for pricing, ratio tests and
-	// feasibility checks. Zero means 1e-9.
-	Tol float64
-	// MaxIter caps the total number of pivots. Zero picks a size-based
-	// default.
-	MaxIter int
-}
-
-func (o *Options) tol() float64 {
-	if o == nil || o.Tol == 0 {
-		return 1e-9
-	}
-	return o.Tol
-}
-
-func (o *Options) maxIter(m, n int) int {
-	if o == nil || o.MaxIter == 0 {
-		return 2000 + 200*(m+n)
-	}
-	return o.MaxIter
-}
+// Options is ignored: the solver runs one way, with one tolerance (tol)
+// and a pivot cap sized from the problem (see load).
+//
+// Deprecated: it remains only so that callers which still pass one to
+// Solve or SolveGomory compile; it will be removed once none does.
+type Options struct{}

@@ -54,13 +54,12 @@ func (md *Model) Release() {
 // SolveFrom solves the model under the variable bounds lo <= x <= hi into
 // sol, warm from the basis st was restored from, exactly as the one-shot
 // SolveFrom would solve the model's problem with Lo and Hi replaced, warm
-// from that basis. A nil Start, one whose Restore failed, and one restored
-// on another Model or before this Model's last compile solve cold. So does
-// a Start under Options whose Tol differs from the default that Restore
-// factors with. lo and hi follow the rules of Problem.Lo and Problem.Hi
-// (nil takes the default); they are the only input validated here, and a
-// rejected pair leaves sol untouched. st is only read, so concurrent
-// SolveFrom calls may share it.
+// from that basis: the solver runs one way, so the two are bit-identical.
+// A nil Start, one whose Restore failed, and one restored on another Model
+// or before this Model's last compile solve cold. lo and hi follow the
+// rules of Problem.Lo and Problem.Hi (nil takes the default); they are
+// the only input validated here, and a rejected pair leaves sol
+// untouched. st is only read, so concurrent SolveFrom calls may share it.
 //
 // sol is the caller's: SolveFrom overwrites it and reuses its buffers (X
 // and Duals share one, Basis and its lists are the others), allocating only
@@ -68,25 +67,25 @@ func (md *Model) Release() {
 // nothing. The result is valid until the next solve into it, and X, Duals
 // and Basis are meaningful only when its Status is Optimal (see Solution).
 // Concurrent calls must solve into different results.
-func (md *Model) SolveFrom(sol *Solution, lo, hi []float64, st *Start, opts *Options) error {
+func (md *Model) SolveFrom(sol *Solution, lo, hi []float64, st *Start) error {
 	if err := validateBounds(lo, hi, md.n); err != nil {
 		return err
 	}
 	sp := getWorkspace()
 	defer putWorkspace(sp)
-	sp.runModel(sol, md, lo, hi, opts, st)
+	sp.runModel(sol, md, lo, hi, st)
 	return nil
 }
 
 // Restore restores snapshot b on the model into st, reusing st's buffers:
 // it refactorizes b's basis and prices every nonbasic column once, the
-// work every re-solve from b would otherwise repeat. Bounds play no part,
-// so st serves any bounds SolveFrom is given. When b does not fit the
-// model or its basis is singular, st records the failure and SolveFrom
-// solves cold. st must not be restored again while a SolveFrom reads it.
-func (md *Model) Restore(st *Start, b *Basis) {
-	md.restore(st, b, sqrtTol((*Options)(nil).tol()))
-}
+// work every re-solve from b would otherwise repeat, with the same code
+// and minimum pivot the one-shot SolveFrom restores with. Bounds play no
+// part, so st serves any bounds SolveFrom is given. When b is nil, does
+// not fit the model or its basis is singular, st records the failure and
+// SolveFrom solves cold. st must not be restored again while a SolveFrom
+// reads it.
+func (md *Model) Restore(st *Start, b *Basis) { md.restore(st, b) }
 
 // compile fills the model from a validated problem, reusing its buffers.
 // Both passes walk the sparse rows; the second walks them backwards so

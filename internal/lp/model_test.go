@@ -12,7 +12,7 @@ var raceEnabled bool
 // modelSolve solves md under lo/hi from st into a fresh result.
 func modelSolve(md *Model, lo, hi []float64, st *Start) (Solution, error) {
 	var sol Solution
-	err := md.SolveFrom(&sol, lo, hi, st, nil)
+	err := md.SolveFrom(&sol, lo, hi, st)
 	return sol, err
 }
 
@@ -68,7 +68,7 @@ func TestModelSolveAllocs(t *testing.T) {
 
 	var into Solution
 	viaModel := testing.AllocsPerRun(50, func() {
-		if err := md.SolveFrom(&into, q.Lo, q.Hi, st, nil); err != nil {
+		if err := md.SolveFrom(&into, q.Lo, q.Hi, st); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -77,7 +77,7 @@ func TestModelSolveAllocs(t *testing.T) {
 	}
 	const want = 3 // X+Duals, rows+flips, the *Basis
 	oneShot := testing.AllocsPerRun(50, func() {
-		if _, err := SolveFrom(q, parent.Basis, nil); err != nil {
+		if _, err := SolveFrom(q, parent.Basis); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -117,10 +117,10 @@ func TestResultSharedStorage(t *testing.T) {
 	}
 	defer bigMd.Release()
 	var res Solution
-	if err := bigMd.SolveFrom(&res, big.Lo, big.Hi, nil, nil); err != nil || res.Status != Optimal {
+	if err := bigMd.SolveFrom(&res, big.Lo, big.Hi, nil); err != nil || res.Status != Optimal {
 		t.Fatalf("large LP: %v %v", err, res.Status)
 	}
-	if err := md.SolveFrom(&res, q.Lo, q.Hi, st, nil); err != nil {
+	if err := md.SolveFrom(&res, q.Lo, q.Hi, st); err != nil {
 		t.Fatal(err)
 	}
 	sameSolution(t, "child into a reused result", res, child)

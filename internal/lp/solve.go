@@ -47,9 +47,10 @@ func putWorkspace(sp *sparseSolver) {
 	workspaces.Put(sp)
 }
 
-// Solve minimizes the problem with a cold two-phase solve.
+// Solve minimizes the problem with a cold two-phase solve. opts is
+// ignored (see Options).
 func Solve(p *Problem, opts *Options) (Solution, error) {
-	return SolveFrom(p, nil, opts)
+	return SolveFrom(p, nil)
 }
 
 // SolveFrom re-optimizes p starting from a basis snapshotted on a related
@@ -62,33 +63,32 @@ func Solve(p *Problem, opts *Options) (Solution, error) {
 // result, and the pivots a rejected warm attempt spent are folded into
 // Iterations so warm-vs-cold comparisons stay honest. Re-solves that
 // differ only in their bounds are cheaper through a Model.
-func SolveFrom(p *Problem, b *Basis, opts *Options) (Solution, error) {
+func SolveFrom(p *Problem, b *Basis) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
 	sp := getWorkspace()
 	defer putWorkspace(sp)
 	var sol Solution
-	sp.run(&sol, p, opts, b)
+	sp.run(&sol, p, b)
 	return sol, nil
 }
 
 // run compiles p into the workspace's own model, restores b there into
 // the workspace's own Start, and solves into sol; see runModel.
-func (sp *sparseSolver) run(sol *Solution, p *Problem, opts *Options, b *Basis) {
+func (sp *sparseSolver) run(sol *Solution, p *Problem, b *Basis) {
 	sp.own.compile(p)
-	sp.own.restore(&sp.start, b, sqrtTol(opts.tol()))
-	sp.runModel(sol, &sp.own, p.Lo, p.Hi, opts, &sp.start)
+	sp.own.restore(&sp.start, b)
+	sp.runModel(sol, &sp.own, p.Lo, p.Hi, &sp.start)
 }
 
 // runModel loads md under the bounds lo/hi and solves it into sol, warm
-// from st when st holds a basis restored on md under the load's
-// tolerance. On return the workspace holds the final basis and
-// factorization of the reported solve, which SolveGomory reads its cut
-// rows from.
-func (sp *sparseSolver) runModel(sol *Solution, md *Model, lo, hi []float64, opts *Options, st *Start) {
-	sp.load(md, lo, hi, opts)
-	if !st.valid(md, sp.dtol) {
+// from st when st holds a basis restored on md. On return the workspace
+// holds the final basis and factorization of the reported solve, which
+// SolveGomory reads its cut rows from.
+func (sp *sparseSolver) runModel(sol *Solution, md *Model, lo, hi []float64, st *Start) {
+	sp.load(md, lo, hi)
+	if !st.valid(md) {
 		sp.solve(sol)
 		return
 	}
@@ -96,7 +96,7 @@ func (sp *sparseSolver) runModel(sol *Solution, md *Model, lo, hi []float64, opt
 		return
 	}
 	wasted := sp.pivots
-	sp.load(md, lo, hi, opts)
+	sp.load(md, lo, hi)
 	sp.solve(sol)
 	sol.Iterations += wasted
 }

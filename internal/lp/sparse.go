@@ -68,9 +68,8 @@ type sparseSolver struct {
 	inPhase1   bool
 	phase1Cost []float64
 
-	tol, dtol float64
-	maxIter   int
-	pivots    int
+	maxIter int
+	pivots  int
 
 	// scratch (length m, except alpha: nTot)
 	vrow, wpos, cpos, yrow []float64
@@ -115,18 +114,22 @@ func reuse[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sqrtTol loosens the base tolerance for aggregate feasibility and
-// degeneracy decisions (phase-1 infeasibility, tie windows, warm-start
-// verification): every such judgement in the solver shares this scale.
-func sqrtTol(tol float64) float64 { return math.Sqrt(tol) }
+// tol is the solver's one numerical tolerance, for pricing, ratio tests
+// and feasibility checks.
+const tol = 1e-9
+
+// dtol loosens tol for aggregate feasibility and degeneracy decisions
+// (phase-1 infeasibility, tie windows, warm-start verification, the
+// minimum pivot of a restore): every such judgement shares this scale.
+var dtol = math.Sqrt(tol)
 
 // load (re)initializes the workspace for a compiled model under the
 // validated structural bounds lo/hi (nil takes the default): the model's
 // read-only arrays are referenced, not copied, and every workspace-owned
 // buffer is resized to the model's shape and cleared (phase1Cost where
 // it is first used), so no state of an earlier solve survives into this
-// one.
-func (sp *sparseSolver) load(md *Model, lo, hi []float64, opts *Options) {
+// one. The pivot cap is sized from the model's shape.
+func (sp *sparseSolver) load(md *Model, lo, hi []float64) {
 	m, n := md.m, md.n
 	sp.md, sp.m, sp.n, sp.nTot = md, m, n, n+m
 	sp.csc, sp.obj, sp.b = md.csc, md.obj, md.b
@@ -142,9 +145,7 @@ func (sp *sparseSolver) load(md *Model, lo, hi []float64, opts *Options) {
 	sp.relaxed = sp.relaxed[:0]
 	sp.inPhase1 = false
 	sp.cost = sp.obj
-	sp.tol = opts.tol()
-	sp.dtol = sqrtTol(sp.tol)
-	sp.maxIter = opts.maxIter(m, n)
+	sp.maxIter = 2000 + 200*(m+n)
 	sp.pivots = 0
 	sp.vrow = resize(sp.vrow, m)
 	sp.wpos = resize(sp.wpos, m)
@@ -263,7 +264,7 @@ func (sp *sparseSolver) primalIterate() Status {
 		bland := stall >= stallWindow
 		sp.reducedCosts()
 		q, dir := -1, 1.0
-		bestViol := sp.tol
+		bestViol := tol
 		for j := 0; j < sp.nTot; j++ {
 			st := sp.status[j]
 			if st == spBasic || sp.lo[j] == sp.hi[j] {
@@ -312,13 +313,13 @@ func (sp *sparseSolver) primalIterate() Status {
 			var t float64
 			var lower bool
 			switch {
-			case g > sp.tol:
+			case g > tol:
 				l := sp.lo[c]
 				if math.IsInf(l, -1) {
 					continue
 				}
 				t, lower = (sp.x[c]-l)/g, true
-			case g < -sp.tol:
+			case g < -tol:
 				h := sp.hi[c]
 				if math.IsInf(h, 1) {
 					continue
@@ -334,9 +335,9 @@ func (sp *sparseSolver) primalIterate() Status {
 			// degenerate regime (where cycling lives), the base tolerance
 			// away from it; ties prefer the larger pivot magnitude for
 			// numerical stability.
-			win := sp.tol
-			if t < sp.dtol && bestT < sp.dtol {
-				win = sp.dtol
+			win := tol
+			if t < dtol && bestT < dtol {
+				win = dtol
 			}
 			a := math.Abs(sp.wpos[p])
 			switch {
@@ -369,10 +370,10 @@ func (sp *sparseSolver) primalIterate() Status {
 			return Unbounded
 		default:
 			g := sp.wpos[bestP]
-			if math.Abs(g) < sp.dtol && !retried && sp.f.pending() > 0 {
+			if math.Abs(g) < dtol && !retried && sp.f.pending() > 0 {
 				// Tiny pivot through a long eta file: refactorize and
 				// re-price before trusting it.
-				if !sp.refactorize(sp.tol) {
+				if !sp.refactorize(tol) {
 					return IterLimit
 				}
 				retried = true
@@ -401,12 +402,12 @@ func (sp *sparseSolver) primalIterate() Status {
 			sp.basis[bestP] = int32(q)
 			sp.f.update(bestP, sp.wpos)
 			sp.pivots++
-			if sp.f.needsRefactor() && !sp.refactorize(sp.tol) {
+			if sp.f.needsRefactor() && !sp.refactorize(tol) {
 				return IterLimit
 			}
 		}
 
-		if o := sp.objective(); o < lastObj-sp.tol {
+		if o := sp.objective(); o < lastObj-tol {
 			lastObj = o
 			stall = 0
 		} else {
@@ -441,11 +442,11 @@ func (sp *sparseSolver) phase1() Status {
 		c := sp.basis[p]
 		v := sp.x[c]
 		switch {
-		case v > sp.hi[c]+sp.tol:
+		case v > sp.hi[c]+tol:
 			sp.relaxed = append(sp.relaxed, relaxation{col: c, over: true, olo: sp.lo[c], ohi: sp.hi[c]})
 			sp.lo[c], sp.hi[c] = sp.hi[c], math.Inf(1)
 			sp.phase1Cost[c] = 1
-		case v < sp.lo[c]-sp.tol:
+		case v < sp.lo[c]-tol:
 			sp.relaxed = append(sp.relaxed, relaxation{col: c, over: false, olo: sp.lo[c], ohi: sp.hi[c]})
 			sp.lo[c], sp.hi[c] = math.Inf(-1), sp.lo[c]
 			sp.phase1Cost[c] = -1
@@ -483,7 +484,7 @@ func (sp *sparseSolver) phase1() Status {
 			infeas += math.Max(0, r.olo-v)
 		}
 	}
-	if infeas > sp.dtol {
+	if infeas > dtol {
 		return Infeasible
 	}
 
@@ -564,11 +565,11 @@ func (sp *sparseSolver) repairPrimal(st Status) Status {
 	}
 	for round := 0; round < 4; round++ {
 		if sp.f.pending() > 0 || round > 0 {
-			if !sp.refactorize(sp.tol) {
+			if !sp.refactorize(tol) {
 				return IterLimit
 			}
 		}
-		if sp.withinBounds(sp.tol) {
+		if sp.withinBounds(tol) {
 			return Optimal
 		}
 		sp.price()
@@ -606,10 +607,10 @@ func (sp *sparseSolver) solution(sol *Solution, warm bool) {
 	for j := 0; j < sp.n; j++ {
 		v := sp.x[j]
 		// Clamp roundoff-sized bound violations (cosmetic).
-		if v < sp.lo[j] && v > sp.lo[j]-sp.tol {
+		if v < sp.lo[j] && v > sp.lo[j]-tol {
 			v = sp.lo[j]
 		}
-		if v > sp.hi[j] && v < sp.hi[j]+sp.tol {
+		if v > sp.hi[j] && v < sp.hi[j]+tol {
 			v = sp.hi[j]
 		}
 		x[j] = v

@@ -25,10 +25,9 @@ import "math"
 // Start and may reuse it for another basis later; the zero value is
 // empty and solves cold.
 type Start struct {
-	md     *Model
-	gen    uint64  // md.gen at the restore
-	minPiv float64 // the restore's minimum pivot; see valid
-	ok     bool    // the restore succeeded
+	md  *Model
+	gen uint64 // md.gen at the restore
+	ok  bool   // the restore succeeded
 
 	basis []int32 // column basic at each position
 	basic []bool  // per column: basic
@@ -39,20 +38,19 @@ type Start struct {
 	y     []float64 // duals of the basis
 }
 
-// valid reports whether st holds a restore of md's current compile that
-// a solve with minimum pivot minPiv may start from: the restore then
-// factored exactly as that solve's own refactorization would.
-func (st *Start) valid(md *Model, minPiv float64) bool {
-	return st != nil && st.ok && st.md == md && st.gen == md.gen && st.minPiv == minPiv
+// valid reports whether st holds a successful restore of md's current
+// compile.
+func (st *Start) valid(md *Model) bool {
+	return st != nil && st.ok && st.md == md && st.gen == md.gen
 }
 
 // restore maps snapshot b onto md's columns (rows md appends after the
 // snapshot enter with their slack basic), factors that basis with
-// minimum pivot minPiv and prices every nonbasic column under md's cost.
+// minimum pivot dtol and prices every nonbasic column under md's cost.
 // st.ok stays false when b does not fit md, names a column twice or out
 // of range, or the basis is singular.
-func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
-	st.md, st.gen, st.minPiv, st.ok = md, md.gen, minPiv, false
+func (md *Model) restore(st *Start, b *Basis) {
+	st.md, st.gen, st.ok = md, md.gen, false
 	st.flips = st.flips[:0]
 	if !b.fits(md) {
 		return
@@ -92,7 +90,7 @@ func (md *Model) restore(st *Start, b *Basis, minPiv float64) {
 	st.flips = append(st.flips, b.flips...)
 
 	st.f.reset(m)
-	if !st.f.refactorize(md, st.basis, minPiv) {
+	if !st.f.refactorize(md, st.basis, dtol) {
 		return
 	}
 	// The duals and reduced costs exactly as a solve's pricing computes
@@ -136,7 +134,7 @@ func (sp *sparseSolver) warm(sol *Solution, st *Start) bool {
 	// sp.yrow holds its duals: the check and the reported duals read them
 	// without another BTRAN.
 	sp.priceFromDuals()
-	if !sp.withinBounds(sp.dtol) || !sp.dualFeasible(sp.dtol) {
+	if !sp.withinBounds(dtol) || !sp.dualFeasible(dtol) {
 		return false
 	}
 	sp.solution(sol, true)
@@ -179,7 +177,7 @@ func (sp *sparseSolver) install(st *Start) bool {
 	// The restored basis must still be dual feasible (up to roundoff); a
 	// materially violated reduced cost means the snapshot is stale.
 	copy(sp.d, st.d)
-	return sp.dualFeasible(sp.dtol)
+	return sp.dualFeasible(dtol)
 }
 
 // dualFeasible reports whether every reduced cost in sp.d points into the
@@ -231,7 +229,7 @@ func (sp *sparseSolver) dualIterate() Status {
 	retried := false
 	for sp.pivots < sp.maxIter {
 		r := -1
-		worst := sp.tol
+		worst := tol
 		below := false
 		for p := 0; p < sp.m; p++ {
 			c := sp.basis[p]
@@ -270,9 +268,9 @@ func (sp *sparseSolver) dualIterate() Status {
 			if below {
 				// x_B[r] must increase: entering at-lower increases (needs
 				// alpha < 0), entering at-upper decreases (needs alpha > 0).
-				ok = (st == spLower && a < -sp.tol) || (st == spUpper && a > sp.tol)
+				ok = (st == spLower && a < -tol) || (st == spUpper && a > tol)
 			} else {
-				ok = (st == spLower && a > sp.tol) || (st == spUpper && a < -sp.tol)
+				ok = (st == spLower && a > tol) || (st == spUpper && a < -tol)
 			}
 			if !ok {
 				continue
@@ -280,9 +278,9 @@ func (sp *sparseSolver) dualIterate() Status {
 			t := math.Abs(sp.d[j] / a)
 			abs := math.Abs(a)
 			switch {
-			case q < 0, t < bestT-sp.dtol:
+			case q < 0, t < bestT-dtol:
 				q, bestT, bestAbs = j, t, abs
-			case t < bestT+sp.dtol && abs > bestAbs:
+			case t < bestT+dtol && abs > bestAbs:
 				q, bestAbs = j, abs
 				if t < bestT {
 					bestT = t
@@ -299,16 +297,16 @@ func (sp *sparseSolver) dualIterate() Status {
 		sp.scatterCol(q, sp.vrow)
 		sp.f.ftran(sp.vrow, sp.wpos)
 		g := sp.wpos[r]
-		if math.Abs(g) < sp.dtol && !retried && sp.f.pending() > 0 {
+		if math.Abs(g) < dtol && !retried && sp.f.pending() > 0 {
 			// Tiny pivot through a long eta file: refactorize, re-price.
-			if !sp.refactorize(sp.tol) {
+			if !sp.refactorize(tol) {
 				return IterLimit
 			}
 			sp.price()
 			retried = true
 			continue
 		}
-		if math.Abs(g) <= sp.tol {
+		if math.Abs(g) <= tol {
 			return IterLimit
 		}
 		retried = false
@@ -352,7 +350,7 @@ func (sp *sparseSolver) dualIterate() Status {
 		sp.f.update(r, sp.wpos)
 		sp.pivots++
 		if sp.f.needsRefactor() {
-			if !sp.refactorize(sp.tol) {
+			if !sp.refactorize(tol) {
 				return IterLimit
 			}
 			sp.price()
@@ -360,7 +358,7 @@ func (sp *sparseSolver) dualIterate() Status {
 
 		// The dual objective is the working objective at the current
 		// basic solution; a dual pivot never lowers it.
-		if o := sp.objective(); o > lastObj+sp.tol {
+		if o := sp.objective(); o > lastObj+tol {
 			lastObj = o
 			stall = 0
 		} else if stall++; stall >= stallWindow {

@@ -57,7 +57,7 @@ func TestRestoreSiblingsBitIdentical(t *testing.T) {
 	want := make([]Solution, len(kids))
 	warm := 0
 	for i, q := range kids {
-		if want[i], err = SolveFrom(q, parent.Basis, nil); err != nil {
+		if want[i], err = SolveFrom(q, parent.Basis); err != nil {
 			t.Fatal(err)
 		}
 		got, err := modelSolve(md, q.Lo, q.Hi, &st)
@@ -98,7 +98,7 @@ func TestStartOwnsItsFlips(t *testing.T) {
 	p, q, _, _, md, st := warmChild(t)
 	defer md.Release()
 	var res Solution
-	if err := md.SolveFrom(&res, q.Lo, q.Hi, st, nil); err != nil || res.Status != Optimal {
+	if err := md.SolveFrom(&res, q.Lo, q.Hi, st); err != nil || res.Status != Optimal {
 		t.Fatalf("child: %v %v", err, res.Status)
 	}
 	saved := &Basis{rows: slices.Clone(res.Basis.rows), flips: slices.Clone(res.Basis.flips), n: res.Basis.n}
@@ -109,13 +109,13 @@ func TestStartOwnsItsFlips(t *testing.T) {
 	want := make([]Solution, len(kids))
 	for i, k := range kids {
 		var err error
-		if want[i], err = SolveFrom(k, saved, nil); err != nil {
+		if want[i], err = SolveFrom(k, saved); err != nil {
 			t.Fatal(err)
 		}
 	}
 	flips := res.Basis.flips
 	// Recycle the result: a cold solve of the parent into it.
-	if err := md.SolveFrom(&res, p.Lo, p.Hi, nil, nil); err != nil || res.Status != Optimal {
+	if err := md.SolveFrom(&res, p.Lo, p.Hi, nil); err != nil || res.Status != Optimal {
 		t.Fatalf("recycling solve: %v %v", err, res.Status)
 	}
 	if slices.Equal(flips, saved.flips) {
@@ -219,7 +219,7 @@ func TestDualUpdateDrift(t *testing.T) {
 	md.Restore(&st, parent.Basis)
 
 	sp := new(sparseSolver)
-	sp.load(md, q.Lo, q.Hi, nil)
+	sp.load(md, q.Lo, q.Hi)
 	if !sp.install(&st) {
 		t.Fatal("the restored basis was rejected")
 	}
@@ -239,8 +239,8 @@ func TestDualUpdateDrift(t *testing.T) {
 		worst = math.Max(worst, math.Abs(kept[j]-sp.d[j]))
 	}
 	t.Logf("%d dual pivots; largest reduced-cost drift %.3g", sp.pivots, worst)
-	if worst > sp.dtol {
-		t.Errorf("maintained reduced costs drift by %g from a fresh pricing, beyond %g", worst, sp.dtol)
+	if worst > dtol {
+		t.Errorf("maintained reduced costs drift by %g from a fresh pricing, beyond %g", worst, dtol)
 	}
 
 	warm, err := modelSolve(md, q.Lo, q.Hi, &st)

@@ -64,7 +64,7 @@ func FuzzSolveFrom(f *testing.F) {
 			q.SetBounds(j, lo, hi)
 		}
 
-		warm, err := SolveFrom(q, parent.Basis, nil)
+		warm, err := SolveFrom(q, parent.Basis)
 		if err != nil {
 			t.Fatalf("SolveFrom: %v", err)
 		}

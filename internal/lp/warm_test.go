@@ -37,7 +37,7 @@ func checkAgainstCold(t *testing.T, q *Problem, basis *Basis) Solution {
 	if err != nil {
 		t.Fatalf("cold Solve: %v", err)
 	}
-	warm, err := SolveFrom(q, basis, nil)
+	warm, err := SolveFrom(q, basis)
 	if err != nil {
 		t.Fatalf("SolveFrom: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestSolveFromDetectsInfeasible(t *testing.T) {
 // TestSolveFromNilAndMismatchedBasis must transparently fall back cold.
 func TestSolveFromNilAndMismatchedBasis(t *testing.T) {
 	p := coveringBase()
-	sol, err := SolveFrom(p, nil, nil)
+	sol, err := SolveFrom(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSolveFromNilAndMismatchedBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err = SolveFrom(p, other.Basis, nil)
+	sol, err = SolveFrom(p, other.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSolveFromBasisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := SolveFrom(p, parent.Basis, nil)
+	again, err := SolveFrom(p, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSolveFromWarmBeatsColdIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveFrom(q, parent.Basis, nil)
+	warm, err := SolveFrom(q, parent.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestDualStallFallsBackCold(t *testing.T) {
 	if err != nil || cold.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", cold.Status, err)
 	}
-	warm, err := SolveFrom(p, basis, nil)
+	warm, err := SolveFrom(p, basis)
 	if err != nil || warm.Status != Optimal {
 		t.Fatalf("warm solve: %v %v", warm.Status, err)
 	}

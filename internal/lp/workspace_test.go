@@ -51,11 +51,11 @@ type reuseStep struct {
 func (s reuseStep) solveBoth(t *testing.T, sp *sparseSolver, step int, want Solution, into *Solution) {
 	t.Helper()
 	var oneShot Solution
-	sp.run(&oneShot, s.p, nil, s.basis)
+	sp.run(&oneShot, s.p, s.basis)
 	sameSolution(t, fmt.Sprintf("step %d one-shot", step), oneShot, want)
 	var st Start
 	s.md.Restore(&st, s.basis)
-	sp.runModel(into, s.md, s.p.Lo, s.p.Hi, nil, &st)
+	sp.runModel(into, s.md, s.p.Lo, s.p.Hi, &st)
 	sameSolution(t, fmt.Sprintf("step %d model", step), *into, want)
 }
 
@@ -69,7 +69,7 @@ func reuseScript(t *testing.T) ([]reuseStep, []Solution) {
 	large, small := reuseLP(r, 120, 90), reuseLP(r, 6, 4)
 	ref := func(p *Problem, b *Basis) Solution {
 		var sol Solution
-		new(sparseSolver).run(&sol, p, nil, b)
+		new(sparseSolver).run(&sol, p, b)
 		if sol.Status != Optimal {
 			t.Fatalf("reference solve: %v", sol.Status)
 		}
@@ -167,13 +167,13 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 			var viaModel Solution
 			for round := 0; round < 2; round++ {
 				for i, s := range steps {
-					oneShot, err := SolveFrom(s.p, s.basis, nil)
+					oneShot, err := SolveFrom(s.p, s.basis)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					s.md.Restore(&st, s.basis)
-					if err := s.md.SolveFrom(&viaModel, s.p.Lo, s.p.Hi, &st, nil); err != nil {
+					if err := s.md.SolveFrom(&viaModel, s.p.Lo, s.p.Hi, &st); err != nil {
 						t.Error(err)
 						return
 					}

@@ -29,13 +29,15 @@
 //     parent's with one variable bound tightened (the bound lives in the
 //     simplex ratio test, never as a constraint row, so the basis stays
 //     m×m for the whole tree). The tree's LP is compiled once into an
-//     lp.Model after the root, each branching node's optimal basis is
-//     restored once into an lp.Start, and every child re-optimizes from
-//     it via Model.SolveFrom with only its bounds —
-//     most of the per-node simplex work disappears on deep trees, with a
-//     transparent cold-solve fallback whenever a restore is rejected (see
-//     Options.DisableWarmLP to switch the path off). The basis travels as
-//     an opaque *lp.Basis, so the search never touches simplex internals.
+//     lp.Model, after the root's cuts or, when the root runs none,
+//     before the root, which then solves through it too. Each branching
+//     node's optimal basis is restored once into an lp.Start, and every
+//     child re-optimizes from it via Model.SolveFrom with only its
+//     bounds — most of the per-node simplex work disappears on deep
+//     trees, with a transparent cold-solve fallback whenever a restore
+//     is rejected (see Options.DisableWarmLP to switch the path off).
+//     The basis travels as an opaque *lp.Basis, so the search never
+//     touches simplex internals.
 //
 // The search is one sequential loop: pop the best-bound node, prepare it
 // (leaf detection, rounding repair, branching candidates, reduced-cost
@@ -163,7 +165,7 @@ type Options struct {
 	// basis is mapped onto the reduced problem: a removed row drops out,
 	// and a kept row whose basic column was fixed takes its own slack. A
 	// basis that is singular or not dual feasible there falls back to a
-	// cold solve inside lp.SolveFrom. A seeded root runs no
+	// cold solve inside Model.SolveFrom. A seeded root runs no
 	// RootCutRounds. Ignored under DisableWarmLP.
 	RootBasis []int32
 }
@@ -306,7 +308,7 @@ type solver struct {
 	work  *Problem    // problem the tree searches: p, or its presolve reduction
 	red   *Reduced    // postsolve map (nil when presolve is off or reduced nothing)
 	base  *lp.Problem // work's LP plus root cuts
-	model *lp.Model   // base compiled once after the root; every child solves through it
+	model *lp.Model   // base compiled once, after the root's cuts or before a cut-free root; every later LP solves through it
 	ctx   context.Context
 	opts  *Options // never nil
 	// intObj records that every feasible objective value is an integer
@@ -439,16 +441,28 @@ func (s *solver) run() (Result, error) {
 	if basis != nil {
 		rootSeed = lp.NewBasis(s.base.NumVars(), basis)
 	}
-	var st lp.Status
-	var err error
-	if rootSeed == nil && s.opts.RootCutRounds > 0 {
-		st, err = s.solveRootWithCuts(root)
-	} else {
-		st, err = s.solveRoot(root, rootSeed)
+	// The tree's rows are fixed once the root's cuts are in, and a root
+	// that runs none has them from the start: compile them once, and solve
+	// a cut-free root through the compiled model too.
+	cuts := rootSeed == nil && s.opts.RootCutRounds > 0
+	if cuts {
+		if err := s.solveRootWithCuts(root); err != nil {
+			return Result{}, err
+		}
 	}
-	if err != nil {
+	var err error
+	if s.model, err = lp.NewModel(s.base); err != nil {
 		return Result{}, err
 	}
+	defer s.model.Release()
+	if !cuts {
+		if err := s.solveRoot(root, rootSeed); err != nil {
+			return Result{}, err
+		}
+	}
+	s.countLP(root.relax)
+	root.bound = root.relax.Objective + s.objOff
+	st := root.relax.Status
 	s.rootWarm = st == lp.Optimal && rootSeed != nil && root.relax.Warm
 	switch st {
 	case lp.Unbounded:
@@ -463,12 +477,6 @@ func (s *solver) run() (Result, error) {
 	case lp.IterLimit:
 		return Result{}, fmt.Errorf("milp: root relaxation: %w", lp.ErrIterLimit)
 	}
-
-	// The root and its cuts have fixed the tree's rows: compile them once.
-	if s.model, err = lp.NewModel(s.base); err != nil {
-		return Result{}, err
-	}
-	defer s.model.Release()
 
 	s.enqueue(h, root)
 
@@ -991,10 +999,10 @@ func (s *solver) pruned(bound float64) bool {
 
 // solveRootWithCuts strengthens the root relaxation with Gomory rounds;
 // the generated cuts are valid globally and shared by every node.
-func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
+func (s *solver) solveRootWithCuts(root *node) error {
 	gr, err := lp.SolveGomory(&s.work.LP, nil, s.opts.RootCutRounds)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if len(gr.Cuts) > 0 {
 		s.base = withRows(&s.work.LP, gr.Cuts)
@@ -1002,9 +1010,12 @@ func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
 	}
 	s.stats.CutRounds = gr.Rounds
 	// The Gomory solution (and its basis) belongs to the cut-augmented
-	// problem, which is exactly the node's LP from here on.
-	s.setRelax(root, &gr.Solution)
-	return root.relax.Status, nil
+	// problem, which is exactly the node's LP from here on. The node holds
+	// it in a result struct from the free list, whose own buffers give way
+	// to SolveGomory's; it goes back to the list like any node's.
+	root.relax = s.takeResult()
+	*root.relax = gr.Solution
+	return nil
 }
 
 // withRows returns p with rows appended. The result shares p's rows,
@@ -1017,16 +1028,15 @@ func withRows(p *lp.Problem, rows []lp.Constraint) *lp.Problem {
 	return &q
 }
 
-// solveRoot solves the root relaxation of the base problem, warm from
-// seed when one is given (a basis that no longer fits falls back cold
-// inside lp.SolveFrom), and stores bound/solution.
-func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
-	sol, err := lp.SolveFrom(s.base, seed, nil)
-	if err != nil {
-		return 0, err
-	}
-	s.setRelax(root, &sol)
-	return sol.Status, nil
+// solveRoot solves a root that runs no cuts through the tree's model into
+// a result from the free list. The seed is restored into the scratch's
+// Start, which serves no node before the root is solved; a nil seed, or
+// one that does not fit or is rejected, solves cold inside
+// Model.SolveFrom.
+func (s *solver) solveRoot(root *node, seed *lp.Basis) error {
+	s.model.Restore(&s.sc.start, seed)
+	root.relax = s.takeResult()
+	return s.model.SolveFrom(root.relax, root.lo, root.hi, &s.sc.start)
 }
 
 // solveRelax solves a child's LP relaxation under the bounds lo/hi
@@ -1036,7 +1046,7 @@ func (s *solver) solveRoot(root *node, seed *lp.Basis) (lp.Status, error) {
 // restore was rejected, inside Model.SolveFrom. ok reports whether the LP
 // settled the child: optimal or infeasible.
 func (s *solver) solveRelax(c *child, lo, hi []float64, start *lp.Start) (st lp.Status, ok bool) {
-	if err := s.model.SolveFrom(c.relax, lo, hi, start, nil); err != nil {
+	if err := s.model.SolveFrom(c.relax, lo, hi, start); err != nil {
 		return 0, false
 	}
 	s.countLP(c.relax)
@@ -1058,17 +1068,6 @@ var (
 	onEnqueue func(s *solver, parent, kid *node)
 	onPop     func(s *solver, n *node)
 )
-
-// setRelax records the root's relaxation, a result the one-shot path
-// allocated, and its bound, and folds the solve into the statistics. The
-// node holds it in a result struct from the free list, whose own buffers
-// give way to the one-shot's; it goes back to the list like any node's.
-func (s *solver) setRelax(n *node, sol *lp.Solution) {
-	s.countLP(sol)
-	n.relax = s.takeResult()
-	*n.relax = *sol
-	n.bound = sol.Objective + s.objOff
-}
 
 // countLP folds one node LP solve into the search statistics.
 func (s *solver) countLP(sol *lp.Solution) {

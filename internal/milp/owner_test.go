@@ -91,7 +91,7 @@ func TestNodesOwnTheirResults(t *testing.T) {
 		}
 		q := *s.base
 		q.Lo, q.Hi = kid.lo, kid.hi
-		sol, err := lp.SolveFrom(&q, parent.relax.Basis, nil)
+		sol, err := lp.SolveFrom(&q, parent.relax.Basis)
 		if err != nil {
 			t.Error(err)
 			return

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -153,6 +154,65 @@ func TestPresolveMapsRootBasis(t *testing.T) {
 		}
 		if len(red.P.LP.Constraints) != len(tc.want) || !slices.Equal(red.basis, tc.want) {
 			t.Errorf("%s: mapped basis %v over %d rows, want %v", tc.name, red.basis, len(red.P.LP.Constraints), tc.want)
+		}
+	}
+}
+
+// A root that runs no cuts solves through the tree's compiled model, from
+// its seed restored into the scratch's Start. Its result must be bit for
+// bit the one-shot lp.SolveFrom of the searched problem from that seed:
+// X, Duals, objective, pivots, path and basis. The root is read at the
+// first pop of the search, on a structurally seeded solve (warm in 0
+// pivots), on one seeded with the all-slack basis (warm dual pivots) and
+// on an unseeded solve with RootCutRounds 0 (cold).
+func TestCutFreeRootMatchesOneShot(t *testing.T) {
+	fig3 := fig3MILP(t, 100)
+	slack := make([]int32, len(fig3.LP.Constraints))
+	for i := range slack {
+		slack[i] = -1
+	}
+	defer func() { onPop = nil }()
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		opts *Options
+		warm bool
+	}{
+		{"structural seed", recipeProblem(), &Options{RootCutRounds: 4, RootBasis: recipeBasis()}, true},
+		{"all-slack seed", fig3, &Options{RootBasis: slack}, true},
+		{"unseeded, no cuts", fig3, &Options{RootCutRounds: 0}, false},
+	} {
+		pops := 0
+		onPop = func(s *solver, n *node) {
+			if pops++; pops > 1 {
+				return
+			}
+			var seed *lp.Basis
+			if s.opts.RootBasis != nil {
+				seed = lp.NewBasis(s.base.NumVars(), s.opts.RootBasis)
+			}
+			want, err := lp.SolveFrom(s.base, seed)
+			if err != nil {
+				t.Fatalf("%s: one-shot root: %v", tc.name, err)
+			}
+			got := n.relax
+			switch {
+			case got.Status != lp.Optimal || want.Status != lp.Optimal:
+				t.Errorf("%s: root status %v, one-shot %v", tc.name, got.Status, want.Status)
+			case got.Warm != tc.warm || want.Warm != tc.warm:
+				t.Errorf("%s: root warm %v, one-shot warm %v, want %v", tc.name, got.Warm, want.Warm, tc.warm)
+			case got.Iterations != want.Iterations:
+				t.Errorf("%s: root took %d pivots, one-shot %d", tc.name, got.Iterations, want.Iterations)
+			case !slices.Equal(bits(got.X), bits(want.X)) || !slices.Equal(bits(got.Duals), bits(want.Duals)) ||
+				math.Float64bits(got.Objective) != math.Float64bits(want.Objective):
+				t.Errorf("%s: root X, Duals or objective differ from the one-shot solve", tc.name)
+			case !reflect.DeepEqual(*got.Basis, *want.Basis):
+				t.Errorf("%s: root basis differs from the one-shot solve", tc.name)
+			}
+		}
+		solveOK(t, tc.p, tc.opts)
+		if pops == 0 {
+			t.Errorf("%s: the search popped no root", tc.name)
 		}
 	}
 }

@@ -203,11 +203,9 @@ func TestEnqueuedChildOwnsItsBounds(t *testing.T) {
 	}
 	defer s.model.Release()
 	root := &node{lo: slices.Clone(s.p.LP.Lo), hi: slices.Clone(s.p.LP.Hi)}
-	sol, err := lp.Solve(s.base, nil)
-	if err != nil {
+	if err := s.solveRoot(root, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.setRelax(root, &sol)
 	j := slices.IndexFunc(root.relax.X, func(v float64) bool { return v != math.Floor(v) })
 	if j < 0 {
 		t.Fatalf("root relaxation %v is integral", root.relax.X)

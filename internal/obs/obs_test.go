@@ -145,12 +145,12 @@ func TestNilRecorderAndWindowSafe(t *testing.T) {
 	if r.Last(10) != nil || r.Total() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
-	var w *Window
+	var w *Recorder[float64]
 	w.Add(1)
-	if w.Count() != 0 {
+	if w.Total() != 0 {
 		t.Fatal("nil window not inert")
 	}
-	qs := w.Quantiles(0.5)
+	qs := Quantiles(w.Last(0), 0.5)
 	if !math.IsNaN(qs[0]) {
 		t.Fatalf("nil window quantile = %v, want NaN", qs[0])
 	}
@@ -195,16 +195,19 @@ func TestRecorderPartialFill(t *testing.T) {
 }
 
 func TestWindowQuantiles(t *testing.T) {
-	w := NewWindow(100)
+	w := NewRecorder[float64](100)
 	for i := 1; i <= 100; i++ {
 		w.Add(float64(i))
 	}
-	qs := w.Quantiles(0, 0.5, 0.99, 1)
+	qs := Quantiles(w.Last(0), 0, 0.5, 0.99, 1)
 	if qs[0] != 1 {
 		t.Fatalf("q0 = %v, want 1", qs[0])
 	}
-	if qs[1] < 49 || qs[1] > 51 {
-		t.Fatalf("median = %v, want ~50", qs[1])
+	if qs[1] != 50 {
+		t.Fatalf("median = %v, want 50 (index ⌊0.5·99⌋ of 1..100)", qs[1])
+	}
+	if qs[2] != 99 {
+		t.Fatalf("q0.99 = %v, want 99 (index ⌊0.99·99⌋ of 1..100)", qs[2])
 	}
 	if qs[3] != 100 {
 		t.Fatalf("q1 = %v, want 100", qs[3])
@@ -213,17 +216,21 @@ func TestWindowQuantiles(t *testing.T) {
 	for i := 101; i <= 200; i++ {
 		w.Add(float64(i))
 	}
-	if med := w.Quantiles(0.5)[0]; med < 149 || med > 151 {
-		t.Fatalf("slid median = %v, want ~150", med)
+	if med := Quantiles(w.Last(0), 0.5)[0]; med != 150 {
+		t.Fatalf("slid median = %v, want 150", med)
 	}
-	if w.Count() != 200 {
-		t.Fatalf("Count = %d, want 200", w.Count())
+	if w.Total() != 200 {
+		t.Fatalf("Total = %d, want 200", w.Total())
+	}
+	// Out-of-range quantiles clamp to the extremes.
+	if qs := Quantiles([]float64{3, 1, 2}, -1, 2); qs[0] != 1 || qs[1] != 3 {
+		t.Fatalf("clamped quantiles = %v, want [1 3]", qs)
 	}
 }
 
 func TestWindowEmptyQuantilesNaN(t *testing.T) {
-	w := NewWindow(16)
-	for _, q := range w.Quantiles(0.5, 0.99) {
+	w := NewRecorder[float64](16)
+	for _, q := range Quantiles(w.Last(0), 0.5, 0.99) {
 		if !math.IsNaN(q) {
 			t.Fatalf("empty window quantile = %v, want NaN", q)
 		}

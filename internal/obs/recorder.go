@@ -6,8 +6,10 @@ import (
 	"sync"
 )
 
-// Recorder is a fixed-size ring of the most recent records (a daemon's
-// solve flight recorder keeps the entries it serves on /debug/solves).
+// Recorder is a fixed-size ring of the most recent records: a daemon's
+// solve flight recorder keeps the entries it serves on /debug/solves, and
+// a Recorder[float64] is the sliding window of observations a /metrics
+// summary reads its Quantiles from.
 // All methods are safe for concurrent use and safe on a nil receiver (a
 // nil recorder drops everything), so callers never guard the disabled
 // case.
@@ -83,81 +85,29 @@ func (r *Recorder[T]) Total() int64 {
 	return r.total
 }
 
-// Window is a sliding window of float64 observations with quantile
-// estimation, backing the /metrics summaries (solve latency, queue
-// wait, per-worker dispatch RTT). Safe for concurrent use.
-type Window struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int
-	n    int64
-}
-
-// NewWindow returns a window over the last size observations; size <= 0
-// selects 1024.
-func NewWindow(size int) *Window {
-	if size <= 0 {
-		size = 1024
-	}
-	return &Window{buf: make([]float64, 0, size)}
-}
-
-// Add records one observation.
-func (w *Window) Add(v float64) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.n++
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, v)
-		return
-	}
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-}
-
-// Count is the total number of observations ever added.
-func (w *Window) Count() int64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-// Quantiles returns the requested quantiles (each in [0,1]) over the
-// current window, or NaNs when the window is empty.
-func (w *Window) Quantiles(qs ...float64) []float64 {
+// Quantiles returns the requested quantiles (each in [0,1]) of samples,
+// or NaNs when there are none: quantile q is the sample at index
+// ⌊q·(len−1)⌋ of the sorted samples. It sorts samples in place, so a
+// caller passes a copy, such as the Recorder.Last(0) the /metrics
+// summaries (solve latency, queue wait, per-worker dispatch RTT) read.
+func Quantiles(samples []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	if w == nil {
+	if len(samples) == 0 {
 		for i := range out {
 			out[i] = math.NaN()
 		}
 		return out
 	}
-	w.mu.Lock()
-	vals := make([]float64, len(w.buf))
-	copy(vals, w.buf)
-	w.mu.Unlock()
-	if len(vals) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sort.Float64s(vals)
+	sort.Float64s(samples)
 	for i, q := range qs {
-		idx := int(q * float64(len(vals)-1))
+		idx := int(q * float64(len(samples)-1))
 		if idx < 0 {
 			idx = 0
 		}
-		if idx >= len(vals) {
-			idx = len(vals) - 1
+		if idx >= len(samples) {
+			idx = len(samples) - 1
 		}
-		out[i] = vals[idx]
+		out[i] = samples[idx]
 	}
 	return out
 }

@@ -93,7 +93,7 @@ type member[W any] struct {
 	dispatched int64
 	succeeded  int64
 	faults     int64
-	rtt        *obs.Window // successful dispatch round trips, ms
+	rtt        *obs.Recorder[float64] // successful dispatch round trips, ms
 }
 
 // free returns the member's free seats: its capacity less the tasks in
@@ -238,7 +238,7 @@ func (p *Pool[W]) AddWorker(spec RemoteSpec[W]) int {
 		m.Capacity = spec.Capacity
 		return w
 	}
-	p.members = append(p.members, member[W]{RemoteSpec: spec, rtt: obs.NewWindow(rttWindow)})
+	p.members = append(p.members, member[W]{RemoteSpec: spec, rtt: obs.NewRecorder[float64](rttWindow)})
 	return len(p.members) - 1
 }
 
@@ -370,8 +370,8 @@ func (p *Pool[W]) Stats() []WorkerStatus {
 			Healthy:    !backingOff && !m.removed,
 			Removed:    m.removed,
 		}
-		if n := m.rtt.Count(); n > 0 {
-			qs := m.rtt.Quantiles(0.5, 0.99)
+		if n := m.rtt.Total(); n > 0 {
+			qs := obs.Quantiles(m.rtt.Last(0), 0.5, 0.99)
 			out[i].RTTSamples, out[i].RTTp50Ms, out[i].RTTp99Ms = n, qs[0], qs[1]
 		}
 	}

@@ -27,8 +27,8 @@ type metrics struct {
 	lpIterations int64
 	lpSolves     int64
 
-	lat *obs.Window // solve/batch request latencies, ms
-	qw  *obs.Window // per-solve queue waits (lease acquisition), ms
+	lat *obs.Recorder[float64] // solve/batch request latencies, ms
+	qw  *obs.Recorder[float64] // per-solve queue waits (lease acquisition), ms
 
 	// Session re-solve accounting (/v1/sessions): committed re-solves
 	// split by path (warm = seeded from the previous optimum), machine
@@ -38,8 +38,8 @@ type metrics struct {
 	sessCold       int64
 	sessChurnMoves int64
 	sessChurnBase  int64
-	sessWarmMs     *obs.Window
-	sessColdMs     *obs.Window
+	sessWarmMs     *obs.Recorder[float64]
+	sessColdMs     *obs.Recorder[float64]
 }
 
 type reqKey struct {
@@ -50,10 +50,10 @@ type reqKey struct {
 func newMetrics() *metrics {
 	return &metrics{
 		requests:   make(map[reqKey]int64),
-		lat:        obs.NewWindow(latencyWindow),
-		qw:         obs.NewWindow(latencyWindow),
-		sessWarmMs: obs.NewWindow(latencyWindow),
-		sessColdMs: obs.NewWindow(latencyWindow),
+		lat:        obs.NewRecorder[float64](latencyWindow),
+		qw:         obs.NewRecorder[float64](latencyWindow),
+		sessWarmMs: obs.NewRecorder[float64](latencyWindow),
+		sessColdMs: obs.NewRecorder[float64](latencyWindow),
 	}
 }
 
@@ -352,10 +352,11 @@ func writeFleet(w io.Writer, fleet *rentmin.SolverPool) {
 
 // windowQuantiles returns (p50, p99) over a latency window, (0, 0)
 // while it is empty: /metrics never prints NaN.
-func windowQuantiles(w *obs.Window) (p50, p99 float64) {
-	if w.Count() == 0 {
+func windowQuantiles(w *obs.Recorder[float64]) (p50, p99 float64) {
+	samples := w.Last(0)
+	if len(samples) == 0 {
 		return 0, 0
 	}
-	qs := w.Quantiles(0.50, 0.99)
+	qs := obs.Quantiles(samples, 0.50, 0.99)
 	return qs[0], qs[1]
 }

@@ -517,7 +517,12 @@ type itemResult struct {
 	queued    time.Time     // when run claimed the item: the start of its queue phase
 	queueWait time.Duration // time spent waiting for a worker lease
 	dur       time.Duration // time spent solving
-	tr        *obs.Trace    // the item's search trace; nil unless the request opted into stats
+
+	// The item's search trajectory, taken once after its step; empty
+	// unless the request opted into stats.
+	incumbents []obs.IncumbentPoint
+	rounds     []obs.RoundPoint
+	truncated  bool
 }
 
 // run runs one solve step of rq and accounts for it: it waits for a
@@ -546,14 +551,16 @@ func (s *Server) run(ctx context.Context, rq request, endpoint string, item int,
 	if err == nil {
 		res.leased = true
 		ctx, cancel := context.WithTimeout(ctx, rq.limit)
+		var tr *obs.Trace
 		if rq.stats {
-			res.tr = obs.NewTrace(rq.start)
-			ctx = obs.WithTrace(ctx, res.tr)
+			tr = obs.NewTrace(rq.start)
+			ctx = obs.WithTrace(ctx, tr)
 		}
 		res.sol, res.err = guard(ctx, step)
 		releaseLease()
 		res.dur = time.Since(granted)
 		cancel()
+		res.incumbents, res.rounds, res.truncated = tr.Trajectory()
 	}
 	s.recordSolve(solveRecord(&rq, endpoint, item, res), attrs...)
 	return res

@@ -665,7 +665,7 @@ func TestSessionResolvesAreRecorded(t *testing.T) {
 	if recs.Solves[2].Cost != 124 || !recs.Solves[2].Proven || recs.Solves[2].LPSolves <= 0 {
 		t.Errorf("create record %+v, want proven cost 124 with search counters", recs.Solves[2])
 	}
-	if n := s.met.qw.Count(); n != 3 {
+	if n := s.met.qw.Total(); n != 3 {
 		t.Errorf("rentmind_queue_wait_ms holds %d samples, want 3", n)
 	}
 }

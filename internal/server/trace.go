@@ -48,9 +48,8 @@ func solveRecord(rq *request, endpoint string, item int, res itemResult) client.
 	if res.err != nil {
 		rec.Error = res.err.Error()
 	}
-	incs, rounds, _ := res.tr.Trajectory()
-	rec.Incumbents = len(incs)
-	rec.Rounds = len(rounds)
+	rec.Incumbents = len(res.incumbents)
+	rec.Rounds = len(res.rounds)
 	return rec
 }
 
@@ -71,7 +70,7 @@ func solveStats(rq *request, res itemResult) *client.SolveStats {
 			{Name: "solve", StartMs: ms(queued + res.queueWait), DurMs: ms(res.dur)},
 		},
 	}
-	out.Incumbents, out.Rounds, out.TrajectoryTruncated = res.tr.Trajectory()
+	out.Incumbents, out.Rounds, out.TrajectoryTruncated = res.incumbents, res.rounds, res.truncated
 	return out
 }
 

@@ -121,6 +121,39 @@ func TestBatchStatsBlock(t *testing.T) {
 	}
 }
 
+// TestDebugRecordCountsMatchStats: a stats item's flight-recorder record
+// counts exactly the trajectory points its wire stats block carries, both
+// read from the one trajectory run takes after the item's step.
+func TestDebugRecordCountsMatchStats(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	problems := []*rentmin.Problem{fastProblem(40), fastProblem(70), fastProblem(100)}
+	sols, err := c.SolveBatch(ctx, problems, &client.Options{Stats: true})
+	if err != nil {
+		t.Fatalf("SolveBatch: %v", err)
+	}
+	recs, err := c.DebugSolves(ctx, 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	if len(recs.Solves) != len(sols) {
+		t.Fatalf("flight recorder holds %d records, want %d", len(recs.Solves), len(sols))
+	}
+	for _, rec := range recs.Solves {
+		if rec.Endpoint != "batch" || rec.Item < 0 || rec.Item >= len(sols) {
+			t.Fatalf("record %s/%d, want a batch item", rec.Endpoint, rec.Item)
+		}
+		st := sols[rec.Item].Stats
+		if st == nil || len(st.Incumbents) == 0 {
+			t.Fatalf("item %d: stats %+v, want a trajectory", rec.Item, st)
+		}
+		if rec.TraceID != st.TraceID || rec.Incumbents != len(st.Incumbents) || rec.Rounds != len(st.Rounds) {
+			t.Errorf("item %d: record %s counts %d incumbents and %d rounds; wire %s carries %d and %d",
+				rec.Item, rec.TraceID, rec.Incumbents, rec.Rounds, st.TraceID, len(st.Incumbents), len(st.Rounds))
+		}
+	}
+}
+
 func TestStatsOmittedWithoutOptIn(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	sol, err := c.Solve(context.Background(), fastProblem(40), nil)
@@ -513,7 +546,7 @@ func TestLeaseWaitAtDrainIsRecorded(t *testing.T) {
 	if len(recs.Solves) != 2 || got["solve"] != 1 || got["session"] != 1 {
 		t.Errorf("flight recorder holds %d records (%v), want one solve and one session", len(recs.Solves), got)
 	}
-	if n := s.met.qw.Count(); n != 2 {
+	if n := s.met.qw.Total(); n != 2 {
 		t.Errorf("rentmind_queue_wait_ms holds %d samples, want 2", n)
 	}
 }

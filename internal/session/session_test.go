@@ -316,9 +316,10 @@ func TestSessionRootBasisChain(t *testing.T) {
 var raceEnabled bool
 
 // One warm event allocates a bounded number of objects: the event copies
-// only what it changes, the root LP starts solved, and the search's child
+// only what it changes, the root LP starts solved and solves through the
+// tree's compiled model into a pooled result, and the search's child
 // LPs, nodes and presolve run in pooled scratch. The paper's example at
-// target 70 runs target 80 and back per call; 49.5 objects per event is
+// target 70 runs target 80 and back per call; 45.5 objects per event is
 // the measured count.
 func TestSessionEventAllocs(t *testing.T) {
 	if raceEnabled {
@@ -338,8 +339,8 @@ func TestSessionEventAllocs(t *testing.T) {
 			}
 		}
 	})
-	if perEvent := perPair / 2; perEvent > 49.5 {
-		t.Errorf("one target change allocates %.1f objects, want at most 49.5", perEvent)
+	if perEvent := perPair / 2; perEvent > 45.5 {
+		t.Errorf("one target change allocates %.1f objects, want at most 45.5", perEvent)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestStructuralRootBasisIsWarm(t *testing.T) {
 		minRate := slices.Min(m.UnitRate)
 		for _, target := range []int{1, 7, 70, 200} {
 			prob := BuildMILP(m, target)
-			sol, err := lp.SolveFrom(&prob.LP, lp.NewBasis(prob.LP.NumVars(), structuralBasis(m)), nil)
+			sol, err := lp.SolveFrom(&prob.LP, lp.NewBasis(prob.LP.NumVars(), structuralBasis(m)))
 			if err != nil {
 				t.Fatalf("model %d target %d: %v", i, target, err)
 			}
