@@ -195,7 +195,7 @@ func (d *answerReader) state(st *SessionState) {
 		case 6:
 			st.Cost = int64(d.Int())
 		case 7:
-			d.allocation(&st.Allocation)
+			d.allocation(&st.Alloc)
 		case 8:
 			st.Offline = d.intArray()
 		case 9:

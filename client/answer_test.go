@@ -242,8 +242,8 @@ func TestAnswerDecodeAllocs(t *testing.T) {
 	events := client.SessionEventsResponse{
 		Results: []client.SessionResolve{{Seq: 12, Kind: "price_change", Status: "optimal", Allocation: &sessAlloc,
 			Warm: true, RootLPWarm: true, Churn: 3, SolveMs: 1.5, SearchStats: fullStats()}},
-		State: client.SessionState{ID: "0123456789abcdef", Events: 12, Graphs: 40, Tasks: 130, Target: 150, Feasible: true,
-			Cost: 123456, Allocation: sessAlloc, Offline: []int{4, 9}, WarmResolves: 10, ColdResolves: 2, ChurnMoves: 40, ChurnRatio: 0.25},
+		State: client.SessionState{ID: "0123456789abcdef", SessionState: rentmin.SessionState{Events: 12, Graphs: 40, Tasks: 130, Target: 150,
+			Feasible: true, Cost: 123456, Alloc: sessAlloc, Offline: []int{4, 9}, WarmResolves: 10, ColdResolves: 2, ChurnMoves: 40, ChurnRatio: 0.25}},
 	}
 	for _, c := range []struct {
 		name  string

@@ -208,29 +208,9 @@ type RegisterWorkerRequest struct {
 }
 
 // FleetWorker is one fleet member in a GET /v1/workers response: the
-// wire form of the coordinator's per-worker health snapshot.
-type FleetWorker struct {
-	// Endpoint is the worker's base URL (its dispatcher name).
-	Endpoint string `json:"endpoint"`
-	// Capacity is the worker's discovered in-flight cap.
-	Capacity int `json:"capacity"`
-	// InFlight counts solves currently dispatched to the worker.
-	InFlight int `json:"in_flight"`
-	// Dispatched/Succeeded/Faults are cumulative dispatch outcomes.
-	Dispatched int64 `json:"dispatched"`
-	Succeeded  int64 `json:"succeeded"`
-	Faults     int64 `json:"faults"`
-	// Healthy is false while the worker backs off after faults or has
-	// been removed; Removed marks members that left the fleet (manual
-	// removal or strike eviction).
-	Healthy bool `json:"healthy"`
-	Removed bool `json:"removed"`
-	// RTTSamples counts measured dispatch round trips; RTTp50Ms/RTTp99Ms
-	// are quantiles over a sliding window of the most recent ones.
-	RTTSamples int64   `json:"rtt_samples,omitempty"`
-	RTTp50Ms   float64 `json:"rtt_p50_ms,omitempty"`
-	RTTp99Ms   float64 `json:"rtt_p99_ms,omitempty"`
-}
+// coordinator's per-worker health snapshot, served as is. Its Name is the
+// worker's base URL (wire key "endpoint").
+type FleetWorker = rentmin.WorkerStatus
 
 // FleetResponse is the body of GET /v1/workers and of a successful
 // POST /v1/workers (the fleet after the registration took effect).
@@ -370,33 +350,11 @@ type SessionResolve struct {
 
 // SessionState is a point-in-time session snapshot: the body of
 // GET /v1/sessions/{id} and the closing field of every session response.
+// ID is the session's identifier (path parameter of the session
+// endpoints); the rest is the daemon's own snapshot.
 type SessionState struct {
-	// ID is the session's identifier (path parameter of the session
-	// endpoints).
 	ID string `json:"id"`
-	// Events is the sequence number of the last committed event (0 right
-	// after creation — the initial solve is Seq 0); Graphs and Tasks
-	// size the current problem; Target is the current fleet-wide target.
-	Events int `json:"events"`
-	Graphs int `json:"graphs"`
-	Tasks  int `json:"tasks"`
-	Target int `json:"target"`
-	// Feasible is false while the session is in an infeasible state
-	// (outages removed every graph); Cost and Allocation are the current
-	// committed optimum otherwise.
-	Feasible   bool       `json:"feasible"`
-	Cost       int64      `json:"cost"`
-	Allocation Allocation `json:"allocation"`
-	// Offline lists the machine types currently under an outage.
-	Offline []int `json:"offline,omitempty"`
-	// WarmResolves/ColdResolves split the session's committed re-solves
-	// by path; ChurnMoves accumulates machine moves across them, and
-	// ChurnRatio is moves per fleet-machine across the session's life
-	// (0 when no machines were ever allocated).
-	WarmResolves int     `json:"warm_resolves"`
-	ColdResolves int     `json:"cold_resolves"`
-	ChurnMoves   int64   `json:"churn_moves"`
-	ChurnRatio   float64 `json:"churn_ratio"`
+	rentmin.SessionState
 }
 
 // CreateSessionResponse is the body of a successful POST /v1/sessions.

@@ -17,6 +17,16 @@ import (
 // ilpName labels the exact solver column in reports.
 const ilpName = "ILP"
 
+// columnNames labels a report's columns: the exact solver, then algos.
+func columnNames(algos []heuristics.Algorithm) []string {
+	names := make([]string, 0, len(algos)+1)
+	names = append(names, ilpName)
+	for _, a := range algos {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 // cell is one (algorithm, configuration, target) measurement.
 type cell struct {
 	cost    int64
@@ -73,11 +83,7 @@ func RunSweepContext(ctx context.Context, s Setting) (*SweepResult, error) {
 	if s.IncludeH0 {
 		algos = heuristics.WithH0()
 	}
-	names := make([]string, 0, len(algos)+1)
-	names = append(names, ilpName)
-	for _, a := range algos {
-		names = append(names, a.Name)
-	}
+	names := columnNames(algos)
 
 	// grid[algo][target][config]
 	grid := make([][][]cell, len(names))

@@ -24,9 +24,7 @@ type Table3Row struct {
 }
 
 // Table3Names lists the columns of Table III in paper order.
-func Table3Names() []string {
-	return []string{"ILP", "H1", "H2", "H31", "H32", "H32Jump"}
-}
+func Table3Names() []string { return columnNames(heuristics.All()) }
 
 // RunTable3 reproduces the Section VII illustrating example: the
 // three-recipe application of Figure 2 on the Table II platform, solved

@@ -10,8 +10,6 @@ import (
 type Algorithm struct {
 	// Name is the paper's label (H0, H1, H2, H31, H32, H32Jump).
 	Name string
-	// Stochastic reports whether the algorithm consumes randomness.
-	Stochastic bool
 	// Run executes the heuristic. Deterministic algorithms ignore src.
 	Run func(m *core.CostModel, target int, opts *Options, src *rng.Source) core.Allocation
 }
@@ -24,16 +22,16 @@ func All() []Algorithm {
 		{Name: "H1", Run: func(m *core.CostModel, t int, _ *Options, _ *rng.Source) core.Allocation {
 			return H1(m, t)
 		}},
-		{Name: "H2", Stochastic: true, Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
+		{Name: "H2", Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
 			return H2(m, t, o, s)
 		}},
-		{Name: "H31", Stochastic: true, Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
+		{Name: "H31", Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
 			return H31(m, t, o, s)
 		}},
 		{Name: "H32", Run: func(m *core.CostModel, t int, o *Options, _ *rng.Source) core.Allocation {
 			return H32(m, t, o)
 		}},
-		{Name: "H32Jump", Stochastic: true, Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
+		{Name: "H32Jump", Run: func(m *core.CostModel, t int, o *Options, s *rng.Source) core.Allocation {
 			return H32Jump(m, t, o, s)
 		}},
 	}
@@ -41,7 +39,7 @@ func All() []Algorithm {
 
 // WithH0 returns All plus the H0 random-split baseline in front.
 func WithH0() []Algorithm {
-	h0 := Algorithm{Name: "H0", Stochastic: true, Run: func(m *core.CostModel, t int, _ *Options, s *rng.Source) core.Allocation {
+	h0 := Algorithm{Name: "H0", Run: func(m *core.CostModel, t int, _ *Options, s *rng.Source) core.Allocation {
 		return H0(m, t, s)
 	}}
 	return append([]Algorithm{h0}, All()...)

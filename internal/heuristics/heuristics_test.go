@@ -75,13 +75,12 @@ func TestH0CoversCompositions(t *testing.T) {
 	}
 }
 
+// TestStochasticHeuristicsDeterministicUnderSeed: every heuristic, those
+// that ignore their source included, repeats its answer under one seed.
 func TestStochasticHeuristicsDeterministicUnderSeed(t *testing.T) {
 	m := exampleModel(t)
 	opts := &Options{Iterations: 200, Delta: 10}
 	for _, alg := range WithH0() {
-		if !alg.Stochastic {
-			continue
-		}
 		a := alg.Run(m, 110, opts, rng.New(99))
 		b := alg.Run(m, 110, opts, rng.New(99))
 		if a.Cost != b.Cost {

@@ -213,8 +213,6 @@ type Result struct {
 	Objective float64   // incumbent objective
 	Bound     float64   // proven lower bound on the optimum
 	Elapsed   time.Duration
-	// Gap is (Objective-Bound)/max(1,|Objective|); zero when optimal.
-	Gap float64
 	SearchStats
 	// RootLPWarm reports whether the root relaxation started from
 	// Options.RootBasis (false when none was given, no root LP ran, or the
@@ -519,7 +517,6 @@ func (s *solver) run() (Result, error) {
 		res.Status = Infeasible
 	}
 	res.Bound = res.Objective
-	res.Gap = 0
 	return res, nil
 }
 
@@ -542,7 +539,6 @@ func (s *solver) runPresolve(basis []int32) (Result, bool) {
 			// cutoff, so infeasibility here proves no point improves on it.
 			res := s.result(Optimal)
 			res.Bound = res.Objective
-			res.Gap = 0
 			return res, true
 		}
 		return s.result(Infeasible), true
@@ -557,7 +553,6 @@ func (s *solver) runPresolve(basis []int32) (Result, bool) {
 		if s.hasBest {
 			res := s.result(Optimal)
 			res.Bound = res.Objective
-			res.Gap = 0
 			return res, true
 		}
 		return s.result(Infeasible), true
@@ -1167,7 +1162,6 @@ func (s *solver) limitResult(lowest float64) Result {
 	} else {
 		res.Status = NoSolution
 	}
-	res.Gap = gap(res.Objective, res.Bound)
 	return res
 }
 
@@ -1187,15 +1181,4 @@ func (s *solver) result(st Status) Result {
 		r.Bound = math.Inf(-1)
 	}
 	return r
-}
-
-func gap(obj, bound float64) float64 {
-	if math.IsInf(obj, 1) || math.IsInf(bound, -1) {
-		return math.Inf(1)
-	}
-	d := obj - bound
-	if d <= 0 {
-		return 0
-	}
-	return d / math.Max(1, math.Abs(obj))
 }

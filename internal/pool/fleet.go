@@ -40,39 +40,42 @@ type RemoteConfig struct {
 }
 
 // WorkerStatus is a point-in-time snapshot of one worker's health
-// inside a Pool, exported as the coordinator's worker gauges.
+// inside a Pool, exported as the coordinator's worker gauges and served
+// as is, one element per member, by GET /v1/workers.
 type WorkerStatus struct {
-	// Name identifies the worker; Capacity is its discovered in-flight cap.
-	Name     string
-	Capacity int
+	// Name identifies the worker (a remote worker's base URL, hence its
+	// wire key); Capacity is its discovered in-flight cap.
+	Name     string `json:"endpoint"`
+	Capacity int    `json:"capacity"`
 	// InFlight counts tasks currently dispatched to the worker.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// Dispatched counts tasks ever handed to the worker (re-dispatches
 	// of the same item count once per attempt).
-	Dispatched int64
+	Dispatched int64 `json:"dispatched"`
 	// Succeeded counts dispatches that returned without a worker fault.
-	Succeeded int64
+	Succeeded int64 `json:"succeeded"`
 	// Faults counts dispatches that ended in a worker fault.
-	Faults int64
+	Faults int64 `json:"faults"`
 	// Strikes is the current consecutive-fault count (reset by any
 	// success); BackingOff reports whether the worker is sitting out.
-	Strikes    int
-	BackingOff bool
+	// Both stay off the wire: Healthy sums them up there.
+	Strikes    int  `json:"-"`
+	BackingOff bool `json:"-"`
 	// Healthy is true while the worker is a live member that is not
 	// backing off after faults.
-	Healthy bool
+	Healthy bool `json:"healthy"`
 	// Removed reports the worker has left the fleet (RemoveWorker or
 	// strike eviction); it receives no new dispatches but its counters
 	// are kept so a rejoin resumes them.
-	Removed bool
+	Removed bool `json:"removed"`
 	// RTTSamples is the number of successful dispatch round trips
 	// measured; RTTp50Ms and RTTp99Ms are quantiles over a sliding window
 	// of the most recent ones (coordinator-observed: queue and solve time
 	// on the worker plus the wire). Zero samples means no dispatch has
-	// succeeded yet.
-	RTTSamples int64
-	RTTp50Ms   float64
-	RTTp99Ms   float64
+	// succeeded yet, and leaves all three off the wire.
+	RTTSamples int64   `json:"rtt_samples,omitempty"`
+	RTTp50Ms   float64 `json:"rtt_p50_ms,omitempty"`
+	RTTp99Ms   float64 `json:"rtt_p99_ms,omitempty"`
 }
 
 // rttWindow is the number of recent round trips each member's RTT

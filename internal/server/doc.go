@@ -82,8 +82,11 @@
 // queue and solve phases from the same clock readings. Leases
 // are the one bound on concurrent solves: a lease holder's solve starts
 // at once, except on an elastic coordinator (Config.WorkerDialer), whose
-// elasticLeases outnumber its fleet's seats, so a lease holder may wait
-// there for a worker seat.
+// elasticLeases (256) outnumber its fleet's seats, so a lease holder may
+// wait there for a worker seat. Session solves are not dispatched: a
+// coordinator runs a session's create and re-solves in process, under
+// the same elasticLeases and not under fleet seats, so on an elastic
+// coordinator up to 256 of them run at once on its own cores.
 //
 // # Cancellation
 //
@@ -109,6 +112,7 @@
 // SIGINT/SIGTERM. Config.SolverPool makes the daemon a coordinator over
 // a remote-backed fleet, in practice that of rentmin/client.NewFleet
 // (`rentmind -workers-endpoints`): the request path is unchanged, and
-// every leased solve is dispatched to a worker daemon.
+// every leased /v1/solve and /v1/batch solve is dispatched to a worker
+// daemon.
 // See docs/distributed.md.
 package server

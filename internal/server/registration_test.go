@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,7 +69,7 @@ func TestWorkerRegistrationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RegisterWorker: %v", err)
 	}
-	if len(fleet.Workers) != 1 || fleet.Workers[0].Endpoint != hs.URL || fleet.Workers[0].Capacity != 2 {
+	if len(fleet.Workers) != 1 || fleet.Workers[0].Name != hs.URL || fleet.Workers[0].Capacity != 2 {
 		t.Fatalf("fleet after registration = %+v, want [%s cap 2]", fleet.Workers, hs.URL)
 	}
 
@@ -118,6 +119,53 @@ func TestWorkerRegistrationLifecycle(t *testing.T) {
 	}
 	if n := len(liveWorkers(fleet)); n != 0 {
 		t.Errorf("fleet after deregistration has %d live workers, want 0: %+v", n, fleet.Workers)
+	}
+}
+
+// TestFleetListingCarriesRTT: GET /v1/workers serves the pool's own
+// worker snapshot, so the dispatch round-trip window /metrics exports is
+// on the listing too once a dispatch has succeeded.
+func TestFleetListingCarriesRTT(t *testing.T) {
+	_, c := newElasticCoordinator(t, Config{})
+	ctx := context.Background()
+	hs := startWorkerDaemon(t, 2)
+	if _, err := c.RegisterWorker(ctx, hs.URL); err != nil {
+		t.Fatalf("RegisterWorker: %v", err)
+	}
+	const solves = 3
+	for i := 0; i < solves; i++ {
+		if _, err := c.Solve(ctx, fastProblem(70), nil); err != nil {
+			t.Fatalf("Solve %d: %v", i, err)
+		}
+	}
+	resp, err := http.Get(serverURL(c) + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fleet struct {
+		Workers []map[string]json.RawMessage `json:"workers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/workers answered %d (%v)", resp.StatusCode, err)
+	}
+	if len(fleet.Workers) != 1 {
+		t.Fatalf("fleet lists %d workers, want 1", len(fleet.Workers))
+	}
+	w := fleet.Workers[0]
+	num := func(key string) float64 {
+		t.Helper()
+		var v float64
+		if err := json.Unmarshal(w[key], &v); err != nil {
+			t.Fatalf("key %q = %s: %v", key, w[key], err)
+		}
+		return v
+	}
+	if got, ok := num("rtt_samples"), num("succeeded"); got != solves || ok != solves {
+		t.Errorf("rtt_samples %g, succeeded %g, want both %d", got, ok, solves)
+	}
+	if p50, p99 := num("rtt_p50_ms"), num("rtt_p99_ms"); !(p50 > 0 && p50 <= p99) {
+		t.Errorf("rtt_p50_ms %g, rtt_p99_ms %g, want 0 < p50 <= p99", p50, p99)
 	}
 }
 

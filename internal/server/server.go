@@ -862,23 +862,9 @@ func (s *Server) coordinator(w http.ResponseWriter) bool {
 	return true
 }
 
-// fleetResponse snapshots the fleet in wire form.
+// fleetResponse snapshots the fleet.
 func (s *Server) fleetResponse() client.FleetResponse {
-	stats := s.fleet.WorkerStats()
-	resp := client.FleetResponse{Workers: make([]client.FleetWorker, len(stats))}
-	for i, ws := range stats {
-		resp.Workers[i] = client.FleetWorker{
-			Endpoint:   ws.Name,
-			Capacity:   ws.Capacity,
-			InFlight:   ws.InFlight,
-			Dispatched: ws.Dispatched,
-			Succeeded:  ws.Succeeded,
-			Faults:     ws.Faults,
-			Healthy:    ws.Healthy,
-			Removed:    ws.Removed,
-		}
-	}
-	return resp
+	return client.FleetResponse{Workers: s.fleet.WorkerStats()}
 }
 
 // handleWorkerRegister admits a worker into the coordinator's fleet: the

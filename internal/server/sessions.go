@@ -232,7 +232,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, client.CreateSessionResponse{
 		ID:     id,
 		Result: wireSessionResolve(resolve),
-		State:  wireSessionState(id, sess.State()),
+		State:  client.SessionState{ID: id, SessionState: sess.State()},
 	})
 }
 
@@ -294,7 +294,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, client.SessionEventsResponse{
 		Results: results,
-		State:   wireSessionState(entry.id, entry.sess.State()),
+		State:   client.SessionState{ID: entry.id, SessionState: entry.sess.State()},
 	})
 }
 
@@ -305,7 +305,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.sessions.release(entry)
-	s.writeJSON(w, http.StatusOK, wireSessionState(entry.id, entry.sess.State()))
+	s.writeJSON(w, http.StatusOK, client.SessionState{ID: entry.id, SessionState: entry.sess.State()})
 }
 
 // handleSessionDelete closes a session explicitly. It works during drain
@@ -426,27 +426,5 @@ func wireSessionResolve(res *rentmin.SessionResolve) client.SessionResolve {
 		Churn:       res.Churn,
 		SolveMs:     ms(res.SolveTime),
 		SearchStats: res.SearchStats,
-	}
-}
-
-func wireSessionState(id string, st rentmin.SessionState) client.SessionState {
-	ratio := 0.0
-	if st.ChurnBase > 0 {
-		ratio = float64(st.ChurnMoves) / float64(st.ChurnBase)
-	}
-	return client.SessionState{
-		ID:           id,
-		Events:       st.Events,
-		Graphs:       st.Graphs,
-		Tasks:        st.Tasks,
-		Target:       st.Target,
-		Feasible:     st.Feasible,
-		Cost:         st.Cost,
-		Allocation:   st.Alloc,
-		Offline:      st.Offline,
-		WarmResolves: st.WarmResolves,
-		ColdResolves: st.ColdResolves,
-		ChurnMoves:   st.ChurnMoves,
-		ChurnRatio:   ratio,
 	}
 }

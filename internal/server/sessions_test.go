@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 
 	"rentmin"
 	"rentmin/client"
+	"rentmin/internal/core"
 )
 
 // TestSessionRoundTrip drives one session through a representative event
@@ -713,5 +716,114 @@ func TestSessionCreateDeadlineBeforeStartIs504(t *testing.T) {
 	e := apiStatus(t, err)
 	if want := "time limit hit before any feasible allocation was found"; e.StatusCode != http.StatusGatewayTimeout || e.Message != want {
 		t.Errorf("create under a 1 ns limit: %d %q, want 504 %q", e.StatusCode, e.Message, want)
+	}
+}
+
+// sessionStateGolden is the session state, as the daemon writes it, after
+// a create and each of three events on the Section VII example at target
+// 70 (target 80, an outage of type 1, type 3 repriced to 60), then read
+// back by GET; the session ID reads "ID".
+var sessionStateGolden = []string{
+	`{"id":"ID","events":0,"graphs":3,"tasks":6,"target":70,"feasible":true,"cost":124,"allocation":{"graph_throughput":[10,30,30],"machines":[3,2,1,1],"cost":124},"warm_resolves":0,"cold_resolves":1,"churn_moves":7,"churn_ratio":1}`,
+	`{"id":"ID","events":1,"graphs":3,"tasks":6,"target":80,"feasible":true,"cost":134,"allocation":{"graph_throughput":[20,60,0],"machines":[0,1,2,2],"cost":134},"warm_resolves":1,"cold_resolves":1,"churn_moves":13,"churn_ratio":1.0833333333333333}`,
+	`{"id":"ID","events":2,"graphs":3,"tasks":6,"target":80,"feasible":true,"cost":141,"allocation":{"graph_throughput":[0,80,0],"machines":[0,0,3,2],"cost":141},"offline":[1],"warm_resolves":2,"cold_resolves":1,"churn_moves":15,"churn_ratio":0.8823529411764706}`,
+	`{"id":"ID","events":3,"graphs":3,"tasks":6,"target":80,"feasible":true,"cost":195,"allocation":{"graph_throughput":[0,80,0],"machines":[0,0,3,2],"cost":195},"offline":[1],"warm_resolves":3,"cold_resolves":1,"churn_moves":15,"churn_ratio":0.6818181818181818}`,
+	`{"id":"ID","events":3,"graphs":3,"tasks":6,"target":80,"feasible":true,"cost":195,"allocation":{"graph_throughput":[0,80,0],"machines":[0,0,3,2],"cost":195},"offline":[1],"warm_resolves":3,"cold_resolves":1,"churn_moves":15,"churn_ratio":0.6818181818181818}`,
+}
+
+// TestSessionStateWireBytes holds the session-state wire form to its
+// golden bytes: the daemon's rendering in the create, events and get
+// bodies, and a client's decode-then-marshal of each state, whether it
+// came through the events answer scan or encoding/json.
+func TestSessionStateWireBytes(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	events := []client.SessionEvent{
+		client.TargetChangeEvent(80),
+		client.OutageEvent(1),
+		client.PriceChangeEvent(3, 60),
+	}
+	var raw []string
+	post := func(path string, req interface{}) map[string]json.RawMessage {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(c.BaseURL()+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var fields map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s answered %d (%v)", path, resp.StatusCode, err)
+		}
+		return fields
+	}
+	created := post("/v1/sessions", client.CreateSessionRequest{Problem: core.AppendProblem(nil, fastProblem(70))})
+	var id string
+	if err := json.Unmarshal(created["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, string(created["state"]))
+	for _, ev := range events {
+		raw = append(raw, string(post("/v1/sessions/"+id+"/events", client.SessionEventsRequest{Events: []client.SessionEvent{ev}})["state"]))
+	}
+	resp, err := http.Get(c.BaseURL() + "/v1/sessions/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET state answered %d (%v)", resp.StatusCode, err)
+	}
+	raw = append(raw, strings.TrimSuffix(string(body), "\n"))
+	checkStates(t, "daemon", id, raw)
+
+	// The same script through the typed client: the create's state by GET
+	// (encoding/json), each event's by the events answer scan.
+	sess, _, err := c.NewSession(ctx, fastProblem(70), nil)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	var decoded []string
+	marshal := func(st client.SessionState) {
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, string(b))
+	}
+	st, err := sess.State(ctx)
+	if err != nil {
+		t.Fatalf("State: %v", err)
+	}
+	marshal(st)
+	for _, ev := range events {
+		if _, st, err = sess.Events(ctx, ev); err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		marshal(st)
+	}
+	if st, err = sess.State(ctx); err != nil {
+		t.Fatalf("State: %v", err)
+	}
+	marshal(st)
+	checkStates(t, "client round trip", sess.ID(), decoded)
+}
+
+// checkStates compares got, with the session ID id masked, to
+// sessionStateGolden.
+func checkStates(t *testing.T, what, id string, got []string) {
+	t.Helper()
+	if len(got) != len(sessionStateGolden) {
+		t.Fatalf("%s: %d states, want %d:\n%s", what, len(got), len(sessionStateGolden), strings.Join(got, "\n"))
+	}
+	for i, s := range got {
+		if s = strings.Replace(s, `"id":"`+id+`"`, `"id":"ID"`, 1); s != sessionStateGolden[i] {
+			t.Errorf("%s: state %d =\n%s\nwant\n%s", what, i, s, sessionStateGolden[i])
+		}
 	}
 }

@@ -124,27 +124,33 @@ type Resolve struct {
 	milp.SearchStats
 }
 
-// State is a snapshot of a session.
+// State is a snapshot of a session, served as is (after the session's
+// ID) by the daemon's session endpoints.
 type State struct {
-	// Events counts successfully applied events (invalid events don't count).
-	Events int
-	Graphs int
-	Tasks  int
-	Target int
+	// Events counts successfully applied events (invalid events don't
+	// count): 0 right after creation, whose solve is Seq 0. Graphs and
+	// Tasks size the current problem; Target is the current target.
+	Events int `json:"events"`
+	Graphs int `json:"graphs"`
+	Tasks  int `json:"tasks"`
+	Target int `json:"target"`
 	// Feasible is false only while every graph is excluded by outages and
-	// the target is positive.
-	Feasible bool
-	Cost     int64
-	Alloc    core.Allocation
+	// the target is positive; Cost and Alloc are the committed optimum
+	// otherwise.
+	Feasible bool            `json:"feasible"`
+	Cost     int64           `json:"cost"`
+	Alloc    core.Allocation `json:"allocation"`
 	// Offline lists the machine types currently offline, ascending.
-	Offline []int
+	Offline []int `json:"offline,omitempty"`
 	// WarmResolves/ColdResolves split all resolves (including the initial
 	// solve) by seeding path; ChurnMoves/ChurnBase accumulate machine
-	// moves and post-event fleet sizes (churn ratio = moves/base).
-	WarmResolves int
-	ColdResolves int
-	ChurnMoves   int64
-	ChurnBase    int64
+	// moves and post-event fleet sizes, and ChurnRatio is moves per
+	// fleet machine (0 while no machine was ever allocated).
+	WarmResolves int     `json:"warm_resolves"`
+	ColdResolves int     `json:"cold_resolves"`
+	ChurnMoves   int64   `json:"churn_moves"`
+	ChurnRatio   float64 `json:"churn_ratio"`
+	ChurnBase    int64   `json:"-"`
 }
 
 // Session is a long-lived re-optimization session. All methods are safe
@@ -479,6 +485,9 @@ func (s *Session) State() State {
 		ColdResolves: s.cold,
 		ChurnMoves:   s.churnMoves,
 		ChurnBase:    s.churnBase,
+	}
+	if s.churnBase > 0 {
+		st.ChurnRatio = float64(s.churnMoves) / float64(s.churnBase)
 	}
 	for q, off := range s.offline {
 		if off {

@@ -292,9 +292,6 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		// Stopped before the root LP: every price and machine count is
 		// non-negative, so no allocation costs less than 0.
 		res.Bound = 0
-		if res.Status == milp.Feasible {
-			res.Gap = res.Objective / math.Max(1, res.Objective)
-		}
 	}
 	out := ILPResult{Result: res, Proven: res.Status == milp.Optimal}
 	if res.Status == milp.Optimal || res.Status == milp.Feasible {

@@ -167,8 +167,8 @@ func TestILPTimeLimitKeepsWarmStart(t *testing.T) {
 	if err := m.CheckFeasible(res.Alloc, 150); err != nil {
 		t.Errorf("allocation under time limit infeasible: %v", err)
 	}
-	if res.Status == milp.Feasible && res.Gap < 0 {
-		t.Errorf("negative gap %g", res.Gap)
+	if res.Status == milp.Feasible && res.Bound > res.Objective {
+		t.Errorf("bound %g above the objective %g", res.Bound, res.Objective)
 	}
 }
 
